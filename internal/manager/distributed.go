@@ -81,7 +81,7 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 			return nil, nil, fmt.Errorf("manager: trace: %w", err)
 		}
 	}
-	_, bound, wait, err := rpcnet.ServeDistributed(addr, in, plan, cl, models, rpcnet.DistributedOptions{
+	srv, bound, wait, err := rpcnet.ServeDistributed(addr, in, plan, cl, models, rpcnet.DistributedOptions{
 		TimeScale:         ts,
 		Store:             b.Store,
 		Faults:            b.Faults,
@@ -94,6 +94,9 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 	if err != nil {
 		return nil, nil, err
 	}
+	// The coordinator lives for this batch only: without the Close its
+	// listener, accept goroutine and state outlive every batch.
+	defer srv.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < cl.Size(); g++ {
 		wg.Add(1)

@@ -1,8 +1,10 @@
 package manager
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"hare/internal/faults"
 	"hare/internal/rpcnet"
@@ -36,6 +38,36 @@ func TestDistributedBackendBatch(t *testing.T) {
 		if st.State != StateDone || st.Completion <= 0 {
 			t.Errorf("job %d: %+v", id, st)
 		}
+	}
+}
+
+// TestDistributedBackendClosesCoordinator: each batch's coordinator —
+// listener, accept goroutine, lease monitor — is gone once Execute
+// returns, so a long-lived manager's goroutine count does not grow
+// with the batches it has run.
+func TestDistributedBackendClosesCoordinator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real TCP control plane")
+	}
+	m := testManager(&DistributedBackend{TimeScale: 1e-4})
+	before := runtime.NumGoroutine()
+	for batch := 0; batch < 5; batch++ {
+		if _, err := m.Submit(req("ResNet50", 2, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.ExecuteBatch(); err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+	}
+	// net/rpc's ServeConn goroutines drain asynchronously after the
+	// connections close; poll (up to 5 s) until the count settles back.
+	for tries := 0; runtime.NumGoroutine() > before; tries++ {
+		if tries == 500 {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked over 5 batches: %d before, %d after\n%s", before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond) //lint:allow walltime waiting for real goroutines to exit
 	}
 }
 

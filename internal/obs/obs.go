@@ -18,7 +18,6 @@ package obs
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Type enumerates the event taxonomy. The events mirror the paper's
@@ -295,14 +294,25 @@ type Sink interface {
 // Recorder fans events out to its sinks. The zero value and nil are
 // both valid no-ops; construct with NewRecorder to attach sinks.
 //
-// The sink slice is fixed at construction, so Emit takes no lock of
-// its own — concurrency control lives in the sinks, keeping the
-// fan-out path a plain loop.
+// The sink slice is fixed at construction, so a plain recorder's Emit
+// takes no lock of its own — concurrency control lives in the sinks,
+// keeping the fan-out path a plain loop. A sequencing recorder
+// (NewSeqRecorder) serializes Emit instead: see seqState.
 type Recorder struct {
 	sinks []Sink
 	// seq, when non-nil, stamps each emitted event with this process's
 	// monotonic sequence number (see NewSeqRecorder).
-	seq *atomic.Uint64
+	seq *seqState
+}
+
+// seqState is a sequencing recorder's counter. Its mutex is held from
+// the stamp to the end of the fan-out, so every sink records events in
+// stamp order; a bare atomic counter let two concurrent emitters reach
+// a sink in the opposite order to their stamps. A sink must therefore
+// not emit into the recorder that is calling it.
+type seqState struct {
+	mu sync.Mutex
+	n  uint64
 }
 
 // NewRecorder builds a recorder over the given sinks (nil sinks are
@@ -321,10 +331,11 @@ func NewRecorder(sinks ...Sink) *Recorder {
 // emitted event whose Seq is still zero is stamped with a per-recorder
 // monotonic counter, giving one process's stream a total order that
 // survives the round-trip through JSONL and lets cross-process merges
-// tie-break deterministically on (LSN, Seq).
+// tie-break deterministically on (LSN, Seq). Every sink sees the stream
+// in Seq order, whatever goroutines emit.
 func NewSeqRecorder(sinks ...Sink) *Recorder {
 	r := NewRecorder(sinks...)
-	r.seq = new(atomic.Uint64)
+	r.seq = new(seqState)
 	return r
 }
 
@@ -348,8 +359,13 @@ func (r *Recorder) Emit(e Event) {
 	if r == nil {
 		return
 	}
-	if r.seq != nil && e.Seq == 0 {
-		e.Seq = r.seq.Add(1)
+	if r.seq != nil {
+		r.seq.mu.Lock()
+		defer r.seq.mu.Unlock()
+		if e.Seq == 0 {
+			r.seq.n++
+			e.Seq = r.seq.n
+		}
 	}
 	for _, s := range r.sinks {
 		s.Record(e)

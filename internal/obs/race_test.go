@@ -72,3 +72,32 @@ func TestConcurrentEmitAndDrain(t *testing.T) {
 		t.Errorf("drained %d + dropped %d != emitted %d", drained, dropped, want)
 	}
 }
+
+// TestSeqRecorderRecordsInStampOrder: a sequencing recorder's sinks see
+// events in Seq order however many goroutines emit — the contract raw
+// consumers (JSONL streams, flight dumps, harectl tail) rely on.
+func TestSeqRecorderRecordsInStampOrder(t *testing.T) {
+	const emitters, perEmit = 8, 2000
+	collect := NewCollectSink()
+	rec := NewSeqRecorder(collect)
+	var wg sync.WaitGroup
+	for g := 0; g < emitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perEmit; i++ {
+				rec.Emit(Event{Type: EvTaskFinish, GPU: g})
+			}
+		}(g)
+	}
+	wg.Wait()
+	events := collect.Events()
+	if len(events) != emitters*perEmit {
+		t.Fatalf("recorded %d events, want %d", len(events), emitters*perEmit)
+	}
+	for i, e := range events {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("event %d recorded with seq %d", i, e.Seq)
+		}
+	}
+}

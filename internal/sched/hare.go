@@ -174,8 +174,9 @@ func (h *Hare) pickGPU(in *core.Instance, t core.TaskRef, phi []float64, ti floa
 	switch h.Pick {
 	case PickEarliestFinish:
 		best, bestFinish := 0, math.Inf(1)
+		train := in.Train[t.Job]
 		for m := 0; m < in.NumGPUs; m++ {
-			f := math.Max(ti, phi[m]) + in.Train[t.Job][m]
+			f := max(ti, phi[m]) + train[m] // the builtin inlines; math.Max is a call
 			if f < bestFinish {
 				best, bestFinish = m, f
 			}

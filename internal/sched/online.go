@@ -3,9 +3,10 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hare/internal/core"
+	"hare/internal/eventq"
 	"hare/internal/obs"
 	"hare/internal/sched/relax"
 )
@@ -46,175 +47,161 @@ type jobState struct {
 	barrier float64
 }
 
+// epochJob is an arrived, unfinished job within one planning epoch.
+type epochJob struct {
+	job  core.Job   // its remaining rounds, as the relaxation sees them
+	real core.JobID // the job behind it
+	base int        // rounds committed before this epoch
+	// next is the first round (numbered within job) not yet
+	// list-scheduled this epoch; ready is when its tasks become
+	// available: the previous round's barrier.
+	next  int
+	ready float64
+}
+
+// onlinePlan is what one Schedule call carries from epoch to epoch:
+// the committed state (states, phi) and the arenas each epoch refills.
+type onlinePlan struct {
+	states []jobState
+	phi    []float64 // φ_m over committed work
+	tmax   []float64 // max_m T^c per job: H_i = x̂_i + ½·tmax
+	tmpPhi []float64 // φ_m within an epoch's list scheduling
+	jobs   []epochJob
+	sub    core.Instance // jobs' remaining work, for the relaxation
+	// order yields π round by round: the epoch's jobs keyed by the H of
+	// their next round. A round's tasks share H and a job's rounds have
+	// non-descending H, so merging the jobs is sorting the tasks.
+	order *eventq.IndexedHeap
+	round []core.Placement // the round being list-scheduled
+	note  string           // decision events' Note
+}
+
 // Schedule implements Algorithm.
 func (o *OnlineHare) Schedule(in *core.Instance) (*core.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	n := len(in.Jobs)
+	p := &onlinePlan{
+		states: make([]jobState, n),
+		phi:    make([]float64, in.NumGPUs),
+		tmax:   make([]float64, n),
+		tmpPhi: make([]float64, in.NumGPUs),
+		jobs:   make([]epochJob, 0, n), // never regrown: sub.Jobs points into it
+		order:  eventq.NewIndexedHeap(n),
+		note:   "online/" + o.Pick.String(),
+	}
 	// Distinct arrival epochs, in order.
-	epochSet := make(map[float64]bool)
-	for _, j := range in.Jobs {
-		epochSet[j.Arrival] = true
+	epochs := make([]float64, n)
+	for i, j := range in.Jobs {
+		epochs[i] = j.Arrival
+		p.states[i].barrier = j.Arrival
+		p.tmax[i] = slices.Max(in.Train[i])
 	}
-	epochs := make([]float64, 0, len(epochSet))
-	for t := range epochSet {
-		epochs = append(epochs, t)
-	}
-	sort.Float64s(epochs)
+	slices.Sort(epochs)
+	epochs = slices.Compact(epochs)
 
-	s := core.NewSchedule()
-	phi := make([]float64, in.NumGPUs)
-	states := make([]jobState, len(in.Jobs))
-	for _, j := range in.Jobs {
-		states[j.ID].barrier = j.Arrival
-	}
-
+	s := &core.Schedule{Placements: make(map[core.TaskRef]core.Placement, in.NumTasks())}
 	for ei, now := range epochs {
 		next := math.Inf(1)
 		if ei+1 < len(epochs) {
 			next = epochs[ei+1]
 		}
-		if err := o.planEpoch(in, s, phi, states, now, next); err != nil {
+		if err := o.planEpoch(in, s, p, now, next); err != nil {
 			return nil, fmt.Errorf("hare-online: epoch at %g: %w", now, err)
 		}
 	}
 	// Everything must be committed after the final epoch.
 	for _, j := range in.Jobs {
-		if states[j.ID].committed != j.Rounds {
-			return nil, fmt.Errorf("hare-online: job %d committed %d/%d rounds", j.ID, states[j.ID].committed, j.Rounds)
+		if p.states[j.ID].committed != j.Rounds {
+			return nil, fmt.Errorf("hare-online: job %d committed %d/%d rounds", j.ID, p.states[j.ID].committed, j.Rounds)
 		}
 	}
 	return s, nil
 }
 
-// planEpoch plans all remaining rounds of arrived jobs as offline Hare
-// would, then commits only the rounds that start before the next
-// arrival.
-func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, phi []float64, states []jobState, now, next float64) error {
-	// Sub-instance over remaining work of arrived jobs. subID[i] is
-	// the real job behind sub-job i.
-	var subJobs []*core.Job
-	var subID []core.JobID
-	var train, syncT [][]float64
+// planEpoch plans the remaining rounds of arrived jobs as offline Hare
+// would, as far as the plan can matter before the next arrival, and
+// commits the rounds that start before it.
+func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, p *onlinePlan, now, next float64) error {
+	// Sub-instance over remaining work of arrived jobs.
+	p.jobs, p.sub.Jobs, p.sub.Train, p.sub.Sync = p.jobs[:0], p.sub.Jobs[:0], p.sub.Train[:0], p.sub.Sync[:0]
+	p.sub.NumGPUs = in.NumGPUs
 	for _, j := range in.Jobs {
-		st := states[j.ID]
+		st := p.states[j.ID]
 		if j.Arrival > now || st.committed == j.Rounds {
 			continue
 		}
-		subJobs = append(subJobs, &core.Job{
-			ID:      core.JobID(len(subJobs)),
-			Name:    j.Name,
-			Model:   j.Model,
-			Weight:  j.Weight,
-			Arrival: math.Max(st.barrier, now),
-			Rounds:  j.Rounds - st.committed,
-			Scale:   j.Scale,
+		arrival := max(st.barrier, now)
+		p.jobs = append(p.jobs, epochJob{
+			job: core.Job{
+				ID: core.JobID(len(p.jobs)), Name: j.Name, Model: j.Model, Weight: j.Weight,
+				Arrival: arrival, Rounds: j.Rounds - st.committed, Scale: j.Scale,
+			},
+			real: j.ID, base: st.committed, ready: arrival,
 		})
-		subID = append(subID, j.ID)
-		train = append(train, in.Train[j.ID])
-		syncT = append(syncT, in.Sync[j.ID])
+		p.sub.Jobs = append(p.sub.Jobs, &p.jobs[len(p.jobs)-1].job)
+		p.sub.Train = append(p.sub.Train, in.Train[j.ID])
+		p.sub.Sync = append(p.sub.Sync, in.Sync[j.ID])
 	}
-	if len(subJobs) == 0 {
+	if len(p.jobs) == 0 {
 		return nil
 	}
-	sub := &core.Instance{Jobs: subJobs, NumGPUs: in.NumGPUs, Train: train, Sync: syncT}
-	sol, err := relax.Fluid(sub)
+	sol, err := relax.Fluid(&p.sub)
 	if err != nil {
 		return err
 	}
-
-	// List-schedule the sub-instance over the *current* φ, exactly as
-	// Algorithm 1 does, recording per-round placements.
-	type placed struct {
-		task  core.TaskRef // sub-instance coordinates
-		gpu   int
-		start float64
-		h     float64
-	}
-	pi := sub.Tasks()
-	sort.SliceStable(pi, func(a, b int) bool {
-		ha, hb := sol.H(sub, pi[a].Job, pi[a].Round), sol.H(sub, pi[b].Job, pi[b].Round)
-		if ha != hb {
-			return ha < hb
-		}
-		if pi[a].Job != pi[b].Job {
-			return pi[a].Job < pi[b].Job
-		}
-		if pi[a].Round != pi[b].Round {
-			return pi[a].Round < pi[b].Round
-		}
-		return pi[a].Index < pi[b].Index
-	})
-
-	tmpPhi := append([]float64(nil), phi...)
-	barrier := make([][]float64, len(subJobs))
-	for i, j := range subJobs {
-		barrier[i] = make([]float64, j.Rounds)
-	}
-	h := &Hare{Pick: o.Pick}
-	var plan []placed
-	for _, t := range pi {
-		j := subJobs[t.Job]
-		ti := j.Arrival
-		if t.Round > 0 {
-			ti = barrier[t.Job][t.Round-1]
-		}
-		m := h.pickGPU(sub, t, tmpPhi, ti)
-		start := math.Max(ti, tmpPhi[m])
-		tmpPhi[m] = start + sub.Train[t.Job][m]
-		end := start + sub.Train[t.Job][m] + sub.Sync[t.Job][m]
-		if end > barrier[t.Job][t.Round] {
-			barrier[t.Job][t.Round] = end
-		}
-		plan = append(plan, placed{task: t, gpu: m, start: start, h: sol.H(sub, t.Job, t.Round)})
+	p.order.Reset(len(p.jobs))
+	for i := range p.jobs {
+		p.order.Set(i, sol.RoundStart[i][0]+0.5*p.tmax[p.jobs[i].real])
 	}
 
-	// Commit the rounds that have *begun* before the next arrival:
-	// once a round's first task starts, its sequence entries are
-	// already with the executors and — tasks being non-preemptible —
-	// the round runs to completion; only rounds that have not begun
-	// are re-planned with the new information. Round starts are
-	// ordered within a job, so a committed round's predecessors are
-	// always committed too.
-	roundFirstStart := make(map[[2]int]float64)
-	for _, p := range plan {
-		key := [2]int{int(p.task.Job), p.task.Round}
-		if cur, ok := roundFirstStart[key]; !ok || p.start < cur {
-			roundFirstStart[key] = p.start
+	// List-schedule π over the *current* φ, exactly as Algorithm 1
+	// does, one round at a time. φ only grows and no task starts before
+	// min_m φ_m, so once that reaches the next arrival no later round
+	// can begin before it and the rest of π is left to the next epoch.
+	copy(p.tmpPhi, p.phi)
+	h := Hare{Pick: o.Pick}
+	for p.order.Len() > 0 && slices.Min(p.tmpPhi) < next {
+		i, hr, _ := p.order.Min()
+		ej := &p.jobs[i]
+		train, sync := in.Train[ej.real], in.Sync[ej.real]
+		p.round = p.round[:0]
+		first, barrier := math.Inf(1), 0.0
+		for k := 0; k < ej.job.Scale; k++ {
+			m := h.pickGPU(in, core.TaskRef{Job: ej.real}, p.tmpPhi, ej.ready)
+			start := max(ej.ready, p.tmpPhi[m])
+			p.tmpPhi[m] = start + train[m]
+			barrier = max(barrier, start+train[m]+sync[m])
+			first = min(first, start)
+			p.round = append(p.round, core.Placement{GPU: m, Start: start})
 		}
-	}
-	for _, p := range plan {
-		if roundFirstStart[[2]int{int(p.task.Job), p.task.Round}] >= next {
-			continue // round not begun before the next arrival
-		}
-		realJob := subID[p.task.Job]
-		realRound := states[realJob].committed + p.task.Round
-		s.Place(core.TaskRef{Job: realJob, Round: realRound, Index: p.task.Index}, p.gpu, p.start)
-		if o.rec.Enabled() {
-			o.rec.Emit(obs.Event{
-				Type: obs.EvSchedDecision, Time: p.start, GPU: p.gpu,
-				Job: int(realJob), Round: realRound, Index: p.task.Index,
-				H: p.h, Note: "online/" + o.Pick.String(),
-			})
-		}
-		if phi[p.gpu] < p.start+in.Train[realJob][p.gpu] {
-			phi[p.gpu] = p.start + in.Train[realJob][p.gpu]
-		}
-	}
-	// Advance job states.
-	for i, j := range subJobs {
-		committedHere := 0
-		for r := 0; r < j.Rounds; r++ {
-			if roundFirstStart[[2]int{i, r}] < next {
-				committedHere = r + 1
-			} else {
-				break
+		// Commit the round if it has *begun* before the next arrival:
+		// once a round's first task starts, its sequence entries are
+		// already with the executors and — tasks being non-preemptible —
+		// the round runs to completion; only rounds that have not begun
+		// are re-planned with the new information. Round starts are
+		// ordered within a job, so a committed round's predecessors are
+		// always committed too.
+		if realRound := ej.base + ej.next; first < next {
+			for k, pl := range p.round {
+				s.Place(core.TaskRef{Job: ej.real, Round: realRound, Index: k}, pl.GPU, pl.Start)
+				if o.rec.Enabled() {
+					o.rec.Emit(obs.Event{
+						Type: obs.EvSchedDecision, Time: pl.Start, GPU: pl.GPU,
+						Job: int(ej.real), Round: realRound, Index: k,
+						H: hr, Note: p.note,
+					})
+				}
+				p.phi[pl.GPU] = max(p.phi[pl.GPU], pl.Start+train[pl.GPU])
 			}
+			p.states[ej.real] = jobState{committed: realRound + 1, barrier: barrier}
 		}
-		if committedHere > 0 {
-			real := subID[i]
-			states[real].committed += committedHere
-			states[real].barrier = barrier[i][committedHere-1]
+		ej.ready = barrier
+		if ej.next++; ej.next < ej.job.Rounds {
+			p.order.Set(i, sol.RoundStart[i][ej.next]+0.5*p.tmax[ej.real])
+		} else {
+			p.order.Remove(i)
 		}
 	}
 	return nil

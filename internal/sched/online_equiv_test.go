@@ -1,0 +1,183 @@
+package sched
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"reflect"
+	"testing"
+
+	"hare/internal/cluster"
+	"hare/internal/core"
+	"hare/internal/obs"
+	"hare/internal/profile"
+	"hare/internal/stats"
+	"hare/internal/trace"
+	"hare/internal/workload"
+)
+
+// checkAgainstReference fails unless OnlineHare and the reference agree
+// on in under both GPU picks: equal placements, equal committed-decision
+// event streams.
+func checkAgainstReference(t *testing.T, in *core.Instance) {
+	t.Helper()
+	for _, pick := range []GPUPick{PickEarliestAvailable, PickEarliestFinish} {
+		gotEv, wantEv := obs.NewCollectSink(), obs.NewCollectSink()
+		got, err := (&OnlineHare{Pick: pick, rec: obs.NewRecorder(gotEv)}).Schedule(in)
+		if err != nil {
+			t.Fatalf("%v: %v", pick, err)
+		}
+		want, err := (&refOnline{Pick: pick, rec: obs.NewRecorder(wantEv)}).Schedule(in)
+		if err != nil {
+			t.Fatalf("%v: reference: %v", pick, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v: schedule differs from the reference", pick)
+		}
+		if !reflect.DeepEqual(gotEv.Events(), wantEv.Events()) {
+			t.Fatalf("%v: decision stream differs from the reference", pick)
+		}
+		if n := len(gotEv.Events()); n != in.NumTasks() {
+			t.Fatalf("%v: %d decision events for %d tasks", pick, n, in.NumTasks())
+		}
+	}
+}
+
+// reshape bends a random instance into one of the shapes the planner
+// treats specially; shape 0 leaves it alone.
+func reshape(in *core.Instance, shape int) {
+	for _, j := range in.Jobs {
+		switch shape {
+		case 1: // tied arrivals: a handful of shared epochs
+			j.Arrival = 10 * math.Floor(j.Arrival/10)
+		case 2: // one epoch
+			j.Arrival = 0
+		case 3: // every round needs the whole fleet
+			j.Scale = in.NumGPUs
+		}
+	}
+}
+
+func TestOnlineMatchesReference(t *testing.T) {
+	rng := stats.New(20260927)
+	for trial := 0; trial < 240; trial++ {
+		maxJobs, maxGPUs := 12, 8
+		if trial%8 == 7 { // big enough that most epochs stop early
+			maxJobs, maxGPUs = 48, 16
+		}
+		in := randomInstance(rng.Split(), maxJobs, maxGPUs)
+		reshape(in, trial%4)
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) { checkAgainstReference(t, in) })
+	}
+	// The benchmark's shape: model-zoo jobs of many rounds, bursty
+	// arrivals, far more work per epoch than an epoch commits.
+	for seed := int64(1); seed <= 4; seed++ {
+		in := generatedInstance(t, 60, 32, 600, seed)
+		t.Run(fmt.Sprintf("generated%d", seed), func(t *testing.T) { checkAgainstReference(t, in) })
+	}
+}
+
+// FuzzOnlineMatchesReference drives tiny instances (≤ 6 jobs, ≤ 4 GPUs,
+// ≤ 4 rounds) drawn from seed and bent into shape: new ≡ reference, the
+// plan validates, committed work is never revoked.
+func FuzzOnlineMatchesReference(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed, uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		in := randomInstance(stats.New(seed), 6, 4)
+		reshape(in, int(shape%4))
+		checkAgainstReference(t, in)
+		s, err := NewOnlineHare().Schedule(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.ValidateSchedule(in, s); err != nil {
+			t.Fatalf("infeasible: %v", err)
+		}
+		// Committed work is never revoked: a task planned to start
+		// before the last arrival keeps its placement when that last
+		// job is taken away.
+		n := len(in.Jobs) - 1
+		last := in.Jobs[n]
+		if n == 0 {
+			return
+		}
+		for _, j := range in.Jobs {
+			if j.Arrival > last.Arrival {
+				return // the last job is not the last arrival
+			}
+		}
+		short := &core.Instance{Jobs: in.Jobs[:n], NumGPUs: in.NumGPUs, Train: in.Train[:n], Sync: in.Sync[:n]}
+		before, err := NewOnlineHare().Schedule(short)
+		if err != nil {
+			t.Fatal(err)
+		}
+		//lint:ordered independent per-task assertions
+		for tr, p := range before.Placements {
+			if p.Start < last.Arrival && s.Placements[tr] != p {
+				t.Fatalf("task %v started at %g, before the arrival at %g, yet moved: %+v -> %+v",
+					tr, p.Start, last.Arrival, p, s.Placements[tr])
+			}
+		}
+	})
+}
+
+// placementHash fingerprints a schedule: every placement, in task
+// order, start times at full float64 precision.
+func placementHash(in *core.Instance, s *core.Schedule) uint64 {
+	h := fnv.New64a()
+	for _, t := range in.Tasks() {
+		p := s.Placements[t]
+		fmt.Fprintf(h, "%v|%d|%.17g\n", t, p.GPU, p.Start)
+	}
+	return h.Sum64()
+}
+
+// generatedInstance builds a model-zoo workload the way sim's
+// goldenWorkload does: seeded arrivals over the horizon, generated job
+// specs, profiled times on a high-heterogeneity fleet.
+func generatedInstance(t testing.TB, jobs, gpus int, horizon float64, seed int64) *core.Instance {
+	t.Helper()
+	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, gpus)
+	specs := workload.Generate(workload.Options{
+		NumJobs:     jobs,
+		Arrivals:    trace.Arrivals(jobs, horizon, seed+1),
+		BatchScale:  1,
+		RoundsScale: 0.1,
+		MaxSync:     cl.Size(),
+		Seed:        seed + 2,
+	})
+	jobSpecs := make([]profile.JobSpec, len(specs))
+	for i, s := range specs {
+		jobSpecs[i] = s
+	}
+	in, err := profile.New(profile.Options{Seed: seed + 3}).BuildInstance(workload.Jobs(specs), jobSpecs, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// TestGoldenSeed42Placements pins Hare's and OnlineHare's plans on the
+// seed-42 workload (sim's goldenWorkload: 40 jobs, 24 GPUs, horizon
+// 300) to hashes recorded at commit 963f92f, before the incremental
+// planner and the dense fluid solver.
+func TestGoldenSeed42Placements(t *testing.T) {
+	in := generatedInstance(t, 40, 24, 300, 42)
+	for _, c := range []struct {
+		algo Algorithm
+		want uint64
+	}{
+		{NewHare(), 0x37cf619e614612ff},
+		{NewOnlineHare(), 0x8b9b31c9d186b4f},
+	} {
+		s, err := c.algo.Schedule(in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.algo.Name(), err)
+		}
+		if got := placementHash(in, s); got != c.want {
+			t.Errorf("%s: placement hash %#x, golden %#x", c.algo.Name(), got, c.want)
+		}
+	}
+}

@@ -15,9 +15,12 @@
 package relax
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"hare/internal/core"
 )
@@ -46,28 +49,40 @@ func (s *Solution) H(in *core.Instance, j core.JobID, r int) float64 {
 	return s.RoundStart[j][r] + 0.5*tmax
 }
 
-// phase tracks a fluid job's progress.
-type phase int
-
-const (
-	phaseWaiting phase = iota // not yet arrived
-	phaseCompute              // current round consuming capacity
-	phaseSync                 // current round synchronizing (no capacity)
-	phaseDone
-)
-
+// fluidJob is one job's row in the solver arena: its constants, then
+// its progress through the fluid schedule.
 type fluidJob struct {
-	job     *core.Job
-	tau     float64 // min_m T^c — fastest per-task training time
+	arrival float64
+	scale   float64 // Scale, the cap on the job's rate
+	work    float64 // Scale·τ: GPU·seconds of compute per round, τ = min_m T^c
 	sigma   float64 // min_m T^s — fastest sync time
 	density float64 // WSPT priority w / total fastest work
+	rounds  int
+	rank    int // position in the priority order
 
-	state        phase
-	round        int
+	round        int     // current round; rounds once done
 	workLeft     float64 // remaining compute work of the round, in GPU·seconds
 	syncLeft     float64
 	roundStarted bool
 }
+
+// solver is the arena a fluid solve runs in. Every table is dense,
+// indexed by job or by priority rank, truncated and refilled per solve
+// and never freed, so a solver that has seen an instance of some size
+// solves the next one without allocating anything but the Solution.
+type solver struct {
+	jobs      []fluidJob
+	prio      []int    // jobs by WSPT density descending
+	byArrival []int    // jobs by arrival
+	ready     []uint64 // bit k set: job prio[k] is computing (wants capacity)
+	run       []int    // jobs holding capacity in the current event …
+	rate      []float64
+	syncing   []int // … and jobs synchronizing, in no particular order
+}
+
+// solvers lends out arenas: OnlineHare's epochs, one after another,
+// keep getting the same one back.
+var solvers = sync.Pool{New: func() any { return new(solver) }}
 
 // Fluid solves the fluid relaxation. The cluster is abstracted as a
 // malleable machine of capacity |M| GPU-equivalents; each job's round
@@ -82,110 +97,109 @@ func Fluid(in *core.Instance) (*Solution, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	sv := solvers.Get().(*solver)
+	defer solvers.Put(sv)
+	return sv.solve(in)
+}
+
+// grow returns s with length n, reallocating only when it must.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// compute moves job j into the compute phase of its current round.
+func (sv *solver) compute(j int) {
+	fj := &sv.jobs[j]
+	fj.workLeft, fj.roundStarted = fj.work, false
+	sv.ready[fj.rank>>6] |= 1 << (fj.rank & 63)
+}
+
+func (sv *solver) solve(in *core.Instance) (*Solution, error) {
 	n := len(in.Jobs)
-	jobs := make([]*fluidJob, n)
+	sv.jobs, sv.prio, sv.byArrival = grow(sv.jobs, n), grow(sv.prio, n), grow(sv.byArrival, n)
+	sv.ready = grow(sv.ready, (n+63)>>6)
+	clear(sv.ready)
+	sv.syncing = sv.syncing[:0]
+	jobs := sv.jobs
+
+	sol := &Solution{RoundStart: make([][]float64, n)}
+	// Each event either consumes an arrival or finishes a job phase,
+	// so the loop is bounded by arrivals + jobs × rounds × 2 events.
+	maxEvents, totalRounds := n+2, 0
 	for i, j := range in.Jobs {
 		tau, sigma := math.Inf(1), math.Inf(1)
 		for m := 0; m < in.NumGPUs; m++ {
-			tau = math.Min(tau, in.Train[j.ID][m])
-			sigma = math.Min(sigma, in.Sync[j.ID][m])
+			tau = min(tau, in.Train[i][m])
+			sigma = min(sigma, in.Sync[i][m])
 		}
 		total := float64(j.Rounds) * (float64(j.Scale)*tau + sigma)
-		jobs[i] = &fluidJob{
-			job:     j,
-			tau:     tau,
-			sigma:   sigma,
-			density: j.Weight / total,
-			state:   phaseWaiting,
+		jobs[i] = fluidJob{
+			arrival: j.Arrival, scale: float64(j.Scale), work: float64(j.Scale) * tau,
+			sigma: sigma, density: j.Weight / total, rounds: j.Rounds,
 		}
+		sv.prio[i], sv.byArrival[i] = i, i
+		maxEvents += 2*j.Rounds + 2
+		totalRounds += j.Rounds
 	}
-
-	sol := &Solution{
-		RoundStart: make([][]float64, n),
-		Completion: make([]float64, n),
-	}
+	// One backing array: the completions, then every job's round starts.
+	buf := make([]float64, n+totalRounds)
+	sol.Completion, buf = buf[:n:n], buf[n:]
 	for i, j := range in.Jobs {
-		sol.RoundStart[i] = make([]float64, j.Rounds)
-		for r := range sol.RoundStart[i] {
-			sol.RoundStart[i][r] = math.Inf(1)
-		}
+		sol.RoundStart[i], buf = buf[:j.Rounds:j.Rounds], buf[j.Rounds:]
 	}
 
 	// Priority order is static: WSPT density descending, ties by
 	// arrival then ID for determinism.
-	prio := make([]*fluidJob, n)
-	copy(prio, jobs)
-	sort.Slice(prio, func(a, b int) bool {
-		if prio[a].density != prio[b].density {
-			return prio[a].density > prio[b].density
-		}
-		if prio[a].job.Arrival != prio[b].job.Arrival {
-			return prio[a].job.Arrival < prio[b].job.Arrival
-		}
-		return prio[a].job.ID < prio[b].job.ID
+	slices.SortFunc(sv.prio, func(a, b int) int {
+		return cmp.Or(cmp.Compare(jobs[b].density, jobs[a].density), cmp.Compare(jobs[a].arrival, jobs[b].arrival), a-b)
 	})
-
-	arrivals := make([]float64, 0, n)
-	for _, j := range in.Jobs {
-		arrivals = append(arrivals, j.Arrival)
+	for k, j := range sv.prio {
+		jobs[j].rank = k
 	}
-	sort.Float64s(arrivals)
-	nextArrival := 0
+	slices.SortFunc(sv.byArrival, func(a, b int) int {
+		return cmp.Or(cmp.Compare(jobs[a].arrival, jobs[b].arrival), a-b)
+	})
 
 	const eps = 1e-12
 	t := 0.0
 	capTotal := float64(in.NumGPUs)
-	// Each event either consumes an arrival or finishes a job phase,
-	// so the loop is bounded by arrivals + jobs × rounds × 2 events.
-	maxEvents := n + 2
-	for _, j := range in.Jobs {
-		maxEvents += 2*j.Rounds + 2
-	}
-
+	arrived, done := 0, 0
 	for ev := 0; ev < maxEvents; ev++ {
 		// Admit arrivals at the current time.
-		for nextArrival < n && arrivals[nextArrival] <= t+eps {
-			nextArrival++
-		}
-		for _, fj := range jobs {
-			if fj.state == phaseWaiting && fj.job.Arrival <= t+eps {
-				fj.state = phaseCompute
-				fj.round = 0
-				fj.workLeft = float64(fj.job.Scale) * fj.tau
-				fj.roundStarted = false
-			}
+		for ; arrived < n && jobs[sv.byArrival[arrived]].arrival <= t+eps; arrived++ {
+			sv.compute(sv.byArrival[arrived])
 		}
 
 		// Allocate capacity by priority.
-		rates := make(map[core.JobID]float64)
+		sv.run, sv.rate = sv.run[:0], sv.rate[:0]
 		capLeft := capTotal
-		for _, fj := range prio {
-			if fj.state != phaseCompute || capLeft <= eps {
-				continue
-			}
-			r := math.Min(float64(fj.job.Scale), capLeft)
-			rates[fj.job.ID] = r
-			capLeft -= r
-			if !fj.roundStarted && r > eps {
-				fj.roundStarted = true
-				sol.RoundStart[fj.job.ID][fj.round] = t
+		for w := 0; w < len(sv.ready) && capLeft > eps; w++ {
+			for word := sv.ready[w]; word != 0 && capLeft > eps; word &= word - 1 {
+				j := sv.prio[w<<6+bits.TrailingZeros64(word)]
+				fj := &jobs[j]
+				r := min(fj.scale, capLeft)
+				sv.run, sv.rate = append(sv.run, j), append(sv.rate, r)
+				capLeft -= r
+				if !fj.roundStarted {
+					fj.roundStarted = true
+					sol.RoundStart[j][fj.round] = t
+				}
 			}
 		}
 
 		// Find the next event horizon.
 		dt := math.Inf(1)
-		for _, fj := range jobs {
-			switch fj.state {
-			case phaseCompute:
-				if r := rates[fj.job.ID]; r > eps {
-					dt = math.Min(dt, fj.workLeft/r)
-				}
-			case phaseSync:
-				dt = math.Min(dt, fj.syncLeft)
-			}
+		for k, j := range sv.run {
+			dt = min(dt, jobs[j].workLeft/sv.rate[k])
 		}
-		if nextArrival < n {
-			dt = math.Min(dt, arrivals[nextArrival]-t)
+		for _, j := range sv.syncing {
+			dt = min(dt, jobs[j].syncLeft)
+		}
+		if arrived < n {
+			dt = min(dt, jobs[sv.byArrival[arrived]].arrival-t)
 		}
 		if math.IsInf(dt, 1) {
 			break // nothing active and no arrivals left: done
@@ -194,49 +208,40 @@ func Fluid(in *core.Instance) (*Solution, error) {
 			dt = 0
 		}
 
-		// Advance.
+		// Advance: first the jobs that were already synchronizing, then
+		// the ones holding capacity, which may only now begin to.
 		t += dt
-		for _, fj := range jobs {
-			switch fj.state {
-			case phaseCompute:
-				if r := rates[fj.job.ID]; r > eps {
-					fj.workLeft -= r * dt
-					if fj.workLeft <= eps {
-						fj.workLeft = 0
-						fj.syncLeft = fj.sigma
-						fj.state = phaseSync
-					}
-				}
-			case phaseSync:
-				fj.syncLeft -= dt
-				if fj.syncLeft > eps {
-					continue
-				}
-				fj.syncLeft = 0
-				fj.round++
-				if fj.round >= fj.job.Rounds {
-					fj.state = phaseDone
-					sol.Completion[fj.job.ID] = t
-				} else {
-					fj.state = phaseCompute
-					fj.workLeft = float64(fj.job.Scale) * fj.tau
-					fj.roundStarted = false
-				}
+		for k := 0; k < len(sv.syncing); {
+			j := sv.syncing[k]
+			fj := &jobs[j]
+			fj.syncLeft -= dt
+			if fj.syncLeft > eps {
+				k++
+				continue
+			}
+			last := len(sv.syncing) - 1
+			sv.syncing[k], sv.syncing = sv.syncing[last], sv.syncing[:last]
+			if fj.round++; fj.round < fj.rounds {
+				sv.compute(j)
+			} else {
+				sol.Completion[j] = t
+				done++
+			}
+		}
+		for k, j := range sv.run {
+			fj := &jobs[j]
+			fj.workLeft -= sv.rate[k] * dt
+			if fj.workLeft <= eps {
+				fj.syncLeft = fj.sigma
+				sv.ready[fj.rank>>6] &^= 1 << (fj.rank & 63)
+				sv.syncing = append(sv.syncing, j)
 			}
 		}
 	}
 
-	for _, fj := range jobs {
-		if fj.state != phaseDone {
-			return nil, fmt.Errorf("relax: fluid simulation did not finish job %d (state %d)", fj.job.ID, fj.state)
-		}
-	}
-	for j := range sol.RoundStart {
-		for r, x := range sol.RoundStart[j] {
-			if math.IsInf(x, 1) {
-				return nil, fmt.Errorf("relax: round %d of job %d never started in fluid schedule", r, j)
-			}
-		}
+	if done < n {
+		j := slices.IndexFunc(jobs, func(fj fluidJob) bool { return fj.round < fj.rounds })
+		return nil, fmt.Errorf("relax: fluid simulation did not finish job %d (round %d of %d)", j, jobs[j].round, jobs[j].rounds)
 	}
 	for i, j := range in.Jobs {
 		sol.Objective += j.Weight * sol.Completion[i]

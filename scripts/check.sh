@@ -23,6 +23,13 @@ go test -race -run 'TestRunMatchesReference|TestRunGolden' ./internal/sim/
 go test -race -run 'TestSharded|TestSimulatorReuse|TestRunShardedHandles' ./internal/sim/
 go test -race -run 'TestParallelMatchesSerial' ./internal/experiments/
 
+echo "==> planner equivalence under -race (OnlineHare and Fluid vs their _test.go reference implementations, seed-42 placement goldens, 10 s fuzz smoke)"
+go test -race -run 'TestOnlineMatchesReference|TestFluidMatchesReference|TestGoldenSeed42Placements' ./internal/sched/...
+go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
+
+echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
+go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
+
 echo "==> span-tree and attribution equivalence under -race (seed-42 goldens, sim/testbed/distributed 1e-9)"
 go test -race ./internal/obs/span/ ./internal/obs/critpath/
 
