@@ -9,7 +9,7 @@ BENCH_COUNT ?= 5
 BENCH_THRESHOLD ?= 1.0
 BENCH_BASE ?= bench/baseline.json
 
-.PHONY: all build test vet lint race bench bench-compare bench-obs bench-clean chaos check fmt
+.PHONY: all build test vet lint race bench bench-compare bench-obs bench-clean bench-e2e chaos check fmt loc
 
 all: build
 
@@ -54,6 +54,11 @@ bench-clean:
 bench-obs:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorReplay|BenchmarkObs' -benchtime 10x .
 
+# The end-to-end benchmark (bench/e2e/README.md, BENCHMARK.json): five
+# workloads, end-to-end metrics; add `--trace 1` by hand for per-layer rows.
+bench-e2e:
+	$(GO) run ./bench/e2e --workload all --seed 1
+
 # Crash-safety soak (docs/ROBUSTNESS.md): the deterministic harechaos
 # seed matrix the CI chaos job runs. CHAOS_SEEDS/CHAOS_START tune it.
 CHAOS_SEEDS ?= 20
@@ -66,3 +71,14 @@ check:
 
 fmt:
 	gofmt -l -w .
+
+# Non-test Go lines (wc -l: code, comments and blanks) per top-level
+# package and in total, bench/e2e listed separately — the number ROADMAP
+# item 4 is judged by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | awk '$$2 != "total" { \
+		n = split($$2, p, "/"); \
+		pkg = n == 2 ? "." : (p[2] == "bench" ? "bench/e2e" : p[2] "/" p[3]); \
+		lines[pkg] += $$1; if (pkg != "bench/e2e") total += $$1 } \
+		END { for (pkg in lines) if (pkg != "bench/e2e") printf "%7d  %s\n", lines[pkg], pkg | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total (outside bench/e2e)\n%7d  bench/e2e\n", total, lines["bench/e2e"] }'

@@ -1,13 +1,17 @@
-// Command haretestbed runs a workload end-to-end on the in-process
-// testbed: real SGD workers in goroutines, per-job parameter servers,
-// checkpointing, Hare's fast task switching, and — with -rpc — a
-// net/rpc control plane over TCP, mirroring the paper's prototype in
-// which the central scheduler talks to executors over gRPC.
+// Command haretestbed runs a workload end-to-end on the testbed: real
+// SGD workers, per-job parameter servers, checkpointing and Hare's fast
+// task switching. By default everything runs in one process and the
+// per-job loss table is printed. With -rpc the batch goes through the
+// distributed control plane — the pull-based coordinator over TCP,
+// mirroring the paper's prototype in which the central scheduler talks
+// to executors over gRPC — with one executor goroutine per GPU;
+// -distributed uses one executor OS process per GPU. Both print the
+// coordinator's summary (tasks, recovery, weighted JCT, switching).
 //
 // Example:
 //
 //	haretestbed -jobs 8 -scale 0.05 -timescale 1e-3
-//	haretestbed -jobs 6 -rpc          # executors dial the scheduler
+//	haretestbed -jobs 6 -rpc          # executors dial the coordinator
 //	haretestbed -jobs 6 -distributed  # one OS process per GPU
 package main
 
@@ -20,7 +24,6 @@ import (
 	"hare"
 	"hare/internal/metrics"
 	"hare/internal/rpcnet"
-	"hare/internal/testbed"
 )
 
 var (
@@ -29,7 +32,7 @@ var (
 	seed      = flag.Int64("seed", 1, "random seed")
 	timescale = flag.Float64("timescale", 1e-3, "wall seconds per simulated second")
 	faultSpec = flag.String("fault-spec", "", "fault injection: rate=R,seed=S,fail=G@T,crash=G@T,slow=GxF (comma-separated, repeatable clauses)")
-	useRPC    = flag.Bool("rpc", false, "route executor traffic over a net/rpc TCP control plane")
+	useRPC    = flag.Bool("rpc", false, "run through the distributed coordinator over TCP, one executor goroutine per GPU")
 	addr      = flag.String("addr", "127.0.0.1:0", "control-plane listen address with -rpc/-distributed")
 	distrib   = flag.Bool("distributed", false, "spawn one executor OS process per GPU")
 
@@ -41,17 +44,20 @@ var (
 
 func main() {
 	flag.Parse()
-	if *execMode {
-		// Network chaos is injected executor-side (above the codec), so
-		// the child re-parses the spec it was spawned with; crash and
-		// transient faults arrive via the coordinator's Config RPC.
-		fplan, err := hare.ParseFaults(*faultSpec)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rpcnet.RunExecutorOpts(*addr, *execGPU, rpcnet.ExecutorOptions{
+	fplan, err := hare.ParseFaults(*faultSpec)
+	if err != nil {
+		fatal(err)
+	}
+	// Network chaos is injected executor-side (above the codec), so every
+	// executor gets the spec itself; crash and transient faults arrive
+	// via the coordinator's Config RPC.
+	runExecutor := func(addr string, gpu int) error {
+		return rpcnet.RunExecutorOpts(addr, gpu, rpcnet.ExecutorOptions{
 			Chaos: fplan.NetModel(), ChaosSeed: fplan.NetSeed(),
-		}); err != nil {
+		})
+	}
+	if *execMode {
+		if err := runExecutor(*addr, *execGPU); err != nil {
 			fatal(err)
 		}
 		return
@@ -67,10 +73,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fplan, err := hare.ParseFaults(*faultSpec)
-	if err != nil {
-		fatal(err)
-	}
 	if err := fplan.Validate(in.NumGPUs); err != nil {
 		fatal(err)
 	}
@@ -81,49 +83,47 @@ func main() {
 	}
 	fmt.Println()
 
-	if *distrib {
-		runDistributed(in, plan, cl, models, fplan)
+	switch {
+	case *distrib:
+		// Re-execute this binary once per GPU (the hidden -executor
+		// mode — each child is exactly what cmd/hare-executor runs).
+		self, err := os.Executable()
+		if err != nil {
+			fatal(err)
+		}
+		runDistributed(in, plan, cl, models, fplan, "processes", func(bound string, g int) func() error {
+			cmd := exec.Command(self, "-executor", "-addr", bound, "-executor-gpu", fmt.Sprint(g),
+				"-fault-spec", fplan.String())
+			cmd.Stderr = os.Stderr
+			if err := cmd.Start(); err != nil {
+				fatal(err)
+			}
+			return cmd.Wait
+		})
+		return
+	case *useRPC:
+		runDistributed(in, plan, cl, models, fplan, "goroutines", func(bound string, g int) func() error {
+			done := make(chan error, 1)
+			go func() { done <- runExecutor(bound, g) }()
+			return func() error { return <-done }
+		})
 		return
 	}
 	if fplan.HasGPUFailures() {
-		fatal(fmt.Errorf("permanent GPU failures need the distributed control plane (add -distributed)"))
+		fatal(fmt.Errorf("permanent GPU failures need the distributed control plane (add -rpc or -distributed)"))
 	}
 	if !fplan.NetModel().Empty() {
-		fatal(fmt.Errorf("the in-process testbed has no network to disturb; net* chaos in -fault-spec requires -distributed"))
+		fatal(fmt.Errorf("the in-process testbed has no network to disturb; net* chaos in -fault-spec requires -rpc or -distributed"))
 	}
 
-	opts := hare.TestbedOptions{
+	res, err := hare.RunTestbed(in, plan, cl, models, hare.TestbedOptions{
 		TimeScale:   *timescale,
 		Scheme:      hare.SwitchHare,
 		Speculative: true,
 		Faults:      fplan,
-	}
-	var server *rpcnet.Server
-	if *useRPC {
-		opts.ClientFor = func(gpu int, local testbed.SyncClient) testbed.SyncClient {
-			if server == nil {
-				var bound string
-				server, bound, err = rpcnet.Serve(*addr, local, plan.Sequences(in.NumGPUs))
-				if err != nil {
-					fatal(err)
-				}
-				fmt.Printf("control plane listening on %s\n", bound)
-				*addr = bound
-			}
-			c, err := rpcnet.Dial(*addr)
-			if err != nil {
-				fatal(err)
-			}
-			return c
-		}
-	}
-
-	res, err := hare.RunTestbed(in, plan, cl, models, opts)
+	})
 	if err != nil {
 		fatal(err)
-	}
-	if server != nil {
-		defer server.Close()
 	}
 
 	var rows [][]string
@@ -147,10 +147,11 @@ func main() {
 	}
 }
 
-// runDistributed serves the coordinator and re-executes this binary
-// once per GPU as a separate OS process (the hidden -executor mode —
-// each child is exactly what cmd/hare-executor runs).
-func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, models []*hare.Model, fplan *hare.FaultPlan) {
+// runDistributed serves the coordinator, starts one executor per GPU
+// through spawn (which returns the executor's wait func), and prints
+// the coordinator's summary. unit names what spawn starts.
+func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, models []*hare.Model, fplan *hare.FaultPlan,
+	unit string, spawn func(bound string, gpu int) func() error) {
 	srv, bound, wait, err := rpcnet.ServeDistributed(*addr, in, plan, cl, models, rpcnet.DistributedOptions{
 		TimeScale: *timescale, Scheme: hare.SwitchHare, Speculative: true,
 		Faults: fplan,
@@ -159,34 +160,24 @@ func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, mo
 		fatal(err)
 	}
 	defer srv.Close()
-	self, err := os.Executable()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("coordinator on %s; spawning %d executor processes\n", bound, in.NumGPUs)
-	procs := make([]*exec.Cmd, in.NumGPUs)
-	for g := 0; g < in.NumGPUs; g++ {
-		cmd := exec.Command(self, "-executor", "-addr", bound, "-executor-gpu", fmt.Sprint(g),
-			"-fault-spec", fplan.String())
-		cmd.Stderr = os.Stderr
-		if err := cmd.Start(); err != nil {
-			fatal(err)
-		}
-		procs[g] = cmd
+	fmt.Printf("coordinator on %s; spawning %d executor %s\n", bound, in.NumGPUs, unit)
+	waits := make([]func() error, in.NumGPUs)
+	for g := range waits {
+		waits[g] = spawn(bound, g)
 	}
 	res, err := wait()
 	if err != nil {
 		fatal(err)
 	}
-	// The coordinator finished, so a failing executor process (an
-	// injected crash, or a fence after its GPU was marked failed) is a
-	// tolerated casualty, not a run failure.
-	for g, p := range procs {
-		if err := p.Wait(); err != nil {
+	// The coordinator finished, so a failing executor (an injected
+	// crash, or a fence after its GPU was marked failed) is a tolerated
+	// casualty, not a run failure.
+	for g, w := range waits {
+		if err := w(); err != nil {
 			fmt.Printf("executor %d exited with %v (tolerated; coordinator recovered)\n", g, err)
 		}
 	}
-	fmt.Printf("distributed run: %d tasks across %d processes\n", len(res.Trace.Records), in.NumGPUs)
+	fmt.Printf("distributed run: %d tasks across %d %s\n", len(res.Trace.Records), in.NumGPUs, unit)
 	if res.GPUFailures > 0 || res.Retries > 0 {
 		fmt.Printf("recovery: %d retries, %d GPU failures %v, %d tasks migrated, %d reschedules\n",
 			res.Retries, res.GPUFailures, res.FailedGPUs, res.TasksMigrated, res.Reschedules)

@@ -66,7 +66,7 @@ func newNetChaos(spec *faults.NetChaos, seed int64, gpu int, rec *obs.Recorder, 
 		spec:         spec,
 		gpu:          gpu,
 		rec:          rec,
-		rng:          stats.New(seed ^ (int64(gpu)+1)*0x9e3779b9),
+		rng:          stats.New(gpuSeed(seed, gpu)),
 		cDrops:       reg.Counter("hare_net_drops_total"),
 		cDups:        reg.Counter("hare_net_dups_total"),
 		cDelays:      reg.Counter("hare_net_delays_total"),
@@ -92,28 +92,10 @@ func (ch *netChaos) setClock(c *testbed.Clock) {
 	ch.mu.Unlock()
 }
 
-// partitionWindow returns the active or next partition window for this
-// GPU as simulated [start, end), or ok=false when none remains.
-func (ch *netChaos) partitionWindow(simNow float64) (start, end float64, ok bool) {
-	ch.mu.Lock()
-	clock := ch.clock
-	ch.mu.Unlock()
-	if clock == nil {
-		return 0, 0, false
-	}
-	for _, p := range ch.parts {
-		pEnd := p.At + p.Dur.Seconds()/clock.Scale()
-		if simNow < pEnd {
-			return p.At, pEnd, true
-		}
-	}
-	return 0, 0, false
-}
-
-// partitionRemaining returns the wall time until the current partition
-// window (if the executor is inside one) ends, else 0. The session
-// loop uses it to wait a partition out instead of burning reconnect
-// attempts.
+// partitionRemaining returns the wall time until the partition window
+// the executor is inside ends, or 0 when it is inside none (or has not
+// handshaken yet). Calls fail while it is positive, and the session
+// loop waits it out instead of burning reconnect attempts.
 func (ch *netChaos) partitionRemaining() time.Duration {
 	if ch == nil {
 		return 0
@@ -125,25 +107,15 @@ func (ch *netChaos) partitionRemaining() time.Duration {
 		return 0
 	}
 	simNow := clock.Now()
-	start, end, ok := ch.partitionWindow(simNow)
-	if !ok || simNow < start {
-		return 0
+	for _, p := range ch.parts {
+		if end := p.At + p.Dur.Seconds()/clock.Scale(); simNow < end {
+			if simNow < p.At {
+				return 0 // the next window has not opened yet
+			}
+			return clock.Until(end)
+		}
 	}
-	return clock.Until(end)
-}
-
-// inPartition reports whether the simulated clock is inside one of
-// this GPU's partition windows.
-func (ch *netChaos) inPartition() bool {
-	ch.mu.Lock()
-	clock := ch.clock
-	ch.mu.Unlock()
-	if clock == nil {
-		return false
-	}
-	simNow := clock.Now()
-	start, end, ok := ch.partitionWindow(simNow)
-	return ok && simNow >= start && simNow < end
+	return 0
 }
 
 // draw samples one call's fate under the mutex (the heartbeat
@@ -193,7 +165,7 @@ func (ch *netChaos) do(conn *rpc.Client, method string, args, reply any) error {
 	if ch == nil {
 		return conn.Call(method, args, reply)
 	}
-	if ch.inPartition() {
+	if ch.partitionRemaining() > 0 {
 		ch.cPartitioned.Inc()
 		ch.emit("partition")
 		return errInjectedPartition

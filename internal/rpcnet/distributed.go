@@ -182,20 +182,15 @@ type DistributedOptions struct {
 	ProblemDim   int
 	ProblemBatch int
 	Eta          float64
-	FaultRate    float64
-	FaultSeed    int64
 	Store        store.Store
-	// Faults is the failure plan: transient rate/seed (overriding
-	// FaultRate/FaultSeed when set), stragglers, device failures
+	// Faults is the failure plan: transient rate/seed (shipped to the
+	// executors in their Config reply), stragglers, device failures
 	// (fail=G@T — the coordinator fences the GPU at sim time T), and
 	// executor crashes (crash=G@T — the executor process stops
 	// heartbeating at sim time T and the lease monitor detects it).
 	// Network chaos (Faults.Net) is executor-side; the coordinator
 	// only records the spec so recovery can re-derive the plan.
 	Faults *faults.Plan
-	// Replanner re-schedules the residual instance after a GPU
-	// failure. Defaults to Algorithm 1 (sched.NewHare()).
-	Replanner sched.Algorithm
 	// HeartbeatInterval and LeaseTimeout tune failure detection; see
 	// the package defaults. Detection latency in simulated time is
 	// roughly LeaseTimeout / TimeScale.
@@ -216,6 +211,8 @@ type DistributedOptions struct {
 	SnapshotEvery int
 }
 
+// withDefaults fills what the coordinator itself reads; Eta and Store
+// default inside testbed.NewControlPlane.
 func (o DistributedOptions) withDefaults() DistributedOptions {
 	if o.TimeScale <= 0 {
 		o.TimeScale = 1e-3
@@ -225,19 +222,6 @@ func (o DistributedOptions) withDefaults() DistributedOptions {
 	}
 	if o.ProblemBatch <= 0 {
 		o.ProblemBatch = 8
-	}
-	if o.Eta <= 0 {
-		o.Eta = 0.3
-	}
-	if o.Store == nil {
-		o.Store = store.NewMem()
-	}
-	if o.Faults != nil && o.Faults.Rate > 0 {
-		o.FaultRate = o.Faults.Rate
-		o.FaultSeed = o.Faults.Seed
-	}
-	if o.Replanner == nil {
-		o.Replanner = sched.NewHare()
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = DefaultHeartbeatInterval
@@ -251,16 +235,15 @@ func (o DistributedOptions) withDefaults() DistributedOptions {
 	return o
 }
 
-// coordinator is the scheduler-side RPC handler and task dispatcher.
+// coordinator is the scheduler-side RPC handler and task dispatcher: it
+// wraps the durable state machine (coordState, state.go) with
+// everything that is not state — sessions, leases, journaling,
+// snapshots, events and metrics.
 type coordinator struct {
-	in     *core.Instance
-	cl     *cluster.Cluster
-	models []*model.Model
-	opts   DistributedOptions
-	epoch  time.Time
-	clock  *testbed.Clock
-	local  testbed.SyncClient
-	pss    []*testbed.ParameterServer
+	in    *core.Instance
+	opts  DistributedOptions
+	clock *testbed.Clock
+	pss   []*testbed.ParameterServer
 
 	cFailures, cMigrated, cResched, cHeartbeats *obs.Counter
 	cStale, cDupPush, cSnapshots                *obs.Counter
@@ -278,114 +261,52 @@ type coordinator struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// epochNum is the coordinator incarnation (1 for a fresh serve,
-	// +1 per recovery); every post-handshake RPC must echo it.
-	epochNum uint64
-	// queues[g] holds the tasks assigned to GPU g but not yet handed
-	// out; inflight[g] the one task g is currently running (nil when
-	// idle); done the tasks whose gradient the control plane accepted,
-	// with their completion memoized for idempotent duplicate pushes.
-	queues      [][]core.TaskRef
-	inflight    []*core.TaskRef
-	done        map[core.TaskRef]bool
-	completions map[core.TaskRef]float64
+	// st is the durable state; every change to it that must survive a
+	// crash goes through commitLocked (journal, then st.apply).
+	st *coordState
 	// session[g] and nextSeq[g] implement at-most-once dispatch: a
 	// re-handshake (Config) bumps the session — waking zombie Next
 	// handlers from a dead connection — and resets the sequence.
+	// Sessions and leases are not durable: a restart loses them anyway.
 	session  []uint64
 	nextSeq  []uint64
 	lastNext []NextReply
-	// pushed[j][r] counts accepted gradients per round; a round-r task
-	// is dispatch-eligible once pushed[j][r-1] == Scale, which is what
-	// keeps executors from committing to barrier-blocked work while
-	// their queue holds runnable tasks (deadlock freedom under
-	// migration).
-	pushed    [][]int
-	tasksLeft int
-	// partial[j] holds the accepted reports of job j's current
-	// (incomplete) round, partialMax[j] their max completion, and
-	// roundEnds[j] the realized ends of completed rounds — exactly the
-	// parameter-server state a recovery must rebuild.
-	partial    [][]testbed.PushReport
-	partialMax []float64
-	roundEnds  [][]float64
-
-	failed       []bool
-	fenceReasons []string
-	fenceLog     []FenceInfo
-	lease        []time.Time
-	reported     []bool
-	// prevJob/prevFree mirror each executor's switch state (last job
-	// run, trainEnd of its last task) so accepted pushes can be
-	// re-emitted as the same task-level event stream the sim and
-	// testbed engines record — one fenced, deduplicated stream per GPU
-	// lane, in execution order, that internal/obs/span stitches into
-	// the coordinator's failure/migration events.
-	prevJob    []core.JobID
-	prevFree   []float64
-	records    []trace.TaskRecord
-	switchTot  float64
-	switchCnt  int
-	hits       int
-	retries    int
-	migrated   int
-	reschedule int
-	runErr     error
+	lease    []time.Time
+	runErr   error
 
 	// Durability plumbing.
 	journal         *Journal
+	snapHeader      coordSnapshot // the run-constant part of every snapshot
 	pushesSinceSnap int
-	maxSim          float64 // high-water simulated time of accepted work
-	recovered       int     // completed WAL recoveries
-	replaying       bool    // true while replaying the WAL (no re-journal, no re-emit)
 
-	killed      bool
-	monitorOnce sync.Once
-	stopMonitor chan struct{}
+	// stopMonitor shuts the lease monitor down; wait and Kill can both
+	// reach it, so it is a sync.OnceFunc (a no-op until serve starts one).
+	stopMonitor func()
 }
 
 // newCoordinator wires a coordinator around an already-built control
-// plane. queues must be a fresh (owned) per-GPU task assignment.
-func newCoordinator(in *core.Instance, queues [][]core.TaskRef, cl *cluster.Cluster, models []*model.Model,
-	opts DistributedOptions, clock *testbed.Clock, pss []*testbed.ParameterServer, local testbed.SyncClient) *coordinator {
+// plane and state (fresh, or rebuilt from a journal).
+func newCoordinator(in *core.Instance, st *coordState, gpuTypes, modelNames []string,
+	opts DistributedOptions, clock *testbed.Clock, pss []*testbed.ParameterServer) *coordinator {
 	co := &coordinator{
-		in: in, cl: cl, models: models,
-		opts: opts, epoch: clock.Epoch(), clock: clock, local: local, pss: pss,
-		cFailures:    opts.Metrics.Counter("hare_dist_gpu_failures_total"),
-		cMigrated:    opts.Metrics.Counter("hare_dist_tasks_migrated_total"),
-		cResched:     opts.Metrics.Counter("hare_dist_reschedules_total"),
-		cHeartbeats:  opts.Metrics.Counter("hare_dist_heartbeats_total"),
-		cStale:       opts.Metrics.Counter("hare_dist_stale_epoch_total"),
-		cDupPush:     opts.Metrics.Counter("hare_dist_duplicate_pushes_total"),
-		cSnapshots:   opts.Metrics.Counter("hare_coord_snapshots_total"),
-		epochNum:     1,
-		queues:       queues,
-		inflight:     make([]*core.TaskRef, in.NumGPUs),
-		done:         make(map[core.TaskRef]bool, in.NumTasks()),
-		completions:  make(map[core.TaskRef]float64, in.NumTasks()),
-		session:      make([]uint64, in.NumGPUs),
-		nextSeq:      make([]uint64, in.NumGPUs),
-		lastNext:     make([]NextReply, in.NumGPUs),
-		tasksLeft:    in.NumTasks(),
-		partial:      make([][]testbed.PushReport, len(in.Jobs)),
-		partialMax:   make([]float64, len(in.Jobs)),
-		roundEnds:    make([][]float64, len(in.Jobs)),
-		failed:       make([]bool, in.NumGPUs),
-		fenceReasons: make([]string, in.NumGPUs),
-		lease:        make([]time.Time, in.NumGPUs),
-		reported:     make([]bool, in.NumGPUs),
-		prevJob:      make([]core.JobID, in.NumGPUs),
-		prevFree:     make([]float64, in.NumGPUs),
-		journal:      opts.Journal,
-	}
-	for g := range co.prevJob {
-		co.prevJob[g] = -1
+		in: in, opts: opts, clock: clock, pss: pss,
+		cFailures:   opts.Metrics.Counter("hare_dist_gpu_failures_total"),
+		cMigrated:   opts.Metrics.Counter("hare_dist_tasks_migrated_total"),
+		cResched:    opts.Metrics.Counter("hare_dist_reschedules_total"),
+		cHeartbeats: opts.Metrics.Counter("hare_dist_heartbeats_total"),
+		cStale:      opts.Metrics.Counter("hare_dist_stale_epoch_total"),
+		cDupPush:    opts.Metrics.Counter("hare_dist_duplicate_pushes_total"),
+		cSnapshots:  opts.Metrics.Counter("hare_coord_snapshots_total"),
+		st:          st,
+		session:     make([]uint64, in.NumGPUs),
+		nextSeq:     make([]uint64, in.NumGPUs),
+		lastNext:    make([]NextReply, in.NumGPUs),
+		lease:       make([]time.Time, in.NumGPUs),
+		journal:     opts.Journal,
+		snapHeader:  newSnapHeader(in, gpuTypes, modelNames, opts),
+		stopMonitor: func() {},
 	}
 	co.cond = sync.NewCond(&co.mu)
-	co.pushed = make([][]int, len(in.Jobs))
-	for _, j := range in.Jobs {
-		co.pushed[j.ID] = make([]int, j.Rounds)
-	}
 
 	// Trace-context observation (all nil-safe when recorder and
 	// metrics are both off).
@@ -419,35 +340,46 @@ func newCoordinator(in *core.Instance, queues [][]core.TaskRef, cl *cluster.Clus
 	return co
 }
 
-// beginRPC starts rpc.server observation for one handler; it reads the
-// clock only when the method handle is live. finishRPC completes it,
-// stamping the trace context (GPU, call id, epoch, journal watermark)
-// onto the emitted rpc.server event.
-func (c *coordinator) beginRPC(m *obs.RPCMethod) obs.RPCTimer {
+// observe runs one handler under rpc.server observation, stamping the
+// trace context (GPU, call id, epoch, journal watermark) onto the event.
+// epoch is read after the handler ran (Config learns it from its own
+// reply); the clock is read only when the method handle is live.
+func (c *coordinator) observe(m *obs.RPCMethod, gpu int, call uint64, epoch *uint64, handle func() error) error {
 	if !m.Active() {
-		return obs.RPCTimer{}
+		return handle()
 	}
-	return m.Start(c.clock.Now())
+	t := m.Start(c.clock.Now())
+	err := handle()
+	m.Observe(t, c.clock.Now(), obs.Event{GPU: gpu, Call: call, Epoch: *epoch, LSN: c.journal.LSN()}, err)
+	return err
 }
 
-func (c *coordinator) finishRPC(m *obs.RPCMethod, t obs.RPCTimer, gpu int, call, epoch uint64, err error) {
-	if !m.Active() {
-		return
+// commitLocked is the one live transition path: write rec (about GPU
+// gpu) ahead to the WAL when journaling, then fold it into the state —
+// atomically under c.mu, so no snapshot sees a journaled-but-unapplied
+// record and recovery replays exactly the accepted suffix. Handlers run
+// st.check first; an append failure, or a record apply still rejects (a
+// parameter server refusing the gradient is a synchronization-protocol
+// violation, not a device fault), aborts the run. Caller holds c.mu.
+func (c *coordinator) commitLocked(rec *journalRecord, gpu int) (effects, error) {
+	if c.journal != nil {
+		if err := c.journal.append(rec); err != nil {
+			c.failLocked(fmt.Errorf("rpcnet: WAL append: %w", err))
+			return effects{}, c.runErr
+		}
+		c.cWALAppends.Inc()
+		if c.opts.Recorder.Enabled() {
+			c.opts.Recorder.Emit(obs.Event{
+				Type: obs.EvWALAppend, Time: rec.SimTime, GPU: gpu, Job: -1,
+				Epoch: c.st.Epoch, LSN: rec.LSN, Note: rec.kind(),
+			})
+		}
 	}
-	m.Observe(t, c.clock.Now(), obs.Event{GPU: gpu, Call: call, Epoch: epoch, LSN: c.journal.LSN()}, err)
-}
-
-// walAppendedLocked records one durable WAL append on the counter and
-// (when tracing) the wal.append event. Caller holds c.mu and has
-// already journaled the record.
-func (c *coordinator) walAppendedLocked(simNow float64, gpu int, lsn uint64, kind string) {
-	c.cWALAppends.Inc()
-	if c.opts.Recorder.Enabled() {
-		c.opts.Recorder.Emit(obs.Event{
-			Type: obs.EvWALAppend, Time: simNow, GPU: gpu, Job: -1,
-			Epoch: c.epochNum, LSN: lsn, Note: kind,
-		})
+	fx, err := c.st.apply(rec)
+	if err != nil {
+		c.failLocked(err)
 	}
+	return fx, err
 }
 
 // updateGaugesLocked refreshes the per-GPU /metrics gauges `harectl
@@ -455,16 +387,17 @@ func (c *coordinator) walAppendedLocked(simNow float64, gpu int, lsn uint64, kin
 // (milliseconds; -1 for fenced GPUs, whose leases no longer matter).
 // Caller holds c.mu.
 func (c *coordinator) updateGaugesLocked(now time.Time) {
-	c.gEpoch.Set(float64(c.epochNum))
-	c.gTasksLeft.Set(float64(c.tasksLeft))
-	for g := range c.queues {
-		c.gQueue[g].Set(float64(len(c.queues[g])))
+	c.gEpoch.Set(float64(c.st.Epoch))
+	c.gTasksLeft.Set(float64(c.st.TasksLeft))
+	for g := range c.st.GPUs {
+		gs := &c.st.GPUs[g]
+		c.gQueue[g].Set(float64(len(gs.Queue)))
 		inflight := 0.0
-		if c.inflight[g] != nil {
+		if gs.Inflight != noTask {
 			inflight = 1
 		}
 		c.gInflight[g].Set(inflight)
-		if c.failed[g] {
+		if gs.Failed {
 			c.gFenced[g].Set(1)
 			c.gLeaseAge[g].Set(-1)
 		} else {
@@ -478,11 +411,20 @@ func (c *coordinator) updateGaugesLocked(now time.Time) {
 // a previous coordinator incarnation; the error text is the executor's
 // cue to re-Config. Caller holds c.mu.
 func (c *coordinator) checkEpochLocked(e uint64) error {
-	if e != c.epochNum {
+	if e != c.st.Epoch {
 		c.cStale.Inc()
-		return fmt.Errorf("rpcnet: stale coordinator epoch %d (current %d); re-handshake required", e, c.epochNum)
+		return fmt.Errorf("rpcnet: stale coordinator epoch %d (current %d); re-handshake required", e, c.st.Epoch)
 	}
 	return nil
+}
+
+// checkEpoch is checkEpochLocked for handlers that otherwise never
+// take c.mu (the barrier and checkpoint reads go to the parameter
+// servers and the store).
+func (c *coordinator) checkEpoch(e uint64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.checkEpochLocked(e)
 }
 
 // Config hands an executor its full configuration. It doubles as the
@@ -491,19 +433,12 @@ func (c *coordinator) checkEpochLocked(e uint64) error {
 // head of its queue, its dispatch sequence resets, and any Next
 // handler from a previous session is superseded.
 func (c *coordinator) Config(args ExecutorConfigArgs, reply *ExecutorConfigReply) error {
-	t := c.beginRPC(c.obsConfig)
-	err := c.config(args, reply)
-	c.finishRPC(c.obsConfig, t, args.GPU, args.Call, reply.CoordEpoch, err)
-	return err
+	return c.observe(c.obsConfig, args.GPU, args.Call, &reply.CoordEpoch, func() error { return c.config(args, reply) })
 }
 
 func (c *coordinator) config(args ExecutorConfigArgs, reply *ExecutorConfigReply) error {
-	if args.GPU < 0 || args.GPU >= c.in.NumGPUs {
-		return fmt.Errorf("rpcnet: unknown GPU %d", args.GPU)
-	}
-	names := make([]string, len(c.models))
-	for i, m := range c.models {
-		names[i] = m.Name
+	if err := c.st.checkGPU(args.GPU); err != nil {
+		return err
 	}
 	crashAt := -1.0
 	if f, ok := c.opts.Faults.FailureOf(args.GPU); ok && f.Crash {
@@ -515,38 +450,33 @@ func (c *coordinator) config(args ExecutorConfigArgs, reply *ExecutorConfigReply
 		c.mu.Unlock()
 		return err
 	}
-	if c.failed[args.GPU] {
+	if gs := &c.st.GPUs[args.GPU]; gs.Failed {
 		c.mu.Unlock()
-		return fmt.Errorf("rpcnet: GPU %d is fenced (%s)", args.GPU, c.fenceReasons[args.GPU])
+		return fmt.Errorf("rpcnet: GPU %d is fenced (%s)", args.GPU, gs.FenceReason)
 	}
-	if t := c.inflight[args.GPU]; t != nil {
-		if !c.done[*t] {
-			c.queues[args.GPU] = append([]core.TaskRef{*t}, c.queues[args.GPU]...)
-		}
-		c.inflight[args.GPU] = nil
-	}
+	c.st.requeueInflight(args.GPU)
 	c.session[args.GPU]++
 	c.nextSeq[args.GPU] = 0
 	c.lastNext[args.GPU] = NextReply{}
-	seq := append([]core.TaskRef(nil), c.queues[args.GPU]...)
+	seq := append([]core.TaskRef(nil), c.st.GPUs[args.GPU].Queue...)
 	c.lease[args.GPU] = time.Now()
-	epochNum := c.epochNum
+	epochNum := c.st.Epoch
 	c.cond.Broadcast() // wake superseded Next handlers
 	c.mu.Unlock()
 	*reply = ExecutorConfigReply{
 		Instance:        c.in,
 		Seq:             seq,
-		GPUTypeName:     c.cl.GPUs[args.GPU].Type.Name,
-		ModelNames:      names,
+		GPUTypeName:     c.snapHeader.GPUTypeNames[args.GPU],
+		ModelNames:      c.snapHeader.ModelNames,
 		Scheme:          c.opts.Scheme,
 		Speculative:     c.opts.Speculative,
 		MemPolicy:       c.opts.MemPolicy,
 		TimeScale:       c.opts.TimeScale,
-		EpochUnixNano:   c.epoch.UnixNano(),
+		EpochUnixNano:   c.clock.Epoch().UnixNano(),
 		ProblemDim:      c.opts.ProblemDim,
 		ProblemBatch:    c.opts.ProblemBatch,
-		FaultRate:       c.opts.FaultRate,
-		FaultSeed:       c.opts.FaultSeed,
+		FaultRate:       c.opts.Faults.TransientRate(),
+		FaultSeed:       c.opts.Faults.TransientSeed(),
 		SlowFactor:      c.opts.Faults.SlowdownOf(args.GPU),
 		CrashAtSim:      crashAt,
 		HeartbeatMillis: c.opts.HeartbeatInterval.Milliseconds(),
@@ -557,15 +487,12 @@ func (c *coordinator) config(args ExecutorConfigArgs, reply *ExecutorConfigReply
 
 // Heartbeat renews a GPU's lease. Fenced GPUs stay fenced.
 func (c *coordinator) Heartbeat(args HeartbeatArgs, reply *struct{}) error {
-	t := c.beginRPC(c.obsHeartbeat)
-	err := c.heartbeat(args)
-	c.finishRPC(c.obsHeartbeat, t, args.GPU, args.Call, args.Epoch, err)
-	return err
+	return c.observe(c.obsHeartbeat, args.GPU, args.Call, &args.Epoch, func() error { return c.heartbeat(args) })
 }
 
 func (c *coordinator) heartbeat(args HeartbeatArgs) error {
-	if args.GPU < 0 || args.GPU >= c.in.NumGPUs {
-		return fmt.Errorf("rpcnet: unknown GPU %d", args.GPU)
+	if err := c.st.checkGPU(args.GPU); err != nil {
+		return err
 	}
 	c.cHeartbeats.Inc()
 	c.mu.Lock()
@@ -573,7 +500,7 @@ func (c *coordinator) heartbeat(args HeartbeatArgs) error {
 	if err := c.checkEpochLocked(args.Epoch); err != nil {
 		return err
 	}
-	if c.failed[args.GPU] {
+	if c.st.GPUs[args.GPU].Failed {
 		return fmt.Errorf("rpcnet: GPU %d is fenced", args.GPU)
 	}
 	now := time.Now()
@@ -584,24 +511,10 @@ func (c *coordinator) heartbeat(args HeartbeatArgs) error {
 	if c.opts.Recorder.Enabled() {
 		c.opts.Recorder.Emit(obs.Event{
 			Type: obs.EvLeaseRenew, Time: c.clock.Now(), GPU: args.GPU, Job: -1,
-			Epoch: c.epochNum, Call: args.Call, Dur: age.Seconds() / c.opts.TimeScale,
+			Epoch: c.st.Epoch, Call: args.Call, Dur: age.Seconds() / c.opts.TimeScale,
 		})
 	}
 	return nil
-}
-
-// eligibleLocked returns the index of the first task in g's queue
-// whose previous round has fully pushed (round-0 tasks are always
-// eligible), or -1. Within one job a queue is round-ascending, so the
-// first eligible task never jumps a pending earlier round of the same
-// job.
-func (c *coordinator) eligibleLocked(g int) int {
-	for i, t := range c.queues[g] {
-		if t.Round == 0 || c.pushed[t.Job][t.Round-1] == c.in.Jobs[t.Job].Scale {
-			return i
-		}
-	}
-	return -1
 }
 
 // Next blocks until the GPU has an eligible task, the run is out of
@@ -614,16 +527,13 @@ func (c *coordinator) eligibleLocked(g int) int {
 // handler superseded by a newer handshake aborts instead of
 // dispatching into a dead connection.
 func (c *coordinator) Next(args NextArgs, reply *NextReply) error {
-	t := c.beginRPC(c.obsNext)
-	err := c.next(args, reply)
-	c.finishRPC(c.obsNext, t, args.GPU, args.Call, args.Epoch, err)
-	return err
+	return c.observe(c.obsNext, args.GPU, args.Call, &args.Epoch, func() error { return c.next(args, reply) })
 }
 
 func (c *coordinator) next(args NextArgs, reply *NextReply) error {
 	g := args.GPU
-	if g < 0 || g >= c.in.NumGPUs {
-		return fmt.Errorf("rpcnet: unknown GPU %d", g)
+	if err := c.st.checkGPU(g); err != nil {
+		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -645,20 +555,17 @@ func (c *coordinator) next(args NextArgs, reply *NextReply) error {
 		if sess != c.session[g] {
 			return fmt.Errorf("rpcnet: GPU %d dispatch superseded by a newer handshake", g)
 		}
-		if c.failed[g] {
+		if c.st.GPUs[g].Failed {
 			return fmt.Errorf("rpcnet: GPU %d is fenced", g)
 		}
-		if c.tasksLeft == 0 {
+		if c.st.TasksLeft == 0 {
 			reply.Done = true
 			c.lastNext[g] = *reply
 			c.nextSeq[g]++
 			return nil
 		}
-		if i := c.eligibleLocked(g); i >= 0 {
-			t := c.queues[g][i]
-			c.queues[g] = append(c.queues[g][:i], c.queues[g][i+1:]...)
-			c.inflight[g] = &t
-			reply.Task = t
+		if i := c.st.eligible(g); i >= 0 {
+			reply.Task = c.st.dispatch(g, i)
 			c.lastNext[g] = *reply
 			c.nextSeq[g]++
 			return nil
@@ -671,21 +578,13 @@ func (c *coordinator) next(args NextArgs, reply *NextReply) error {
 // parameter server sees the gradient; duplicates (a retried call, a
 // chaos-duplicated message, or a pre-crash push whose reply was lost)
 // are answered idempotently with the memoized completion — the
-// parameter server aggregates each task exactly once either way. The
-// whole accept — WAL append, PS apply, bookkeeping — runs under c.mu,
-// so a snapshot can never observe a journaled-but-unapplied push.
+// parameter server aggregates each task exactly once either way.
 func (c *coordinator) Push(args PushArgs, reply *PushReply) error {
-	t := c.beginRPC(c.obsPush)
-	err := c.push(args, reply)
-	c.finishRPC(c.obsPush, t, args.Report.GPU, args.Call, args.Epoch, err)
-	return err
+	return c.observe(c.obsPush, args.Report.GPU, args.Call, &args.Epoch, func() error { return c.push(args, reply) })
 }
 
 func (c *coordinator) push(args PushArgs, reply *PushReply) error {
-	rep := args.Report
-	if rep.GPU < 0 || rep.GPU >= c.in.NumGPUs {
-		return fmt.Errorf("rpcnet: unknown GPU %d", rep.GPU)
-	}
+	rec := &journalRecord{Kind: recPush, Push: args.Report}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkEpochLocked(args.Epoch); err != nil {
@@ -694,100 +593,30 @@ func (c *coordinator) push(args PushArgs, reply *PushReply) error {
 	if c.runErr != nil {
 		return c.runErr
 	}
-	if c.failed[rep.GPU] {
-		return fmt.Errorf("rpcnet: GPU %d is fenced; gradient for %v rejected", rep.GPU, rep.Task)
+	if err := c.st.check(rec); err != nil {
+		return err
 	}
-	if c.done[rep.Task] {
+	if comp, dup := c.st.done[rec.Push.Task]; dup {
 		c.cDupPush.Inc()
-		reply.Completion = c.completions[rep.Task]
+		reply.Completion = comp
 		return nil
 	}
-	comp, err := c.acceptPushLocked(rep)
+	rec.SimTime = c.clock.Now()
+	gs := &c.st.GPUs[rec.Push.GPU]
+	prevFree, prevJob := gs.PrevFree, gs.PrevJob // its switch state before this push
+	fx, err := c.commitLocked(rec, rec.Push.GPU)
 	if err != nil {
 		return err
 	}
-	reply.Completion = comp
-	return nil
-}
-
-// acceptPushLocked journals, applies, and accounts one non-duplicate
-// gradient push. Caller holds c.mu and has already rejected fenced
-// GPUs and duplicates. The WAL append happens before the parameter
-// server sees the gradient (write-ahead), and both happen atomically
-// under the lock, so recovery replay applies exactly the accepted
-// suffix.
-func (c *coordinator) acceptPushLocked(rep testbed.PushReport) (float64, error) {
-	simNow := c.clock.Now()
-	if !c.replaying && c.journal != nil {
-		rec := &journalRecord{Kind: recPush, SimTime: simNow, Push: rep}
-		if err := c.journal.append(rec); err != nil {
-			c.failLocked(fmt.Errorf("rpcnet: WAL append: %w", err))
-			return 0, c.runErr
-		}
-		c.walAppendedLocked(simNow, rep.GPU, rec.LSN, "push")
-	}
-	comp, err := c.local.Push(rep)
-	if err != nil {
-		// A PS rejection is a synchronization-protocol violation, not
-		// a device fault: abort the run.
-		c.failLocked(fmt.Errorf("rpcnet: push %v from GPU %d: %w", rep.Task, rep.GPU, err))
-		return 0, err
-	}
-	c.done[rep.Task] = true
-	c.completions[rep.Task] = comp
-	if t := c.inflight[rep.GPU]; t != nil && *t == rep.Task {
-		c.inflight[rep.GPU] = nil
-	}
-	c.dropQueuedLocked(rep.Task)
-	c.lease[rep.GPU] = time.Now() // a push is as good as a heartbeat
-	c.records = append(c.records, trace.TaskRecord{
-		Task: rep.Task, GPU: rep.GPU, Start: rep.Start,
-		Train: rep.TrainEnd - rep.Start, Sync: comp - rep.TrainEnd, Switch: rep.Switch,
-	})
-	c.emitTaskLocked(rep, comp)
-	c.switchTot += rep.Switch
-	if rep.Switch > 0 {
-		c.switchCnt++
-		if rep.Hit {
-			c.hits++
-		}
-	}
-	c.retries += rep.Retries
-	j, r := rep.Task.Job, rep.Task.Round
-	c.partial[j] = append(c.partial[j], rep)
-	if comp > c.partialMax[j] {
-		c.partialMax[j] = comp
-	}
-	if comp > c.maxSim {
-		c.maxSim = comp
-	}
-	c.pushed[j][r]++
-	if c.pushed[j][r] == c.in.Jobs[j].Scale {
-		c.roundEnds[j] = append(c.roundEnds[j], c.partialMax[j])
-		c.partial[j] = nil
-		c.partialMax[j] = 0
-	}
-	c.tasksLeft--
+	reply.Completion = fx.completion
+	c.lease[rec.Push.GPU] = time.Now() // a push is as good as a heartbeat
+	c.emitTaskLocked(&rec.Push, fx.completion, prevFree, prevJob)
 	c.pushesSinceSnap++
-	if !c.replaying && c.journal != nil && c.pushesSinceSnap >= c.opts.SnapshotEvery {
+	if c.journal != nil && c.pushesSinceSnap >= c.opts.SnapshotEvery {
 		c.snapshotLocked()
 	}
 	c.cond.Broadcast()
-	return comp, nil
-}
-
-// dropQueuedLocked removes a completed task from any queue it may have
-// been (re-)planned into — a pushed task must never be dispatched
-// again. Caller holds c.mu.
-func (c *coordinator) dropQueuedLocked(t core.TaskRef) {
-	for g := range c.queues {
-		for i := range c.queues[g] {
-			if c.queues[g][i] == t {
-				c.queues[g] = append(c.queues[g][:i], c.queues[g][i+1:]...)
-				break
-			}
-		}
-	}
+	return nil
 }
 
 // failLocked aborts the run with err (first error wins) and wakes
@@ -807,24 +636,21 @@ func (c *coordinator) failLocked(err error) {
 // decided — which is what guarantees at most one finish per task and
 // lets retried/migrated executions stitch into sibling attempts
 // downstream. Per-GPU push order is execution order, so each lane's
-// stream is time-ordered. During WAL replay only the switch state is
-// rebuilt; events are not re-emitted. Caller holds c.mu.
-func (c *coordinator) emitTaskLocked(rep testbed.PushReport, comp float64) {
-	g := rep.GPU
-	free, prev := c.prevFree[g], c.prevJob[g]
-	c.prevFree[g], c.prevJob[g] = rep.TrainEnd, rep.Task.Job
+// stream is time-ordered. Caller holds c.mu.
+func (c *coordinator) emitTaskLocked(rep *testbed.PushReport, comp, prevFree float64, prevJob core.JobID) {
 	rec := c.opts.Recorder
-	if c.replaying || !rec.Enabled() {
+	if !rec.Enabled() {
 		return
 	}
+	g := rep.GPU
 	job, round, index := int(rep.Task.Job), rep.Task.Round, rep.Task.Index
-	if wait := rep.Start - rep.Switch - free; wait > 0 {
+	if wait := rep.Start - rep.Switch - prevFree; wait > 0 {
 		reason := "round"
 		if round == 0 {
 			reason = "arrival"
 		}
 		rec.Emit(obs.Event{
-			Type: obs.EvBarrierWait, Time: free, GPU: g,
+			Type: obs.EvBarrierWait, Time: prevFree, GPU: g,
 			Job: job, Round: round, Index: index, Dur: wait, Note: reason,
 		})
 	}
@@ -833,7 +659,7 @@ func (c *coordinator) emitTaskLocked(rep testbed.PushReport, comp float64) {
 		// clean/context/init/transfer breakdown; Dur is authoritative.
 		rec.Emit(obs.Event{
 			Type: obs.EvJobSwitch, Time: rep.Start - rep.Switch, GPU: g,
-			Job: job, From: int(prev), Dur: rep.Switch, Hit: rep.Hit,
+			Job: job, From: int(prevJob), Dur: rep.Switch, Hit: rep.Hit,
 		})
 	}
 	rec.Emit(obs.Event{
@@ -862,48 +688,26 @@ func (c *coordinator) emitTaskLocked(rep testbed.PushReport, comp float64) {
 
 // WaitRound blocks until the round completes.
 func (c *coordinator) WaitRound(args WaitArgs, reply *WaitReply) error {
-	t := c.beginRPC(c.obsWait)
-	err := c.waitRound(args, reply)
-	c.finishRPC(c.obsWait, t, args.GPU, args.Call, args.Epoch, err)
-	return err
+	return c.observe(c.obsWait, args.GPU, args.Call, &args.Epoch, func() error { return c.waitRound(args, reply) })
 }
 
-func (c *coordinator) waitRound(args WaitArgs, reply *WaitReply) error {
-	c.mu.Lock()
-	if err := c.checkEpochLocked(args.Epoch); err != nil {
-		c.mu.Unlock()
-		return err
+func (c *coordinator) waitRound(args WaitArgs, reply *WaitReply) (err error) {
+	if err = c.checkEpoch(args.Epoch); err == nil {
+		reply.End, err = c.st.ps.WaitRound(args.Job, args.Round)
 	}
-	c.mu.Unlock()
-	end, err := c.local.WaitRound(args.Job, args.Round)
-	if err != nil {
-		return err
-	}
-	reply.End = end
-	return nil
+	return err
 }
 
 // LoadCheckpoint returns a job's latest parameters.
 func (c *coordinator) LoadCheckpoint(args CkptArgs, reply *CkptReply) error {
-	t := c.beginRPC(c.obsCkpt)
-	err := c.loadCheckpoint(args, reply)
-	c.finishRPC(c.obsCkpt, t, args.GPU, args.Call, args.Epoch, err)
-	return err
+	return c.observe(c.obsCkpt, args.GPU, args.Call, &args.Epoch, func() error { return c.loadCheckpoint(args, reply) })
 }
 
-func (c *coordinator) loadCheckpoint(args CkptArgs, reply *CkptReply) error {
-	c.mu.Lock()
-	if err := c.checkEpochLocked(args.Epoch); err != nil {
-		c.mu.Unlock()
-		return err
+func (c *coordinator) loadCheckpoint(args CkptArgs, reply *CkptReply) (err error) {
+	if err = c.checkEpoch(args.Epoch); err == nil {
+		reply.Params, err = c.st.ps.LoadCheckpoint(args.Job)
 	}
-	c.mu.Unlock()
-	p, err := c.local.LoadCheckpoint(args.Job)
-	if err != nil {
-		return err
-	}
-	reply.Params = p
-	return nil
+	return err
 }
 
 // Report closes an executor out. Out-of-range GPU indices are rejected
@@ -912,33 +716,26 @@ func (c *coordinator) loadCheckpoint(args CkptArgs, reply *CkptReply) error {
 // An error report fences the GPU so its remaining work migrates
 // instead of aborting the run.
 func (c *coordinator) Report(args ReportArgs, reply *struct{}) error {
-	t := c.beginRPC(c.obsReport)
-	err := c.report(args)
-	c.finishRPC(c.obsReport, t, args.GPU, args.Call, args.Epoch, err)
-	return err
+	return c.observe(c.obsReport, args.GPU, args.Call, &args.Epoch, func() error { return c.report(args) })
 }
 
 func (c *coordinator) report(args ReportArgs) error {
-	if args.GPU < 0 || args.GPU >= c.in.NumGPUs {
-		return fmt.Errorf("rpcnet: report from unknown GPU %d", args.GPU)
-	}
+	rec := &journalRecord{Kind: recReport, GPU: args.GPU, Err: args.Err}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := c.st.check(rec); err != nil {
+		return err
+	}
 	if err := c.checkEpochLocked(args.Epoch); err != nil {
 		return err
 	}
-	if c.reported[args.GPU] {
+	if c.st.GPUs[args.GPU].Reported {
 		return nil // idempotent duplicate
 	}
-	if !c.replaying && c.journal != nil {
-		rec := &journalRecord{Kind: recReport, SimTime: c.clock.Now(), GPU: args.GPU, Err: args.Err}
-		if err := c.journal.append(rec); err != nil {
-			c.failLocked(fmt.Errorf("rpcnet: WAL append: %w", err))
-			return c.runErr
-		}
-		c.walAppendedLocked(rec.SimTime, args.GPU, rec.LSN, "report")
+	rec.SimTime = c.clock.Now()
+	if _, err := c.commitLocked(rec, args.GPU); err != nil {
+		return err
 	}
-	c.reported[args.GPU] = true
 	if args.Err != "" {
 		c.markFailedLocked(args.GPU, "executor error: "+args.Err, 0)
 	}
@@ -969,39 +766,70 @@ type fencePlan struct {
 }
 
 // markFailedLocked fences a GPU: it computes the fencing transition
-// (stranded work, residual re-plan), writes it ahead to the WAL, and
-// applies it. detect is the lease-expiry detection latency (zero for
-// non-lease fences). Caller holds c.mu. Idempotent: an already-fenced
-// GPU (duplicate failure report, racing monitor tick) is a no-op.
+// (stranded work, residual re-plan), commits it, announces it, and —
+// fences being rare and changing a lot of state — snapshots. detect is
+// the lease-expiry detection latency (zero for non-lease fences).
+// Caller holds c.mu. Idempotent: an already-fenced GPU (duplicate
+// failure report, racing monitor tick) is a no-op.
 func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Duration) {
-	if c.failed[gpu] || c.runErr != nil {
+	if c.st.GPUs[gpu].Failed || c.runErr != nil {
 		return
 	}
 	fp := c.computeFenceLocked(gpu, reason)
 	fp.DetectMillis = detect.Seconds() * 1e3
-	if !c.replaying && c.journal != nil {
-		rec := &journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp}
-		if err := c.journal.append(rec); err != nil {
-			c.failLocked(fmt.Errorf("rpcnet: WAL append: %w", err))
-			return
-		}
-		c.walAppendedLocked(fp.SimTime, gpu, rec.LSN, "fence")
+	fx, err := c.commitLocked(&journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp}, gpu)
+	if err != nil {
+		return
 	}
-	c.applyFenceLocked(fp)
-	if !c.replaying && c.journal != nil && c.runErr == nil {
-		c.snapshotLocked() // fences are rare and change a lot of state
+	c.cFailures.Inc()
+	rec := c.opts.Recorder
+	if rec.Enabled() {
+		rec.Emit(obs.Event{Type: obs.EvGPUFailed, Time: fp.SimTime, GPU: gpu, Job: -1, Note: fp.Reason})
+	}
+	if fx.fatal != nil {
+		c.failLocked(fx.fatal)
+		return
+	}
+	if fp.HasQueues {
+		c.cResched.Inc()
+		c.cMigrated.Add(float64(len(fp.Stranded)))
+		if rec.Enabled() {
+			rec.Emit(obs.Event{
+				Type: obs.EvReschedule, Time: fp.SimTime, GPU: gpu, Job: -1,
+				Note: fmt.Sprintf("tasks=%d gpus=%d", fp.Pending, fp.Alive),
+			})
+			stranded := make(map[core.TaskRef]bool, len(fp.Stranded))
+			for _, t := range fp.Stranded {
+				stranded[t] = true
+			}
+			for g, seq := range fp.Queues {
+				for _, t := range seq {
+					if stranded[t] {
+						rec.Emit(obs.Event{
+							Type: obs.EvTaskMigrated, Time: fp.SimTime, GPU: g,
+							Job: int(t.Job), Round: t.Round, Index: t.Index, From: gpu,
+						})
+					}
+				}
+			}
+		}
+	}
+	c.cond.Broadcast()
+	if c.journal != nil {
+		c.snapshotLocked()
 	}
 }
 
 // computeFenceLocked builds the fencing transition for gpu without
 // mutating coordinator state. Caller holds c.mu.
 func (c *coordinator) computeFenceLocked(gpu int, reason string) *fencePlan {
+	st := c.st
 	fp := &fencePlan{GPU: gpu, Reason: reason, SimTime: c.clock.Now()}
 	// The dead GPU's stranded work: its queue plus its unclaimed
 	// in-flight task (a claimed one already pushed its gradient).
-	stranded := append([]core.TaskRef(nil), c.queues[gpu]...)
-	if t := c.inflight[gpu]; t != nil && !c.done[*t] {
-		stranded = append(stranded, *t)
+	stranded := append([]core.TaskRef(nil), st.GPUs[gpu].Queue...)
+	if t, ok := st.unclaimed(gpu); ok {
+		stranded = append(stranded, t)
 	}
 	fp.Stranded = stranded
 
@@ -1010,12 +838,12 @@ func (c *coordinator) computeFenceLocked(gpu int, reason string) *fencePlan {
 	// In-flight tasks on survivors stay committed where they run.
 	var pending []core.TaskRef
 	var alive []int
-	for g := range c.queues {
-		if c.failed[g] || g == gpu {
+	for g := range st.GPUs {
+		if st.GPUs[g].Failed || g == gpu {
 			continue
 		}
 		alive = append(alive, g)
-		pending = append(pending, c.queues[g]...)
+		pending = append(pending, st.GPUs[g].Queue...)
 	}
 	pending = append(pending, stranded...)
 	fp.Pending, fp.Alive = len(pending), len(alive)
@@ -1032,80 +860,22 @@ func (c *coordinator) computeFenceLocked(gpu int, reason string) *fencePlan {
 		fp.Unrecoverable = fmt.Sprintf("rpcnet: recovery from GPU %d failure: %v", gpu, err)
 		return fp
 	}
-	plan, err := c.opts.Replanner.Schedule(residual.Instance)
+	// The residual instance is re-planned with Algorithm 1.
+	var seqs [][]core.TaskRef
+	plan, err := sched.NewHare().Schedule(residual.Instance)
+	if err == nil {
+		seqs, err = residual.Sequences(plan)
+	}
 	if err != nil {
 		fp.Unrecoverable = fmt.Sprintf("rpcnet: re-plan after GPU %d failure: %v", gpu, err)
 		return fp
 	}
-	seqs, err := residual.Sequences(plan)
-	if err != nil {
-		fp.Unrecoverable = fmt.Sprintf("rpcnet: re-plan after GPU %d failure: %v", gpu, err)
-		return fp
-	}
-	fp.Queues = make([][]core.TaskRef, len(c.queues))
-	for g := range c.queues {
-		if g != gpu && !c.failed[g] {
-			fp.Queues[g] = seqs[g]
-		}
+	fp.Queues = make([][]core.TaskRef, len(st.GPUs))
+	for _, g := range alive {
+		fp.Queues[g] = seqs[g]
 	}
 	fp.HasQueues = true
 	return fp
-}
-
-// applyFenceLocked commits a fencing transition — live or replayed
-// from the WAL. Caller holds c.mu.
-func (c *coordinator) applyFenceLocked(fp *fencePlan) {
-	gpu := fp.GPU
-	c.failed[gpu] = true
-	c.fenceReasons[gpu] = fp.Reason
-	c.fenceLog = append(c.fenceLog, FenceInfo{GPU: gpu, Reason: fp.Reason, SimTime: fp.SimTime, DetectMillis: fp.DetectMillis})
-	c.cFailures.Inc()
-	c.queues[gpu] = nil
-	c.inflight[gpu] = nil
-	if fp.SimTime > c.maxSim {
-		c.maxSim = fp.SimTime
-	}
-	if !c.replaying && c.opts.Recorder.Enabled() {
-		c.opts.Recorder.Emit(obs.Event{
-			Type: obs.EvGPUFailed, Time: fp.SimTime, GPU: gpu, Job: -1, Note: fp.Reason,
-		})
-	}
-	if fp.Unrecoverable != "" {
-		c.failLocked(errors.New(fp.Unrecoverable))
-		return
-	}
-	if fp.HasQueues {
-		strandedSet := make(map[core.TaskRef]bool, len(fp.Stranded))
-		for _, t := range fp.Stranded {
-			strandedSet[t] = true
-		}
-		for g := range c.queues {
-			if g != gpu && !c.failed[g] {
-				c.queues[g] = append([]core.TaskRef(nil), fp.Queues[g]...)
-			}
-		}
-		c.reschedule++
-		c.cResched.Inc()
-		c.migrated += len(fp.Stranded)
-		c.cMigrated.Add(float64(len(fp.Stranded)))
-		if !c.replaying && c.opts.Recorder.Enabled() {
-			c.opts.Recorder.Emit(obs.Event{
-				Type: obs.EvReschedule, Time: fp.SimTime, GPU: gpu, Job: -1,
-				Note: fmt.Sprintf("tasks=%d gpus=%d", fp.Pending, fp.Alive),
-			})
-			for g, seq := range fp.Queues {
-				for _, t := range seq {
-					if strandedSet[t] {
-						c.opts.Recorder.Emit(obs.Event{
-							Type: obs.EvTaskMigrated, Time: fp.SimTime, GPU: g,
-							Job: int(t.Job), Round: t.Round, Index: t.Index, From: gpu,
-						})
-					}
-				}
-			}
-		}
-	}
-	c.cond.Broadcast()
 }
 
 // monitor is the lease/failure-injection loop: it fences GPUs whose
@@ -1136,11 +906,11 @@ func (c *coordinator) monitor(stop <-chan struct{}) {
 // bounded below by the timeout itself and above by timeout plus one
 // monitor tick. Caller holds c.mu.
 func (c *coordinator) checkLeasesLocked(now time.Time, simNow float64) {
-	if c.runErr != nil || c.tasksLeft == 0 {
+	if c.runErr != nil || c.st.TasksLeft == 0 {
 		return
 	}
 	for g := range c.lease {
-		if c.failed[g] {
+		if c.st.GPUs[g].Failed {
 			continue
 		}
 		if f, ok := c.opts.Faults.FailureOf(g); ok && !f.Crash && simNow >= f.Time {
@@ -1152,7 +922,7 @@ func (c *coordinator) checkLeasesLocked(now time.Time, simNow float64) {
 			if c.opts.Recorder.Enabled() {
 				c.opts.Recorder.Emit(obs.Event{
 					Type: obs.EvLeaseExpired, Time: simNow, GPU: g, Job: -1,
-					Epoch: c.epochNum, Dur: sinceHB.Seconds() / c.opts.TimeScale,
+					Epoch: c.st.Epoch, Dur: sinceHB.Seconds() / c.opts.TimeScale,
 					Note: fmt.Sprintf("bound=%dms", c.opts.LeaseTimeout.Milliseconds()),
 				})
 			}
@@ -1162,29 +932,15 @@ func (c *coordinator) checkLeasesLocked(now time.Time, simNow float64) {
 	}
 }
 
-// stopMonitorOnce shuts the lease monitor down exactly once (wait and
-// Kill can both reach it).
-func (c *coordinator) stopMonitorOnce() {
-	c.monitorOnce.Do(func() {
-		if c.stopMonitor != nil {
-			close(c.stopMonitor)
-		}
-	})
-}
-
 // kill makes the coordinator behave like a dead process: every blocked
 // and future call errors with ErrCoordinatorDown, parameter-server
 // barriers abort, and the lease monitor stops. The journal (if any)
 // retains the WAL for RecoverDistributed.
 func (c *coordinator) kill() {
 	c.mu.Lock()
-	c.killed = true
-	if c.runErr == nil {
-		c.runErr = ErrCoordinatorDown
-	}
-	c.cond.Broadcast()
+	c.failLocked(ErrCoordinatorDown)
 	c.mu.Unlock()
-	c.stopMonitorOnce()
+	c.stopMonitor()
 	for _, ps := range c.pss {
 		ps.Abort(ErrCoordinatorDown)
 	}
@@ -1193,11 +949,11 @@ func (c *coordinator) kill() {
 // finishedLocked reports run completion: no tasks left, and every GPU
 // either reported or was fenced.
 func (c *coordinator) finishedLocked() bool {
-	if c.tasksLeft > 0 {
+	if c.st.TasksLeft > 0 {
 		return false
 	}
-	for g := range c.reported {
-		if !c.reported[g] && !c.failed[g] {
+	for _, gs := range c.st.GPUs {
+		if !gs.Reported && !gs.Failed {
 			return false
 		}
 	}
@@ -1239,22 +995,40 @@ type DistributedResult struct {
 // error is returned only when the run is unrecoverable — no surviving
 // GPUs, a failed re-plan, or a synchronization violation).
 func ServeDistributed(addr string, in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model, opts DistributedOptions) (*Server, string, func() (*DistributedResult, error), error) {
+	co, err := newDistributed(in, plan, cl, models, opts)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	return co.serve(addr)
+}
+
+// newDistributed is ServeDistributed short of listening: validation,
+// control plane, coordinator and (when journaling) the first snapshot.
+func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model, opts DistributedOptions) (*coordinator, error) {
 	opts = opts.withDefaults()
 	if err := in.Validate(); err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	if err := opts.Faults.Validate(in.NumGPUs); err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
 	if err := core.ValidateSchedule(in, plan); err != nil {
-		return nil, "", nil, fmt.Errorf("rpcnet: invalid plan: %w", err)
+		return nil, fmt.Errorf("rpcnet: invalid plan: %w", err)
 	}
 	clock := testbed.NewClock(opts.TimeScale)
 	pss, local, err := testbed.NewControlPlane(in, clock, opts.Store, opts.Eta, opts.ProblemDim, opts.ProblemBatch)
 	if err != nil {
-		return nil, "", nil, err
+		return nil, err
 	}
-	co := newCoordinator(in, plan.Sequences(in.NumGPUs), cl, models, opts, clock, pss, local)
+	gpuTypes, modelNames := make([]string, cl.Size()), make([]string, len(models))
+	for g, gpu := range cl.GPUs {
+		gpuTypes[g] = gpu.Type.Name
+	}
+	for j, m := range models {
+		modelNames[j] = m.Name
+	}
+	st := newCoordState(in, plan.Sequences(in.NumGPUs), local, opts.ProblemDim)
+	co := newCoordinator(in, st, gpuTypes, modelNames, opts, clock, pss)
 	// Leases start now: an executor that never connects is eventually
 	// fenced and its queue migrates instead of hanging the run.
 	start := time.Now()
@@ -1264,12 +1038,13 @@ func ServeDistributed(addr string, in *core.Instance, plan *core.Schedule, cl *c
 	if co.journal != nil {
 		co.mu.Lock()
 		co.snapshotLocked() // a crash before the first push must still recover
+		err := co.runErr
 		co.mu.Unlock()
-		if co.runErr != nil {
-			return nil, "", nil, co.runErr
+		if err != nil {
+			return nil, err
 		}
 	}
-	return co.serve(addr)
+	return co, nil
 }
 
 // serve exposes the coordinator on addr and returns the server, the
@@ -1303,11 +1078,12 @@ func (c *coordinator) serve(addr string) (*Server, string, func() (*DistributedR
 	c.mu.Lock()
 	c.updateGaugesLocked(time.Now()) // /metrics is meaningful before the first monitor tick
 	c.mu.Unlock()
-	c.stopMonitor = make(chan struct{})
-	go c.monitor(c.stopMonitor)
+	stop := make(chan struct{})
+	c.stopMonitor = sync.OnceFunc(func() { close(stop) })
+	go c.monitor(stop)
 
 	wait := func() (*DistributedResult, error) {
-		defer c.stopMonitorOnce()
+		defer c.stopMonitor()
 		c.mu.Lock()
 		for c.runErr == nil && !c.finishedLocked() {
 			c.cond.Wait()
@@ -1316,28 +1092,25 @@ func (c *coordinator) serve(addr string) (*Server, string, func() (*DistributedR
 		if c.runErr != nil {
 			return nil, c.runErr
 		}
+		st := c.st
 		res := &DistributedResult{
 			Trace:         &trace.Trace{},
 			JobCompletion: make([]float64, len(c.in.Jobs)),
-			TotalSwitch:   c.switchTot,
-			SwitchCount:   c.switchCnt,
-			ResidencyHits: c.hits,
-			Retries:       c.retries,
-			TasksMigrated: c.migrated,
-			Reschedules:   c.reschedule,
-			FenceLog:      append([]FenceInfo(nil), c.fenceLog...),
-			Recoveries:    c.recovered,
-			Epoch:         c.epochNum,
+			TotalSwitch:   st.SwitchTot,
+			SwitchCount:   st.SwitchCnt,
+			ResidencyHits: st.Hits,
+			Retries:       st.Retries,
+			TasksMigrated: st.Migrated,
+			Reschedules:   st.Reschedule,
+			FenceLog:      append([]FenceInfo(nil), st.FenceLog...),
+			Recoveries:    st.Recovered,
+			Epoch:         st.Epoch,
 		}
-		for _, r := range c.records {
+		for _, r := range st.Records {
 			res.Trace.Add(r)
 		}
-		for g, f := range c.failed {
-			if f {
-				res.GPUFailures++
-				res.FailedGPUs = append(res.FailedGPUs, g)
-			}
-		}
+		res.FailedGPUs = st.fenced()
+		res.GPUFailures = len(res.FailedGPUs)
 		for _, j := range c.in.Jobs {
 			comp := c.pss[j.ID].Completion()
 			res.JobCompletion[j.ID] = comp

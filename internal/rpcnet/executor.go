@@ -41,25 +41,23 @@ type permanentError struct{ err error }
 func (p permanentError) Error() string { return p.err.Error() }
 func (p permanentError) Unwrap() error { return p.err }
 
+// callRetries bounds per-call retries of injected drops.
+const callRetries = 16
+
 // ExecutorOptions tune RunExecutorOpts. The zero value reproduces
-// RunExecutor: no chaos, default retry budgets.
+// RunExecutor: no chaos, default reconnect budget.
 type ExecutorOptions struct {
 	// Chaos injects network faults into every RPC of this executor;
 	// nil or empty disables injection. ChaosSeed seeds the draw stream
-	// (the per-GPU stream is derived from it, so one seed covers a
-	// whole fleet deterministically).
+	// and the dial/reconnect backoff jitter (the per-GPU streams are
+	// derived from it, so one seed covers a whole fleet
+	// deterministically).
 	Chaos     *faults.NetChaos
 	ChaosSeed int64
-	// DialSeed seeds the dial/reconnect backoff jitter (defaults to
-	// ChaosSeed).
-	DialSeed int64
 	// MaxReconnects bounds *consecutive* sessions that fail before the
 	// Config handshake; a successful handshake resets the budget.
 	// Defaults to 12.
 	MaxReconnects int
-	// CallRetries bounds per-call retries of injected drops. Defaults
-	// to 16.
-	CallRetries int
 	// Recorder receives executor-side net.fault and rpc.client events;
 	// Metrics accumulates chaos counters and the hare_rpc_client_*
 	// families. Both optional.
@@ -74,10 +72,9 @@ type ExecutorOptions struct {
 // the wire, or the cross-process merge would pair the wrong events.
 // nil (observation off) is a valid receiver everywhere.
 type execObs struct {
-	config, heartbeat, next, push *obs.RPCMethod
-	wait, ckpt, report            *obs.RPCMethod
-	calls                         *atomic.Uint64
-	reconnects                    *obs.Counter
+	methods    map[string]*obs.RPCMethod // by full "Service.Method" RPC name
+	calls      *atomic.Uint64
+	reconnects *obs.Counter
 }
 
 func newExecObs(rec *obs.Recorder, reg *obs.Registry, gpu int) *execObs {
@@ -85,17 +82,15 @@ func newExecObs(rec *obs.Recorder, reg *obs.Registry, gpu int) *execObs {
 	if o == nil {
 		return nil
 	}
-	return &execObs{
-		config:     o.Method("Config"),
-		heartbeat:  o.Method("Heartbeat"),
-		next:       o.Method("Next"),
-		push:       o.Method("Push"),
-		wait:       o.Method("WaitRound"),
-		ckpt:       o.Method("LoadCheckpoint"),
-		report:     o.Method("Report"),
+	e := &execObs{
+		methods:    make(map[string]*obs.RPCMethod),
 		calls:      new(atomic.Uint64),
 		reconnects: reg.Counter(fmt.Sprintf(`hare_exec_reconnects_total{gpu="%d"}`, gpu)),
 	}
+	for _, name := range []string{"Config", "Heartbeat", "Next", "Push", "WaitRound", "LoadCheckpoint", "Report"} {
+		e.methods[DistributedName+"."+name] = o.Method(name)
+	}
+	return e
 }
 
 // method maps a full "Service.Method" RPC name to its handle.
@@ -103,44 +98,13 @@ func (e *execObs) method(full string) *obs.RPCMethod {
 	if e == nil {
 		return nil
 	}
-	switch full[strings.LastIndexByte(full, '.')+1:] {
-	case "Config":
-		return e.config
-	case "Heartbeat":
-		return e.heartbeat
-	case "Next":
-		return e.next
-	case "Push":
-		return e.push
-	case "WaitRound":
-		return e.wait
-	case "LoadCheckpoint":
-		return e.ckpt
-	case "Report":
-		return e.report
-	}
-	return nil
+	return e.methods[full]
 }
 
-func (e *execObs) reconnect() {
-	if e != nil {
-		e.reconnects.Inc()
-	}
-}
-
-func (o ExecutorOptions) withDefaults(gpu int) ExecutorOptions {
-	if o.DialSeed == 0 {
-		o.DialSeed = o.ChaosSeed
-	}
-	// Distinct per-GPU jitter streams even under a shared seed.
-	o.DialSeed ^= (int64(gpu) + 1) * 0x9e3779b9
-	if o.MaxReconnects <= 0 {
-		o.MaxReconnects = 12
-	}
-	if o.CallRetries <= 0 {
-		o.CallRetries = 16
-	}
-	return o
+// gpuSeed derives GPU gpu's stream from a fleet-wide seed: distinct
+// per-GPU draws even under a shared seed.
+func gpuSeed(seed int64, gpu int) int64 {
+	return seed ^ (int64(gpu)+1)*0x9e3779b9
 }
 
 // RunExecutor connects to the coordinator at addr and runs one GPU's
@@ -150,13 +114,16 @@ func RunExecutor(addr string, gpu int) error {
 	return RunExecutorOpts(addr, gpu, ExecutorOptions{})
 }
 
-// RunExecutorOpts is RunExecutor with chaos injection and tuned retry
-// budgets.
+// RunExecutorOpts is RunExecutor with chaos injection and a tuned
+// reconnect budget.
 func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
-	opts = opts.withDefaults(gpu)
+	if opts.MaxReconnects <= 0 {
+		opts.MaxReconnects = 12
+	}
 	ch := newNetChaos(opts.Chaos, opts.ChaosSeed, gpu, opts.Recorder, opts.Metrics)
 	eobs := newExecObs(opts.Recorder, opts.Metrics, gpu)
-	rng := stats.New(opts.DialSeed)
+	dialSeed := gpuSeed(opts.ChaosSeed, gpu)
+	rng := stats.New(dialSeed)
 	// The crash channel is shared across sessions: a simulated crash
 	// is a property of the executor process, not of one connection.
 	crashed := make(chan struct{})
@@ -164,11 +131,6 @@ func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 	fails := 0
 	var lastErr error
 	for {
-		select {
-		case <-crashed:
-			return errCrashed
-		default:
-		}
 		// Inside a partition window, dialing and calling are both
 		// pointless; wait the window out instead of burning the
 		// reconnect budget.
@@ -178,7 +140,7 @@ func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 			}
 			continue
 		}
-		handshook, err := runExecutorSession(addr, gpu, ch, eobs, rng, opts, crashed, crashOnce)
+		handshook, err := runExecutorSession(addr, gpu, ch, eobs, rng, dialSeed, crashed, crashOnce)
 		if err == nil {
 			return nil
 		}
@@ -186,7 +148,7 @@ func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 			return errCrashed
 		}
 		var perm permanentError
-		if errors.As(err, &perm) || !isSessionRetryable(err) {
+		if errors.As(err, &perm) || isFatalRPC(err) || !isSessionRetryable(err) {
 			return err
 		}
 		lastErr = err
@@ -194,7 +156,9 @@ func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 			fails = 0
 		}
 		fails++
-		eobs.reconnect()
+		if eobs != nil {
+			eobs.reconnects.Inc()
+		}
 		if fails > opts.MaxReconnects {
 			return fmt.Errorf("rpcnet: executor %d gave up after %d fruitless reconnects: %w", gpu, fails-1, lastErr)
 		}
@@ -267,14 +231,17 @@ func isFatalRPC(err error) bool {
 // execSession is one dial-to-teardown conversation with the
 // coordinator.
 type execSession struct {
-	conn    *rpc.Client
-	gpu     int
-	epoch   uint64
-	seq     uint64
-	chaos   *netChaos
-	obs     *execObs
-	clock   *testbed.Clock // nil until the Config handshake succeeds
-	retries int
+	conn  *rpc.Client
+	gpu   int
+	epoch uint64
+	seq   uint64
+	chaos *netChaos
+	obs   *execObs
+	clock *testbed.Clock // nil until the Config handshake succeeds
+	// crashed is closed when the executor's simulated crash (crash=G@T)
+	// fires: from then on every call fails and no further gradients
+	// leave the process — the coordinator must notice via the lease.
+	crashed <-chan struct{}
 	mu      sync.Mutex // guards rng (heartbeat goroutine vs pull loop)
 	rng     *stats.RNG
 }
@@ -289,12 +256,18 @@ func (s *execSession) simNow() float64 {
 	return s.clock.Now()
 }
 
-// call performs one observed RPC with bounded retries of injected
-// drops. When tracing is on, pointer args carrying a Call field are
-// stamped with a fresh process-wide call id before the first attempt;
-// retries reuse it, so a duplicated wire call keeps one trace identity
-// and the merge can pair client and server events unambiguously.
-func (s *execSession) call(method string, args, reply any) error {
+// call performs one observed RPC, retrying injected drops up to
+// retries times. When tracing is on, pointer args carrying a Call field
+// are stamped with a fresh process-wide call id before the first
+// attempt; retries reuse it, so a duplicated wire call keeps one trace
+// identity and the merge can pair client and server events
+// unambiguously.
+func (s *execSession) call(method string, args, reply any, retries int) error {
+	select {
+	case <-s.crashed:
+		return errCrashed
+	default:
+	}
 	m := s.obs.method(method)
 	var call uint64
 	if m.Active() {
@@ -306,7 +279,7 @@ func (s *execSession) call(method string, args, reply any) error {
 		}
 	}
 	t := m.Start(s.simNow())
-	err := s.callRetry(method, args, reply)
+	err := s.callRetry(method, args, reply, retries)
 	m.Observe(t, s.simNow(), obs.Event{GPU: s.gpu, Call: call, Epoch: s.epoch}, err)
 	return err
 }
@@ -314,12 +287,12 @@ func (s *execSession) call(method string, args, reply any) error {
 // callRetry is the unobserved retry loop. The reply struct is re-zeroed
 // before every attempt: gob leaves absent fields untouched on decode,
 // so a retried call must not inherit state from a dropped reply.
-func (s *execSession) callRetry(method string, args, reply any) error {
+func (s *execSession) callRetry(method string, args, reply any, retries int) error {
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
 		reflect.ValueOf(reply).Elem().SetZero()
 		err := s.chaos.do(s.conn, method, args, reply)
-		if err == nil || attempt >= s.retries || !errors.Is(err, errInjectedDrop) {
+		if err == nil || attempt >= retries || !errors.Is(err, errInjectedDrop) {
 			return err
 		}
 		s.mu.Lock()
@@ -332,14 +305,15 @@ func (s *execSession) callRetry(method string, args, reply any) error {
 	}
 }
 
-// execClient adapts the session to testbed.SyncClient. Every call is
+// execClient adapts the session to testbed.SyncClient — the one
+// adapter between an executor and the control plane. Every call is
 // duplicate-safe on the coordinator, so the retry wrapper applies to
 // all of them.
 type execClient struct{ s *execSession }
 
 func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 	var reply PushReply
-	if err := c.s.call(DistributedName+".Push", &PushArgs{Report: rep, Epoch: c.s.epoch}, &reply); err != nil {
+	if err := c.s.call(DistributedName+".Push", &PushArgs{Report: rep, Epoch: c.s.epoch}, &reply, callRetries); err != nil {
 		return 0, err
 	}
 	return reply.Completion, nil
@@ -347,7 +321,7 @@ func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 
 func (c execClient) WaitRound(job core.JobID, round int) (float64, error) {
 	var reply WaitReply
-	if err := c.s.call(DistributedName+".WaitRound", &WaitArgs{Job: job, Round: round, Epoch: c.s.epoch, GPU: c.s.gpu}, &reply); err != nil {
+	if err := c.s.call(DistributedName+".WaitRound", &WaitArgs{Job: job, Round: round, Epoch: c.s.epoch, GPU: c.s.gpu}, &reply, callRetries); err != nil {
 		return 0, err
 	}
 	return reply.End, nil
@@ -355,68 +329,27 @@ func (c execClient) WaitRound(job core.JobID, round int) (float64, error) {
 
 func (c execClient) LoadCheckpoint(job core.JobID) ([]float64, error) {
 	var reply CkptReply
-	if err := c.s.call(DistributedName+".LoadCheckpoint", &CkptArgs{Job: job, Epoch: c.s.epoch, GPU: c.s.gpu}, &reply); err != nil {
+	if err := c.s.call(DistributedName+".LoadCheckpoint", &CkptArgs{Job: job, Epoch: c.s.epoch, GPU: c.s.gpu}, &reply, callRetries); err != nil {
 		return nil, err
 	}
 	return reply.Params, nil
-}
-
-// crashClient simulates an executor process crash: once the crash
-// fires, every synchronization call fails and no further gradients
-// leave the process — the coordinator must notice via the lease.
-type crashClient struct {
-	inner   testbed.SyncClient
-	crashed <-chan struct{}
-}
-
-func (c crashClient) alive() error {
-	select {
-	case <-c.crashed:
-		return errCrashed
-	default:
-		return nil
-	}
-}
-
-func (c crashClient) Push(rep testbed.PushReport) (float64, error) {
-	if err := c.alive(); err != nil {
-		return 0, err
-	}
-	return c.inner.Push(rep)
-}
-
-func (c crashClient) WaitRound(job core.JobID, round int) (float64, error) {
-	if err := c.alive(); err != nil {
-		return 0, err
-	}
-	return c.inner.WaitRound(job, round)
-}
-
-func (c crashClient) LoadCheckpoint(job core.JobID) ([]float64, error) {
-	if err := c.alive(); err != nil {
-		return nil, err
-	}
-	return c.inner.LoadCheckpoint(job)
 }
 
 // runExecutorSession runs one conversation with the coordinator.
 // handshook reports whether Config succeeded (resets the caller's
 // reconnect budget). A nil error means the executor's share of the
 // run completed and was reported.
-func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *stats.RNG, opts ExecutorOptions,
+func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *stats.RNG, dialSeed int64,
 	crashed chan struct{}, crashOnce *sync.Once) (handshook bool, err error) {
-	conn, err := dialRPCSeeded(addr, opts.DialSeed)
+	conn, err := dialRPCSeeded(addr, dialSeed)
 	if err != nil {
 		return false, err
 	}
 	defer conn.Close()
-	s := &execSession{conn: conn, gpu: gpu, chaos: ch, obs: eobs, retries: opts.CallRetries, rng: rng}
+	s := &execSession{conn: conn, gpu: gpu, chaos: ch, obs: eobs, crashed: crashed, rng: rng}
 
 	var cfg ExecutorConfigReply
-	if err := s.call(DistributedName+".Config", &ExecutorConfigArgs{GPU: gpu}, &cfg); err != nil {
-		if isFatalRPC(err) {
-			return false, permanentError{err}
-		}
+	if err := s.call(DistributedName+".Config", &ExecutorConfigArgs{GPU: gpu}, &cfg, callRetries); err != nil {
 		return false, fmt.Errorf("rpcnet: fetch config: %w", err)
 	}
 	s.epoch = cfg.CoordEpoch
@@ -454,7 +387,7 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	}
 
 	// Heartbeats renew the lease until the session ends or the
-	// simulated crash fires (a crashed executor going silent is
+	// simulated crash fails them (a crashed executor going silent is
 	// exactly what the lease monitor exists to catch).
 	hb := time.Duration(cfg.HeartbeatMillis) * time.Millisecond
 	if hb <= 0 {
@@ -463,40 +396,27 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	go func() {
 		tick := time.NewTicker(hb)
 		defer tick.Stop()
-		hbObs := eobs.method(DistributedName + ".Heartbeat")
 		for {
 			select {
 			case <-stop:
 				return
-			case <-crashed:
-				return
 			case <-tick.C:
 			}
-			// Heartbeats bypass the retry wrapper (a dropped heartbeat is
-			// simply absorbed by the next tick) but are still observed.
-			args := HeartbeatArgs{GPU: gpu, Epoch: cfg.CoordEpoch}
-			if hbObs.Active() {
-				args.Call = eobs.calls.Add(1)
-			}
-			t := hbObs.Start(s.simNow())
+			// Heartbeats are not retried: a dropped one is simply absorbed
+			// by the next tick.
 			var none struct{}
-			err := ch.do(conn, DistributedName+".Heartbeat", args, &none)
-			hbObs.Observe(t, s.simNow(), obs.Event{GPU: gpu, Call: args.Call, Epoch: cfg.CoordEpoch}, err)
+			err := s.call(DistributedName+".Heartbeat", &HeartbeatArgs{GPU: gpu, Epoch: s.epoch}, &none, 0)
 			if err != nil && !errors.Is(err, errInjectedDrop) && !errors.Is(err, errInjectedPartition) {
 				return // torn conn, stale epoch or fence: session will notice
 			}
 		}
 	}()
 
-	var sc testbed.SyncClient = execClient{s: s}
-	if cfg.CrashAtSim >= 0 {
-		sc = crashClient{inner: sc, crashed: crashed}
-	}
 	exec, err := testbed.NewRemoteExecutor(testbed.RemoteExecutorConfig{
 		GPU: gpu, GPUType: gt, Seq: cfg.Seq,
 		Instance: cfg.Instance, Models: models,
 		Scheme: cfg.Scheme, Speculative: cfg.Speculative, MemPolicy: cfg.MemPolicy,
-		Clock: clock, Sync: sc,
+		Clock: clock, Sync: execClient{s: s},
 		ProblemDim: cfg.ProblemDim, ProblemBatch: cfg.ProblemBatch,
 		FaultRate: cfg.FaultRate, FaultSeed: cfg.FaultSeed,
 		SlowFactor: cfg.SlowFactor,
@@ -506,16 +426,8 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	}
 
 	for {
-		select {
-		case <-crashed:
-			return true, errCrashed
-		default:
-		}
 		var next NextReply
-		if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Seq: s.seq, Epoch: s.epoch}, &next); err != nil {
-			if isFatalRPC(err) {
-				return true, permanentError{err}
-			}
+		if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Seq: s.seq, Epoch: s.epoch}, &next, callRetries); err != nil {
 			return true, err
 		}
 		s.seq++
@@ -526,25 +438,16 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 			if errors.Is(err, errCrashed) {
 				return true, errCrashed
 			}
-			if isFatalRPC(err) {
-				return true, permanentError{err}
-			}
-			if isSessionRetryable(err) {
+			if isFatalRPC(err) || isSessionRetryable(err) {
 				return true, err
 			}
 			// A genuine local failure: surface it so the coordinator
 			// fences this GPU and migrates the rest of its queue.
 			var none struct{}
-			_ = s.call(DistributedName+".Report", &ReportArgs{GPU: gpu, Err: err.Error(), Epoch: s.epoch}, &none)
+			_ = s.call(DistributedName+".Report", &ReportArgs{GPU: gpu, Err: err.Error(), Epoch: s.epoch}, &none, callRetries)
 			return true, permanentError{err}
 		}
 	}
 	var none struct{}
-	if err := s.call(DistributedName+".Report", &ReportArgs{GPU: gpu, Epoch: s.epoch}, &none); err != nil {
-		if isFatalRPC(err) {
-			return true, permanentError{err}
-		}
-		return true, err
-	}
-	return true, nil
+	return true, s.call(DistributedName+".Report", &ReportArgs{GPU: gpu, Epoch: s.epoch}, &none, callRetries)
 }

@@ -2,6 +2,7 @@ package rpcnet
 
 import (
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -292,7 +293,7 @@ func TestReportValidation(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := dialRPC(addr)
+	conn, err := dialRPCSeeded(addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,24 +325,14 @@ func TestReportValidation(t *testing.T) {
 	}
 }
 
-// TestDialBackoffRecoversLateServer: dialing before the coordinator is
-// listening succeeds once it comes up, thanks to the bounded
-// exponential backoff.
+// TestDialBackoffRecoversLateServer: a dial to a dead port fails after
+// a bounded number of backed-off attempts, and a dial that starts
+// before the coordinator is listening succeeds once it comes up — what
+// an executor racing ServeDistributed (or reconnecting to a recovering
+// coordinator) relies on.
 func TestDialBackoffRecoversLateServer(t *testing.T) {
-	backend := &fakeBackend{}
-	addrCh := make(chan string, 1)
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		_, addr, err := Serve("127.0.0.1:0", backend, nil)
-		if err != nil {
-			panic(err)
-		}
-		addrCh <- addr
-	}()
-	// The port is known only after Serve returns, so dial a reserved
-	// port first to verify failure is bounded, then the live one.
 	start := time.Now()
-	if _, err := dialRPC("127.0.0.1:1"); err == nil {
+	if _, err := dialRPCSeeded("127.0.0.1:1", 0); err == nil {
 		t.Fatal("dial to reserved port succeeded")
 	} else if !strings.Contains(err.Error(), "attempts failed") {
 		t.Errorf("dial error %v, want bounded-attempts error", err)
@@ -349,9 +340,38 @@ func TestDialBackoffRecoversLateServer(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < DialBackoff {
 		t.Errorf("dial gave up after %v, backoff not applied", elapsed)
 	}
-	c, err := Dial(<-addrCh)
+
+	// Reserve a port, release it, and bring the coordinator up on it
+	// only after the dialer's first attempt has been refused.
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := lis.Addr().String()
+	lis.Close()
+	in, plan, cl, models := chaosWorkload(t, 2, 5)
+	type served struct {
+		srv *Server
+		err error
+	}
+	up := make(chan served, 1)
+	go func() {
+		time.Sleep(DialBackoff / 2)
+		srv, _, _, err := ServeDistributed(addr, in, plan, cl, models, DistributedOptions{LeaseTimeout: time.Hour})
+		up <- served{srv, err}
+	}()
+	c, err := dialRPCSeeded(addr, 7)
+	s := <-up
+	if s.err != nil {
+		t.Fatalf("late ServeDistributed on %s: %v", addr, s.err)
+	}
+	defer s.srv.Kill()
 	if err != nil {
 		t.Fatalf("dial to late server: %v", err)
 	}
-	c.Close()
+	defer c.Close()
+	var cfg ExecutorConfigReply
+	if err := c.Call(DistributedName+".Config", ExecutorConfigArgs{GPU: 0}, &cfg); err != nil || cfg.CoordEpoch != 1 {
+		t.Errorf("handshake over the late connection: epoch %d, %v", cfg.CoordEpoch, err)
+	}
 }

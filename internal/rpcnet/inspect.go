@@ -1,13 +1,8 @@
 package rpcnet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"path/filepath"
-
-	"hare/internal/store"
 )
 
 // Offline journal inspection: the read-only backend of `harectl wal`.
@@ -55,44 +50,23 @@ type JournalDump struct {
 
 // InspectDir reads the journal rooted at dir (the directory given to
 // OpenDirJournal) and returns a tolerant decode of its snapshot and
-// WAL.
+// WAL, through the same decoder recovery uses.
 func InspectDir(dir string) (*JournalDump, error) {
-	snaps, err := store.NewDir(dir)
+	j, err := OpenDirJournal(dir)
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: inspect %s: %w", dir, err)
 	}
-	log, err := store.OpenDirLog(filepath.Join(dir, "wal.log"))
+	defer j.Close()
+	snap, recs, truncated, err := j.read()
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: inspect %s: %w", dir, err)
 	}
-	defer log.Close()
-
-	d := &JournalDump{}
-	if snaps.Exists(snapshotKey) {
-		raw, err := snaps.Load(snapshotKey)
-		if err != nil {
-			return nil, fmt.Errorf("rpcnet: inspect snapshot: %w", err)
-		}
-		if len(raw) > 0 {
-			snap := new(coordSnapshot)
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(snap); err != nil {
-				return nil, fmt.Errorf("rpcnet: inspect snapshot: %w", err)
-			}
-			d.HasSnapshot = true
-			d.Snapshot = summarizeSnapshot(snap)
-		}
+	d := &JournalDump{Truncated: truncated}
+	if snap != nil {
+		d.HasSnapshot = true
+		d.Snapshot = summarizeSnapshot(snap)
 	}
-
-	payloads, err := log.Records()
-	if err != nil {
-		return nil, fmt.Errorf("rpcnet: inspect wal: %w", err)
-	}
-	for i, p := range payloads {
-		rec := new(journalRecord)
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(rec); err != nil {
-			d.Truncated = len(payloads) - i
-			break
-		}
+	for _, rec := range recs {
 		d.Entries = append(d.Entries, describeRecord(rec))
 	}
 	d.Gaps = lsnGaps(d)
@@ -100,37 +74,36 @@ func InspectDir(dir string) (*JournalDump, error) {
 }
 
 func summarizeSnapshot(snap *coordSnapshot) SnapshotInfo {
+	st := &snap.State
 	info := SnapshotInfo{
-		Epoch:     snap.Epoch,
-		Recovered: snap.Recovered,
+		Epoch:     st.Epoch,
+		Recovered: st.Recovered,
 		SimTime:   snap.SimTime,
 		LastLSN:   snap.LastLSN,
-		NumGPUs:   len(snap.Failed),
-		TasksDone: len(snap.Done),
-		TasksLeft: snap.TasksLeft,
+		NumGPUs:   len(st.GPUs),
+		TasksDone: len(st.Records),
+		TasksLeft: st.TasksLeft,
 		Jobs:      len(snap.PS),
+		Fenced:    len(st.fenced()),
 	}
-	for _, f := range snap.Failed {
-		if f {
-			info.Fenced++
+	for g, gs := range st.GPUs {
+		info.Queued += len(gs.Queue)
+		// An unclaimed in-flight task is queued work again after a restart.
+		if _, ok := st.unclaimed(g); ok {
+			info.Queued++
 		}
-	}
-	for _, q := range snap.Queues {
-		info.Queued += len(q)
 	}
 	return info
 }
 
 func describeRecord(rec *journalRecord) WALEntry {
-	e := WALEntry{LSN: rec.LSN, SimTime: rec.SimTime, GPU: -1}
+	e := WALEntry{LSN: rec.LSN, Kind: rec.kind(), SimTime: rec.SimTime, GPU: -1}
 	switch rec.Kind {
 	case recPush:
-		e.Kind = "push"
 		e.GPU = rec.Push.GPU
 		e.Detail = fmt.Sprintf("task %v gpu=%d train=[%.3f,%.3f]",
 			rec.Push.Task, rec.Push.GPU, rec.Push.Start, rec.Push.TrainEnd)
 	case recFence:
-		e.Kind = "fence"
 		if fp := rec.Fence; fp != nil {
 			e.GPU = fp.GPU
 			e.Detail = fmt.Sprintf("gpu=%d stranded=%d replanned=%v reason=%s",
@@ -142,15 +115,12 @@ func describeRecord(rec *journalRecord) WALEntry {
 			e.Detail = "missing fence plan"
 		}
 	case recReport:
-		e.Kind = "report"
 		e.GPU = rec.GPU
 		if rec.Err == "" {
 			e.Detail = fmt.Sprintf("gpu=%d ok", rec.GPU)
 		} else {
 			e.Detail = fmt.Sprintf("gpu=%d err=%s", rec.GPU, rec.Err)
 		}
-	default:
-		e.Kind = fmt.Sprintf("kind(%d)", rec.Kind)
 	}
 	return e
 }

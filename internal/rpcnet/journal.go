@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"path/filepath"
 	"sync"
 
@@ -13,7 +14,6 @@ import (
 	"hare/internal/store"
 	"hare/internal/switching"
 	"hare/internal/testbed"
-	"hare/internal/trace"
 )
 
 // The coordinator's durability layer: a write-ahead log of state
@@ -29,6 +29,18 @@ import (
 
 // snapshotKey is the store key of the coordinator snapshot.
 const snapshotKey = "coord/snapshot"
+
+// gob caches a type's wire description process-wide at first sight, and
+// describes a slice without its name when that first sight is as the
+// element of another slice. Claim the WAL's slice types that way up
+// front: otherwise the same push record takes 513 or 539 bytes depending
+// on what the process encoded earlier.
+func init() {
+	_ = gob.NewEncoder(io.Discard).Encode(struct {
+		Grads  [][]float64
+		Queues [][]core.TaskRef
+	}{})
+}
 
 // Journal record kinds.
 const (
@@ -53,9 +65,22 @@ type journalRecord struct {
 	Err string
 }
 
+// kind names the record's kind, for wal.append events and `harectl wal`.
+func (r *journalRecord) kind() string {
+	switch r.Kind {
+	case recPush:
+		return "push"
+	case recFence:
+		return "fence"
+	case recReport:
+		return "report"
+	}
+	return fmt.Sprintf("kind(%d)", r.Kind)
+}
+
 // snapOpts are the run options a recovered coordinator must agree on
-// with the original (Store/Replanner/Recorder are process-local and
-// re-supplied via RecoverOptions).
+// with the original (Store/Recorder/Metrics are process-local and
+// re-supplied via RecoverOptions; the fault plan travels as FaultSpec).
 type snapOpts struct {
 	TimeScale       float64
 	Scheme          switching.Scheme
@@ -64,36 +89,24 @@ type snapOpts struct {
 	ProblemDim      int
 	ProblemBatch    int
 	Eta             float64
-	FaultRate       float64
-	FaultSeed       int64
 	HeartbeatMillis int64
 	LeaseMillis     int64
 	SnapshotEvery   int
 }
 
 // psSnapshot is one parameter server's durable state: the model after
-// the last completed round, the per-round loss history, and the
-// current round's partial pushes (re-pushed into the PS on recovery).
+// the last completed round and the per-round loss history. The current
+// round's partial pushes live in the state (jobState.Partial) and are
+// re-pushed into the PS on recovery.
 type psSnapshot struct {
-	Params  []float64
-	Losses  []float64
-	Partial []testbed.PushReport
+	Params []float64
+	Losses []float64
 }
 
-// doneEntry memoizes one accepted task with its realized completion,
-// so a recovered coordinator still answers duplicate pushes
-// idempotently.
-type doneEntry struct {
-	Task       core.TaskRef
-	Completion float64
-}
-
-// coordSnapshot is the coordinator's full durable state.
+// coordSnapshot is what a recovery loads: a header that never changes
+// during a run (the problem, the fleet, the options), the parameter
+// servers' models, and the coordinator state itself.
 type coordSnapshot struct {
-	// Epoch is the incarnation that wrote the snapshot; recovery
-	// serves at Epoch+1. Recovered counts completed recoveries.
-	Epoch     uint64
-	Recovered int
 	// SimTime is the simulated time the snapshot was taken; the
 	// recovered clock resumes at the max of this and the replayed WAL
 	// records' times.
@@ -101,42 +114,18 @@ type coordSnapshot struct {
 	// FaultSpec re-derives the fault plan (faults.Parse round-trip).
 	FaultSpec string
 	Opts      snapOpts
-	// Instance, GPUTypeNames/GPUHosts and ModelNames rebuild the
-	// scheduling problem, the cluster and the model zoo references.
+	// Instance is the scheduling problem; GPUTypeNames (GPU → cluster
+	// type) and ModelNames (job → model zoo entry) are what executors
+	// resolve locally after their Config handshake.
 	Instance     *core.Instance
 	GPUTypeNames []string
-	GPUHosts     []int
-	NetworkBps   float64
-	IntraHostBps float64
 	ModelNames   []string
-	// Dispatch state. Queues include each GPU's unclaimed in-flight
-	// task re-queued at the head (a restart loses executor sessions
-	// anyway, so in-flight work simply becomes queued again).
-	Queues    [][]core.TaskRef
-	Done      []doneEntry
-	Pushed    [][]int
-	TasksLeft int
-	RoundEnds [][]float64
-	// Fencing and reporting state.
-	Failed       []bool
-	FenceReasons []string
-	FenceLog     []FenceInfo
-	Reported     []bool
-	// Trace/accounting state.
-	PrevJob    []core.JobID
-	PrevFree   []float64
-	Records    []trace.TaskRecord
-	SwitchTot  float64
-	SwitchCnt  int
-	Hits       int
-	Retries    int
-	Migrated   int
-	Reschedule int
-	// Parameter servers, one per job.
+	// PS holds the parameter servers, one per job.
 	PS []psSnapshot
-	// LastLSN is the newest WAL record already folded into this
-	// snapshot; replay skips records at or below it.
+	// LastLSN is the newest WAL record already folded into State;
+	// replay skips records at or below it.
 	LastLSN uint64
+	State   coordState
 }
 
 // Journal couples a snapshot store with a write-ahead log. A Journal
@@ -181,14 +170,17 @@ func OpenDirJournal(dir string) (*Journal, error) {
 func (j *Journal) HasState() (bool, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	raw, err := j.snapshotBytes()
+	return len(raw) > 0, err
+}
+
+// snapshotBytes loads the stored snapshot; empty when none was written
+// or the journal was cleared. Caller holds j.mu.
+func (j *Journal) snapshotBytes() ([]byte, error) {
 	if !j.snaps.Exists(snapshotKey) {
-		return false, nil
+		return nil, nil
 	}
-	raw, err := j.snaps.Load(snapshotKey)
-	if err != nil {
-		return false, err
-	}
-	return len(raw) > 0, nil
+	return j.snaps.Load(snapshotKey)
 }
 
 // LSN returns the newest assigned log sequence number — the journal
@@ -235,57 +227,59 @@ func (j *Journal) writeSnapshot(snap *coordSnapshot) (int, error) {
 	return buf.Len(), j.log.Reset()
 }
 
-// load reads the snapshot and every decodable WAL record, and resumes
-// the LSN counter past the newest of either. A torn or corrupt log
-// tail has already been truncated by the log layer; a record that
-// fails to gob-decode ends the replay at the last good record.
-func (j *Journal) load() (*coordSnapshot, []*journalRecord, error) {
+// read decodes whatever the journal holds: the snapshot (nil when none
+// was written, or the journal was cleared), every decodable WAL record,
+// and the number of payloads dropped behind the first undecodable one.
+// It resumes the LSN counter past the newest of either. A torn or
+// corrupt log tail has already been truncated by the log layer; a
+// record that fails to gob-decode ends the replay at the last good
+// record. Recovery and the offline inspector share this one decoder.
+func (j *Journal) read() (snap *coordSnapshot, recs []*journalRecord, truncated int, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if !j.snaps.Exists(snapshotKey) {
-		return nil, nil, fmt.Errorf("journal: no coordinator snapshot to recover from")
-	}
-	raw, err := j.snaps.Load(snapshotKey)
+	raw, err := j.snapshotBytes()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	if len(raw) == 0 {
-		return nil, nil, fmt.Errorf("journal: no coordinator snapshot to recover from (journal was cleared)")
-	}
-	snap := new(coordSnapshot)
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(snap); err != nil {
-		return nil, nil, fmt.Errorf("journal: decode snapshot: %w", err)
+	if len(raw) > 0 {
+		snap = new(coordSnapshot)
+		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(snap); err != nil {
+			return nil, nil, 0, fmt.Errorf("journal: decode snapshot: %w", err)
+		}
+		j.lsn = max(j.lsn, snap.LastLSN)
 	}
 	payloads, err := j.log.Records()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
-	var recs []*journalRecord
-	maxLSN := snap.LastLSN
-	for _, p := range payloads {
+	for i, p := range payloads {
 		rec := new(journalRecord)
 		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(rec); err != nil {
-			break // torn mid-stream; keep the good prefix
+			truncated = len(payloads) - i // torn mid-stream; keep the good prefix
+			break
 		}
 		recs = append(recs, rec)
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
+		j.lsn = max(j.lsn, rec.LSN)
 	}
-	j.lsn = maxLSN
-	return snap, recs, nil
+	return snap, recs, truncated, nil
 }
 
 // snapshotLocked persists the coordinator's full state through the
 // journal and resets the push-since-snapshot counter. Because every
 // state transition (push accept, fence, report) happens entirely under
-// c.mu, the snapshot is transactionally consistent with the WAL's
-// LSN watermark by construction. A persistence failure aborts the run
-// — continuing without durability would break the recovery contract
-// silently. Caller holds c.mu.
+// c.mu, the state is encoded in place, transactionally consistent with
+// the WAL's LSN watermark by construction. A persistence failure aborts
+// the run — continuing without durability would break the recovery
+// contract silently. Caller holds c.mu.
 func (c *coordinator) snapshotLocked() {
-	snap := c.buildSnapshotLocked()
-	size, err := c.journal.writeSnapshot(snap)
+	snap := c.snapHeader
+	snap.SimTime = c.clock.Now()
+	snap.PS = make([]psSnapshot, len(c.pss))
+	for j, ps := range c.pss {
+		snap.PS[j] = psSnapshot{Params: ps.Params(), Losses: ps.LossHistory}
+	}
+	snap.State = *c.st
+	size, err := c.journal.writeSnapshot(&snap)
 	if err != nil {
 		c.failLocked(fmt.Errorf("rpcnet: write snapshot: %w", err))
 		return
@@ -293,91 +287,35 @@ func (c *coordinator) snapshotLocked() {
 	c.pushesSinceSnap = 0
 	c.cSnapshots.Inc()
 	c.gSnapBytes.Set(float64(size))
-	if !c.replaying && c.opts.Recorder.Enabled() {
+	if c.opts.Recorder.Enabled() {
 		c.opts.Recorder.Emit(obs.Event{
 			Type: obs.EvWALSnapshot, Time: snap.SimTime, GPU: -1, Job: -1,
-			Epoch: c.epochNum, LSN: snap.LastLSN, Bytes: int64(size),
+			Epoch: c.st.Epoch, LSN: snap.LastLSN, Bytes: int64(size),
 		})
 	}
 }
 
-// buildSnapshotLocked assembles the durable state. Caller holds c.mu.
-func (c *coordinator) buildSnapshotLocked() *coordSnapshot {
-	snap := &coordSnapshot{
-		Epoch:     c.epochNum,
-		Recovered: c.recovered,
-		SimTime:   c.clock.Now(),
-		FaultSpec: c.opts.Faults.String(),
+// newSnapHeader assembles the part of a snapshot that is fixed for the
+// whole run.
+func newSnapHeader(in *core.Instance, gpuTypes, modelNames []string, opts DistributedOptions) coordSnapshot {
+	return coordSnapshot{
+		FaultSpec: opts.Faults.String(),
 		Opts: snapOpts{
-			TimeScale:       c.opts.TimeScale,
-			Scheme:          c.opts.Scheme,
-			Speculative:     c.opts.Speculative,
-			MemPolicy:       c.opts.MemPolicy,
-			ProblemDim:      c.opts.ProblemDim,
-			ProblemBatch:    c.opts.ProblemBatch,
-			Eta:             c.opts.Eta,
-			FaultRate:       c.opts.FaultRate,
-			FaultSeed:       c.opts.FaultSeed,
-			HeartbeatMillis: c.opts.HeartbeatInterval.Milliseconds(),
-			LeaseMillis:     c.opts.LeaseTimeout.Milliseconds(),
-			SnapshotEvery:   c.opts.SnapshotEvery,
+			TimeScale:       opts.TimeScale,
+			Scheme:          opts.Scheme,
+			Speculative:     opts.Speculative,
+			MemPolicy:       opts.MemPolicy,
+			ProblemDim:      opts.ProblemDim,
+			ProblemBatch:    opts.ProblemBatch,
+			Eta:             opts.Eta,
+			HeartbeatMillis: opts.HeartbeatInterval.Milliseconds(),
+			LeaseMillis:     opts.LeaseTimeout.Milliseconds(),
+			SnapshotEvery:   opts.SnapshotEvery,
 		},
-		Instance:     c.in,
-		NetworkBps:   c.cl.NetworkBps,
-		IntraHostBps: c.cl.IntraHostBps,
-		Pushed:       make([][]int, len(c.pushed)),
-		TasksLeft:    c.tasksLeft,
-		RoundEnds:    make([][]float64, len(c.roundEnds)),
-		Failed:       append([]bool(nil), c.failed...),
-		FenceReasons: append([]string(nil), c.fenceReasons...),
-		FenceLog:     append([]FenceInfo(nil), c.fenceLog...),
-		Reported:     append([]bool(nil), c.reported...),
-		PrevJob:      append([]core.JobID(nil), c.prevJob...),
-		PrevFree:     append([]float64(nil), c.prevFree...),
-		Records:      append([]trace.TaskRecord(nil), c.records...),
-		SwitchTot:    c.switchTot,
-		SwitchCnt:    c.switchCnt,
-		Hits:         c.hits,
-		Retries:      c.retries,
-		Migrated:     c.migrated,
-		Reschedule:   c.reschedule,
+		Instance:     in,
+		GPUTypeNames: gpuTypes,
+		ModelNames:   modelNames,
 	}
-	for _, g := range c.cl.GPUs {
-		snap.GPUTypeNames = append(snap.GPUTypeNames, g.Type.Name)
-		snap.GPUHosts = append(snap.GPUHosts, g.Host)
-	}
-	for _, m := range c.models {
-		snap.ModelNames = append(snap.ModelNames, m.Name)
-	}
-	// A restart loses every executor session, so an unclaimed
-	// in-flight task is snapshotted back at the head of its queue.
-	snap.Queues = make([][]core.TaskRef, len(c.queues))
-	for g, q := range c.queues {
-		if t := c.inflight[g]; t != nil && !c.done[*t] {
-			snap.Queues[g] = append([]core.TaskRef{*t}, q...)
-		} else {
-			snap.Queues[g] = append([]core.TaskRef(nil), q...)
-		}
-	}
-	snap.Done = make([]doneEntry, 0, len(c.done))
-	for _, rec := range c.records {
-		// Iterate records (ordered) rather than the done map so the
-		// snapshot bytes are deterministic for a given state.
-		snap.Done = append(snap.Done, doneEntry{Task: rec.Task, Completion: c.completions[rec.Task]})
-	}
-	for j := range c.pushed {
-		snap.Pushed[j] = append([]int(nil), c.pushed[j]...)
-		snap.RoundEnds[j] = append([]float64(nil), c.roundEnds[j]...)
-	}
-	snap.PS = make([]psSnapshot, len(c.pss))
-	for j, ps := range c.pss {
-		snap.PS[j] = psSnapshot{
-			Params:  ps.Params(),
-			Losses:  append([]float64(nil), ps.LossHistory...),
-			Partial: append([]testbed.PushReport(nil), c.partial[j]...),
-		}
-	}
-	return snap
 }
 
 // Clear discards all durable state — called after the run completes,

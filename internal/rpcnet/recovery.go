@@ -5,33 +5,33 @@ import (
 	"time"
 
 	"hare/internal/cluster"
-	"hare/internal/core"
 	"hare/internal/faults"
 	"hare/internal/model"
 	"hare/internal/obs"
-	"hare/internal/sched"
 	"hare/internal/store"
 	"hare/internal/testbed"
-	"hare/internal/trace"
 )
 
 // Coordinator crash recovery. RecoverDistributed rebuilds a
 // coordinator from its journal — snapshot plus WAL suffix — and serves
 // it again under a bumped epoch:
 //
-//  1. Load the snapshot; rebuild the instance, cluster, models and
-//     options it recorded.
+//  1. Decode the snapshot: its header carries the instance, the GPU
+//     type and model names and the options; its State is the
+//     coordinator state itself, shape-checked against the instance.
 //  2. Re-anchor the shared simulated clock: the new wall epoch is
 //     chosen so "simulated now" continues from the recovered
 //     high-water mark (max of the snapshot time and every replayed WAL
 //     record's time) instead of rewinding — executors and the
 //     coordinator re-agree on time via the Config re-handshake.
 //  3. Restore the parameter servers to the snapshot (params, loss
-//     history, completed-round gates) and re-push the snapshot's
+//     history, completed-round gates) and re-push the state's
 //     partial-round gradients.
-//  4. Replay the WAL suffix (records with LSN beyond the snapshot's
-//     watermark) through the same accept paths as live traffic, with
-//     journaling and event emission suppressed.
+//  4. Fold the WAL suffix (records with LSN beyond the snapshot's
+//     watermark) into the state with coordState.apply, the function
+//     the live handlers commit through: a record they would have
+//     refused fails the recovery with its LSN. Journaling and events
+//     belong to the handlers, so replay has neither.
 //  5. Serve under epoch+1. Executors still holding the old epoch are
 //     rejected with a "stale coordinator epoch" error, re-handshake,
 //     and resume; a pre-crash push retried against the new incarnation
@@ -49,9 +49,6 @@ type RecoverOptions struct {
 	// coordinator used, or a fresh one — the recovery re-saves the
 	// latest checkpoint of every job either way).
 	Store store.Store
-	// Replanner handles post-recovery GPU failures. Defaults to
-	// sched.NewHare().
-	Replanner sched.Algorithm
 	// ReconnectGrace delays lease-expiry fencing after recovery so
 	// executors have time to re-handshake. Defaults to 3x the
 	// snapshot's lease timeout.
@@ -67,16 +64,76 @@ type RecoverOptions struct {
 // reconnecting executors find it). It returns the same triple as
 // ServeDistributed.
 func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server, string, func() (*DistributedResult, error), error) {
-	if j == nil {
-		return nil, "", nil, fmt.Errorf("rpcnet: recover: nil journal")
-	}
-	snap, recs, err := j.load()
+	co, rp, err := rebuildCoordinator(j, ropts)
 	if err != nil {
 		return nil, "", nil, fmt.Errorf("rpcnet: recover: %w", err)
 	}
+
+	// New incarnation: epoch bump plus a reconnect grace before the
+	// lease monitor may fence anyone (live executors' leases all went
+	// stale while the coordinator was down).
+	co.st.Epoch++
+	co.st.Recovered++
+	grace := ropts.ReconnectGrace
+	if grace <= 0 {
+		grace = 3 * co.opts.LeaseTimeout
+	}
+	leaseBase := time.Now().Add(grace - co.opts.LeaseTimeout)
+	for g := range co.lease {
+		co.lease[g] = leaseBase
+	}
+
+	// Persist the recovered state under the new epoch before serving,
+	// so a crash during recovery recovers again from here.
+	co.mu.Lock()
+	co.snapshotLocked()
+	err = co.runErr
+	co.mu.Unlock()
+	if err != nil {
+		return nil, "", nil, err
+	}
+
+	ropts.Metrics.Counter("hare_coord_recoveries_total").Inc()
+	ropts.Metrics.Counter("hare_recovery_replayed_total").Add(float64(rp.replayed))
+	if ropts.Recorder.Enabled() {
+		ropts.Recorder.Emit(obs.Event{
+			Type: obs.EvRecoveryReplay, Time: rp.watermark, GPU: -1, Job: -1,
+			Epoch: co.st.Epoch, LSN: j.LSN(),
+			Note: fmt.Sprintf("snap=%d replayed=%d", rp.snapLSN, rp.replayed),
+		})
+		ropts.Recorder.Emit(obs.Event{
+			Type: obs.EvCoordRecovered, Time: co.clock.Now(), GPU: -1, Job: -1,
+			Note: fmt.Sprintf("epoch=%d pushes=%d fenced=%d", co.st.Epoch, len(co.st.Records), len(co.st.fenced())),
+		})
+	}
+	return co.serve(addr)
+}
+
+// replayInfo describes one journal replay for the recovery events.
+type replayInfo struct {
+	snapLSN   uint64
+	replayed  int
+	watermark float64
+}
+
+// rebuildCoordinator reconstructs, from the journal alone, the
+// coordinator the journal's writer had when it last appended: same
+// state, same parameter servers, same epoch. It reads the journal but
+// never writes it.
+func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayInfo, error) {
+	if j == nil {
+		return nil, replayInfo{}, fmt.Errorf("nil journal")
+	}
+	snap, recs, _, err := j.read()
+	if err != nil {
+		return nil, replayInfo{}, err
+	}
+	if snap == nil {
+		return nil, replayInfo{}, fmt.Errorf("journal: no coordinator snapshot to recover from (never written, or the journal was cleared)")
+	}
 	plan, err := faults.Parse(snap.FaultSpec)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("rpcnet: recover: fault spec %q: %w", snap.FaultSpec, err)
+		return nil, replayInfo{}, fmt.Errorf("fault spec %q: %w", snap.FaultSpec, err)
 	}
 	opts := DistributedOptions{
 		TimeScale:         snap.Opts.TimeScale,
@@ -86,214 +143,88 @@ func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server,
 		ProblemDim:        snap.Opts.ProblemDim,
 		ProblemBatch:      snap.Opts.ProblemBatch,
 		Eta:               snap.Opts.Eta,
-		FaultRate:         snap.Opts.FaultRate,
-		FaultSeed:         snap.Opts.FaultSeed,
 		Store:             ropts.Store,
 		Faults:            plan,
-		Replanner:         ropts.Replanner,
 		HeartbeatInterval: time.Duration(snap.Opts.HeartbeatMillis) * time.Millisecond,
 		LeaseTimeout:      time.Duration(snap.Opts.LeaseMillis) * time.Millisecond,
 		Recorder:          ropts.Recorder,
 		Metrics:           ropts.Metrics,
 		Journal:           j,
 		SnapshotEvery:     snap.Opts.SnapshotEvery,
-	}
-	opts = opts.withDefaults()
+	}.withDefaults()
 	in := snap.Instance
+	if in == nil {
+		return nil, replayInfo{}, fmt.Errorf("snapshot lacks its instance")
+	}
 	if err := in.Validate(); err != nil {
-		return nil, "", nil, fmt.Errorf("rpcnet: recover: snapshot instance: %w", err)
+		return nil, replayInfo{}, fmt.Errorf("snapshot instance: %w", err)
 	}
-	cl, err := rebuildCluster(snap)
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("rpcnet: recover: %w", err)
+	if len(snap.GPUTypeNames) != in.NumGPUs || len(snap.ModelNames) != len(in.Jobs) || len(snap.PS) != len(in.Jobs) {
+		return nil, replayInfo{}, fmt.Errorf("snapshot names %d GPU types, %d models and %d parameter servers for a %d-GPU, %d-job instance",
+			len(snap.GPUTypeNames), len(snap.ModelNames), len(snap.PS), in.NumGPUs, len(in.Jobs))
 	}
-	models := make([]*model.Model, len(snap.ModelNames))
-	for i, name := range snap.ModelNames {
-		if models[i], err = model.ByName(name); err != nil {
-			return nil, "", nil, fmt.Errorf("rpcnet: recover: %w", err)
+	// Fail here, not in every executor's handshake, when the snapshot
+	// names hardware or models this build does not know.
+	for _, name := range snap.GPUTypeNames {
+		if _, err := cluster.TypeByName(name); err != nil {
+			return nil, replayInfo{}, err
+		}
+	}
+	for _, name := range snap.ModelNames {
+		if _, err := model.ByName(name); err != nil {
+			return nil, replayInfo{}, err
 		}
 	}
 
 	// Simulated-time continuity: resume at the high-water mark of
 	// everything durably accepted, so completions measured after
-	// recovery are monotone with the pre-crash ones.
-	watermark := snap.SimTime
+	// recovery are monotone with the pre-crash ones. The clock must be
+	// anchored before the replay, whose round completions arm barrier
+	// timers against it.
+	rp := replayInfo{snapLSN: snap.LastLSN, watermark: snap.SimTime}
 	for _, rec := range recs {
-		if rec.LSN > snap.LastLSN && rec.SimTime > watermark {
-			watermark = rec.SimTime
+		if rec.LSN > snap.LastLSN && rec.SimTime > rp.watermark {
+			rp.watermark = rec.SimTime
 		}
 	}
-	wallBack := time.Duration(watermark * opts.TimeScale * float64(time.Second))
+	wallBack := time.Duration(rp.watermark * opts.TimeScale * float64(time.Second))
 	clock := testbed.NewClockAt(time.Now().Add(-wallBack), opts.TimeScale)
 
 	pss, local, err := testbed.NewControlPlane(in, clock, opts.Store, opts.Eta, opts.ProblemDim, opts.ProblemBatch)
 	if err != nil {
-		return nil, "", nil, fmt.Errorf("rpcnet: recover: %w", err)
+		return nil, replayInfo{}, err
 	}
-	queues := make([][]core.TaskRef, len(snap.Queues))
-	for g, q := range snap.Queues {
-		queues[g] = append([]core.TaskRef(nil), q...)
+	st := &snap.State
+	if err := st.bind(in, local, opts.ProblemDim); err != nil {
+		return nil, replayInfo{}, err
 	}
-	co := newCoordinator(in, queues, cl, models, opts, clock, pss, local)
-	co.restoreFromSnapshot(snap)
 
 	// Parameter servers: model state after the last completed round,
-	// then the snapshot's partial-round pushes replayed in accept
-	// order.
+	// then the state's partial-round pushes in accept order.
 	for i, ps := range pss {
-		s := snap.PS[i]
-		if err := ps.Restore(s.Params, s.Losses, snap.RoundEnds[i]); err != nil {
-			return nil, "", nil, fmt.Errorf("rpcnet: recover: %w", err)
+		if err := ps.Restore(snap.PS[i].Params, snap.PS[i].Losses, st.Jobs[i].RoundEnds); err != nil {
+			return nil, replayInfo{}, err
 		}
-		for _, rep := range s.Partial {
+		for _, rep := range st.Jobs[i].Partial {
 			if _, err := local.Push(rep); err != nil {
-				return nil, "", nil, fmt.Errorf("rpcnet: recover: replay partial push %v: %w", rep.Task, err)
+				return nil, replayInfo{}, fmt.Errorf("replay partial push %v: %w", rep.Task, err)
 			}
 		}
 	}
 
-	// WAL suffix: re-run every accepted transition after the snapshot
-	// through the live accept paths, with journaling and event
-	// emission suppressed.
-	co.replaying = true
-	co.mu.Lock()
-	replayed := 0
-	maxLSN := snap.LastLSN
+	// WAL suffix: every accepted transition after the snapshot.
 	for _, rec := range recs {
-		if rec.LSN <= snap.LastLSN || co.runErr != nil {
+		if rec.LSN <= snap.LastLSN {
 			continue
 		}
-		replayed++
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
+		fx, err := st.apply(rec)
+		if err == nil {
+			err = fx.fatal
 		}
-		switch rec.Kind {
-		case recPush:
-			if co.done[rec.Push.Task] {
-				continue // already folded into the snapshot
-			}
-			if _, err := co.acceptPushLocked(rec.Push); err != nil {
-				co.mu.Unlock()
-				return nil, "", nil, fmt.Errorf("rpcnet: recover: replay push %v: %w", rec.Push.Task, err)
-			}
-		case recFence:
-			if rec.Fence != nil && !co.failed[rec.Fence.GPU] {
-				co.applyFenceLocked(rec.Fence)
-			}
-		case recReport:
-			co.reported[rec.GPU] = true
-		default:
-			return nil, "", nil, fmt.Errorf("rpcnet: recover: unknown WAL record kind %d", rec.Kind)
-		}
-	}
-	if co.runErr != nil {
-		err := co.runErr
-		co.mu.Unlock()
-		return nil, "", nil, fmt.Errorf("rpcnet: recover: replay: %w", err)
-	}
-	co.replaying = false
-
-	// New incarnation: epoch bump plus a reconnect grace before the
-	// lease monitor may fence anyone (live executors' leases all went
-	// stale while the coordinator was down).
-	co.epochNum = snap.Epoch + 1
-	co.recovered = snap.Recovered + 1
-	grace := ropts.ReconnectGrace
-	if grace <= 0 {
-		grace = 3 * opts.LeaseTimeout
-	}
-	leaseBase := time.Now().Add(grace - opts.LeaseTimeout)
-	for g := range co.lease {
-		co.lease[g] = leaseBase
-	}
-
-	// Persist the recovered state under the new epoch before serving,
-	// so a crash during recovery recovers again from here.
-	co.snapshotLocked()
-	if co.runErr != nil {
-		err := co.runErr
-		co.mu.Unlock()
-		return nil, "", nil, err
-	}
-	co.mu.Unlock()
-
-	ropts.Metrics.Counter("hare_coord_recoveries_total").Inc()
-	ropts.Metrics.Counter("hare_recovery_replayed_total").Add(float64(replayed))
-	if ropts.Recorder.Enabled() {
-		fenced := 0
-		for _, f := range co.failed {
-			if f {
-				fenced++
-			}
-		}
-		ropts.Recorder.Emit(obs.Event{
-			Type: obs.EvRecoveryReplay, Time: watermark, GPU: -1, Job: -1,
-			Epoch: co.epochNum, LSN: maxLSN,
-			Note: fmt.Sprintf("snap=%d replayed=%d", snap.LastLSN, replayed),
-		})
-		ropts.Recorder.Emit(obs.Event{
-			Type: obs.EvCoordRecovered, Time: clock.Now(), GPU: -1, Job: -1,
-			Note: fmt.Sprintf("epoch=%d pushes=%d fenced=%d", co.epochNum, len(co.done), fenced),
-		})
-	}
-	return co.serve(addr)
-}
-
-// restoreFromSnapshot rebuilds the coordinator's dispatch, fencing and
-// accounting state (queues were already handed to newCoordinator).
-func (c *coordinator) restoreFromSnapshot(snap *coordSnapshot) {
-	for _, d := range snap.Done {
-		c.done[d.Task] = true
-		c.completions[d.Task] = d.Completion
-	}
-	c.tasksLeft = snap.TasksLeft
-	for j := range snap.Pushed {
-		copy(c.pushed[j], snap.Pushed[j])
-		c.roundEnds[j] = append([]float64(nil), snap.RoundEnds[j]...)
-		c.partial[j] = append([]testbed.PushReport(nil), snap.PS[j].Partial...)
-		for _, rep := range c.partial[j] {
-			if comp := c.completions[rep.Task]; comp > c.partialMax[j] {
-				c.partialMax[j] = comp
-			}
-		}
-	}
-	copy(c.failed, snap.Failed)
-	copy(c.fenceReasons, snap.FenceReasons)
-	c.fenceLog = append([]FenceInfo(nil), snap.FenceLog...)
-	copy(c.reported, snap.Reported)
-	copy(c.prevJob, snap.PrevJob)
-	copy(c.prevFree, snap.PrevFree)
-	c.records = append([]trace.TaskRecord(nil), snap.Records...)
-	c.switchTot = snap.SwitchTot
-	c.switchCnt = snap.SwitchCnt
-	c.hits = snap.Hits
-	c.retries = snap.Retries
-	c.migrated = snap.Migrated
-	c.reschedule = snap.Reschedule
-	if snap.SimTime > c.maxSim {
-		c.maxSim = snap.SimTime
-	}
-}
-
-// rebuildCluster reconstructs the cluster topology recorded in a
-// snapshot.
-func rebuildCluster(snap *coordSnapshot) (*cluster.Cluster, error) {
-	cl := &cluster.Cluster{NetworkBps: snap.NetworkBps, IntraHostBps: snap.IntraHostBps}
-	hosts := 0
-	for i, name := range snap.GPUTypeNames {
-		gt, err := cluster.TypeByName(name)
 		if err != nil {
-			return nil, err
+			return nil, replayInfo{}, fmt.Errorf("replay %s record LSN %d: %w", rec.kind(), rec.LSN, err)
 		}
-		host := 0
-		if i < len(snap.GPUHosts) {
-			host = snap.GPUHosts[i]
-		}
-		if host+1 > hosts {
-			hosts = host + 1
-		}
-		cl.GPUs = append(cl.GPUs, cluster.GPU{ID: i, Type: gt, Host: host})
+		rp.replayed++
 	}
-	cl.Hosts = hosts
-	return cl, nil
+	return newCoordinator(in, st, snap.GPUTypeNames, snap.ModelNames, opts, clock, pss), rp, nil
 }

@@ -19,7 +19,7 @@ import (
 func pushesSoFar(srv *Server) int {
 	srv.co.mu.Lock()
 	defer srv.co.mu.Unlock()
-	return len(srv.co.done)
+	return len(srv.co.st.done)
 }
 
 // awaitPushes blocks until the coordinator has accepted at least n
@@ -224,7 +224,7 @@ func TestFencingSurvivesRecovery(t *testing.T) {
 	fenceDeadline := time.Now().Add(20 * time.Second)
 	for {
 		srv.co.mu.Lock()
-		fenced := srv.co.failed[1]
+		fenced := srv.co.st.GPUs[1].Failed
 		srv.co.mu.Unlock()
 		if fenced {
 			break
@@ -294,11 +294,11 @@ func TestLeaseBoundary(t *testing.T) {
 	}
 	co.lease[1] = now.Add(-time.Hour) // exactly LeaseTimeout old
 	co.checkLeasesLocked(now, 0)
-	atBoundary := co.failed[1]
+	atBoundary := co.st.GPUs[1].Failed
 	co.lease[1] = now.Add(-time.Hour - time.Nanosecond)
 	co.checkLeasesLocked(now, 0)
-	pastBoundary := co.failed[1]
-	fenceLog := append([]FenceInfo(nil), co.fenceLog...)
+	pastBoundary := co.st.GPUs[1].Failed
+	fenceLog := append([]FenceInfo(nil), co.st.FenceLog...)
 	co.mu.Unlock()
 
 	if atBoundary {
@@ -326,7 +326,7 @@ func TestDuplicateFailureReportsFenceOnce(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := dialRPC(addr)
+	conn, err := dialRPCSeeded(addr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,9 +339,9 @@ func TestDuplicateFailureReportsFenceOnce(t *testing.T) {
 	}
 
 	srv.co.mu.Lock()
-	fences := len(srv.co.fenceLog)
-	resched := srv.co.reschedule
-	fenced := srv.co.failed[2]
+	fences := len(srv.co.st.FenceLog)
+	resched := srv.co.st.Reschedule
+	fenced := srv.co.st.GPUs[2].Failed
 	srv.co.mu.Unlock()
 	if !fenced || fences != 1 || resched != 1 {
 		t.Errorf("fenced=%v fences=%d reschedules=%d, want true/1/1", fenced, fences, resched)
@@ -358,7 +358,7 @@ func TestJournalLSNGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := j.writeSnapshot(&coordSnapshot{Epoch: 1, SimTime: 3}); err != nil {
+	if _, err := j.writeSnapshot(&coordSnapshot{SimTime: 3, State: coordState{Epoch: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the crash-between-snapshot-and-reset: re-append records
@@ -368,7 +368,7 @@ func TestJournalLSNGuard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap, recs, err := j.load()
+	snap, recs, _, err := j.read()
 	if err != nil {
 		t.Fatal(err)
 	}

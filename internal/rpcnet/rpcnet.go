@@ -1,9 +1,10 @@
 // Package rpcnet is the control plane of the testbed: the stdlib
 // net/rpc substitute for the gRPC channel the paper's prototype uses
-// between the central scheduler and the executors. The scheduler side
-// exposes gradient push, round-barrier wait, checkpoint load and task
-// sequence distribution; the executor side is a testbed.SyncClient
-// whose calls travel over a real TCP connection.
+// between the central scheduler and the executors. There is one
+// channel: the pull-based coordinator (ServeDistributed) hosts the
+// parameter servers and every task queue, and executors
+// (RunExecutorOpts) dial in, handshake, and pull, run and push one
+// task at a time over a real TCP connection.
 package rpcnet
 
 import (
@@ -18,9 +19,6 @@ import (
 	"hare/internal/stats"
 	"hare/internal/testbed"
 )
-
-// ServiceName is the registered net/rpc service name.
-const ServiceName = "HareScheduler"
 
 // Dial behavior: connection attempts time out instead of hanging on a
 // dead listener, and transient refusals are absorbed by bounded
@@ -38,16 +36,11 @@ const (
 	DialBackoff = 100 * time.Millisecond
 )
 
-// dialRPC connects with a per-attempt timeout and bounded exponential
-// backoff between attempts.
-func dialRPC(addr string) (*rpc.Client, error) {
-	return dialRPCSeeded(addr, 0)
-}
-
-// dialRPCSeeded is dialRPC with deterministic backoff jitter: each
-// backoff step is scaled by a uniform factor in [0.5, 1.5) drawn from
-// a seeded stream, so runs stay reproducible while concurrent dialers
-// with distinct seeds desynchronize.
+// dialRPCSeeded connects with a per-attempt timeout and bounded
+// exponential backoff between attempts. The jitter is deterministic:
+// each backoff step is scaled by a uniform factor in [0.5, 1.5) drawn
+// from a seeded stream, so runs stay reproducible while concurrent
+// dialers with distinct seeds desynchronize.
 func dialRPCSeeded(addr string, seed int64) (*rpc.Client, error) {
 	rng := stats.New(seed)
 	var lastErr error
@@ -67,8 +60,7 @@ func dialRPCSeeded(addr string, seed int64) (*rpc.Client, error) {
 }
 
 // PushArgs carries one gradient push: the task's full measured report.
-// Epoch is the coordinator incarnation the executor handshook with
-// (used by the distributed coordinator; the plain Service ignores it).
+// Epoch is the coordinator incarnation the executor handshook with.
 // Call is the executor's trace-context call id: stamped once per
 // logical call (retries reuse it), echoed in the rpc.client and
 // rpc.server events so cross-process merges can pair both ends of the
@@ -111,64 +103,9 @@ type CkptArgs struct {
 // CkptReply carries the checkpoint parameters.
 type CkptReply struct{ Params []float64 }
 
-// SeqArgs requests a GPU's task sequence.
-type SeqArgs struct{ GPU int }
-
-// SeqReply carries the sequence.
-type SeqReply struct{ Tasks []core.TaskRef }
-
-// Service is the scheduler-side RPC handler. It wraps the in-process
-// backend so the executors' remote calls hit the same parameter
-// servers and checkpoint store.
-type Service struct {
-	backend testbed.SyncClient
-	seqs    [][]core.TaskRef
-}
-
-// Push handles a gradient push.
-func (s *Service) Push(args PushArgs, reply *PushReply) error {
-	c, err := s.backend.Push(args.Report)
-	if err != nil {
-		return err
-	}
-	reply.Completion = c
-	return nil
-}
-
-// WaitRound blocks until the round completes. net/rpc runs each call
-// in its own goroutine, so a blocking barrier does not stall other
-// executors' calls on the same connection.
-func (s *Service) WaitRound(args WaitArgs, reply *WaitReply) error {
-	end, err := s.backend.WaitRound(args.Job, args.Round)
-	if err != nil {
-		return err
-	}
-	reply.End = end
-	return nil
-}
-
-// LoadCheckpoint returns a job's latest parameters.
-func (s *Service) LoadCheckpoint(args CkptArgs, reply *CkptReply) error {
-	p, err := s.backend.LoadCheckpoint(args.Job)
-	if err != nil {
-		return err
-	}
-	reply.Params = p
-	return nil
-}
-
-// Sequence returns the planned task order of one GPU.
-func (s *Service) Sequence(args SeqArgs, reply *SeqReply) error {
-	if args.GPU < 0 || args.GPU >= len(s.seqs) {
-		return fmt.Errorf("rpcnet: unknown GPU %d", args.GPU)
-	}
-	reply.Tasks = s.seqs[args.GPU]
-	return nil
-}
-
-// Server hosts the scheduler's RPC endpoint on a TCP listener. For the
-// distributed coordinator it also tracks open connections so Kill can
-// sever them, simulating a coordinator process death.
+// Server hosts the coordinator's RPC endpoint on a TCP listener and
+// tracks open connections so Kill can sever them, simulating a
+// coordinator process death.
 type Server struct {
 	lis   net.Listener
 	mu    sync.Mutex
@@ -187,9 +124,7 @@ func (s *Server) track(conn net.Conn) {
 
 func (s *Server) untrack(conn net.Conn) {
 	s.mu.Lock()
-	if s.conns != nil {
-		delete(s.conns, conn)
-	}
+	delete(s.conns, conn)
 	s.mu.Unlock()
 }
 
@@ -200,9 +135,7 @@ func (s *Server) untrack(conn net.Conn) {
 // like a killed process. The bound port is released so a recovered
 // coordinator can re-listen on the same address.
 func (s *Server) Kill() error {
-	if s.co != nil {
-		s.co.kill()
-	}
+	s.co.kill()
 	s.mu.Lock()
 	err := s.lis.Close()
 	//lint:ordered every tracked connection is severed; close order is immaterial
@@ -215,53 +148,17 @@ func (s *Server) Kill() error {
 	return err
 }
 
-// FleetSize reports the coordinator's GPU count (0 for a plain task
-// server) — after a WAL recovery this is how the host process learns
-// how many executors to respawn, since the fleet shape lives in the
-// snapshot rather than on the command line.
-func (s *Server) FleetSize() int {
-	if s.co == nil {
-		return 0
-	}
-	return s.co.cl.Size()
-}
+// FleetSize reports the coordinator's GPU count — after a WAL recovery
+// this is how the host process learns how many executors to respawn,
+// since the fleet shape lives in the snapshot rather than on the
+// command line.
+func (s *Server) FleetSize() int { return s.co.in.NumGPUs }
 
-// FaultPlan returns the coordinator's fault plan (nil for a plain task
-// server). After a recovery the plan was rebuilt from the snapshot's
-// fault spec, so respawned executors can inherit the same network
-// chaos the pre-crash ones ran under.
-func (s *Server) FaultPlan() *faults.Plan {
-	if s.co == nil {
-		return nil
-	}
-	return s.co.opts.Faults
-}
-
-// Serve starts serving the backend on addr (e.g. "127.0.0.1:0") and
-// returns the server and its bound address.
-func Serve(addr string, backend testbed.SyncClient, seqs [][]core.TaskRef) (*Server, string, error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(ServiceName, &Service{backend: backend, seqs: seqs}); err != nil {
-		return nil, "", fmt.Errorf("rpcnet: register: %w", err)
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", fmt.Errorf("rpcnet: listen: %w", err)
-	}
-	s := &Server{lis: lis}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
-	return s, lis.Addr().String(), nil
-}
+// FaultPlan returns the coordinator's fault plan. After a recovery the
+// plan was rebuilt from the snapshot's fault spec, so respawned
+// executors can inherit the same network chaos the pre-crash ones ran
+// under.
+func (s *Server) FaultPlan() *faults.Plan { return s.co.opts.Faults }
 
 // Close stops accepting connections. In-flight calls finish on their
 // own connections.
@@ -271,61 +168,4 @@ func (s *Server) Close() error {
 	err := s.lis.Close()
 	s.wg.Wait()
 	return err
-}
-
-// Client is the executor-side SyncClient over a TCP connection.
-type Client struct {
-	c *rpc.Client
-}
-
-var _ testbed.SyncClient = (*Client)(nil)
-
-// Dial connects an executor to the scheduler at addr, with a
-// per-attempt timeout and bounded exponential backoff (see
-// DialTimeout, DialAttempts, DialBackoff).
-func Dial(addr string) (*Client, error) {
-	c, err := dialRPC(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{c: c}, nil
-}
-
-// Close tears the connection down.
-func (c *Client) Close() error { return c.c.Close() }
-
-// Push implements testbed.SyncClient.
-func (c *Client) Push(rep testbed.PushReport) (float64, error) {
-	var reply PushReply
-	if err := c.c.Call(ServiceName+".Push", PushArgs{Report: rep}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.Completion, nil
-}
-
-// WaitRound implements testbed.SyncClient.
-func (c *Client) WaitRound(job core.JobID, round int) (float64, error) {
-	var reply WaitReply
-	if err := c.c.Call(ServiceName+".WaitRound", WaitArgs{Job: job, Round: round}, &reply); err != nil {
-		return 0, err
-	}
-	return reply.End, nil
-}
-
-// LoadCheckpoint implements testbed.SyncClient.
-func (c *Client) LoadCheckpoint(job core.JobID) ([]float64, error) {
-	var reply CkptReply
-	if err := c.c.Call(ServiceName+".LoadCheckpoint", CkptArgs{Job: job}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Params, nil
-}
-
-// FetchSequence retrieves a GPU's planned task order.
-func (c *Client) FetchSequence(gpu int) ([]core.TaskRef, error) {
-	var reply SeqReply
-	if err := c.c.Call(ServiceName+".Sequence", SeqArgs{GPU: gpu}, &reply); err != nil {
-		return nil, err
-	}
-	return reply.Tasks, nil
 }

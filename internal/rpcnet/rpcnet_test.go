@@ -2,7 +2,6 @@ package rpcnet
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -10,179 +9,58 @@ import (
 	"hare/internal/core"
 	"hare/internal/model"
 	"hare/internal/sched"
-	"hare/internal/store"
 	"hare/internal/testbed"
 	"hare/internal/workload"
 )
 
-// fakeBackend implements testbed.SyncClient for protocol tests.
-type fakeBackend struct {
-	mu     sync.Mutex
-	pushes []testbed.PushReport
-}
-
-func (f *fakeBackend) Push(rep testbed.PushReport) (float64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pushes = append(f.pushes, rep)
-	return rep.TrainEnd + 1, nil
-}
-
-func (f *fakeBackend) WaitRound(job core.JobID, round int) (float64, error) {
-	time.Sleep(10 * time.Millisecond) // simulate a blocking barrier
-	return float64(round) + 0.5, nil
-}
-
-func (f *fakeBackend) LoadCheckpoint(job core.JobID) ([]float64, error) {
-	return []float64{float64(job), 1, 2}, nil
-}
-
-func TestRPCRoundTrip(t *testing.T) {
-	backend := &fakeBackend{}
-	seqs := [][]core.TaskRef{{{Job: 1, Round: 0, Index: 0}}}
-	srv, addr, err := Serve("127.0.0.1:0", backend, seqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	comp, err := c.Push(testbed.PushReport{
-		Task: core.TaskRef{Job: 1, Round: 0}, GPU: 3, TrainEnd: 7.5, Grad: []float64{1, 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp != 8.5 {
-		t.Errorf("completion %g", comp)
-	}
-	if len(backend.pushes) != 1 || backend.pushes[0].GPU != 3 {
-		t.Errorf("push not delivered: %+v", backend.pushes)
-	}
-
-	end, err := c.WaitRound(1, 4)
-	if err != nil || end != 4.5 {
-		t.Errorf("WaitRound: %g %v", end, err)
-	}
-
-	params, err := c.LoadCheckpoint(2)
-	if err != nil || len(params) != 3 || params[0] != 2 {
-		t.Errorf("LoadCheckpoint: %v %v", params, err)
-	}
-
-	tasks, err := c.FetchSequence(0)
-	if err != nil || len(tasks) != 1 || tasks[0].Job != 1 {
-		t.Errorf("FetchSequence: %v %v", tasks, err)
-	}
-	if _, err := c.FetchSequence(9); err == nil {
-		t.Error("unknown GPU accepted")
-	}
-}
-
+// TestConcurrentBlockingCalls: WaitRound blocks server-side until the
+// round's last gradient lands, and net/rpc runs each call in its own
+// goroutine — so a blocked barrier must not stall the Heartbeat and
+// Push calls that share its connection (the executor's heartbeat
+// goroutine and pull loop do exactly that).
 func TestConcurrentBlockingCalls(t *testing.T) {
-	// WaitRound blocks server-side; concurrent calls on separate
-	// connections must proceed independently.
-	srv, addr, err := Serve("127.0.0.1:0", &fakeBackend{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	start := time.Now()
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := Dial(addr)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer c.Close()
-			_, errs[i] = c.WaitRound(core.JobID(i), i)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("call %d: %v", i, err)
-		}
-	}
-	// 8 blocking 10ms calls in parallel should take far less than
-	// 8×10ms even on one core.
-	if elapsed := time.Since(start); elapsed > 60*time.Millisecond {
-		t.Errorf("blocking calls serialized: %v", elapsed)
-	}
-}
-
-// TestTestbedOverRPC runs a real workload with every executor
-// dialing the scheduler over TCP — the full control-plane path.
-func TestTestbedOverRPC(t *testing.T) {
-	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 2}, {Type: cluster.K80, Count: 1}}, 4)
-	specs := workload.Generate(workload.Options{
-		NumJobs: 4, RoundsScale: 0.05, MaxSync: cl.Size(), Seed: 5,
+	in, plan, cl, models := chaosWorkload(t, 2, 5)
+	srv, addr, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{
+		TimeScale:    1e-3,
+		LeaseTimeout: time.Hour, // no executors run; the monitor must not interfere
 	})
-	prof := profileFor(t, specs, cl)
-	plan, err := sched.NewHare().Schedule(prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	models := make([]*model.Model, len(specs))
-	for i, s := range specs {
-		models[i] = model.MustByName(s.Model)
+	defer srv.Kill()
+	conn, err := dialRPCSeeded(addr, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer conn.Close()
 
-	var srv *Server
-	var addr string
-	var clients []*Client
-	var mu sync.Mutex
-	opts := testbed.Options{
-		TimeScale: 1e-3,
-		Store:     store.NewMem(),
-		ClientFor: func(gpu int, local testbed.SyncClient) testbed.SyncClient {
-			mu.Lock()
-			defer mu.Unlock()
-			if srv == nil {
-				var err error
-				srv, addr, err = Serve("127.0.0.1:0", local, plan.Sequences(prof.NumGPUs))
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			c, err := Dial(addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clients = append(clients, c)
-			return c
-		},
+	var end WaitReply
+	barrier := conn.Go(DistributedName+".WaitRound", WaitArgs{Job: 0, Round: 0, Epoch: 1}, &end, nil)
+	if err := conn.Call(DistributedName+".Heartbeat", HeartbeatArgs{GPU: 0, Epoch: 1}, &struct{}{}); err != nil {
+		t.Fatalf("heartbeat behind a blocked WaitRound: %v", err)
 	}
-	res, err := testbed.Run(prof, plan, cl, models, opts)
-	if err != nil {
-		t.Fatal(err)
+	var last float64
+	for i := 0; i < in.Jobs[0].Scale; i++ {
+		select {
+		case <-barrier.Done:
+			t.Fatalf("WaitRound returned after %d of %d pushes: %v", i, in.Jobs[0].Scale, barrier.Error)
+		default:
+		}
+		var reply PushReply
+		if err := conn.Call(DistributedName+".Push", PushArgs{Epoch: 1, Report: testbed.PushReport{
+			Task: core.TaskRef{Job: 0, Round: 0, Index: i}, GPU: 0, TrainEnd: 1, Grad: make([]float64, 32),
+		}}, &reply); err != nil {
+			t.Fatalf("push %d behind a blocked WaitRound: %v", i, err)
+		}
+		last = max(last, reply.Completion)
 	}
-	defer func() {
-		for _, c := range clients {
-			c.Close()
-		}
-		if srv != nil {
-			srv.Close()
-		}
-	}()
-	if len(res.Trace.Records) != prof.NumTasks() {
-		t.Errorf("executed %d tasks over RPC, want %d", len(res.Trace.Records), prof.NumTasks())
+	select {
+	case <-barrier.Done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("WaitRound still blocked after the round's last push")
 	}
-	for j := range prof.Jobs {
-		if math.IsNaN(res.JobCompletion[j]) || res.JobCompletion[j] <= 0 {
-			t.Errorf("job %d completion %g", j, res.JobCompletion[j])
-		}
+	if barrier.Error != nil || end.End != last {
+		t.Errorf("WaitRound = %g, %v; want the round's realized end %g", end.End, barrier.Error, last)
 	}
 }
 

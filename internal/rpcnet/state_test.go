@@ -1,0 +1,402 @@
+package rpcnet
+
+import (
+	"bytes"
+	"encoding/gob"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"hare/internal/core"
+	"hare/internal/sched"
+	"hare/internal/store"
+	"hare/internal/testbed"
+)
+
+// canon gob-round-trips a state into the form a snapshot decode yields
+// (nil for empty slices and maps, unbound), so a live state and one
+// rebuilt from the journal compare with reflect.DeepEqual.
+func canon(t testing.TB, s *coordState) *coordState {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		t.Fatal(err)
+	}
+	out := new(coordState)
+	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// testGrad is a deterministic stand-in gradient: the parameter servers
+// aggregate whatever they are pushed.
+func testGrad(t core.TaskRef, dim int) []float64 {
+	g := make([]float64, dim)
+	for i := range g {
+		g[i] = float64(int(t.Job)+1)*0.01 + float64(t.Round)*0.001 - float64(t.Index*i%7)*0.0005
+	}
+	return g
+}
+
+// TestReplayMatchesLive drives a scripted batch — pushes in dispatch
+// order, a mid-run fence with a computed re-plan, an executor error
+// report (which fences through the handler), final reports — through
+// the live transition path over a memory journal, and after every
+// transition rebuilds a second coordinator from the journal alone. The
+// two must hold the same state and the same parameter servers at every
+// prefix, whether the prefix sits in a snapshot or in the WAL tail.
+func TestReplayMatchesLive(t *testing.T) {
+	for _, every := range []int{1, 3, 1 << 30} {
+		in, plan, cl, models := chaosWorkload(t, 3, 9)
+		j := NewMemJournal()
+		co, err := newDistributed(in, plan, cl, models, DistributedOptions{
+			TimeScale: 1e-6, Journal: j, SnapshotEvery: every,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		transitions := 0
+		verify := func(what string) {
+			t.Helper()
+			transitions++
+			re, _, err := rebuildCoordinator(j, RecoverOptions{Store: store.NewMem()})
+			if err != nil {
+				t.Fatalf("every=%d after %s: rebuild: %v", every, what, err)
+			}
+			defer func() {
+				for _, ps := range re.pss {
+					ps.Abort(nil)
+				}
+			}()
+			if live, replayed := canon(t, co.st), canon(t, re.st); !reflect.DeepEqual(live, replayed) {
+				t.Fatalf("every=%d after %s: replayed state differs from live\nlive:     %+v\nreplayed: %+v", every, what, live, replayed)
+			}
+			for jid, ps := range co.pss {
+				if !reflect.DeepEqual(ps.Params(), re.pss[jid].Params()) || !reflect.DeepEqual(ps.LossHistory, re.pss[jid].LossHistory) {
+					t.Fatalf("every=%d after %s: job %d parameter server differs from live", every, what, jid)
+				}
+				for r, want := range co.st.Jobs[jid].RoundEnds {
+					liveEnd, err1 := ps.WaitRound(r)
+					reEnd, err2 := re.pss[jid].WaitRound(r)
+					if err1 != nil || err2 != nil || liveEnd != want || reEnd != want {
+						t.Fatalf("every=%d after %s: job %d round %d ends live=%g (%v) replayed=%g (%v), state says %g",
+							every, what, jid, r, liveEnd, err1, reEnd, err2, want)
+					}
+				}
+			}
+		}
+
+		// pushNext accepts the next dispatch-eligible task, rotating over
+		// the live GPUs so rounds interleave the way a real fleet's do.
+		pushes := 0
+		pushNext := func() bool {
+			for k := 0; k < in.NumGPUs; k++ {
+				g := (pushes + k) % in.NumGPUs
+				if co.st.GPUs[g].Failed {
+					continue
+				}
+				i := co.st.eligible(g)
+				if i < 0 {
+					continue
+				}
+				task := co.st.GPUs[g].Queue[i]
+				end := float64(pushes+1) * 0.01
+				rep := testbed.PushReport{
+					Task: task, GPU: g, Start: end - 0.004, TrainEnd: end,
+					Switch: float64(pushes%3) * 0.001, Hit: pushes%2 == 0, Retries: pushes % 4 / 3,
+					Grad: testGrad(task, 32),
+				}
+				var reply PushReply
+				if err := co.push(PushArgs{Report: rep, Epoch: 1}, &reply); err != nil {
+					t.Fatalf("every=%d push %v: %v", every, task, err)
+				}
+				pushes++
+				verify("push " + task.String())
+				return true
+			}
+			return false
+		}
+
+		total := in.NumTasks()
+		for pushes < total/3 && pushNext() {
+		}
+		// A fence committed without markFailedLocked's trailing snapshot,
+		// so it is replayed from the WAL tail, re-plan included.
+		co.mu.Lock()
+		fp := co.computeFenceLocked(2, "scripted fence")
+		_, err = co.commitLocked(&journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp}, 2)
+		co.mu.Unlock()
+		if err != nil || !fp.HasQueues || len(fp.Stranded) == 0 {
+			t.Fatalf("every=%d scripted fence: err=%v replanned=%v stranded=%d", every, err, fp.HasQueues, len(fp.Stranded))
+		}
+		verify("fence of GPU 2")
+		for pushes < 2*total/3 && pushNext() {
+		}
+		if err := co.report(ReportArgs{GPU: 1, Err: "xid 79", Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		verify("error report from GPU 1")
+		for pushNext() {
+		}
+		if co.st.TasksLeft != 0 || pushes != total {
+			t.Fatalf("every=%d script ended with %d tasks left after %d/%d pushes", every, co.st.TasksLeft, pushes, total)
+		}
+		if err := co.report(ReportArgs{GPU: 0, Epoch: 1}); err != nil {
+			t.Fatal(err)
+		}
+		verify("final report from GPU 0")
+		if !co.finishedLocked() || co.st.Reschedule != 2 || len(co.st.FenceLog) != 2 {
+			t.Errorf("every=%d finished=%v reschedules=%d fences=%d, want true/2/2",
+				every, co.finishedLocked(), co.st.Reschedule, len(co.st.FenceLog))
+		}
+		if transitions != total+3 {
+			t.Errorf("every=%d verified %d transitions, want %d", every, transitions, total+3)
+		}
+		co.kill()
+	}
+}
+
+// TestRecoverRejectsOutOfRangeRecords: a CRC-valid WAL tail record (or
+// snapshot) that the live handlers would have refused fails the
+// recovery with an error naming the LSN — it must neither panic nor
+// leave the journal unusable for the next attempt.
+func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
+	in, plan, cl, models := chaosWorkload(t, 3, 9)
+	ok := core.TaskRef{Job: 0, Round: 0, Index: 0}
+	push := func(gpu int, task core.TaskRef, dim int) *journalRecord {
+		return &journalRecord{Kind: recPush, Push: testbed.PushReport{Task: task, GPU: gpu, TrainEnd: 1, Grad: make([]float64, dim)}}
+	}
+	queues := func(n int, t core.TaskRef) [][]core.TaskRef {
+		q := make([][]core.TaskRef, n)
+		q[0] = []core.TaskRef{t}
+		return q
+	}
+	for _, bad := range []struct {
+		name string
+		rec  *journalRecord
+	}{
+		{"push from GPU 99", push(99, ok, 32)},
+		{"push from GPU -1", push(-1, ok, 32)},
+		{"push for job 99", push(0, core.TaskRef{Job: 99}, 32)},
+		{"push for round 99", push(0, core.TaskRef{Round: 99}, 32)},
+		{"push for index 99", push(0, core.TaskRef{Index: 99}, 32)},
+		{"push with a short gradient", push(0, ok, 3)},
+		{"fence of GPU 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 99}}},
+		{"fence without a plan", &journalRecord{Kind: recFence}},
+		{"fence stranding job 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, Stranded: []core.TaskRef{{Job: 99}}}}},
+		{"fence queueing round 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, HasQueues: true, Queues: queues(in.NumGPUs, core.TaskRef{Round: 99})}}},
+		{"fence with one queue", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, HasQueues: true, Queues: queues(1, ok)}}},
+		{"report from GPU 99", &journalRecord{Kind: recReport, GPU: 99}},
+		{"unknown record kind", &journalRecord{Kind: 77}},
+	} {
+		name, rec := bad.name, bad.rec
+		j := NewMemJournal()
+		srv, _, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{Journal: j, LeaseTimeout: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.append(rec); err != nil {
+			t.Fatal(err)
+		}
+		for attempt := 1; attempt <= 2; attempt++ {
+			srv2, _, _, err := RecoverDistributed("127.0.0.1:0", j, RecoverOptions{})
+			if err == nil {
+				srv2.Kill()
+				t.Fatalf("%s: recovery attempt %d accepted the record", name, attempt)
+			}
+			if !strings.Contains(err.Error(), "LSN 1") {
+				t.Errorf("%s: recovery attempt %d error %q does not name LSN 1", name, attempt, err)
+			}
+		}
+	}
+
+	// A snapshot whose state does not fit its instance is refused before
+	// anything indexes into it.
+	j := NewMemJournal()
+	co, err := newDistributed(in, plan, cl, models, DistributedOptions{Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.st.GPUs = co.st.GPUs[:1]
+	co.mu.Lock()
+	co.snapshotLocked()
+	co.mu.Unlock()
+	if _, _, _, err := RecoverDistributed("127.0.0.1:0", j, RecoverOptions{}); err == nil || !strings.Contains(err.Error(), "covers 1 GPUs") {
+		t.Errorf("recovery from a mis-shaped snapshot = %v, want a shape error", err)
+	}
+}
+
+// fuzzInstance is the fixed 3-job/3-GPU problem FuzzCoordApply folds
+// arbitrary records into.
+func fuzzInstance(t testing.TB) (*core.Instance, *core.Schedule) {
+	in := &core.Instance{NumGPUs: 3}
+	for id, shape := range [][2]int{{2, 2}, {3, 1}, {2, 3}} { // rounds, scale
+		in.Jobs = append(in.Jobs, &core.Job{
+			ID: core.JobID(id), Name: "fuzz", Model: "ResNet50", Weight: 1, Rounds: shape[0], Scale: shape[1],
+		})
+		in.Train = append(in.Train, []float64{1, 2, 3})
+		in.Sync = append(in.Sync, []float64{0.1, 0.1, 0.1})
+	}
+	if err := in.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sched.NewHare().Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in, plan
+}
+
+// fuzzDim is FuzzCoordApply's gradient dimension.
+const fuzzDim = 4
+
+// fuzzRecords decodes fuzz input into journal records (and dispatches,
+// Kind 0, which the live path performs without journaling). Every
+// index is drawn a little wider than its valid range, so in-range,
+// negative and too-large values all occur.
+func fuzzRecords(data []byte) []*journalRecord {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(int8(b))
+	}
+	pick := func() int { return next() % 5 } // valid indices are 0..2
+	task := func() core.TaskRef { return core.TaskRef{Job: core.JobID(pick()), Round: pick(), Index: pick()} }
+	tasks := func(n int) []core.TaskRef {
+		var out []core.TaskRef
+		for ; n > 0; n-- {
+			out = append(out, task())
+		}
+		return out
+	}
+	var recs []*journalRecord
+	for len(data) > 0 && len(recs) < 64 {
+		rec := &journalRecord{SimTime: float64(len(recs))}
+		switch k := next() & 7; k {
+		case 0:
+			rec.GPU = pick()
+		case 1, 2, 3:
+			rec.Kind = recPush
+			end := float64(next()) / 8
+			flags := next()
+			dim := fuzzDim
+			if flags&64 != 0 {
+				dim--
+			}
+			rec.Push = testbed.PushReport{
+				Task: task(), GPU: pick(), Start: end - 0.5, TrainEnd: end,
+				Switch: float64(flags&3) * 0.1, Hit: flags&4 != 0, Retries: flags >> 3 & 1,
+				Grad: make([]float64, dim),
+			}
+		case 4, 5:
+			rec.Kind = recFence
+			flags := next()
+			if flags&64 != 0 {
+				break // fence record without a plan
+			}
+			fp := &fencePlan{GPU: pick(), Reason: "fuzz", Stranded: tasks(flags & 3), HasQueues: flags&4 != 0}
+			if flags&8 != 0 {
+				fp.Unrecoverable = "fuzz: unrecoverable"
+			}
+			n := 3
+			if flags&16 != 0 {
+				n = next() & 7
+			}
+			for ; n > 0; n-- {
+				fp.Queues = append(fp.Queues, tasks(next()&3))
+			}
+			rec.Fence = fp
+		case 6:
+			rec.Kind, rec.GPU = recReport, pick()
+		default:
+			rec.Kind = 77
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
+// FuzzCoordApply folds arbitrary record sequences into a fresh state:
+// whatever the input, apply returns an error or a transition that
+// keeps the state's invariants — never a panic. The seed corpus
+// (testdata/fuzz/FuzzCoordApply) holds a complete fault-free run, a
+// fence with a re-plan, an unrecoverable fence, one of every rejected
+// shape, and a few inputs the fuzzer found.
+func FuzzCoordApply(f *testing.F) {
+	in, plan := fuzzInstance(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pss, local, err := testbed.NewControlPlane(in, testbed.NewClock(1e-6), store.NewMem(), 0.3, fuzzDim, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			for _, ps := range pss {
+				ps.Abort(nil) // releases barrier timers armed at fuzzed simulated times
+			}
+		}()
+		st := newCoordState(in, plan.Sequences(in.NumGPUs), local, fuzzDim)
+		for n, rec := range fuzzRecords(data) {
+			if rec.Kind == 0 {
+				if g := rec.GPU; st.checkGPU(g) == nil && !st.GPUs[g].Failed && st.GPUs[g].Inflight == noTask {
+					if i := st.eligible(g); i >= 0 {
+						st.dispatch(g, i)
+					}
+				}
+				continue
+			}
+			before := len(st.done) + len(st.FenceLog)
+			if _, err := st.apply(rec); err != nil && len(st.done)+len(st.FenceLog) != before {
+				t.Fatalf("record %d (%s): rejected with %v, but the state advanced", n, rec.kind(), err)
+			}
+			checkInvariants(t, st, n, rec)
+		}
+	})
+}
+
+func checkInvariants(t *testing.T, st *coordState, n int, rec *journalRecord) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("after record %d (%s): "+format, append([]any{n, rec.kind()}, args...)...)
+	}
+	if want := st.in.NumTasks() - len(st.done); st.TasksLeft != want || len(st.Records) != len(st.done) {
+		fail("TasksLeft=%d records=%d with %d done tasks (want %d left)", st.TasksLeft, len(st.Records), len(st.done), want)
+	}
+	pushed := 0
+	for _, j := range st.in.Jobs {
+		js, full := st.Jobs[j.ID], 0
+		for _, c := range js.Pushed {
+			if c > j.Scale {
+				fail("job %d round holds %d pushes of %d", j.ID, c, j.Scale)
+			}
+			if c == j.Scale {
+				full++
+			}
+			pushed += c
+		}
+		if len(js.RoundEnds) != full || len(js.Partial) >= j.Scale {
+			fail("job %d: %d round ends for %d full rounds, %d partial pushes", j.ID, len(js.RoundEnds), full, len(js.Partial))
+		}
+	}
+	if pushed != len(st.done) {
+		fail("Pushed counts %d gradients, Done %d", pushed, len(st.done))
+	}
+	for g, gs := range st.GPUs {
+		if gs.Failed && (len(gs.Queue) > 0 || gs.Inflight != noTask) {
+			fail("fenced GPU %d still owns work: queue %v inflight %v", g, gs.Queue, gs.Inflight)
+		}
+		for _, task := range gs.Queue {
+			if _, done := st.done[task]; done {
+				fail("task %v is both queued on GPU %d and done", task, g)
+			}
+		}
+	}
+}

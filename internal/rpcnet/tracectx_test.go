@@ -178,10 +178,10 @@ func TestInspectDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Snapshot folds LSN 1-2 and resets the WAL.
-	if _, err := j.writeSnapshot(&coordSnapshot{
-		Epoch: 2, Recovered: 1, SimTime: 6.5,
-		Failed: []bool{false, true}, TasksLeft: 3,
-	}); err != nil {
+	if _, err := j.writeSnapshot(&coordSnapshot{SimTime: 6.5, State: coordState{
+		Epoch: 2, Recovered: 1,
+		GPUs: []gpuState{{}, {Failed: true}}, TasksLeft: 3,
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.append(push(1, 7)); err != nil {

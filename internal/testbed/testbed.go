@@ -49,10 +49,6 @@ type Options struct {
 	// simulator or the distributed control plane (internal/rpcnet),
 	// which can actually lose an executor.
 	Faults *faults.Plan
-	// ClientFor, when set, supplies the SyncClient each executor uses
-	// — the hook through which the net/rpc control plane is injected.
-	// Defaults to direct in-process calls.
-	ClientFor func(gpu int, local SyncClient) SyncClient
 	// Recorder receives structured events from every executor
 	// goroutine (its sinks serialize concurrent emits); nil disables
 	// instrumentation.
@@ -83,19 +79,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.TimeScale <= 0 {
 		o.TimeScale = 0.001
 	}
-	if o.ProblemDim <= 0 {
-		o.ProblemDim = 32
-	}
-	if o.ProblemBatch <= 0 {
-		o.ProblemBatch = 8
-	}
-	if o.Eta <= 0 {
-		o.Eta = 0.3
-	}
-	if o.Store == nil {
-		o.Store = store.NewMem()
-	}
-	return o, nil
+	return o, nil // Eta, Store and the problem size default where they are used
 }
 
 // Result is the measured outcome of a testbed run.
@@ -152,17 +136,11 @@ func NewControlPlane(in *core.Instance, clock *Clock, st store.Store, eta float6
 	if eta <= 0 {
 		eta = 0.3
 	}
-	if problemDim <= 0 {
-		problemDim = 32
-	}
-	if problemBatch <= 0 {
-		problemBatch = 8
-	}
+	probs := newProblems(in, problemDim, problemBatch)
 	pss := make([]*ParameterServer, len(in.Jobs))
 	for _, j := range in.Jobs {
-		prob := NewProblem(problemDim, problemBatch, int64(j.ID)+1)
 		jid := j.ID
-		pss[j.ID] = NewParameterServer(j, prob, st, clock, eta,
+		pss[j.ID] = NewParameterServer(j, probs[j.ID], st, clock, eta,
 			func(gpu int) float64 { return in.Sync[jid][gpu] })
 	}
 	return pss, &localClient{pss: pss, st: st}, nil
@@ -209,18 +187,31 @@ func NewRemoteExecutor(cfg RemoteExecutorConfig) (*Executor, error) {
 	if cfg.GPU < 0 || cfg.GPU >= cfg.Instance.NumGPUs {
 		return nil, fmt.Errorf("testbed: GPU %d outside the %d-GPU instance", cfg.GPU, cfg.Instance.NumGPUs)
 	}
-	if cfg.ProblemDim <= 0 {
-		cfg.ProblemDim = 32
+	return newExecutor(cfg, newProblems(cfg.Instance, cfg.ProblemDim, cfg.ProblemBatch)), nil
+}
+
+// newProblems builds every job's SGD problem (seeds are jobID+1 on
+// every engine, so all of them train the same models); non-positive
+// sizes mean the defaults, 32 and 8.
+func newProblems(in *core.Instance, dim, batch int) []*Problem {
+	if dim <= 0 {
+		dim = 32
 	}
-	if cfg.ProblemBatch <= 0 {
-		cfg.ProblemBatch = 8
+	if batch <= 0 {
+		batch = 8
 	}
+	probs := make([]*Problem, len(in.Jobs))
+	for _, j := range in.Jobs {
+		probs[j.ID] = NewProblem(dim, batch, int64(j.ID)+1)
+	}
+	return probs
+}
+
+// newExecutor assembles one GPU's executor from a validated
+// configuration; probs is shared by every executor of the process.
+func newExecutor(cfg RemoteExecutorConfig, probs []*Problem) *Executor {
 	if cfg.SlowFactor < 1 {
 		cfg.SlowFactor = 1
-	}
-	probs := make([]*Problem, len(cfg.Instance.Jobs))
-	for _, j := range cfg.Instance.Jobs {
-		probs[j.ID] = NewProblem(cfg.ProblemDim, cfg.ProblemBatch, int64(j.ID)+1)
 	}
 	var mem *gpumem.Manager
 	if cfg.Speculative {
@@ -242,7 +233,7 @@ func NewRemoteExecutor(cfg RemoteExecutorConfig) (*Executor, error) {
 		slow:      cfg.SlowFactor,
 		prevJob:   -1,
 		rec:       cfg.Recorder,
-	}, nil
+	}
 }
 
 // Run executes a planned schedule on the in-process testbed and
@@ -276,39 +267,19 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	if err != nil {
 		return nil, err
 	}
-	probs := make([]*Problem, len(in.Jobs))
-	for _, j := range in.Jobs {
-		probs[j.ID] = NewProblem(opts.ProblemDim, opts.ProblemBatch, int64(j.ID)+1)
-	}
-
+	probs := newProblems(in, opts.ProblemDim, opts.ProblemBatch)
 	seqs := sch.Sequences(in.NumGPUs)
 	execs := make([]*Executor, in.NumGPUs)
-	for m := 0; m < in.NumGPUs; m++ {
-		var mem *gpumem.Manager
-		if opts.Speculative {
-			mem = gpumem.NewManager(cl.GPUs[m].Type.MemBytes)
-			mem.SetPolicy(opts.MemPolicy)
-			mem.SetRecorder(opts.Recorder, m)
-			look := make([]gpumem.JobKey, len(seqs[m]))
-			for i, t := range seqs[m] {
-				look[i] = gpumem.JobKey(t.Job)
-			}
-			mem.SetLookahead(look)
-		}
-		var client SyncClient = base
-		if opts.ClientFor != nil {
-			client = opts.ClientFor(m, base)
-		}
-		execs[m] = &Executor{
+	for m := range execs {
+		execs[m] = newExecutor(RemoteExecutorConfig{
 			GPU: m, GPUType: cl.GPUs[m].Type, Seq: seqs[m],
-			in: in, models: models, scheme: opts.Scheme, mem: mem,
-			clock: clock, sync: client, probs: probs,
-			faultRate: opts.FaultRate,
-			faultRNG:  stats.New(faults.RetrySeed(opts.FaultSeed, m)),
-			slow:      opts.Faults.SlowdownOf(m),
-			prevJob:   -1,
-			rec:       opts.Recorder,
-		}
+			Instance: in, Models: models,
+			Scheme: opts.Scheme, Speculative: opts.Speculative, MemPolicy: opts.MemPolicy,
+			Clock: clock, Sync: base,
+			FaultRate: opts.FaultRate, FaultSeed: opts.FaultSeed,
+			SlowFactor: opts.Faults.SlowdownOf(m),
+			Recorder:   opts.Recorder,
+		}, probs)
 	}
 
 	var wg sync.WaitGroup

@@ -43,6 +43,10 @@ echo "==> coordinator crash-safety under -race (WAL recovery, epoch fencing, lea
 go test -race -run 'TestKillRecoverMidBatch|TestFencingSurvivesRecovery|TestLeaseBoundary|TestDuplicateFailureReportsFenceOnce|TestJournalLSNGuard|TestExecutorGoroutineHygiene' ./internal/rpcnet/
 go test -race ./internal/chaos/
 
+echo "==> one transition function under -race (replay == live at every prefix, replay validates what live validates, 10 s coordinator fuzz smoke)"
+go test -race -run 'TestReplayMatchesLive|TestRecoverRejectsOutOfRangeRecords' ./internal/rpcnet/
+go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
+
 echo "==> harechaos seed matrix (docs/ROBUSTNESS.md; same matrix as the CI chaos job)"
 go run ./cmd/harechaos -seeds 20 -start 1
 
