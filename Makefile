@@ -1,15 +1,6 @@
 GO ?= go
 
-# Perf-gate knobs (docs/PERFORMANCE.md): per-benchmark budget,
-# repetitions, default regression threshold, and the baseline archive.
-# The budget is time-based on purpose: a fixed iteration count leaves
-# the nanosecond-scale benchmarks at the mercy of timer noise.
-BENCH_TIME ?= 300ms
-BENCH_COUNT ?= 5
-BENCH_THRESHOLD ?= 1.0
-BENCH_BASE ?= bench/baseline.json
-
-.PHONY: all build test vet lint race bench bench-compare bench-obs bench-clean bench-e2e chaos check fmt loc
+.PHONY: all build test vet lint race bench-gate bench-e2e chaos check fmt loc
 
 all: build
 
@@ -32,32 +23,18 @@ lint:
 race:
 	$(GO) test -race ./...
 
-# Full benchmark suite with allocation stats, archived under bench/
-# as BENCH_<timestamp>_<commit>.json (docs/PERFORMANCE.md).
-bench:
-	./scripts/bench.sh
-
-# Perf regression gate: run the gate benchmark subset and compare
-# against the checked-in baseline. Non-zero exit on regression.
-bench-compare:
-	$(GO) run ./cmd/hareperf compare -base $(BENCH_BASE) -run \
-		-benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -threshold $(BENCH_THRESHOLD)
-
-# Drop old benchmark archives, keeping the newest BENCH_KEEP runs per
-# commit. baseline.json is never touched.
-BENCH_KEEP ?= 3
-bench-clean:
-	$(GO) run ./cmd/hareperf prune -keep $(BENCH_KEEP)
-
-# Observability overhead: the nil-recorder path (BenchmarkObsDisabled)
-# must stay within noise of the uninstrumented BenchmarkSimulatorReplay.
-bench-obs:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorReplay|BenchmarkObs' -benchtime 10x .
+# Perf gate (docs/PERFORMANCE.md): run the gate benchmarks once and hold
+# their allocs/op, B/op and intra-run ns/op ratios to the absolute caps
+# in cmd/hareperf. No baseline file; non-zero exit on a failed cap.
+bench-gate:
+	$(GO) run ./cmd/hareperf
 
 # The end-to-end benchmark (bench/e2e/README.md, BENCHMARK.json): five
 # workloads, end-to-end metrics; add `--trace 1` by hand for per-layer rows.
+# The result file lands in the git-ignored bench/e2e/out/; compare two of
+# them with `go run ./cmd/hareperf e2e OLD.json NEW.json`.
 bench-e2e:
-	$(GO) run ./bench/e2e --workload all --seed 1
+	$(GO) run ./bench/e2e --workload all --seed 1 -out bench/e2e/out/e2e.json
 
 # Crash-safety soak (docs/ROBUSTNESS.md): the deterministic harechaos
 # seed matrix the CI chaos job runs. CHAOS_SEEDS/CHAOS_START tune it.

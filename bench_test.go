@@ -438,8 +438,8 @@ func BenchmarkSimulatorReplayReference(b *testing.B) {
 // BenchmarkPooledReplay measures the steady state of a reused
 // Simulator on BenchmarkSimulatorReplay's workload: after the first
 // run grows the arenas, replays recycle every buffer and the returned
-// Result, so allocs/op must stay near zero (hareperf's
-// pooled-replay-allocs cap holds it there absolutely).
+// Result, so allocs/op and B/op must stay zero (hareperf caps both
+// at 0).
 func BenchmarkPooledReplay(b *testing.B) {
 	cl := HeterogeneousCluster(HighHeterogeneity, 24)
 	_, in, models, err := BuildWorkload(WorkloadConfig{
@@ -680,7 +680,7 @@ func BenchmarkPipelineStall(b *testing.B) {
 func BenchmarkManagerBatch(b *testing.B) {
 	cl := HeterogeneousCluster(HighHeterogeneity, 12)
 	for i := 0; i < b.N; i++ {
-		m := manager.New(cl, manager.Options{Backend: &manager.SimBackend{Seed: int64(i)}})
+		m := manager.New(cl, manager.Options{Backend: &manager.SimBackend{}})
 		for j := 0; j < 20; j++ {
 			if _, err := m.Submit(manager.JobRequest{
 				Model: "ResNet50", Rounds: 5, Scale: 2, Weight: 1,

@@ -10,7 +10,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -131,7 +130,7 @@ func run() int {
 			fmt.Printf("chrome trace (%d events) saved to %s — open in chrome://tracing\n", len(events), *traceOut)
 		}
 		if *eventsOut != "" {
-			if err := saveEventsJSONL(*eventsOut, events); err != nil {
+			if err := obs.WriteEventsJSONL(*eventsOut, events); err != nil {
 				fmt.Fprintf(os.Stderr, "harebench: %v\n", err)
 				return 1
 			}
@@ -149,7 +148,7 @@ func run() int {
 			}
 			attribRows = rows
 		}
-		if err := saveJSON(*attribOut, attribRows); err != nil {
+		if err := obs.SaveJSON(*attribOut, attribRows); err != nil {
 			fmt.Fprintf(os.Stderr, "harebench: %v\n", err)
 			return 1
 		}
@@ -164,39 +163,6 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// saveJSON writes v as indented JSON.
-func saveJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// saveEventsJSONL writes captured events as JSON lines.
-func saveEventsJSONL(path string, events []obs.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	sink := obs.NewJSONLSink(f)
-	for _, e := range events {
-		//lint:allow obsrecorder serializing already-captured events, not emitting live ones
-		sink.Record(e)
-	}
-	if err := sink.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func allRunners() []runner {
@@ -218,12 +184,12 @@ func allRunners() []runner {
 		{"fig17", "weighted JCT vs job-type fractions", runFig17},
 		{"fig18", "weighted JCT vs network bandwidth", runFig18},
 		{"fig19", "weighted JCT vs batch size", runFig19},
-		{"abl-eft", "ablation: earliest-finish vs earliest-available pick", runAblEFT},
+		{"abl-eft", "ablation: earliest-finish vs earliest-available pick", variantTable(experiments.AblationEFT)},
 		{"abl-relax", "ablation: fluid relaxation vs exact optimum", runAblRelax},
-		{"abl-sync", "ablation: relaxed vs strict scale-fixed sync", runAblSync},
+		{"abl-sync", "ablation: relaxed vs strict scale-fixed sync", variantTable(experiments.AblationSync)},
 		{"abl-mem", "ablation: speculative memory on/off", runAblMem},
 		{"abl-mempol", "ablation: keep-latest vs Belady eviction", runAblMemPolicy},
-		{"abl-online", "extension: online (non-clairvoyant) Hare vs offline", runAblOnline},
+		{"abl-online", "extension: online (non-clairvoyant) Hare vs offline", variantTable(experiments.AblationOnline)},
 		{"ext-base", "extension: +Gandiva_RR and Tiresias_LAS time-slicing baselines", runExtBaselines},
 		{"ext-fair", "extension: finish-time fairness and waiting per scheme", runExtFairness},
 		{"ext-seeds", "extension: fig16 across 3 seeds, mean±std per scheme", runExtSeeds},
@@ -651,17 +617,21 @@ func runFig19(cfg experiments.Config) error {
 	return nil
 }
 
-func runAblEFT(cfg experiments.Config) error {
-	rows, err := experiments.AblationEFT(cfg)
-	if err != nil {
-		return err
+// variantTable renders an ablation that runs Hare variants on the
+// standard workload: one row per variant.
+func variantTable(run func(experiments.Config) ([]experiments.SchemeResult, error)) func(experiments.Config) error {
+	return func(cfg experiments.Config) error {
+		rows, err := run(cfg)
+		if err != nil {
+			return err
+		}
+		var out [][]string
+		for _, r := range rows {
+			out = append(out, []string{r.Scheme, fmt.Sprintf("%.0f", r.WeightedJCT), fmt.Sprintf("%.0f", r.Makespan)})
+		}
+		fmt.Print(metrics.Table([]string{"variant", "weighted JCT", "makespan"}, out))
+		return nil
 	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{r.Scheme, fmt.Sprintf("%.0f", r.WeightedJCT), fmt.Sprintf("%.0f", r.Makespan)})
-	}
-	fmt.Print(metrics.Table([]string{"variant", "weighted JCT", "makespan"}, out))
-	return nil
 }
 
 func runAblRelax(cfg experiments.Config) error {
@@ -674,19 +644,6 @@ func runAblRelax(cfg experiments.Config) error {
 		st.FluidLEOptimal, st.Instances, st.MeanFluidToOpt)
 	fmt.Printf("Hare/opt: mean %.3f, max %.3f; alpha(2+alpha) bound holds on %d/%d\n",
 		st.MeanHareToOpt, st.MaxHareToOpt, st.BoundHolds, st.Instances)
-	return nil
-}
-
-func runAblSync(cfg experiments.Config) error {
-	rows, err := experiments.AblationSync(cfg)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{r.Scheme, fmt.Sprintf("%.0f", r.WeightedJCT), fmt.Sprintf("%.0f", r.Makespan)})
-	}
-	fmt.Print(metrics.Table([]string{"variant", "weighted JCT", "makespan"}, out))
 	return nil
 }
 
@@ -764,19 +721,6 @@ func runAblMemPolicy(cfg experiments.Config) error {
 		})
 	}
 	fmt.Print(metrics.Table([]string{"policy", "total switch", "hits", "misses"}, out))
-	return nil
-}
-
-func runAblOnline(cfg experiments.Config) error {
-	rows, err := experiments.AblationOnline(cfg)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{r.Scheme, fmt.Sprintf("%.0f", r.WeightedJCT), fmt.Sprintf("%.0f", r.Makespan)})
-	}
-	fmt.Print(metrics.Table([]string{"variant", "weighted JCT", "makespan"}, out))
 	return nil
 }
 

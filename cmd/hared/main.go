@@ -53,7 +53,7 @@ var (
 
 func main() {
 	flag.Parse()
-	cl, err := buildCluster()
+	cl, err := cluster.Preset(*tbFleet, *het, *gpus)
 	if err != nil {
 		fatal(err)
 	}
@@ -201,21 +201,6 @@ func resumeBatch(journal *rpcnet.Journal, rec *obs.Recorder, reg *obs.Registry) 
 	fmt.Printf("hared: recovered batch complete: %d jobs, makespan %.2fs, %d recoveries\n",
 		len(res.JobCompletion), res.Makespan, res.Recoveries)
 	return nil
-}
-
-func buildCluster() (*cluster.Cluster, error) {
-	if *tbFleet {
-		return cluster.Testbed(), nil
-	}
-	switch strings.ToLower(*het) {
-	case "low":
-		return cluster.Heterogeneous(cluster.LowHeterogeneity, *gpus), nil
-	case "mid":
-		return cluster.Heterogeneous(cluster.MidHeterogeneity, *gpus), nil
-	case "high":
-		return cluster.Heterogeneous(cluster.HighHeterogeneity, *gpus), nil
-	}
-	return nil, fmt.Errorf("unknown heterogeneity level %q", *het)
 }
 
 func fatal(err error) {

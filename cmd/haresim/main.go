@@ -11,13 +11,13 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"hare"
+	"hare/internal/cluster"
 	"hare/internal/metrics"
 	"hare/internal/obs"
 	"hare/internal/switching"
@@ -58,7 +58,7 @@ func main() {
 	}
 	stopProfiles = stop
 	defer stopProfiles()
-	cl, err := buildCluster()
+	cl, err := cluster.Preset(*useTB, *het, *gpus)
 	if err != nil {
 		fatal(err)
 	}
@@ -204,7 +204,7 @@ func main() {
 			fmt.Printf("chrome trace (%d events) saved to %s — open in chrome://tracing\n", len(events), *traceOut)
 		}
 		if *eventsOut != "" {
-			if err := saveEventsJSONL(*eventsOut, events); err != nil {
+			if err := obs.WriteEventsJSONL(*eventsOut, events); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("events saved to %s\n", *eventsOut)
@@ -214,60 +214,12 @@ func main() {
 			if err != nil {
 				fatal(fmt.Errorf("attribute critical path: %w", err))
 			}
-			if err := saveJSON(*attribOut, rep); err != nil {
+			if err := obs.SaveJSON(*attribOut, rep); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("critical-path attribution saved to %s\n", *attribOut)
 		}
 	}
-}
-
-// saveJSON writes v as indented JSON.
-func saveJSON(path string, v any) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// saveEventsJSONL writes captured events as JSON lines.
-func saveEventsJSONL(path string, events []hare.Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	sink := hare.NewJSONLSink(f)
-	for _, e := range events {
-		//lint:allow obsrecorder serializing already-captured events, not emitting live ones
-		sink.Record(e)
-	}
-	if err := sink.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func buildCluster() (*hare.Cluster, error) {
-	if *useTB {
-		return hare.TestbedCluster(), nil
-	}
-	switch strings.ToLower(*het) {
-	case "low":
-		return hare.HeterogeneousCluster(hare.LowHeterogeneity, *gpus), nil
-	case "mid":
-		return hare.HeterogeneousCluster(hare.MidHeterogeneity, *gpus), nil
-	case "high":
-		return hare.HeterogeneousCluster(hare.HighHeterogeneity, *gpus), nil
-	}
-	return nil, fmt.Errorf("unknown heterogeneity level %q", *het)
 }
 
 func fatal(err error) {

@@ -15,6 +15,7 @@ import (
 	"hare/internal/rpcnet"
 	"hare/internal/sched"
 	"hare/internal/store"
+	"hare/internal/switching"
 	"hare/internal/testbed"
 	"hare/internal/workload"
 )
@@ -253,6 +254,8 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 	go func() {
 		srv, bound, wait, err := rpcnet.ServeDistributed("127.0.0.1:0", h.in, h.plan, h.cl, h.models, rpcnet.DistributedOptions{
 			TimeScale:         h.opts.timeScale(),
+			Scheme:            switching.Hare, // what every manager backend runs under
+			Speculative:       true,
 			Store:             st,
 			Faults:            fplan,
 			Journal:           journal,

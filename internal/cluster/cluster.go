@@ -175,6 +175,24 @@ func Heterogeneous(level HeterogeneityLevel, n int) *Cluster {
 	return New(specs, 4)
 }
 
+// Preset builds the fleet the CLIs' fleet flags describe: the paper's
+// testbed, or an n-GPU fleet at the heterogeneity level named "low",
+// "mid" or "high" (any case).
+func Preset(testbed bool, level string, n int) (*Cluster, error) {
+	if testbed {
+		return Testbed(), nil
+	}
+	switch strings.ToLower(level) {
+	case "low":
+		return Heterogeneous(LowHeterogeneity, n), nil
+	case "mid":
+		return Heterogeneous(MidHeterogeneity, n), nil
+	case "high":
+		return Heterogeneous(HighHeterogeneity, n), nil
+	}
+	return nil, fmt.Errorf("unknown heterogeneity level %q", level)
+}
+
 // Size returns the number of GPUs.
 func (c *Cluster) Size() int { return len(c.GPUs) }
 

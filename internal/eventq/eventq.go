@@ -1,13 +1,10 @@
-// Package eventq implements the indexed min-heap priority queue that
-// drives the discrete-event simulator and the list schedulers.
+// Package eventq implements the priority queues of the discrete-event
+// simulator and the list schedulers.
 //
-// Two queues are provided:
-//
-//   - Queue[T]: a time-ordered event queue with stable FIFO tie-breaking
-//     for events scheduled at the same instant, which keeps simulation
-//     runs deterministic.
-//   - MinHeap[T]: a generic priority heap keyed by a float64 priority,
-//     used for "earliest available GPU" style selections.
+// IndexedHeap is the one they run on: a min-heap over a fixed universe
+// of integer ids with update and removal by id. Queue[T] (time-ordered
+// events, FIFO on ties) and MinHeap[T] (items keyed by a float64
+// priority) predate it and have no caller outside this package's tests.
 package eventq
 
 import "container/heap"

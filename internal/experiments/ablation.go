@@ -14,32 +14,30 @@ import (
 	"hare/internal/switching"
 )
 
-// AblationEFT compares Hare's earliest-finish GPU pick against the
-// paper-literal earliest-available pick (Algorithm 1 line 12) on the
-// standard large-scale workload.
-func AblationEFT(cfg Config) ([]SchemeResult, error) {
+// standardRun plans and replays a lineup on the standard large-scale
+// workload: cfg.Jobs jobs on a cfg.GPUs-GPU high-heterogeneity fleet.
+func standardRun(cfg Config, lineup []sched.Algorithm) ([]SchemeResult, error) {
 	cfg = cfg.Defaults()
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
 	in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
 	if err != nil {
 		return nil, err
 	}
-	return runSchemes(cfg, in, cl, models,
-		[]sched.Algorithm{sched.NewHare(), sched.NewHareEA()})
+	return runSchemes(cfg, in, cl, models, lineup)
+}
+
+// AblationEFT compares Hare's earliest-finish GPU pick against the
+// paper-literal earliest-available pick (Algorithm 1 line 12) on the
+// standard large-scale workload.
+func AblationEFT(cfg Config) ([]SchemeResult, error) {
+	return standardRun(cfg, []sched.Algorithm{sched.NewHare(), sched.NewHareEA()})
 }
 
 // AblationSync compares Hare's relaxed scale-fixed synchronization
 // against the strict-gang variant (Fig. 4's comparison) on the
 // standard workload.
 func AblationSync(cfg Config) ([]SchemeResult, error) {
-	cfg = cfg.Defaults()
-	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
-	in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	return runSchemes(cfg, in, cl, models,
-		[]sched.Algorithm{sched.NewHare(), sched.NewHareStrict()})
+	return standardRun(cfg, []sched.Algorithm{sched.NewHare(), sched.NewHareStrict()})
 }
 
 // MemoryPolicyRow compares one eviction policy.
@@ -94,14 +92,7 @@ func AblationMemoryPolicy(cfg Config) ([]MemoryPolicyRow, error) {
 // knowledge of future jobs — the extension the paper's limitations
 // section calls for. The gap measures what clairvoyance is worth.
 func AblationOnline(cfg Config) ([]SchemeResult, error) {
-	cfg = cfg.Defaults()
-	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
-	in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	return runSchemes(cfg, in, cl, models,
-		[]sched.Algorithm{sched.NewHare(), sched.NewOnlineHare()})
+	return standardRun(cfg, []sched.Algorithm{sched.NewHare(), sched.NewOnlineHare()})
 }
 
 // ExtendedBaselines runs the default large-scale setting with the
@@ -112,13 +103,7 @@ func AblationOnline(cfg Config) ([]SchemeResult, error) {
 // switches cost seconds each, which is the overhead argument of §2.2.4
 // quantified end to end.
 func ExtendedBaselines(cfg Config) ([]SchemeResult, error) {
-	cfg = cfg.Defaults()
-	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
-	in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	return runSchemes(cfg, in, cl, models, sched.Extended())
+	return standardRun(cfg, sched.Extended())
 }
 
 // FairnessComparison evaluates every scheme's finish-time fairness
@@ -127,15 +112,9 @@ func ExtendedBaselines(cfg Config) ([]SchemeResult, error) {
 // quantified. Hare optimizes weighted JCT, not fairness, yet its
 // task-granularity sharing keeps both ρ and waits competitive.
 func FairnessComparison(cfg Config) ([]SchemeResult, error) {
-	cfg = cfg.Defaults()
-	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
-	in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
-	if err != nil {
-		return nil, err
-	}
 	// The extended lineup includes Themis_Fair, the scheduler that
 	// optimizes this experiment's metric directly.
-	return runSchemes(cfg, in, cl, models, sched.Extended())
+	return standardRun(cfg, sched.Extended())
 }
 
 // RelaxStats summarizes the fluid-vs-exact relaxation study.

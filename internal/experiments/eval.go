@@ -162,6 +162,45 @@ type SweepRow struct {
 	Results []SchemeResult
 }
 
+// point is one x-axis position of a sweep figure: how it is labelled
+// and everything that varies with it.
+type point struct {
+	x     float64
+	label string
+	tag   string // names the point in errors, after the figure id
+	cl    *cluster.Cluster
+	jobs  int
+	mix   workload.Mix // nil = the default mix
+	// batch multiplies every job's batch size; rounds shrink by the
+	// same factor, so each job still trains the same number of samples.
+	batch float64
+}
+
+// sweep plans and replays the paper's five schemes at each of n points,
+// fanned out over cfg.pool with rows landing by index.
+func sweep(cfg Config, fig string, n int, at func(i int) point) ([]SweepRow, error) {
+	rows := make([]SweepRow, n)
+	err := cfg.pool.forEach(n, func(i int) error {
+		p := at(i)
+		c := cfg // per-point copy: RoundsScale differs across batch sizes
+		c.RoundsScale = cfg.RoundsScale / p.batch
+		in, _, models, err := buildWorkload(c, p.cl, p.jobs, p.mix, p.batch)
+		if err != nil {
+			return err
+		}
+		results, err := runSchemes(c, in, p.cl, models, sched.All())
+		if err != nil {
+			return fmt.Errorf("%s %s: %w", fig, p.tag, err)
+		}
+		rows[i] = SweepRow{X: p.x, Label: p.label, Results: results}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
 // Fig14GPUSweep reproduces Fig. 14: weighted JCT of every scheme as
 // the fleet grows (80–240 GPUs at high heterogeneity), with the job
 // count fixed (paper: 200).
@@ -170,25 +209,11 @@ func Fig14GPUSweep(cfg Config, gpuCounts []int) ([]SweepRow, error) {
 	if len(gpuCounts) == 0 {
 		gpuCounts = []int{80, 120, 160, 200, 240}
 	}
-	rows := make([]SweepRow, len(gpuCounts))
-	err := cfg.pool.forEach(len(gpuCounts), func(i int) error {
+	return sweep(cfg, "fig14", len(gpuCounts), func(i int) point {
 		n := gpuCounts[i]
-		cl := cluster.Heterogeneous(cluster.HighHeterogeneity, n)
-		in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
-		if err != nil {
-			return err
-		}
-		results, err := runSchemes(cfg, in, cl, models, sched.All())
-		if err != nil {
-			return fmt.Errorf("fig14 n=%d: %w", n, err)
-		}
-		rows[i] = SweepRow{X: float64(n), Label: fmt.Sprintf("%d GPUs", n), Results: results}
-		return nil
+		return point{x: float64(n), label: fmt.Sprintf("%d GPUs", n), tag: fmt.Sprintf("n=%d", n),
+			cl: cluster.Heterogeneous(cluster.HighHeterogeneity, n), jobs: cfg.Jobs, batch: 1}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig15JobSweep reproduces Fig. 15: weighted JCT as the number of
@@ -199,24 +224,11 @@ func Fig15JobSweep(cfg Config, jobCounts []int) ([]SweepRow, error) {
 		jobCounts = []int{100, 150, 200, 250, 300}
 	}
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
-	rows := make([]SweepRow, len(jobCounts))
-	err := cfg.pool.forEach(len(jobCounts), func(i int) error {
+	return sweep(cfg, "fig15", len(jobCounts), func(i int) point {
 		n := jobCounts[i]
-		in, _, models, err := buildWorkload(cfg, cl, n, nil, 1)
-		if err != nil {
-			return err
-		}
-		results, err := runSchemes(cfg, in, cl, models, sched.All())
-		if err != nil {
-			return fmt.Errorf("fig15 n=%d: %w", n, err)
-		}
-		rows[i] = SweepRow{X: float64(n), Label: fmt.Sprintf("%d jobs", n), Results: results}
-		return nil
+		return point{x: float64(n), label: fmt.Sprintf("%d jobs", n), tag: fmt.Sprintf("n=%d", n),
+			cl: cl, jobs: n, batch: 1}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig16Heterogeneity reproduces Fig. 16: weighted JCT at the paper's
@@ -227,25 +239,11 @@ func Fig16Heterogeneity(cfg Config) ([]SweepRow, error) {
 	levels := []cluster.HeterogeneityLevel{
 		cluster.LowHeterogeneity, cluster.MidHeterogeneity, cluster.HighHeterogeneity,
 	}
-	rows := make([]SweepRow, len(levels))
-	err := cfg.pool.forEach(len(levels), func(i int) error {
+	return sweep(cfg, "fig16", len(levels), func(i int) point {
 		lv := levels[i]
-		cl := cluster.Heterogeneous(lv, cfg.GPUs)
-		in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
-		if err != nil {
-			return err
-		}
-		results, err := runSchemes(cfg, in, cl, models, sched.All())
-		if err != nil {
-			return fmt.Errorf("fig16 %s: %w", lv, err)
-		}
-		rows[i] = SweepRow{X: float64(i), Label: lv.String(), Results: results}
-		return nil
+		return point{x: float64(i), label: lv.String(), tag: lv.String(),
+			cl: cluster.Heterogeneous(lv, cfg.GPUs), jobs: cfg.Jobs, batch: 1}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig17JobMix reproduces Fig. 17: weighted JCT as one workload class's
@@ -258,34 +256,20 @@ func Fig17JobMix(cfg Config, fractions []float64) (map[model.Class][]SweepRow, e
 	}
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
 	classes := model.Classes()
-	// The (class, fraction) grid is flattened into one fan-out and the
-	// map is assembled afterwards: goroutines only ever write disjoint
-	// perClass[ci][fi] cells, never the map itself.
-	perClass := make([][]SweepRow, len(classes))
-	for ci := range perClass {
-		perClass[ci] = make([]SweepRow, len(fractions))
-	}
-	err := cfg.pool.forEach(len(classes)*len(fractions), func(i int) error {
-		ci, fi := i/len(fractions), i%len(fractions)
-		class, f := classes[ci], fractions[fi]
-		mix := workload.DefaultMix().Boost(class, f)
-		in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, mix, 1)
-		if err != nil {
-			return err
-		}
-		results, err := runSchemes(cfg, in, cl, models, sched.All())
-		if err != nil {
-			return fmt.Errorf("fig17 %s f=%g: %w", class, f, err)
-		}
-		perClass[ci][fi] = SweepRow{X: f, Label: fmt.Sprintf("%s=%.0f%%", class, f*100), Results: results}
-		return nil
+	// The (class, fraction) grid is one flat sweep, class-major; the map
+	// is cut out of its rows afterwards.
+	rows, err := sweep(cfg, "fig17", len(classes)*len(fractions), func(i int) point {
+		class, f := classes[i/len(fractions)], fractions[i%len(fractions)]
+		return point{x: f, label: fmt.Sprintf("%s=%.0f%%", class, f*100), tag: fmt.Sprintf("%s f=%g", class, f),
+			cl: cl, jobs: cfg.Jobs, mix: workload.DefaultMix().Boost(class, f), batch: 1}
 	})
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[model.Class][]SweepRow, len(classes))
 	for ci, class := range classes {
-		out[class] = perClass[ci]
+		lo, hi := ci*len(fractions), (ci+1)*len(fractions)
+		out[class] = rows[lo:hi:hi]
 	}
 	return out, nil
 }
@@ -298,25 +282,12 @@ func Fig18Bandwidth(cfg Config, gbps []float64) ([]SweepRow, error) {
 	if len(gbps) == 0 {
 		gbps = []float64{10, 15, 20, 25}
 	}
-	rows := make([]SweepRow, len(gbps))
-	err := cfg.pool.forEach(len(gbps), func(i int) error {
+	return sweep(cfg, "fig18", len(gbps), func(i int) point {
 		g := gbps[i]
-		cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs).WithNetwork(g * 1e9)
-		in, _, models, err := buildWorkload(cfg, cl, cfg.Jobs, nil, 1)
-		if err != nil {
-			return err
-		}
-		results, err := runSchemes(cfg, in, cl, models, sched.All())
-		if err != nil {
-			return fmt.Errorf("fig18 %gGbps: %w", g, err)
-		}
-		rows[i] = SweepRow{X: g, Label: fmt.Sprintf("%gGbps", g), Results: results}
-		return nil
+		return point{x: g, label: fmt.Sprintf("%gGbps", g), tag: fmt.Sprintf("%gGbps", g),
+			cl:   cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs).WithNetwork(g * 1e9),
+			jobs: cfg.Jobs, batch: 1}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig19BatchSize reproduces Fig. 19: weighted JCT at half, default
@@ -330,25 +301,9 @@ func Fig19BatchSize(cfg Config, scales []float64) ([]SweepRow, error) {
 		scales = []float64{0.5, 1, 2}
 	}
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
-	baseRounds := cfg.RoundsScale
-	rows := make([]SweepRow, len(scales))
-	err := cfg.pool.forEach(len(scales), func(i int) error {
+	return sweep(cfg, "fig19", len(scales), func(i int) point {
 		bs := scales[i]
-		c := cfg // per-point copy: RoundsScale differs across points
-		c.RoundsScale = baseRounds / bs
-		in, _, models, err := buildWorkload(c, cl, c.Jobs, nil, bs)
-		if err != nil {
-			return err
-		}
-		results, err := runSchemes(c, in, cl, models, sched.All())
-		if err != nil {
-			return fmt.Errorf("fig19 b=%g: %w", bs, err)
-		}
-		rows[i] = SweepRow{X: bs, Label: fmt.Sprintf("%gxB0", bs), Results: results}
-		return nil
+		return point{x: bs, label: fmt.Sprintf("%gxB0", bs), tag: fmt.Sprintf("b=%g", bs),
+			cl: cl, jobs: cfg.Jobs, batch: bs}
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

@@ -28,8 +28,6 @@ import (
 type DistributedBackend struct {
 	// TimeScale is the shared clock scale (default 1e-3).
 	TimeScale float64
-	// Addr is the coordinator listen address (default 127.0.0.1:0).
-	Addr string
 	// Store receives checkpoints (in-memory by default).
 	Store store.Store
 	// Faults is the full fault plan, including network chaos.
@@ -61,10 +59,6 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 	if ts <= 0 {
 		ts = 1e-3
 	}
-	addr := b.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
 	if n := b.Faults.NetModel(); len(n.SortedCoordDowns()) > 0 {
 		return nil, nil, fmt.Errorf("manager: codown windows are orchestrated by the chaos harness (harechaos), not the distributed backend")
 	}
@@ -81,8 +75,11 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 			return nil, nil, fmt.Errorf("manager: trace: %w", err)
 		}
 	}
-	srv, bound, wait, err := rpcnet.ServeDistributed(addr, in, plan, cl, models, rpcnet.DistributedOptions{
+	// Each batch's coordinator listens on a fresh loopback port.
+	srv, bound, wait, err := rpcnet.ServeDistributed("127.0.0.1:0", in, plan, cl, models, rpcnet.DistributedOptions{
 		TimeScale:         ts,
+		Scheme:            execScheme,
+		Speculative:       execSpeculative,
 		Store:             b.Store,
 		Faults:            b.Faults,
 		Journal:           b.Journal,

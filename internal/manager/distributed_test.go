@@ -1,13 +1,19 @@
 package manager
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"hare/internal/cluster"
+	"hare/internal/core"
 	"hare/internal/faults"
+	"hare/internal/model"
+	"hare/internal/profile"
 	"hare/internal/rpcnet"
+	"hare/internal/sched"
 )
 
 func TestDistributedBackendBatch(t *testing.T) {
@@ -102,5 +108,62 @@ func TestDistributedBackendRejectsCoordDowns(t *testing.T) {
 	}
 	if _, err := m.ExecuteBatch(); err == nil || !strings.Contains(err.Error(), "harechaos") {
 		t.Errorf("want codown rejection, got %v", err)
+	}
+}
+
+// TestBackendsShareSwitchingScheme: the three backends execute a plan
+// under the same switching scheme — the one the manager's attribution
+// replay assumes. Switching stalls are modelled costs, not measured
+// ones, so their sum over a batch's trace is equal across engines; the
+// distributed backend used to run under switching.Default with no
+// speculative memory and paid thousands of times more.
+func TestBackendsShareSwitchingScheme(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real TCP control plane")
+	}
+	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 1}, {Type: cluster.K80, Count: 1}}, 2)
+	names := []string{"ResNet50", "GraphSAGE", "VGG19", "ResNet50"}
+	jobs := make([]*core.Job, len(names))
+	specs := make([]profile.JobSpec, len(names))
+	models := make([]*model.Model, len(names))
+	for i, name := range names {
+		jobs[i] = &core.Job{ID: core.JobID(i), Name: name, Model: name, Weight: 1, Rounds: 3, Scale: 1}
+		models[i] = model.MustByName(name)
+		specs[i] = managerSpec{req: JobRequest{Model: name, BatchScale: 1, Scale: 1}}
+	}
+	in, err := profile.New(profile.Options{}).BuildInstance(jobs, specs, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sched.NewHare().Schedule(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want float64
+	for i, back := range []Backend{
+		&SimBackend{},
+		&TestbedBackend{TimeScale: 1e-4},
+		&DistributedBackend{TimeScale: 1e-4},
+	} {
+		_, tr, err := back.Execute(in, plan, cl, models)
+		if err != nil {
+			t.Fatalf("%T: %v", back, err)
+		}
+		var stall float64
+		switches := 0
+		for _, r := range tr.Records {
+			stall += r.Switch
+			if r.Switch > 0 {
+				switches++
+			}
+		}
+		if switches == 0 {
+			t.Fatalf("%T: the batch never switched jobs; the test needs a plan that does", back)
+		}
+		if i == 0 {
+			want = stall
+		} else if math.Abs(stall-want) > 1e-9 {
+			t.Errorf("%T paid %.9f s of switching stall over %d switches, the simulator %.9f s", back, stall, switches, want)
+		}
 	}
 }

@@ -103,6 +103,16 @@ type Backend interface {
 	Execute(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model) ([]float64, *trace.Trace, error)
 }
 
+// Every backend executes plans under Hare's fast task switching with
+// the speculative memory manager, and so does the attribution replay
+// that explains a batch afterwards. The pair lives here, once, so
+// `harectl critpath` cannot attribute a batch under a different scheme
+// than the one that ran it.
+const (
+	execScheme      = switching.Hare
+	execSpeculative = true
+)
+
 // TestbedBackend executes batches on the in-process testbed.
 type TestbedBackend struct {
 	// TimeScale is the testbed clock scale (default 1e-3).
@@ -127,7 +137,7 @@ func (b *TestbedBackend) Execute(in *core.Instance, plan *core.Schedule, cl *clu
 		ts = 1e-3
 	}
 	res, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: ts, Scheme: switching.Hare, Speculative: true, Store: b.Store,
+		TimeScale: ts, Scheme: execScheme, Speculative: execSpeculative, Store: b.Store,
 		Faults:   b.Faults,
 		Recorder: b.Recorder,
 	})
@@ -140,7 +150,6 @@ func (b *TestbedBackend) Execute(in *core.Instance, plan *core.Schedule, cl *clu
 // SimBackend executes batches on the discrete-event simulator
 // (instant; used for capacity planning and tests).
 type SimBackend struct {
-	Seed int64
 	// Faults injects the same deterministic fault plan into every
 	// batch; permanent GPU failures trigger an in-batch re-plan.
 	Faults *faults.Plan
@@ -156,7 +165,7 @@ func (b *SimBackend) Execute(in *core.Instance, plan *core.Schedule, cl *cluster
 		return nil, nil, err
 	}
 	res, err := sim.Run(in, plan, cl, models, sim.Options{
-		Scheme: switching.Hare, Speculative: true, Seed: b.Seed,
+		Scheme: execScheme, Speculative: execSpeculative,
 		Faults:   b.Faults,
 		Recorder: b.Recorder, Metrics: b.Metrics,
 	})
@@ -427,7 +436,7 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 	// simulator. Failure here never fails the batch.
 	stopAttrib := m.phases.Start("plan_attribution")
 	_, attrib, attribErr := critpath.PlanAttribution(in, plan, m.cl, models, sim.Options{
-		Scheme: switching.Hare, Speculative: true,
+		Scheme: execScheme, Speculative: execSpeculative,
 	})
 	stopAttrib()
 	if attribErr != nil {

@@ -45,7 +45,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestBatchLifecycle(t *testing.T) {
-	m := testManager(&SimBackend{Seed: 1})
+	m := testManager(&SimBackend{})
 	var ids []int
 	for _, name := range []string{"ResNet50", "GraphSAGE", "Bert_base"} {
 		id, err := m.Submit(req(name, 3, 2))
@@ -86,7 +86,7 @@ func TestBatchLifecycle(t *testing.T) {
 }
 
 func TestBatchesChainThroughWatermark(t *testing.T) {
-	m := testManager(&SimBackend{Seed: 2})
+	m := testManager(&SimBackend{})
 	if _, err := m.Submit(req("VGG19", 4, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestTestbedBackendBatch(t *testing.T) {
 }
 
 func TestRPCServiceEndToEnd(t *testing.T) {
-	m := testManager(&SimBackend{Seed: 7})
+	m := testManager(&SimBackend{})
 	srv, addr, err := Serve("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)

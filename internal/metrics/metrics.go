@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"hare/internal/core"
@@ -159,71 +158,4 @@ func Gantt(tr *trace.Trace, numGPUs, width int) string {
 		fmt.Fprintf(&b, "GPU%-3d |%s|\n", m, row)
 	}
 	return b.String()
-}
-
-// Comparison collects one metric across schemes and renders relative
-// improvements, e.g. "Hare reduces weighted JCT by X% vs scheme".
-type Comparison struct {
-	Names  []string
-	Values []float64
-}
-
-// Add appends a scheme's value.
-func (c *Comparison) Add(name string, v float64) {
-	c.Names = append(c.Names, name)
-	c.Values = append(c.Values, v)
-}
-
-// ImprovementOver returns (other − base)/other: the fractional
-// reduction base achieves versus other.
-func (c *Comparison) ImprovementOver(base, other string) (float64, error) {
-	vb, err := c.value(base)
-	if err != nil {
-		return 0, err
-	}
-	vo, err := c.value(other)
-	if err != nil {
-		return 0, err
-	}
-	if vo == 0 {
-		return 0, fmt.Errorf("metrics: zero value for %q", other)
-	}
-	return (vo - vb) / vo, nil
-}
-
-func (c *Comparison) value(name string) (float64, error) {
-	for i, n := range c.Names {
-		if n == name {
-			return c.Values[i], nil
-		}
-	}
-	return 0, fmt.Errorf("metrics: unknown scheme %q", name)
-}
-
-// Best returns the scheme with the smallest value.
-func (c *Comparison) Best() (string, float64) {
-	if len(c.Names) == 0 {
-		return "", math.NaN()
-	}
-	bi := 0
-	for i, v := range c.Values {
-		if v < c.Values[bi] {
-			bi = i
-		}
-	}
-	return c.Names[bi], c.Values[bi]
-}
-
-// SortedByValue returns scheme names ordered best (smallest) first.
-func (c *Comparison) SortedByValue() []string {
-	idx := make([]int, len(c.Names))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return c.Values[idx[a]] < c.Values[idx[b]] })
-	out := make([]string, len(idx))
-	for i, k := range idx {
-		out[i] = c.Names[k]
-	}
-	return out
 }

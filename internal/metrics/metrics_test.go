@@ -99,24 +99,3 @@ func TestGantt(t *testing.T) {
 		t.Errorf("empty trace: %q", got)
 	}
 }
-
-func TestComparison(t *testing.T) {
-	var c Comparison
-	c.Add("Hare", 50)
-	c.Add("Allox", 100)
-	c.Add("FIFO", 200)
-	imp, err := c.ImprovementOver("Hare", "Allox")
-	if err != nil || math.Abs(imp-0.5) > 1e-9 {
-		t.Errorf("improvement %g, err %v", imp, err)
-	}
-	if name, v := c.Best(); name != "Hare" || v != 50 {
-		t.Errorf("best %s %g", name, v)
-	}
-	order := c.SortedByValue()
-	if order[0] != "Hare" || order[2] != "FIFO" {
-		t.Errorf("order %v", order)
-	}
-	if _, err := c.ImprovementOver("Hare", "nope"); err == nil {
-		t.Error("unknown scheme accepted")
-	}
-}

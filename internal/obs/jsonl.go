@@ -130,3 +130,19 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	}
 	return out, nil
 }
+
+// SaveJSON writes v to path as indented JSON — the CLIs' -attrib-out
+// reports.
+func SaveJSON(path string, v any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", " ")
+	if err := enc.Encode(v); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}

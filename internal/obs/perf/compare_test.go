@@ -3,301 +3,131 @@ package perf
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
-func testEnv() Env {
-	return Env{
-		GoVersion: "go1.22", GOOS: "linux", GOARCH: "amd64",
-		NumCPU: 1, GOMAXPROCS: 1, Commit: "abc1234", Date: "2026-08-09T00:00:00Z",
-	}
+// The one comparer left is CheckE2E: two bench/e2e result files under
+// BENCHMARK.json's directions and bounds. These tests drive its core
+// on synthetic result pairs; the last one reads the checked-in files.
+
+var testContract = []e2eMetric{
+	{Name: "op_p50_s", Better: "lower", Bound: 0.25},
+	{Name: "tasks_per_s", Better: "higher", Bound: 0.25},
+	{Name: "alloc_kb_per_task", Better: "lower", Bound: 0.15},
 }
 
-func archiveOf(bs ...Benchmark) *Archive {
-	return &Archive{Schema: SchemaVersion, Env: testEnv(), Benchmarks: bs}
+// e2eOf builds one workload's result: 100 ops attempted, `failed` of
+// them failed, metrics in testContract's order.
+func e2eOf(workload string, failed int, p50, tasksPerS, allocKB float64) e2eResult {
+	return e2eResult{Workload: workload, Attempted: 100, Failed: failed, Metrics: map[string]e2eValue{
+		"op_p50_s": {p50}, "tasks_per_s": {tasksPerS}, "alloc_kb_per_task": {allocKB},
+	}}
 }
 
-func bench(name string, ns float64) Benchmark {
-	return Benchmark{Name: name, Iters: 100, Metrics: map[string]float64{"ns/op": ns}}
+func e2eCase(t *testing.T, name string, olds, news []e2eResult, wantFail ...string) {
+	t.Helper()
+	wantFailures(t, name, checkE2E(testContract, olds, news), wantFail)
 }
 
-// TestCompareWithinThreshold: small drift on a gated metric is ok.
+// TestCompareWithinThreshold: a move inside the bound holds, in either
+// direction of better, and exactly at the bound too.
 func TestCompareWithinThreshold(t *testing.T) {
-	base := archiveOf(bench("BenchmarkA", 1000))
-	cur := archiveOf(bench("BenchmarkA", 1100))
-	rep := Compare(base, cur, Options{DefaultThreshold: 0.25})
-	if rep.Regressed() {
-		t.Fatalf("10%% drift under a 25%% threshold regressed: %v", rep.Regressions())
-	}
-	if len(rep.Deltas) != 1 || rep.Deltas[0].Status != StatusOK {
-		t.Fatalf("deltas: %+v", rep.Deltas)
-	}
+	old := []e2eResult{e2eOf("w", 0, 0.100, 1000, 2.0)}
+	e2eCase(t, "inside", old, []e2eResult{e2eOf("w", 0, 0.120, 800, 2.2)})
+	e2eCase(t, "at the bound", old, []e2eResult{e2eOf("w", 0, 0.125, 750, 2.3)})
 }
 
-// TestCompareRegression: an injected slowdown beyond the threshold
-// fails the gate — the property `make bench-compare` relies on.
+// TestCompareRegression: worse beyond the bound fails and names the
+// workload and metric — for a lower-is-better metric, a
+// higher-is-better one, and a grown failed share.
 func TestCompareRegression(t *testing.T) {
-	base := archiveOf(bench("BenchmarkA", 1000), bench("BenchmarkB", 500))
-	cur := archiveOf(bench("BenchmarkA", 1600), bench("BenchmarkB", 510))
-	rep := Compare(base, cur, Options{DefaultThreshold: 0.25})
-	if !rep.Regressed() {
-		t.Fatal("60% slowdown with 25% threshold did not regress")
-	}
-	regs := rep.Regressions()
-	if len(regs) != 1 || !strings.Contains(regs[0], "BenchmarkA") {
-		t.Fatalf("regressions: %v", regs)
-	}
+	old := []e2eResult{e2eOf("w", 1, 0.100, 1000, 2.0), e2eOf("other", 0, 1, 1, 1)}
+	other := e2eOf("other", 0, 1, 1, 1)
+	e2eCase(t, "lower-is-better up 30%", old, []e2eResult{e2eOf("w", 1, 0.130, 1000, 2.0), other},
+		"w op_p50_s: worse than OLD beyond the 25% bound")
+	e2eCase(t, "higher-is-better down 30%", old, []e2eResult{e2eOf("w", 1, 0.100, 700, 2.0), other},
+		"w tasks_per_s: worse than OLD beyond the 25% bound")
+	e2eCase(t, "failed share grew", old, []e2eResult{e2eOf("w", 2, 0.100, 1000, 2.0), other},
+		"w failed_share: a larger share of operations failed")
+	e2eCase(t, "failed share shrank", old, []e2eResult{e2eOf("w", 0, 0.100, 1000, 2.0), other})
 }
 
-// TestCompareImprovement: a speedup beyond the threshold is labeled
-// improved (baseline-refresh cue), never a failure.
+// TestCompareImprovement: better never fails, however far it moves.
 func TestCompareImprovement(t *testing.T) {
-	base := archiveOf(bench("BenchmarkA", 1000))
-	cur := archiveOf(bench("BenchmarkA", 500))
-	rep := Compare(base, cur, Options{DefaultThreshold: 0.25})
-	if rep.Regressed() {
-		t.Fatal("improvement regressed")
-	}
-	if rep.Deltas[0].Status != StatusImproved {
-		t.Fatalf("status %s, want improved", rep.Deltas[0].Status)
-	}
+	e2eCase(t, "5x better", []e2eResult{e2eOf("w", 0, 0.100, 1000, 2.0)}, []e2eResult{e2eOf("w", 0, 0.020, 5000, 0.4)})
 }
 
-// TestCompareAggregation: min takes the fastest repetition, median
-// the middle one.
-func TestCompareAggregation(t *testing.T) {
-	base := archiveOf(bench("BenchmarkA", 1000))
-	cur := archiveOf(bench("BenchmarkA", 900), bench("BenchmarkA", 5000), bench("BenchmarkA", 1100))
-	repMin := Compare(base, cur, Options{Agg: AggMin, DefaultThreshold: 0.25})
-	if repMin.Deltas[0].Cur != 900 {
-		t.Errorf("min aggregation picked %v, want 900", repMin.Deltas[0].Cur)
-	}
-	if repMin.Regressed() {
-		t.Error("min aggregation regressed despite a fast repetition")
-	}
-	repMed := Compare(base, cur, Options{Agg: AggMedian, DefaultThreshold: 0.25})
-	if repMed.Deltas[0].Cur != 1100 {
-		t.Errorf("median aggregation picked %v, want 1100", repMed.Deltas[0].Cur)
-	}
-}
-
-// TestComparePerMetricThresholds: a per-unit override beats the
-// default.
+// TestComparePerMetricThresholds: each metric is held to its own bound
+// from the contract — +20% passes op_p50_s's 25% and fails
+// alloc_kb_per_task's 15%.
 func TestComparePerMetricThresholds(t *testing.T) {
-	base := archiveOf(Benchmark{Name: "BenchmarkA", Iters: 10,
-		Metrics: map[string]float64{"ns/op": 1000, "allocs/op": 100}})
-	cur := archiveOf(Benchmark{Name: "BenchmarkA", Iters: 10,
-		Metrics: map[string]float64{"ns/op": 1100, "allocs/op": 103}})
-	rep := Compare(base, cur, Options{
-		DefaultThreshold: 0.25,
-		Thresholds:       map[string]float64{"allocs/op": 0.01},
-	})
-	if !rep.Regressed() {
-		t.Fatal("3% alloc growth with a 1% allocs/op threshold did not regress")
-	}
-	regs := rep.Regressions()
-	if len(regs) != 1 || !strings.Contains(regs[0], "allocs/op") {
-		t.Fatalf("regressions: %v", regs)
-	}
+	e2eCase(t, "+20% on both", []e2eResult{e2eOf("w", 0, 0.100, 1000, 2.0)}, []e2eResult{e2eOf("w", 0, 0.120, 1000, 2.4)},
+		"w alloc_kb_per_task: worse than OLD beyond the 15% bound")
 }
 
-// TestCompareAddedRemovedAndCustomUnits: one-sided benchmarks and
-// custom units never gate.
+// TestCompareAddedRemovedAndCustomUnits: a workload on one side only
+// fails from either side, as does a contract metric a result lacks;
+// metrics outside the contract are ignored.
 func TestCompareAddedRemovedAndCustomUnits(t *testing.T) {
-	base := archiveOf(bench("BenchmarkOld", 100), bench("BenchmarkShared", 100))
-	cur := archiveOf(
-		bench("BenchmarkNew", 100),
-		Benchmark{Name: "BenchmarkShared", Iters: 10,
-			Metrics: map[string]float64{"ns/op": 100, "hare/best-baseline": 9.0}},
-	)
-	rep := Compare(base, cur, Options{DefaultThreshold: 0.25})
-	if rep.Regressed() {
-		t.Fatalf("regressed: %v", rep.Regressions())
-	}
-	if len(rep.Added) != 1 || rep.Added[0] != "BenchmarkNew" {
-		t.Errorf("added: %v", rep.Added)
-	}
-	if len(rep.Removed) != 1 || rep.Removed[0] != "BenchmarkOld" {
-		t.Errorf("removed: %v", rep.Removed)
-	}
+	a, b := e2eOf("a", 0, 1, 1, 1), e2eOf("b", 0, 1, 1, 1)
+	e2eCase(t, "dropped from NEW", []e2eResult{a, b}, []e2eResult{a}, "b: workload missing from NEW")
+	e2eCase(t, "absent from OLD", []e2eResult{a}, []e2eResult{a, b}, "b: workload missing from OLD")
+
+	extra := e2eOf("a", 0, 1, 1, 1)
+	extra.Metrics["sched.hare.plan_s"] = e2eValue{99}
+	e2eCase(t, "metric outside the contract", []e2eResult{a}, []e2eResult{extra})
+
+	lacking := e2eOf("a", 0, 1, 1, 1)
+	delete(lacking.Metrics, "tasks_per_s")
+	e2eCase(t, "contract metric absent", []e2eResult{a}, []e2eResult{lacking}, "a tasks_per_s: metric missing from NEW")
 }
 
-// TestCompareZeroBaseline: 0 B/op baselines are reported as info, not
-// divided by.
+// TestCompareZeroBaseline: a zero OLD has no usable ratio; it admits
+// no growth (and is not divided by when nothing moved).
 func TestCompareZeroBaseline(t *testing.T) {
-	base := archiveOf(Benchmark{Name: "BenchmarkA", Iters: 10,
-		Metrics: map[string]float64{"ns/op": 100, "B/op": 0}})
-	cur := archiveOf(Benchmark{Name: "BenchmarkA", Iters: 10,
-		Metrics: map[string]float64{"ns/op": 100, "B/op": 16}})
-	rep := Compare(base, cur, Options{DefaultThreshold: 0.25})
-	if rep.Regressed() {
-		t.Fatalf("zero-baseline gated: %v", rep.Regressions())
-	}
-	for _, d := range rep.Deltas {
-		if d.Metric == "B/op" && d.Status != StatusInfo {
-			t.Errorf("B/op status %s, want info", d.Status)
-		}
-	}
+	old := []e2eResult{e2eOf("w", 0, 0.100, 1000, 0)}
+	e2eCase(t, "still zero", old, []e2eResult{e2eOf("w", 0, 0.100, 1000, 0)})
+	e2eCase(t, "grew from zero", old, []e2eResult{e2eOf("w", 0, 0.100, 1000, 0.5)}, "w alloc_kb_per_task")
 }
 
-// TestRatioGates: the intra-run ratio survives a uniformly slower
-// machine but catches a relative regression.
-func TestRatioGates(t *testing.T) {
-	gate := []RatioGate{{Name: "obs-overhead", Num: "BenchmarkObsDisabled", Den: "BenchmarkReplay", Threshold: 0.10}}
-	base := archiveOf(bench("BenchmarkObsDisabled", 1010), bench("BenchmarkReplay", 1000))
-
-	// Current machine is 3x slower across the board: absolute deltas
-	// blow past any threshold, the ratio does not.
-	slower := archiveOf(bench("BenchmarkObsDisabled", 3030), bench("BenchmarkReplay", 3000))
-	rep := Compare(base, slower, Options{DefaultThreshold: 10, Ratios: gate})
-	if rep.Regressed() {
-		t.Fatalf("uniform slowdown tripped the ratio gate: %v", rep.Regressions())
-	}
-
-	// Now the instrumented path alone got slower: ratio 1.5 vs 1.01.
-	skewed := archiveOf(bench("BenchmarkObsDisabled", 1500), bench("BenchmarkReplay", 1000))
-	rep = Compare(base, skewed, Options{DefaultThreshold: 10, Ratios: gate})
-	if !rep.Regressed() {
-		t.Fatal("50% relative overhead did not trip the 10% ratio gate")
-	}
-}
-
-// TestRatioGateAbsoluteCap: Max caps the current ratio even when the
-// baseline ratio was already bad.
-func TestRatioGateAbsoluteCap(t *testing.T) {
-	gate := []RatioGate{{Name: "cap", Num: "BenchmarkA", Den: "BenchmarkB", Threshold: 10, Max: 1.2}}
-	base := archiveOf(bench("BenchmarkA", 2000), bench("BenchmarkB", 1000))
-	cur := archiveOf(bench("BenchmarkA", 1900), bench("BenchmarkB", 1000))
-	rep := Compare(base, cur, Options{Ratios: gate})
-	if !rep.Regressed() {
-		t.Fatal("ratio 1.9 above absolute cap 1.2 did not regress")
-	}
-}
-
-// TestRatioGateMissingBenchmarks: missing sides degrade to info.
-func TestRatioGateMissingBenchmarks(t *testing.T) {
-	gate := []RatioGate{{Name: "gone", Num: "BenchmarkA", Den: "BenchmarkMissing"}}
-	base := archiveOf(bench("BenchmarkA", 1000))
-	cur := archiveOf(bench("BenchmarkA", 1000))
-	rep := Compare(base, cur, Options{Ratios: gate})
-	if rep.Regressed() {
-		t.Fatalf("missing ratio benchmarks gated: %v", rep.Regressions())
-	}
-	if rep.Ratios[0].Status != StatusInfo {
-		t.Fatalf("status %s, want info", rep.Ratios[0].Status)
-	}
-}
-
-// TestReportWriteTable smoke-tests the rendering.
-func TestReportWriteTable(t *testing.T) {
-	base := archiveOf(bench("BenchmarkA", 1000))
-	cur := archiveOf(bench("BenchmarkA", 2000), bench("BenchmarkNew", 5))
-	rep := Compare(base, cur, Options{DefaultThreshold: 0.25,
-		Ratios: []RatioGate{{Name: "self", Num: "BenchmarkA", Den: "BenchmarkA"}}})
-	var sb strings.Builder
-	rep.WriteTable(&sb)
-	out := sb.String()
-	for _, want := range []string{"REGRESSION", "+100.0%", "BenchmarkNew", "ratio gates"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestArchiveRoundTrip: write → read → validate, filename includes
-// time and commit.
-func TestArchiveRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	a := archiveOf(bench("BenchmarkA", 1000))
-	ts := time.Date(2026, 8, 9, 14, 30, 5, 0, time.UTC)
-	name := ArchiveFilename(ts, "deadbeefcafe0123")
-	if name != "BENCH_20260809T143005Z_deadbeefcafe.json" {
-		t.Fatalf("filename %q", name)
-	}
-	// Two runs the same day (even the same commit) must not collide.
-	if ArchiveFilename(ts.Add(time.Second), "deadbeefcafe0123") == name {
-		t.Fatal("filenames collide across runs")
-	}
-	path := dir + "/" + name
-	if err := a.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadArchive(path)
+// TestCheckE2EResultFiles: the checked-in trajectory parses under the
+// checked-in contract and yields every BENCHMARK.json workload ×
+// end_to_end metric plus a failed-share row per workload. Presence
+// only, no verdict: run-to-run noise between two result sets is the
+// pipeline's business.
+func TestCheckE2EResultFiles(t *testing.T) {
+	const root = "../../../"
+	rep, err := CheckE2E(root+"BENCHMARK.json", root+"bench/e2e/results/seed1-run1.json", root+"bench/e2e/results/seed1-run2.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Benchmarks) != 1 || back.Benchmarks[0].Name != "BenchmarkA" {
-		t.Fatalf("round trip: %+v", back.Benchmarks)
+	var contract struct {
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
 	}
-}
-
-// TestArchiveValidate rejects malformed archives.
-func TestArchiveValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		mut  func(*Archive)
-	}{
-		{"wrong schema", func(a *Archive) { a.Schema = 99 }},
-		{"no fingerprint", func(a *Archive) { a.Env.GoVersion = "" }},
-		{"bad procs", func(a *Archive) { a.Env.GOMAXPROCS = 0 }},
-		{"no benchmarks", func(a *Archive) { a.Benchmarks = nil }},
-		{"empty name", func(a *Archive) { a.Benchmarks[0].Name = "" }},
-		{"zero iters", func(a *Archive) { a.Benchmarks[0].Iters = 0 }},
-		{"no metrics", func(a *Archive) { a.Benchmarks[0].Metrics = nil }},
+	if err := readJSON(root+"BENCHMARK.json", &contract); err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		a := archiveOf(bench("BenchmarkA", 1000))
-		c.mut(a)
-		if err := a.Validate(); err == nil {
-			t.Errorf("%s: validated", c.name)
+	if len(contract.Workloads) != 5 || len(contract.EndToEnd) != 6 {
+		t.Fatalf("contract has %d workloads × %d metrics, want 5 × 6", len(contract.Workloads), len(contract.EndToEnd))
+	}
+	rows := make(map[string]Row, len(rep.Rows))
+	for _, row := range rep.Rows {
+		rows[row.Name] = row
+	}
+	for _, w := range contract.Workloads {
+		for _, m := range append(contract.EndToEnd, struct{ Name string }{"failed_share"}) {
+			row, ok := rows[w.Name+" "+m.Name]
+			if !ok || strings.Contains(row.Fail, "missing") || row.Cells[0] == "-" {
+				t.Errorf("%s %s: row %+v (present %v)", w.Name, m.Name, row, ok)
+			}
 		}
 	}
-	if err := archiveOf(bench("BenchmarkA", 1000)).Validate(); err != nil {
-		t.Errorf("valid archive rejected: %v", err)
-	}
-}
-
-// TestAbsGates: absolute caps gate on the current run alone, so a cap
-// violation fails even when the baseline is equally bad.
-func TestAbsGates(t *testing.T) {
-	mem := func(name string, allocs float64) Benchmark {
-		return Benchmark{Name: name, Iters: 100, Metrics: map[string]float64{
-			"ns/op": 1000, "allocs/op": allocs,
-		}}
-	}
-	base := archiveOf(mem("BenchmarkA", 5000))
-	cur := archiveOf(mem("BenchmarkA", 5000))
-	gate := AbsGate{Name: "a-allocs", Bench: "BenchmarkA", Max: 1100}
-
-	rep := Compare(base, cur, Options{Abs: []AbsGate{gate}})
-	if !rep.Regressed() {
-		t.Fatal("5000 allocs/op under a 1100 cap must regress even with a matching baseline")
-	}
-	if len(rep.Abs) != 1 || rep.Abs[0].Status != StatusRegression || rep.Abs[0].Cur != 5000 {
-		t.Fatalf("abs results: %+v", rep.Abs)
-	}
-	if !strings.Contains(rep.Regressions()[0], "absolute cap") {
-		t.Fatalf("regression message: %v", rep.Regressions())
+	if want := 5 * 7; len(rep.Rows) != want {
+		t.Errorf("%d rows, want %d", len(rep.Rows), want)
 	}
 
-	rep = Compare(base, archiveOf(mem("BenchmarkA", 900)), Options{Abs: []AbsGate{gate}})
-	if rep.Regressed() {
-		t.Fatalf("900 allocs/op under a 1100 cap regressed: %v", rep.Regressions())
-	}
-	if rep.Abs[0].Status != StatusOK {
-		t.Fatalf("abs status: %+v", rep.Abs[0])
-	}
-
-	// A missing benchmark is informational, never a failure: caps on
-	// new benchmarks must be addable before the benchmark lands.
-	missing := AbsGate{Name: "nope", Bench: "BenchmarkMissing", Max: 1}
-	rep = Compare(base, cur, Options{Abs: []AbsGate{missing}})
-	if rep.Regressed() || rep.Abs[0].Status != StatusInfo {
-		t.Fatalf("missing benchmark: %+v", rep.Abs[0])
-	}
-
-	// Defaulted metric is allocs/op.
-	if rep.Abs[0].Gate.Metric != "allocs/op" {
-		t.Fatalf("defaulted metric: %q", rep.Abs[0].Gate.Metric)
+	// A traced file carries per-layer metrics only and is refused.
+	if _, err := CheckE2E(root+"BENCHMARK.json", root+"bench/e2e/results/seed1-run1-trace.json", root+"bench/e2e/results/seed1-run1.json"); err == nil {
+		t.Error("a traced result file was accepted")
 	}
 }

@@ -1,19 +1,18 @@
-// Package perf makes the repository's own speed an observed,
-// regression-gated signal. It has three halves:
+// Package perf makes the repository's own speed an observed, gated
+// signal. It has three parts:
 //
-//   - A benchmark harness: Parse reads `go test -bench` output
-//     (sub-benchmarks, -benchmem columns, custom b.ReportMetric units,
-//     scientific notation), Fingerprint stamps the run with its
-//     environment, and Archive serializes the result as schema-versioned
-//     JSON under bench/ so the perf trajectory accumulates across
-//     commits (docs/PERFORMANCE.md).
-//   - A comparison engine: Compare pairs two archives by benchmark
-//     name, aggregates repetitions (min or median), applies per-metric
-//     noise thresholds, and reports regressions — the engine behind
-//     `make bench-compare` and the CI perf gate. RatioGates additionally
-//     check intra-run benchmark ratios (e.g. the nil-recorder overhead
-//     of BenchmarkObsDisabled over BenchmarkSimulatorReplay), which
-//     stay meaningful across machines of different absolute speed.
+//   - The allocation gate behind `hareperf` and `make bench-gate`:
+//     Parse reads `go test -bench` output (sub-benchmarks, -benchmem
+//     columns, custom b.ReportMetric units, scientific notation) and
+//     Check holds the run to a table of absolute Caps — allocs/op and
+//     B/op, which are constants of a build, and intra-run ns/op ratios
+//     (e.g. the nil-recorder overhead of BenchmarkObsDisabled over
+//     BenchmarkSimulatorReplay), which stay meaningful across machines
+//     of different absolute speed. There is no baseline file: a cap
+//     moves only by editing the table (docs/PERFORMANCE.md).
+//   - The trajectory's comparer: timing lives in bench/e2e, whose
+//     result files Fingerprint stamps; CheckE2E pairs two of them
+//     under BENCHMARK.json's directions and bounds (`hareperf e2e`).
 //   - Runtime self-telemetry: PhaseRecorder times named phases
 //     (plan-solve, sim event loop) into an obs.Registry, and
 //     SampleRuntime mirrors runtime/metrics (GC, heap, goroutines)
@@ -35,19 +34,19 @@ import (
 )
 
 // Benchmark is one parsed result line of `go test -bench`. A run with
-// -count N yields N Benchmark values sharing a Name; Compare
-// aggregates them.
+// -count N yields N Benchmark values sharing a Name; Check folds them
+// by min.
 type Benchmark struct {
 	// Name is the canonical benchmark name: the printed name with the
 	// trailing GOMAXPROCS suffix stripped, sub-benchmark path intact
 	// (e.g. "BenchmarkReplay/jobs-60" from "BenchmarkReplay/jobs-60-8").
-	Name string `json:"name"`
+	Name string
 	// Iters is b.N for the measured run.
-	Iters int64 `json:"iters"`
+	Iters int64
 	// Metrics maps a unit to its value: "ns/op" always, "B/op" and
 	// "allocs/op" under -benchmem, plus any custom b.ReportMetric
 	// units (e.g. "hare/best-baseline").
-	Metrics map[string]float64 `json:"metrics"`
+	Metrics map[string]float64
 }
 
 // CanonicalName strips the GOMAXPROCS suffix the testing package
@@ -57,9 +56,8 @@ type Benchmark struct {
 // when GOMAXPROCS != 1 — so "BenchmarkX/case-2" printed under
 // GOMAXPROCS=1 is a sub-benchmark named "case-2", while the same text
 // under GOMAXPROCS=2 is sub-benchmark "case". The caller must
-// therefore supply the procs value of the run (recorded in the
-// archive's Env); a blanket strip-trailing-digits rule (the bug in the
-// old scripts/bench.sh awk) corrupts sub-benchmark names.
+// therefore supply the procs value of the run; a blanket
+// strip-trailing-digits rule corrupts sub-benchmark names.
 func CanonicalName(printed string, procs int) string {
 	if procs <= 1 {
 		return printed

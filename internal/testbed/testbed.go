@@ -24,7 +24,9 @@ type Options struct {
 	// is faster but coarser; clock jitter shows up as the small
 	// testbed-vs-simulator gap the paper reports.
 	TimeScale float64
-	// Scheme selects the task-switching model (default: Hare).
+	// Scheme selects the task-switching model. The zero value is
+	// switching.Default, the unoptimized baseline; Hare's fast switching
+	// is switching.Hare plus Speculative.
 	Scheme switching.Scheme
 	// Speculative enables the per-GPU speculative memory manager.
 	Speculative bool
@@ -37,17 +39,12 @@ type Options struct {
 	ProblemDim, ProblemBatch int
 	// Eta is the SGD learning rate (default 0.3).
 	Eta float64
-	// FaultRate injects task failures: each training attempt is lost
-	// (and retried from the checkpoint) with this probability.
-	FaultRate float64
-	// FaultSeed drives the fault stream.
-	FaultSeed int64
-	// Faults is the full failure plan (transient rate/seed, stragglers;
-	// see internal/faults). When set, its Rate/Seed override
-	// FaultRate/FaultSeed. Permanent GPU failures and crashes are not
-	// supported by the in-process testbed — replay those through the
-	// simulator or the distributed control plane (internal/rpcnet),
-	// which can actually lose an executor.
+	// Faults is the failure plan (see internal/faults): at its transient
+	// rate each training attempt is lost and retried from the
+	// checkpoint, and its stragglers run slow. Permanent GPU failures
+	// and crashes are not supported by the in-process testbed — replay
+	// those through the simulator or the distributed control plane
+	// (internal/rpcnet), which can actually lose an executor.
 	Faults *faults.Plan
 	// Recorder receives structured events from every executor
 	// goroutine (its sinks serialize concurrent emits); nil disables
@@ -66,15 +63,8 @@ func (o Options) withDefaults() (Options, error) {
 	if math.IsNaN(o.Eta) || math.IsInf(o.Eta, 0) {
 		return o, fmt.Errorf("testbed: invalid Eta %g", o.Eta)
 	}
-	if math.IsNaN(o.FaultRate) || o.FaultRate < 0 || o.FaultRate > 1 {
-		return o, fmt.Errorf("testbed: FaultRate %g outside [0, 1]", o.FaultRate)
-	}
 	if err := o.Faults.Validate(0); err != nil {
 		return o, fmt.Errorf("testbed: %w", err)
-	}
-	if o.Faults != nil && o.Faults.Rate > 0 {
-		o.FaultRate = o.Faults.Rate
-		o.FaultSeed = o.Faults.Seed
 	}
 	if o.TimeScale <= 0 {
 		o.TimeScale = 0.001
@@ -276,7 +266,7 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 			Instance: in, Models: models,
 			Scheme: opts.Scheme, Speculative: opts.Speculative, MemPolicy: opts.MemPolicy,
 			Clock: clock, Sync: base,
-			FaultRate: opts.FaultRate, FaultSeed: opts.FaultSeed,
+			FaultRate: opts.Faults.TransientRate(), FaultSeed: opts.Faults.TransientSeed(),
 			SlowFactor: opts.Faults.SlowdownOf(m),
 			Recorder:   opts.Recorder,
 		}, probs)

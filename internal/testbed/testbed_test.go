@@ -6,6 +6,7 @@ import (
 
 	"hare/internal/cluster"
 	"hare/internal/core"
+	"hare/internal/faults"
 	"hare/internal/model"
 	"hare/internal/profile"
 	"hare/internal/sched"
@@ -142,7 +143,7 @@ func TestFaultInjectionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	faulty, err := Run(in, plan, cl, models, Options{
-		TimeScale: 2e-4, FaultRate: 0.2, FaultSeed: 9,
+		TimeScale: 2e-4, Faults: &faults.Plan{Rate: 0.2, Seed: 9},
 	})
 	if err != nil {
 		t.Fatal(err)

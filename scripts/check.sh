@@ -1,59 +1,61 @@
 #!/bin/sh
-# Full pre-merge check: vet, build, race-enabled tests (with the
-# engine-equivalence suites called out explicitly), and the perf
-# regression gate: hareperf re-measures the gate benchmarks and
-# compares them — including the BenchmarkObsDisabled /
-# BenchmarkSimulatorReplay overhead ratio — against
-# bench/baseline.json, failing on regression (docs/PERFORMANCE.md).
+# The pre-merge checks, in the three stages the CI jobs call:
+#
+#   scripts/check.sh          # all three
+#   scripts/check.sh tests    # vet, harelint, build, go test -race ./..., stress + fuzz smokes
+#   scripts/check.sh chaos    # the harechaos seed matrix
+#   scripts/check.sh perf     # the hareperf cap gate
+#
+# This file is the one list: .github/workflows/ci.yml only calls these
+# stages. `go test -race ./...` already runs every equivalence, golden,
+# recovery and chaos-harness suite, so the stages add only what it does
+# not do: repetition, fuzzing, the seed matrix and the benchmarks.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> go vet ./..."
-go vet ./...
+tests() {
+	echo "==> go vet ./..."
+	go vet ./...
 
-echo "==> harelint ./... (determinism static analysis, docs/STATIC_ANALYSIS.md)"
-go run ./cmd/harelint ./...
+	echo "==> harelint ./... (determinism static analysis, docs/STATIC_ANALYSIS.md)"
+	go run ./cmd/harelint ./...
 
-echo "==> go build ./..."
-go build ./...
+	echo "==> go build ./..."
+	go build ./...
 
-echo "==> engine equivalence under -race (sim incremental-vs-reference, sharded-vs-serial, experiments parallel-vs-serial)"
-go test -race -run 'TestRunMatchesReference|TestRunGolden' ./internal/sim/
-go test -race -run 'TestSharded|TestSimulatorReuse|TestRunShardedHandles' ./internal/sim/
-go test -race -run 'TestParallelMatchesSerial' ./internal/experiments/
+	echo "==> go test -race ./..."
+	go test -race ./...
 
-echo "==> planner equivalence under -race (OnlineHare and Fluid vs their _test.go reference implementations, seed-42 placement goldens, 10 s fuzz smoke)"
-go test -race -run 'TestOnlineMatchesReference|TestFluidMatchesReference|TestGoldenSeed42Placements' ./internal/sched/...
-go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
+	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
+	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 
-echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
-go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
+	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function)"
+	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
+	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
+}
 
-echo "==> span-tree and attribution equivalence under -race (seed-42 goldens, sim/testbed/distributed 1e-9)"
-go test -race ./internal/obs/span/ ./internal/obs/critpath/
+chaos() {
+	echo "==> harechaos seed matrix (docs/ROBUSTNESS.md)"
+	go run ./cmd/harechaos -seeds 20 -start 1
+}
 
-echo "==> fault-injection and chaos suites under -race (sim failures, distributed crash/lease recovery)"
-go test -race -run 'TestSim(TransientFaults|Straggler|Failure|AllGPUs|RetriesMatch)|TestReference' ./internal/sim/
-go test -race -run 'TestResidual' ./internal/faults/
-go test -race -run 'TestDistributed|TestReportValidation' ./internal/rpcnet/
-go test -race -run 'TestFaultSweep' ./internal/experiments/
+perf() {
+	echo "==> perf gate (hareperf: absolute allocation caps + intra-run ratio caps, docs/PERFORMANCE.md)"
+	make bench-gate
+}
 
-echo "==> coordinator crash-safety under -race (WAL recovery, epoch fencing, lease edges, soak harness)"
-go test -race -run 'TestKillRecoverMidBatch|TestFencingSurvivesRecovery|TestLeaseBoundary|TestDuplicateFailureReportsFenceOnce|TestJournalLSNGuard|TestExecutorGoroutineHygiene' ./internal/rpcnet/
-go test -race ./internal/chaos/
-
-echo "==> one transition function under -race (replay == live at every prefix, replay validates what live validates, 10 s coordinator fuzz smoke)"
-go test -race -run 'TestReplayMatchesLive|TestRecoverRejectsOutOfRangeRecords' ./internal/rpcnet/
-go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
-
-echo "==> harechaos seed matrix (docs/ROBUSTNESS.md; same matrix as the CI chaos job)"
-go run ./cmd/harechaos -seeds 20 -start 1
-
-echo "==> go test -race ./..."
-go test -race ./...
-
-echo "==> perf regression gate (hareperf vs bench/baseline.json, docs/PERFORMANCE.md)"
-make bench-compare
+case "${1:-all}" in
+tests | chaos | perf) "$1" ;;
+all)
+	tests
+	chaos
+	perf
+	;;
+*)
+	echo "usage: $0 [tests|chaos|perf]" >&2
+	exit 2
+	;;
+esac
 
 echo "OK"
