@@ -18,6 +18,7 @@ import (
 	"hare/internal/gpumem"
 	"hare/internal/manager"
 	"hare/internal/obs"
+	"hare/internal/rpcnet"
 	"hare/internal/sched"
 	"hare/internal/sched/relax"
 	"hare/internal/sim"
@@ -693,6 +694,47 @@ func BenchmarkManagerBatch(b *testing.B) {
 		}
 	}
 }
+
+// benchManagerBatch times the batches a Manager over the distributed
+// backend, wired as hared wires it (memory journal), executes after
+// warm untimed ones — every op the first batch of a new Manager when
+// warm is 0. At TimeScale 1e-6 the 8-task batch is all control plane
+// (~2.5 ms: listener, four executors, two RPCs per task), and a batch's
+// realized makespan is its wall time, so a Manager whose batch cost
+// grows with its uptime shows: a cumulative arrival on a backend clock
+// that restarts at 0 made batch k sleep through the k before it, and the
+// 15th cost ~15× the first. hareperf caps Reused ÷ Fresh
+// (docs/PERFORMANCE.md "Reused daemon").
+func benchManagerBatch(b *testing.B, warm int) {
+	cl := cluster.New([]cluster.Spec{
+		{Type: cluster.V100, Count: 2}, {Type: cluster.K80, Count: 2},
+	}, 4)
+	var m *manager.Manager
+	for i := -warm; i < b.N; i++ {
+		if m == nil || warm == 0 {
+			m = manager.New(cl, manager.Options{
+				Backend: &manager.DistributedBackend{TimeScale: 1e-6, Journal: rpcnet.NewMemJournal()},
+			})
+		}
+		for _, name := range []string{"VGG19", "ResNet50"} {
+			if _, err := m.Submit(manager.JobRequest{Model: name, Rounds: 2, Scale: 2, Weight: 1}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i == 0 {
+			b.ResetTimer()
+		}
+		if _, err := m.ExecuteBatch(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkManagerBatchFresh(b *testing.B) { benchManagerBatch(b, 0) }
+
+// BenchmarkManagerBatchReused: the ops are batches 15, 16, … of one
+// long-lived Manager, the shape of a harectl session against hared.
+func BenchmarkManagerBatchReused(b *testing.B) { benchManagerBatch(b, 14) }
 
 func BenchmarkGPUMemManager(b *testing.B) {
 	zoo := ModelZoo()

@@ -12,6 +12,22 @@
 // a deployment can run it as a continuously cycling service (see
 // cmd/hared). Execution is pluggable: the in-process testbed by
 // default, or the pure simulator for capacity planning.
+//
+// Clock contract. The Manager keeps one cumulative clock, the
+// fleet-busy-until watermark: a batch cut at watermark base cannot
+// start before base, and its makespan becomes the next watermark.
+// Every batch nevertheless *executes* on its own clock starting at 0 —
+// the wall-clock backends restart theirs per batch, so a cumulative
+// arrival would make batch k sleep through the makespans of batches
+// 0..k-1. The instance handed to the Algorithm and the Backend
+// therefore carries arrivals relative to base, and base is added back
+// to everything the Manager publishes on its own clock:
+// JobStatus.Completion, BatchResult.Makespan and WeightedJCT, the
+// hare_manager_horizon_seconds gauge and job.complete event times.
+// What a backend produces stays batch-local: BatchResult.Trace, the
+// backend's events, GPUStats and the Attribution replay — and fault-plan
+// times (SimBackend.Faults and friends) address the batch's clock on
+// every batch, as they always did on the first.
 package manager
 
 import (
@@ -90,7 +106,8 @@ type JobStatus struct {
 	State JobState
 	// SubmittedAt is the manager-clock submission time (seconds).
 	SubmittedAt float64
-	// Completion is the realized completion time (valid when DONE).
+	// Completion is the realized completion time on the manager clock
+	// (valid when DONE).
 	Completion float64
 	// Error is set when FAILED.
 	Error string
@@ -99,7 +116,7 @@ type JobStatus struct {
 // Backend executes a planned batch.
 type Backend interface {
 	// Execute runs the schedule and returns per-job completions and
-	// the execution trace.
+	// the execution trace, both on the instance's (batch-local) clock.
 	Execute(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model) ([]float64, *trace.Trace, error)
 }
 
@@ -339,7 +356,9 @@ func (m *Manager) Statuses() []JobStatus {
 	return out
 }
 
-// BatchResult summarizes one executed batch.
+// BatchResult summarizes one executed batch. WeightedJCT and Makespan
+// are on the Manager's cumulative clock, Trace on the batch's own (see
+// the package comment).
 type BatchResult struct {
 	Batch       int
 	Jobs        int
@@ -381,22 +400,19 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 		return nil, err
 	}
 
-	// Build the batch instance. Arrivals are the submission times,
-	// floored at the fleet watermark (the fleet is busy until then).
+	// Build the batch instance on the batch's own clock (see the
+	// package comment): arrivals are the submission times floored at the
+	// fleet watermark — the fleet is busy until then — relative to it.
 	jobs := make([]*core.Job, len(batch))
 	specs := make([]profile.JobSpec, len(batch))
 	models := make([]*model.Model, len(batch))
 	for i, pj := range batch {
-		arrival := pj.at
-		if arrival < base {
-			arrival = base
-		}
 		jobs[i] = &core.Job{
 			ID:      core.JobID(i),
 			Name:    fmt.Sprintf("job-%d(%s)", pj.id, pj.req.Model),
 			Model:   pj.req.Model,
 			Weight:  pj.req.Weight,
-			Arrival: arrival,
+			Arrival: max(pj.at, base) - base,
 			Rounds:  pj.req.Rounds,
 			Scale:   pj.req.Scale,
 		}
@@ -447,19 +463,21 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 		idx[pj.id] = i
 	}
 
+	// Back onto the Manager's clock: everything published from here on
+	// is the backend's batch-local completion plus the batch's base.
+	done := make([]float64, len(batch))
+	for i := range batch {
+		done[i] = base + completions[i]
+	}
 	m.mu.Lock()
 	for i, pj := range batch {
 		st := m.status[pj.id]
 		st.State = StateDone
-		st.Completion = completions[i]
-		res.WeightedJCT += jobs[i].Weight * completions[i]
-		if completions[i] > res.Makespan {
-			res.Makespan = completions[i]
-		}
+		st.Completion = done[i]
+		res.WeightedJCT += jobs[i].Weight * done[i]
+		res.Makespan = max(res.Makespan, done[i])
 	}
-	if res.Makespan > m.horizon {
-		m.horizon = res.Makespan
-	}
+	m.horizon = max(m.horizon, res.Makespan)
 	m.gpuStats = stats
 	m.lastAttrib = attrib
 	m.attribIdx = idx
@@ -470,7 +488,7 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 	if m.rec.Enabled() {
 		for i, pj := range batch {
 			m.rec.Emit(obs.Event{
-				Type: obs.EvJobComplete, Time: completions[i], GPU: -1,
+				Type: obs.EvJobComplete, Time: done[i], GPU: -1,
 				Job: pj.id, Round: batchNo, Note: pj.req.Model,
 			})
 		}

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -365,5 +366,103 @@ func TestBatchPhaseTelemetry(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// recordingBackend keeps every instance it is handed and "runs" job i
+// of a batch for 10·(i+1) seconds of the batch's own clock, whatever
+// the arrivals say — the way a wall-clock backend restarts at zero.
+type recordingBackend struct{ instances []*core.Instance }
+
+func (b *recordingBackend) Execute(in *core.Instance, _ *core.Schedule, _ *cluster.Cluster, _ []*model.Model) ([]float64, *trace.Trace, error) {
+	b.instances = append(b.instances, in)
+	done := make([]float64, len(in.Jobs))
+	for i := range done {
+		done[i] = 10 * float64(i+1)
+	}
+	return done, &trace.Trace{}, nil
+}
+
+// TestBatchRunsOnItsOwnClock: a backend sees every batch start at zero;
+// the Manager adds the batch's base back to what it publishes.
+func TestBatchRunsOnItsOwnClock(t *testing.T) {
+	back := &recordingBackend{}
+	m := testManager(back)
+	if _, err := m.Submit(req("VGG19", 4, 2)); err != nil {
+		t.Fatal(err)
+	}
+	first, err := m.ExecuteBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	for _, name := range []string{"FastGCN", "ResNet50"} {
+		id, err := m.Submit(req(name, 2, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	second, err := m.ExecuteBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range back.instances[1].Jobs {
+		if j.Arrival != 0 {
+			t.Errorf("batch 2 hands its backend %s arriving at %g, want 0", j.Name, j.Arrival)
+		}
+	}
+	if first.Makespan != 10 || second.Makespan != first.Makespan+20 {
+		t.Errorf("makespans %g then %g, want 10 then base 10 + the backend's local 20", first.Makespan, second.Makespan)
+	}
+	if want := (first.Makespan + 10) + (first.Makespan + 20); second.WeightedJCT != want {
+		t.Errorf("batch 2 weighted JCT %g, want %g on the manager clock", second.WeightedJCT, want)
+	}
+	for i, id := range ids {
+		st, _ := m.Status(id)
+		if want := first.Makespan + 10*float64(i+1); st.Completion != want {
+			t.Errorf("job %d completed at %g, want %g (not before batch 1's makespan %g)", id, st.Completion, want, first.Makespan)
+		}
+	}
+}
+
+// TestReusedManagerDoesNotIdle: on every real backend the third batch
+// of a Manager starts working right away instead of first sleeping
+// through the batches before it. Batch 1 is long enough (~130 simulated
+// seconds, ~130 ms of wall time on the wall-clock backends) that their
+// start-up latency is a hundredth of it.
+func TestReusedManagerDoesNotIdle(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		back Backend
+	}{
+		{"sim", &SimBackend{}},
+		{"testbed", &TestbedBackend{TimeScale: 1e-3}},
+		{"dist", &DistributedBackend{TimeScale: 1e-3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := testManager(tc.back)
+			var first, third *BatchResult
+			for _, rounds := range []int{32, 1, 1} {
+				if _, err := m.Submit(req("VGG19", rounds, 2)); err != nil {
+					t.Fatal(err)
+				}
+				res, err := m.ExecuteBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = res
+				}
+				third = res
+			}
+			earliest := math.Inf(1)
+			for _, r := range third.Trace.Records {
+				earliest = min(earliest, r.Start)
+			}
+			if earliest >= first.Makespan {
+				t.Errorf("batch 3's first task starts at %g on its own clock: it idled through batch 1 (makespan %g)", earliest, first.Makespan)
+			}
+		})
 	}
 }

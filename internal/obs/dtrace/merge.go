@@ -32,14 +32,13 @@ type pairKey struct {
 }
 
 // blockingMethod reports whether an RPC method is unusable for clock
-// offset estimation: Next and WaitRound because their server handling
-// blocks (the duration is dominated by waiting, not the wire), and
-// Config because the client hasn't handshaken the shared clock yet —
-// its client-side timestamps sit at sim time 0 and would poison the
-// median.
+// offset estimation: Next because its server handling blocks (the
+// duration is dominated by waiting, not the wire), and Config because
+// the client hasn't handshaken the shared clock yet — its client-side
+// timestamps sit at sim time 0 and would poison the median.
 func blockingMethod(note string) bool {
 	m := strings.TrimSuffix(note, "!")
-	return m == "Next" || m == "WaitRound" || m == "Config"
+	return m == "Next" || m == "Config"
 }
 
 // Merge aligns and merges per-process streams into one timeline on the

@@ -134,10 +134,19 @@ type NextArgs struct {
 }
 
 // NextReply carries one dispatched task, or Done when the run has no
-// work left.
+// work left. The dispatch brings along what the task needs from the
+// control plane, so running it costs no further round trip before the
+// push: RoundEnd is the realized end of the task's previous round (0
+// for a round-0 task) and Params the job's current parameters. A round-r
+// task is only dispatched once round r-1 has fully pushed, and round r
+// cannot complete without this task's push, so both hold from dispatch
+// until the push — across fault retries, re-handshakes and recoveries,
+// which re-dispatch from the restored state.
 type NextReply struct {
-	Task core.TaskRef
-	Done bool
+	Task     core.TaskRef
+	Done     bool
+	RoundEnd float64
+	Params   []float64
 }
 
 // HeartbeatArgs renews a GPU's lease. Call is the trace-context call
@@ -252,7 +261,7 @@ type coordinator struct {
 	// (nil when both recorder and metrics are off) plus the lease/WAL
 	// counter families and the per-GPU gauges behind `harectl top`.
 	obsConfig, obsHeartbeat, obsNext, obsPush *obs.RPCMethod
-	obsWait, obsCkpt, obsReport               *obs.RPCMethod
+	obsReport                                 *obs.RPCMethod
 	cLeaseRenews, cLeaseExpiries, cWALAppends *obs.Counter
 	hLeaseAge                                 *obs.Histogram
 	gQueue, gInflight, gFenced, gLeaseAge     []*obs.Gauge
@@ -315,8 +324,6 @@ func newCoordinator(in *core.Instance, st *coordState, gpuTypes, modelNames []st
 	co.obsHeartbeat = rpcObs.Method("Heartbeat")
 	co.obsNext = rpcObs.Method("Next")
 	co.obsPush = rpcObs.Method("Push")
-	co.obsWait = rpcObs.Method("WaitRound")
-	co.obsCkpt = rpcObs.Method("LoadCheckpoint")
 	co.obsReport = rpcObs.Method("Report")
 	co.cLeaseRenews = opts.Metrics.Counter("hare_lease_renewals_total")
 	co.cLeaseExpiries = opts.Metrics.Counter("hare_lease_expiries_total")
@@ -418,15 +425,6 @@ func (c *coordinator) checkEpochLocked(e uint64) error {
 	return nil
 }
 
-// checkEpoch is checkEpochLocked for handlers that otherwise never
-// take c.mu (the barrier and checkpoint reads go to the parameter
-// servers and the store).
-func (c *coordinator) checkEpoch(e uint64) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.checkEpochLocked(e)
-}
-
 // Config hands an executor its full configuration. It doubles as the
 // re-handshake after a coordinator recovery or an executor reconnect:
 // the GPU's unfinished in-flight task (if any) is re-queued at the
@@ -518,14 +516,14 @@ func (c *coordinator) heartbeat(args HeartbeatArgs) error {
 }
 
 // Next blocks until the GPU has an eligible task, the run is out of
-// work, or the GPU is fenced. The time barrier (waiting until the
-// previous round's realized end) stays executor-side via WaitRound;
-// eligibility only prevents an executor from committing to a task
-// whose dependencies could later be queued behind it. Dispatch is
-// at-most-once: a duplicate of the previous sequence number replays
-// the cached reply, anything else out of window is rejected, and a
-// handler superseded by a newer handshake aborts instead of
-// dispatching into a dead connection.
+// work, or the GPU is fenced. The time barrier stays executor-side: the
+// reply carries the previous round's realized end and the executor
+// sleeps to it on the shared clock; eligibility only prevents an
+// executor from committing to a task whose dependencies could later be
+// queued behind it. Dispatch is at-most-once: a duplicate of the
+// previous sequence number replays the cached reply, anything else out
+// of window is rejected, and a handler superseded by a newer handshake
+// aborts instead of dispatching into a dead connection.
 func (c *coordinator) Next(args NextArgs, reply *NextReply) error {
 	return c.observe(c.obsNext, args.GPU, args.Call, &args.Epoch, func() error { return c.next(args, reply) })
 }
@@ -565,7 +563,11 @@ func (c *coordinator) next(args NextArgs, reply *NextReply) error {
 			return nil
 		}
 		if i := c.st.eligible(g); i >= 0 {
-			reply.Task = c.st.dispatch(g, i)
+			t := c.st.dispatch(g, i)
+			*reply = NextReply{Task: t, Params: c.pss[t.Job].Params()}
+			if t.Round > 0 {
+				reply.RoundEnd = c.st.Jobs[t.Job].RoundEnds[t.Round-1]
+			}
 			c.lastNext[g] = *reply
 			c.nextSeq[g]++
 			return nil
@@ -684,30 +686,6 @@ func (c *coordinator) emitTaskLocked(rep *testbed.PushReport, comp, prevFree flo
 		Dur: comp - rep.Start, Train: rep.TrainEnd - rep.Start, Sync: comp - rep.TrainEnd,
 		Note: c.in.Jobs[job].Model,
 	})
-}
-
-// WaitRound blocks until the round completes.
-func (c *coordinator) WaitRound(args WaitArgs, reply *WaitReply) error {
-	return c.observe(c.obsWait, args.GPU, args.Call, &args.Epoch, func() error { return c.waitRound(args, reply) })
-}
-
-func (c *coordinator) waitRound(args WaitArgs, reply *WaitReply) (err error) {
-	if err = c.checkEpoch(args.Epoch); err == nil {
-		reply.End, err = c.st.ps.WaitRound(args.Job, args.Round)
-	}
-	return err
-}
-
-// LoadCheckpoint returns a job's latest parameters.
-func (c *coordinator) LoadCheckpoint(args CkptArgs, reply *CkptReply) error {
-	return c.observe(c.obsCkpt, args.GPU, args.Call, &args.Epoch, func() error { return c.loadCheckpoint(args, reply) })
-}
-
-func (c *coordinator) loadCheckpoint(args CkptArgs, reply *CkptReply) (err error) {
-	if err = c.checkEpoch(args.Epoch); err == nil {
-		reply.Params, err = c.st.ps.LoadCheckpoint(args.Job)
-	}
-	return err
 }
 
 // Report closes an executor out. Out-of-range GPU indices are rejected

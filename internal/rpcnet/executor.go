@@ -87,7 +87,7 @@ func newExecObs(rec *obs.Recorder, reg *obs.Registry, gpu int) *execObs {
 		calls:      new(atomic.Uint64),
 		reconnects: reg.Counter(fmt.Sprintf(`hare_exec_reconnects_total{gpu="%d"}`, gpu)),
 	}
-	for _, name := range []string{"Config", "Heartbeat", "Next", "Push", "WaitRound", "LoadCheckpoint", "Report"} {
+	for _, name := range []string{"Config", "Heartbeat", "Next", "Push", "Report"} {
 		e.methods[DistributedName+"."+name] = o.Method(name)
 	}
 	return e
@@ -235,6 +235,9 @@ type execSession struct {
 	gpu   int
 	epoch uint64
 	seq   uint64
+	// held is the dispatch being run: execClient answers the task's
+	// barrier and checkpoint reads from it. Pull-loop goroutine only.
+	held  NextReply
 	chaos *netChaos
 	obs   *execObs
 	clock *testbed.Clock // nil until the Config handshake succeeds
@@ -306,9 +309,11 @@ func (s *execSession) callRetry(method string, args, reply any, retries int) err
 }
 
 // execClient adapts the session to testbed.SyncClient — the one
-// adapter between an executor and the control plane. Every call is
-// duplicate-safe on the coordinator, so the retry wrapper applies to
-// all of them.
+// adapter between an executor and the control plane. Push is the only
+// call that goes on the wire (duplicate-safe on the coordinator, so the
+// retry wrapper applies); the barrier and the checkpoint came with the
+// dispatch the session holds, and asking for any other job's or round's
+// is a bug no re-handshake fixes.
 type execClient struct{ s *execSession }
 
 func (c execClient) Push(rep testbed.PushReport) (float64, error) {
@@ -320,19 +325,17 @@ func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 }
 
 func (c execClient) WaitRound(job core.JobID, round int) (float64, error) {
-	var reply WaitReply
-	if err := c.s.call(DistributedName+".WaitRound", &WaitArgs{Job: job, Round: round, Epoch: c.s.epoch, GPU: c.s.gpu}, &reply, callRetries); err != nil {
-		return 0, err
+	if t := c.s.held.Task; t.Job != job || t.Round != round+1 {
+		return 0, permanentError{fmt.Errorf("rpcnet: executor %d holds %v, not the barrier of job %d round %d", c.s.gpu, t, job, round)}
 	}
-	return reply.End, nil
+	return c.s.held.RoundEnd, nil
 }
 
 func (c execClient) LoadCheckpoint(job core.JobID) ([]float64, error) {
-	var reply CkptReply
-	if err := c.s.call(DistributedName+".LoadCheckpoint", &CkptArgs{Job: job, Epoch: c.s.epoch, GPU: c.s.gpu}, &reply, callRetries); err != nil {
-		return nil, err
+	if t := c.s.held.Task; t.Job != job {
+		return nil, permanentError{fmt.Errorf("rpcnet: executor %d holds %v, not a checkpoint of job %d", c.s.gpu, t, job)}
 	}
-	return reply.Params, nil
+	return c.s.held.Params, nil
 }
 
 // runExecutorSession runs one conversation with the coordinator.
@@ -426,15 +429,14 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	}
 
 	for {
-		var next NextReply
-		if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Seq: s.seq, Epoch: s.epoch}, &next, callRetries); err != nil {
+		if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Seq: s.seq, Epoch: s.epoch}, &s.held, callRetries); err != nil {
 			return true, err
 		}
 		s.seq++
-		if next.Done {
+		if s.held.Done {
 			break
 		}
-		if err := exec.RunTask(next.Task); err != nil {
+		if err := exec.RunTask(s.held.Task); err != nil {
 			if errors.Is(err, errCrashed) {
 				return true, errCrashed
 			}

@@ -5,6 +5,15 @@
 // parameter servers and every task queue, and executors
 // (RunExecutorOpts) dial in, handshake, and pull, run and push one
 // task at a time over a real TCP connection.
+//
+// The protocol has five methods. Config is the handshake (and the
+// re-handshake after a torn connection or a coordinator recovery),
+// Heartbeat renews the GPU's lease, Report closes an executor out, and
+// a task costs two round trips: Next, whose reply carries the task
+// together with the previous round's realized end and the job's current
+// parameters — so neither the barrier nor the checkpoint is a call of
+// its own — and Push, which delivers the gradient and the task's
+// measured timings.
 package rpcnet
 
 import (
@@ -14,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"hare/internal/core"
 	"hare/internal/faults"
 	"hare/internal/stats"
 	"hare/internal/testbed"
@@ -73,35 +81,6 @@ type PushArgs struct {
 
 // PushReply returns the task's realized completion time.
 type PushReply struct{ Completion float64 }
-
-// WaitArgs asks for a round barrier.
-type WaitArgs struct {
-	Job   core.JobID
-	Round int
-	Epoch uint64
-	// GPU identifies the calling executor. Call ids are per-process, so
-	// without it the coordinator's rpc.server events from different
-	// executors would collide on (call, epoch) in cross-process merges.
-	GPU int
-	// Call is the trace-context call id (see PushArgs).
-	Call uint64
-}
-
-// WaitReply returns the round's realized completion time.
-type WaitReply struct{ End float64 }
-
-// CkptArgs requests a job's latest checkpoint.
-type CkptArgs struct {
-	Job   core.JobID
-	Epoch uint64
-	// GPU identifies the calling executor (see WaitArgs).
-	GPU int
-	// Call is the trace-context call id (see PushArgs).
-	Call uint64
-}
-
-// CkptReply carries the checkpoint parameters.
-type CkptReply struct{ Params []float64 }
 
 // Server hosts the coordinator's RPC endpoint on a TCP listener and
 // tracks open connections so Kill can sever them, simulating a

@@ -2,6 +2,9 @@ package rpcnet
 
 import (
 	"math"
+	"net/rpc"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -9,17 +12,34 @@ import (
 	"hare/internal/core"
 	"hare/internal/model"
 	"hare/internal/sched"
+	"hare/internal/store"
 	"hare/internal/testbed"
 	"hare/internal/workload"
 )
 
-// TestConcurrentBlockingCalls: WaitRound blocks server-side until the
-// round's last gradient lands, and net/rpc runs each call in its own
-// goroutine — so a blocked barrier must not stall the Heartbeat and
-// Push calls that share its connection (the executor's heartbeat
-// goroutine and pull loop do exactly that).
+// TestConcurrentBlockingCalls: Next blocks server-side while the GPU's
+// queue holds nothing eligible, and net/rpc runs each call in its own
+// goroutine — so a blocked Next must not stall the Heartbeat and Push
+// calls that share its connection (the executor's heartbeat goroutine
+// does exactly that). GPU 1's queue is all later rounds of the one job,
+// so its first Next waits for round 0 to fully push and then carries
+// that round's realized end.
 func TestConcurrentBlockingCalls(t *testing.T) {
-	in, plan, cl, models := chaosWorkload(t, 2, 5)
+	in, _, cl, models := chaosWorkload(t, 1, 5)
+	job := in.Jobs[0]
+	if job.Rounds < 2 {
+		t.Fatalf("workload job has %d rounds; the test needs a round barrier", job.Rounds)
+	}
+	// Round 0 on GPU 0, every later round on GPU 1, strictly one after
+	// the other.
+	plan, at := core.NewSchedule(), job.Arrival
+	for r := 0; r < job.Rounds; r++ {
+		for i := 0; i < job.Scale; i++ {
+			g := min(r, 1)
+			plan.Place(core.TaskRef{Job: 0, Round: r, Index: i}, g, at)
+			at += in.Train[0][g] + in.Sync[0][g]
+		}
+	}
 	srv, addr, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{
 		TimeScale:    1e-3,
 		LeaseTimeout: time.Hour, // no executors run; the monitor must not interfere
@@ -34,33 +54,211 @@ func TestConcurrentBlockingCalls(t *testing.T) {
 	}
 	defer conn.Close()
 
-	var end WaitReply
-	barrier := conn.Go(DistributedName+".WaitRound", WaitArgs{Job: 0, Round: 0, Epoch: 1}, &end, nil)
-	if err := conn.Call(DistributedName+".Heartbeat", HeartbeatArgs{GPU: 0, Epoch: 1}, &struct{}{}); err != nil {
-		t.Fatalf("heartbeat behind a blocked WaitRound: %v", err)
+	var next NextReply
+	blocked := conn.Go(DistributedName+".Next", NextArgs{GPU: 1, Seq: 0, Epoch: 1}, &next, nil)
+	if err := conn.Call(DistributedName+".Heartbeat", HeartbeatArgs{GPU: 1, Epoch: 1}, &struct{}{}); err != nil {
+		t.Fatalf("heartbeat behind a blocked Next: %v", err)
 	}
 	var last float64
-	for i := 0; i < in.Jobs[0].Scale; i++ {
+	for i := 0; i < job.Scale; i++ {
 		select {
-		case <-barrier.Done:
-			t.Fatalf("WaitRound returned after %d of %d pushes: %v", i, in.Jobs[0].Scale, barrier.Error)
+		case <-blocked.Done:
+			t.Fatalf("Next returned after %d of %d pushes: %+v, %v", i, job.Scale, next, blocked.Error)
 		default:
 		}
 		var reply PushReply
 		if err := conn.Call(DistributedName+".Push", PushArgs{Epoch: 1, Report: testbed.PushReport{
 			Task: core.TaskRef{Job: 0, Round: 0, Index: i}, GPU: 0, TrainEnd: 1, Grad: make([]float64, 32),
 		}}, &reply); err != nil {
-			t.Fatalf("push %d behind a blocked WaitRound: %v", i, err)
+			t.Fatalf("push %d behind a blocked Next: %v", i, err)
 		}
 		last = max(last, reply.Completion)
 	}
 	select {
-	case <-barrier.Done:
+	case <-blocked.Done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("WaitRound still blocked after the round's last push")
+		t.Fatal("Next still blocked after the round's last push")
 	}
-	if barrier.Error != nil || end.End != last {
-		t.Errorf("WaitRound = %g, %v; want the round's realized end %g", end.End, barrier.Error, last)
+	if want := (core.TaskRef{Job: 0, Round: 1, Index: 0}); blocked.Error != nil || next.Task != want || next.RoundEnd != last {
+		t.Errorf("Next = %+v, %v; want %v with the round's realized end %g", next, blocked.Error, want, last)
+	}
+}
+
+// scriptedFleet plays every executor of a batch over one connection,
+// one task at a time, so a test sees each dispatch next to the
+// coordinator state it was cut from. Gradients are the real ones,
+// computed from the parameters the dispatch carried: a wrong payload
+// shows in the final checkpoints.
+type scriptedFleet struct {
+	t     *testing.T
+	in    *core.Instance
+	ckpt  store.Store
+	probs []*testbed.Problem
+	srv   *Server
+	conn  *rpc.Client
+	epoch uint64
+	seq   []uint64
+}
+
+// attach points the fleet at a (fresh or recovered) coordinator and
+// handshakes every GPU, as reconnecting executors would.
+func (f *scriptedFleet) attach(srv *Server, addr string) {
+	f.t.Helper()
+	conn, err := dialRPCSeeded(addr, 0)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	f.t.Cleanup(func() { conn.Close() })
+	f.srv, f.conn, f.seq = srv, conn, make([]uint64, f.in.NumGPUs)
+	for g := range f.seq {
+		var cfg ExecutorConfigReply
+		if err := conn.Call(DistributedName+".Config", ExecutorConfigArgs{GPU: g}, &cfg); err != nil {
+			f.t.Fatal(err)
+		}
+		f.epoch = cfg.CoordEpoch
+	}
+}
+
+// eligible reports whether GPU g's Next would return at once.
+func (f *scriptedFleet) eligible(g int) bool {
+	co := f.srv.co
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.st.TasksLeft > 0 && co.st.eligible(g) >= 0
+}
+
+// next pulls GPU g's next task and holds the dispatch against the
+// parameter server and the checkpoint store as they are at that moment;
+// a duplicate Next must replay it verbatim.
+func (f *scriptedFleet) next(g int) NextReply {
+	f.t.Helper()
+	args := NextArgs{GPU: g, Seq: f.seq[g], Epoch: f.epoch}
+	var d, dup NextReply
+	for _, reply := range []*NextReply{&d, &dup} {
+		if err := f.conn.Call(DistributedName+".Next", args, reply); err != nil {
+			f.t.Fatal(err)
+		}
+	}
+	f.seq[g]++
+	if !reflect.DeepEqual(d, dup) {
+		f.t.Errorf("duplicate Next replayed %+v, first reply was %+v", dup, d)
+	}
+	var end float64
+	if d.Task.Round > 0 {
+		var err error
+		if end, err = f.srv.co.pss[d.Task.Job].WaitRound(d.Task.Round - 1); err != nil {
+			f.t.Fatal(err)
+		}
+	}
+	if d.RoundEnd != end {
+		f.t.Errorf("dispatch of %v carries round end %g, the parameter server realized %g", d.Task, d.RoundEnd, end)
+	}
+	if latest := finalParams(f.t, f.ckpt, len(f.in.Jobs))[d.Task.Job]; !slices.Equal(d.Params, latest) {
+		f.t.Errorf("dispatch of %v carries parameters %v, the latest checkpoint is %v", d.Task, d.Params, latest)
+	}
+	return d
+}
+
+func (f *scriptedFleet) push(g int, d NextReply) {
+	f.t.Helper()
+	t := d.Task
+	rep := testbed.PushReport{
+		Task: t, GPU: g, Start: d.RoundEnd, TrainEnd: d.RoundEnd + f.in.Train[t.Job][g],
+		Grad: f.probs[t.Job].Gradient(d.Params, t.Round, t.Index),
+	}
+	if err := f.conn.Call(DistributedName+".Push", PushArgs{Report: rep, Epoch: f.epoch}, &PushReply{}); err != nil {
+		f.t.Fatal(err)
+	}
+}
+
+// run pulls and pushes up to n tasks, sweeping the GPUs round-robin,
+// and returns how many it ran (fewer than n only when the batch is out
+// of work).
+func (f *scriptedFleet) run(n int) int {
+	f.t.Helper()
+	ran := 0
+	for progressed := true; progressed && ran < n; {
+		progressed = false
+		for g := 0; g < f.in.NumGPUs && ran < n; g++ {
+			if f.eligible(g) {
+				f.push(g, f.next(g))
+				ran++
+				progressed = true
+			}
+		}
+	}
+	return ran
+}
+
+// TestNextCarriesBarrierAndCheckpoint: every dispatch carries the
+// previous round's realized end and the job's current parameters, a
+// duplicate Next replays them, and a task re-dispatched after a
+// coordinator kill and recovery carries the restored ones — so the
+// batch ends on the crash-free checkpoints.
+func TestNextCarriesBarrierAndCheckpoint(t *testing.T) {
+	in, plan, cl, models := chaosWorkload(t, 3, 9)
+	serve := func(ckpt store.Store, journal *Journal) (*scriptedFleet, string) {
+		srv, addr, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{
+			TimeScale: 1e-6, Store: ckpt, Journal: journal, SnapshotEvery: 1,
+			LeaseTimeout: time.Hour, // the script heartbeats nothing
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &scriptedFleet{t: t, in: in, ckpt: ckpt}
+		for _, j := range in.Jobs {
+			f.probs = append(f.probs, testbed.NewProblem(32, 8, int64(j.ID)+1))
+		}
+		f.attach(srv, addr)
+		return f, addr
+	}
+
+	ref := store.NewMem()
+	f, _ := serve(ref, nil)
+	if ran := f.run(in.NumTasks()); ran != in.NumTasks() {
+		t.Fatalf("crash-free script ran %d of %d tasks", ran, in.NumTasks())
+	}
+	f.srv.Kill()
+
+	// Same script, killed half-way with one task dispatched but not yet
+	// pushed; the pushes that follow the dispatch put it into a snapshot
+	// as in flight.
+	ckpt, journal := store.NewMem(), NewMemJournal()
+	f, addr := serve(ckpt, journal)
+	f.run(in.NumTasks() / 2)
+	holder := 0
+	for !f.eligible(holder) {
+		holder++
+	}
+	held := f.next(holder)
+	for g := 0; g < in.NumGPUs; g++ {
+		if g != holder && f.eligible(g) {
+			f.push(g, f.next(g))
+		}
+	}
+	if err := f.srv.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	srv, _, _, err := RecoverDistributed(addr, journal, RecoverOptions{Store: ckpt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Kill()
+	f.attach(srv, addr)
+	if f.epoch != 2 {
+		t.Fatalf("recovered coordinator serves epoch %d, want 2", f.epoch)
+	}
+	again := f.next(holder)
+	if !reflect.DeepEqual(again, held) {
+		t.Errorf("re-dispatch after recovery is %+v, the in-flight dispatch was %+v", again, held)
+	}
+	f.push(holder, again)
+	f.run(in.NumTasks())
+	if left := srv.co.st.TasksLeft; left != 0 {
+		t.Fatalf("recovered script left %d tasks", left)
+	}
+	if d := maxParamDiff(finalParams(t, ref, len(in.Jobs)), finalParams(t, ckpt, len(in.Jobs))); d > 1e-9 {
+		t.Errorf("recovered checkpoints diverge from the crash-free run by %g (> 1e-9)", d)
 	}
 }
 

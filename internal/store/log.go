@@ -86,7 +86,7 @@ func OpenDirLog(path string) (*DirLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: open log %s: %w", path, err)
 	}
-	valid, err := scanLog(f)
+	valid, err := readFrames(f, nil)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -102,9 +102,19 @@ func OpenDirLog(path string) (*DirLog, error) {
 	return &DirLog{path: path, f: f}, nil
 }
 
-// scanLog returns the byte offset of the end of the last fully valid
-// record in f.
-func scanLog(f *os.File) (int64, error) {
+// readFrames is the one frame reader: it walks f from the start, hands
+// each fully-framed, CRC-valid record's payload to each (when non-nil)
+// and returns the byte offset where that valid prefix ends. Whatever
+// stops the walk — a short header, a payload cut short, a CRC mismatch
+// — is a torn tail, not an error. So is a length field that runs past
+// the end of the file: the header is read before the CRC can vouch for
+// it, so the length is held against the bytes that remain before it is
+// allocated (a torn "ff ff ff ff" would otherwise ask for 4 GiB).
+func readFrames(f *os.File, each func(payload []byte)) (int64, error) {
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, err
 	}
@@ -112,18 +122,24 @@ func scanLog(f *os.File) (int64, error) {
 	hdr := make([]byte, logHeaderLen)
 	for {
 		if _, err := io.ReadFull(f, hdr); err != nil {
-			return off, nil // clean EOF or torn header: stop here
+			return off, nil
 		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
+		n := int64(binary.LittleEndian.Uint32(hdr[:4]))
 		sum := binary.LittleEndian.Uint32(hdr[4:])
+		if n > fi.Size()-off-logHeaderLen {
+			return off, nil
+		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(f, payload); err != nil {
-			return off, nil // torn payload
+			return off, nil
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return off, nil // corrupted record: drop it and everything after
+			return off, nil
 		}
-		off += logHeaderLen + int64(n)
+		if each != nil {
+			each(payload)
+		}
+		off += logHeaderLen + n
 	}
 }
 
@@ -155,25 +171,9 @@ func (l *DirLog) Records() ([][]byte, error) {
 	if l.f == nil {
 		return nil, fmt.Errorf("store: log %s is closed", l.path)
 	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
 	var out [][]byte
-	hdr := make([]byte, logHeaderLen)
-	for {
-		if _, err := io.ReadFull(l.f, hdr); err != nil {
-			break
-		}
-		n := binary.LittleEndian.Uint32(hdr[:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(l.f, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			break
-		}
-		out = append(out, payload)
+	if _, err := readFrames(l.f, func(payload []byte) { out = append(out, payload) }); err != nil {
+		return nil, err
 	}
 	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -214,4 +215,100 @@ func TestDirStoreSaveAtomic(t *testing.T) {
 			t.Fatalf("leftover temp file %s", e.Name())
 		}
 	}
+}
+
+// frame is the on-disk form of one record, built independently of
+// DirLog.Append.
+func frame(payload []byte) []byte {
+	hdr := make([]byte, logHeaderLen, logHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
+	return append(hdr, payload...)
+}
+
+// validPrefix is the reference reader over bytes in memory: the
+// payloads of the leading fully-framed, CRC-valid records of data.
+func validPrefix(data []byte) (recs [][]byte) {
+	for len(data) >= logHeaderLen {
+		n := uint64(binary.LittleEndian.Uint32(data[:4]))
+		sum := binary.LittleEndian.Uint32(data[4:logHeaderLen])
+		if n > uint64(len(data)-logHeaderLen) || crc32.ChecksumIEEE(data[logHeaderLen:logHeaderLen+n]) != sum {
+			break
+		}
+		recs = append(recs, data[logHeaderLen:logHeaderLen+n])
+		data = data[logHeaderLen+n:]
+	}
+	return recs
+}
+
+// FuzzDirLogOpen: whatever bytes a crash (or anything else) left in
+// wal.log, opening it never panics and never allocates more than the
+// file holds, Records is exactly the prefix of CRC-valid frames, the
+// file is cut to that prefix once and for all, and the log appends on
+// from there.
+func FuzzDirLogOpen(f *testing.F) {
+	// The adversarial seeds (torn header, torn payload, CRC mismatch, a
+	// length field of 4 GiB, a run of empty records) are checked in under
+	// testdata/fuzz/FuzzDirLogOpen.
+	f.Add([]byte{})
+	f.Add(append(frame([]byte("alpha")), frame(nil)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := validPrefix(data)
+		wantSize := int64(len(want) * logHeaderLen)
+		for _, r := range want {
+			wantSize += int64(len(r))
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		l, err := OpenDirLog(path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The slack covers the file handle and whatever the test runtime
+		// allocates meanwhile; an unchecked length asks for up to 4 GiB.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(len(data))+256<<10 {
+			t.Errorf("OpenDirLog allocated %d bytes for a %d-byte file", grew, len(data))
+		}
+		check := func(l *DirLog, want [][]byte, wantSize int64) {
+			t.Helper()
+			got, err := l.Records()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("Records returned %d records, the file's valid prefix has %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("record %d = %q, want %q", i, got[i], want[i])
+				}
+			}
+			if fi, err := os.Stat(path); err != nil || fi.Size() != wantSize {
+				t.Fatalf("log file is %d bytes (%v), its valid prefix %d", fi.Size(), err, wantSize)
+			}
+		}
+		check(l, want, wantSize)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// A second open finds nothing more to cut, and appends round-trip.
+		l, err = OpenDirLog(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		check(l, want, wantSize)
+		added := []byte("appended after reopen")
+		if err := l.Append(added); err != nil {
+			t.Fatal(err)
+		}
+		check(l, append(want[:len(want):len(want)], added), wantSize+logHeaderLen+int64(len(added)))
+	})
 }

@@ -148,8 +148,8 @@ func (ps *ParameterServer) WaitRound(r int) (float64, error) {
 
 // Abort permanently unblocks every pending and future WaitRound with
 // err and stops pending barrier-release timers. Used by the
-// coordinator's kill path so blocked executor RPCs drain instead of
-// leaking goroutines. Idempotent; the first error wins.
+// coordinator's kill path so those timer goroutines (and any in-process
+// waiter) drain instead of leaking. Idempotent; the first error wins.
 func (ps *ParameterServer) Abort(err error) {
 	ps.abortOnce.Do(func() {
 		ps.mu.Lock()

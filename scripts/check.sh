@@ -30,9 +30,10 @@ tests() {
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 
-	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function)"
+	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function; the WAL frame reader)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
+	go test -race -run '^$' -fuzz FuzzDirLogOpen -fuzztime 10s ./internal/store/
 }
 
 chaos() {
