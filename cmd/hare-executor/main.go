@@ -26,7 +26,7 @@ import (
 var (
 	addr      = flag.String("addr", "127.0.0.1:7462", "coordinator address")
 	gpu       = flag.Int("gpu", -1, "this executor's GPU index (required)")
-	faultSpec = flag.String("fault-spec", "", "client-side network chaos: netdrop=P,netdup=P,netreorder=P,netdelay=A~B,partition=G@T+D")
+	faultSpec = flag.String("fault-spec", "", "client-side network chaos: netdrop=P,netdup=P,netreorder=P,netdelay=A~B,partition=G@T+D; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\"")
 	chaosSeed = flag.Int64("chaos-seed", 0, "chaos decision-stream seed (overrides netseed= in -fault-spec)")
 	eventsOut = flag.String("events-out", "", "write this executor's trace-context event stream into DIR/gpuN.events.jsonl; on failure a flight-recorder ring is dumped alongside (merge with `harectl mergetrace DIR`)")
 	flightCap = flag.Int("flight-cap", 512, "flight-recorder ring capacity for -events-out")

@@ -3,8 +3,8 @@
 // a GPU fleet, accepts job submissions over net/rpc (see
 // cmd/harectl), profiles them with the reuse database, plans each
 // batch with Hare's algorithm, and executes on the in-process testbed
-// (or, with -sim, the instant simulator; or, with -backend dist, the
-// distributed rpcnet control plane, which with -wal-dir is crash-safe:
+// (or, with -backend sim, the instant simulator; or, with -backend dist,
+// the distributed rpcnet control plane, which with -wal-dir is crash-safe:
 // a daemon killed mid-batch finishes that batch from its write-ahead
 // log at next boot).
 //
@@ -41,11 +41,10 @@ var (
 	gpus      = flag.Int("gpus", 15, "fleet size (ignored with -testbed-fleet)")
 	tbFleet   = flag.Bool("testbed-fleet", false, "use the paper's 15-GPU testbed fleet")
 	het       = flag.String("het", "high", "heterogeneity level: low, mid, high")
-	useSim    = flag.Bool("sim", false, "execute batches on the simulator instead of the testbed")
-	backendNm = flag.String("backend", "", "batch executor: testbed, sim, or dist (default testbed; overrides -sim)")
+	backendNm = flag.String("backend", "testbed", "batch executor: testbed, sim, or dist")
 	walDir    = flag.String("wal-dir", "", "durable WAL/snapshot directory for the dist backend; leftover state is recovered at boot")
 	traceDir  = flag.String("trace-dir", "", "capture a distributed trace per batch under DIR/batch-N (dist backend): per-process event streams, flight dumps, merged_trace.json")
-	faultSpec = flag.String("fault-spec", "", "fault injection applied to every batch: rate=R,seed=S,fail=G@T,slow=GxF,netdrop=P,netdelay=A~B,partition=G@T+D")
+	faultSpec = flag.String("fault-spec", "", "fault injection applied to every batch: rate=R,seed=S,fail=G@T,slow=GxF,netdrop=P,netdelay=A~B,partition=G@T+D; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\"")
 	timescale = flag.Float64("timescale", 1e-3, "testbed clock scale (wall s per simulated s)")
 	batches   = flag.Int("batches-per-task", 0, "profiler mini-batches per task (0 = default)")
 	sampleEvy = flag.Duration("runtime-sample", 5*time.Second, "runtime/metrics sampling interval for /metrics (needs -debug-addr)")
@@ -116,22 +115,23 @@ func main() {
 	fmt.Println("\nhared: shutting down")
 }
 
-// buildBackend resolves -backend/-sim into a batch executor, failing
-// fast on fault clauses the chosen backend cannot replay. The dist
-// backend opens the -wal-dir journal and, if a previous process died
-// mid-batch, finishes that batch from the WAL before the daemon
-// accepts new work.
+// backendEngines maps -backend to the engine class it runs plans on.
+var backendEngines = map[string]faults.Engine{
+	"testbed": faults.InProcess, "sim": faults.Simulator, "dist": faults.Distributed,
+}
+
+// buildBackend resolves -backend into a batch executor, failing fast on
+// fault clauses the chosen backend cannot replay. The dist backend opens
+// the -wal-dir journal and, if a previous process died mid-batch,
+// finishes that batch from the WAL before the daemon accepts new work.
 func buildBackend(fplan *faults.Plan, rec *obs.Recorder, reg *obs.Registry) (manager.Backend, error) {
 	name := strings.ToLower(*backendNm)
-	if name == "" {
-		if *useSim {
-			name = "sim"
-		} else {
-			name = "testbed"
-		}
+	engine, ok := backendEngines[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown backend %q (want testbed, sim, or dist)", name)
 	}
-	if name != "dist" && !fplan.NetModel().Empty() {
-		return nil, fmt.Errorf("network chaos in -fault-spec requires -backend dist")
+	if err := fplan.CheckEngine(engine); err != nil {
+		return nil, fmt.Errorf("-backend %s: %w", name, err)
 	}
 	if name != "dist" && *traceDir != "" {
 		return nil, fmt.Errorf("-trace-dir captures distributed control-plane traces; it requires -backend dist")
@@ -140,11 +140,8 @@ func buildBackend(fplan *faults.Plan, rec *obs.Recorder, reg *obs.Registry) (man
 	case "sim":
 		return &manager.SimBackend{Faults: fplan, Recorder: rec, Metrics: reg}, nil
 	case "testbed":
-		if fplan.HasGPUFailures() {
-			return nil, fmt.Errorf("the testbed backend cannot replay permanent GPU failures; add -backend sim or dist")
-		}
 		return &manager.TestbedBackend{TimeScale: *timescale, Faults: fplan, Recorder: rec}, nil
-	case "dist":
+	default: // dist
 		journal := rpcnet.NewMemJournal()
 		if *walDir != "" {
 			var err error
@@ -167,7 +164,6 @@ func buildBackend(fplan *faults.Plan, rec *obs.Recorder, reg *obs.Registry) (man
 			Recorder: rec, Metrics: reg, TraceDir: *traceDir,
 		}, nil
 	}
-	return nil, fmt.Errorf("unknown backend %q (want testbed, sim, or dist)", name)
 }
 
 // resumeBatch finishes a batch a previous hared process left in the
@@ -186,18 +182,17 @@ func resumeBatch(journal *rpcnet.Journal, rec *obs.Recorder, reg *obs.Registry) 
 	}
 	fmt.Printf("hared: recovering interrupted batch from WAL (epoch %d executors on %s)\n", srv.FleetSize(), bound)
 	chaos := srv.FaultPlan()
-	for g := 0; g < srv.FleetSize(); g++ {
-		go func(g int) {
-			_ = rpcnet.RunExecutorOpts(bound, g, rpcnet.ExecutorOptions{
-				Chaos: chaos.NetModel(), ChaosSeed: chaos.NetSeed(),
-				Recorder: rec, Metrics: reg,
-			})
-		}(g)
-	}
+	waitFleet := rpcnet.StartFleet(bound, srv.FleetSize(), func(int) rpcnet.ExecutorOptions {
+		return rpcnet.ExecutorOptions{
+			Chaos: chaos.NetModel(), ChaosSeed: chaos.NetSeed(),
+			Recorder: rec, Metrics: reg,
+		}
+	})
 	res, err := wait()
 	if err != nil {
 		return err
 	}
+	waitFleet() // the batch is complete; a fenced executor's error changes nothing
 	fmt.Printf("hared: recovered batch complete: %d jobs, makespan %.2fs, %d recoveries\n",
 		len(res.JobCompletion), res.Makespan, res.Recoveries)
 	return nil

@@ -38,7 +38,7 @@ var (
 	savePlan  = flag.String("save-plan", "", "write the planned schedule to this JSON file")
 	loadPlan  = flag.String("load-plan", "", "replay a previously saved plan instead of scheduling")
 	workload  = flag.String("workload", "", "JSON workload file (overrides -jobs/-scale/-horizon)")
-	faultSpec = flag.String("fault-spec", "", "fault injection: rate=R,seed=S,fail=G@T,crash=G@T,slow=GxF (comma-separated, repeatable clauses)")
+	faultSpec = flag.String("fault-spec", "", "fault injection: rate=R,seed=S,fail=G@T,crash=G@T,slow=GxF (comma-separated, repeatable clauses; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\")")
 	traceOut  = flag.String("trace-out", "", "write a chrome://tracing trace of the run to this JSON file")
 	eventsOut = flag.String("events-out", "", "write the run's structured events to this JSONL file")
 	attribOut = flag.String("attrib-out", "", "write the run's critical-path attribution report to this JSON file")
@@ -80,9 +80,6 @@ func main() {
 	}
 	if err := fplan.Validate(in.NumGPUs); err != nil {
 		fatal(err)
-	}
-	if !fplan.NetModel().Empty() {
-		fatal(fmt.Errorf("the simulator has no network to disturb; net* chaos in -fault-spec requires the distributed control plane (hared -backend dist or haretestbed -distributed)"))
 	}
 	fmt.Printf("cluster: %s\n", cl)
 	fmt.Printf("workload: %d jobs, %d tasks, alpha=%.2f\n", len(in.Jobs), in.NumTasks(), in.Alpha())

@@ -22,6 +22,7 @@ import (
 	"os/exec"
 
 	"hare"
+	"hare/internal/faults"
 	"hare/internal/metrics"
 	"hare/internal/rpcnet"
 )
@@ -31,7 +32,7 @@ var (
 	scale     = flag.Float64("scale", 0.05, "rounds scale")
 	seed      = flag.Int64("seed", 1, "random seed")
 	timescale = flag.Float64("timescale", 1e-3, "wall seconds per simulated second")
-	faultSpec = flag.String("fault-spec", "", "fault injection: rate=R,seed=S,fail=G@T,crash=G@T,slow=GxF (comma-separated, repeatable clauses)")
+	faultSpec = flag.String("fault-spec", "", "fault injection: rate=R,seed=S,fail=G@T,crash=G@T,slow=GxF, and with -rpc/-distributed netdrop=P,netdelay=A~B,partition=G@T+D (comma-separated, repeatable clauses; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\")")
 	useRPC    = flag.Bool("rpc", false, "run through the distributed coordinator over TCP, one executor goroutine per GPU")
 	addr      = flag.String("addr", "127.0.0.1:0", "control-plane listen address with -rpc/-distributed")
 	distrib   = flag.Bool("distributed", false, "spawn one executor OS process per GPU")
@@ -51,16 +52,18 @@ func main() {
 	// Network chaos is injected executor-side (above the codec), so every
 	// executor gets the spec itself; crash and transient faults arrive
 	// via the coordinator's Config RPC.
-	runExecutor := func(addr string, gpu int) error {
-		return rpcnet.RunExecutorOpts(addr, gpu, rpcnet.ExecutorOptions{
-			Chaos: fplan.NetModel(), ChaosSeed: fplan.NetSeed(),
-		})
-	}
+	execOpts := rpcnet.ExecutorOptions{Chaos: fplan.NetModel(), ChaosSeed: fplan.NetSeed()}
 	if *execMode {
-		if err := runExecutor(*addr, *execGPU); err != nil {
+		if err := rpcnet.RunExecutorOpts(*addr, *execGPU, execOpts); err != nil {
 			fatal(err)
 		}
 		return
+	}
+	if *distrib || *useRPC {
+		// Nothing here kills and recovers the coordinator.
+		if err := fplan.CheckEngine(faults.Distributed); err != nil {
+			fatal(err)
+		}
 	}
 	cl := hare.TestbedCluster()
 	_, in, models, err := hare.BuildWorkload(hare.WorkloadConfig{
@@ -91,29 +94,30 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runDistributed(in, plan, cl, models, fplan, "processes", func(bound string, g int) func() error {
-			cmd := exec.Command(self, "-executor", "-addr", bound, "-executor-gpu", fmt.Sprint(g),
-				"-fault-spec", fplan.String())
-			cmd.Stderr = os.Stderr
-			if err := cmd.Start(); err != nil {
-				fatal(err)
+		runDistributed(in, plan, cl, models, fplan, "processes", func(bound string) func() []error {
+			cmds := make([]*exec.Cmd, in.NumGPUs)
+			for g := range cmds {
+				cmds[g] = exec.Command(self, "-executor", "-addr", bound, "-executor-gpu", fmt.Sprint(g),
+					"-fault-spec", fplan.String())
+				cmds[g].Stderr = os.Stderr
+				if err := cmds[g].Start(); err != nil {
+					fatal(err)
+				}
 			}
-			return cmd.Wait
+			return func() []error {
+				errs := make([]error, len(cmds))
+				for g, cmd := range cmds {
+					errs[g] = cmd.Wait()
+				}
+				return errs
+			}
 		})
 		return
 	case *useRPC:
-		runDistributed(in, plan, cl, models, fplan, "goroutines", func(bound string, g int) func() error {
-			done := make(chan error, 1)
-			go func() { done <- runExecutor(bound, g) }()
-			return func() error { return <-done }
+		runDistributed(in, plan, cl, models, fplan, "goroutines", func(bound string) func() []error {
+			return rpcnet.StartFleet(bound, in.NumGPUs, func(int) rpcnet.ExecutorOptions { return execOpts })
 		})
 		return
-	}
-	if fplan.HasGPUFailures() {
-		fatal(fmt.Errorf("permanent GPU failures need the distributed control plane (add -rpc or -distributed)"))
-	}
-	if !fplan.NetModel().Empty() {
-		fatal(fmt.Errorf("the in-process testbed has no network to disturb; net* chaos in -fault-spec requires -rpc or -distributed"))
 	}
 
 	res, err := hare.RunTestbed(in, plan, cl, models, hare.TestbedOptions{
@@ -148,10 +152,11 @@ func main() {
 }
 
 // runDistributed serves the coordinator, starts one executor per GPU
-// through spawn (which returns the executor's wait func), and prints
-// the coordinator's summary. unit names what spawn starts.
+// through start (which returns the fleet's wait func, yielding each
+// executor's exit error), and prints the coordinator's summary. unit
+// names what start spawns.
 func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, models []*hare.Model, fplan *hare.FaultPlan,
-	unit string, spawn func(bound string, gpu int) func() error) {
+	unit string, start func(bound string) (wait func() []error)) {
 	srv, bound, wait, err := rpcnet.ServeDistributed(*addr, in, plan, cl, models, rpcnet.DistributedOptions{
 		TimeScale: *timescale, Scheme: hare.SwitchHare, Speculative: true,
 		Faults: fplan,
@@ -161,10 +166,7 @@ func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, mo
 	}
 	defer srv.Close()
 	fmt.Printf("coordinator on %s; spawning %d executor %s\n", bound, in.NumGPUs, unit)
-	waits := make([]func() error, in.NumGPUs)
-	for g := range waits {
-		waits[g] = spawn(bound, g)
-	}
+	waitFleet := start(bound)
 	res, err := wait()
 	if err != nil {
 		fatal(err)
@@ -172,8 +174,8 @@ func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, mo
 	// The coordinator finished, so a failing executor (an injected
 	// crash, or a fence after its GPU was marked failed) is a tolerated
 	// casualty, not a run failure.
-	for g, w := range waits {
-		if err := w(); err != nil {
+	for g, err := range waitFleet() {
+		if err != nil {
 			fmt.Printf("executor %d exited with %v (tolerated; coordinator recovered)\n", g, err)
 		}
 	}

@@ -11,7 +11,7 @@ import (
 	"hare/internal/core"
 	"hare/internal/faults"
 	"hare/internal/model"
-	"hare/internal/obs"
+	"hare/internal/obs/dtrace"
 	"hare/internal/rpcnet"
 	"hare/internal/sched"
 	"hare/internal/store"
@@ -34,6 +34,10 @@ const (
 	// fault-free run; gradients are per-task deterministic, so only
 	// float summation order may differ.
 	paramTol = 1e-9
+	// flightCap is each process's flight-ring capacity when
+	// Options.TraceDir turns tracing on: the full RPC churn of several
+	// rounds — enough context around a violation, bounded memory.
+	flightCap = 512
 )
 
 // Options configures soak runs.
@@ -49,13 +53,11 @@ type Options struct {
 	// Watchdog bounds one run's wall time; exceeding it is a liveness
 	// violation (lost or orphaned tasks). Default 90s.
 	Watchdog time.Duration
-	// Recorder and Metrics observe the run. Both optional.
-	Recorder *obs.Recorder
-	Metrics  *obs.Registry
 	// TraceDir, when set, captures distributed traces: one
-	// <proc>.events.jsonl per process (coord, gpu0..gpuN), flight-ring
-	// dumps at kills and violations, and the cross-process merge as
-	// merged_trace.json. The Recorder's sinks still see every event.
+	// <proc>.events.jsonl per process (coord, gpu0..gpuN), each a durable
+	// JSONL stream plus a flight ring dumped at forensic moments
+	// (coordinator kills, violations), and the cross-process merge as
+	// merged_trace.json.
 	TraceDir string
 	// Logf, when set, receives progress lines (e.g. t.Logf or a -v
 	// printer).
@@ -234,10 +236,15 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 		journal = rpcnet.NewMemJournal()
 	}
 	st := store.NewMem()
-	tr, err := newRunTrace(h.opts.TraceDir, h.cl.Size(), h.opts.Recorder)
-	if err != nil {
-		out.Err = err
-		return out
+	// A nil fleet (tracing off) hands out nil recorders and ignores the
+	// dump/close calls below.
+	var fleet *dtrace.Fleet
+	if h.opts.TraceDir != "" {
+		var err error
+		if fleet, err = dtrace.NewFleet(h.opts.TraceDir, h.cl.Size(), flightCap); err != nil {
+			out.Err = fmt.Errorf("chaos: trace: %w", err)
+			return out
+		}
 	}
 
 	type runEnd struct {
@@ -262,8 +269,7 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 			SnapshotEvery:     soakSnapEvery,
 			HeartbeatInterval: soakHeartbeat,
 			LeaseTimeout:      soakLease,
-			Recorder:          tr.coordRec(h.opts.Recorder),
-			Metrics:           h.opts.Metrics,
+			Recorder:          fleet.CoordRecorder(nil),
 		})
 		if err != nil {
 			out.Err = fmt.Errorf("chaos: serve: %w", err)
@@ -274,21 +280,14 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 		last.srv = srv
 		last.mu.Unlock()
 
-		execErrs := make([]error, h.cl.Size())
-		var wg sync.WaitGroup
-		for g := 0; g < h.cl.Size(); g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				execErrs[g] = rpcnet.RunExecutorOpts(bound, g, rpcnet.ExecutorOptions{
-					Chaos:         fplan.NetModel(),
-					ChaosSeed:     fplan.NetSeed(),
-					MaxReconnects: soakReconnects,
-					Recorder:      tr.execRec(g, h.opts.Recorder),
-					Metrics:       h.opts.Metrics,
-				})
-			}(g)
-		}
+		waitFleet := rpcnet.StartFleet(bound, h.cl.Size(), func(g int) rpcnet.ExecutorOptions {
+			return rpcnet.ExecutorOptions{
+				Chaos:         fplan.NetModel(),
+				ChaosSeed:     fplan.NetSeed(),
+				MaxReconnects: soakReconnects,
+				Recorder:      fleet.ExecRecorder(g, nil),
+			}
+		})
 
 		downs := fplan.NetModel().SortedCoordDowns()
 		start := time.Now()
@@ -324,15 +323,19 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 				// Planned kill: serve the outage, then recover from the
 				// journal on the same address so executors find it.
 				h.opts.logf("seed %d: coordinator killed at outage %d/%d, down %v", h.seed, kills+1, len(downs), downs[kills].Dur)
-				tr.onKill()
+				// Forensics: the events leading into the crash, and every
+				// stream's tail on disk.
+				if fleet != nil {
+					_ = fleet.Coord.DumpFlight()
+					fleet.Sync()
+				}
 				time.Sleep(downs[kills].Dur)
 				downtime += downs[kills].Dur
 				kills++
 				srv, _, wait, err = rpcnet.RecoverDistributed(bound, journal, rpcnet.RecoverOptions{
 					Store:          st,
 					ReconnectGrace: soakGrace,
-					Recorder:       tr.coordRec(h.opts.Recorder),
-					Metrics:        h.opts.Metrics,
+					Recorder:       fleet.CoordRecorder(nil),
 				})
 				if err != nil {
 					done <- runEnd{viol("durability", "recovery %d from WAL failed: %v", kills, err)}
@@ -346,7 +349,7 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 			done <- runEnd{viol("run-error", "distributed run failed: %v", err)}
 			return
 		}
-		wg.Wait()
+		execErrs := waitFleet()
 		if kills < len(downs) {
 			h.opts.logf("seed %d: run completed before %d of %d planned outages", h.seed, len(downs)-kills, len(downs))
 		}
@@ -367,8 +370,12 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 		last.mu.Unlock()
 		final = viol("liveness", "run exceeded the %v watchdog: lost or orphaned tasks", h.opts.watchdog())
 	}
-	if err := tr.finish(final.Violation != nil); err != nil {
-		h.opts.logf("seed %d: %v", h.seed, err)
+	// Merge failures are reported but never override the run's outcome.
+	if final.Violation != nil {
+		fleet.DumpFlights()
+	}
+	if err := fleet.Close(); err != nil {
+		h.opts.logf("seed %d: chaos: merge trace: %v", h.seed, err)
 	}
 	return final
 }

@@ -39,12 +39,10 @@ type Config struct {
 	GPUs int
 	// HorizonSeconds spreads job arrivals (Google-trace-like).
 	HorizonSeconds float64
-	// WithSwitching charges switching overhead in simulator runs
-	// (scheme-dependent); disabled only by scheduler-isolation tests.
+	// WithSwitching charges switching overhead in simulator runs, under
+	// the scheme each compared scheduler ships with (schemeFor);
+	// disabled only by scheduler-isolation tests.
 	WithSwitching bool
-	// Scheme is the switching scheme for simulator runs when
-	// WithSwitching is set. Defaults to Hare's fast switching.
-	Scheme switching.Scheme
 	// Speculative enables speculative memory during simulation.
 	Speculative bool
 	// Recorder, when set, receives structured events from every

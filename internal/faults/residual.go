@@ -143,9 +143,6 @@ func NewResidual(orig *core.Instance, pending []core.TaskRef, alive []int) (*Res
 	return res, nil
 }
 
-// Alive returns the surviving original GPU indices, ascending.
-func (r *Residual) Alive() []int { return append([]int(nil), r.alive...) }
-
 // ToOriginal maps a residual-instance task back to its original
 // identity. For split jobs the k virtual sub-rounds of an original
 // round fold back onto it; a filler slot (virtual capacity past the

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"hare/internal/cluster"
 	"hare/internal/core"
@@ -34,9 +33,6 @@ type DistributedBackend struct {
 	Faults *faults.Plan
 	// Journal, when set, makes every batch crash-safe.
 	Journal *rpcnet.Journal
-	// HeartbeatInterval and LeaseTimeout tune failure detection.
-	HeartbeatInterval time.Duration
-	LeaseTimeout      time.Duration
 	// Recorder receives coordinator and executor events; Metrics the
 	// counters. Both optional.
 	Recorder *obs.Recorder
@@ -55,12 +51,10 @@ type DistributedBackend struct {
 
 // Execute implements Backend.
 func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model) ([]float64, *trace.Trace, error) {
-	ts := b.TimeScale
-	if ts <= 0 {
-		ts = 1e-3
-	}
-	if n := b.Faults.NetModel(); len(n.SortedCoordDowns()) > 0 {
-		return nil, nil, fmt.Errorf("manager: codown windows are orchestrated by the chaos harness (harechaos), not the distributed backend")
+	// Nothing here kills and recovers the coordinator, so a codown
+	// clause would be recorded and never acted on.
+	if err := b.Faults.CheckEngine(faults.Distributed); err != nil {
+		return nil, nil, err
 	}
 	var fleet *dtrace.Fleet
 	if b.TraceDir != "" {
@@ -77,16 +71,14 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 	}
 	// Each batch's coordinator listens on a fresh loopback port.
 	srv, bound, wait, err := rpcnet.ServeDistributed("127.0.0.1:0", in, plan, cl, models, rpcnet.DistributedOptions{
-		TimeScale:         ts,
-		Scheme:            execScheme,
-		Speculative:       execSpeculative,
-		Store:             b.Store,
-		Faults:            b.Faults,
-		Journal:           b.Journal,
-		HeartbeatInterval: b.HeartbeatInterval,
-		LeaseTimeout:      b.LeaseTimeout,
-		Recorder:          fleet.CoordRecorder(b.Recorder),
-		Metrics:           b.Metrics,
+		TimeScale:   b.TimeScale,
+		Scheme:      execScheme,
+		Speculative: execSpeculative,
+		Store:       b.Store,
+		Faults:      b.Faults,
+		Journal:     b.Journal,
+		Recorder:    fleet.CoordRecorder(b.Recorder),
+		Metrics:     b.Metrics,
 	})
 	if err != nil {
 		return nil, nil, err
@@ -94,24 +86,19 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 	// The coordinator lives for this batch only: without the Close its
 	// listener, accept goroutine and state outlive every batch.
 	defer srv.Close()
-	var wg sync.WaitGroup
-	for g := 0; g < cl.Size(); g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			// Executor errors surface through the coordinator (lease
-			// fencing or error reports); a crashed executor is an
-			// expected outcome under crash faults.
-			_ = rpcnet.RunExecutorOpts(bound, g, rpcnet.ExecutorOptions{
-				Chaos:     b.Faults.NetModel(),
-				ChaosSeed: b.Faults.NetSeed(),
-				Recorder:  fleet.ExecRecorder(g, b.Recorder),
-				Metrics:   b.Metrics,
-			})
-		}(g)
-	}
+	waitFleet := rpcnet.StartFleet(bound, cl.Size(), func(g int) rpcnet.ExecutorOptions {
+		return rpcnet.ExecutorOptions{
+			Chaos:     b.Faults.NetModel(),
+			ChaosSeed: b.Faults.NetSeed(),
+			Recorder:  fleet.ExecRecorder(g, b.Recorder),
+			Metrics:   b.Metrics,
+		}
+	})
 	res, err := wait()
-	wg.Wait()
+	// Executor errors surface through the coordinator (lease fencing or
+	// error reports); a crashed executor is an expected outcome under
+	// crash faults.
+	waitFleet()
 	if err != nil {
 		// A failed batch is exactly when the flight rings matter.
 		fleet.DumpFlights()
@@ -124,14 +111,4 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 		return nil, nil, fmt.Errorf("manager: trace: %w", err)
 	}
 	return res.JobCompletion, res.Trace, nil
-}
-
-// rejectNetChaos guards the backends whose transports are in-process
-// function calls: network chaos would silently inject nothing there,
-// so asking for it is an error rather than a no-op.
-func rejectNetChaos(p *faults.Plan, backend string) error {
-	if !p.NetModel().Empty() {
-		return fmt.Errorf("manager: %s backend has no network to disturb; net* chaos in %q requires the distributed backend", backend, p.String())
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package manager
 
 import (
 	"math"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"hare/internal/core"
 	"hare/internal/faults"
 	"hare/internal/model"
+	"hare/internal/obs"
 	"hare/internal/profile"
 	"hare/internal/rpcnet"
 	"hare/internal/sched"
@@ -91,7 +93,7 @@ func TestInProcessBackendsRejectNetChaos(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, err := m.ExecuteBatch()
-		if err == nil || !strings.Contains(err.Error(), "requires the distributed backend") {
+		if err == nil || !strings.Contains(err.Error(), "cannot replay netdrop=0.1") {
 			t.Errorf("%T: want net-chaos rejection, got %v", back, err)
 		}
 	}
@@ -164,6 +166,153 @@ func TestBackendsShareSwitchingScheme(t *testing.T) {
 			want = stall
 		} else if math.Abs(stall-want) > 1e-9 {
 			t.Errorf("%T paid %.9f s of switching stall over %d switches, the simulator %.9f s", back, stall, switches, want)
+		}
+	}
+}
+
+// taskSequence is the shape of one task's events, barrier-wait aside.
+var taskSequence = regexp.MustCompile(`^(job-switch )?task-start( fault\.injected)* task-finish$`)
+
+// TestEnginesEmitSameTaskSequence: the three engines run one plan under
+// one transient-fault plan and emit, per task, the same sequence of
+// task events — they share one emitter (obs.TaskRun). The plan is
+// hand-built so a lane's task order cannot depend on timing (each lane
+// runs its single-task jobs first and then only the scale-2 job's
+// rounds, so whenever its head task is barrier-blocked everything behind
+// it is too, and the coordinator's eligible-first dispatch has nothing
+// to reorder); the per-GPU fault streams are positional, so every task
+// then loses the same attempts on every engine. Every lane's stream is
+// in time order and exactly one finish closes each task. Barrier waits
+// are held to their place in the sequence but not compared across
+// engines: the wall-clock engines measure a start after waking up, so
+// they see a wait of microseconds where the simulator sees none.
+func TestEnginesEmitSameTaskSequence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real TCP control plane")
+	}
+	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 1}, {Type: cluster.K80, Count: 1}}, 2)
+	names := []string{"ResNet50", "GraphSAGE", "VGG19"}
+	in := &core.Instance{NumGPUs: 2}
+	models := make([]*model.Model, len(names))
+	for i, shape := range [][2]int{{3, 2}, {3, 1}, {2, 1}} { // rounds, scale
+		in.Jobs = append(in.Jobs, &core.Job{ID: core.JobID(i), Name: names[i], Model: names[i], Weight: 1, Rounds: shape[0], Scale: shape[1]})
+		in.Train = append(in.Train, []float64{4 + float64(i), 6 + float64(i)})
+		in.Sync = append(in.Sync, []float64{0.5, 0.5})
+		models[i] = model.MustByName(names[i])
+	}
+	plan := core.NewSchedule()
+	for r := 0; r < 3; r++ {
+		plan.Place(core.TaskRef{Job: 1, Round: r}, 1, 50*float64(r))
+		plan.Place(core.TaskRef{Job: 0, Round: r, Index: 0}, 0, 200+100*float64(r))
+		plan.Place(core.TaskRef{Job: 0, Round: r, Index: 1}, 1, 200+100*float64(r))
+	}
+	for r := 0; r < 2; r++ {
+		plan.Place(core.TaskRef{Job: 2, Round: r}, 0, 100*float64(r))
+	}
+	if err := core.ValidateSchedule(in, plan); err != nil {
+		t.Fatal(err)
+	}
+	fplan, err := faults.Parse("rate=0.3,seed=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want map[core.TaskRef]string
+	for _, eng := range []struct {
+		name string
+		back func(*obs.Recorder) Backend
+	}{
+		{"sim", func(rec *obs.Recorder) Backend { return &SimBackend{Faults: fplan, Recorder: rec} }},
+		{"testbed", func(rec *obs.Recorder) Backend {
+			return &TestbedBackend{TimeScale: 1e-4, Faults: fplan, Recorder: rec}
+		}},
+		{"dist", func(rec *obs.Recorder) Backend {
+			return &DistributedBackend{TimeScale: 1e-4, Faults: fplan, Recorder: rec}
+		}},
+	} {
+		sink := obs.NewCollectSink()
+		if _, _, err := eng.back(obs.NewRecorder(sink)).Execute(in, plan, cl, models); err != nil {
+			t.Fatalf("%s: %v", eng.name, err)
+		}
+		got := make(map[core.TaskRef]string)
+		retries := 0
+		for g := 0; g < in.NumGPUs; g++ {
+			var seq []obs.Event // the lane's current task, up to its finish
+			prevStart := math.Inf(-1)
+			for _, e := range sink.Events() {
+				if e.GPU != g {
+					continue
+				}
+				switch e.Type {
+				case obs.EvBarrierWait, obs.EvJobSwitch, obs.EvTaskStart, obs.EvFaultInjected:
+					seq = append(seq, e)
+					continue
+				case obs.EvTaskFinish:
+					seq = append(seq, e)
+				default:
+					continue
+				}
+				task := core.TaskRef{Job: core.JobID(e.Job), Round: e.Round, Index: e.Index}
+				if _, dup := got[task]; dup {
+					t.Errorf("%s: task %v finished twice", eng.name, task)
+				}
+				var types []string
+				var start float64
+				var lost []obs.Event
+				last := prevStart
+				for i, s := range seq {
+					if s.Time < last {
+						t.Errorf("%s GPU %d: %s at %g follows an event at %g: the lane's stream is out of time order", eng.name, g, s.Type, s.Time, last)
+					}
+					last = s.Time
+					switch s.Type {
+					case obs.EvBarrierWait:
+						if i > 0 {
+							t.Errorf("%s %v: barrier-wait is event %d of its task, want the first", eng.name, task, i+1)
+						}
+						continue // held to its place, not compared: see above
+					case obs.EvTaskStart:
+						start = s.Time
+					case obs.EvFaultInjected:
+						lost = append(lost, s)
+					}
+					types = append(types, s.Type.String())
+				}
+				got[task] = strings.Join(types, " ")
+				if !taskSequence.MatchString(got[task]) {
+					t.Errorf("%s %v emits %q, want [job-switch] task-start fault.injected* task-finish", eng.name, task, got[task])
+				}
+				retries += len(lost)
+				// Attempt boundaries are not measured: the lost attempts
+				// tile the task's occupancy [Start, Start+Train] evenly.
+				attempt := e.Train / float64(len(lost)+1)
+				for a, s := range lost {
+					if at := start + attempt*float64(a+1); math.Abs(s.Time-at) > 1e-9 || math.Abs(s.Dur-attempt) > 1e-9 {
+						t.Errorf("%s %v: lost attempt %d of %d at %g for %g s; the even tiling of [%g, %g] puts it at %g for %g s",
+							eng.name, task, a+1, len(lost), s.Time, s.Dur, start, start+e.Train, at, attempt)
+					}
+				}
+				prevStart, seq = start, nil
+			}
+			if len(seq) > 0 {
+				t.Errorf("%s GPU %d: %d task events after the lane's last finish", eng.name, g, len(seq))
+			}
+		}
+		if len(got) != in.NumTasks() {
+			t.Errorf("%s: %d tasks finished, want %d", eng.name, len(got), in.NumTasks())
+		}
+		if retries == 0 {
+			t.Fatalf("%s: rate=0.3 lost no attempt; the test needs a seed that does", eng.name)
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		//lint:ordered independent per-task assertions
+		for task, seq := range want {
+			if got[task] != seq {
+				t.Errorf("%s emits %q for task %v, the simulator %q", eng.name, got[task], task, seq)
+			}
 		}
 	}
 }

@@ -19,9 +19,11 @@
 // Every batch nevertheless *executes* on its own clock starting at 0 —
 // the wall-clock backends restart theirs per batch, so a cumulative
 // arrival would make batch k sleep through the makespans of batches
-// 0..k-1. The instance handed to the Algorithm and the Backend
-// therefore carries arrivals relative to base, and base is added back
-// to everything the Manager publishes on its own clock:
+// 0..k-1. The instance handed to the Algorithm and the Backend is
+// therefore on the batch's clock, and a batch's jobs all arrive at its
+// start, 0: a job is submitted at some watermark and the watermark only
+// grows, so the fleet's availability, never the submission time, holds
+// a batch back. base is added back to everything the Manager publishes:
 // JobStatus.Completion, BatchResult.Makespan and WeightedJCT, the
 // hare_manager_horizon_seconds gauge and job.complete event times.
 // What a backend produces stays batch-local: BatchResult.Trace, the
@@ -45,7 +47,6 @@ import (
 	"hare/internal/profile"
 	"hare/internal/sched"
 	"hare/internal/sim"
-	"hare/internal/store"
 	"hare/internal/switching"
 	"hare/internal/testbed"
 	"hare/internal/trace"
@@ -134,11 +135,9 @@ const (
 type TestbedBackend struct {
 	// TimeScale is the testbed clock scale (default 1e-3).
 	TimeScale float64
-	// Store receives checkpoints (in-memory by default).
-	Store store.Store
 	// Faults injects transient failures and stragglers into every
-	// batch (the in-process testbed cannot replay permanent GPU
-	// failures; use the simulator backend for those).
+	// batch (all the in-process testbed replays; see
+	// faults.Plan.CheckEngine).
 	Faults *faults.Plan
 	// Recorder receives execution-path events; nil disables them.
 	Recorder *obs.Recorder
@@ -146,15 +145,8 @@ type TestbedBackend struct {
 
 // Execute implements Backend.
 func (b *TestbedBackend) Execute(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model) ([]float64, *trace.Trace, error) {
-	if err := rejectNetChaos(b.Faults, "testbed"); err != nil {
-		return nil, nil, err
-	}
-	ts := b.TimeScale
-	if ts <= 0 {
-		ts = 1e-3
-	}
 	res, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: ts, Scheme: execScheme, Speculative: execSpeculative, Store: b.Store,
+		TimeScale: b.TimeScale, Scheme: execScheme, Speculative: execSpeculative,
 		Faults:   b.Faults,
 		Recorder: b.Recorder,
 	})
@@ -178,9 +170,6 @@ type SimBackend struct {
 
 // Execute implements Backend.
 func (b *SimBackend) Execute(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model) ([]float64, *trace.Trace, error) {
-	if err := rejectNetChaos(b.Faults, "simulator"); err != nil {
-		return nil, nil, err
-	}
 	res, err := sim.Run(in, plan, cl, models, sim.Options{
 		Scheme: execScheme, Speculative: execSpeculative,
 		Faults:   b.Faults,
@@ -225,12 +214,11 @@ type GPUStat struct {
 
 // Manager is the central scheduler service.
 type Manager struct {
-	cl    *cluster.Cluster
-	prof  *profile.Profiler
-	algo  sched.Algorithm
-	back  Backend
-	clock func() float64 // virtual submission clock, seconds
-	rec   *obs.Recorder
+	cl   *cluster.Cluster
+	prof *profile.Profiler
+	algo sched.Algorithm
+	back Backend
+	rec  *obs.Recorder
 	// phases times each batch's plan-solve / backend-execute /
 	// attribution spans into Options.Metrics (nil-safe no-op).
 	phases *perf.PhaseRecorder
@@ -265,7 +253,6 @@ type Manager struct {
 type pendingJob struct {
 	id  int
 	req JobRequest
-	at  float64
 }
 
 // New builds a manager for a fleet.
@@ -297,7 +284,6 @@ func New(cl *cluster.Cluster, opts Options) *Manager {
 		gPending:   opts.Metrics.Gauge("hare_manager_pending_jobs"),
 		gHorizon:   opts.Metrics.Gauge("hare_manager_horizon_seconds"),
 	}
-	m.clock = func() float64 { return m.horizon }
 	return m
 }
 
@@ -310,16 +296,16 @@ func (m *Manager) Submit(req JobRequest) (int, error) {
 	defer m.mu.Unlock()
 	id := m.nextID
 	m.nextID++
-	m.pending = append(m.pending, pendingJob{id: id, req: req, at: m.clock()})
+	m.pending = append(m.pending, pendingJob{id: id, req: req})
 	m.status[id] = &JobStatus{
 		ID: id, Tag: req.Tag, Model: req.Model,
-		State: StateQueued, SubmittedAt: m.clock(),
+		State: StateQueued, SubmittedAt: m.horizon,
 	}
 	m.cSubmitted.Inc()
 	m.gPending.Set(float64(len(m.pending)))
 	if m.rec.Enabled() {
 		m.rec.Emit(obs.Event{
-			Type: obs.EvJobSubmit, Time: m.clock(), GPU: -1, Job: id,
+			Type: obs.EvJobSubmit, Time: m.horizon, GPU: -1, Job: id,
 			Round: req.Rounds, Index: req.Scale, Note: req.Model,
 		})
 	}
@@ -401,8 +387,7 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 	}
 
 	// Build the batch instance on the batch's own clock (see the
-	// package comment): arrivals are the submission times floored at the
-	// fleet watermark — the fleet is busy until then — relative to it.
+	// package comment): every job arrives at its start.
 	jobs := make([]*core.Job, len(batch))
 	specs := make([]profile.JobSpec, len(batch))
 	models := make([]*model.Model, len(batch))
@@ -412,7 +397,7 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 			Name:    fmt.Sprintf("job-%d(%s)", pj.id, pj.req.Model),
 			Model:   pj.req.Model,
 			Weight:  pj.req.Weight,
-			Arrival: max(pj.at, base) - base,
+			Arrival: 0,
 			Rounds:  pj.req.Rounds,
 			Scale:   pj.req.Scale,
 		}

@@ -372,10 +372,18 @@ func TestBatchPhaseTelemetry(t *testing.T) {
 // recordingBackend keeps every instance it is handed and "runs" job i
 // of a batch for 10·(i+1) seconds of the batch's own clock, whatever
 // the arrivals say — the way a wall-clock backend restarts at zero.
-type recordingBackend struct{ instances []*core.Instance }
+// during, when set, runs once in the middle of the next Execute.
+type recordingBackend struct {
+	instances []*core.Instance
+	during    func()
+}
 
 func (b *recordingBackend) Execute(in *core.Instance, _ *core.Schedule, _ *cluster.Cluster, _ []*model.Model) ([]float64, *trace.Trace, error) {
 	b.instances = append(b.instances, in)
+	if b.during != nil {
+		b.during()
+		b.during = nil
+	}
 	done := make([]float64, len(in.Jobs))
 	for i := range done {
 		done[i] = 10 * float64(i+1)
@@ -383,8 +391,10 @@ func (b *recordingBackend) Execute(in *core.Instance, _ *core.Schedule, _ *clust
 	return done, &trace.Trace{}, nil
 }
 
-// TestBatchRunsOnItsOwnClock: a backend sees every batch start at zero;
-// the Manager adds the batch's base back to what it publishes.
+// TestBatchRunsOnItsOwnClock: a backend sees every batch start at zero
+// with all of its jobs arrived — also a job submitted while the batch
+// before was executing; the Manager adds the batch's base back to what
+// it publishes.
 func TestBatchRunsOnItsOwnClock(t *testing.T) {
 	back := &recordingBackend{}
 	m := testManager(back)
@@ -403,9 +413,28 @@ func TestBatchRunsOnItsOwnClock(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
+	var lateID int
+	back.during = func() {
+		if lateID, err = m.Submit(req("ResNet50", 2, 1)); err != nil {
+			t.Error(err)
+		}
+	}
 	second, err := m.ExecuteBatch()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st, _ := m.Status(lateID); st.SubmittedAt != first.Makespan {
+		t.Errorf("job submitted during batch 2 is stamped %g, want the watermark %g it was submitted at", st.SubmittedAt, first.Makespan)
+	}
+	third, err := m.ExecuteBatch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late := back.instances[2].Jobs; len(late) != 1 || late[0].Arrival != 0 {
+		t.Errorf("batch 3 is handed %v, want the one job submitted during batch 2, arriving at 0", late)
+	}
+	if want := second.Makespan + 10; third.Makespan != want {
+		t.Errorf("batch 3 makespan %g, want %g", third.Makespan, want)
 	}
 	for _, j := range back.instances[1].Jobs {
 		if j.Arrival != 0 {

@@ -11,7 +11,6 @@ import (
 	"hare/internal/cluster"
 	"hare/internal/core"
 	"hare/internal/faults"
-	"hare/internal/gpumem"
 	"hare/internal/model"
 	"hare/internal/obs"
 	"hare/internal/sched"
@@ -85,24 +84,16 @@ type ExecutorConfigReply struct {
 	// Instance is the full scheduling problem (times are indexed by
 	// [job][gpu]).
 	Instance *core.Instance
-	// Seq is this GPU's planned task order. Tasks are *dispatched* by
-	// the coordinator (Next), so the sequence is advisory — it seeds
-	// the speculative memory manager's lookahead.
-	Seq []core.TaskRef
 	// GPUTypeName resolves to the cluster.GPUType locally.
 	GPUTypeName string
 	// ModelNames maps job → model zoo name.
 	ModelNames []string
-	// Scheme, Speculative and MemPolicy configure switching.
+	// Scheme and Speculative configure switching.
 	Scheme      switching.Scheme
 	Speculative bool
-	MemPolicy   gpumem.Policy
 	// TimeScale and EpochUnixNano align every process's clock.
 	TimeScale     float64
 	EpochUnixNano int64
-	// ProblemDim and ProblemBatch size the SGD problems (seeds are
-	// jobID+1, as in the in-process testbed).
-	ProblemDim, ProblemBatch int
 	// FaultRate and FaultSeed configure transient failure injection.
 	FaultRate float64
 	FaultSeed int64
@@ -184,21 +175,19 @@ type FenceInfo struct {
 
 // DistributedOptions configures ServeDistributed.
 type DistributedOptions struct {
-	TimeScale    float64
-	Scheme       switching.Scheme
-	Speculative  bool
-	MemPolicy    gpumem.Policy
-	ProblemDim   int
-	ProblemBatch int
-	Eta          float64
-	Store        store.Store
+	TimeScale   float64
+	Scheme      switching.Scheme
+	Speculative bool
+	Store       store.Store
 	// Faults is the failure plan: transient rate/seed (shipped to the
 	// executors in their Config reply), stragglers, device failures
 	// (fail=G@T — the coordinator fences the GPU at sim time T), and
 	// executor crashes (crash=G@T — the executor process stops
 	// heartbeating at sim time T and the lease monitor detects it).
-	// Network chaos (Faults.Net) is executor-side; the coordinator
-	// only records the spec so recovery can re-derive the plan.
+	// Network chaos (Faults.Net) is executor-side and coordinator
+	// outages (codown) are a supervisor's to perform; the coordinator
+	// only records the spec so recovery can re-derive the plan. Callers
+	// without a supervisor run Faults.CheckEngine(faults.Distributed).
 	Faults *faults.Plan
 	// HeartbeatInterval and LeaseTimeout tune failure detection; see
 	// the package defaults. Detection latency in simulated time is
@@ -220,17 +209,11 @@ type DistributedOptions struct {
 	SnapshotEvery int
 }
 
-// withDefaults fills what the coordinator itself reads; Eta and Store
-// default inside testbed.NewControlPlane.
+// withDefaults fills what the coordinator itself reads; Store defaults
+// inside testbed.NewControlPlane.
 func (o DistributedOptions) withDefaults() DistributedOptions {
 	if o.TimeScale <= 0 {
 		o.TimeScale = 1e-3
-	}
-	if o.ProblemDim <= 0 {
-		o.ProblemDim = 32
-	}
-	if o.ProblemBatch <= 0 {
-		o.ProblemBatch = 8
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = DefaultHeartbeatInterval
@@ -456,23 +439,18 @@ func (c *coordinator) config(args ExecutorConfigArgs, reply *ExecutorConfigReply
 	c.session[args.GPU]++
 	c.nextSeq[args.GPU] = 0
 	c.lastNext[args.GPU] = NextReply{}
-	seq := append([]core.TaskRef(nil), c.st.GPUs[args.GPU].Queue...)
 	c.lease[args.GPU] = time.Now()
 	epochNum := c.st.Epoch
 	c.cond.Broadcast() // wake superseded Next handlers
 	c.mu.Unlock()
 	*reply = ExecutorConfigReply{
 		Instance:        c.in,
-		Seq:             seq,
 		GPUTypeName:     c.snapHeader.GPUTypeNames[args.GPU],
 		ModelNames:      c.snapHeader.ModelNames,
 		Scheme:          c.opts.Scheme,
 		Speculative:     c.opts.Speculative,
-		MemPolicy:       c.opts.MemPolicy,
 		TimeScale:       c.opts.TimeScale,
 		EpochUnixNano:   c.clock.Epoch().UnixNano(),
-		ProblemDim:      c.opts.ProblemDim,
-		ProblemBatch:    c.opts.ProblemBatch,
 		FaultRate:       c.opts.Faults.TransientRate(),
 		FaultSeed:       c.opts.Faults.TransientSeed(),
 		SlowFactor:      c.opts.Faults.SlowdownOf(args.GPU),
@@ -630,62 +608,26 @@ func (c *coordinator) failLocked(err error) {
 	c.cond.Broadcast()
 }
 
-// emitTaskLocked re-emits one accepted push as the engine-shaped task
-// event sequence (barrier-wait, switch, start, fault-injections,
-// finish) that sim and testbed record locally. Executors report
+// emitTaskLocked re-emits one accepted push as the task event sequence
+// (obs.TaskRun) that sim and testbed record locally. Executors report
 // measurements, not events, so the coordinator derives the stream at
 // the only point where fencing and deduplication have already been
 // decided — which is what guarantees at most one finish per task and
 // lets retried/migrated executions stitch into sibling attempts
 // downstream. Per-GPU push order is execution order, so each lane's
-// stream is time-ordered. Caller holds c.mu.
+// stream is time-ordered. The executor reports the stall it actually
+// paid but not its clean/context/init/transfer breakdown. Caller holds
+// c.mu.
 func (c *coordinator) emitTaskLocked(rep *testbed.PushReport, comp, prevFree float64, prevJob core.JobID) {
-	rec := c.opts.Recorder
-	if !rec.Enabled() {
-		return
+	run := obs.TaskRun{
+		GPU: rep.GPU, Job: int(rep.Task.Job), Round: rep.Task.Round, Index: rep.Task.Index,
+		PrevJob: int(prevJob), PrevFree: prevFree,
+		Start: rep.Start, Train: rep.TrainEnd - rep.Start, Sync: comp - rep.TrainEnd, End: comp,
+		Switch: rep.Switch, Hit: rep.Hit, Retries: rep.Retries,
+		Model: c.in.Jobs[rep.Task.Job].Model,
 	}
-	g := rep.GPU
-	job, round, index := int(rep.Task.Job), rep.Task.Round, rep.Task.Index
-	if wait := rep.Start - rep.Switch - prevFree; wait > 0 {
-		reason := "round"
-		if round == 0 {
-			reason = "arrival"
-		}
-		rec.Emit(obs.Event{
-			Type: obs.EvBarrierWait, Time: prevFree, GPU: g,
-			Job: job, Round: round, Index: index, Dur: wait, Note: reason,
-		})
-	}
-	if rep.Switch > 0 {
-		// The executor reports the stall it actually paid but not its
-		// clean/context/init/transfer breakdown; Dur is authoritative.
-		rec.Emit(obs.Event{
-			Type: obs.EvJobSwitch, Time: rep.Start - rep.Switch, GPU: g,
-			Job: job, From: int(prevJob), Dur: rep.Switch, Hit: rep.Hit,
-		})
-	}
-	rec.Emit(obs.Event{
-		Type: obs.EvTaskStart, Time: rep.Start, GPU: g,
-		Job: job, Round: round, Index: index,
-	})
-	if rep.Retries > 0 {
-		// Lost-attempt boundaries are not in the report; divide the
-		// occupancy evenly, matching the sim's constant per-attempt
-		// training time.
-		train := (rep.TrainEnd - rep.Start) / float64(rep.Retries+1)
-		for a := 1; a <= rep.Retries; a++ {
-			rec.Emit(obs.Event{
-				Type: obs.EvFaultInjected, Time: rep.Start + train*float64(a), GPU: g,
-				Job: job, Round: round, Index: index, Dur: train,
-			})
-		}
-	}
-	rec.Emit(obs.Event{
-		Type: obs.EvTaskFinish, Time: comp, GPU: g,
-		Job: job, Round: round, Index: index,
-		Dur: comp - rep.Start, Train: rep.TrainEnd - rep.Start, Sync: comp - rep.TrainEnd,
-		Note: c.in.Jobs[job].Model,
-	})
+	c.opts.Recorder.BeginTask(run)
+	c.opts.Recorder.EndTask(run)
 }
 
 // Report closes an executor out. Out-of-range GPU indices are rejected
@@ -771,26 +713,7 @@ func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Durat
 	if fp.HasQueues {
 		c.cResched.Inc()
 		c.cMigrated.Add(float64(len(fp.Stranded)))
-		if rec.Enabled() {
-			rec.Emit(obs.Event{
-				Type: obs.EvReschedule, Time: fp.SimTime, GPU: gpu, Job: -1,
-				Note: fmt.Sprintf("tasks=%d gpus=%d", fp.Pending, fp.Alive),
-			})
-			stranded := make(map[core.TaskRef]bool, len(fp.Stranded))
-			for _, t := range fp.Stranded {
-				stranded[t] = true
-			}
-			for g, seq := range fp.Queues {
-				for _, t := range seq {
-					if stranded[t] {
-						rec.Emit(obs.Event{
-							Type: obs.EvTaskMigrated, Time: fp.SimTime, GPU: g,
-							Job: int(t.Job), Round: t.Round, Index: t.Index, From: gpu,
-						})
-					}
-				}
-			}
-		}
+		faults.EmitMigration(rec, fp.SimTime, gpu, fp.Pending, fp.Alive, fp.Stranded, fp.Queues)
 	}
 	c.cond.Broadcast()
 	if c.journal != nil {
@@ -828,24 +751,10 @@ func (c *coordinator) computeFenceLocked(gpu int, reason string) *fencePlan {
 	if len(pending) == 0 {
 		return fp // nothing left to move; in-flight pushes finish the run
 	}
-	if len(alive) == 0 {
-		fp.Unrecoverable = fmt.Sprintf("rpcnet: no surviving GPUs with %d tasks pending (last failure: GPU %d, %s)",
-			len(pending), gpu, reason)
-		return fp
-	}
-	residual, err := faults.NewResidual(c.in, pending, alive)
-	if err != nil {
-		fp.Unrecoverable = fmt.Sprintf("rpcnet: recovery from GPU %d failure: %v", gpu, err)
-		return fp
-	}
 	// The residual instance is re-planned with Algorithm 1.
-	var seqs [][]core.TaskRef
-	plan, err := sched.NewHare().Schedule(residual.Instance)
-	if err == nil {
-		seqs, err = residual.Sequences(plan)
-	}
+	seqs, err := faults.Replan(c.in, pending, alive, sched.NewHare())
 	if err != nil {
-		fp.Unrecoverable = fmt.Sprintf("rpcnet: re-plan after GPU %d failure: %v", gpu, err)
+		fp.Unrecoverable = fmt.Sprintf("rpcnet: GPU %d fenced (%s): %v", gpu, reason, err)
 		return fp
 	}
 	fp.Queues = make([][]core.TaskRef, len(st.GPUs))
@@ -911,17 +820,13 @@ func (c *coordinator) checkLeasesLocked(now time.Time, simNow float64) {
 }
 
 // kill makes the coordinator behave like a dead process: every blocked
-// and future call errors with ErrCoordinatorDown, parameter-server
-// barriers abort, and the lease monitor stops. The journal (if any)
-// retains the WAL for RecoverDistributed.
+// and future call errors with ErrCoordinatorDown and the lease monitor
+// stops. The journal (if any) retains the WAL for RecoverDistributed.
 func (c *coordinator) kill() {
 	c.mu.Lock()
 	c.failLocked(ErrCoordinatorDown)
 	c.mu.Unlock()
 	c.stopMonitor()
-	for _, ps := range c.pss {
-		ps.Abort(ErrCoordinatorDown)
-	}
 }
 
 // finishedLocked reports run completion: no tasks left, and every GPU
@@ -994,7 +899,7 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 		return nil, fmt.Errorf("rpcnet: invalid plan: %w", err)
 	}
 	clock := testbed.NewClock(opts.TimeScale)
-	pss, local, err := testbed.NewControlPlane(in, clock, opts.Store, opts.Eta, opts.ProblemDim, opts.ProblemBatch)
+	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -1005,7 +910,7 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 	for j, m := range models {
 		modelNames[j] = m.Name
 	}
-	st := newCoordState(in, plan.Sequences(in.NumGPUs), local, opts.ProblemDim)
+	st := newCoordState(in, plan.Sequences(in.NumGPUs), local, testbed.ProblemDim)
 	co := newCoordinator(in, st, gpuTypes, modelNames, opts, clock, pss)
 	// Leases start now: an executor that never connects is eventually
 	// fenced and its queue migrates instead of hanging the run.

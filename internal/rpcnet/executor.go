@@ -22,8 +22,8 @@ import (
 
 // The executor side of the distributed testbed. RunExecutor is a
 // session loop: each session dials the coordinator, handshakes with
-// Config (learning the coordinator epoch, the shared clock, and its
-// task sequence), then pulls and runs tasks until the run completes.
+// Config (learning the coordinator epoch and the shared clock), then
+// pulls and runs tasks until the run completes.
 // Transient failures — dropped or delayed messages, a network
 // partition, a coordinator kill-and-recover — tear the session down
 // and the loop re-handshakes; the coordinator's epoch/sequence
@@ -169,6 +169,28 @@ func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 	}
 }
 
+// StartFleet runs one executor goroutine per GPU of an n-GPU fleet
+// against the coordinator at addr, each with the options optsFor returns
+// for it. wait blocks until all have exited and yields their exit errors
+// by GPU — which a caller may ignore: under crash faults and fences a
+// failed executor is expected, and the coordinator's result is what says
+// whether the run succeeded.
+func StartFleet(addr string, n int, optsFor func(gpu int) ExecutorOptions) (wait func() []error) {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[g] = RunExecutorOpts(addr, g, optsFor(g))
+		}()
+	}
+	return func() []error {
+		wg.Wait()
+		return errs
+	}
+}
+
 // sleepOrCrash sleeps for d, returning false early if the executor's
 // simulated crash fires first.
 func sleepOrCrash(d time.Duration, crashed <-chan struct{}) bool {
@@ -235,8 +257,8 @@ type execSession struct {
 	gpu   int
 	epoch uint64
 	seq   uint64
-	// held is the dispatch being run: execClient answers the task's
-	// barrier and checkpoint reads from it. Pull-loop goroutine only.
+	// held is the dispatch being run: execClient.Begin answers from it.
+	// Pull-loop goroutine only.
 	held  NextReply
 	chaos *netChaos
 	obs   *execObs
@@ -311,10 +333,18 @@ func (s *execSession) callRetry(method string, args, reply any, retries int) err
 // execClient adapts the session to testbed.SyncClient — the one
 // adapter between an executor and the control plane. Push is the only
 // call that goes on the wire (duplicate-safe on the coordinator, so the
-// retry wrapper applies); the barrier and the checkpoint came with the
-// dispatch the session holds, and asking for any other job's or round's
-// is a bug no re-handshake fixes.
+// retry wrapper applies); the barrier and the parameters came with the
+// dispatch the session holds, and beginning any other task is a bug no
+// re-handshake fixes.
 type execClient struct{ s *execSession }
+
+func (c execClient) Begin(t core.TaskRef) (float64, []float64, error) {
+	held := &c.s.held
+	if held.Task != t {
+		return 0, nil, permanentError{fmt.Errorf("rpcnet: executor %d holds the dispatch of %v, not of %v", c.s.gpu, held.Task, t)}
+	}
+	return held.RoundEnd, held.Params, nil
+}
 
 func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 	var reply PushReply
@@ -322,20 +352,6 @@ func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 		return 0, err
 	}
 	return reply.Completion, nil
-}
-
-func (c execClient) WaitRound(job core.JobID, round int) (float64, error) {
-	if t := c.s.held.Task; t.Job != job || t.Round != round+1 {
-		return 0, permanentError{fmt.Errorf("rpcnet: executor %d holds %v, not the barrier of job %d round %d", c.s.gpu, t, job, round)}
-	}
-	return c.s.held.RoundEnd, nil
-}
-
-func (c execClient) LoadCheckpoint(job core.JobID) ([]float64, error) {
-	if t := c.s.held.Task; t.Job != job {
-		return nil, permanentError{fmt.Errorf("rpcnet: executor %d holds %v, not a checkpoint of job %d", c.s.gpu, t, job)}
-	}
-	return c.s.held.Params, nil
 }
 
 // runExecutorSession runs one conversation with the coordinator.
@@ -416,11 +432,10 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	}()
 
 	exec, err := testbed.NewRemoteExecutor(testbed.RemoteExecutorConfig{
-		GPU: gpu, GPUType: gt, Seq: cfg.Seq,
+		GPU: gpu, GPUType: gt,
 		Instance: cfg.Instance, Models: models,
-		Scheme: cfg.Scheme, Speculative: cfg.Speculative, MemPolicy: cfg.MemPolicy,
+		Scheme: cfg.Scheme, Speculative: cfg.Speculative,
 		Clock: clock, Sync: execClient{s: s},
-		ProblemDim: cfg.ProblemDim, ProblemBatch: cfg.ProblemBatch,
 		FaultRate: cfg.FaultRate, FaultSeed: cfg.FaultSeed,
 		SlowFactor: cfg.SlowFactor,
 	})

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"hare/internal/core"
-	"hare/internal/gpumem"
 	"hare/internal/obs"
 	"hare/internal/store"
 	"hare/internal/switching"
@@ -85,10 +84,6 @@ type snapOpts struct {
 	TimeScale       float64
 	Scheme          switching.Scheme
 	Speculative     bool
-	MemPolicy       gpumem.Policy
-	ProblemDim      int
-	ProblemBatch    int
-	Eta             float64
 	HeartbeatMillis int64
 	LeaseMillis     int64
 	SnapshotEvery   int
@@ -304,10 +299,6 @@ func newSnapHeader(in *core.Instance, gpuTypes, modelNames []string, opts Distri
 			TimeScale:       opts.TimeScale,
 			Scheme:          opts.Scheme,
 			Speculative:     opts.Speculative,
-			MemPolicy:       opts.MemPolicy,
-			ProblemDim:      opts.ProblemDim,
-			ProblemBatch:    opts.ProblemBatch,
-			Eta:             opts.Eta,
 			HeartbeatMillis: opts.HeartbeatInterval.Milliseconds(),
 			LeaseMillis:     opts.LeaseTimeout.Milliseconds(),
 			SnapshotEvery:   opts.SnapshotEvery,

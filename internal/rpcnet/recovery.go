@@ -139,10 +139,6 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 		TimeScale:         snap.Opts.TimeScale,
 		Scheme:            snap.Opts.Scheme,
 		Speculative:       snap.Opts.Speculative,
-		MemPolicy:         snap.Opts.MemPolicy,
-		ProblemDim:        snap.Opts.ProblemDim,
-		ProblemBatch:      snap.Opts.ProblemBatch,
-		Eta:               snap.Opts.Eta,
 		Store:             ropts.Store,
 		Faults:            plan,
 		HeartbeatInterval: time.Duration(snap.Opts.HeartbeatMillis) * time.Millisecond,
@@ -178,9 +174,7 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 
 	// Simulated-time continuity: resume at the high-water mark of
 	// everything durably accepted, so completions measured after
-	// recovery are monotone with the pre-crash ones. The clock must be
-	// anchored before the replay, whose round completions arm barrier
-	// timers against it.
+	// recovery are monotone with the pre-crash ones.
 	rp := replayInfo{snapLSN: snap.LastLSN, watermark: snap.SimTime}
 	for _, rec := range recs {
 		if rec.LSN > snap.LastLSN && rec.SimTime > rp.watermark {
@@ -190,12 +184,12 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 	wallBack := time.Duration(rp.watermark * opts.TimeScale * float64(time.Second))
 	clock := testbed.NewClockAt(time.Now().Add(-wallBack), opts.TimeScale)
 
-	pss, local, err := testbed.NewControlPlane(in, clock, opts.Store, opts.Eta, opts.ProblemDim, opts.ProblemBatch)
+	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0, 0, 0)
 	if err != nil {
 		return nil, replayInfo{}, err
 	}
 	st := &snap.State
-	if err := st.bind(in, local, opts.ProblemDim); err != nil {
+	if err := st.bind(in, local, testbed.ProblemDim); err != nil {
 		return nil, replayInfo{}, err
 	}
 

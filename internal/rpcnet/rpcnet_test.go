@@ -1,6 +1,7 @@
 package rpcnet
 
 import (
+	"errors"
 	"math"
 	"net/rpc"
 	"reflect"
@@ -361,4 +362,31 @@ func profileFor(t *testing.T, specs []*workload.Spec, cl *cluster.Cluster) *core
 		t.Fatal(err)
 	}
 	return in
+}
+
+// TestExecClientBeginRejectsForeignTask: the executor's Begin is
+// answered from the dispatch its session holds, and only for the very
+// task that dispatch carried — another job's, round's or index's barrier
+// and parameters are not what the coordinator sent, and no re-handshake
+// would change that. The matching task gets the dispatch's values as
+// they arrived.
+func TestExecClientBeginRejectsForeignTask(t *testing.T) {
+	held := NextReply{Task: core.TaskRef{Job: 1, Round: 2, Index: 1}, RoundEnd: 12.5, Params: []float64{1, 2, 3}}
+	c := execClient{s: &execSession{gpu: 3, held: held}}
+	for _, foreign := range []core.TaskRef{
+		{Job: 0, Round: 2, Index: 1},
+		{Job: 1, Round: 1, Index: 1},
+		{Job: 1, Round: 3, Index: 1},
+		{Job: 1, Round: 2, Index: 0},
+	} {
+		_, _, err := c.Begin(foreign)
+		var perm permanentError
+		if !errors.As(err, &perm) {
+			t.Errorf("Begin(%v) while holding %v = %v, want a permanentError", foreign, held.Task, err)
+		}
+	}
+	end, params, err := c.Begin(held.Task)
+	if err != nil || end != held.RoundEnd || len(params) != len(held.Params) || &params[0] != &held.Params[0] {
+		t.Errorf("Begin(%v) = %g, %v, %v; want the dispatch's %g and its parameters, uncopied", held.Task, end, params, err, held.RoundEnd)
+	}
 }

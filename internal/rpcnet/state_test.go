@@ -65,11 +65,6 @@ func TestReplayMatchesLive(t *testing.T) {
 			if err != nil {
 				t.Fatalf("every=%d after %s: rebuild: %v", every, what, err)
 			}
-			defer func() {
-				for _, ps := range re.pss {
-					ps.Abort(nil)
-				}
-			}()
 			if live, replayed := canon(t, co.st), canon(t, re.st); !reflect.DeepEqual(live, replayed) {
 				t.Fatalf("every=%d after %s: replayed state differs from live\nlive:     %+v\nreplayed: %+v", every, what, live, replayed)
 			}
@@ -333,15 +328,10 @@ func fuzzRecords(data []byte) []*journalRecord {
 func FuzzCoordApply(f *testing.F) {
 	in, plan := fuzzInstance(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		pss, local, err := testbed.NewControlPlane(in, testbed.NewClock(1e-6), store.NewMem(), 0.3, fuzzDim, 2)
+		_, local, err := testbed.NewControlPlane(in, store.NewMem(), 0.3, fuzzDim, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer func() {
-			for _, ps := range pss {
-				ps.Abort(nil) // releases barrier timers armed at fuzzed simulated times
-			}
-		}()
 		st := newCoordState(in, plan.Sequences(in.NumGPUs), local, fuzzDim)
 		for n, rec := range fuzzRecords(data) {
 			if rec.Kind == 0 {

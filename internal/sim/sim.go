@@ -293,6 +293,9 @@ func (r *replay) init(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster
 	if err := opts.Faults.Validate(in.NumGPUs); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
+	if err := opts.Faults.CheckEngine(faults.Simulator); err != nil {
+		return err
+	}
 	var seqs [][]core.TaskRef
 	if seqBuf != nil {
 		seqs = sch.SequencesInto(seqBuf, in.NumGPUs)
@@ -513,14 +516,6 @@ func (r *replay) exec(bestGPU int, bestStart, bestSwitch float64, bestHit bool, 
 		r.res.LostSeconds += train * float64(retries)
 		r.cRetries.Add(float64(retries))
 		r.cLost.Add(train * float64(retries))
-		if r.observed {
-			for a := 1; a <= retries; a++ {
-				r.rec.Emit(obs.Event{
-					Type: obs.EvFaultInjected, Time: start + train*float64(a), GPU: bestGPU,
-					Job: int(t.Job), Round: t.Round, Index: t.Index, Dur: train,
-				})
-			}
-		}
 	}
 
 	// Idle time beyond the GPU's readiness (and the switch stall)
@@ -528,17 +523,6 @@ func (r *replay) exec(bestGPU int, bestStart, bestSwitch float64, bestHit bool, 
 	// arrival — the stall relaxed scale-fixed sync exists to shrink.
 	if wait := start - bestSwitch - g.free; wait > 0 {
 		r.cWait.Add(wait)
-		if r.observed {
-			reason := "round"
-			if t.Round == 0 {
-				reason = "arrival"
-			}
-			r.rec.Emit(obs.Event{
-				Type: obs.EvBarrierWait, Time: g.free, GPU: bestGPU,
-				Job: int(t.Job), Round: t.Round, Index: t.Index,
-				Dur: wait, Note: reason,
-			})
-		}
 	}
 	if bestSwitch > 0 {
 		g.over = append(g.over, interval{start - bestSwitch, start})
@@ -551,20 +535,20 @@ func (r *replay) exec(bestGPU int, bestStart, bestSwitch float64, bestHit bool, 
 			r.res.ResidencyHits++
 			r.cHits.Inc()
 		}
-		if r.observed {
-			r.rec.Emit(obs.Event{
-				Type: obs.EvJobSwitch, Time: start - bestSwitch, GPU: bestGPU,
-				Job: int(t.Job), From: int(g.prevJob), Dur: bestSwitch,
-				Clean: bestB.Clean, Context: bestB.Context, Init: bestB.Init,
-				Transfer: bestB.Transfer, Hit: bestHit,
-			})
-		}
 	}
+	// The task's events bracket its memory traffic, so equal-time mem
+	// events keep their place between the start and the finish.
+	var run obs.TaskRun
 	if r.observed {
-		r.rec.Emit(obs.Event{
-			Type: obs.EvTaskStart, Time: start, GPU: bestGPU,
-			Job: int(t.Job), Round: t.Round, Index: t.Index,
-		})
+		run = obs.TaskRun{
+			GPU: bestGPU, Job: int(t.Job), Round: t.Round, Index: t.Index,
+			PrevJob: int(g.prevJob), PrevFree: g.free,
+			Start: start, Train: total, Sync: syncT, End: end,
+			Switch: bestSwitch, Clean: bestB.Clean, Context: bestB.Context,
+			Init: bestB.Init, Transfer: bestB.Transfer, Hit: bestHit,
+			Retries: retries, Model: r.in.Jobs[t.Job].Model,
+		}
+		r.rec.BeginTask(run)
 	}
 	if g.mem != nil {
 		md := r.models[t.Job]
@@ -576,12 +560,7 @@ func (r *replay) exec(bestGPU int, bestStart, bestSwitch float64, bestHit bool, 
 	r.cTasks.Inc()
 	r.cTrain.Add(total)
 	if r.observed {
-		r.rec.Emit(obs.Event{
-			Type: obs.EvTaskFinish, Time: end, GPU: bestGPU,
-			Job: int(t.Job), Round: t.Round, Index: t.Index,
-			Dur: end - start, Train: total, Sync: syncT,
-			Note: r.in.Jobs[t.Job].Model,
-		})
+		r.rec.EndTask(run)
 	}
 	g.free = trainEnd
 	g.prevJob = t.Job

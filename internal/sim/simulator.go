@@ -349,21 +349,9 @@ func (s *Simulator) failGPU(f faults.GPUFailure, replanner sched.Algorithm) erro
 	if len(pending) == 0 {
 		return nil // dead GPU had already drained; nothing to move
 	}
-	if len(aliveList) == 0 {
-		return fmt.Errorf("sim: no surviving GPUs with %d tasks pending (GPU %d failed at t=%g)",
-			len(pending), m, f.Time)
-	}
-	residual, err := faults.NewResidual(r.in, pending, aliveList)
+	seqs, err := faults.Replan(r.in, pending, aliveList, replanner)
 	if err != nil {
-		return fmt.Errorf("sim: recovery from GPU %d failure: %w", m, err)
-	}
-	plan2, err := replanner.Schedule(residual.Instance)
-	if err != nil {
-		return fmt.Errorf("sim: re-plan after GPU %d failure: %w", m, err)
-	}
-	seqs, err := residual.Sequences(plan2)
-	if err != nil {
-		return fmt.Errorf("sim: re-plan after GPU %d failure: %w", m, err)
+		return fmt.Errorf("sim: GPU %d failed at t=%g: %w", m, f.Time, err)
 	}
 	for i := range s.waitHead {
 		s.waitHead[i], s.waitTail[i] = -1, -1
@@ -390,25 +378,6 @@ func (s *Simulator) failGPU(f faults.GPUFailure, replanner sched.Algorithm) erro
 	r.cResched.Inc()
 	r.res.TasksMigrated += len(stranded)
 	r.cMigrated.Add(float64(len(stranded)))
-	if r.observed {
-		r.rec.Emit(obs.Event{
-			Type: obs.EvReschedule, Time: f.Time, GPU: m, Job: -1,
-			Note: fmt.Sprintf("tasks=%d gpus=%d", len(pending), len(aliveList)),
-		})
-		strandedSet := make(map[core.TaskRef]bool, len(stranded))
-		for _, t := range stranded {
-			strandedSet[t] = true
-		}
-		for mm, seq := range seqs {
-			for _, t := range seq {
-				if strandedSet[t] {
-					r.rec.Emit(obs.Event{
-						Type: obs.EvTaskMigrated, Time: f.Time, GPU: mm,
-						Job: int(t.Job), Round: t.Round, Index: t.Index, From: m,
-					})
-				}
-			}
-		}
-	}
+	faults.EmitMigration(r.rec, f.Time, m, len(pending), len(aliveList), stranded, seqs)
 	return nil
 }

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -38,17 +39,13 @@ func TestRunRejectsBadInputs(t *testing.T) {
 
 func TestNewRemoteExecutorValidation(t *testing.T) {
 	in, cl, models := smallWorkload(t, 2, 33)
-	plan, err := sched.NewHare().Schedule(in)
-	if err != nil {
-		t.Fatal(err)
-	}
 	clock := NewClock(1e-3)
-	_, client, err := NewControlPlane(in, clock, nil, 0, 0, 0)
+	_, client, err := NewControlPlane(in, nil, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := RemoteExecutorConfig{
-		GPU: 0, GPUType: cl.GPUs[0].Type, Seq: plan.Sequences(in.NumGPUs)[0],
+		GPU: 0, GPUType: cl.GPUs[0].Type,
 		Instance: in, Models: models, Clock: clock, Sync: client,
 	}
 	if _, err := NewRemoteExecutor(base); err != nil {
@@ -105,8 +102,7 @@ func TestPSRejectsWrongRoundAndJob(t *testing.T) {
 		Jobs: []*core.Job{job}, NumGPUs: 1,
 		Train: [][]float64{{1}}, Sync: [][]float64{{0}},
 	}
-	clock := NewClock(1e-3)
-	pss, _, err := NewControlPlane(in, clock, nil, 0, 8, 2)
+	pss, _, err := NewControlPlane(in, nil, 0, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +122,57 @@ func TestPSRejectsWrongRoundAndJob(t *testing.T) {
 	}
 }
 
+// TestRoundGateClosesAtLastPush: a round's gate closes when its last
+// gradient lands and carries the realized end as a value — here 1000
+// simulated seconds past the push, which at the clock scale of 1 a real
+// run would use is a quarter of an hour nobody may sleep through inside
+// the parameter server (the executor sleeps to the barrier itself). And
+// a completed round leaves nothing behind: no goroutine, no timer.
+func TestRoundGateClosesAtLastPush(t *testing.T) {
+	const rounds, scale = 10, 2
+	job := &core.Job{ID: 0, Name: "j", Weight: 1, Rounds: rounds, Scale: scale}
+	in := &core.Instance{
+		Jobs: []*core.Job{job}, NumGPUs: 2,
+		Train: [][]float64{{1, 1}}, Sync: [][]float64{{1000, 1000}},
+	}
+	pss, _, err := NewControlPlane(in, nil, 0, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := pss[0]
+	before := runtime.NumGoroutine()
+	for r := 0; r < rounds; r++ {
+		trainEnd := float64(r + 1)
+		for k := 0; k < scale; k++ {
+			if _, err := ps.Push(core.TaskRef{Job: 0, Round: r, Index: k}, k, trainEnd, make([]float64, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ended := make(chan float64, 1)
+		go func() {
+			end, err := ps.WaitRound(r)
+			if err != nil {
+				t.Error(err)
+			}
+			ended <- end
+		}()
+		select {
+		case end := <-ended:
+			if want := trainEnd + 1000; end != want {
+				t.Fatalf("round %d ended at %g, want %g", r, end, want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("round %d: WaitRound still blocked 2 s after the round's last push", r)
+		}
+	}
+	for tries := 0; runtime.NumGoroutine() > before; tries++ { // the last waiter above may still be exiting
+		if tries == 100 {
+			t.Fatalf("%d goroutines before ten completed rounds, %d after: a completed round left one behind", before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond) //lint:allow walltime waiting for real goroutines to exit
+	}
+}
+
 func TestExecutorSurfacesPushErrors(t *testing.T) {
 	in, cl, models := smallWorkload(t, 2, 35)
 	plan, err := sched.NewHare().Schedule(in)
@@ -133,30 +180,31 @@ func TestExecutorSurfacesPushErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := NewClock(1e-4)
-	_, good, err := NewControlPlane(in, clock, nil, 0, 0, 0)
+	_, good, err := NewControlPlane(in, nil, 0, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exec, err := NewRemoteExecutor(RemoteExecutorConfig{
-		GPU: 0, GPUType: cl.GPUs[0].Type, Seq: plan.Sequences(in.NumGPUs)[0],
+		GPU: 0, GPUType: cl.GPUs[0].Type,
 		Instance: in, Models: models, Clock: clock,
 		Sync: brokenClient{SyncClient: good},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exec.Seq) == 0 {
+	seq := plan.Sequences(in.NumGPUs)[0]
+	if len(seq) == 0 {
 		t.Skip("plan left GPU 0 empty")
 	}
-	if err := exec.Run(); err == nil || !strings.Contains(err.Error(), "checkpoint unavailable") {
+	if err := exec.Run(seq); err == nil || !strings.Contains(err.Error(), "checkpoint unavailable") {
 		t.Errorf("executor swallowed the control-plane error: %v", err)
 	}
 }
 
 type brokenClient struct{ SyncClient }
 
-func (brokenClient) LoadCheckpoint(core.JobID) ([]float64, error) {
-	return nil, errCheckpoint
+func (brokenClient) Begin(core.TaskRef) (float64, []float64, error) {
+	return 0, nil, errCheckpoint
 }
 
 var errCheckpoint = &checkpointErr{}

@@ -37,15 +37,19 @@ type PushReport struct {
 	Grad    []float64
 }
 
-// SyncClient is the executor's view of the control plane: pushing
-// gradients, waiting on round barriers, and loading checkpoints. The
-// local backend calls parameter servers directly; the rpcnet backend
-// carries the same calls over net/rpc, mirroring the paper's
-// gRPC-based scheduler⇄executor channel.
+// SyncClient is the executor's view of the control plane, two calls per
+// task. Begin returns what the task needs before it can train: the
+// realized end of its job's previous round (0 for a round-0 task; the
+// executor sleeps to it on the shared clock) and the job's parameters.
+// Both hold until this task's Push — its round cannot complete without
+// it — so the executor asks once and reuses them across fault retries.
+// Push delivers the gradient and returns the task's completion. The
+// local backend calls parameter servers directly; rpcnet answers Begin
+// from the dispatch that carried the task and sends Push over net/rpc,
+// mirroring the paper's gRPC-based scheduler⇄executor channel.
 type SyncClient interface {
+	Begin(t core.TaskRef) (roundEnd float64, params []float64, err error)
 	Push(rep PushReport) (float64, error)
-	WaitRound(job core.JobID, round int) (float64, error)
-	LoadCheckpoint(job core.JobID) ([]float64, error)
 }
 
 // Executor replays one GPU's task sequence: it respects arrival times
@@ -57,7 +61,6 @@ type SyncClient interface {
 type Executor struct {
 	GPU     int
 	GPUType cluster.GPUType
-	Seq     []core.TaskRef
 
 	in     *core.Instance
 	models []*model.Model
@@ -94,9 +97,9 @@ type Executor struct {
 	Retries int
 }
 
-// Run executes the sequence to completion.
-func (e *Executor) Run() error {
-	for _, t := range e.Seq {
+// Run executes a task sequence to completion.
+func (e *Executor) Run(seq []core.TaskRef) error {
+	for _, t := range seq {
 		if err := e.RunTask(t); err != nil {
 			return err
 		}
@@ -104,30 +107,22 @@ func (e *Executor) Run() error {
 	return nil
 }
 
-// RunTask executes one task against the control plane: wait for the
-// round barrier, pay the switching stall, compute the gradient
-// (retrying from the checkpoint on injected faults), push, and record
-// the measured timings. The distributed pull loop calls it directly
-// with tasks handed out by the coordinator; Run calls it per sequence
-// entry.
+// RunTask executes one task against the control plane: learn the round
+// barrier and the parameters (Begin), sleep to the barrier or through the
+// switching stall, compute the gradient (again from the same parameters
+// on injected faults), push, and record the measured timings. The
+// distributed pull loop calls it directly with tasks handed out by the
+// coordinator; Run calls it per sequence entry.
 func (e *Executor) RunTask(t core.TaskRef) error {
-	job := e.in.Jobs[t.Job]
 	// Round barrier (relaxed scale-fixed synchronization): only
 	// the *previous* round must be complete; same-round siblings
 	// may still be running elsewhere.
-	barrier := job.Arrival
-	if t.Round > 0 {
-		end, err := e.sync.WaitRound(t.Job, t.Round-1)
-		if err != nil {
-			return fmt.Errorf("executor %d: %w", e.GPU, err)
-		}
-		if end > barrier {
-			barrier = end
-		}
+	roundEnd, params, err := e.sync.Begin(t)
+	if err != nil {
+		return fmt.Errorf("executor %d: %w", e.GPU, err)
 	}
+	barrier := max(e.in.Jobs[t.Job].Arrival, roundEnd)
 	// Switching overhead between jobs.
-	var sw float64
-	var hit bool
 	var bd switching.Breakdown
 	if e.prevJob != t.Job {
 		var prev *model.Model
@@ -136,68 +131,35 @@ func (e *Executor) RunTask(t core.TaskRef) error {
 		}
 		resident := e.mem != nil && e.mem.Resident(gpumem.JobKey(t.Job))
 		bd = switching.Cost(e.scheme, e.GPUType, prev, e.models[t.Job], resident)
-		sw, hit = bd.Total(), bd.ResidentHit
 	}
-	target := e.freeAt + sw
-	if barrier > target {
-		target = barrier
-	}
-	start := e.clock.SleepUntil(target)
+	sw, hit := bd.Total(), bd.ResidentHit
+	start := e.clock.SleepUntil(max(barrier, e.freeAt+sw))
 
-	if e.rec.Enabled() {
-		if wait := start - sw - e.freeAt; wait > 0 {
-			reason := "round"
-			if t.Round == 0 {
-				reason = "arrival"
-			}
-			e.rec.Emit(obs.Event{
-				Type: obs.EvBarrierWait, Time: e.freeAt, GPU: e.GPU,
-				Job: int(t.Job), Round: t.Round, Index: t.Index,
-				Dur: wait, Note: reason,
-			})
-		}
-		if sw > 0 {
-			e.rec.Emit(obs.Event{
-				Type: obs.EvJobSwitch, Time: start - sw, GPU: e.GPU,
-				Job: int(t.Job), From: int(e.prevJob), Dur: sw,
-				Clean: bd.Clean, Context: bd.Context, Init: bd.Init,
-				Transfer: bd.Transfer, Hit: hit,
-			})
-		}
-		e.rec.Emit(obs.Event{
-			Type: obs.EvTaskStart, Time: start, GPU: e.GPU,
-			Job: int(t.Job), Round: t.Round, Index: t.Index,
-		})
+	run := obs.TaskRun{
+		GPU: e.GPU, Job: int(t.Job), Round: t.Round, Index: t.Index,
+		PrevJob: int(e.prevJob), PrevFree: e.freeAt, Start: start,
+		Switch: sw, Clean: bd.Clean, Context: bd.Context, Init: bd.Init,
+		Transfer: bd.Transfer, Hit: hit, Model: e.in.Jobs[t.Job].Model,
 	}
+	e.rec.BeginTask(run)
 	if e.mem != nil {
 		e.mem.BeginAt(gpumem.JobKey(t.Job), e.models[t.Job].TrainFootprintBytes, start)
 	}
-	// Real work: load the checkpoint and compute the gradient,
-	// retrying from the checkpoint when a fault eats the attempt.
+	// Real work: compute the gradient, again from the same checkpoint
+	// when a fault eats the attempt.
 	var grad []float64
 	retries := 0
 	train := e.in.Train[t.Job][e.GPU] * e.slow
-	attemptEnd := start
+	trainEnd := start
 	for {
-		params, err := e.sync.LoadCheckpoint(t.Job)
-		if err != nil {
-			return fmt.Errorf("executor %d: %w", e.GPU, err)
-		}
 		grad = e.probs[t.Job].Gradient(params, t.Round, t.Index)
-		attemptEnd = e.clock.SleepUntil(attemptEnd + train)
+		trainEnd = e.clock.SleepUntil(trainEnd + train)
 		if e.faultRate <= 0 || e.faultRNG.Float64() >= e.faultRate {
 			break
 		}
 		retries++ // attempt lost; its GPU time is gone
-		if e.rec.Enabled() {
-			e.rec.Emit(obs.Event{
-				Type: obs.EvFaultInjected, Time: attemptEnd, GPU: e.GPU,
-				Job: int(t.Job), Round: t.Round, Index: t.Index, Dur: train,
-			})
-		}
 	}
 	e.Retries += retries
-	trainEnd := attemptEnd
 	if e.mem != nil {
 		e.mem.Complete(gpumem.JobKey(t.Job), e.models[t.Job].ParamBytes, trainEnd)
 	}
@@ -213,14 +175,8 @@ func (e *Executor) RunTask(t core.TaskRef) error {
 		Task: t, GPU: e.GPU, Start: start,
 		Train: trainEnd - start, Sync: completion - trainEnd, Switch: sw,
 	})
-	if e.rec.Enabled() {
-		e.rec.Emit(obs.Event{
-			Type: obs.EvTaskFinish, Time: completion, GPU: e.GPU,
-			Job: int(t.Job), Round: t.Round, Index: t.Index,
-			Dur: completion - start, Train: trainEnd - start, Sync: completion - trainEnd,
-			Note: e.in.Jobs[t.Job].Model,
-		})
-	}
+	run.Train, run.Sync, run.End, run.Retries = trainEnd-start, completion-trainEnd, completion, retries
+	e.rec.EndTask(run)
 	if sw > 0 {
 		e.SwitchTotal += sw
 		e.SwitchCount++

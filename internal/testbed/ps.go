@@ -3,7 +3,6 @@ package testbed
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"hare/internal/core"
 	"hare/internal/store"
@@ -11,17 +10,17 @@ import (
 
 // ParameterServer aggregates one job's gradients (paper Eq. 3): each
 // round it collects Scale gradient pushes, averages them, applies an
-// SGD step, checkpoints the updated model, and — once the slowest
-// task's synchronization completes — releases the next round's
-// barrier. Completion times are simulated-clock values measured from
-// the actual pushes, so relaxed (staggered) task execution is
-// reflected faithfully.
+// SGD step, checkpoints the updated model and closes the round's gate,
+// which carries the round's realized end — the completion of its
+// slowest task — as a value. The gate is not a timer: whoever runs a
+// task of the next round sleeps to that end on the shared clock itself.
+// Completion times are simulated-clock values measured from the actual
+// pushes, so relaxed (staggered) task execution is reflected faithfully.
 type ParameterServer struct {
-	Job   *core.Job
-	prob  *Problem
-	st    store.Store
-	clock *Clock
-	eta   float64
+	Job  *core.Job
+	prob *Problem
+	st   store.Store
+	eta  float64
 	// syncOf returns the job's T^s on a given GPU.
 	syncOf func(gpu int) float64
 
@@ -35,10 +34,6 @@ type ParameterServer struct {
 	// LossHistory records the held-out loss after each round, for
 	// convergence assertions.
 	LossHistory []float64
-
-	abortOnce sync.Once
-	aborted   chan struct{}
-	abortErr  error
 }
 
 type roundGate struct {
@@ -47,12 +42,11 @@ type roundGate struct {
 }
 
 // NewParameterServer builds a PS for one job.
-func NewParameterServer(job *core.Job, prob *Problem, st store.Store, clock *Clock, eta float64, syncOf func(gpu int) float64) *ParameterServer {
+func NewParameterServer(job *core.Job, prob *Problem, st store.Store, eta float64, syncOf func(gpu int) float64) *ParameterServer {
 	ps := &ParameterServer{
-		Job: job, prob: prob, st: st, clock: clock, eta: eta, syncOf: syncOf,
-		params:  prob.InitParams(),
-		done:    make([]*roundGate, job.Rounds),
-		aborted: make(chan struct{}),
+		Job: job, prob: prob, st: st, eta: eta, syncOf: syncOf,
+		params: prob.InitParams(),
+		done:   make([]*roundGate, job.Rounds),
 	}
 	for r := range ps.done {
 		ps.done[r] = &roundGate{ch: make(chan struct{})}
@@ -68,15 +62,14 @@ func NewParameterServer(job *core.Job, prob *Problem, st store.Store, clock *Clo
 // the task finished computing; the task's full completion adds its
 // synchronization time on its GPU. Push returns that completion time.
 // When the round's last gradient arrives the PS applies the update,
-// checkpoints, and schedules the barrier release at the round's
-// realized end.
+// checkpoints, and closes the round's gate with its realized end.
 func (ps *ParameterServer) Push(t core.TaskRef, gpu int, trainEnd float64, grad []float64) (float64, error) {
 	if t.Job != ps.Job.ID {
 		return 0, fmt.Errorf("testbed: gradient for job %d pushed to PS of job %d", t.Job, ps.Job.ID)
 	}
 	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	if t.Round != ps.round {
-		ps.mu.Unlock()
 		return 0, fmt.Errorf("testbed: job %d received round-%d gradient during round %d (synchronization violated)",
 			ps.Job.ID, t.Round, ps.round)
 	}
@@ -85,91 +78,46 @@ func (ps *ParameterServer) Push(t core.TaskRef, gpu int, trainEnd float64, grad 
 	if completion > ps.roundMax {
 		ps.roundMax = completion
 	}
-	last := len(ps.grads) == ps.Job.Scale
-	var gate *roundGate
-	var end float64
-	if last {
+	if len(ps.grads) == ps.Job.Scale {
 		avg := AggregateGradients(ps.grads)
 		ApplySGD(ps.params, avg, ps.eta)
 		ps.LossHistory = append(ps.LossHistory, ps.prob.Loss(ps.params))
 		ckpt := store.EncodeParams(ps.params)
 		if err := ps.st.Save(store.LatestKey(int(ps.Job.ID)), ckpt); err != nil {
-			ps.mu.Unlock()
 			return 0, fmt.Errorf("testbed: checkpoint save: %w", err)
 		}
 		if err := ps.st.Save(store.CheckpointKey(int(ps.Job.ID), ps.round), ckpt); err != nil {
-			ps.mu.Unlock()
 			return 0, fmt.Errorf("testbed: checkpoint save: %w", err)
 		}
-		gate = ps.done[ps.round]
-		end = ps.roundMax
-		gate.end = end
+		gate := ps.done[ps.round]
+		gate.end = ps.roundMax
+		close(gate.ch)
 		ps.grads = nil
 		ps.roundMax = 0
 		ps.round++
 	}
-	ps.mu.Unlock()
-
-	if last {
-		// Release the barrier once the slowest task's sync lands. The
-		// timer is select-able against Abort so a killed control plane
-		// doesn't strand the goroutine until the simulated deadline.
-		go func() {
-			timer := time.NewTimer(ps.clock.Until(end))
-			defer timer.Stop()
-			select {
-			case <-timer.C:
-				close(gate.ch)
-			case <-ps.aborted:
-			}
-		}()
-	}
 	return completion, nil
 }
 
-// WaitRound blocks until round r (0-based) has fully completed and
-// returns its realized completion time. It unblocks with an error if
-// the parameter server is aborted first.
+// WaitRound blocks until every gradient of round r (0-based) has been
+// pushed and returns the round's realized completion time, which may
+// still lie ahead on the clock.
 func (ps *ParameterServer) WaitRound(r int) (float64, error) {
 	if r < 0 || r >= ps.Job.Rounds {
 		return 0, fmt.Errorf("testbed: job %d has no round %d", ps.Job.ID, r)
 	}
 	gate := ps.done[r]
-	select {
-	case <-gate.ch:
-		return gate.end, nil
-	case <-ps.aborted:
-		ps.mu.Lock()
-		err := ps.abortErr
-		ps.mu.Unlock()
-		return 0, err
-	}
-}
-
-// Abort permanently unblocks every pending and future WaitRound with
-// err and stops pending barrier-release timers. Used by the
-// coordinator's kill path so those timer goroutines (and any in-process
-// waiter) drain instead of leaking. Idempotent; the first error wins.
-func (ps *ParameterServer) Abort(err error) {
-	ps.abortOnce.Do(func() {
-		ps.mu.Lock()
-		if err == nil {
-			err = fmt.Errorf("testbed: job %d parameter server aborted", ps.Job.ID)
-		}
-		ps.abortErr = err
-		ps.mu.Unlock()
-		close(ps.aborted)
-	})
+	<-gate.ch
+	return gate.end, nil
 }
 
 // Restore rewinds the parameter server to a recovered coordinator
 // snapshot: params are the model parameters after the last completed
 // round, losses the per-round loss history, and roundEnds the realized
 // completion times of the completed rounds (len(roundEnds) is the next
-// round to run). Gates of completed rounds are released immediately —
-// their realized ends are in the past of the recovered clock — and the
-// rolling "latest" checkpoint is re-saved so reconnecting executors can
-// load it even when the checkpoint store died with the old process.
+// round to run). Gates of completed rounds are closed with those ends,
+// and the rolling "latest" checkpoint is re-saved so a later reader finds
+// it even when the checkpoint store died with the old process.
 func (ps *ParameterServer) Restore(params, losses, roundEnds []float64) error {
 	if len(roundEnds) > ps.Job.Rounds {
 		return fmt.Errorf("testbed: job %d restore with %d completed rounds (max %d)",

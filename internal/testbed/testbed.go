@@ -28,23 +28,16 @@ type Options struct {
 	// switching.Default, the unoptimized baseline; Hare's fast switching
 	// is switching.Hare plus Speculative.
 	Scheme switching.Scheme
-	// Speculative enables the per-GPU speculative memory manager.
+	// Speculative enables the per-GPU speculative memory manager (the
+	// paper's KeepLatest heuristic).
 	Speculative bool
-	// MemPolicy selects the manager's eviction policy.
-	MemPolicy gpumem.Policy
 	// Store receives checkpoints; an in-memory store by default.
 	Store store.Store
-	// ProblemDim and ProblemBatch size the synthetic SGD problems.
-	// Defaults: 32 and 8.
-	ProblemDim, ProblemBatch int
-	// Eta is the SGD learning rate (default 0.3).
-	Eta float64
 	// Faults is the failure plan (see internal/faults): at its transient
 	// rate each training attempt is lost and retried from the
-	// checkpoint, and its stragglers run slow. Permanent GPU failures
-	// and crashes are not supported by the in-process testbed — replay
-	// those through the simulator or the distributed control plane
-	// (internal/rpcnet), which can actually lose an executor.
+	// checkpoint, and its stragglers run slow. The in-process testbed
+	// replays nothing else (faults.InProcess): it can neither lose an
+	// executor nor disturb a network it does not have.
 	Faults *faults.Plan
 	// Recorder receives structured events from every executor
 	// goroutine (its sinks serialize concurrent emits); nil disables
@@ -52,24 +45,17 @@ type Options struct {
 	Recorder *obs.Recorder
 }
 
-// withDefaults validates the options and fills defaults. Invalid
-// values that would silently corrupt a run — a fault probability
-// outside [0, 1], a NaN/Inf clock scale or learning rate — are
-// rejected rather than clamped.
+// withDefaults fills defaults. A NaN/Inf clock scale would silently
+// corrupt a run, so it is rejected rather than clamped; Run validates
+// the fault plan against the instance.
 func (o Options) withDefaults() (Options, error) {
 	if math.IsNaN(o.TimeScale) || math.IsInf(o.TimeScale, 0) {
 		return o, fmt.Errorf("testbed: invalid TimeScale %g", o.TimeScale)
 	}
-	if math.IsNaN(o.Eta) || math.IsInf(o.Eta, 0) {
-		return o, fmt.Errorf("testbed: invalid Eta %g", o.Eta)
-	}
-	if err := o.Faults.Validate(0); err != nil {
-		return o, fmt.Errorf("testbed: %w", err)
-	}
 	if o.TimeScale <= 0 {
 		o.TimeScale = 0.001
 	}
-	return o, nil // Eta, Store and the problem size default where they are used
+	return o, nil // Store defaults where it is used
 }
 
 // Result is the measured outcome of a testbed run.
@@ -89,34 +75,49 @@ type Result struct {
 	FinalLosses   []float64
 }
 
+// The synthetic SGD problems every engine trains: ProblemDim parameters
+// (so also the length of every gradient, which the coordinator checks),
+// mini-batches of problemBatch samples, one learning rate. One value each
+// is in use, so they are constants, not options.
+const (
+	ProblemDim   = 32
+	problemBatch = 8
+	learningRate = 0.3
+)
+
 // localClient is the in-process SyncClient: direct PS and store calls.
 type localClient struct {
 	pss []*ParameterServer
 	st  store.Store
 }
 
+// Begin waits until the previous round has fully pushed and loads the
+// checkpoint that push wrote.
+func (c *localClient) Begin(t core.TaskRef) (roundEnd float64, params []float64, err error) {
+	if t.Round > 0 {
+		if roundEnd, err = c.pss[t.Job].WaitRound(t.Round - 1); err != nil {
+			return 0, nil, err
+		}
+	}
+	data, err := c.st.Load(store.LatestKey(int(t.Job)))
+	if err != nil {
+		return 0, nil, err
+	}
+	params, err = store.DecodeParams(data)
+	return roundEnd, params, err
+}
+
 func (c *localClient) Push(rep PushReport) (float64, error) {
 	return c.pss[rep.Task.Job].Push(rep.Task, rep.GPU, rep.TrainEnd, rep.Grad)
 }
 
-func (c *localClient) WaitRound(job core.JobID, round int) (float64, error) {
-	return c.pss[job].WaitRound(round)
-}
-
-func (c *localClient) LoadCheckpoint(job core.JobID) ([]float64, error) {
-	data, err := c.st.Load(store.LatestKey(int(job)))
-	if err != nil {
-		return nil, err
-	}
-	return store.DecodeParams(data)
-}
-
 // NewControlPlane builds the scheduler-side state — one parameter
-// server per job, all wired to the checkpoint store and the shared
-// clock — and returns the servers plus the in-process SyncClient that
-// fronts them. The distributed coordinator (internal/rpcnet) exposes
-// the same client over TCP.
-func NewControlPlane(in *core.Instance, clock *Clock, st store.Store, eta float64, problemDim, problemBatch int) ([]*ParameterServer, SyncClient, error) {
+// server per job, all wired to the checkpoint store — and returns the
+// servers plus the in-process SyncClient that fronts them. The
+// distributed coordinator (internal/rpcnet) puts the same servers behind
+// TCP. Non-positive eta, problemDim and problemBatch mean the package
+// constants; only tests pass anything else.
+func NewControlPlane(in *core.Instance, st store.Store, eta float64, problemDim, problemBatch int) ([]*ParameterServer, SyncClient, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -124,13 +125,13 @@ func NewControlPlane(in *core.Instance, clock *Clock, st store.Store, eta float6
 		st = store.NewMem()
 	}
 	if eta <= 0 {
-		eta = 0.3
+		eta = learningRate
 	}
 	probs := newProblems(in, problemDim, problemBatch)
 	pss := make([]*ParameterServer, len(in.Jobs))
 	for _, j := range in.Jobs {
 		jid := j.ID
-		pss[j.ID] = NewParameterServer(j, probs[j.ID], st, clock, eta,
+		pss[j.ID] = NewParameterServer(j, probs[j.ID], st, eta,
 			func(gpu int) float64 { return in.Sync[jid][gpu] })
 	}
 	return pss, &localClient{pss: pss, st: st}, nil
@@ -139,20 +140,16 @@ func NewControlPlane(in *core.Instance, clock *Clock, st store.Store, eta float6
 // RemoteExecutorConfig assembles an Executor outside testbed.Run —
 // the distributed path, where the configuration arrived over RPC.
 type RemoteExecutorConfig struct {
-	GPU          int
-	GPUType      cluster.GPUType
-	Seq          []core.TaskRef
-	Instance     *core.Instance
-	Models       []*model.Model
-	Scheme       switching.Scheme
-	Speculative  bool
-	MemPolicy    gpumem.Policy
-	Clock        *Clock
-	Sync         SyncClient
-	ProblemDim   int
-	ProblemBatch int
-	FaultRate    float64
-	FaultSeed    int64
+	GPU         int
+	GPUType     cluster.GPUType
+	Instance    *core.Instance
+	Models      []*model.Model
+	Scheme      switching.Scheme
+	Speculative bool
+	Clock       *Clock
+	Sync        SyncClient
+	FaultRate   float64
+	FaultSeed   int64
 	// SlowFactor makes the executor a straggler: training attempts
 	// take SlowFactor times their profiled duration. Values below 1
 	// (including the zero value) mean healthy.
@@ -177,18 +174,18 @@ func NewRemoteExecutor(cfg RemoteExecutorConfig) (*Executor, error) {
 	if cfg.GPU < 0 || cfg.GPU >= cfg.Instance.NumGPUs {
 		return nil, fmt.Errorf("testbed: GPU %d outside the %d-GPU instance", cfg.GPU, cfg.Instance.NumGPUs)
 	}
-	return newExecutor(cfg, newProblems(cfg.Instance, cfg.ProblemDim, cfg.ProblemBatch)), nil
+	return newExecutor(cfg, newProblems(cfg.Instance, 0, 0)), nil
 }
 
 // newProblems builds every job's SGD problem (seeds are jobID+1 on
 // every engine, so all of them train the same models); non-positive
-// sizes mean the defaults, 32 and 8.
+// sizes mean ProblemDim and problemBatch.
 func newProblems(in *core.Instance, dim, batch int) []*Problem {
 	if dim <= 0 {
-		dim = 32
+		dim = ProblemDim
 	}
 	if batch <= 0 {
-		batch = 8
+		batch = problemBatch
 	}
 	probs := make([]*Problem, len(in.Jobs))
 	for _, j := range in.Jobs {
@@ -206,16 +203,10 @@ func newExecutor(cfg RemoteExecutorConfig, probs []*Problem) *Executor {
 	var mem *gpumem.Manager
 	if cfg.Speculative {
 		mem = gpumem.NewManager(cfg.GPUType.MemBytes)
-		mem.SetPolicy(cfg.MemPolicy)
 		mem.SetRecorder(cfg.Recorder, cfg.GPU)
-		look := make([]gpumem.JobKey, len(cfg.Seq))
-		for i, t := range cfg.Seq {
-			look[i] = gpumem.JobKey(t.Job)
-		}
-		mem.SetLookahead(look)
 	}
 	return &Executor{
-		GPU: cfg.GPU, GPUType: cfg.GPUType, Seq: cfg.Seq,
+		GPU: cfg.GPU, GPUType: cfg.GPUType,
 		in: cfg.Instance, models: cfg.Models, scheme: cfg.Scheme, mem: mem,
 		clock: cfg.Clock, sync: cfg.Sync, probs: probs,
 		faultRate: cfg.FaultRate,
@@ -233,8 +224,8 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	if err != nil {
 		return nil, err
 	}
-	if opts.Faults.HasGPUFailures() {
-		return nil, fmt.Errorf("testbed: the in-process testbed cannot lose a GPU; replay fail=/crash= plans through the simulator or the distributed control plane")
+	if err := opts.Faults.CheckEngine(faults.InProcess); err != nil {
+		return nil, err
 	}
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -253,18 +244,18 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	}
 
 	clock := NewClock(opts.TimeScale)
-	pss, base, err := NewControlPlane(in, clock, opts.Store, opts.Eta, opts.ProblemDim, opts.ProblemBatch)
+	pss, base, err := NewControlPlane(in, opts.Store, 0, 0, 0)
 	if err != nil {
 		return nil, err
 	}
-	probs := newProblems(in, opts.ProblemDim, opts.ProblemBatch)
+	probs := newProblems(in, 0, 0)
 	seqs := sch.Sequences(in.NumGPUs)
 	execs := make([]*Executor, in.NumGPUs)
 	for m := range execs {
 		execs[m] = newExecutor(RemoteExecutorConfig{
-			GPU: m, GPUType: cl.GPUs[m].Type, Seq: seqs[m],
+			GPU: m, GPUType: cl.GPUs[m].Type,
 			Instance: in, Models: models,
-			Scheme: opts.Scheme, Speculative: opts.Speculative, MemPolicy: opts.MemPolicy,
+			Scheme: opts.Scheme, Speculative: opts.Speculative,
 			Clock: clock, Sync: base,
 			FaultRate: opts.Faults.TransientRate(), FaultSeed: opts.Faults.TransientSeed(),
 			SlowFactor: opts.Faults.SlowdownOf(m),
@@ -278,7 +269,7 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 		wg.Add(1)
 		go func(m int, e *Executor) {
 			defer wg.Done()
-			errs[m] = e.Run()
+			errs[m] = e.Run(seqs[m])
 		}(m, e)
 	}
 	wg.Wait()

@@ -2,7 +2,7 @@
 # The pre-merge checks, in the three stages the CI jobs call:
 #
 #   scripts/check.sh          # all three
-#   scripts/check.sh tests    # vet, harelint, build, go test -race ./..., stress + fuzz smokes
+#   scripts/check.sh tests    # vet, harelint, build, go test -race ./..., stress + fuzz smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -34,6 +34,9 @@ tests() {
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzDirLogOpen -fuzztime 10s ./internal/store/
+
+	echo "==> make loc (non-test Go lines per package: the size of every PR in the CI log)"
+	make -s loc
 }
 
 chaos() {
