@@ -552,9 +552,9 @@ func BenchmarkObsDisabled(b *testing.B) {
 // steady-state configuration.
 func BenchmarkObsEnabledRing(b *testing.B) {
 	in, plan, cl, models := obsBenchSetup(b)
-	ring := NewRingSink(4096)
-	reg := NewMetricsRegistry()
-	rec := NewRecorder(ring)
+	ring := obs.NewRingSink(4096)
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(ring)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Simulate(in, plan, cl, models, SimOptions{
@@ -748,7 +748,7 @@ func BenchmarkGPUMemManager(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := zoo[i%len(zoo)]
 		k := gpumem.JobKey(i % 6)
-		mem.Begin(k, m.TrainFootprintBytes)
+		mem.BeginAt(k, m.TrainFootprintBytes, 0)
 		mem.Complete(k, m.ParamBytes, float64(i))
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 
+	"hare/internal/cliflags"
 	"hare/internal/faults"
 	"hare/internal/obs"
 	"hare/internal/obs/dtrace"
@@ -26,7 +27,7 @@ import (
 var (
 	addr      = flag.String("addr", "127.0.0.1:7462", "coordinator address")
 	gpu       = flag.Int("gpu", -1, "this executor's GPU index (required)")
-	faultSpec = flag.String("fault-spec", "", "client-side network chaos: netdrop=P,netdup=P,netreorder=P,netdelay=A~B,partition=G@T+D; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\"")
+	faultSpec = cliflags.Faults(flag.CommandLine, "client-side network chaos (this executor injects the net* clauses; the coordinator configures the rest)")
 	chaosSeed = flag.Int64("chaos-seed", 0, "chaos decision-stream seed (overrides netseed= in -fault-spec)")
 	eventsOut = flag.String("events-out", "", "write this executor's trace-context event stream into DIR/gpuN.events.jsonl; on failure a flight-recorder ring is dumped alongside (merge with `harectl mergetrace DIR`)")
 	flightCap = flag.Int("flight-cap", 512, "flight-recorder ring capacity for -events-out")
@@ -38,7 +39,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "hare-executor: -gpu is required")
 		os.Exit(2)
 	}
-	fplan, err := faults.Parse(*faultSpec)
+	// An executor knows neither the fleet size nor what supervises the
+	// coordinator: the process that started it checked the spec.
+	fplan, err := faultSpec(0, faults.Orchestrated)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hare-executor: %v\n", err)
 		os.Exit(2)

@@ -20,11 +20,13 @@ import (
 	"strings"
 	"time"
 
+	"hare/internal/cliflags"
 	"hare/internal/experiments"
 	"hare/internal/metrics"
 	"hare/internal/model"
 	"hare/internal/obs"
 	"hare/internal/obs/perf"
+	"hare/internal/obs/span"
 	"hare/internal/sim"
 	"hare/internal/switching"
 	"hare/internal/trace"
@@ -37,12 +39,9 @@ var (
 	gpus       = flag.Int("gpus", 0, "GPU count override (0 = experiment default)")
 	seed       = flag.Int64("seed", 42, "random seed")
 	listOnly   = flag.Bool("list", false, "list experiment IDs and exit")
-	traceOut   = flag.String("trace-out", "", "write a chrome://tracing trace of all simulator replays to this JSON file")
-	eventsOut  = flag.String("events-out", "", "write structured events from all simulator replays to this JSONL file")
-	attribOut  = flag.String("attrib-out", "", "write the attrib experiment's per-scheme critical-path reports to this JSON file")
+	export     = cliflags.NewExport(flag.CommandLine, "all simulator replays", "the attrib experiment's per-scheme critical-path reports")
 	parallel   = flag.Int("parallel", 1, "worker goroutines per experiment (1 = serial, <=0 = GOMAXPROCS); results are identical either way")
-	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with 'go tool pprof')")
-	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+	profiles   = cliflags.Profiles(flag.CommandLine)
 	perfOut    = flag.Bool("perf-summary", false, "print per-experiment wall time and process runtime stats after the run")
 )
 
@@ -67,7 +66,7 @@ func run() int {
 		}
 		return 0
 	}
-	stop, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	stop, err := profiles()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "harebench: %v\n", err)
 		return 1
@@ -85,10 +84,8 @@ func run() int {
 	if *parallel <= 0 {
 		cfg.Parallel = -1 // experiments.Config: negative = GOMAXPROCS
 	}
-	var collect *obs.CollectSink
-	if *traceOut != "" || *eventsOut != "" {
-		collect = obs.NewCollectSink()
-		cfg.Recorder = obs.NewRecorder(collect)
+	if export.TraceOut != "" || export.EventsOut != "" {
+		cfg.Recorder = export.Recorder()
 	}
 	// With -perf-summary every experiment runs under a phase timer and
 	// the registry (phase timings + a runtime/metrics sample) prints at
@@ -120,39 +117,17 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "harebench: unknown experiment %q (use -list)\n", *experiment)
 		return 2
 	}
-	if collect != nil {
-		events := collect.Events()
-		if *traceOut != "" {
-			if err := obs.SaveChromeTrace(*traceOut, events); err != nil {
-				fmt.Fprintf(os.Stderr, "harebench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("chrome trace (%d events) saved to %s — open in chrome://tracing\n", len(events), *traceOut)
+	// Many replays land in one capture, so there is no single span tree
+	// to draw. The attrib runner fills attribRows; compute them here when
+	// a different experiment selection skipped it.
+	if err := export.Write(os.Stdout, false, func(*span.Tree) (any, error) {
+		if attribRows != nil {
+			return attribRows, nil
 		}
-		if *eventsOut != "" {
-			if err := obs.WriteEventsJSONL(*eventsOut, events); err != nil {
-				fmt.Fprintf(os.Stderr, "harebench: %v\n", err)
-				return 1
-			}
-			fmt.Printf("events saved to %s\n", *eventsOut)
-		}
-	}
-	if *attribOut != "" {
-		// The attrib runner fills attribRows; compute directly when a
-		// different experiment selection skipped it.
-		if attribRows == nil {
-			rows, err := experiments.AttribSweep(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "harebench: attrib-out: %v\n", err)
-				return 1
-			}
-			attribRows = rows
-		}
-		if err := obs.SaveJSON(*attribOut, attribRows); err != nil {
-			fmt.Fprintf(os.Stderr, "harebench: %v\n", err)
-			return 1
-		}
-		fmt.Printf("critical-path attribution saved to %s\n", *attribOut)
+		return experiments.AttribSweep(cfg)
+	}); err != nil {
+		fmt.Fprintf(os.Stderr, "harebench: %v\n", err)
+		return 1
 	}
 	if perfReg != nil {
 		perf.SampleRuntime(perfReg)

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"hare/internal/chaos"
+	"hare/internal/cliflags"
 	"hare/internal/rpcnet"
 )
 
@@ -28,7 +29,7 @@ var (
 	seeds     = flag.Int("seeds", 20, "number of consecutive seeds to soak")
 	start     = flag.Int64("start", 1, "first seed")
 	jobs      = flag.Int("jobs", 0, "workload size override (0 = per-scenario)")
-	timescale = flag.Float64("timescale", 1e-3, "testbed clock scale (wall s per simulated s)")
+	timescale = cliflags.Timescale(flag.CommandLine)
 	spec      = flag.String("spec", "", "run this -fault-spec verbatim instead of the generated scenarios (single seed)")
 	minimize  = flag.Bool("minimize", true, "on violation, shrink the failing spec by greedy clause removal")
 	artifacts = flag.String("artifact-dir", os.Getenv("HARE_ARTIFACT_DIR"), "persist per-seed WALs and violation reports here (survives for CI upload)")

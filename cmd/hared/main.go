@@ -26,7 +26,7 @@ import (
 	"syscall"
 	"time"
 
-	"hare/internal/cluster"
+	"hare/internal/cliflags"
 	"hare/internal/faults"
 	"hare/internal/manager"
 	"hare/internal/obs"
@@ -38,21 +38,27 @@ var (
 	addr      = flag.String("addr", "127.0.0.1:7461", "listen address")
 	debugAddr = flag.String("debug-addr", "127.0.0.1:7462", "HTTP debug listener for /metrics and /events (\"\" disables)")
 	ringSize  = flag.Int("event-ring", 4096, "recent-event ring capacity for /events")
-	gpus      = flag.Int("gpus", 15, "fleet size (ignored with -testbed-fleet)")
-	tbFleet   = flag.Bool("testbed-fleet", false, "use the paper's 15-GPU testbed fleet")
-	het       = flag.String("het", "high", "heterogeneity level: low, mid, high")
+	fleet     = cliflags.Fleet(flag.CommandLine, "testbed-fleet")
 	backendNm = flag.String("backend", "testbed", "batch executor: testbed, sim, or dist")
 	walDir    = flag.String("wal-dir", "", "durable WAL/snapshot directory for the dist backend; leftover state is recovered at boot")
 	traceDir  = flag.String("trace-dir", "", "capture a distributed trace per batch under DIR/batch-N (dist backend): per-process event streams, flight dumps, merged_trace.json")
-	faultSpec = flag.String("fault-spec", "", "fault injection applied to every batch: rate=R,seed=S,fail=G@T,slow=GxF,netdrop=P,netdelay=A~B,partition=G@T+D; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\"")
-	timescale = flag.Float64("timescale", 1e-3, "testbed clock scale (wall s per simulated s)")
+	faultSpec = cliflags.Faults(flag.CommandLine, "fault injection applied to every batch")
+	timescale = cliflags.Timescale(flag.CommandLine)
 	batches   = flag.Int("batches-per-task", 0, "profiler mini-batches per task (0 = default)")
 	sampleEvy = flag.Duration("runtime-sample", 5*time.Second, "runtime/metrics sampling interval for /metrics (needs -debug-addr)")
 )
 
 func main() {
 	flag.Parse()
-	cl, err := cluster.Preset(*tbFleet, *het, *gpus)
+	engine, err := checkFlags()
+	if err != nil {
+		fatal(err)
+	}
+	cl, err := fleet()
+	if err != nil {
+		fatal(err)
+	}
+	fplan, err := faultSpec(cl.Size(), engine)
 	if err != nil {
 		fatal(err)
 	}
@@ -75,14 +81,7 @@ func main() {
 		defer sampler.Stop()
 	}
 
-	fplan, err := faults.Parse(*faultSpec)
-	if err != nil {
-		fatal(err)
-	}
-	if err := fplan.Validate(cl.Size()); err != nil {
-		fatal(err)
-	}
-	backend, err := buildBackend(fplan, rec, reg)
+	backend, err := buildBackend(engine, fplan, rec, reg)
 	if err != nil {
 		fatal(err)
 	}
@@ -120,26 +119,30 @@ var backendEngines = map[string]faults.Engine{
 	"testbed": faults.InProcess, "sim": faults.Simulator, "dist": faults.Distributed,
 }
 
-// buildBackend resolves -backend into a batch executor, failing fast on
-// fault clauses the chosen backend cannot replay. The dist backend opens
-// the -wal-dir journal and, if a previous process died mid-batch,
-// finishes that batch from the WAL before the daemon accepts new work.
-func buildBackend(fplan *faults.Plan, rec *obs.Recorder, reg *obs.Registry) (manager.Backend, error) {
+// checkFlags resolves -backend to its engine class and rejects flags the
+// chosen backend would silently ignore: only the dist backend has a WAL
+// to keep and a control plane to trace.
+func checkFlags() (faults.Engine, error) {
 	name := strings.ToLower(*backendNm)
 	engine, ok := backendEngines[name]
 	if !ok {
-		return nil, fmt.Errorf("unknown backend %q (want testbed, sim, or dist)", name)
+		return 0, fmt.Errorf("unknown backend %q (want testbed, sim, or dist)", name)
 	}
-	if err := fplan.CheckEngine(engine); err != nil {
-		return nil, fmt.Errorf("-backend %s: %w", name, err)
+	if engine != faults.Distributed {
+		return engine, cliflags.Ignored(flag.CommandLine, "requires -backend dist", "wal-dir", "trace-dir")
 	}
-	if name != "dist" && *traceDir != "" {
-		return nil, fmt.Errorf("-trace-dir captures distributed control-plane traces; it requires -backend dist")
-	}
-	switch name {
-	case "sim":
+	return engine, nil
+}
+
+// buildBackend builds the batch executor of -backend's engine class. The
+// dist backend opens the -wal-dir journal and, if a previous process died
+// mid-batch, finishes that batch from the WAL before the daemon accepts
+// new work.
+func buildBackend(engine faults.Engine, fplan *faults.Plan, rec *obs.Recorder, reg *obs.Registry) (manager.Backend, error) {
+	switch engine {
+	case faults.Simulator:
 		return &manager.SimBackend{Faults: fplan, Recorder: rec, Metrics: reg}, nil
-	case "testbed":
+	case faults.InProcess:
 		return &manager.TestbedBackend{TimeScale: *timescale, Faults: fplan, Recorder: rec}, nil
 	default: // dist
 		journal := rpcnet.NewMemJournal()

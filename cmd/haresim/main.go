@@ -17,18 +17,18 @@ import (
 	"strings"
 
 	"hare"
-	"hare/internal/cluster"
+	"hare/internal/cliflags"
+	"hare/internal/faults"
 	"hare/internal/metrics"
-	"hare/internal/obs"
+	"hare/internal/obs/critpath"
+	"hare/internal/obs/span"
 	"hare/internal/switching"
 )
 
 var (
 	schedName = flag.String("sched", "Hare", "scheduler: Hare, Gavel_FIFO, SRTF, Sched_Homo, Sched_Allox")
 	compare   = flag.Bool("compare", false, "run every scheduler and compare")
-	gpus      = flag.Int("gpus", 15, "fleet size (ignored with -testbed)")
-	useTB     = flag.Bool("testbed", false, "use the paper's 15-GPU testbed fleet")
-	het       = flag.String("het", "high", "heterogeneity level: low, mid, high")
+	fleet     = cliflags.Fleet(flag.CommandLine, "testbed")
 	jobs      = flag.Int("jobs", 24, "number of jobs")
 	scale     = flag.Float64("scale", 0.2, "rounds scale (1 = paper-size jobs)")
 	horizon   = flag.Float64("horizon", 300, "arrival horizon in seconds")
@@ -38,27 +38,38 @@ var (
 	savePlan  = flag.String("save-plan", "", "write the planned schedule to this JSON file")
 	loadPlan  = flag.String("load-plan", "", "replay a previously saved plan instead of scheduling")
 	workload  = flag.String("workload", "", "JSON workload file (overrides -jobs/-scale/-horizon)")
-	faultSpec = flag.String("fault-spec", "", "fault injection: rate=R,seed=S,fail=G@T,crash=G@T,slow=GxF (comma-separated, repeatable clauses; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\")")
-	traceOut  = flag.String("trace-out", "", "write a chrome://tracing trace of the run to this JSON file")
-	eventsOut = flag.String("events-out", "", "write the run's structured events to this JSONL file")
-	attribOut = flag.String("attrib-out", "", "write the run's critical-path attribution report to this JSON file")
-	cpuProf   = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with 'go tool pprof')")
-	memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+	faultSpec = cliflags.Faults(flag.CommandLine, "fault injection")
+	export    = cliflags.NewExport(flag.CommandLine, "the run", "the run's critical-path attribution report")
+	profiles  = cliflags.Profiles(flag.CommandLine)
 )
 
 // stopProfiles flushes any active pprof profiles; fatal exits run
 // through it so a failing profiled run still writes its CPU profile.
 var stopProfiles = func() {}
 
+// checkFlags rejects flags the rest of the command line would make
+// haresim silently ignore: with -compare there is no single plan to
+// save, load, draw or trace.
+func checkFlags() error {
+	if !*compare {
+		return nil
+	}
+	return cliflags.Ignored(flag.CommandLine, "needs a single scheduler (drop -compare)",
+		append([]string{"save-plan", "load-plan", "gantt"}, cliflags.ExportFlags...)...)
+}
+
 func main() {
 	flag.Parse()
-	stop, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err := checkFlags(); err != nil {
+		fatal(err)
+	}
+	stop, err := profiles()
 	if err != nil {
 		fatal(err)
 	}
 	stopProfiles = stop
 	defer stopProfiles()
-	cl, err := cluster.Preset(*useTB, *het, *gpus)
+	cl, err := fleet()
 	if err != nil {
 		fatal(err)
 	}
@@ -74,11 +85,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fplan, err := hare.ParseFaults(*faultSpec)
+	fplan, err := faultSpec(in.NumGPUs, faults.Simulator)
 	if err != nil {
-		fatal(err)
-	}
-	if err := fplan.Validate(in.NumGPUs); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("cluster: %s\n", cl)
@@ -97,16 +105,11 @@ func main() {
 		algos = []hare.Algorithm{a}
 	}
 
-	// Event capture: -trace-out / -events-out observe the (single)
-	// selected scheduler's run.
-	var collect *hare.CollectSink
+	// Event capture: the export flags observe the (single) selected
+	// scheduler's run.
 	var rec *hare.Recorder
-	if *traceOut != "" || *eventsOut != "" || *attribOut != "" {
-		if len(algos) != 1 {
-			fatal(fmt.Errorf("-trace-out/-events-out/-attrib-out need a single scheduler (drop -compare)"))
-		}
-		collect = hare.NewCollectSink()
-		rec = hare.NewRecorder(collect)
+	if export.TraceOut != "" || export.EventsOut != "" || export.AttribOut != "" {
+		rec = export.Recorder()
 		hare.SetSchedulerRecorder(algos[0], rec)
 	}
 
@@ -124,7 +127,7 @@ func main() {
 		} else if plan, err = a.Schedule(in); err != nil {
 			fatal(fmt.Errorf("%s: %w", a.Name(), err))
 		}
-		if *savePlan != "" && len(algos) == 1 {
+		if *savePlan != "" {
 			if err := hare.SaveSchedule(plan, *savePlan); err != nil {
 				fatal(err)
 			}
@@ -167,7 +170,7 @@ func main() {
 			fmt.Sprintf("%.2f", fair.MeanRho),
 			metrics.FormatSeconds(fair.MaxWait),
 		})
-		if *gantt && len(algos) == 1 {
+		if *gantt {
 			fmt.Print(metrics.Gantt(res.Trace, in.NumGPUs, *ganttW))
 			fmt.Println()
 		}
@@ -182,40 +185,13 @@ func main() {
 			faultRows))
 	}
 
-	if collect != nil {
-		events := collect.Events()
-		// trace-out and attrib-out both consume the causal span tree:
-		// the trace renders it as nested slices, the attribution
-		// folds it into per-job critical-path buckets.
-		var tree *hare.SpanTree
-		if *traceOut != "" || *attribOut != "" {
-			var err error
-			if tree, err = hare.BuildSpanTree(events); err != nil {
-				fatal(fmt.Errorf("build span tree: %w", err))
-			}
-		}
-		if *traceOut != "" {
-			if err := hare.SaveChromeTraceSpans(*traceOut, events, tree); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("chrome trace (%d events) saved to %s — open in chrome://tracing\n", len(events), *traceOut)
-		}
-		if *eventsOut != "" {
-			if err := obs.WriteEventsJSONL(*eventsOut, events); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("events saved to %s\n", *eventsOut)
-		}
-		if *attribOut != "" {
-			rep, err := hare.AnalyzeCritPath(tree, in, cl)
-			if err != nil {
-				fatal(fmt.Errorf("attribute critical path: %w", err))
-			}
-			if err := obs.SaveJSON(*attribOut, rep); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("critical-path attribution saved to %s\n", *attribOut)
-		}
+	// trace-out and attrib-out both consume the causal span tree: the
+	// trace renders it as nested slices, the attribution folds it into
+	// per-job critical-path buckets.
+	if err := export.Write(os.Stdout, true, func(tree *span.Tree) (any, error) {
+		return critpath.Analyze(tree, in, cl)
+	}); err != nil {
+		fatal(err)
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"os/exec"
 
 	"hare"
+	"hare/internal/cliflags"
 	"hare/internal/faults"
 	"hare/internal/metrics"
 	"hare/internal/rpcnet"
@@ -31,8 +32,8 @@ var (
 	jobs      = flag.Int("jobs", 8, "number of jobs")
 	scale     = flag.Float64("scale", 0.05, "rounds scale")
 	seed      = flag.Int64("seed", 1, "random seed")
-	timescale = flag.Float64("timescale", 1e-3, "wall seconds per simulated second")
-	faultSpec = flag.String("fault-spec", "", "fault injection: rate=R,seed=S,fail=G@T,crash=G@T,slow=GxF, and with -rpc/-distributed netdrop=P,netdelay=A~B,partition=G@T+D (comma-separated, repeatable clauses; which engine replays which clause: docs/ROBUSTNESS.md, \"Fault clauses and engines\")")
+	timescale = cliflags.Timescale(flag.CommandLine)
+	faultSpec = cliflags.Faults(flag.CommandLine, "fault injection (the in-process testbed by default, the distributed control plane with -rpc/-distributed)")
 	useRPC    = flag.Bool("rpc", false, "run through the distributed coordinator over TCP, one executor goroutine per GPU")
 	addr      = flag.String("addr", "127.0.0.1:0", "control-plane listen address with -rpc/-distributed")
 	distrib   = flag.Bool("distributed", false, "spawn one executor OS process per GPU")
@@ -45,7 +46,12 @@ var (
 
 func main() {
 	flag.Parse()
-	fplan, err := hare.ParseFaults(*faultSpec)
+	cl := hare.TestbedCluster()
+	engine := faults.InProcess
+	if *distrib || *useRPC || *execMode {
+		engine = faults.Distributed // nothing here kills and recovers the coordinator
+	}
+	fplan, err := faultSpec(cl.Size(), engine)
 	if err != nil {
 		fatal(err)
 	}
@@ -59,13 +65,6 @@ func main() {
 		}
 		return
 	}
-	if *distrib || *useRPC {
-		// Nothing here kills and recovers the coordinator.
-		if err := fplan.CheckEngine(faults.Distributed); err != nil {
-			fatal(err)
-		}
-	}
-	cl := hare.TestbedCluster()
 	_, in, models, err := hare.BuildWorkload(hare.WorkloadConfig{
 		Jobs: *jobs, Seed: *seed, HorizonSeconds: 60, RoundsScale: *scale,
 	}, cl)
@@ -74,9 +73,6 @@ func main() {
 	}
 	plan, err := hare.NewScheduler().Schedule(in)
 	if err != nil {
-		fatal(err)
-	}
-	if err := fplan.Validate(in.NumGPUs); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("cluster: %s\n", cl)

@@ -33,15 +33,12 @@ package hare
 
 import (
 	"fmt"
-	"io"
 
 	"hare/internal/cluster"
 	"hare/internal/core"
 	"hare/internal/faults"
 	"hare/internal/model"
 	"hare/internal/obs"
-	"hare/internal/obs/critpath"
-	"hare/internal/obs/span"
 	"hare/internal/profile"
 	"hare/internal/sched"
 	"hare/internal/sim"
@@ -83,27 +80,17 @@ type (
 	TestbedResult = testbed.Result
 	// SwitchScheme selects a task-switching cost model.
 	SwitchScheme = switching.Scheme
-	// Trace is an ordered record of executed tasks.
-	Trace = trace.Trace
 	// WorkloadSpec is one generated job with its model parameters.
 	WorkloadSpec = workload.Spec
 	// HeterogeneityLevel selects a Fig. 16 fleet preset.
 	HeterogeneityLevel = cluster.HeterogeneityLevel
 	// ClusterSpec requests n GPUs of one type when building a fleet.
 	ClusterSpec = cluster.Spec
-	// Placement is a scheduler's decision for one task.
-	Placement = core.Placement
 	// FaultPlan is a deterministic fault-injection plan (transient
 	// failures, permanent GPU failures, crashes, stragglers) shared by
 	// the simulator, the testbed, and the distributed control plane.
 	FaultPlan = faults.Plan
 )
-
-// ParseFaults parses a fault-spec string such as
-// "rate=0.05,seed=7,fail=3@120,crash=1@60,slow=2x1.5" into a plan the
-// simulator, testbed, and distributed runner all accept. An empty
-// spec yields an empty plan.
-func ParseFaults(spec string) (*FaultPlan, error) { return faults.Parse(spec) }
 
 // NewSchedule returns an empty schedule for hand-built plans.
 func NewSchedule() *Schedule { return core.NewSchedule() }
@@ -115,20 +102,8 @@ func SaveSchedule(s *Schedule, path string) error { return core.SaveSchedule(s, 
 // LoadSchedule reads a plan written by SaveSchedule.
 func LoadSchedule(path string) (*Schedule, error) { return core.LoadSchedule(path) }
 
-// SaveInstance persists a scheduling problem as JSON.
-func SaveInstance(in *Instance, path string) error { return core.SaveInstance(in, path) }
-
-// LoadInstance reads and validates an instance written by
-// SaveInstance.
-func LoadInstance(path string) (*Instance, error) { return core.LoadInstance(path) }
-
-// The GPU types of the paper's testbed.
-var (
-	V100 = cluster.V100
-	T4   = cluster.T4
-	K80  = cluster.K80
-	M60  = cluster.M60
-)
+// V100 is the fastest GPU type of the paper's testbed.
+var V100 = cluster.V100
 
 // Switching schemes (Table 3).
 const (
@@ -304,102 +279,14 @@ func Validate(in *Instance, plan *Schedule) error {
 	return core.ValidateSchedule(in, plan)
 }
 
-// Observability (see internal/obs and docs/OBSERVABILITY.md): a
-// structured event bus with pluggable sinks, a metrics registry with
-// text exposition, and a Chrome trace-event exporter keyed by GPU
-// lane.
-type (
-	// Event is one structured runtime event (task start/finish,
-	// barrier wait, job switch, memory admit/evict/hit, scheduler
-	// decision, job submit/complete).
-	Event = obs.Event
-	// EventType discriminates events.
-	EventType = obs.Type
-	// EventSink receives emitted events.
-	EventSink = obs.Sink
-	// Recorder fans events out to its sinks; a nil *Recorder is a
-	// valid no-op, so instrumented paths cost nothing when tracing is
-	// off.
-	Recorder = obs.Recorder
-	// RingSink keeps the most recent events in a fixed ring.
-	RingSink = obs.RingSink
-	// CollectSink keeps every event (tests and exports).
-	CollectSink = obs.CollectSink
-	// JSONLSink streams events as JSON lines.
-	JSONLSink = obs.JSONLSink
-	// MetricsRegistry holds counters, gauges and histograms.
-	MetricsRegistry = obs.Registry
-)
-
-// NewRecorder builds a recorder over the given sinks.
-func NewRecorder(sinks ...obs.Sink) *Recorder { return obs.NewRecorder(sinks...) }
-
-// NewRingSink keeps the last capacity events.
-func NewRingSink(capacity int) *RingSink { return obs.NewRingSink(capacity) }
-
-// NewCollectSink keeps every event.
-func NewCollectSink() *CollectSink { return obs.NewCollectSink() }
-
-// NewJSONLSink streams events to w as JSON lines.
-func NewJSONLSink(w io.Writer) *JSONLSink { return obs.NewJSONLSink(w) }
-
-// NewMetricsRegistry builds an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// WriteChromeTrace renders events as a Chrome trace-event JSON array
-// (load in chrome://tracing or Perfetto), one lane per GPU.
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	return obs.WriteChromeTrace(w, events)
-}
-
-// SaveChromeTrace writes a Chrome trace-event file.
-func SaveChromeTrace(path string, events []Event) error {
-	return obs.SaveChromeTrace(path, events)
-}
-
-// Causal span tracing and WJCT critical-path attribution (see
-// internal/obs/span, internal/obs/critpath and
-// docs/OBSERVABILITY.md): the flat event stream folds into a
-// job → round → task → phase tree, and the tree folds into a per-job
-// account of where completion time went.
-type (
-	// SpanTree is the canonical causal tree built from an event
-	// stream.
-	SpanTree = span.Tree
-	// Span is one node of the tree.
-	Span = span.Span
-	// AttributionReport breaks every job's completion time into
-	// critical-path buckets, with per-GPU-type and per-weight
-	// roll-ups and straggler detection.
-	AttributionReport = critpath.Report
-)
-
-// BuildSpanTree folds captured events into the canonical span tree.
-// The tree is a function of the event set — engines that record the
-// same run in different orders build identical trees.
-func BuildSpanTree(events []Event) (*SpanTree, error) { return span.Build(events) }
-
-// AnalyzeCritPath attributes every job's completion time to
-// critical-path buckets (arrival, queue, barrier wait, switch,
-// compute, communication); per job the buckets sum to the realized
-// completion within ~1e-9.
-func AnalyzeCritPath(t *SpanTree, in *Instance, cl *Cluster) (*AttributionReport, error) {
-	return critpath.Analyze(t, in, cl)
-}
-
-// PlanAttribution replays a plan on the simulator with span
-// instrumentation and returns the tree plus its attribution — the
-// canonical account of a schedule, independent of which engine
-// executes it.
-func PlanAttribution(in *Instance, plan *Schedule, cl *Cluster, models []*Model, opts SimOptions) (*SpanTree, *AttributionReport, error) {
-	return critpath.PlanAttribution(in, plan, cl, models, opts)
-}
-
-// SaveChromeTraceSpans writes a Chrome trace-event file with an extra
-// "spans" process that renders the causal tree as nested slices.
-func SaveChromeTraceSpans(path string, events []Event, t *SpanTree) error {
-	return obs.SaveChromeTraceSpans(path, events, span.ChromeSpans(t))
-}
+// Observability (see internal/obs and docs/OBSERVABILITY.md): engines
+// and schedulers emit structured events through a Recorder; the CLIs
+// turn a captured run into a Chrome trace, a JSONL stream and a
+// critical-path attribution (haresim -trace-out/-events-out/-attrib-out).
+//
+// Recorder fans events out to its sinks; a nil *Recorder is a valid
+// no-op, so instrumented paths cost nothing when tracing is off.
+type Recorder = obs.Recorder
 
 // SetSchedulerRecorder attaches a recorder to an algorithm that
 // supports decision tracing (Hare and Hare-online); it reports whether

@@ -32,10 +32,7 @@ type GPUType struct {
 	MemBWBytesPerSec float64
 }
 
-const (
-	gib  = 1 << 30
-	gbps = 1e9 / 8 // 1 Gbit/s in bytes per second
-)
+const gib = 1 << 30
 
 // The four GPU types of the paper's testbed. Speeds are the Fig. 2
 // compute-bound calibration; memory sizes are per-device.
@@ -234,10 +231,4 @@ func (c *Cluster) WithNetwork(bps float64) *Cluster {
 	cp := *c
 	cp.NetworkBps = bps
 	return &cp
-}
-
-// SameHost reports whether two GPUs share a machine (their gradient
-// exchange then bypasses the data-center network).
-func (c *Cluster) SameHost(a, b int) bool {
-	return c.GPUs[a].Host == c.GPUs[b].Host
 }

@@ -109,10 +109,10 @@ func TestWithNetwork(t *testing.T) {
 
 func TestSameHost(t *testing.T) {
 	c := Testbed() // 4 GPUs per host
-	if !c.SameHost(0, 3) {
+	if c.GPUs[0].Host != c.GPUs[3].Host {
 		t.Error("GPUs 0 and 3 should share host 0")
 	}
-	if c.SameHost(3, 4) {
+	if c.GPUs[3].Host == c.GPUs[4].Host {
 		t.Error("GPUs 3 and 4 should be on different hosts")
 	}
 }

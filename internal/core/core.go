@@ -136,20 +136,6 @@ func (in *Instance) NumTasks() int {
 	return n
 }
 
-// TotalWork returns the sum over all tasks of the *fastest* per-task
-// training time — a crude lower bound on total GPU-seconds of work.
-func (in *Instance) TotalWork() float64 {
-	var w float64
-	for _, j := range in.Jobs {
-		fastest := math.Inf(1)
-		for m := 0; m < in.NumGPUs; m++ {
-			fastest = math.Min(fastest, in.Train[j.ID][m])
-		}
-		w += fastest * float64(j.NumTasks())
-	}
-	return w
-}
-
 // Alpha returns the paper's heterogeneity spread
 // α = max_i { T^c,max_i / T^c,min_i, T^s,max_i / T^s,min_i }, the key
 // quantity in the α(2+α) approximation bound. Sync ratios with a zero
@@ -402,15 +388,6 @@ func (s *Schedule) Makespan(in *Instance) float64 {
 // timeEps is the tolerance used by ValidateSchedule when comparing
 // floating-point times.
 const timeEps = 1e-6
-
-// ApproxEqual reports whether a and b differ by at most eps. Engine
-// code compares simulated times and costs through it (or an explicit
-// tolerance) rather than with exact float equality, which diverges in
-// the last ulp between algebraically equivalent computations — the
-// harelint floateq analyzer enforces this.
-func ApproxEqual(a, b, eps float64) bool {
-	return math.Abs(a-b) <= eps
-}
 
 // ValidateSchedule checks a schedule against the paper's constraints:
 //

@@ -176,14 +176,6 @@ func TestSequencesOrdering(t *testing.T) {
 	}
 }
 
-func TestTotalWorkUsesFastestGPU(t *testing.T) {
-	in := validInstance()
-	// Job 0: fastest 2 × 2 tasks; job 1: fastest 1 × 2 tasks.
-	if w := in.TotalWork(); math.Abs(w-(2*2+1*2)) > 1e-9 {
-		t.Errorf("total work %g", w)
-	}
-}
-
 func TestCloneJobsIsDeep(t *testing.T) {
 	jobs := validInstance().Jobs
 	cp := CloneJobs(jobs)

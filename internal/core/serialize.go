@@ -71,30 +71,3 @@ func LoadSchedule(path string) (*Schedule, error) {
 	}
 	return s, nil
 }
-
-// SaveInstance writes an instance to path as JSON, so a planned
-// problem can be replayed or inspected later.
-func SaveInstance(in *Instance, path string) error {
-	data, err := json.MarshalIndent(in, "", " ")
-	if err != nil {
-		return fmt.Errorf("core: marshal instance: %w", err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// LoadInstance reads an instance written by SaveInstance and
-// validates it.
-func LoadInstance(path string) (*Instance, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("core: read instance: %w", err)
-	}
-	var in Instance
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("core: parse instance: %w", err)
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	return &in, nil
-}

@@ -57,40 +57,3 @@ func TestScheduleUnmarshalRejectsDuplicates(t *testing.T) {
 		t.Error("duplicate placements accepted")
 	}
 }
-
-func TestInstanceRoundTrip(t *testing.T) {
-	in := validInstance()
-	path := filepath.Join(t.TempDir(), "instance.json")
-	if err := SaveInstance(in, path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadInstance(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NumGPUs != in.NumGPUs || len(got.Jobs) != len(in.Jobs) {
-		t.Fatalf("loaded shape %d/%d", got.NumGPUs, len(got.Jobs))
-	}
-	for j := range in.Jobs {
-		if *got.Jobs[j] != *in.Jobs[j] {
-			t.Errorf("job %d: %+v != %+v", j, got.Jobs[j], in.Jobs[j])
-		}
-		for m := 0; m < in.NumGPUs; m++ {
-			if got.Train[j][m] != in.Train[j][m] || got.Sync[j][m] != in.Sync[j][m] {
-				t.Errorf("times differ at (%d,%d)", j, m)
-			}
-		}
-	}
-}
-
-func TestLoadInstanceValidates(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.json")
-	bad := validInstance()
-	bad.Train[0][0] = -1
-	if err := SaveInstance(bad, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadInstance(path); err == nil {
-		t.Error("invalid instance loaded without error")
-	}
-}

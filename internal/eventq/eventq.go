@@ -1,82 +1,14 @@
-// Package eventq implements the priority queues of the discrete-event
-// simulator and the list schedulers.
-//
-// IndexedHeap is the one they run on: a min-heap over a fixed universe
-// of integer ids with update and removal by id. Queue[T] (time-ordered
-// events, FIFO on ties) and MinHeap[T] (items keyed by a float64
-// priority) predate it and have no caller outside this package's tests.
+// Package eventq implements the priority queue of the discrete-event
+// simulator and the list schedulers: IndexedHeap, a min-heap over a
+// fixed universe of integer ids with update and removal by id.
 package eventq
-
-import "container/heap"
-
-// Queue is a deterministic time-ordered event queue. Events popped in
-// non-decreasing time order; equal times pop in push order.
-type Queue[T any] struct {
-	h   eventHeap[T]
-	seq uint64
-}
-
-type event[T any] struct {
-	at   float64
-	seq  uint64
-	item T
-}
-
-type eventHeap[T any] []event[T]
-
-func (h eventHeap[T]) Len() int { return len(h) }
-func (h eventHeap[T]) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap[T]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap[T]) Push(x any)   { *h = append(*h, x.(event[T])) }
-func (h *eventHeap[T]) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
-}
-
-// Push schedules item at time at.
-func (q *Queue[T]) Push(at float64, item T) {
-	q.seq++
-	heap.Push(&q.h, event[T]{at: at, seq: q.seq, item: item})
-}
-
-// Pop removes and returns the earliest event. ok is false when the
-// queue is empty.
-func (q *Queue[T]) Pop() (at float64, item T, ok bool) {
-	if len(q.h) == 0 {
-		var zero T
-		return 0, zero, false
-	}
-	ev := heap.Pop(&q.h).(event[T])
-	return ev.at, ev.item, true
-}
-
-// Peek returns the earliest event without removing it.
-func (q *Queue[T]) Peek() (at float64, item T, ok bool) {
-	if len(q.h) == 0 {
-		var zero T
-		return 0, zero, false
-	}
-	return q.h[0].at, q.h[0].item, true
-}
-
-// Len reports the number of queued events.
-func (q *Queue[T]) Len() int { return len(q.h) }
 
 // IndexedHeap is a min-heap over a fixed universe of integer ids
 // 0..n-1, keyed by a float64 priority with deterministic tie-breaking
-// on the smaller id. Unlike MinHeap it supports O(log n) update and
-// removal *by id* — the shape incremental simulators need: when one
-// GPU's candidate start changes, only that entry moves, and the
-// smallest-id-wins tie-break reproduces a linear scan's "first best
-// index" selection exactly.
+// on the smaller id. Update and removal *by id* are O(log n) — the shape
+// incremental simulators need: when one GPU's candidate start changes,
+// only that entry moves, and the smallest-id-wins tie-break reproduces
+// a linear scan's "first best index" selection exactly.
 type IndexedHeap struct {
 	ids []int     // heap-ordered ids
 	pos []int     // pos[id] = index into ids, or -1 when absent
@@ -97,14 +29,8 @@ type HeapOps struct {
 
 // NewIndexedHeap returns an empty heap over ids 0..n-1.
 func NewIndexedHeap(n int) *IndexedHeap {
-	h := &IndexedHeap{
-		ids: make([]int, 0, n),
-		pos: make([]int, n),
-		pri: make([]float64, n),
-	}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
+	h := &IndexedHeap{}
+	h.Reset(n)
 	return h
 }
 
@@ -243,38 +169,3 @@ func (h *IndexedHeap) down(i int) {
 		i = small
 	}
 }
-
-// MinHeap is a generic min-heap of items keyed by a float64 priority
-// with deterministic FIFO tie-breaking.
-type MinHeap[T any] struct {
-	h   eventHeap[T]
-	seq uint64
-}
-
-// Push inserts item with the given priority.
-func (m *MinHeap[T]) Push(priority float64, item T) {
-	m.seq++
-	heap.Push(&m.h, event[T]{at: priority, seq: m.seq, item: item})
-}
-
-// Pop removes and returns the minimum-priority item.
-func (m *MinHeap[T]) Pop() (priority float64, item T, ok bool) {
-	if len(m.h) == 0 {
-		var zero T
-		return 0, zero, false
-	}
-	ev := heap.Pop(&m.h).(event[T])
-	return ev.at, ev.item, true
-}
-
-// Peek returns the minimum-priority item without removing it.
-func (m *MinHeap[T]) Peek() (priority float64, item T, ok bool) {
-	if len(m.h) == 0 {
-		var zero T
-		return 0, zero, false
-	}
-	return m.h[0].at, m.h[0].item, true
-}
-
-// Len reports the number of items in the heap.
-func (m *MinHeap[T]) Len() int { return len(m.h) }

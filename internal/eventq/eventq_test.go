@@ -7,103 +7,6 @@ import (
 	"testing"
 )
 
-func TestQueueOrdersByTime(t *testing.T) {
-	var q Queue[string]
-	q.Push(3, "c")
-	q.Push(1, "a")
-	q.Push(2, "b")
-	var got []string
-	for q.Len() > 0 {
-		_, item, ok := q.Pop()
-		if !ok {
-			t.Fatal("unexpected empty")
-		}
-		got = append(got, item)
-	}
-	if got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("order %v", got)
-	}
-}
-
-func TestQueueFIFOTies(t *testing.T) {
-	var q Queue[int]
-	for i := 0; i < 100; i++ {
-		q.Push(1.0, i)
-	}
-	for i := 0; i < 100; i++ {
-		_, item, _ := q.Pop()
-		if item != i {
-			t.Fatalf("tie order broken: got %d at position %d", item, i)
-		}
-	}
-}
-
-func TestQueueEmpty(t *testing.T) {
-	var q Queue[int]
-	if _, _, ok := q.Pop(); ok {
-		t.Error("Pop on empty returned ok")
-	}
-	if _, _, ok := q.Peek(); ok {
-		t.Error("Peek on empty returned ok")
-	}
-}
-
-func TestQueuePeekDoesNotRemove(t *testing.T) {
-	var q Queue[int]
-	q.Push(5, 42)
-	if at, item, ok := q.Peek(); !ok || at != 5 || item != 42 {
-		t.Fatalf("peek got (%v,%v,%v)", at, item, ok)
-	}
-	if q.Len() != 1 {
-		t.Error("peek removed the item")
-	}
-}
-
-// TestQueueRandomizedHeapProperty pushes random times and checks pops
-// come out sorted.
-func TestQueueRandomizedHeapProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var q Queue[float64]
-	var want []float64
-	for i := 0; i < 2000; i++ {
-		x := rng.Float64() * 1000
-		q.Push(x, x)
-		want = append(want, x)
-	}
-	sort.Float64s(want)
-	for i, w := range want {
-		at, item, ok := q.Pop()
-		if !ok || at != w || item != w {
-			t.Fatalf("pop %d: got (%v,%v,%v), want %v", i, at, item, ok, w)
-		}
-	}
-}
-
-func TestQueueInterleavedPushPop(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var q Queue[int]
-	last := -1.0
-	pushed, popped := 0, 0
-	for i := 0; i < 5000; i++ {
-		if q.Len() == 0 || rng.Intn(2) == 0 {
-			// Only push times >= the last popped time, as a simulator
-			// would; pops must then be globally ordered.
-			q.Push(last+rng.Float64(), i)
-			pushed++
-		} else {
-			at, _, _ := q.Pop()
-			if at < last {
-				t.Fatalf("time went backwards: %g after %g", at, last)
-			}
-			last = at
-			popped++
-		}
-	}
-	if pushed == 0 || popped == 0 {
-		t.Fatal("degenerate interleaving")
-	}
-}
-
 func TestIndexedHeapOrdering(t *testing.T) {
 	h := NewIndexedHeap(5)
 	h.Set(3, 2.0)
@@ -203,22 +106,6 @@ func TestIndexedHeapRandomizedAgainstScan(t *testing.T) {
 		if h.Len() != len(pri) {
 			t.Fatalf("step %d: len %d, want %d", step, h.Len(), len(pri))
 		}
-	}
-}
-
-func TestMinHeap(t *testing.T) {
-	var h MinHeap[string]
-	h.Push(2.5, "mid")
-	h.Push(0.5, "low")
-	h.Push(9, "high")
-	if p, item, _ := h.Peek(); p != 0.5 || item != "low" {
-		t.Errorf("peek (%v,%v)", p, item)
-	}
-	if _, item, _ := h.Pop(); item != "low" {
-		t.Error("pop order wrong")
-	}
-	if h.Len() != 2 {
-		t.Errorf("len %d", h.Len())
 	}
 }
 

@@ -46,7 +46,6 @@ func AttribSweep(cfg Config) ([]AttribRow, error) {
 		// independent even when cfg.pool runs schemes concurrently.
 		opts := cfg.simOptions(a.Name())
 		opts.Recorder = nil
-		opts.Metrics = nil
 		_, rep, err := critpath.PlanAttribution(in, plan, cl, models, opts)
 		if err != nil {
 			return fmt.Errorf("attribsweep: %s: %w", a.Name(), err)

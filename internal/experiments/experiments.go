@@ -53,8 +53,6 @@ type Config struct {
 	// nondeterministically — run serially when a stable event order
 	// matters.
 	Recorder *obs.Recorder
-	// Metrics, when set, receives the simulator's counters.
-	Metrics *obs.Registry
 	// Parallel fans independent runs — sweep points, seeds, and
 	// per-scheme schedule+replay pairs — out across this many worker
 	// goroutines. 0 (the zero value) and 1 run serially; negative
@@ -162,7 +160,6 @@ func runSchemes(cfg Config, in *core.Instance, cl *cluster.Cluster, models []*mo
 			Speculative:      cfg.Speculative && scheme == switching.Hare,
 			Seed:             cfg.Seed + 7,
 			Recorder:         cfg.Recorder,
-			Metrics:          cfg.Metrics,
 		}
 		res, err := sim.Run(in, s, cl, models, opts)
 		if err != nil {

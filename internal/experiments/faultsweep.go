@@ -27,7 +27,6 @@ func (c Config) simOptions(algoName string) sim.Options {
 		Speculative:      c.Speculative && scheme == switching.Hare,
 		Seed:             c.Seed + 7,
 		Recorder:         c.Recorder,
-		Metrics:          c.Metrics,
 	}
 }
 

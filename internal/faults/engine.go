@@ -2,6 +2,7 @@ package faults
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -28,16 +29,46 @@ func (e Engine) String() string {
 	return [...]string{"in-process testbed", "simulator", "distributed control plane", "chaos harness (harechaos)"}[e]
 }
 
+// clause is one -fault-spec key: the least capable engine class that
+// replays it and the shape of its value (Parse documents the letters).
+type clause struct {
+	need  Engine
+	value string
+}
+
 // clauseNeeds is the one fault-clause × engine table (rendered in
-// docs/ROBUSTNESS.md): the least capable engine class that replays each
-// -fault-spec key. seed and netseed only seed streams other clauses
-// draw from, so on their own they are replayable anywhere.
-var clauseNeeds = map[string]Engine{
-	"rate": InProcess, "seed": InProcess, "slow": InProcess, "netseed": InProcess,
-	"fail": Simulator, "crash": Simulator,
-	"netdrop": Distributed, "netdup": Distributed, "netreorder": Distributed,
-	"netdelay": Distributed, "partition": Distributed,
-	"codown": Orchestrated,
+// docs/ROBUSTNESS.md and, through SpecHelp, in every -fault-spec help
+// text). seed and netseed only seed streams other clauses draw from, so
+// on their own they are replayable anywhere.
+var clauseNeeds = map[string]clause{
+	"rate": {InProcess, "F"}, "seed": {InProcess, "N"}, "slow": {InProcess, "GxF"}, "netseed": {InProcess, "N"},
+	"fail": {Simulator, "G@T"}, "crash": {Simulator, "G@T"},
+	"netdrop": {Distributed, "F"}, "netdup": {Distributed, "F"}, "netreorder": {Distributed, "F"},
+	"netdelay": {Distributed, "MIN~MAX"}, "partition": {Distributed, "G@T+D"},
+	"codown": {Orchestrated, "T+D"},
+}
+
+// SpecHelp renders the -fault-spec grammar from clauseNeeds, grouped by
+// the least capable engine class that replays each clause: the help
+// text of every CLI that takes the flag.
+func SpecHelp() string {
+	keys := make([]string, 0, len(clauseNeeds))
+	for key := range clauseNeeds {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString("comma-separated key=value clauses, listed under the least capable engine that replays them (each engine also replays the ones before it)")
+	for e := InProcess; e <= Orchestrated; e++ {
+		fmt.Fprintf(&b, "; %s:", e)
+		for _, key := range keys {
+			if c := clauseNeeds[key]; c.need == e {
+				fmt.Fprintf(&b, " %s=%s", key, c.value)
+			}
+		}
+	}
+	b.WriteString("; fail, crash, slow, partition and codown may repeat (docs/ROBUSTNESS.md, \"Fault clauses and engines\")")
+	return b.String()
 }
 
 // CheckEngine reports whether engine class e can replay every clause of
@@ -51,7 +82,7 @@ func (p *Plan) CheckEngine(e Engine) error {
 	}
 	for _, clause := range strings.Split(p.String(), ",") {
 		key, _, _ := strings.Cut(clause, "=")
-		if need := clauseNeeds[key]; need > e {
+		if need := clauseNeeds[key].need; need > e {
 			able := "the " + Orchestrated.String()
 			for ok := Orchestrated - 1; ok >= need; ok-- {
 				able = "the " + ok.String() + ", " + able

@@ -254,12 +254,15 @@ func (p *Plan) parseNetField(key, val string) (bool, error) {
 	return true, nil
 }
 
-// parseAtDur parses "TIME+DUR" (simulated seconds + wall duration).
+// parseAtDur parses "TIME+DUR" (simulated seconds + wall duration). It
+// splits at the last '+': String renders a large TIME with an exponent
+// sign ("1e+07"), and a duration has none.
 func parseAtDur(s string) (float64, time.Duration, error) {
-	ts, ds, ok := strings.Cut(s, "+")
-	if !ok {
+	i := strings.LastIndexByte(s, '+')
+	if i < 0 {
 		return 0, 0, fmt.Errorf("want TIME+DUR")
 	}
+	ts, ds := s[:i], s[i+1:]
 	at, err := strconv.ParseFloat(ts, 64)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad time %q: %w", ts, err)

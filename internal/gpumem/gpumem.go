@@ -89,15 +89,13 @@ type Manager struct {
 	// victimsBuf is the reusable eviction-order scratch for evictFor.
 	victimsBuf []resident
 
-	// Counters for experiments.
+	// Counters the tests observe eviction behaviour through.
 	hits, misses, evictions int
 
 	// rec, when set, receives admit/evict/hit events stamped with gpu
-	// and the run clock (lastNow tracks the latest time a caller
-	// reported; see BeginAt/Complete).
-	rec     *obs.Recorder
-	gpu     int
-	lastNow float64
+	// and the run-clock time the caller reported.
+	rec *obs.Recorder
+	gpu int
 }
 
 // NewManager returns a manager for a device with the given capacity
@@ -128,7 +126,7 @@ func (m *Manager) Reset(capacity int64) {
 	}
 	m.cursor = 0
 	m.hits, m.misses, m.evictions = 0, 0, 0
-	m.rec, m.gpu, m.lastNow = nil, 0, 0
+	m.rec, m.gpu = nil, 0
 }
 
 // SetPolicy switches the eviction policy; call before traffic starts.
@@ -141,9 +139,6 @@ func (m *Manager) SetRecorder(r *obs.Recorder, gpu int) {
 	m.rec = r
 	m.gpu = gpu
 }
-
-// Policy returns the active eviction policy.
-func (m *Manager) Policy() Policy { return m.policy }
 
 // SetLookahead informs the manager of the upcoming task order on its
 // GPU: order[i] is the job of the i-th future task. It resets the
@@ -212,25 +207,19 @@ func (m *Manager) removeAt(i int) {
 	m.models = m.models[:len(m.models)-1]
 }
 
-// Begin claims memory for a task of job k whose full training
+// BeginAt claims memory for a task of job k whose full training
 // footprint is footprintBytes. It returns hit=true when the job's
 // weights were already resident (the speculative win: no host→device
 // transfer). The task's own resident entry, if any, is folded into
 // the active footprint; other residents are evicted by policy until
-// the footprint fits. Begin panics if the footprint alone exceeds
-// device capacity — the scheduler must never place such a task.
-func (m *Manager) Begin(k JobKey, footprintBytes int64) (hit bool) {
-	return m.BeginAt(k, footprintBytes, m.lastNow)
-}
-
-// BeginAt is Begin with an explicit run-clock time, which stamps the
-// emitted hit/evict events. The simulator and executors call it with
-// the task's start time.
+// the footprint fits. now is the run-clock time (the task's start),
+// which stamps the emitted hit/evict events. BeginAt panics if the
+// footprint alone exceeds device capacity — the scheduler must never
+// place such a task.
 func (m *Manager) BeginAt(k JobKey, footprintBytes int64, now float64) (hit bool) {
 	if footprintBytes > m.capacity {
 		panic(fmt.Sprintf("gpumem: task footprint %d exceeds capacity %d", footprintBytes, m.capacity))
 	}
-	m.lastNow = now
 	if i := m.indexOf(k); i >= 0 {
 		r := m.models[i]
 		hit = true
@@ -311,7 +300,6 @@ func (m *Manager) evictsBefore(a, b resident) bool {
 // made by policy. now orders future KeepLatest evictions.
 func (m *Manager) Complete(k JobKey, weightBytes int64, now float64) {
 	m.active = 0
-	m.lastNow = now
 	if weightBytes <= 0 {
 		return
 	}
@@ -333,32 +321,4 @@ func (m *Manager) Complete(k JobKey, weightBytes int64, now float64) {
 			Bytes: weightBytes,
 		})
 	}
-}
-
-// Used returns the bytes held by speculatively resident models.
-func (m *Manager) Used() int64 { return m.used }
-
-// Free returns capacity minus resident and active bytes.
-func (m *Manager) Free() int64 { return m.capacity - m.used - m.active }
-
-// NumResident returns the count of speculatively kept models.
-func (m *Manager) NumResident() int { return len(m.models) }
-
-// Stats reports hit/miss/eviction counters.
-type Stats struct {
-	Hits, Misses, Evictions int
-}
-
-// Stats returns the manager's counters.
-func (m *Manager) Stats() Stats {
-	return Stats{Hits: m.hits, Misses: m.misses, Evictions: m.evictions}
-}
-
-// HitRate returns hits / (hits + misses), or 0 with no traffic.
-func (m *Manager) HitRate() float64 {
-	total := m.hits + m.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.hits) / float64(total)
 }

@@ -8,37 +8,42 @@ import (
 
 const gib = int64(1) << 30
 
+// counters are the manager's hit/miss/eviction counters.
+type counters struct{ Hits, Misses, Evictions int }
+
+func statsOf(m *Manager) counters { return counters{m.hits, m.misses, m.evictions} }
+
+// free is capacity minus resident and active bytes.
+func free(m *Manager) int64 { return m.capacity - m.used - m.active }
+
 func TestBeginMissThenHit(t *testing.T) {
 	m := NewManager(16 * gib)
-	if hit := m.Begin(1, 4*gib); hit {
+	if hit := m.BeginAt(1, 4*gib, 0); hit {
 		t.Error("first Begin reported a hit")
 	}
 	m.Complete(1, 1*gib, 10)
 	if !m.Resident(1) {
 		t.Error("weights not kept after Complete")
 	}
-	if hit := m.Begin(1, 4*gib); !hit {
+	if hit := m.BeginAt(1, 4*gib, 0); !hit {
 		t.Error("second Begin missed despite residency")
 	}
-	st := m.Stats()
+	st := statsOf(m)
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Errorf("stats %+v", st)
-	}
-	if hr := m.HitRate(); hr != 0.5 {
-		t.Errorf("hit rate %g", hr)
 	}
 }
 
 func TestEvictionOldestFirst(t *testing.T) {
 	m := NewManager(10 * gib)
-	m.Begin(1, 3*gib)
+	m.BeginAt(1, 3*gib, 0)
 	m.Complete(1, 3*gib, 1)
-	m.Begin(2, 3*gib)
+	m.BeginAt(2, 3*gib, 0)
 	m.Complete(2, 3*gib, 2)
-	m.Begin(3, 3*gib)
+	m.BeginAt(3, 3*gib, 0)
 	m.Complete(3, 3*gib, 3)
 	// 9 GiB resident; a 4 GiB task forces eviction of the oldest (1).
-	m.Begin(4, 4*gib)
+	m.BeginAt(4, 4*gib, 0)
 	if m.Resident(1) {
 		t.Error("oldest model survived eviction")
 	}
@@ -53,11 +58,11 @@ func TestBeladyProtectsNeededModels(t *testing.T) {
 	// Sequence: job1, job2, job3, then job1 again — job 2 is never
 	// needed after its run, job 1 is.
 	m.SetLookahead([]JobKey{1, 2, 3, 1})
-	m.Begin(1, 3*gib)
+	m.BeginAt(1, 3*gib, 0)
 	m.Complete(1, 3*gib, 1) // older, but needed at position 3
-	m.Begin(2, 3*gib)
+	m.BeginAt(2, 3*gib, 0)
 	m.Complete(2, 3*gib, 2) // newer, never needed again
-	m.Begin(3, 5*gib)
+	m.BeginAt(3, 5*gib, 0)
 	if m.Resident(2) {
 		t.Error("never-needed model kept over a needed one")
 	}
@@ -69,11 +74,11 @@ func TestBeladyProtectsNeededModels(t *testing.T) {
 func TestKeepLatestIgnoresLookahead(t *testing.T) {
 	m := NewManager(10 * gib) // default KeepLatest
 	m.SetLookahead([]JobKey{1, 2, 3, 1})
-	m.Begin(1, 3*gib)
+	m.BeginAt(1, 3*gib, 0)
 	m.Complete(1, 3*gib, 1)
-	m.Begin(2, 3*gib)
+	m.BeginAt(2, 3*gib, 0)
 	m.Complete(2, 3*gib, 2)
-	m.Begin(3, 5*gib)
+	m.BeginAt(3, 5*gib, 0)
 	// The paper's heuristic evicts the oldest completion (job 1)
 	// even though the lookahead says it is needed again.
 	if m.Resident(1) {
@@ -90,12 +95,12 @@ func TestBeladyCursorAdvances(t *testing.T) {
 	// Job 1 appears at positions 0 and 1 only; after both run, its
 	// next use must be "never".
 	m.SetLookahead([]JobKey{1, 1, 2})
-	m.Begin(1, 2*gib)
+	m.BeginAt(1, 2*gib, 0)
 	m.Complete(1, 2*gib, 1)
 	if m.nextUseOf(1) != 1 {
 		t.Errorf("next use %d, want 1", m.nextUseOf(1))
 	}
-	m.Begin(1, 2*gib)
+	m.BeginAt(1, 2*gib, 0)
 	m.Complete(1, 2*gib, 2)
 	if m.nextUseOf(1) != -1 {
 		t.Errorf("next use %d after both runs, want -1", m.nextUseOf(1))
@@ -110,25 +115,25 @@ func TestPolicyString(t *testing.T) {
 
 func TestOwnResidencyFoldsIntoActive(t *testing.T) {
 	m := NewManager(8 * gib)
-	m.Begin(1, 6*gib)
+	m.BeginAt(1, 6*gib, 0)
 	m.Complete(1, 2*gib, 1)
 	// Beginning the same job again must not double-count its bytes.
-	if hit := m.Begin(1, 6*gib); !hit {
+	if hit := m.BeginAt(1, 6*gib, 0); !hit {
 		t.Error("self residency missed")
 	}
-	if m.Used() != 0 {
-		t.Errorf("resident bytes %d after folding into active", m.Used())
+	if m.used != 0 {
+		t.Errorf("resident bytes %d after folding into active", m.used)
 	}
-	if m.Free() != 2*gib {
-		t.Errorf("free %d", m.Free())
+	if free(m) != 2*gib {
+		t.Errorf("free %d", free(m))
 	}
 }
 
 func TestCompleteDropsWhenFull(t *testing.T) {
 	m := NewManager(4 * gib)
-	m.Begin(1, 3*gib)
+	m.BeginAt(1, 3*gib, 0)
 	m.Complete(1, 3*gib, 1)
-	m.Begin(2, 4*gib) // evicts 1 (next task has priority)
+	m.BeginAt(2, 4*gib, 0) // evicts 1 (next task has priority)
 	if m.Resident(1) {
 		t.Error("model survived a full-memory Begin")
 	}
@@ -144,7 +149,7 @@ func TestBeginPanicsOnImpossibleFootprint(t *testing.T) {
 			t.Error("no panic for footprint > capacity")
 		}
 	}()
-	NewManager(1*gib).Begin(1, 2*gib)
+	NewManager(1*gib).BeginAt(1, 2*gib, 0)
 }
 
 func TestNewManagerPanicsOnBadCapacity(t *testing.T) {
@@ -177,17 +182,17 @@ func TestInvariantNeverOverCapacity(t *testing.T) {
 			if foot > capacity {
 				foot = capacity
 			}
-			m.Begin(job, foot)
-			if m.Used()+foot > capacity {
+			m.BeginAt(job, foot, 0)
+			if m.used+foot > capacity {
 				t.Fatalf("trial %d step %d: resident %d + active %d > capacity %d",
-					trial, step, m.Used(), foot, capacity)
+					trial, step, m.used, foot, capacity)
 			}
 			weights := foot / 3
 			m.Complete(job, weights, float64(step))
-			if m.Used() > capacity {
-				t.Fatalf("trial %d step %d: resident %d > capacity %d", trial, step, m.Used(), capacity)
+			if m.used > capacity {
+				t.Fatalf("trial %d step %d: resident %d > capacity %d", trial, step, m.used, capacity)
 			}
-			if m.Free() < 0 {
+			if free(m) < 0 {
 				t.Fatalf("trial %d step %d: negative free", trial, step)
 			}
 		}
@@ -196,12 +201,12 @@ func TestInvariantNeverOverCapacity(t *testing.T) {
 
 func TestNumResident(t *testing.T) {
 	m := NewManager(16 * gib)
-	m.Begin(1, gib)
+	m.BeginAt(1, gib, 0)
 	m.Complete(1, gib, 1)
-	m.Begin(2, gib)
+	m.BeginAt(2, gib, 0)
 	m.Complete(2, gib, 2)
-	if m.NumResident() != 2 {
-		t.Errorf("resident count %d", m.NumResident())
+	if len(m.models) != 2 {
+		t.Errorf("resident count %d", len(m.models))
 	}
 }
 
@@ -218,7 +223,7 @@ func TestResetMatchesFresh(t *testing.T) {
 		for i, k := range []JobKey{1, 2, 1, 3, 2, 1} {
 			hit := m.BeginAt(k, 40, float64(i))
 			m.Complete(k, 25, float64(i)+0.5)
-			obsv = append(obsv, hit, m.Used(), m.Free(), m.NumResident(), m.Stats())
+			obsv = append(obsv, hit, m.used, free(m), len(m.models), statsOf(m))
 		}
 		return obsv
 	}
@@ -250,18 +255,18 @@ func TestResetClearsRecorderAndCounters(t *testing.T) {
 	m.BeginAt(1, 30, 0)
 	m.Complete(1, 20, 1)
 	m.BeginAt(1, 30, 2) // hit
-	if m.Stats().Hits != 1 {
-		t.Fatalf("setup: stats %+v", m.Stats())
+	if statsOf(m).Hits != 1 {
+		t.Fatalf("setup: stats %+v", statsOf(m))
 	}
 	m.Reset(50)
-	if m.Stats() != (Stats{}) {
-		t.Errorf("stats after Reset: %+v", m.Stats())
+	if statsOf(m) != (counters{}) {
+		t.Errorf("stats after Reset: %+v", statsOf(m))
 	}
-	if m.Used() != 0 || m.NumResident() != 0 || m.Free() != 50 {
-		t.Errorf("memory after Reset: used=%d resident=%d free=%d", m.Used(), m.NumResident(), m.Free())
+	if m.used != 0 || len(m.models) != 0 || free(m) != 50 {
+		t.Errorf("memory after Reset: used=%d resident=%d free=%d", m.used, len(m.models), free(m))
 	}
-	if m.Policy() != KeepLatest {
-		t.Errorf("policy after Reset: %v", m.Policy())
+	if m.policy != KeepLatest {
+		t.Errorf("policy after Reset: %v", m.policy)
 	}
 	if m.Resident(1) {
 		t.Error("job 1 still resident after Reset")
@@ -302,7 +307,7 @@ func TestSetLookaheadReuseMatchesFresh(t *testing.T) {
 			t.Fatalf("begin %d: reused hit=%v, fresh hit=%v", i, got[i], want[i])
 		}
 	}
-	if reused.Stats() != fresh.Stats() {
-		t.Fatalf("stats diverged: reused %+v, fresh %+v", reused.Stats(), fresh.Stats())
+	if statsOf(reused) != statsOf(fresh) {
+		t.Fatalf("stats diverged: reused %+v, fresh %+v", statsOf(reused), statsOf(fresh))
 	}
 }

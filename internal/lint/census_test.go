@@ -8,18 +8,81 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// censusFile is one non-test file of the module with the type-checked
+// unit it belongs to.
+type censusFile struct {
+	unit *Unit
+	file *ast.File
+	name string // module-relative, slash-separated
+}
+
+// censusModule is the one whole-module load (≈ 3 s of type-checking)
+// the knob census and the dead-surface census share.
+var censusModule struct {
+	once   sync.Once
+	loader *Loader
+	files  []censusFile
+	err    error
+}
+
+func loadCensus(t *testing.T) []censusFile {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module")
+	}
+	m := &censusModule
+	m.once.Do(func() {
+		if m.loader, m.err = LoadModule("."); m.err != nil {
+			return
+		}
+		var dirs []string
+		if dirs, m.err = Expand(m.loader.ModuleRoot, []string{"./..."}); m.err != nil {
+			return
+		}
+		for _, dir := range dirs {
+			units, diags, err := m.loader.LoadDir(dir)
+			if err != nil {
+				m.err = err
+				return
+			}
+			for _, d := range diags {
+				if d.Severity == SevError {
+					m.err = fmt.Errorf("%s", d.String())
+					return
+				}
+			}
+			for _, u := range units {
+				for _, f := range u.Files {
+					name, err := filepath.Rel(m.loader.ModuleRoot, m.loader.filename(f))
+					if err != nil {
+						m.err = err
+						return
+					}
+					if !strings.HasSuffix(name, "_test.go") {
+						m.files = append(m.files, censusFile{u, f, filepath.ToSlash(name)})
+					}
+				}
+			}
+		}
+	})
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.files
+}
 
 // censusAllowed are the settable values no production code sets, each
 // with the reason it still exists. An entry that is set after all, or
 // whose field is gone, fails the census too, so the list cannot rot.
 var censusAllowed = map[string]string{
-	"hare/internal/sim.Options.JitterFrac":                  "test-only capability pinned by the jittered seed-42 golden; removal is a PR of its own",
-	"hare/internal/sim.Options.HostAwareSync":               "test-only capability pinned by the jittered seed-42 golden; removal is a PR of its own",
-	"hare/internal/profile.Options.MeasureJitter":           "test-only capability (profile reuse under measurement noise); removal is a PR of its own",
-	"hare/internal/experiments.Config.Metrics":              "test-only capability (simulator counters of an experiment); removal is a PR of its own",
-	"hare/internal/experiments.Fig12Options.TestbedSchemes": "test-only capability (Fig. 12 on a subset of schemes); removal is a PR of its own",
+	"hare/internal/sim.Options.JitterFrac":                  "its draws fix the RNG order of the jittered seed-42 golden, which the fault streams share; removing it moves that golden",
+	"hare/internal/sim.Options.HostAwareSync":               "part of the jittered seed-42 golden's configuration (same-host sync shrink); removing it moves that golden",
+	"hare/internal/profile.Options.MeasureJitter":           "the only consumer of Options.Seed, which bench/e2e/inputs.go sets; it cannot go before a benchmark-only PR drops that Seed",
+	"hare/internal/experiments.Fig12Options.TestbedSchemes": "what keeps Fig. 12's tier-1 test at two testbed schemes instead of five wall-clock runs",
 }
 
 // TestKnobCensus: every exported field of every exported struct under
@@ -30,40 +93,18 @@ var censusAllowed = map[string]string{
 // the CLIs never run: delete it, or list it in censusAllowed with the
 // reason.
 func TestKnobCensus(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	loader, err := LoadModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := Expand(loader.ModuleRoot, []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	internal := loader.ModulePath + "/internal/"
+	files := loadCensus(t)
+	internal := censusModule.loader.ModulePath + "/internal/"
 	knobs := make(map[string]token.Position) // "pkgpath.Type.Field" → declaration
 	written := make(map[string]bool)
-	for _, dir := range dirs {
-		units, _, err := loader.LoadDir(dir)
-		if err != nil {
-			t.Fatal(err)
+	for _, cf := range files {
+		if strings.HasPrefix(cf.name, "examples/") {
+			continue
 		}
-		for _, u := range units {
-			for _, f := range u.Files {
-				name, err := filepath.Rel(loader.ModuleRoot, loader.filename(f))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if strings.HasSuffix(name, "_test.go") || strings.HasPrefix(filepath.ToSlash(name), "examples/") {
-					continue
-				}
-				if strings.HasPrefix(u.ImportPath, internal) {
-					declaredKnobs(loader.Fset, u.ImportPath, f, knobs)
-				}
-				fieldWrites(u.Info, f, written)
-			}
+		if strings.HasPrefix(cf.unit.ImportPath, internal) {
+			declaredKnobs(censusModule.loader.Fset, cf.unit.ImportPath, cf.file, knobs)
 		}
+		fieldWrites(cf.unit.Info, cf.file, written)
 	}
 	if len(knobs) < 50 {
 		t.Fatalf("census found only %d settable values; the scope rule no longer matches the repo", len(knobs))

@@ -10,7 +10,7 @@ import (
 // Accumulated floating-point results differ in the last ulp between
 // algebraically equivalent computations, so exact comparison is how
 // "equivalent" engines quietly disagree; compare against an epsilon
-// (core.ApproxEqual) instead. Exempt by construction:
+// (math.Abs(a-b) <= eps) instead. Exempt by construction:
 //
 //   - comparisons against compile-time constants (sentinel checks like
 //     `x == 0` and golden-constant assertions are exact),
@@ -52,7 +52,7 @@ func runFloatEq(p *Pass) {
 				return true // x != x: the NaN check idiom
 			}
 			p.Reportf(be.OpPos,
-				"exact %s on float operands; compare with an epsilon (core.ApproxEqual) or annotate //lint:allow floateq for an intentional exact tie",
+				"exact %s on float operands; compare with an epsilon (math.Abs(a-b) <= eps) or annotate //lint:allow floateq for an intentional exact tie",
 				be.Op)
 			return true
 		})

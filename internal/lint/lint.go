@@ -86,16 +86,6 @@ type Analyzer struct {
 // Analyzers is the full harelint suite in output order.
 var Analyzers = []*Analyzer{MapRange, WallTime, GlobalRand, FloatEq, ObsRecorder}
 
-// AnalyzerByName resolves a suite member.
-func AnalyzerByName(name string) *Analyzer {
-	for _, a := range Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
 // Pass is the per-(package, analyzer) context handed to Analyzer.Run.
 type Pass struct {
 	Analyzer *Analyzer

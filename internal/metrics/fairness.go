@@ -84,17 +84,3 @@ func NewFairnessReport(in *core.Instance, tr *trace.Trace) *FairnessReport {
 	rep.MeanRho = sum / float64(n)
 	return rep
 }
-
-// StarvationFree reports whether every job started within the given
-// multiple of its own dedicated duration (plus floor seconds of
-// slack) after arriving — a concrete form of the paper's
-// starvation-freedom goal.
-func (r *FairnessReport) StarvationFree(in *core.Instance, multiple, floor float64) bool {
-	for _, j := range in.Jobs {
-		bound := multiple*dedicatedDuration(in, j) + floor
-		if r.Wait[j.ID] > bound {
-			return false
-		}
-	}
-	return true
-}

@@ -57,16 +57,15 @@ func TestFairnessWait(t *testing.T) {
 func TestStarvationFree(t *testing.T) {
 	in, tr := fairnessFixture()
 	rep := NewFairnessReport(in, tr)
-	// Wait 3 ≤ 1×dedicated(4): free at multiple 1.
-	if !rep.StarvationFree(in, 1, 0) {
-		t.Error("expected starvation-free at multiple 1")
+	// The paper's starvation-freedom goal, on the report's own fields:
+	// every job starts within its dedicated duration of arriving — the
+	// longest wait (3 s) is inside job 1's dedicated 4 s, not half of it.
+	for _, j := range in.Jobs {
+		if rep.Wait[j.ID] > dedicatedDuration(in, j) {
+			t.Errorf("job %d waited %g s, longer than its dedicated duration", j.ID, rep.Wait[j.ID])
+		}
 	}
-	// But not within 0.5× dedicated (2 s) and no slack.
-	if rep.StarvationFree(in, 0.5, 0) {
-		t.Error("expected starvation at multiple 0.5")
-	}
-	// Floor slack rescues it.
-	if !rep.StarvationFree(in, 0.5, 1.5) {
-		t.Error("expected starvation-free with 1.5 s floor")
+	if rep.MaxWait <= 0.5*dedicatedDuration(in, in.Jobs[1]) {
+		t.Errorf("max wait %g, want beyond half of job 1's dedicated duration", rep.MaxWait)
 	}
 }

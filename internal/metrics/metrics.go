@@ -56,9 +56,6 @@ func (r *JCTReport) CDF(thresholds []float64) []float64 {
 	return stats.CDF(r.Durations, thresholds)
 }
 
-// Summary returns descriptive statistics of the durations.
-func (r *JCTReport) Summary() stats.Summary { return stats.Summarize(r.Durations) }
-
 // Table renders rows as a fixed-width text table. header and rows
 // must have equal lengths.
 func Table(header []string, rows [][]string) string {

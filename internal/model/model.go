@@ -17,7 +17,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Class is the workload family of a model (Table 2's Type column).
@@ -245,15 +244,6 @@ func ByClass(c Class) []*Model {
 	return out
 }
 
-// Names returns the Table 2 model names in table order.
-func Names() []string {
-	out := make([]string, 8)
-	for i, m := range zoo[:8] {
-		out[i] = m.Name
-	}
-	return out
-}
-
 // BatchSeconds returns the per-mini-batch training time on a GPU with
 // the given relative compute speed (K80 = 1), at batchScale times the
 // default batch size. The compute portion follows Amdahl's law in the
@@ -305,23 +295,4 @@ func (m *Model) Layers() []Layer {
 	// Put rounding remainder on the first layer.
 	layers[0].ParamBytes += m.ParamBytes - total
 	return layers
-}
-
-// SpeedupTable renders, for each model, the speedup on each of the
-// provided (name, speed) GPU entries; used by the Fig. 2 experiment.
-func SpeedupTable(gpus map[string]float64) map[string]map[string]float64 {
-	names := make([]string, 0, len(gpus))
-	for n := range gpus {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make(map[string]map[string]float64, len(zoo))
-	for _, m := range zoo[:8] {
-		row := make(map[string]float64, len(names))
-		for _, n := range names {
-			row[n] = m.Speedup(gpus[n])
-		}
-		out[m.Name] = row
-	}
-	return out
 }

@@ -34,8 +34,8 @@ func TestByNameAndClass(t *testing.T) {
 	if got := len(ByClass(CV)); got != 3 {
 		t.Errorf("CV class has %d models", got)
 	}
-	if n := Names(); len(n) != 8 || n[0] != "VGG19" {
-		t.Errorf("Names() = %v", n)
+	if z := Zoo(); len(z) != 8 || z[0].Name != "VGG19" {
+		t.Errorf("Zoo() has %d models, first %q", len(z), z[0].Name)
 	}
 }
 
@@ -185,11 +185,8 @@ func TestRegister(t *testing.T) {
 }
 
 func TestSpeedupTable(t *testing.T) {
-	tbl := SpeedupTable(map[string]float64{"K80": 1, "V100": 7})
-	if len(tbl) != 8 {
-		t.Fatalf("table has %d rows", len(tbl))
-	}
-	if tbl["ResNet50"]["V100"] < tbl["GraphSAGE"]["V100"] {
+	const v100 = 7 // speed relative to K80
+	if MustByName("ResNet50").Speedup(v100) < MustByName("GraphSAGE").Speedup(v100) {
 		t.Error("compute-bound model should gain more from V100 than input-bound")
 	}
 }

@@ -61,19 +61,14 @@ type chromeTrace struct {
 
 const usec = 1e6 // seconds → trace-event microseconds
 
-// WriteChromeTrace renders events as trace-event JSON. Events are
-// emitted in ascending-ts order (stable within equal timestamps), so
-// every lane's timeline is monotone. EvTaskStart events are skipped —
-// the matching EvTaskFinish carries the whole span. A preempted job's
-// switch-out and its next switch-in are connected by flow events, so
-// the viewer draws an arrow from where a job lost its GPU to where it
-// resumed (possibly on another device).
-func WriteChromeTrace(w io.Writer, events []Event) error {
-	return WriteChromeTraceSpans(w, events, nil)
-}
-
-// WriteChromeTraceSpans is WriteChromeTrace plus an optional nested
-// causal-span process (pid ChromePidSpans, one lane per job).
+// WriteChromeTraceSpans renders events as trace-event JSON, plus an
+// optional nested causal-span process (pid ChromePidSpans, one lane per
+// job). Events are emitted in ascending-ts order (stable within equal
+// timestamps), so every lane's timeline is monotone. EvTaskStart events
+// are skipped — the matching EvTaskFinish carries the whole span. A
+// preempted job's switch-out and its next switch-in are connected by
+// flow events, so the viewer draws an arrow from where a job lost its
+// GPU to where it resumed (possibly on another device).
 func WriteChromeTraceSpans(w io.Writer, events []Event, spans []ChromeSpan) error {
 	var out []chromeEvent
 	type lane struct{ pid, tid int }
@@ -311,11 +306,6 @@ func WriteChromeTraceSpans(w io.Writer, events []Event, spans []ChromeSpan) erro
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(chromeTrace{TraceEvents: append(meta, out...), DisplayTimeUnit: "ms"})
-}
-
-// SaveChromeTrace writes the trace-event JSON to path.
-func SaveChromeTrace(path string, events []Event) error {
-	return SaveChromeTraceSpans(path, events, nil)
 }
 
 // SaveChromeTraceSpans writes the trace-event JSON to path with an

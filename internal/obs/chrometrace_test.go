@@ -75,7 +75,7 @@ type chromeFile struct {
 func renderChrome(t *testing.T, events []obs.Event) ([]byte, chromeFile) {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := obs.WriteChromeTrace(&buf, events); err != nil {
+	if err := obs.WriteChromeTraceSpans(&buf, events, nil); err != nil {
 		t.Fatal(err)
 	}
 	var cf chromeFile

@@ -49,7 +49,7 @@ import (
 	"hare/internal/obs/span"
 )
 
-// Buckets is one attribution vector, in seconds. Sum() equals the
+// Buckets is one attribution vector, in seconds. The fields sum to the
 // attributed completion time (for per-job rows) or its weighted
 // aggregate.
 type Buckets struct {
@@ -59,11 +59,6 @@ type Buckets struct {
 	Switch      float64 `json:"switch"`
 	Compute     float64 `json:"compute"`
 	Comm        float64 `json:"comm"`
-}
-
-// Sum adds the buckets in fixed field order.
-func (b Buckets) Sum() float64 {
-	return b.Arrival + b.Queue + b.BarrierWait + b.Switch + b.Compute + b.Comm
 }
 
 // scaled returns the buckets multiplied by w.
@@ -446,28 +441,6 @@ func clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-// Format renders the report as an aligned text table: one row per job
-// with bucket fractions, then the per-type and per-weight aggregates.
-func (r *Report) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s %8s %12s  %s\n", "job", "weight", "completion", "arrival/queue/barrier/switch/compute/comm")
-	for _, j := range r.Jobs {
-		f := j.Fractions()
-		fmt.Fprintf(&b, "%-5d %8.3g %12.3f  %.3f/%.3f/%.3f/%.3f/%.3f/%.3f\n",
-			j.Job, j.Weight, j.Completion,
-			f.Arrival, f.Queue, f.BarrierWait, f.Switch, f.Compute, f.Comm)
-	}
-	fmt.Fprintf(&b, "weighted JCT %.6f = arrival %.3f + queue %.3f + barrier %.3f + switch %.3f + compute %.3f + comm %.3f\n",
-		r.WeightedJCT, r.Weighted.Arrival, r.Weighted.Queue, r.Weighted.BarrierWait,
-		r.Weighted.Switch, r.Weighted.Compute, r.Weighted.Comm)
-	for _, row := range r.ByType {
-		fmt.Fprintf(&b, "type %-10s windows %4d queue %.3f barrier %.3f switch %.3f compute %.3f comm %.3f\n",
-			row.Type, row.Windows, row.Buckets.Queue, row.Buckets.BarrierWait,
-			row.Buckets.Switch, row.Buckets.Compute, row.Buckets.Comm)
-	}
-	return b.String()
 }
 
 // FormatJob renders one job's critical path: its bucket breakdown plus

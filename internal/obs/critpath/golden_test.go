@@ -301,7 +301,7 @@ func TestThreeEngineAttribution(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if err := rpcnet.RunExecutor(addr, g); err != nil {
+			if err := rpcnet.RunExecutorOpts(addr, g, rpcnet.ExecutorOptions{}); err != nil {
 				t.Errorf("executor %d: %v", g, err)
 			}
 		}(g)
@@ -341,7 +341,7 @@ func TestDistributedMigratedAttribution(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			// The crashed executor's error is expected.
-			_ = rpcnet.RunExecutor(addr, g)
+			_ = rpcnet.RunExecutorOpts(addr, g, rpcnet.ExecutorOptions{})
 		}(g)
 	}
 	res, err := wait()
@@ -390,7 +390,7 @@ func TestDistributedMigratedAttribution(t *testing.T) {
 	}
 	const eps = 1e-9
 	for _, ja := range rep.Jobs {
-		if d := math.Abs(ja.Buckets.Sum() - res.JobCompletion[ja.Job]); d > eps {
+		if d := math.Abs(bucketSum(ja.Buckets) - res.JobCompletion[ja.Job]); d > eps {
 			t.Errorf("job %d bucket sum off realized completion by %.3g", ja.Job, d)
 		}
 	}

@@ -46,18 +46,7 @@ type Stream struct {
 // trace directory, sorted by process name so downstream merges are
 // independent of directory iteration order.
 func ReadDir(dir string) ([]Stream, error) {
-	return readGlob(dir, "*"+StreamSuffix, StreamSuffix)
-}
-
-// ReadFlightDir loads every flight-recorder dump (*.flight.jsonl) from
-// a directory — the post-mortem variant of ReadDir, for runs that were
-// killed before their full streams were closed.
-func ReadFlightDir(dir string) ([]Stream, error) {
-	return readGlob(dir, "*"+FlightSuffix, FlightSuffix)
-}
-
-func readGlob(dir, pattern, suffix string) ([]Stream, error) {
-	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+StreamSuffix))
 	if err != nil {
 		return nil, fmt.Errorf("dtrace: glob %s: %w", dir, err)
 	}
@@ -74,12 +63,12 @@ func readGlob(dir, pattern, suffix string) ([]Stream, error) {
 			return nil, fmt.Errorf("dtrace: %s: %w", p, err)
 		}
 		out = append(out, Stream{
-			Proc:   strings.TrimSuffix(filepath.Base(p), suffix),
+			Proc:   strings.TrimSuffix(filepath.Base(p), StreamSuffix),
 			Events: events,
 		})
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("dtrace: no %s streams in %s", pattern, dir)
+		return nil, fmt.Errorf("dtrace: no *%s streams in %s", StreamSuffix, dir)
 	}
 	return out, nil
 }

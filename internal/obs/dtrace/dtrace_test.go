@@ -193,7 +193,7 @@ func TestCanonicalIgnoresTiming(t *testing.T) {
 
 // TestFleetRoundTrip drives the full write/read cycle: a Fleet's
 // per-process recorders stamp seq, flight rings dump, Close merges,
-// and ReadDir/ReadFlightDir recover everything.
+// and ReadDir recovers the streams; the flight dumps sit beside them.
 func TestFleetRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "trace")
 	fleet, err := NewFleet(dir, 2, 8)
@@ -228,15 +228,18 @@ func TestFleetRoundTrip(t *testing.T) {
 		t.Fatalf("coord seqs = %d,%d, want 1,2", streams[0].Events[0].Seq, streams[0].Events[1].Seq)
 	}
 
-	flights, err := ReadFlightDir(dir)
+	flights, err := filepath.Glob(filepath.Join(dir, "*"+FlightSuffix))
+	if err != nil || len(flights) != 3 {
+		t.Fatalf("got flight dumps %v (%v), want 3", flights, err)
+	}
+	dump, err := os.Open(filepath.Join(dir, "coord"+FlightSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(flights) != 3 {
-		t.Fatalf("got %d flight dumps, want 3", len(flights))
-	}
-	if len(flights[0].Events) != 2 {
-		t.Fatalf("coord flight has %d events, want 2", len(flights[0].Events))
+	coordFlight, err := obs.ReadJSONL(dump)
+	dump.Close()
+	if err != nil || len(coordFlight) != 2 {
+		t.Fatalf("coord flight has %d events (%v), want 2", len(coordFlight), err)
 	}
 
 	raw, err := os.ReadFile(filepath.Join(dir, "merged_trace.json"))

@@ -18,7 +18,7 @@ type ProcStream struct {
 	// Recorder stamps this process's seq and feeds the stream; pass it
 	// (plus any extra sinks via obs.NewSeqRecorder) to the process.
 	Recorder *obs.Recorder
-	Flight   *obs.FlightRecorder
+	Flight   *obs.RingSink
 
 	dir  string
 	sink *obs.JSONLSink
@@ -32,7 +32,7 @@ func NewProcStream(dir, proc string, flightCap int, extra ...obs.Sink) (*ProcStr
 	if err != nil {
 		return nil, fmt.Errorf("dtrace: %w", err)
 	}
-	flight := obs.NewFlightRecorder(flightCap)
+	flight := obs.NewRingSink(flightCap)
 	sinks := append([]obs.Sink{sink, flight}, extra...)
 	return &ProcStream{
 		Proc:     proc,

@@ -6,23 +6,18 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 )
 
 // JSONLSink streams events to a writer as one JSON object per line —
 // the interchange format behind `haresim -events-out` and `harectl
-// tail`. Lines are buffered; call Close (or Flush) to push them out.
+// tail`. Lines are buffered; call Close (or Sync) to push them out.
 type JSONLSink struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer
-	f   *os.File // underlying file, if we opened it (fsynced at Close)
+	f   *os.File // fsynced at Sync and Close
 	err error    // first write error, reported at Close
-}
-
-// NewJSONLSink wraps an open writer. The caller keeps ownership of w;
-// Close only flushes.
-func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{bw: bufio.NewWriter(w)}
 }
 
 // CreateJSONL opens (truncating) a JSONL event file that Close will
@@ -57,19 +52,8 @@ func (s *JSONLSink) Record(e Event) {
 	}
 }
 
-// Flush pushes buffered lines to the underlying writer.
-func (s *JSONLSink) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	return s.bw.Flush()
-}
-
-// Sync flushes buffered lines and, when the sink owns its file, fsyncs
-// it — the durability point for event streams that must survive a
-// kill.
+// Sync flushes buffered lines and fsyncs the file — the durability
+// point for event streams that must survive a kill.
 func (s *JSONLSink) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -83,22 +67,16 @@ func (s *JSONLSink) syncLocked() error {
 	if err := s.bw.Flush(); err != nil {
 		return err
 	}
-	if s.f != nil {
-		return s.f.Sync()
-	}
-	return nil
+	return s.f.Sync()
 }
 
-// Close flushes, fsyncs and, when the sink opened its own file, closes
-// it. It returns the first error seen by any Record call.
+// Close flushes, fsyncs and closes the file. It returns the first
+// error seen by any Record call.
 func (s *JSONLSink) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	serr := s.syncLocked()
-	var cerr error
-	if s.f != nil {
-		cerr = s.f.Close()
-	}
+	cerr := s.f.Close()
 	if s.err != nil {
 		return s.err
 	}
@@ -106,6 +84,27 @@ func (s *JSONLSink) Close() error {
 		return serr
 	}
 	return cerr
+}
+
+// WriteEventsJSONL writes events to path as JSONL, fsyncing both the
+// file and (best-effort) its directory before returning, so the dump
+// survives an immediately following process kill.
+func WriteEventsJSONL(path string, events []Event) error {
+	sink, err := CreateJSONL(path)
+	if err != nil {
+		return err
+	}
+	for _, e := range events {
+		sink.Record(e)
+	}
+	if err := sink.Close(); err != nil {
+		return fmt.Errorf("obs: write %s: %w", path, err)
+	}
+	if dir, err := os.Open(filepath.Dir(path)); err == nil {
+		_ = dir.Sync()
+		_ = dir.Close()
+	}
+	return nil
 }
 
 // ReadJSONL decodes a stream of JSONL-encoded events (the format

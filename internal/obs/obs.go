@@ -442,14 +442,16 @@ func (s *RingSink) Snapshot() []Event {
 	return s.ordered()
 }
 
-// Drain returns the retained events oldest-first and empties the ring.
-func (s *RingSink) Drain() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.ordered()
-	s.buf = s.buf[:0]
-	s.next = 0
-	return out
+// Dump writes the retained events to path as fsynced JSONL, replacing
+// any previous dump: the ring as a per-process flight recorder, whose
+// last-N events survive a crash, a fence or an invariant violation even
+// when the process's main event stream was cut mid-line. A nil ring
+// dumps nothing and reports no error.
+func (s *RingSink) Dump(path string) error {
+	if s == nil {
+		return nil
+	}
+	return WriteEventsJSONL(path, s.Snapshot())
 }
 
 // ordered assembles oldest-first under the held lock.
@@ -462,20 +464,6 @@ func (s *RingSink) ordered() []Event {
 		out = append(out, s.buf...)
 	}
 	return out
-}
-
-// Total returns how many events were ever recorded.
-func (s *RingSink) Total() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.total
-}
-
-// Dropped returns how many events were overwritten before being read.
-func (s *RingSink) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // CollectSink retains every event unboundedly — for tests and for

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -38,23 +40,16 @@ func TestRingSinkOrderAndOverwrite(t *testing.T) {
 			t.Errorf("event %d has round %d, want %d (oldest-first)", i, e.Round, want)
 		}
 	}
-	if s.Total() != 5 {
-		t.Errorf("Total = %d, want 5", s.Total())
+	if s.total != 5 {
+		t.Errorf("total = %d, want 5", s.total)
 	}
-	if s.Dropped() != 2 {
-		t.Errorf("Dropped = %d, want 2", s.Dropped())
+	if s.dropped != 2 {
+		t.Errorf("dropped = %d, want 2", s.dropped)
 	}
-	drained := s.Drain()
-	if len(drained) != 3 {
-		t.Errorf("Drain returned %d events, want 3", len(drained))
-	}
-	if len(s.Snapshot()) != 0 {
-		t.Error("ring not empty after Drain")
-	}
-	// The ring refills cleanly after a drain.
+	// Snapshot does not clear: the next event overwrites the oldest.
 	s.Record(Event{Type: EvTaskFinish, Round: 9})
-	if got := s.Snapshot(); len(got) != 1 || got[0].Round != 9 {
-		t.Errorf("post-drain snapshot = %+v", got)
+	if got := s.Snapshot(); len(got) != 3 || got[0].Round != 3 || got[2].Round != 9 {
+		t.Errorf("snapshot after one more event = %+v", got)
 	}
 }
 
@@ -92,15 +87,22 @@ func TestJSONLRoundTrip(t *testing.T) {
 		{Type: EvTaskFinish, Time: 5, GPU: 0, Job: 1, Dur: 4, Train: 3.5, Sync: 0.5, Note: "ResNet50"},
 		{Type: EvMemAdmit, Time: 5, GPU: 0, Job: 1, Bytes: 1 << 20},
 	}
-	var buf bytes.Buffer
-	sink := NewJSONLSink(&buf)
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	sink, err := CreateJSONL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, e := range events {
 		sink.Record(e)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadJSONL(&buf)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSONL(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestRegistryExposition(t *testing.T) {
 	reg.Counter("hare_tasks_total").Add(3)
 	reg.Counter("hare_tasks_total").Inc()
 	reg.Gauge("hare_pending").Set(2)
-	reg.Gauge("hare_pending").Add(-1)
+	reg.Gauge("hare_pending").Set(1)
 	reg.Counter(`hare_switches_total{scheme="hare"}`).Inc()
 	reg.Counter(`hare_switches_total{scheme="default"}`).Add(2)
 	h := reg.Histogram("hare_wait_seconds", []float64{0.1, 1})

@@ -52,9 +52,6 @@ func NewPhaseRecorder(reg *obs.Registry) *PhaseRecorder {
 	}
 }
 
-// Enabled reports whether Start can record anything.
-func (p *PhaseRecorder) Enabled() bool { return p != nil && p.reg != nil }
-
 // Start begins timing one phase and returns the function that stops
 // it and records the elapsed seconds. Safe on a nil receiver.
 func (p *PhaseRecorder) Start(phase string) (stop func()) {

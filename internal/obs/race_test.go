@@ -6,8 +6,8 @@ import (
 )
 
 // TestConcurrentEmitAndDrain exercises the event bus the way the
-// testbed does — one emitting goroutine per GPU — with a reader
-// draining concurrently, the shape hared's /events endpoint sees.
+// testbed does — one emitting goroutine per GPU — with a reader taking
+// snapshots concurrently, the shape hared's /events endpoint sees.
 // Run with -race.
 func TestConcurrentEmitAndDrain(t *testing.T) {
 	const (
@@ -32,24 +32,21 @@ func TestConcurrentEmitAndDrain(t *testing.T) {
 
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
-	drained := 0
 	readerWG.Add(1)
 	go func() {
 		defer readerWG.Done()
 		for {
-			batch := ring.Drain()
-			drained += len(batch)
-			// Drained batches must be internally oldest-first.
+			batch := ring.Snapshot()
+			// Snapshots must be internally oldest-first.
 			for i := 1; i < len(batch); i++ {
 				if batch[i].GPU == batch[i-1].GPU && batch[i].Time < batch[i-1].Time {
-					t.Errorf("drain out of order for gpu %d: %g after %g",
+					t.Errorf("snapshot out of order for gpu %d: %g after %g",
 						batch[i].GPU, batch[i].Time, batch[i-1].Time)
 					return
 				}
 			}
 			select {
 			case <-stop:
-				drained += len(ring.Drain())
 				return
 			default:
 			}
@@ -61,15 +58,15 @@ func TestConcurrentEmitAndDrain(t *testing.T) {
 	readerWG.Wait()
 
 	want := emitters * perEmit
-	if total := ring.Total(); total != uint64(want) {
-		t.Errorf("ring Total = %d, want %d", total, want)
+	if ring.total != uint64(want) {
+		t.Errorf("ring total = %d, want %d", ring.total, want)
 	}
 	if got := len(collect.Events()); got != want {
 		t.Errorf("collect sink kept %d events, want %d", got, want)
 	}
-	// Everything was either handed to the reader or overwritten.
-	if dropped := ring.Dropped(); drained+int(dropped) != want {
-		t.Errorf("drained %d + dropped %d != emitted %d", drained, dropped, want)
+	// Everything is either still retained or was overwritten.
+	if kept := len(ring.Snapshot()); kept+int(ring.dropped) != want {
+		t.Errorf("retained %d + dropped %d != emitted %d", kept, ring.dropped, want)
 	}
 }
 

@@ -124,20 +124,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on nil).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -177,26 +163,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum += v
 	h.count++
 	h.mu.Unlock()
-}
-
-// Count returns how many samples were observed (0 on nil).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
-// Sum returns the sum of observed samples (0 on nil).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
 }
 
 // family strips an optional {label} suffix off a series name.

@@ -144,27 +144,6 @@ func (t *Tree) Roots() []int {
 	return out
 }
 
-// Children returns the IDs of id's direct children, in tree order.
-func (t *Tree) Children(id int) []int {
-	var out []int
-	for _, s := range t.Spans {
-		if s.Parent == id {
-			out = append(out, s.ID)
-		}
-	}
-	return out
-}
-
-// JobSpan returns the ID of a job's root span, or NoID.
-func (t *Tree) JobSpan(job int) int {
-	for _, s := range t.Spans {
-		if s.Kind == KindJob && s.Job == job {
-			return s.ID
-		}
-	}
-	return NoID
-}
-
 // Validate checks the tree's structural invariants: IDs are positions,
 // parents precede their children, and every child's kind is legal
 // under its parent's.

@@ -67,6 +67,27 @@ func countEvents(events []obs.Event, ty obs.Type) int {
 	return n
 }
 
+// children returns the IDs of id's direct children, in tree order.
+func children(tr *span.Tree, id int) []int {
+	var out []int
+	for _, s := range tr.Spans {
+		if s.Parent == id {
+			out = append(out, s.ID)
+		}
+	}
+	return out
+}
+
+// jobSpan returns the ID of a job's root span, or NoID.
+func jobSpan(tr *span.Tree, job int) int {
+	for _, s := range tr.Spans {
+		if s.Kind == span.KindJob && s.Job == job {
+			return s.ID
+		}
+	}
+	return span.NoID
+}
+
 func TestBuildTreeStructure(t *testing.T) {
 	events, res, in := scenario(t, sim.Options{Seed: 42})
 	tr, err := span.Build(events)
@@ -81,7 +102,7 @@ func TestBuildTreeStructure(t *testing.T) {
 		t.Fatalf("roots = %d, want %d", got, len(in.Jobs))
 	}
 	for _, j := range in.Jobs {
-		id := tr.JobSpan(int(j.ID))
+		id := jobSpan(tr, int(j.ID))
 		if id == span.NoID {
 			t.Fatalf("job %d has no span", j.ID)
 		}
@@ -89,12 +110,12 @@ func TestBuildTreeStructure(t *testing.T) {
 		if js.End != res.JobCompletion[j.ID] {
 			t.Errorf("job %d span end %.17g, want completion %.17g", j.ID, js.End, res.JobCompletion[j.ID])
 		}
-		rounds := tr.Children(id)
+		rounds := children(tr, id)
 		if len(rounds) != j.Rounds {
 			t.Errorf("job %d has %d round spans, want %d", j.ID, len(rounds), j.Rounds)
 		}
 		for _, rid := range rounds {
-			tasks := tr.Children(rid)
+			tasks := children(tr, rid)
 			if len(tasks) != j.Scale {
 				t.Errorf("job %d round %d has %d attempts, want %d", j.ID, tr.Spans[rid].Round, len(tasks), j.Scale)
 			}
@@ -104,7 +125,7 @@ func TestBuildTreeStructure(t *testing.T) {
 					t.Errorf("fault-free attempt = %+v, want attempt 0 task", ts)
 				}
 				var hasCompute bool
-				for _, pid := range tr.Children(tid) {
+				for _, pid := range children(tr, tid) {
 					if tr.Spans[pid].Kind == span.KindCompute {
 						hasCompute = true
 					}

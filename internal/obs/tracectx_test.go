@@ -36,10 +36,10 @@ func TestSeqRecorderStampsMonotone(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderDump checks the forensics ring: last-N retention,
-// oldest-first dump, nil safety.
-func TestFlightRecorderDump(t *testing.T) {
-	f := obs.NewFlightRecorder(3)
+// TestRingSinkDump checks the ring as a flight recorder: last-N
+// retention, oldest-first dump, nil safety.
+func TestRingSinkDump(t *testing.T) {
+	f := obs.NewRingSink(3)
 	for i := 0; i < 5; i++ {
 		f.Record(obs.Event{Type: obs.EvLeaseRenew, GPU: i, Job: -1})
 	}
@@ -67,13 +67,13 @@ func TestFlightRecorderDump(t *testing.T) {
 		t.Fatalf("dump round-trip: %+v", events)
 	}
 
-	var nilF *obs.FlightRecorder
-	nilF.Record(obs.Event{})
-	if nilF.Snapshot() != nil {
-		t.Fatal("nil flight recorder returned events")
-	}
-	if err := nilF.Dump(filepath.Join(t.TempDir(), "never")); err != nil {
+	var nilF *obs.RingSink
+	never := filepath.Join(t.TempDir(), "never")
+	if err := nilF.Dump(never); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := os.Stat(never); err == nil {
+		t.Fatal("nil ring wrote a dump")
 	}
 }
 

@@ -159,7 +159,10 @@ func TestDatabaseAmortizesAcrossJobs(t *testing.T) {
 	p := New(Options{})
 	var jobs []*core.Job
 	var specs []JobSpec
-	names := model.Names()
+	var names []string
+	for _, m := range model.Zoo() {
+		names = append(names, m.Name)
+	}
 	for i := 0; i < 100; i++ {
 		jobs = append(jobs, &core.Job{ID: core.JobID(i), Name: "j", Weight: 1, Rounds: 1, Scale: 1})
 		specs = append(specs, fakeSpec{model: names[i%len(names)], batch: 1, scale: 1})

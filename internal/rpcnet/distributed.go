@@ -22,7 +22,7 @@ import (
 
 // Distributed testbed mode: the scheduler process (ServeDistributed)
 // hosts the parameter servers, the checkpoint store, and every task
-// queue; executor processes (cmd/hare-executor, or RunExecutor
+// queue; executor processes (cmd/hare-executor, or RunExecutorOpts
 // in-process) dial in, fetch their configuration, then *pull* tasks
 // one at a time and run each against the remote control plane.
 //

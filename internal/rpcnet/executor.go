@@ -20,7 +20,7 @@ import (
 	"hare/internal/testbed"
 )
 
-// The executor side of the distributed testbed. RunExecutor is a
+// The executor side of the distributed testbed. RunExecutorOpts is a
 // session loop: each session dials the coordinator, handshakes with
 // Config (learning the coordinator epoch and the shared clock), then
 // pulls and runs tasks until the run completes.
@@ -44,8 +44,8 @@ func (p permanentError) Unwrap() error { return p.err }
 // callRetries bounds per-call retries of injected drops.
 const callRetries = 16
 
-// ExecutorOptions tune RunExecutorOpts. The zero value reproduces
-// RunExecutor: no chaos, default reconnect budget.
+// ExecutorOptions tune RunExecutorOpts. The zero value means no
+// chaos and the default reconnect budget.
 type ExecutorOptions struct {
 	// Chaos injects network faults into every RPC of this executor;
 	// nil or empty disables injection. ChaosSeed seeds the draw stream
@@ -107,15 +107,9 @@ func gpuSeed(seed int64, gpu int) int64 {
 	return seed ^ (int64(gpu)+1)*0x9e3779b9
 }
 
-// RunExecutor connects to the coordinator at addr and runs one GPU's
-// share of the batch to completion (the common, chaos-free entry
-// point).
-func RunExecutor(addr string, gpu int) error {
-	return RunExecutorOpts(addr, gpu, ExecutorOptions{})
-}
-
-// RunExecutorOpts is RunExecutor with chaos injection and a tuned
-// reconnect budget.
+// RunExecutorOpts connects to the coordinator at addr and runs one
+// GPU's share of the batch to completion, with optional chaos injection
+// and a tuned reconnect budget.
 func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 	if opts.MaxReconnects <= 0 {
 		opts.MaxReconnects = 12

@@ -108,7 +108,7 @@ func TestDistributedCrashRecovery(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = RunExecutor(addr, g)
+			errs[g] = RunExecutorOpts(addr, g, ExecutorOptions{})
 		}(g)
 	}
 	res, err := wait()
@@ -201,7 +201,7 @@ func TestDistributedNeverConnectingExecutor(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = RunExecutor(addr, g)
+			errs[g] = RunExecutorOpts(addr, g, ExecutorOptions{})
 		}(g)
 	}
 	res, err := wait()
@@ -251,7 +251,7 @@ func TestDistributedRetryDeterminism(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if err := RunExecutor(addr, g); err != nil {
+			if err := RunExecutorOpts(addr, g, ExecutorOptions{}); err != nil {
 				t.Errorf("executor %d: %v", g, err)
 			}
 		}(g)

@@ -215,7 +215,7 @@ func TestFencingSurvivesRecovery(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			errs[g] = RunExecutor(addr, g)
+			errs[g] = RunExecutorOpts(addr, g, ExecutorOptions{})
 		}(g)
 	}
 
@@ -411,7 +411,7 @@ func TestExecutorGoroutineHygiene(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			if err := RunExecutor(addr, g); err != nil {
+			if err := RunExecutorOpts(addr, g, ExecutorOptions{}); err != nil {
 				t.Errorf("executor %d: %v", g, err)
 			}
 		}(g)

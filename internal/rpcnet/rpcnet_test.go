@@ -292,7 +292,7 @@ func TestDistributedExecutors(t *testing.T) {
 
 	for g := 0; g < cl.Size(); g++ {
 		go func(g int) {
-			if err := RunExecutor(addr, g); err != nil {
+			if err := RunExecutorOpts(addr, g, ExecutorOptions{}); err != nil {
 				t.Errorf("executor %d: %v", g, err)
 			}
 		}(g)
@@ -329,11 +329,11 @@ func TestDistributedConfigValidation(t *testing.T) {
 	}
 	defer srv.Close()
 	// Unknown GPU index rejected.
-	if err := RunExecutor(addr, 7); err == nil {
+	if err := RunExecutorOpts(addr, 7, ExecutorOptions{}); err == nil {
 		t.Error("bogus GPU accepted")
 	}
 	go func() {
-		if err := RunExecutor(addr, 0); err != nil {
+		if err := RunExecutorOpts(addr, 0, ExecutorOptions{}); err != nil {
 			t.Errorf("executor: %v", err)
 		}
 	}()

@@ -69,11 +69,6 @@ func NewHareEA() *Hare {
 	return &Hare{Pick: PickEarliestAvailable, name: "Hare-EA"}
 }
 
-// NewHareEFT is an alias of NewHare retained for the ablation lineup.
-func NewHareEFT() *Hare {
-	return &Hare{Pick: PickEarliestFinish, name: "Hare-EFT"}
-}
-
 // Name implements Algorithm.
 func (h *Hare) Name() string {
 	if h.name != "" {

@@ -40,7 +40,7 @@ func randomInstance(rng *stats.RNG, maxJobs, maxGPUs int) *core.Instance {
 // over many random instances and validates constraints (4)–(8).
 func TestAllAlgorithmsProduceFeasibleSchedules(t *testing.T) {
 	rng := stats.New(7)
-	algos := append(All(), NewHareEFT())
+	algos := append(All(), NewHareEA())
 	for trial := 0; trial < 60; trial++ {
 		in := randomInstance(rng.Split(), 6, 5)
 		for _, a := range algos {

@@ -63,7 +63,11 @@ func TestRunPhaseTelemetry(t *testing.T) {
 	if _, err := RunReference(in, plan, nil, nil, Options{Phases: perf.NewPhaseRecorder(reg2)}); err != nil {
 		t.Fatal(err)
 	}
-	if c := reg2.Histogram(`hare_perf_phase_seconds{phase="sim_event_loop"}`, perf.DefPhaseBuckets).Count(); c != 1 {
-		t.Errorf("reference event-loop phase count %d, want 1", c)
+	sb.Reset()
+	if err := reg2.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `hare_perf_phase_seconds_count{phase="sim_event_loop"} 1`; !strings.Contains(sb.String(), want) {
+		t.Errorf("reference metrics missing %q:\n%s", want, sb.String())
 	}
 }

@@ -99,12 +99,6 @@ func (g *RNG) Jitter(x, frac float64) float64 {
 	return x * g.Uniform(1-frac, 1+frac)
 }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
 // WeightedChoice returns an index in [0, len(weights)) sampled in
 // proportion to weights. Zero-weight entries are never chosen. It
 // panics if weights is empty or sums to a non-positive value.
@@ -218,13 +212,4 @@ func Mean(xs []float64) float64 {
 		t += x
 	}
 	return t / float64(len(xs))
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t
 }

@@ -197,9 +197,6 @@ func TestMeanSum(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Error("Mean wrong")
 	}
-	if Sum([]float64{1, 2, 3}) != 6 {
-		t.Error("Sum wrong")
-	}
 }
 
 // TestReseedMatchesFresh: after any amount of prior consumption,

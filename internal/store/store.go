@@ -12,7 +12,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -25,8 +24,6 @@ type Store interface {
 	Load(key string) ([]byte, error)
 	// Exists reports whether key is present.
 	Exists(key string) bool
-	// Keys lists all stored keys, sorted.
-	Keys() []string
 }
 
 // MemStore is an in-memory Store, safe for concurrent use.
@@ -63,18 +60,6 @@ func (s *MemStore) Exists(key string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.m[key]
 	return ok
-}
-
-// Keys implements Store.
-func (s *MemStore) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.m))
-	for k := range s.m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DirStore persists blobs as files under a directory; keys map to
@@ -156,22 +141,6 @@ func (s *DirStore) Load(key string) ([]byte, error) {
 func (s *DirStore) Exists(key string) bool {
 	_, err := os.Stat(s.path(key))
 	return err == nil
-}
-
-// Keys implements Store.
-func (s *DirStore) Keys() []string {
-	ents, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var out []string
-	for _, e := range ents {
-		if !e.IsDir() && !strings.HasSuffix(e.Name(), ".tmp") {
-			out = append(out, strings.ReplaceAll(e.Name(), "__", "/"))
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // EncodeParams serializes a float64 parameter vector (a checkpoint).

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"testing"
 
 	"hare/internal/sched"
@@ -53,7 +54,7 @@ func TestConvergenceIndependentOfSchedule(t *testing.T) {
 	finals[0] = run(sched.NewHare())
 	finals[1] = run(sched.NewHareStrict())
 	for j := range in.Jobs {
-		if d := ParamDistance(finals[0][j], finals[1][j]); d > 1e-9 {
+		if d := paramDistance(finals[0][j], finals[1][j]); d > 1e-9 {
 			t.Errorf("job %d (%s): relaxed and strict schedules diverged by %g",
 				j, models[j].Name, d)
 		}
@@ -91,8 +92,22 @@ func TestConvergenceMatchesSerialSGD(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := ParamDistance(got, w); d > 1e-9 {
+		if d := paramDistance(got, w); d > 1e-9 {
 			t.Errorf("job %d: distributed params differ from serial SGD by %g", j.ID, d)
 		}
 	}
+}
+
+// paramDistance returns the L2 distance between two parameter
+// vectors.
+func paramDistance(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("testbed: distance of unequal vectors")
+	}
+	var s float64
+	for i := range a {
+		d := a[i] - b[i]
+		s += d * d
+	}
+	return math.Sqrt(s)
 }

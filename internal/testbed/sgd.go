@@ -11,7 +11,6 @@ package testbed
 
 import (
 	"fmt"
-	"math"
 
 	"hare/internal/stats"
 )
@@ -124,23 +123,4 @@ func AggregateGradients(grads [][]float64) []float64 {
 		dst[i] *= inv
 	}
 	return dst
-}
-
-// ParamDistance returns the L2 distance between two parameter
-// vectors; tests use it to confirm convergence toward truth.
-func ParamDistance(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("testbed: distance of unequal vectors")
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
-// DistanceToTruth measures how far w is from the generating vector.
-func (p *Problem) DistanceToTruth(w []float64) float64 {
-	return ParamDistance(w, p.truth)
 }

@@ -217,11 +217,11 @@ func TestProblemGradientDeterministic(t *testing.T) {
 func TestSGDConvergesOnProblem(t *testing.T) {
 	p := NewProblem(8, 16, 21)
 	w := p.InitParams()
-	d0 := p.DistanceToTruth(w)
+	d0 := paramDistance(w, p.truth)
 	for r := 0; r < 200; r++ {
 		ApplySGD(w, p.Gradient(w, r, 0), 0.1)
 	}
-	d1 := p.DistanceToTruth(w)
+	d1 := paramDistance(w, p.truth)
 	if d1 > d0*0.2 {
 		t.Errorf("SGD barely converged: distance %g -> %g", d0, d1)
 	}

@@ -121,13 +121,3 @@ func LoadGoogleArrivals(path string, n int, horizon float64) ([]float64, error) 
 	}
 	return arr, nil
 }
-
-// SaveGoogleArrivals writes arrivals to path in job_events format.
-func SaveGoogleArrivals(path string, arrivals []float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: create %s: %w", path, err)
-	}
-	defer f.Close()
-	return WriteGoogleJobEvents(f, arrivals)
-}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -73,7 +74,11 @@ func TestGoogleReadErrors(t *testing.T) {
 
 func TestLoadGoogleArrivalsFileAndRescale(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "job_events.csv")
-	if err := SaveGoogleArrivals(path, []float64{0, 10, 40, 100}); err != nil {
+	var csv bytes.Buffer
+	if err := WriteGoogleJobEvents(&csv, []float64{0, 10, 40, 100}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, csv.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadGoogleArrivals(path, 0, 500)

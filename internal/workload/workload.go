@@ -207,12 +207,3 @@ func Jobs(specs []*Spec) []*core.Job {
 	}
 	return out
 }
-
-// ClassCounts tallies how many jobs of each class were generated.
-func ClassCounts(specs []*Spec) map[model.Class]int {
-	out := make(map[model.Class]int)
-	for _, s := range specs {
-		out[s.ClassOfJob]++
-	}
-	return out
-}

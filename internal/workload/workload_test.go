@@ -59,9 +59,17 @@ func TestGenerateStructure(t *testing.T) {
 	}
 }
 
+func classCounts(specs []*Spec) map[model.Class]int {
+	out := make(map[model.Class]int)
+	for _, s := range specs {
+		out[s.ClassOfJob]++
+	}
+	return out
+}
+
 func TestDefaultMixRoughlyUniform(t *testing.T) {
 	specs := Generate(Options{NumJobs: 4000, Seed: 3})
-	counts := ClassCounts(specs)
+	counts := classCounts(specs)
 	for _, c := range model.Classes() {
 		frac := float64(counts[c]) / 4000
 		if math.Abs(frac-0.25) > 0.03 {
@@ -89,7 +97,7 @@ func TestMixBoost(t *testing.T) {
 	}
 	// Sampling respects the boost.
 	specs := Generate(Options{NumJobs: 3000, Mix: m, Seed: 4})
-	counts := ClassCounts(specs)
+	counts := classCounts(specs)
 	frac := float64(counts[model.NLP]) / 3000
 	if math.Abs(frac-0.7) > 0.03 {
 		t.Errorf("boosted NLP fraction %.3f, want ~0.7", frac)

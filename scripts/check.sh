@@ -2,7 +2,8 @@
 # The pre-merge checks, in the three stages the CI jobs call:
 #
 #   scripts/check.sh          # all three
-#   scripts/check.sh tests    # vet, harelint, build, go test -race ./..., stress + fuzz smokes, make loc
+#   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob and
+#                             # dead-surface censuses), ordering stress, four 10 s fuzz smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -30,10 +31,11 @@ tests() {
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 
-	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function; the WAL frame reader)"
+	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function; the WAL frame reader; the -fault-spec parser's Parse/String round trip)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzDirLogOpen -fuzztime 10s ./internal/store/
+	go test -race -run '^$' -fuzz FuzzFaultsParse -fuzztime 10s ./internal/faults/
 
 	echo "==> make loc (non-test Go lines per package: the size of every PR in the CI log)"
 	make -s loc
