@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet lint race bench-gate bench-e2e chaos check fmt loc
+.PHONY: all build test vet lint race bench-gate bench-e2e chaos check fmt loc results
 
 all: build
 
@@ -48,6 +48,12 @@ check:
 
 fmt:
 	gofmt -l -w .
+
+# The capture EXPERIMENTS.md quotes: every experiment at paper size,
+# seed 42 (~3 min on 2 cores). Everything but fig11, fig12's testbed
+# columns and largetrace's timings is reproducible to the byte.
+results:
+	$(GO) run ./cmd/harebench -experiment all -scale 1 > full_results.txt
 
 # Non-test Go lines (wc -l: code, comments and blanks) per top-level
 # package and in total, bench/e2e listed separately — the number ROADMAP

@@ -1,12 +1,13 @@
 package hare
 
-// One benchmark per paper table/figure (see DESIGN.md's experiment
-// index) plus micro-benchmarks of the core machinery. The benchmarks
-// run scaled-down configurations so `go test -bench=.` completes on a
-// laptop; cmd/harebench runs the full-size experiments and prints the
-// paper-shaped rows. Where a figure has a headline comparison, the
-// benchmark reports it as a custom metric (e.g. Hare's weighted JCT
-// as a fraction of the best baseline's).
+// One sub-benchmark per entry of the experiment registry (see
+// DESIGN.md's experiment index) plus micro-benchmarks of the core
+// machinery. The benchmarks run scaled-down configurations so
+// `go test -bench=.` completes on a laptop; cmd/harebench runs the
+// full-size experiments and prints the paper-shaped rows. Where a
+// figure has a headline comparison, a benchmark of its own reports it
+// as a custom metric (Hare's weighted JCT as a fraction of the best
+// baseline's).
 
 import (
 	"math"
@@ -67,119 +68,19 @@ func reportHareVsBest(b *testing.B, rows []experiments.SweepRow) {
 	}
 }
 
-func BenchmarkFig1Toy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.Fig1Toy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkFig2Speedups(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig2Speedups(); len(rows) != 8 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkFig3Util(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig3Util(); len(rows) == 0 {
-			b.Fatal("no rows")
-		}
-	}
-}
-
-func BenchmarkFig5EpochTime(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig5EpochTime(); len(rows) != 5 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkFig6Util(b *testing.B) {
-	cfg := experiments.Config{RoundsScale: 0.2}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig6Util(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig7SwitchRatio(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rows := experiments.Fig7SwitchRatio(); len(rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkFig8SwitchingUtil(b *testing.B) {
-	cfg := experiments.Config{RoundsScale: 0.5}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig8SwitchingUtil(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig11Stability(b *testing.B) {
-	cfg := experiments.Config{RoundsScale: 0.2}
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig11Stability(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 2 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkTable3Switching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table3Switching()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 8 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkFig12Testbed(b *testing.B) {
+// BenchmarkExperiments times every entry of the experiment registry,
+// one sub-benchmark per ID, at benchCfg; an experiment that errors
+// fails its benchmark.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := benchCfg()
-	cfg.RoundsScale = 0.05
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig12Testbed(cfg, experiments.Fig12Options{
-			Jobs: 10, TimeScale: 5e-4, TestbedSchemes: []string{"Hare"},
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 5 {
-			b.Fatal("unexpected row count")
-		}
-	}
-}
-
-func BenchmarkFig13CDF(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig13CDF(cfg, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rows) != 3 {
-			b.Fatal("unexpected row count")
-		}
 	}
 }
 
@@ -240,19 +141,6 @@ func BenchmarkFig16Heterogeneity(b *testing.B) {
 	}
 }
 
-func BenchmarkFig17JobMix(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		rowsByClass, err := experiments.Fig17JobMix(cfg, []float64{0.25, 0.55})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(rowsByClass) != 4 {
-			b.Fatal("unexpected class count")
-		}
-	}
-}
-
 func BenchmarkFig18Bandwidth(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
@@ -275,69 +163,6 @@ func BenchmarkFig19BatchSize(b *testing.B) {
 		}
 		if i == b.N-1 {
 			reportHareVsBest(b, rows)
-		}
-	}
-}
-
-func BenchmarkAblationEFT(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationEFT(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSync(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationSync(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationOnline(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationOnline(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationSpeculativeMemory(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationSpeculativeMemory(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationMemoryPolicy(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationMemoryPolicy(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkExtendedBaselines(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ExtendedBaselines(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFairnessComparison(b *testing.B) {
-	cfg := benchCfg()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.FairnessComparison(cfg); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -488,14 +488,3 @@ func ValidateScheduleSeqs(in *Instance, s *Schedule, seqs [][]TaskRef) error {
 	}
 	return nil
 }
-
-// CloneJobs deep-copies a job slice; helpful for planners that mutate
-// job metadata while searching.
-func CloneJobs(jobs []*Job) []*Job {
-	out := make([]*Job, len(jobs))
-	for i, j := range jobs {
-		cp := *j
-		out[i] = &cp
-	}
-	return out
-}

@@ -176,15 +176,6 @@ func TestSequencesOrdering(t *testing.T) {
 	}
 }
 
-func TestCloneJobsIsDeep(t *testing.T) {
-	jobs := validInstance().Jobs
-	cp := CloneJobs(jobs)
-	cp[0].Weight = 99
-	if jobs[0].Weight == 99 {
-		t.Error("CloneJobs aliases the originals")
-	}
-}
-
 // TestJobCompletionsIncompleteNaN: missing tasks yield NaN, and
 // WeightedJCT propagates it.
 func TestJobCompletionsIncompleteNaN(t *testing.T) {

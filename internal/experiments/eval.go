@@ -20,7 +20,7 @@ type Fig12Row struct {
 	// TestbedWeightedJCT is NaN for schemes not run on the testbed.
 	TestbedWeightedJCT float64
 	// GapPercent is |testbed − sim| / testbed · 100 (the paper's
-	// "no more than 5% difference" fidelity check).
+	// "no more than 5% difference" fidelity check), NaN likewise.
 	GapPercent float64
 }
 
@@ -83,7 +83,7 @@ func Fig12Testbed(cfg Config, opts Fig12Options) ([]Fig12Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Fig12Row{Scheme: a.Name(), SimWeightedJCT: sr.WeightedJCT, TestbedWeightedJCT: math.NaN()}
+		row := Fig12Row{Scheme: a.Name(), SimWeightedJCT: sr.WeightedJCT, TestbedWeightedJCT: math.NaN(), GapPercent: math.NaN()}
 		if runOnTestbed[a.Name()] {
 			plan, err := a.Schedule(in)
 			if err != nil {
@@ -98,7 +98,7 @@ func Fig12Testbed(cfg Config, opts Fig12Options) ([]Fig12Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.TestbedWeightedJCT = tb.WeightedJCT
+			row.TestbedWeightedJCT, row.GapPercent = tb.WeightedJCT, 0
 			if tb.WeightedJCT > 0 {
 				row.GapPercent = math.Abs(tb.WeightedJCT-sr.WeightedJCT) / tb.WeightedJCT * 100
 			}
@@ -201,13 +201,20 @@ func sweep(cfg Config, fig string, n int, at func(i int) point) ([]SweepRow, err
 	return rows, nil
 }
 
+// fiveAround is the default x axis of Fig. 14 and 15: the configured
+// size and two steps to either side of it (80–240 GPUs, 100–300 jobs at
+// the paper's sizes), so a shrunken Config shrinks the sweep with it.
+func fiveAround(n int) []int {
+	return []int{n / 2, n * 3 / 4, n, n * 5 / 4, n * 3 / 2}
+}
+
 // Fig14GPUSweep reproduces Fig. 14: weighted JCT of every scheme as
 // the fleet grows (80–240 GPUs at high heterogeneity), with the job
 // count fixed (paper: 200).
 func Fig14GPUSweep(cfg Config, gpuCounts []int) ([]SweepRow, error) {
 	cfg = cfg.Defaults()
 	if len(gpuCounts) == 0 {
-		gpuCounts = []int{80, 120, 160, 200, 240}
+		gpuCounts = fiveAround(cfg.GPUs)
 	}
 	return sweep(cfg, "fig14", len(gpuCounts), func(i int) point {
 		n := gpuCounts[i]
@@ -221,7 +228,7 @@ func Fig14GPUSweep(cfg Config, gpuCounts []int) ([]SweepRow, error) {
 func Fig15JobSweep(cfg Config, jobCounts []int) ([]SweepRow, error) {
 	cfg = cfg.Defaults()
 	if len(jobCounts) == 0 {
-		jobCounts = []int{100, 150, 200, 250, 300}
+		jobCounts = fiveAround(cfg.Jobs)
 	}
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
 	return sweep(cfg, "fig15", len(jobCounts), func(i int) point {

@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section 7) plus the motivation studies
 // (Section 2) and the ablations called out in DESIGN.md. Each
-// experiment is a pure function of its Config, returning typed rows
-// that cmd/harebench renders and bench_test.go wraps, so every number
-// in EXPERIMENTS.md is reproducible from a seed.
+// experiment is a pure function of its Config, returning typed rows;
+// All (registry.go) lists them with the renderer of each, which is what
+// cmd/harebench prints and bench_test.go times, so every number in
+// EXPERIMENTS.md is reproducible from a seed.
 package experiments
 
 import (
@@ -48,10 +49,9 @@ type Config struct {
 	// Recorder, when set, receives structured events from every
 	// simulator replay an experiment performs (harebench's
 	// -trace-out/-events-out flags); nil disables instrumentation.
-	// The obs sinks and registry are safe for concurrent emission,
-	// but with Parallel > 1 events from different replays interleave
-	// nondeterministically — run serially when a stable event order
-	// matters.
+	// The obs sinks are safe for concurrent emission, but with
+	// Parallel > 1 events from different replays interleave differently
+	// every run, so harebench refuses a capture of a parallel run.
 	Recorder *obs.Recorder
 	// Parallel fans independent runs — sweep points, seeds, and
 	// per-scheme schedule+replay pairs — out across this many worker
@@ -153,15 +153,7 @@ func runSchemes(cfg Config, in *core.Instance, cl *cluster.Cluster, models []*mo
 		if err != nil {
 			return fmt.Errorf("experiments: %s: %w", a.Name(), err)
 		}
-		scheme := schemeFor(a.Name())
-		opts := sim.Options{
-			DisableSwitching: !cfg.WithSwitching,
-			Scheme:           scheme,
-			Speculative:      cfg.Speculative && scheme == switching.Hare,
-			Seed:             cfg.Seed + 7,
-			Recorder:         cfg.Recorder,
-		}
-		res, err := sim.Run(in, s, cl, models, opts)
+		res, err := sim.Run(in, s, cl, models, cfg.simOptions(a.Name()))
 		if err != nil {
 			return fmt.Errorf("experiments: simulate %s: %w", a.Name(), err)
 		}
@@ -193,6 +185,19 @@ func schemeFor(name string) switching.Scheme {
 		return switching.Hare
 	}
 	return switching.Default
+}
+
+// simOptions are the replay options of one scheme's plan in the
+// comparison experiments.
+func (c Config) simOptions(algoName string) sim.Options {
+	scheme := schemeFor(algoName)
+	return sim.Options{
+		DisableSwitching: !c.WithSwitching,
+		Scheme:           scheme,
+		Speculative:      c.Speculative && scheme == switching.Hare,
+		Seed:             c.Seed + 7,
+		Recorder:         c.Recorder,
+	}
 }
 
 // findResult returns the named scheme's row.

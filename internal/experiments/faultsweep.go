@@ -8,7 +8,6 @@ import (
 	"hare/internal/faults"
 	"hare/internal/sched"
 	"hare/internal/sim"
-	"hare/internal/switching"
 )
 
 // simPlan caches one scheme's plan and fault-free baseline.
@@ -16,18 +15,6 @@ type simPlan struct {
 	algo                   sched.Algorithm
 	plan                   *core.Schedule
 	baseWJCT, baseMakespan float64
-}
-
-// simOptions mirrors runSchemes' per-scheme replay options.
-func (c Config) simOptions(algoName string) sim.Options {
-	scheme := schemeFor(algoName)
-	return sim.Options{
-		DisableSwitching: !c.WithSwitching,
-		Scheme:           scheme,
-		Speculative:      c.Speculative && scheme == switching.Hare,
-		Seed:             c.Seed + 7,
-		Recorder:         c.Recorder,
-	}
 }
 
 // FaultSchemeResult is one scheduler's outcome under one fault

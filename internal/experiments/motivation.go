@@ -288,20 +288,32 @@ func Fig8SwitchingUtil(cfg Config) ([]Fig8Row, error) {
 // alternationUtil runs the named jobs strictly alternating on a
 // single V100 and returns the binned busy fraction.
 func alternationUtil(names []string, rounds int, scheme switching.Scheme, bins int) ([]float64, error) {
+	models := make([]*model.Model, len(names))
+	for i, n := range names {
+		models[i] = model.MustByName(n)
+	}
+	res, err := rotateOnV100(models, rounds, sim.Options{
+		Scheme: scheme, Speculative: scheme == switching.Hare, UtilBins: bins,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res.UtilSeries[0], nil
+}
+
+// rotateOnV100 replays one job per model sharing a single V100 in
+// strict rotation — j0 r0, j1 r0, j0 r1, ... — for the given rounds.
+func rotateOnV100(models []*model.Model, rounds int, opts sim.Options) (*sim.Result, error) {
 	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 1}}, 1)
 	prof := profile.New(profile.Options{})
 	in := &core.Instance{NumGPUs: 1}
-	var models []*model.Model
-	for i, n := range names {
-		m := model.MustByName(n)
-		models = append(models, m)
+	for i, m := range models {
 		in.Jobs = append(in.Jobs, &core.Job{
-			ID: core.JobID(i), Name: n, Model: n, Weight: 1, Rounds: rounds, Scale: 1,
+			ID: core.JobID(i), Name: m.Name, Model: m.Name, Weight: 1, Rounds: rounds, Scale: 1,
 		})
 		in.Train = append(in.Train, []float64{prof.TrainTime(m, cluster.V100, 1)})
 		in.Sync = append(in.Sync, []float64{0})
 	}
-	// Build the strict alternation by hand: j0 r0, j1 r0, j0 r1, ...
 	s := core.NewSchedule()
 	t := 0.0
 	for r := 0; r < rounds; r++ {
@@ -310,13 +322,7 @@ func alternationUtil(names []string, rounds int, scheme switching.Scheme, bins i
 			t += in.Train[j][0]
 		}
 	}
-	res, err := sim.Run(in, s, cl, models, sim.Options{
-		Scheme: scheme, Speculative: scheme == switching.Hare, UtilBins: bins,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.UtilSeries[0], nil
+	return sim.Run(in, s, cl, models, opts)
 }
 
 // Fig11Row reports per-round timing stability of one model on the

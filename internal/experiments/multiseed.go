@@ -56,52 +56,23 @@ func MultiSeed(cfg Config, seeds int, run func(Config) ([]SweepRow, error)) ([]M
 		return nil, err
 	}
 
-	// samples[label][scheme] collects weighted JCTs across seeds,
-	// with insertion order preserved for stable output.
-	type cell struct{ values []float64 }
-	samples := make(map[string]map[string]*cell)
-	var labelOrder []string
-	var schemeOrder []string
-
-	for s := 0; s < seeds; s++ {
-		rows := perSeed[s]
-		for _, row := range rows {
-			if samples[row.Label] == nil {
-				samples[row.Label] = make(map[string]*cell)
-				labelOrder = append(labelOrder, row.Label)
-			}
-			for _, res := range row.Results {
-				if s == 0 && row.Label == labelOrder[0] {
-					schemeOrder = append(schemeOrder, res.Scheme)
+	// Seed 0's rows fix the settings and the lineup; cell (i, j) of every
+	// other seed must be the same setting and scheme.
+	out := make([]MultiSeedRow, len(perSeed[0]))
+	for i, first := range perSeed[0] {
+		out[i].Label = first.Label
+		for j, res := range first.Results {
+			values := make([]float64, seeds)
+			for s, rows := range perSeed {
+				if len(rows) != len(perSeed[0]) || rows[i].Label != first.Label ||
+					len(rows[i].Results) != len(first.Results) || rows[i].Results[j].Scheme != res.Scheme {
+					return nil, fmt.Errorf("experiments: seed %d of %d has no %q result for %q", s+1, seeds, res.Scheme, first.Label)
 				}
-				cl := samples[row.Label][res.Scheme]
-				if cl == nil {
-					cl = &cell{}
-					samples[row.Label][res.Scheme] = cl
-				}
-				cl.values = append(cl.values, res.WeightedJCT)
+				values[s] = rows[i].Results[j].WeightedJCT
 			}
+			sum := stats.Summarize(values)
+			out[i].Stats = append(out[i].Stats, SeedStats{Scheme: res.Scheme, Mean: sum.Mean, Std: sum.Stddev, N: seeds})
 		}
-	}
-
-	out := make([]MultiSeedRow, 0, len(labelOrder))
-	for _, label := range labelOrder {
-		row := MultiSeedRow{Label: label}
-		for _, scheme := range schemeOrder {
-			cl := samples[label][scheme]
-			if cl == nil {
-				return nil, fmt.Errorf("experiments: scheme %q missing for %q", scheme, label)
-			}
-			if len(cl.values) != seeds {
-				return nil, fmt.Errorf("experiments: scheme %q has %d/%d seeds for %q",
-					scheme, len(cl.values), seeds, label)
-			}
-			sum := stats.Summarize(cl.values)
-			row.Stats = append(row.Stats, SeedStats{
-				Scheme: scheme, Mean: sum.Mean, Std: sum.Stddev, N: seeds,
-			})
-		}
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"hare/internal/cluster"
-	"hare/internal/core"
 	"hare/internal/model"
 	"hare/internal/profile"
 	"hare/internal/sim"
@@ -56,7 +55,7 @@ func Table3Switching() ([]Table3Row, error) {
 			row.Seconds[s.String()] = avg
 			row.Percent[s.String()] = switching.OverheadPercent(avg, task)
 		}
-		hareAvg, hitRate, err := hareRotationSwitch(m, prof)
+		hareAvg, hitRate, err := hareRotationSwitch(m)
 		if err != nil {
 			return nil, err
 		}
@@ -85,44 +84,23 @@ func rotationPartners(target *model.Model) []*model.Model {
 // hareRotationSwitch measures the mean Hare switch cost into the
 // target model while four jobs rotate on one V100 — the speculative
 // memory manager keeps what fits and evicts under pressure.
-func hareRotationSwitch(target *model.Model, prof *profile.Profiler) (float64, float64, error) {
-	partners := rotationPartners(target)
-	models := append([]*model.Model{target}, partners...)
-	const rounds = 8
-	in := &core.Instance{NumGPUs: 1}
-	for i, m := range models {
-		in.Jobs = append(in.Jobs, &core.Job{
-			ID: core.JobID(i), Name: m.Name, Model: m.Name, Weight: 1, Rounds: rounds, Scale: 1,
-		})
-		in.Train = append(in.Train, []float64{prof.TrainTime(m, cluster.V100, 1)})
-		in.Sync = append(in.Sync, []float64{0})
-	}
-	s := core.NewSchedule()
-	t := 0.0
-	for r := 0; r < rounds; r++ {
-		for j := range models {
-			s.Place(core.TaskRef{Job: core.JobID(j), Round: r, Index: 0}, 0, t)
-			t += in.Train[j][0]
-		}
-	}
-	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 1}}, 1)
-	res, err := sim.Run(in, s, cl, models, sim.Options{Scheme: switching.Hare, Speculative: true})
+func hareRotationSwitch(target *model.Model) (float64, float64, error) {
+	models := append([]*model.Model{target}, rotationPartners(target)...)
+	res, err := rotateOnV100(models, 8, sim.Options{Scheme: switching.Hare, Speculative: true})
 	if err != nil {
 		return 0, 0, err
 	}
 	var sum float64
 	n := 0
-	hits := 0
 	for _, rec := range res.Trace.Records {
 		if rec.Task.Job == 0 && rec.Switch > 0 {
 			sum += rec.Switch
 			n++
 		}
 	}
-	hits = res.ResidencyHits
 	if n == 0 {
 		return 0, 0, nil
 	}
-	hitRate := float64(hits) / float64(res.SwitchCount)
+	hitRate := float64(res.ResidencyHits) / float64(res.SwitchCount)
 	return sum / float64(n), hitRate, nil
 }

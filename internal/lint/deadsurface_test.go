@@ -16,12 +16,8 @@ import (
 // oracles that tests compare production code against, hare.go facade
 // exports whose callers by design are hare_test.go, and accessors an
 // external _test package needs to observe a state machine (none today).
-// The "parked" entries are a fourth, temporary one: dead helpers whose
-// only other reference is a dedicated unit test; ISSUE 21 had spent its
-// budget of removed tests on eventq and store.Keys, so each goes, with
-// its test, in a later PR — the list may only shrink. An entry that is
-// referenced after all, or whose identifier is gone, fails the census
-// too, so the list cannot rot.
+// The list may only shrink. An entry that is referenced after all, or
+// whose identifier is gone, fails the census too, so the list cannot rot.
 var deadAllowed = map[string]string{
 	"hare/internal/assign.BruteForce":                      "oracle: exhaustive assignment the Hungarian solver is tested against",
 	"hare/internal/switching.PipelineStall":                "oracle: docs/CALIBRATION.md cross-check of the closed-form Cost",
@@ -33,11 +29,6 @@ var deadAllowed = map[string]string{
 	"hare.SaveWorkload":                                    "facade: public API exercised by hare_test.go (the writer of what LoadWorkload reads)",
 	"hare.RegisterModel":                                   "facade: public API exercised by hare_test.go",
 	"hare.SyncTime":                                        "facade: public API exercised by hare_test.go",
-	"hare/internal/core.CloneJobs":                         "parked: goes with TestCloneJobsIsDeep (sched/online_test.go builds an instance with it)",
-	"hare/internal/stats.RNG.Exp":                          "parked: goes with TestExpMean and TestExpPanicsOnBadMean",
-	"hare/internal/stats.RNG.Pareto":                       "parked: goes with TestParetoBounds",
-	"hare/internal/trace.Trace.Sorted":                     "parked: goes with TestSortedByStart (critpath/golden_test.go orders a trace with it)",
-	"hare/internal/trace.Trace.JobCompletions":             "parked: goes with TestJobCompletions",
 }
 
 // stdProtocol are method names the standard library calls through its

@@ -115,9 +115,21 @@ func TestGoldenSeed42AttributionMigrated(t *testing.T) {
 // realizedSequences reconstructs each GPU's executed task order from a
 // trace.
 func realizedSequences(tr *trace.Trace, numGPUs int) [][]core.TaskRef {
-	recs := tr.Sorted()
+	recs := append([]trace.TaskRecord(nil), tr.Records...)
 	out := make([][]core.TaskRef, numGPUs)
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].Start < recs[j].Start })
+	sort.Slice(recs, func(i, j int) bool {
+		if recs[i].Start != recs[j].Start {
+			return recs[i].Start < recs[j].Start
+		}
+		a, b := recs[i].Task, recs[j].Task
+		if a.Job != b.Job {
+			return a.Job < b.Job
+		}
+		if a.Round != b.Round {
+			return a.Round < b.Round
+		}
+		return a.Index < b.Index
+	})
 	for _, r := range recs {
 		out[r.GPU] = append(out[r.GPU], r.Task)
 	}

@@ -51,18 +51,21 @@ func TestOnlineNeverRevokesCommittedWork(t *testing.T) {
 	// untouched by that job's arrival. We check this indirectly: the
 	// schedule restricted to early starts is identical whether or not
 	// the late job exists.
-	base := &core.Instance{
-		NumGPUs: 2,
-		Jobs: []*core.Job{
+	earlyJobs := func() []*core.Job {
+		return []*core.Job{
 			{ID: 0, Name: "a", Weight: 1, Arrival: 0, Rounds: 3, Scale: 1},
 			{ID: 1, Name: "b", Weight: 1, Arrival: 0, Rounds: 2, Scale: 2},
-		},
-		Train: [][]float64{{2, 3}, {1.5, 2.5}},
-		Sync:  [][]float64{{0.2, 0.2}, {0.1, 0.1}},
+		}
+	}
+	base := &core.Instance{
+		NumGPUs: 2,
+		Jobs:    earlyJobs(),
+		Train:   [][]float64{{2, 3}, {1.5, 2.5}},
+		Sync:    [][]float64{{0.2, 0.2}, {0.1, 0.1}},
 	}
 	extended := &core.Instance{
 		NumGPUs: 2,
-		Jobs: append(core.CloneJobs(base.Jobs), &core.Job{
+		Jobs: append(earlyJobs(), &core.Job{
 			ID: 2, Name: "late", Weight: 5, Arrival: 4, Rounds: 1, Scale: 1,
 		}),
 		Train: append(append([][]float64{}, base.Train...), []float64{1, 1}),

@@ -53,15 +53,6 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
 }
 
-// Exp returns an exponentially distributed sample with the given mean.
-// It panics if mean <= 0.
-func (g *RNG) Exp(mean float64) float64 {
-	if mean <= 0 {
-		panic(fmt.Sprintf("stats: Exp mean must be positive, got %g", mean))
-	}
-	return g.r.ExpFloat64() * mean
-}
-
 // LogUniform returns a sample whose logarithm is uniform on
 // [log lo, log hi]. This matches the bursty, heavy-tailed inter-arrival
 // gaps observed in the Google cluster trace that the paper replays.
@@ -71,17 +62,6 @@ func (g *RNG) LogUniform(lo, hi float64) float64 {
 		panic(fmt.Sprintf("stats: LogUniform requires 0 < lo <= hi, got (%g, %g)", lo, hi))
 	}
 	return lo * math.Exp(g.r.Float64()*math.Log(hi/lo))
-}
-
-// Pareto returns a bounded Pareto sample on [lo, hi] with shape alpha.
-// It panics unless 0 < lo < hi and alpha > 0.
-func (g *RNG) Pareto(alpha, lo, hi float64) float64 {
-	if lo <= 0 || hi <= lo || alpha <= 0 {
-		panic(fmt.Sprintf("stats: Pareto requires 0 < lo < hi and alpha > 0, got (%g, %g, %g)", alpha, lo, hi))
-	}
-	u := g.r.Float64()
-	la, ha := math.Pow(lo, alpha), math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
 // Normal returns a normally distributed sample.

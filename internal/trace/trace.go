@@ -8,7 +8,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"hare/internal/core"
 	"hare/internal/stats"
@@ -66,37 +65,6 @@ type Trace struct {
 
 // Add appends a record.
 func (t *Trace) Add(r TaskRecord) { t.Records = append(t.Records, r) }
-
-// Sorted returns the records ordered by start time (ties by task
-// identity) without mutating the receiver.
-func (t *Trace) Sorted() []TaskRecord {
-	out := append([]TaskRecord(nil), t.Records...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		a, b := out[i].Task, out[j].Task
-		if a.Job != b.Job {
-			return a.Job < b.Job
-		}
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		return a.Index < b.Index
-	})
-	return out
-}
-
-// JobCompletions derives per-job completion times from the trace.
-func (t *Trace) JobCompletions() map[core.JobID]float64 {
-	out := make(map[core.JobID]float64)
-	for _, r := range t.Records {
-		if r.End() > out[r.Task.Job] {
-			out[r.Task.Job] = r.End()
-		}
-	}
-	return out
-}
 
 // MeanTimes averages the realized train and sync times per job — the
 // replay path: a testbed trace is reduced to per-job means, which

@@ -66,25 +66,6 @@ func sampleTrace() *Trace {
 	return tr
 }
 
-func TestSortedByStart(t *testing.T) {
-	s := sampleTrace().Sorted()
-	for i := 1; i < len(s); i++ {
-		if s[i].Start < s[i-1].Start {
-			t.Fatal("not sorted by start")
-		}
-	}
-}
-
-func TestJobCompletions(t *testing.T) {
-	comps := sampleTrace().JobCompletions()
-	if comps[0] != 8 { // round 1 task: 5+2+1
-		t.Errorf("job 0 completion %g, want 8", comps[0])
-	}
-	if comps[1] != 5.5 {
-		t.Errorf("job 1 completion %g, want 5.5", comps[1])
-	}
-}
-
 func TestMeanTimes(t *testing.T) {
 	mt := sampleTrace().MeanTimes()
 	if m := mt[0]; math.Abs(m.Train-2.5) > 1e-9 || math.Abs(m.Sync-1) > 1e-9 {
