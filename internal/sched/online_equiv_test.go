@@ -159,10 +159,11 @@ func generatedInstance(t testing.TB, jobs, gpus int, horizon float64, seed int64
 	return in
 }
 
-// TestGoldenSeed42Placements pins Hare's and OnlineHare's plans on the
-// seed-42 workload (sim's goldenWorkload: 40 jobs, 24 GPUs, horizon
-// 300) to hashes recorded at commit 963f92f, before the incremental
-// planner and the dense fluid solver.
+// TestGoldenSeed42Placements pins every scheme's plan on the seed-42
+// workload (sim's goldenWorkload: 40 jobs, 24 GPUs, horizon 300). Hare
+// and Hare-online were recorded at commit 963f92f, before the
+// incremental planner and the dense fluid solver; the other nine at
+// 3c58bf9, before the four job-level baselines became one gang loop.
 func TestGoldenSeed42Placements(t *testing.T) {
 	in := generatedInstance(t, 40, 24, 300, 42)
 	for _, c := range []struct {
@@ -170,7 +171,16 @@ func TestGoldenSeed42Placements(t *testing.T) {
 		want uint64
 	}{
 		{NewHare(), 0x37cf619e614612ff},
+		{NewGavelFIFO(), 0xb39076416f7c5d1b},
+		{NewSRTF(), 0x84634370fff841af},
+		{NewSchedHomo(), 0xd74c3a81513c8bdf},
+		{NewSchedAllox(), 0xe2bfecfaa7b418b},
+		{NewGandivaRR(), 0xf60f8e00c592232a},
+		{NewTiresiasLAS(), 0xe7083c8fba31b0ad},
+		{NewThemisFair(), 0xf72df58cec4f3ee},
 		{NewOnlineHare(), 0x8b9b31c9d186b4f},
+		{NewHareEA(), 0xf582909141551b88},
+		{NewHareStrict(), 0x927926ba50f10939},
 	} {
 		s, err := c.algo.Schedule(in)
 		if err != nil {
@@ -178,6 +188,45 @@ func TestGoldenSeed42Placements(t *testing.T) {
 		}
 		if got := placementHash(in, s); got != c.want {
 			t.Errorf("%s: placement hash %#x, golden %#x", c.algo.Name(), got, c.want)
+		}
+	}
+}
+
+// TestGangBaselinesGoldenRandom folds each job-level gang baseline's
+// placements over 1200 random instances into one hash, recorded at
+// 3c58bf9 when each baseline was its own program. Every third instance
+// is tie-heavy (shared arrival epochs, integer train times, sync 1), so
+// the tie-breaks and the 1e-9 event tolerances are exercised.
+func TestGangBaselinesGoldenRandom(t *testing.T) {
+	for _, c := range []struct {
+		algo Algorithm
+		want uint64
+	}{
+		{NewGavelFIFO(), 0xc432bdecb641ab34},
+		{NewSRTF(), 0xced18e38bbd07fcb},
+		{NewSchedHomo(), 0xd55888ddf02ebf49},
+		{NewThemisFair(), 0x673b9e9c552af8c7},
+	} {
+		rng := stats.New(20261003)
+		h := fnv.New64a()
+		for trial := 0; trial < 1200; trial++ {
+			in := randomInstance(rng.Split(), 12, 8)
+			if trial%3 == 2 {
+				reshape(in, 1)
+				for j := range in.Train {
+					for m := range in.Train[j] {
+						in.Train[j][m], in.Sync[j][m] = math.Floor(in.Train[j][m]), 1
+					}
+				}
+			}
+			s, err := c.algo.Schedule(in)
+			if err != nil {
+				t.Fatalf("%s trial %d: %v", c.algo.Name(), trial, err)
+			}
+			fmt.Fprintf(h, "%x\n", placementHash(in, s))
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: folded placement hash %#x, golden %#x", c.algo.Name(), got, c.want)
 		}
 	}
 }
