@@ -8,6 +8,7 @@
 //	haresim -sched Hare -gpus 16 -jobs 24 -scale 0.2 -gantt
 //	haresim -sched Sched_Allox -het mid -gpus 32 -jobs 50
 //	haresim -compare -gpus 16 -jobs 24   # all five schemes side by side
+//	haresim -sched Themis_Fair           # any scheme of sched's table (see -h)
 package main
 
 import (
@@ -22,11 +23,11 @@ import (
 	"hare/internal/metrics"
 	"hare/internal/obs/critpath"
 	"hare/internal/obs/span"
-	"hare/internal/switching"
+	"hare/internal/sched"
 )
 
 var (
-	schedName = flag.String("sched", "Hare", "scheduler: Hare, Gavel_FIFO, SRTF, Sched_Homo, Sched_Allox")
+	schedName = flag.String("sched", "Hare", "scheduler: "+strings.Join(sched.Names(), ", "))
 	compare   = flag.Bool("compare", false, "run every scheduler and compare")
 	fleet     = cliflags.Fleet(flag.CommandLine, "testbed")
 	jobs      = flag.Int("jobs", 24, "number of jobs")
@@ -47,20 +48,23 @@ var (
 // through it so a failing profiled run still writes its CPU profile.
 var stopProfiles = func() {}
 
-// checkFlags rejects flags the rest of the command line would make
-// haresim silently ignore: with -compare there is no single plan to
-// save, load, draw or trace.
-func checkFlags() error {
-	if !*compare {
-		return nil
+// checkFlags resolves the schedulers to run — -sched's, or the paper's
+// lineup under -compare — and rejects flags the rest of the command
+// line would make haresim silently ignore: with -compare there is no
+// single plan to save, load, draw or trace.
+func checkFlags() ([]hare.Algorithm, error) {
+	a, err := hare.SchedulerByName(*schedName)
+	if err != nil || !*compare {
+		return []hare.Algorithm{a}, err
 	}
-	return cliflags.Ignored(flag.CommandLine, "needs a single scheduler (drop -compare)",
+	return hare.Schedulers(), cliflags.Ignored(flag.CommandLine, "needs a single scheduler (drop -compare)",
 		append([]string{"save-plan", "load-plan", "gantt"}, cliflags.ExportFlags...)...)
 }
 
 func main() {
 	flag.Parse()
-	if err := checkFlags(); err != nil {
+	algos, err := checkFlags()
+	if err != nil {
 		fatal(err)
 	}
 	stop, err := profiles()
@@ -96,15 +100,6 @@ func main() {
 	}
 	fmt.Println()
 
-	algos := hare.Schedulers()
-	if !*compare {
-		a, err := hare.SchedulerByName(*schedName)
-		if err != nil {
-			fatal(err)
-		}
-		algos = []hare.Algorithm{a}
-	}
-
 	// Event capture: the export flags observe the (single) selected
 	// scheduler's run.
 	var rec *hare.Recorder
@@ -133,14 +128,9 @@ func main() {
 			}
 			fmt.Printf("plan saved to %s\n", *savePlan)
 		}
-		scheme := switching.Default
-		speculative := false
-		if strings.HasPrefix(a.Name(), "Hare") {
-			scheme = switching.Hare
-			speculative = true
-		}
+		scheme := sched.Switching(a.Name())
 		res, err := hare.Simulate(in, plan, cl, models, hare.SimOptions{
-			Scheme: scheme, Speculative: speculative, Seed: *seed,
+			Scheme: scheme, Speculative: scheme == hare.SwitchHare, Seed: *seed,
 			Recorder: rec,
 			// Each scheduler recovers from injected GPU failures with
 			// its own re-planning policy.

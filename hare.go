@@ -147,7 +147,10 @@ func NewOnlineScheduler() Algorithm { return sched.NewOnlineHare() }
 // Gavel_FIFO, SRTF, Sched_Homo and Sched_Allox.
 func Schedulers() []Algorithm { return sched.All() }
 
-// SchedulerByName resolves a scheduler from its figure-legend name.
+// SchedulerByName resolves a scheduler from its figure-legend name:
+// the five of Schedulers, the related-work baselines (Gandiva_RR,
+// Tiresias_LAS, Themis_Fair) and the Hare variants (Hare-online,
+// Hare-EA, Hare-strict).
 func SchedulerByName(name string) (Algorithm, error) { return sched.ByName(name) }
 
 // ModelZoo returns the eight Table 2 workload models.
@@ -217,7 +220,8 @@ func BuildWorkload(cfg WorkloadConfig, cl *Cluster) ([]*WorkloadSpec, *Instance,
 		MaxSync:     cl.Size(),
 		Seed:        cfg.Seed + 2,
 	})
-	return profileSpecs(specs, cl, cfg.Seed+3)
+	in, models, err := workload.BuildInstance(specs, cl, cfg.Seed+3)
+	return specs, in, models, err
 }
 
 // LoadWorkload reads an explicit job list from a JSON workload file
@@ -229,7 +233,8 @@ func LoadWorkload(path string, cl *Cluster) ([]*WorkloadSpec, *Instance, []*Mode
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return profileSpecs(specs, cl, 0)
+	in, models, err := workload.BuildInstance(specs, cl, 0)
+	return specs, in, models, err
 }
 
 // SaveWorkload writes specs to a JSON workload file that LoadWorkload
@@ -241,24 +246,6 @@ func SaveWorkload(path string, specs []*WorkloadSpec) error {
 // RegisterModel adds a user-defined model to the zoo (see
 // internal/model.Register for the calibration fields it validates).
 func RegisterModel(m *Model) error { return model.Register(m) }
-
-// profileSpecs turns specs into (instance, models) on a cluster.
-func profileSpecs(specs []*WorkloadSpec, cl *Cluster, seed int64) ([]*WorkloadSpec, *Instance, []*Model, error) {
-	prof := profile.New(profile.Options{Seed: seed})
-	jobSpecs := make([]profile.JobSpec, len(specs))
-	for i, s := range specs {
-		jobSpecs[i] = s
-	}
-	in, err := prof.BuildInstance(workload.Jobs(specs), jobSpecs, cl)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	models := make([]*Model, len(specs))
-	for i, s := range specs {
-		models[i] = model.MustByName(s.Model)
-	}
-	return specs, in, models, nil
-}
 
 // Simulate replays a plan on the discrete-event simulator. Pass nil
 // cl/models to replay without switching overheads.

@@ -160,6 +160,18 @@ func (in *Instance) Alpha() float64 {
 	return alpha
 }
 
+// DedicatedRuntime is job j's duration on a private cluster: every
+// round at its fastest train + sync over the GPUs, no queueing. It is
+// SRTF's runtime estimate and the denominator of finish-time fairness ρ
+// (Themis_Fair's priority, metrics.FairnessReport).
+func (in *Instance) DedicatedRuntime(j *Job) float64 {
+	best := math.Inf(1)
+	for m := 0; m < in.NumGPUs; m++ {
+		best = math.Min(best, in.Train[j.ID][m]+in.Sync[j.ID][m])
+	}
+	return best * float64(j.Rounds)
+}
+
 // Placement records the scheduler's decision for one task: the GPU m
 // with y_{i,m}=1 and the planned start time x_i.
 type Placement struct {

@@ -40,6 +40,28 @@ func AblationSync(cfg Config) ([]SchemeResult, error) {
 	return standardRun(cfg, []sched.Algorithm{sched.NewHare(), sched.NewHareStrict()})
 }
 
+// hareReplayOnTestbed is the memory ablations' shared set-up: a
+// testbed-scale workload (the 15-GPU testbed fleet, horizon ≤ 600 s,
+// ≤ 24 jobs) planned once by Hare. The returned function replays that
+// one plan under Hare's switching with the given memory options.
+func hareReplayOnTestbed(cfg Config) (func(sim.Options) (*sim.Result, error), error) {
+	cfg = cfg.Defaults()
+	cl := cluster.Testbed()
+	cfg.HorizonSeconds = math.Min(cfg.HorizonSeconds, 600)
+	in, _, models, err := buildWorkload(cfg, cl, min(cfg.Jobs, 24), nil, 1)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := sched.NewHare().Schedule(in)
+	if err != nil {
+		return nil, err
+	}
+	return func(opts sim.Options) (*sim.Result, error) {
+		opts.Scheme, opts.Seed = switching.Hare, cfg.Seed
+		return sim.Run(in, plan, cl, models, opts)
+	}, nil
+}
+
 // MemoryPolicyRow compares one eviction policy.
 type MemoryPolicyRow struct {
 	Policy      string
@@ -54,26 +76,13 @@ type MemoryPolicyRow struct {
 // well in practice"; this measures exactly how much switching stall
 // the optimal policy would recover.
 func AblationMemoryPolicy(cfg Config) ([]MemoryPolicyRow, error) {
-	cfg = cfg.Defaults()
-	cl := cluster.Testbed()
-	cfg.HorizonSeconds = math.Min(cfg.HorizonSeconds, 600)
-	jobs := cfg.Jobs
-	if jobs > 24 {
-		jobs = 24
-	}
-	in, _, models, err := buildWorkload(cfg, cl, jobs, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := sched.NewHare().Schedule(in)
+	replay, err := hareReplayOnTestbed(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var rows []MemoryPolicyRow
 	for _, pol := range []gpumem.Policy{gpumem.KeepLatest, gpumem.Belady} {
-		res, err := sim.Run(in, plan, cl, models, sim.Options{
-			Scheme: switching.Hare, Speculative: true, MemPolicy: pol, Seed: cfg.Seed,
-		})
+		res, err := replay(sim.Options{Speculative: true, MemPolicy: pol})
 		if err != nil {
 			return nil, err
 		}
@@ -226,26 +235,13 @@ type MemoryAblationRow struct {
 // speculative memory on and off, isolating the residency benefit in
 // total switching stall and weighted JCT.
 func AblationSpeculativeMemory(cfg Config) ([]MemoryAblationRow, error) {
-	cfg = cfg.Defaults()
-	cl := cluster.Testbed()
-	cfg.HorizonSeconds = math.Min(cfg.HorizonSeconds, 600)
-	jobs := cfg.Jobs
-	if jobs > 24 {
-		jobs = 24 // testbed-scale fleet
-	}
-	in, _, models, err := buildWorkload(cfg, cl, jobs, nil, 1)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := sched.NewHare().Schedule(in)
+	replay, err := hareReplayOnTestbed(cfg)
 	if err != nil {
 		return nil, err
 	}
 	var rows []MemoryAblationRow
 	for _, speculative := range []bool{true, false} {
-		res, err := sim.Run(in, plan, cl, models, sim.Options{
-			Scheme: switching.Hare, Speculative: speculative, Seed: cfg.Seed,
-		})
+		res, err := replay(sim.Options{Speculative: speculative})
 		if err != nil {
 			return nil, err
 		}

@@ -89,7 +89,7 @@ func Fig12Testbed(cfg Config, opts Fig12Options) ([]Fig12Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			scheme := schemeFor(a.Name())
+			scheme := sched.Switching(a.Name())
 			tb, err := testbed.Run(in, plan, cl, models, testbed.Options{
 				TimeScale:   opts.TimeScale,
 				Scheme:      scheme,

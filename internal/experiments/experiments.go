@@ -9,14 +9,12 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"hare/internal/cluster"
 	"hare/internal/core"
 	"hare/internal/metrics"
 	"hare/internal/model"
 	"hare/internal/obs"
-	"hare/internal/profile"
 	"hare/internal/sched"
 	"hare/internal/sim"
 	"hare/internal/switching"
@@ -41,7 +39,7 @@ type Config struct {
 	// HorizonSeconds spreads job arrivals (Google-trace-like).
 	HorizonSeconds float64
 	// WithSwitching charges switching overhead in simulator runs, under
-	// the scheme each compared scheduler ships with (schemeFor);
+	// the scheme each compared scheduler ships with (sched.Switching);
 	// disabled only by scheduler-isolation tests.
 	WithSwitching bool
 	// Speculative enables speculative memory during simulation.
@@ -109,20 +107,8 @@ func buildWorkload(cfg Config, cl *cluster.Cluster, numJobs int, mix workload.Mi
 		MaxSync:     cl.Size(),
 		Seed:        cfg.Seed + 2,
 	})
-	prof := profile.New(profile.Options{Seed: cfg.Seed + 3})
-	jobSpecs := make([]profile.JobSpec, len(specs))
-	for i, s := range specs {
-		jobSpecs[i] = s
-	}
-	in, err := prof.BuildInstance(workload.Jobs(specs), jobSpecs, cl)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	models := make([]*model.Model, len(specs))
-	for i, s := range specs {
-		models[i] = model.MustByName(s.Model)
-	}
-	return in, specs, models, nil
+	in, models, err := workload.BuildInstance(specs, cl, cfg.Seed+3)
+	return in, specs, models, err
 }
 
 // SchemeResult is one scheduler's outcome on one setting.
@@ -174,23 +160,10 @@ func runSchemes(cfg Config, in *core.Instance, cl *cluster.Cluster, models []*mo
 	return out, nil
 }
 
-// schemeFor selects the switching scheme a scheduler's execution
-// pays: Hare variants run on Hare's fast task switching; the
-// job-level baselines switch rarely (only when a GPU moves between
-// jobs) but pay the unoptimized default cost when they do, since they
-// lack Hare's switching infrastructure — exactly the asymmetry the
-// paper's system design creates.
-func schemeFor(name string) switching.Scheme {
-	if strings.HasPrefix(name, "Hare") {
-		return switching.Hare
-	}
-	return switching.Default
-}
-
 // simOptions are the replay options of one scheme's plan in the
 // comparison experiments.
 func (c Config) simOptions(algoName string) sim.Options {
-	scheme := schemeFor(algoName)
+	scheme := sched.Switching(algoName)
 	return sim.Options{
 		DisableSwitching: !c.WithSwitching,
 		Scheme:           scheme,

@@ -86,8 +86,9 @@ var censusAllowed = map[string]string{
 }
 
 // TestKnobCensus: every exported field of every exported struct under
-// internal/ whose name ends in Options, Config or Backend — the repo's
-// settable values — is written (keyed or positional literal, assignment,
+// internal/ whose name ends in Options, Config or Backend, and of every
+// exported struct of internal/sched (a scheduler's fields are its
+// knobs) — the repo's settable values — is written (keyed or positional literal, assignment,
 // or address taken) by at least one file that is neither a test nor an
 // example. A knob only tests turn is a configuration the benchmarks and
 // the CLIs never run: delete it, or list it in censusAllowed with the
@@ -135,7 +136,8 @@ func TestKnobCensus(t *testing.T) {
 }
 
 // declaredKnobs records the exported fields of f's exported
-// *Options/*Config/*Backend structs.
+// *Options/*Config/*Backend structs, and of any exported struct when f
+// is a file of internal/sched.
 func declaredKnobs(fset *token.FileSet, pkgPath string, f *ast.File, knobs map[string]token.Position) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
@@ -147,7 +149,8 @@ func declaredKnobs(fset *token.FileSet, pkgPath string, f *ast.File, knobs map[s
 			return true
 		}
 		name := ts.Name.Name
-		if !strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Backend") {
+		if !strings.HasSuffix(pkgPath, "/internal/sched") &&
+			!strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Backend") {
 			return true
 		}
 		for _, field := range st.Fields.List {

@@ -28,18 +28,6 @@ type FairnessReport struct {
 	MaxWait         float64
 }
 
-// dedicatedDuration is the idealized duration of a job on a private
-// cluster: every round at the fastest (train + sync) over GPUs.
-func dedicatedDuration(in *core.Instance, j *core.Job) float64 {
-	best := math.Inf(1)
-	for m := 0; m < in.NumGPUs; m++ {
-		if t := in.Train[j.ID][m] + in.Sync[j.ID][m]; t < best {
-			best = t
-		}
-	}
-	return best * float64(j.Rounds)
-}
-
 // NewFairnessReport derives fairness metrics from an executed trace.
 func NewFairnessReport(in *core.Instance, tr *trace.Trace) *FairnessReport {
 	n := len(in.Jobs)
@@ -60,7 +48,7 @@ func NewFairnessReport(in *core.Instance, tr *trace.Trace) *FairnessReport {
 	var sum float64
 	for _, j := range in.Jobs {
 		dur := completion[j.ID] - j.Arrival
-		ded := dedicatedDuration(in, j)
+		ded := in.DedicatedRuntime(j)
 		rho := math.NaN()
 		if ded > 0 && !math.IsInf(firstStart[j.ID], 1) {
 			rho = dur / ded

@@ -61,11 +61,11 @@ func TestStarvationFree(t *testing.T) {
 	// every job starts within its dedicated duration of arriving — the
 	// longest wait (3 s) is inside job 1's dedicated 4 s, not half of it.
 	for _, j := range in.Jobs {
-		if rep.Wait[j.ID] > dedicatedDuration(in, j) {
+		if rep.Wait[j.ID] > in.DedicatedRuntime(j) {
 			t.Errorf("job %d waited %g s, longer than its dedicated duration", j.ID, rep.Wait[j.ID])
 		}
 	}
-	if rep.MaxWait <= 0.5*dedicatedDuration(in, in.Jobs[1]) {
+	if rep.MaxWait <= 0.5*in.DedicatedRuntime(in.Jobs[1]) {
 		t.Errorf("max wait %g, want beyond half of job 1's dedicated duration", rep.MaxWait)
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"hare/internal/core"
@@ -272,14 +273,21 @@ func TestHareNoIdleWhenWorkAvailable(t *testing.T) {
 }
 
 func TestByNameCoversAll(t *testing.T) {
-	for _, a := range All() {
-		got, err := ByName(a.Name())
+	names := Names()
+	if len(names) != len(schemes) {
+		t.Fatalf("Names() = %v, want one per table row (%d)", names, len(schemes))
+	}
+	for _, name := range names {
+		got, err := ByName(name)
 		if err != nil {
-			t.Errorf("ByName(%q): %v", a.Name(), err)
+			t.Errorf("ByName(%q): %v", name, err)
 			continue
 		}
-		if got.Name() != a.Name() {
-			t.Errorf("ByName(%q) returned %q", a.Name(), got.Name())
+		if got.Name() != name {
+			t.Errorf("ByName(%q) returned %q", name, got.Name())
 		}
+	}
+	if _, err := ByName("nope"); err == nil || !strings.Contains(err.Error(), strings.Join(names, ", ")) {
+		t.Errorf("ByName(nope): %v, want an error listing the valid names", err)
 	}
 }

@@ -21,13 +21,13 @@ import (
 // the matching is re-solved as new jobs arrive.
 //
 // Scalability: positions per GPU are capped at ⌈pool/M⌉+2 and arrival
-// events are merged into at most MaxBatches re-solves, bounding the
-// Hungarian solves without changing the policy's character.
-type SchedAllox struct {
-	// MaxBatches caps how many times the matching is re-solved over
-	// the arrival horizon. Defaults to 32.
-	MaxBatches int
-}
+// events are merged into at most alloxMaxBatches re-solves, bounding
+// the Hungarian solves without changing the policy's character.
+type SchedAllox struct{}
+
+// alloxMaxBatches caps how many times the matching is re-solved over
+// the arrival horizon.
+const alloxMaxBatches = 32
 
 // NewSchedAllox returns the Sched_Allox baseline.
 func NewSchedAllox() *SchedAllox { return &SchedAllox{} }
@@ -47,11 +47,7 @@ func (a *SchedAllox) Schedule(in *core.Instance) (*core.Schedule, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	maxBatches := a.MaxBatches
-	if maxBatches <= 0 {
-		maxBatches = 32
-	}
-	batches := batchArrivals(in.Jobs, maxBatches)
+	batches := batchArrivals(in.Jobs, alloxMaxBatches)
 
 	s := core.NewSchedule()
 	phi := make([]float64, in.NumGPUs)

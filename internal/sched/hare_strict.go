@@ -26,13 +26,8 @@ func (*HareStrict) Name() string { return "Hare-strict" }
 
 // Schedule implements Algorithm.
 func (*HareStrict) Schedule(in *core.Instance) (*core.Schedule, error) {
-	if err := in.Validate(); err != nil {
+	if err := validateGang(in); err != nil {
 		return nil, err
-	}
-	for _, j := range in.Jobs {
-		if j.Scale > in.NumGPUs {
-			return nil, errScaleTooLarge(j, in.NumGPUs)
-		}
 	}
 	sol, err := relax.Fluid(in)
 	if err != nil {
@@ -68,10 +63,7 @@ func (*HareStrict) Schedule(in *core.Instance) (*core.Schedule, error) {
 	}
 	for _, rr := range rounds {
 		j := in.Jobs[rr.job]
-		t0, err := g.earliestForScale(j.Scale, barrier[rr.job])
-		if err != nil {
-			return nil, err
-		}
+		t0 := g.earliestForScale(j.Scale, barrier[rr.job])
 		gpus := pickFastest(in, j, g.idleAt(t0), j.Scale)
 		var roundEnd float64
 		for k, m := range gpus {

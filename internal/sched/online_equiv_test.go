@@ -10,7 +10,6 @@ import (
 	"hare/internal/cluster"
 	"hare/internal/core"
 	"hare/internal/obs"
-	"hare/internal/profile"
 	"hare/internal/stats"
 	"hare/internal/trace"
 	"hare/internal/workload"
@@ -148,11 +147,7 @@ func generatedInstance(t testing.TB, jobs, gpus int, horizon float64, seed int64
 		MaxSync:     cl.Size(),
 		Seed:        seed + 2,
 	})
-	jobSpecs := make([]profile.JobSpec, len(specs))
-	for i, s := range specs {
-		jobSpecs[i] = s
-	}
-	in, err := profile.New(profile.Options{Seed: seed + 3}).BuildInstance(workload.Jobs(specs), jobSpecs, cl)
+	in, _, err := workload.BuildInstance(specs, cl, seed+3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 // Package sched implements Hare's task scheduling algorithm
 // (Algorithm 1 of the paper) and the four baselines it is evaluated
-// against: Gavel_FIFO, SRTF, Sched_Homo and Sched_Allox. Every
+// against: Gavel_FIFO, SRTF, Sched_Homo and Sched_Allox, plus the
+// related-work baselines and Hare variants of the scheme table. Every
 // algorithm consumes a core.Instance and produces a core.Schedule
 // that satisfies constraints (4)–(8); feasibility is enforced by
 // property tests in this package.
@@ -10,8 +11,10 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"hare/internal/core"
+	"hare/internal/switching"
 )
 
 // Algorithm is an offline scheduler.
@@ -25,32 +28,108 @@ type Algorithm interface {
 	Schedule(in *core.Instance) (*core.Schedule, error)
 }
 
-// Baselines returns the paper's four comparison schemes.
-func Baselines() []Algorithm {
-	return []Algorithm{NewGavelFIFO(), NewSRTF(), NewSchedHomo(), NewSchedAllox()}
+// lineup says which of the evaluation's lineups a scheme belongs to.
+type lineup int
+
+const (
+	paper   lineup = iota // §7: Hare and its four baselines
+	related               // §8 related-work baselines (Extended)
+	variant               // Hare ablations and extensions (ByName only)
+)
+
+// schemes is the one table of scheduling schemes: All, Baselines,
+// Extended, ByName, Names and Switching are all read off it.
+var schemes = []struct {
+	build  func() Algorithm
+	lineup lineup
+	// fast: the scheme's plans run on Hare's fast task switching (see
+	// Switching).
+	fast bool
+}{
+	{func() Algorithm { return NewHare() }, paper, true},
+	{NewGavelFIFO, paper, false},
+	{NewSRTF, paper, false},
+	{NewSchedHomo, paper, false},
+	{func() Algorithm { return NewSchedAllox() }, paper, false},
+	{NewGandivaRR, related, false},
+	{NewTiresiasLAS, related, false},
+	{NewThemisFair, related, false},
+	{func() Algorithm { return NewOnlineHare() }, variant, true},
+	{func() Algorithm { return NewHareEA() }, variant, true},
+	{func() Algorithm { return NewHareStrict() }, variant, true},
+}
+
+// lineupOf builds the schemes of the lineups up to and including upTo,
+// in table order.
+func lineupOf(upTo lineup) []Algorithm {
+	var out []Algorithm
+	for _, s := range schemes {
+		if s.lineup <= upTo {
+			out = append(out, s.build())
+		}
+	}
+	return out
 }
 
 // All returns Hare followed by the four baselines — the lineup of
 // every evaluation figure.
-func All() []Algorithm {
-	return append([]Algorithm{NewHare()}, Baselines()...)
+func All() []Algorithm { return lineupOf(paper) }
+
+// Baselines returns the paper's four comparison schemes: All without
+// Hare.
+func Baselines() []Algorithm { return All()[1:] }
+
+// Extended returns the paper's five-scheme lineup plus the
+// time-slicing and fairness baselines from related work.
+func Extended() []Algorithm { return lineupOf(related) }
+
+// Names lists every scheme's display name, in table order.
+func Names() []string {
+	var out []string
+	for _, a := range lineupOf(variant) {
+		out = append(out, a.Name())
+	}
+	return out
 }
 
-// ByName returns the algorithm with the given display name.
+// ByName returns the scheme with the given display name.
 func ByName(name string) (Algorithm, error) {
-	for _, a := range All() {
+	for _, a := range lineupOf(variant) {
 		if a.Name() == name {
 			return a, nil
 		}
 	}
-	return nil, fmt.Errorf("sched: unknown algorithm %q", name)
+	return nil, fmt.Errorf("sched: unknown algorithm %q (have %s)", name, strings.Join(Names(), ", "))
 }
 
-// errScaleTooLarge reports a job whose synchronization scale exceeds
-// the fleet — infeasible for any gang scheduler.
-func errScaleTooLarge(j *core.Job, numGPUs int) error {
-	return fmt.Errorf("sched: job %d (%s) needs %d GPUs but cluster has %d",
-		j.ID, j.Name, j.Scale, numGPUs)
+// Switching is the switching scheme the named scheduler's plans
+// execute under: Hare and its variants run on Hare's fast task
+// switching; the baselines switch rarely (only when a GPU moves
+// between jobs) but pay the unoptimized default cost when they do,
+// since they lack Hare's switching infrastructure — exactly the
+// asymmetry the paper's system design creates.
+func Switching(name string) switching.Scheme {
+	for _, s := range schemes {
+		if s.fast && s.build().Name() == name {
+			return switching.Hare
+		}
+	}
+	return switching.Default
+}
+
+// validateGang is Instance.Validate plus the gang schedulers' own
+// precondition: no job's synchronization scale exceeds the fleet.
+func validateGang(in *core.Instance) error {
+	if err := in.Validate(); err != nil {
+		return err
+	}
+	for _, j := range in.Jobs {
+		if j.Scale > in.NumGPUs {
+			return fmt.Errorf("sched: job %d (%s) needs %d GPUs but cluster has %d",
+				j.ID, j.Name, j.Scale, in.NumGPUs)
+		}
+	}
+	return nil
 }
 
 // placeGang places a whole job gang-style: its Scale tasks start
@@ -73,9 +152,8 @@ func placeGang(in *core.Instance, s *core.Schedule, j *core.Job, gpus []int, sta
 	return roundStart
 }
 
-// gangState drives the event-based job-level schedulers (FIFO, SRTF,
-// Sched_Homo): it tracks when each GPU becomes free and which jobs
-// are waiting.
+// gangState tracks when each GPU becomes free, for the gang
+// schedulers (gang.go, slicing.go, hare_strict.go).
 type gangState struct {
 	in   *core.Instance
 	free []float64 // φ_m: when GPU m becomes free
@@ -98,21 +176,11 @@ func (g *gangState) idleAt(t float64) []int {
 
 // earliestForScale returns the earliest time at which `scale` GPUs are
 // simultaneously free (given current commitments), never earlier than
-// lower.
-func (g *gangState) earliestForScale(scale int, lower float64) (float64, error) {
-	if scale > len(g.free) {
-		return 0, fmt.Errorf("sched: job needs %d GPUs but cluster has %d", scale, len(g.free))
-	}
+// lower. scale is at most the fleet size (validateGang).
+func (g *gangState) earliestForScale(scale int, lower float64) float64 {
 	frees := append([]float64(nil), g.free...)
 	sort.Float64s(frees)
-	return math.Max(lower, frees[scale-1]), nil
-}
-
-// commit marks the job's GPUs busy until end.
-func (g *gangState) commit(gpus []int, end float64) {
-	for _, m := range gpus {
-		g.free[m] = end
-	}
+	return math.Max(lower, frees[scale-1])
 }
 
 // pickFastest selects, from candidates, the `scale` GPUs on which job
@@ -128,13 +196,5 @@ func pickFastest(in *core.Instance, j *core.Job, candidates []int, scale int) []
 		}
 		return c[a] < c[b]
 	})
-	return c[:scale]
-}
-
-// pickFirst selects the first `scale` candidates by GPU id — the
-// heterogeneity-*oblivious* choice used by Sched_Homo.
-func pickFirst(candidates []int, scale int) []int {
-	c := append([]int(nil), candidates...)
-	sort.Ints(c)
 	return c[:scale]
 }

@@ -92,18 +92,32 @@ func TestHareBeatsBaselinesOnHeterogeneousLoad(t *testing.T) {
 	}
 }
 
+// TestScaleTooLargeRejected: a job wider than the fleet is infeasible
+// for every gang scheduler, which must say which job; the schemes that
+// can serialize a round on fewer GPUs (relaxed sync, serial placement)
+// plan it.
 func TestScaleTooLargeRejected(t *testing.T) {
 	in := &core.Instance{
 		NumGPUs: 2,
 		Jobs: []*core.Job{{
-			ID: 0, Weight: 1, Rounds: 1, Scale: 3,
+			ID: 0, Name: "wide", Weight: 1, Rounds: 1, Scale: 3,
 		}},
 		Train: [][]float64{{1, 1}},
 		Sync:  [][]float64{{0.1, 0.1}},
 	}
-	for _, a := range []Algorithm{NewGavelFIFO(), NewSRTF(), NewSchedHomo()} {
-		if _, err := a.Schedule(in); err == nil {
-			t.Errorf("%s accepted a job wider than the cluster", a.Name())
+	accepts := map[string]bool{"Hare": true, "Hare-EA": true, "Hare-online": true, "Sched_Allox": true}
+	for _, name := range Names() {
+		a, _ := ByName(name)
+		s, err := a.Schedule(in)
+		switch {
+		case accepts[name] && err != nil:
+			t.Errorf("%s: %v, want a plan", name, err)
+		case accepts[name]:
+			if err := core.ValidateSchedule(in, s); err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+		case err == nil || err.Error() != "sched: job 0 (wide) needs 3 GPUs but cluster has 2":
+			t.Errorf("%s: error %v, want the too-wide job named", name, err)
 		}
 	}
 }

@@ -23,7 +23,8 @@ import (
 //     its discretized 2D-LAS queues at round granularity.
 //
 // They are not part of the paper's five-scheme evaluation lineup
-// (sched.All); experiments.ExtendedBaselines compares all seven.
+// (sched.All); experiments.ExtendedBaselines compares them, and
+// Themis_Fair, with it (sched.Extended).
 
 // slicePolicy picks the next job to run among the candidates.
 type slicePolicy interface {
@@ -53,13 +54,8 @@ func (s *sliceScheduler) Name() string { return s.name }
 
 // Schedule implements Algorithm.
 func (s *sliceScheduler) Schedule(in *core.Instance) (*core.Schedule, error) {
-	if err := in.Validate(); err != nil {
+	if err := validateGang(in); err != nil {
 		return nil, err
-	}
-	for _, j := range in.Jobs {
-		if j.Scale > in.NumGPUs {
-			return nil, errScaleTooLarge(j, in.NumGPUs)
-		}
 	}
 	out := core.NewSchedule()
 	g := newGangState(in)
@@ -76,11 +72,7 @@ func (s *sliceScheduler) Schedule(in *core.Instance) (*core.Schedule, error) {
 			if sj.nextRound >= sj.job.Rounds {
 				continue
 			}
-			t, err := g.earliestForScale(sj.job.Scale, sj.barrier)
-			if err != nil {
-				return nil, err
-			}
-			now = math.Min(now, t)
+			now = math.Min(now, g.earliestForScale(sj.job.Scale, sj.barrier))
 		}
 		if math.IsInf(now, 1) {
 			return nil, fmt.Errorf("sched: %s stalled with %d jobs unfinished", s.name, remaining)
@@ -91,11 +83,7 @@ func (s *sliceScheduler) Schedule(in *core.Instance) (*core.Schedule, error) {
 			if sj.nextRound >= sj.job.Rounds {
 				continue
 			}
-			t, err := g.earliestForScale(sj.job.Scale, sj.barrier)
-			if err != nil {
-				return nil, err
-			}
-			if t <= now+1e-9 {
+			if g.earliestForScale(sj.job.Scale, sj.barrier) <= now+1e-9 {
 				candidates = append(candidates, sj)
 			}
 		}
@@ -105,7 +93,7 @@ func (s *sliceScheduler) Schedule(in *core.Instance) (*core.Schedule, error) {
 		sj := candidates[s.policy.pick(candidates)]
 
 		// Gang one round on the first idle GPUs (oblivious pick).
-		gpus := pickFirst(g.idleAt(now), sj.job.Scale)
+		gpus := g.idleAt(now)[:sj.job.Scale]
 		var roundEnd float64
 		var gpuSeconds float64
 		for k, m := range gpus {
@@ -167,9 +155,3 @@ func NewGandivaRR() Algorithm { return &sliceScheduler{name: "Gandiva_RR", polic
 // NewTiresiasLAS returns the Tiresias-style least-attained-service
 // baseline.
 func NewTiresiasLAS() Algorithm { return &sliceScheduler{name: "Tiresias_LAS", policy: lasPolicy{}} }
-
-// Extended returns the paper's five-scheme lineup plus the
-// time-slicing and fairness baselines from related work.
-func Extended() []Algorithm {
-	return append(All(), NewGandivaRR(), NewTiresiasLAS(), NewThemisFair())
-}

@@ -17,7 +17,6 @@ import (
 	"hare/internal/faults"
 	"hare/internal/gpumem"
 	"hare/internal/model"
-	"hare/internal/profile"
 	"hare/internal/sched"
 	"hare/internal/stats"
 	"hare/internal/switching"
@@ -41,18 +40,9 @@ func goldenWorkload(t testing.TB) (*core.Instance, *cluster.Cluster, []*model.Mo
 		MaxSync:     cl.Size(),
 		Seed:        44,
 	})
-	prof := profile.New(profile.Options{Seed: 45})
-	jobSpecs := make([]profile.JobSpec, len(specs))
-	for i, s := range specs {
-		jobSpecs[i] = s
-	}
-	in, err := prof.BuildInstance(workload.Jobs(specs), jobSpecs, cl)
+	in, models, err := workload.BuildInstance(specs, cl, 45)
 	if err != nil {
 		t.Fatal(err)
-	}
-	models := make([]*model.Model, len(specs))
-	for i, s := range specs {
-		models[i] = model.MustByName(s.Model)
 	}
 	return in, cl, models
 }

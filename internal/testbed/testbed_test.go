@@ -8,7 +8,6 @@ import (
 	"hare/internal/core"
 	"hare/internal/faults"
 	"hare/internal/model"
-	"hare/internal/profile"
 	"hare/internal/sched"
 	"hare/internal/sim"
 	"hare/internal/switching"
@@ -25,18 +24,9 @@ func smallWorkload(t *testing.T, jobs int, seed int64) (*core.Instance, *cluster
 	specs := workload.Generate(workload.Options{
 		NumJobs: jobs, Arrivals: arr, RoundsScale: 0.05, MaxSync: cl.Size(), Seed: seed,
 	})
-	prof := profile.New(profile.Options{})
-	jobSpecs := make([]profile.JobSpec, len(specs))
-	for i, s := range specs {
-		jobSpecs[i] = s
-	}
-	in, err := prof.BuildInstance(workload.Jobs(specs), jobSpecs, cl)
+	in, models, err := workload.BuildInstance(specs, cl, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	models := make([]*model.Model, len(specs))
-	for i, s := range specs {
-		models[i] = model.MustByName(s.Model)
 	}
 	return in, cl, models
 }

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"sort"
 
+	"hare/internal/cluster"
 	"hare/internal/core"
 	"hare/internal/model"
+	"hare/internal/profile"
 	"hare/internal/stats"
 )
 
@@ -206,4 +208,22 @@ func Jobs(specs []*Spec) []*core.Job {
 		out[i] = s.Job
 	}
 	return out
+}
+
+// BuildInstance profiles specs on a cluster (profiler noise seeded by
+// seed) and returns the scheduling instance with each job's model.
+func BuildInstance(specs []*Spec, cl *cluster.Cluster, seed int64) (*core.Instance, []*model.Model, error) {
+	jobSpecs := make([]profile.JobSpec, len(specs))
+	for i, s := range specs {
+		jobSpecs[i] = s
+	}
+	in, err := profile.New(profile.Options{Seed: seed}).BuildInstance(Jobs(specs), jobSpecs, cl)
+	if err != nil {
+		return nil, nil, err
+	}
+	models := make([]*model.Model, len(specs))
+	for i, s := range specs {
+		models[i] = model.MustByName(s.Model)
+	}
+	return in, models, nil
 }

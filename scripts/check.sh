@@ -3,7 +3,8 @@
 #
 #   scripts/check.sh          # all three
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob and
-#                             # dead-surface censuses), ordering stress, four 10 s fuzz smokes, make loc
+#                             # dead-surface censuses), a haresim -compare CLI smoke, ordering stress,
+#                             # four 10 s fuzz smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -27,6 +28,9 @@ tests() {
 
 	echo "==> go test -race ./..."
 	go test -race ./...
+
+	echo "==> CLI smoke: the paper's five schemes planned and simulated through the haresim binary"
+	go run ./cmd/haresim -compare -jobs 12 >/dev/null
 
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
