@@ -43,7 +43,7 @@ var memCaps = []struct {
 	bench         string
 	allocs, bytes float64
 }{
-	{"BenchmarkHareSchedule", 170, 326365},
+	{"BenchmarkHareSchedule", 10, 46224},               // π over rounds, the dense schedule, φ and ready
 	{"BenchmarkFluidRelaxation", 4, 6267},              // the Solution's three slices
 	{"BenchmarkSimulatorReplay", 8, 109598},            // cold Run: state + the cloned Result
 	{"BenchmarkSimulatorReplayReference", 839, 555086}, // the unpooled oracle
@@ -53,7 +53,7 @@ var memCaps = []struct {
 	{"BenchmarkObsRPCDisabled", 0, 0},                  // nil RPC-observer handles never allocate
 	{"BenchmarkObsRPCEnabledRing", 0, 0},
 	{"BenchmarkHungarian", 138, 80504},
-	{"BenchmarkOnlineHareSchedule", 242, 179373}, // ~60 epochs × 3 + arenas
+	{"BenchmarkOnlineHareSchedule", 238, 99772}, // ~60 epochs × 3 + arenas
 	{"BenchmarkGPUMemManager", 0, 0},
 	{"BenchmarkSwitchingCost", 0, 0},
 }

@@ -113,7 +113,7 @@ func main() {
 		var plan *hare.Schedule
 		var err error
 		if *loadPlan != "" {
-			if plan, err = hare.LoadSchedule(*loadPlan); err != nil {
+			if plan, err = hare.LoadSchedule(in, *loadPlan); err != nil {
 				fatal(err)
 			}
 			if err := hare.Validate(in, plan); err != nil {

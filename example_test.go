@@ -22,7 +22,7 @@ func ExampleNewScheduler() {
 		panic(err)
 	}
 	fmt.Println("feasible:", hare.Validate(in, plan) == nil)
-	fmt.Println("tasks placed:", len(plan.Placements))
+	fmt.Println("tasks placed:", in.NumTasks())
 	// Output:
 	// feasible: true
 	// tasks placed: 64

@@ -81,7 +81,7 @@ func liveAlternation() {
 		in.Sync = append(in.Sync, []float64{0})
 	}
 	// Strict alternation plan.
-	plan := hare.NewSchedule()
+	plan := hare.NewSchedule(in)
 	t := 0.0
 	for r := 0; r < rounds; r++ {
 		for j := range models {

@@ -92,15 +92,17 @@ type (
 	FaultPlan = faults.Plan
 )
 
-// NewSchedule returns an empty schedule for hand-built plans.
-func NewSchedule() *Schedule { return core.NewSchedule() }
+// NewSchedule returns an empty schedule for hand-built plans, shaped
+// by the instance it plans: one slot per task.
+func NewSchedule(in *Instance) *Schedule { return core.NewSchedule(in) }
 
 // SaveSchedule persists a plan as JSON (the file analogue of the task
 // sequences the scheduler pushes to executors).
 func SaveSchedule(s *Schedule, path string) error { return core.SaveSchedule(s, path) }
 
-// LoadSchedule reads a plan written by SaveSchedule.
-func LoadSchedule(path string) (*Schedule, error) { return core.LoadSchedule(path) }
+// LoadSchedule reads a plan written by SaveSchedule for the instance
+// in, rejecting any placement the instance cannot hold.
+func LoadSchedule(in *Instance, path string) (*Schedule, error) { return core.LoadSchedule(in, path) }
 
 // V100 is the fastest GPU type of the paper's testbed.
 var V100 = cluster.V100

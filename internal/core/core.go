@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // JobID identifies a job within an Instance. IDs are dense indices
@@ -113,20 +112,6 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// Tasks enumerates every task of every job in (job, round, index)
-// order.
-func (in *Instance) Tasks() []TaskRef {
-	out := make([]TaskRef, 0, in.NumTasks())
-	for _, j := range in.Jobs {
-		for r := 0; r < j.Rounds; r++ {
-			for k := 0; k < j.Scale; k++ {
-				out = append(out, TaskRef{Job: j.ID, Round: r, Index: k})
-			}
-		}
-	}
-	return out
-}
-
 // NumTasks returns the total number of tasks across all jobs.
 func (in *Instance) NumTasks() int {
 	n := 0
@@ -183,53 +168,88 @@ type Placement struct {
 // task. Per-GPU execution sequences (ordered by start time) are
 // derived on demand; the executors consume only the sequences, so the
 // planned start times are advisory for replay.
+//
+// A schedule is shaped by the instance it was made for: one dense slot
+// per task in (job, round, index) order, so placing, looking up and
+// enumerating a task is index arithmetic. A slot whose GPU is negative
+// holds a task that is not placed.
 type Schedule struct {
-	Placements map[TaskRef]Placement
+	jobs []jobSlots
+	p    []Placement
 }
 
-// NewSchedule returns an empty schedule.
-func NewSchedule() *Schedule {
-	return &Schedule{Placements: make(map[TaskRef]Placement)}
+// jobSlots locates one job's tasks in Schedule.p: round r's task k is
+// at off + r·scale + k.
+type jobSlots struct{ off, rounds, scale int }
+
+// NewSchedule returns a schedule with no task placed, shaped by in's
+// jobs (their count, Rounds and Scale).
+func NewSchedule(in *Instance) *Schedule {
+	s := &Schedule{jobs: make([]jobSlots, len(in.Jobs))}
+	n := 0
+	for i, j := range in.Jobs {
+		s.jobs[i] = jobSlots{off: n, rounds: j.Rounds, scale: j.Scale}
+		n += j.NumTasks()
+	}
+	s.p = make([]Placement, n)
+	for i := range s.p {
+		s.p[i].GPU = -1
+	}
+	return s
+}
+
+// slot returns t's index into s.p; false if t is outside the shape.
+func (s *Schedule) slot(t TaskRef) (int, bool) {
+	if t.Job < 0 || int(t.Job) >= len(s.jobs) {
+		return 0, false
+	}
+	j := s.jobs[t.Job]
+	if t.Round < 0 || t.Round >= j.rounds || t.Index < 0 || t.Index >= j.scale {
+		return 0, false
+	}
+	return j.off + t.Round*j.scale + t.Index, true
 }
 
 // Place records the placement of a task, overwriting any previous
-// placement of the same task.
+// placement of the same task; a negative gpu leaves it unplaced. It
+// panics on a task outside the schedule's shape.
 func (s *Schedule) Place(t TaskRef, gpu int, start float64) {
-	s.Placements[t] = Placement{GPU: gpu, Start: start}
+	i, ok := s.slot(t)
+	if !ok {
+		panic(fmt.Sprintf("core: Place(%v) outside the schedule's shape", t))
+	}
+	s.p[i] = Placement{GPU: gpu, Start: start}
+}
+
+// At returns the placement of a task; false if it is not placed or is
+// outside the schedule's shape.
+func (s *Schedule) At(t TaskRef) (Placement, bool) {
+	i, ok := s.slot(t)
+	if !ok || s.p[i].GPU < 0 {
+		return Placement{}, false
+	}
+	return s.p[i], true
+}
+
+// Each calls f for every placed task in (job, round, index) order.
+func (s *Schedule) Each(f func(TaskRef, Placement)) {
+	for j, js := range s.jobs {
+		i := js.off
+		for r := 0; r < js.rounds; r++ {
+			for k := 0; k < js.scale; k, i = k+1, i+1 {
+				if p := s.p[i]; p.GPU >= 0 {
+					f(TaskRef{Job: JobID(j), Round: r, Index: k}, p)
+				}
+			}
+		}
+	}
 }
 
 // Sequences returns, for each GPU, the tasks assigned to it ordered by
 // planned start time (ties broken by task identity for determinism).
+// Every placed GPU must be below numGPUs.
 func (s *Schedule) Sequences(numGPUs int) [][]TaskRef {
-	// Sort (task, start) pairs rather than looking each comparison's
-	// placements up in the map: the simulator replays one schedule per
-	// run and this is on its setup critical path (see
-	// docs/PERFORMANCE.md).
-	type placed struct {
-		t     TaskRef
-		start float64
-	}
-	byGPU := make([][]placed, numGPUs)
-	//lint:ordered buckets are fully sorted below before use
-	for t, p := range s.Placements {
-		byGPU[p.GPU] = append(byGPU[p.GPU], placed{t: t, start: p.Start})
-	}
-	seq := make([][]TaskRef, numGPUs)
-	for m := range byGPU {
-		tasks := byGPU[m]
-		sort.Slice(tasks, func(a, b int) bool {
-			if tasks[a].start != tasks[b].start {
-				return tasks[a].start < tasks[b].start
-			}
-			return lessTask(tasks[a].t, tasks[b].t)
-		})
-		out := make([]TaskRef, len(tasks))
-		for i, p := range tasks {
-			out[i] = p.t
-		}
-		seq[m] = out
-	}
-	return seq
+	return s.SequencesInto(new(SeqBuffer), numGPUs)
 }
 
 // placedTask pairs a task with its planned start for bucket sorting.
@@ -249,56 +269,44 @@ type SeqBuffer struct {
 	seqs    [][]TaskRef
 }
 
+// grow returns s with length n, reallocating only when it must.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // SequencesInto is Sequences with caller-owned storage: the returned
 // outer slice and every per-GPU sequence alias buf's backing arrays
 // and are valid until the next SequencesInto call on the same buffer.
-// The task order per GPU is identical to Sequences'.
 func (s *Schedule) SequencesInto(buf *SeqBuffer, numGPUs int) [][]TaskRef {
-	n := len(s.Placements)
-	if cap(buf.counts) < numGPUs {
-		buf.counts = make([]int, numGPUs)
-	} else {
-		buf.counts = buf.counts[:numGPUs]
-		for i := range buf.counts {
-			buf.counts[i] = 0
+	buf.counts = grow(buf.counts, numGPUs)
+	clear(buf.counts)
+	n := 0
+	for _, p := range s.p {
+		if p.GPU >= 0 {
+			buf.counts[p.GPU]++
+			n++
 		}
 	}
-	//lint:ordered counting pass is order-independent
-	for _, p := range s.Placements {
-		buf.counts[p.GPU]++
-	}
-	if cap(buf.pairs) < n {
-		buf.pairs = make([]placedTask, n)
-	}
-	if cap(buf.buckets) < numGPUs {
-		buf.buckets = make([][]placedTask, numGPUs)
-	} else {
-		buf.buckets = buf.buckets[:numGPUs]
-	}
+	buf.pairs = grow(buf.pairs, n)
+	buf.buckets = grow(buf.buckets, numGPUs)
 	off := 0
 	for m := 0; m < numGPUs; m++ {
 		buf.buckets[m] = buf.pairs[off : off : off+buf.counts[m]]
 		off += buf.counts[m]
 	}
-	//lint:ordered buckets are fully sorted below before use
-	for t, p := range s.Placements {
+	s.Each(func(t TaskRef, p Placement) {
 		buf.buckets[p.GPU] = append(buf.buckets[p.GPU], placedTask{t: t, start: p.Start})
-	}
-	if cap(buf.seqs) < numGPUs {
-		buf.seqs = make([][]TaskRef, numGPUs)
-	} else {
-		buf.seqs = buf.seqs[:numGPUs]
-	}
-	if cap(buf.refs) < n {
-		buf.refs = make([]TaskRef, n)
-	} else {
-		buf.refs = buf.refs[:n]
-	}
+	})
+	buf.seqs = grow(buf.seqs, numGPUs)
+	buf.refs = grow(buf.refs, n)
 	off = 0
 	for m := 0; m < numGPUs; m++ {
 		tasks := buf.buckets[m]
 		// (start, task) keys are unique — tasks are placed once — so the
-		// unstable sort is deterministic and matches Sequences' order.
+		// unstable sort is deterministic.
 		slices.SortFunc(tasks, func(a, b placedTask) int {
 			//lint:allow floateq exact comparison orders identical starts into the tie-break
 			if a.start != b.start {
@@ -335,14 +343,19 @@ func lessTask(a, b TaskRef) bool {
 	return a.Index < b.Index
 }
 
+// end is a placed task's planned completion: start + train + sync.
+func end(in *Instance, t TaskRef, p Placement) float64 {
+	return p.Start + in.Train[t.Job][p.GPU] + in.Sync[t.Job][p.GPU]
+}
+
 // TaskEnd returns the planned completion (start + train + sync) of a
 // placed task. The boolean is false if the task is not placed.
 func (s *Schedule) TaskEnd(in *Instance, t TaskRef) (float64, bool) {
-	p, ok := s.Placements[t]
+	p, ok := s.At(t)
 	if !ok {
 		return 0, false
 	}
-	return p.Start + in.Train[t.Job][p.GPU] + in.Sync[t.Job][p.GPU], true
+	return end(in, t, p), true
 }
 
 // JobCompletions returns C_n for each job: the maximum task completion
@@ -388,12 +401,7 @@ func (s *Schedule) WeightedJCT(in *Instance) float64 {
 // Makespan returns the latest planned task completion time.
 func (s *Schedule) Makespan(in *Instance) float64 {
 	var m float64
-	//lint:ordered max over placements is commutative and exact
-	for t := range s.Placements {
-		if end, ok := s.TaskEnd(in, t); ok {
-			m = math.Max(m, end)
-		}
-	}
+	s.Each(func(t TaskRef, p Placement) { m = math.Max(m, end(in, t, p)) })
 	return m
 }
 
@@ -414,57 +422,66 @@ const timeEps = 1e-6
 // It returns nil for a feasible schedule and a descriptive error for
 // the first violation found.
 func ValidateSchedule(in *Instance, s *Schedule) error {
-	if err := ValidatePlacements(in, s); err != nil {
-		return err
-	}
-	return ValidateScheduleSeqs(in, s, s.Sequences(in.NumGPUs))
+	_, err := s.ValidSequences(in, nil)
+	return err
 }
 
-// ValidatePlacements checks the placement-local constraints — (5)
-// every task placed exactly once on a real GPU, (4) no start before
-// arrival — without deriving sequences. It must pass before sequences
-// are derived at all: Sequences indexes buckets by the placement's GPU
-// and would panic on a GPU that fails the range check here.
-func ValidatePlacements(in *Instance, s *Schedule) error {
-	// (5): every task placed exactly once, on a real GPU. The nested
-	// loops visit tasks in the same (job, round, index) order as
-	// in.Tasks() without materializing the slice.
+// ValidSequences validates the schedule against in, as ValidateSchedule
+// does, and returns the per-GPU sequences it derived on the way (those
+// of SequencesInto). A nil buf derives them into fresh storage.
+func (s *Schedule) ValidSequences(in *Instance, buf *SeqBuffer) ([][]TaskRef, error) {
+	// The placement-local checks come first: SequencesInto indexes
+	// buckets by the placement's GPU and would panic on one that fails
+	// the range check.
+	if err := validatePlacements(in, s); err != nil {
+		return nil, err
+	}
+	if buf == nil {
+		buf = new(SeqBuffer)
+	}
+	seqs := s.SequencesInto(buf, in.NumGPUs)
+	if err := validateOrder(in, s, seqs); err != nil {
+		return nil, err
+	}
+	return seqs, nil
+}
+
+// validatePlacements checks the placement-local constraints: (5) every
+// task placed exactly once on a real GPU, (4) no start before arrival.
+func validatePlacements(in *Instance, s *Schedule) error {
 	for _, j := range in.Jobs {
 		for r := 0; r < j.Rounds; r++ {
 			for k := 0; k < j.Scale; k++ {
 				t := TaskRef{Job: j.ID, Round: r, Index: k}
-				p, ok := s.Placements[t]
+				p, ok := s.At(t)
 				if !ok {
 					return fmt.Errorf("core: task %v is not placed (constraint 5)", t)
 				}
-				if p.GPU < 0 || p.GPU >= in.NumGPUs {
+				if p.GPU >= in.NumGPUs {
 					return fmt.Errorf("core: task %v placed on invalid GPU %d", t, p.GPU)
 				}
 				if math.IsNaN(p.Start) || math.IsInf(p.Start, 0) {
 					return fmt.Errorf("core: task %v has invalid start %g", t, p.Start)
 				}
 				// (4): arrival.
-				if a := in.Jobs[t.Job].Arrival; p.Start < a-timeEps {
+				if p.Start < j.Arrival-timeEps {
 					return fmt.Errorf("core: task %v starts at %.6g before arrival %.6g (constraint 4)",
-						t, p.Start, a)
+						t, p.Start, j.Arrival)
 				}
 			}
 		}
 	}
-	// Extraneous placements indicate a buggy scheduler.
-	if len(s.Placements) != in.NumTasks() {
-		return fmt.Errorf("core: schedule has %d placements for %d tasks",
-			len(s.Placements), in.NumTasks())
+	// Every task of in has a slot, so any other slot is one for a task
+	// in does not have: the schedule was made for another instance.
+	if len(s.p) != in.NumTasks() {
+		return fmt.Errorf("core: schedule has %d task slots for %d tasks", len(s.p), in.NumTasks())
 	}
 	return nil
 }
 
-// ValidateScheduleSeqs checks the ordering constraints (7) and (8)
-// against caller-provided per-GPU sequences (from Sequences or
-// SequencesInto), letting a caller that already derived sequences
-// validate without deriving them a second time. ValidatePlacements
-// must have passed first.
-func ValidateScheduleSeqs(in *Instance, s *Schedule, seqs [][]TaskRef) error {
+// validateOrder checks the ordering constraints (7) and (8) against the
+// schedule's per-GPU sequences. validatePlacements must have passed.
+func validateOrder(in *Instance, s *Schedule, seqs [][]TaskRef) error {
 	// (7): round barrier within each job.
 	for _, j := range in.Jobs {
 		prevEnd := 0.0
@@ -472,13 +489,12 @@ func ValidateScheduleSeqs(in *Instance, s *Schedule, seqs [][]TaskRef) error {
 			roundEnd := 0.0
 			for k := 0; k < j.Scale; k++ {
 				t := TaskRef{Job: j.ID, Round: r, Index: k}
-				p := s.Placements[t]
+				p, _ := s.At(t)
 				if r > 0 && p.Start < prevEnd-timeEps {
 					return fmt.Errorf("core: task %v starts at %.6g before round %d barrier %.6g (constraint 7)",
 						t, p.Start, r-1, prevEnd)
 				}
-				end, _ := s.TaskEnd(in, t)
-				roundEnd = math.Max(roundEnd, end)
+				roundEnd = math.Max(roundEnd, end(in, t, p))
 			}
 			prevEnd = roundEnd
 		}
@@ -489,7 +505,7 @@ func ValidateScheduleSeqs(in *Instance, s *Schedule, seqs [][]TaskRef) error {
 		var prevBusyEnd float64
 		var prevTask TaskRef
 		for i, t := range seq {
-			p := s.Placements[t]
+			p, _ := s.At(t)
 			if i > 0 && p.Start < prevBusyEnd-timeEps {
 				return fmt.Errorf("core: tasks %v and %v overlap on GPU %d (%.6g < %.6g, constraint 8)",
 					prevTask, t, m, p.Start, prevBusyEnd)

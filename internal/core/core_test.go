@@ -1,7 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -51,20 +54,40 @@ func TestInstanceValidate(t *testing.T) {
 	}
 }
 
+// TestTasksEnumeration: a schedule enumerates its placed tasks in
+// (job, round, index) order, whatever order they were placed in, and
+// skips the ones not placed.
 func TestTasksEnumeration(t *testing.T) {
 	in := validInstance()
-	tasks := in.Tasks()
-	if len(tasks) != in.NumTasks() || len(tasks) != 4 {
-		t.Fatalf("got %d tasks", len(tasks))
-	}
+	s := NewSchedule(in)
 	want := []TaskRef{
 		{Job: 0, Round: 0, Index: 0}, {Job: 0, Round: 1, Index: 0},
 		{Job: 1, Round: 0, Index: 0}, {Job: 1, Round: 0, Index: 1},
 	}
-	for i, w := range want {
-		if tasks[i] != w {
-			t.Errorf("tasks[%d] = %v, want %v", i, tasks[i], w)
+	for i := len(want) - 1; i >= 0; i-- {
+		s.Place(want[i], i%2, float64(i))
+	}
+	var got []TaskRef
+	s.Each(func(tr TaskRef, p Placement) {
+		if i := len(got); p != (Placement{GPU: i % 2, Start: float64(i)}) {
+			t.Errorf("%v: %+v", tr, p)
 		}
+		got = append(got, tr)
+	})
+	if len(got) != in.NumTasks() || len(got) != 4 {
+		t.Fatalf("got %d tasks", len(got))
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Errorf("tasks[%d] = %v, want %v", i, got[i], w)
+		}
+	}
+	s = NewSchedule(in)
+	s.Place(want[2], 1, 3)
+	n := 0
+	s.Each(func(TaskRef, Placement) { n++ })
+	if n != 1 {
+		t.Errorf("%d tasks enumerated, one placed", n)
 	}
 }
 
@@ -78,7 +101,7 @@ func TestAlpha(t *testing.T) {
 
 func TestScheduleAccounting(t *testing.T) {
 	in := validInstance()
-	s := NewSchedule()
+	s := NewSchedule(in)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 0)           // end 2.5
 	s.Place(TaskRef{Job: 0, Round: 1}, 0, 2.5)         // end 5.0
 	s.Place(TaskRef{Job: 1, Round: 0}, 0, 5)           // train on g0: end 6.2
@@ -103,7 +126,7 @@ func TestScheduleAccounting(t *testing.T) {
 
 func TestValidateCatchesArrivalViolation(t *testing.T) {
 	in := validInstance()
-	s := NewSchedule()
+	s := NewSchedule(in)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 0)
 	s.Place(TaskRef{Job: 0, Round: 1}, 0, 2.5)
 	s.Place(TaskRef{Job: 1, Round: 0}, 1, 0.5) // arrives at 1
@@ -115,7 +138,7 @@ func TestValidateCatchesArrivalViolation(t *testing.T) {
 
 func TestValidateCatchesMissingPlacement(t *testing.T) {
 	in := validInstance()
-	s := NewSchedule()
+	s := NewSchedule(in)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 0)
 	if err := ValidateSchedule(in, s); err == nil || !strings.Contains(err.Error(), "constraint 5") {
 		t.Errorf("missing placement not caught: %v", err)
@@ -124,7 +147,7 @@ func TestValidateCatchesMissingPlacement(t *testing.T) {
 
 func TestValidateCatchesBarrierViolation(t *testing.T) {
 	in := validInstance()
-	s := NewSchedule()
+	s := NewSchedule(in)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 0)   // ends 2.5 (sync incl.)
 	s.Place(TaskRef{Job: 0, Round: 1}, 1, 2.0) // starts before barrier
 	s.Place(TaskRef{Job: 1, Round: 0}, 0, 2)
@@ -136,7 +159,7 @@ func TestValidateCatchesBarrierViolation(t *testing.T) {
 
 func TestValidateCatchesOverlap(t *testing.T) {
 	in := validInstance()
-	s := NewSchedule()
+	s := NewSchedule(in)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 0) // train [0,2)
 	s.Place(TaskRef{Job: 1, Round: 0}, 0, 1) // overlaps on GPU 0
 	s.Place(TaskRef{Job: 0, Round: 1}, 1, 2.5)
@@ -150,7 +173,7 @@ func TestValidateSyncOverlapAllowed(t *testing.T) {
 	// A successor may start during the predecessor's sync window —
 	// communication is off the GPU.
 	in := validInstance()
-	s := NewSchedule()
+	s := NewSchedule(in)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 0) // train [0,2), sync to 2.5
 	s.Place(TaskRef{Job: 1, Round: 0}, 0, 2) // starts at train end
 	s.Place(TaskRef{Job: 1, Round: 0, Index: 1}, 1, 1)
@@ -161,7 +184,7 @@ func TestValidateSyncOverlapAllowed(t *testing.T) {
 }
 
 func TestSequencesOrdering(t *testing.T) {
-	s := NewSchedule()
+	s := NewSchedule(validInstance())
 	s.Place(TaskRef{Job: 0, Round: 1}, 0, 5)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 1)
 	s.Place(TaskRef{Job: 1, Round: 0}, 1, 2)
@@ -180,7 +203,7 @@ func TestSequencesOrdering(t *testing.T) {
 // WeightedJCT propagates it.
 func TestJobCompletionsIncompleteNaN(t *testing.T) {
 	in := validInstance()
-	s := NewSchedule()
+	s := NewSchedule(in)
 	s.Place(TaskRef{Job: 0, Round: 0}, 0, 0)
 	comps := s.JobCompletions(in)
 	if !math.IsNaN(comps[0]) || !math.IsNaN(comps[1]) {
@@ -224,7 +247,7 @@ func TestRandomScheduleRoundTrip(t *testing.T) {
 // greedyDispatch is an intentionally naive scheduler used to fuzz the
 // validator: rounds in order, random GPU, earliest feasible start.
 func greedyDispatch(in *Instance, rng *stats.RNG) *Schedule {
-	s := NewSchedule()
+	s := NewSchedule(in)
 	free := make([]float64, in.NumGPUs)
 	barrier := make([]float64, len(in.Jobs))
 	for _, j := range in.Jobs {
@@ -257,42 +280,70 @@ func greedyDispatch(in *Instance, rng *stats.RNG) *Schedule {
 	return s
 }
 
+// gridInstance has jobs × rounds × scale tasks on numGPUs GPUs.
+func gridInstance(jobs, rounds, scale, numGPUs int) *Instance {
+	in := &Instance{NumGPUs: numGPUs}
+	for j := 0; j < jobs; j++ {
+		in.Jobs = append(in.Jobs, &Job{ID: JobID(j), Weight: 1, Rounds: rounds, Scale: scale})
+		in.Train = append(in.Train, make([]float64, numGPUs))
+		in.Sync = append(in.Sync, make([]float64, numGPUs))
+	}
+	return in
+}
+
 // TestSequencesIntoMatchesSequences cross-checks the buffer-reusing
-// derivation against Sequences on randomized schedules, reusing one
-// buffer across schedules of different shapes.
+// derivation against a sort of every placed task on (start, task),
+// reusing one buffer across schedules of different shapes, some tasks
+// placed twice and some not at all.
 func TestSequencesIntoMatchesSequences(t *testing.T) {
 	rng := stats.New(61)
 	var buf SeqBuffer
 	for trial := 0; trial < 30; trial++ {
 		numGPUs := 1 + rng.Intn(12)
-		s := NewSchedule()
+		s := NewSchedule(gridInstance(1+rng.Intn(20), 1+rng.Intn(5), 1+rng.Intn(4), numGPUs))
 		n := rng.Intn(200)
 		for i := 0; i < n; i++ {
 			t := TaskRef{Job: JobID(rng.Intn(20)), Round: rng.Intn(5), Index: rng.Intn(4)}
-			// Coarse starts force start ties resolved by task identity.
-			s.Place(t, rng.Intn(numGPUs), float64(rng.Intn(8)))
-		}
-		want := s.Sequences(numGPUs)
-		got := s.SequencesInto(&buf, numGPUs)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d GPUs, want %d", trial, len(got), len(want))
-		}
-		for m := range want {
-			if len(got[m]) != len(want[m]) {
-				t.Fatalf("trial %d GPU %d: len %d, want %d", trial, m, len(got[m]), len(want[m]))
+			if _, ok := s.slot(t); ok {
+				// Coarse starts force start ties resolved by task identity.
+				s.Place(t, rng.Intn(numGPUs), float64(rng.Intn(8)))
 			}
-			for i := range want[m] {
-				if got[m][i] != want[m][i] {
-					t.Fatalf("trial %d GPU %d pos %d: %v, want %v", trial, m, i, got[m][i], want[m][i])
+		}
+		want := make([][]TaskRef, numGPUs)
+		var all []placedTask
+		s.Each(func(t TaskRef, p Placement) { all = append(all, placedTask{t: t, start: p.Start}) })
+		sort.Slice(all, func(a, b int) bool {
+			if all[a].start != all[b].start {
+				return all[a].start < all[b].start
+			}
+			return lessTask(all[a].t, all[b].t)
+		})
+		for _, pt := range all {
+			p, _ := s.At(pt.t)
+			want[p.GPU] = append(want[p.GPU], pt.t)
+		}
+		for _, got := range [][][]TaskRef{s.SequencesInto(&buf, numGPUs), s.Sequences(numGPUs)} {
+			if len(got) != len(want) {
+				t.Fatalf("trial %d: %d GPUs, want %d", trial, len(got), len(want))
+			}
+			for m := range want {
+				if len(got[m]) != len(want[m]) {
+					t.Fatalf("trial %d GPU %d: len %d, want %d", trial, m, len(got[m]), len(want[m]))
+				}
+				for i := range want[m] {
+					if got[m][i] != want[m][i] {
+						t.Fatalf("trial %d GPU %d pos %d: %v, want %v", trial, m, i, got[m][i], want[m][i])
+					}
 				}
 			}
 		}
 	}
 }
 
-// TestValidateSplitMatchesCombined pins that the split validators
-// reproduce ValidateSchedule's verdicts (including error text) on
-// valid and broken schedules.
+// TestValidateSplitMatchesCombined pins that ValidSequences reproduces
+// ValidateSchedule's verdicts (including error text) on valid and
+// broken schedules, with a reused buffer, and that the sequences it
+// returns are Sequences'.
 func TestValidateSplitMatchesCombined(t *testing.T) {
 	in := &Instance{
 		Jobs: []*Job{
@@ -306,46 +357,101 @@ func TestValidateSplitMatchesCombined(t *testing.T) {
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	valid := NewSchedule()
-	valid.Place(TaskRef{0, 0, 0}, 0, 0)
-	valid.Place(TaskRef{0, 0, 1}, 1, 0)
-	valid.Place(TaskRef{0, 1, 0}, 0, 2.5)
-	valid.Place(TaskRef{0, 1, 1}, 1, 2.5)
-	valid.Place(TaskRef{1, 0, 0}, 0, 5)
-
-	breakGPU := NewSchedule()
-	//lint:ordered copying placements into a map is order-independent
-	for t, p := range valid.Placements {
-		breakGPU.Placements[t] = p
+	plan := func(edit func(*Schedule)) *Schedule {
+		s := NewSchedule(in)
+		s.Place(TaskRef{0, 0, 0}, 0, 0)
+		s.Place(TaskRef{0, 0, 1}, 1, 0)
+		s.Place(TaskRef{0, 1, 0}, 0, 2.5)
+		s.Place(TaskRef{0, 1, 1}, 1, 2.5)
+		s.Place(TaskRef{1, 0, 0}, 0, 5)
+		edit(s)
+		return s
 	}
-	breakGPU.Place(TaskRef{1, 0, 0}, 99, 5) // constraint-5 range violation
-
-	breakBarrier := NewSchedule()
-	//lint:ordered copying placements into a map is order-independent
-	for t, p := range valid.Placements {
-		breakBarrier.Placements[t] = p
-	}
-	breakBarrier.Place(TaskRef{0, 1, 0}, 0, 1) // starts before round-0 barrier
-
 	cases := []struct {
 		name string
 		s    *Schedule
 	}{
-		{"valid", valid}, {"bad-gpu", breakGPU}, {"bad-barrier", breakBarrier},
+		{"valid", plan(func(*Schedule) {})},
+		{"bad-gpu", plan(func(s *Schedule) { s.Place(TaskRef{1, 0, 0}, 99, 5) })},                                   // constraint-5 range violation
+		{"bad-barrier", plan(func(s *Schedule) { s.Place(TaskRef{0, 1, 0}, 0, 1) })},                                // starts before round-0 barrier
+		{"unplaced", plan(func(s *Schedule) { s.Place(TaskRef{0, 1, 1}, -1, 0) })},                                  // a negative GPU unplaces
+		{"bad-start", plan(func(s *Schedule) { s.Place(TaskRef{0, 1, 1}, 1, math.Inf(1)) })},                        // non-finite start
+		{"overlap", plan(func(s *Schedule) { s.Place(TaskRef{1, 0, 0}, 1, 5); s.Place(TaskRef{0, 1, 1}, 1, 5.5) })}, // GPU 1: [5,9) and [5.5,7.5)
 	}
+	var buf SeqBuffer
 	for _, tc := range cases {
 		name, s := tc.name, tc.s
 		combined := ValidateSchedule(in, s)
-		split := ValidatePlacements(in, s)
-		if split == nil {
-			var buf SeqBuffer
-			split = ValidateScheduleSeqs(in, s, s.SequencesInto(&buf, in.NumGPUs))
-		}
+		seqs, split := s.ValidSequences(in, &buf)
 		switch {
 		case (combined == nil) != (split == nil):
 			t.Errorf("%s: combined err %v, split err %v", name, combined, split)
 		case combined != nil && combined.Error() != split.Error():
 			t.Errorf("%s: combined %q, split %q", name, combined, split)
+		case split == nil && !reflect.DeepEqual(seqs, s.Sequences(in.NumGPUs)):
+			t.Errorf("%s: ValidSequences %v, Sequences %v", name, seqs, s.Sequences(in.NumGPUs))
 		}
+	}
+}
+
+// TestScheduleContract covers the schedule's edges: a GPU past the
+// fleet and a non-finite start are named by ValidateSchedule, a task
+// outside the shape cannot be placed (the panic names it) and is never
+// placed, and a schedule shaped for a larger instance does not fit a
+// smaller one.
+func TestScheduleContract(t *testing.T) {
+	in := validInstance()
+	full := func() *Schedule {
+		s := NewSchedule(in)
+		s.Place(TaskRef{Job: 0, Round: 0}, 0, 0)
+		s.Place(TaskRef{Job: 0, Round: 1}, 0, 2.5)
+		s.Place(TaskRef{Job: 1, Round: 0}, 0, 5)
+		s.Place(TaskRef{Job: 1, Round: 0, Index: 1}, 1, 1)
+		return s
+	}
+	if err := ValidateSchedule(in, full()); err != nil {
+		t.Fatal(err)
+	}
+	s := full()
+	s.Place(TaskRef{Job: 1, Round: 0, Index: 1}, in.NumGPUs, 1)
+	if err := ValidateSchedule(in, s); err == nil || !strings.Contains(err.Error(), "j1/r0/t1 placed on invalid GPU 2") {
+		t.Errorf("GPU past the fleet: %v", err)
+	}
+	s = full()
+	s.Place(TaskRef{Job: 0, Round: 1}, 0, math.NaN())
+	if err := ValidateSchedule(in, s); err == nil || !strings.Contains(err.Error(), "j0/r1/t0 has invalid start NaN") {
+		t.Errorf("NaN start: %v", err)
+	}
+
+	for _, tr := range []TaskRef{
+		{Job: -1}, {Job: 2}, {Job: 0, Round: 2}, {Job: 0, Round: -1},
+		{Job: 0, Index: 1}, {Job: 1, Index: -1}, {Job: 1, Round: 1 << 40},
+	} {
+		if p, ok := full().At(tr); ok {
+			t.Errorf("At(%v) = %+v, true outside the shape", tr, p)
+		}
+		if _, ok := full().TaskEnd(in, tr); ok {
+			t.Errorf("TaskEnd(%v) ok outside the shape", tr)
+		}
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tr.String()) {
+					t.Errorf("Place(%v) panicked with %q, want the task named", tr, msg)
+				}
+			}()
+			full().Place(tr, 0, 0)
+		}()
+	}
+
+	bigger := &Instance{
+		NumGPUs: in.NumGPUs,
+		Jobs:    append(append([]*Job(nil), in.Jobs...), &Job{ID: 2, Weight: 1, Rounds: 1, Scale: 1}),
+		Train:   append(append([][]float64(nil), in.Train...), []float64{1, 1}),
+		Sync:    append(append([][]float64(nil), in.Sync...), []float64{0, 0}),
+	}
+	s = NewSchedule(bigger)
+	full().Each(func(tr TaskRef, p Placement) { s.Place(tr, p.GPU, p.Start) })
+	if err := ValidateSchedule(in, s); err == nil || !strings.Contains(err.Error(), "5 task slots for 4 tasks") {
+		t.Errorf("schedule for a larger instance: %v", err)
 	}
 }

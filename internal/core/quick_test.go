@@ -91,24 +91,12 @@ func TestQuickObjectiveLowerBounds(t *testing.T) {
 func TestQuickSerializationRoundTrips(t *testing.T) {
 	f := func(q quickInstance, seed int64) bool {
 		s := greedyDispatch(q.in, stats.New(seed))
-		data, err := s.MarshalJSON()
+		data, err := encodeSchedule(s)
 		if err != nil {
 			return false
 		}
-		back := NewSchedule()
-		if err := back.UnmarshalJSON(data); err != nil {
-			return false
-		}
-		if len(back.Placements) != len(s.Placements) {
-			return false
-		}
-		//lint:ordered independent per-key equality checks
-		for tr, p := range s.Placements {
-			if back.Placements[tr] != p {
-				return false
-			}
-		}
-		return true
+		back, err := decodeSchedule(q.in, data)
+		return err == nil && reflect.DeepEqual(back, s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -314,7 +314,7 @@ func rotateOnV100(models []*model.Model, rounds int, opts sim.Options) (*sim.Res
 		in.Train = append(in.Train, []float64{prof.TrainTime(m, cluster.V100, 1)})
 		in.Sync = append(in.Sync, []float64{0})
 	}
-	s := core.NewSchedule()
+	s := core.NewSchedule(in)
 	t := 0.0
 	for r := 0; r < rounds; r++ {
 		for j := range in.Jobs {

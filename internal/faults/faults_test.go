@@ -161,7 +161,7 @@ func TestResidualSequencesFilterAndRemap(t *testing.T) {
 	}
 	// Hand-build a feasible residual plan: round 0 on both GPUs, round
 	// 1 on both GPUs after the barrier.
-	plan := core.NewSchedule()
+	plan := core.NewSchedule(res.Instance)
 	plan.Place(core.TaskRef{Job: 0, Round: 0, Index: 0}, 0, 0)
 	plan.Place(core.TaskRef{Job: 0, Round: 0, Index: 1}, 1, 0)
 	plan.Place(core.TaskRef{Job: 0, Round: 1, Index: 0}, 0, 10)
@@ -233,7 +233,7 @@ func TestResidualSplitsOversizedRounds(t *testing.T) {
 	}
 	// A feasible plan over the virtual rounds converts to sequences
 	// that execute each pending task exactly once, on survivors only.
-	plan := core.NewSchedule()
+	plan := core.NewSchedule(res.Instance)
 	for r := 0; r < rj.Rounds; r++ {
 		for i := 0; i < rj.Scale; i++ {
 			plan.Place(core.TaskRef{Job: 0, Round: r, Index: i}, i%2, float64(r*10))

@@ -164,11 +164,12 @@ func (r *Residual) ToOriginal(t core.TaskRef) core.TaskRef {
 // pending (the completed or in-flight part of a partial first round)
 // are dropped.
 func (r *Residual) Sequences(plan *core.Schedule) ([][]core.TaskRef, error) {
-	if err := core.ValidateSchedule(r.Instance, plan); err != nil {
+	seqs, err := plan.ValidSequences(r.Instance, nil)
+	if err != nil {
 		return nil, fmt.Errorf("faults: residual plan: %w", err)
 	}
 	out := make([][]core.TaskRef, r.origGPUs)
-	for ri, seq := range plan.Sequences(r.Instance.NumGPUs) {
+	for ri, seq := range seqs {
 		g := r.alive[ri]
 		for _, t := range seq {
 			ot := r.ToOriginal(t)

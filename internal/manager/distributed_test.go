@@ -200,7 +200,7 @@ func TestEnginesEmitSameTaskSequence(t *testing.T) {
 		in.Sync = append(in.Sync, []float64{0.5, 0.5})
 		models[i] = model.MustByName(names[i])
 	}
-	plan := core.NewSchedule()
+	plan := core.NewSchedule(in)
 	for r := 0; r < 3; r++ {
 		plan.Place(core.TaskRef{Job: 1, Round: r}, 1, 50*float64(r))
 		plan.Place(core.TaskRef{Job: 0, Round: r, Index: 0}, 0, 200+100*float64(r))

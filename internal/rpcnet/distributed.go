@@ -895,7 +895,8 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 	if err := opts.Faults.Validate(in.NumGPUs); err != nil {
 		return nil, err
 	}
-	if err := core.ValidateSchedule(in, plan); err != nil {
+	seqs, err := plan.ValidSequences(in, nil)
+	if err != nil {
 		return nil, fmt.Errorf("rpcnet: invalid plan: %w", err)
 	}
 	clock := testbed.NewClock(opts.TimeScale)
@@ -910,7 +911,7 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 	for j, m := range models {
 		modelNames[j] = m.Name
 	}
-	st := newCoordState(in, plan.Sequences(in.NumGPUs), local, testbed.ProblemDim)
+	st := newCoordState(in, seqs, local, testbed.ProblemDim)
 	co := newCoordinator(in, st, gpuTypes, modelNames, opts, clock, pss)
 	// Leases start now: an executor that never connects is eventually
 	// fenced and its queue migrates instead of hanging the run.

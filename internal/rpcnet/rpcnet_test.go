@@ -33,7 +33,7 @@ func TestConcurrentBlockingCalls(t *testing.T) {
 	}
 	// Round 0 on GPU 0, every later round on GPU 1, strictly one after
 	// the other.
-	plan, at := core.NewSchedule(), job.Arrival
+	plan, at := core.NewSchedule(in), job.Arrival
 	for r := 0; r < job.Rounds; r++ {
 		for i := 0; i < job.Scale; i++ {
 			g := min(r, 1)

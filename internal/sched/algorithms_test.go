@@ -39,8 +39,8 @@ func TestGavelFIFOHeadOfLineBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := s.Placements[core.TaskRef{Job: 0, Round: 0, Index: 0}]
-	p1 := s.Placements[core.TaskRef{Job: 1, Round: 0, Index: 0}]
+	p0 := at(s, core.TaskRef{Job: 0, Round: 0, Index: 0})
+	p1 := at(s, core.TaskRef{Job: 1, Round: 0, Index: 0})
 	if p1.Start < p0.Start {
 		t.Errorf("FIFO let the later job start first (%.2f < %.2f)", p1.Start, p0.Start)
 	}
@@ -59,7 +59,7 @@ func TestGavelFIFOPicksFastestGPUs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := s.Placements[core.TaskRef{Job: 0, Round: 0}]; p.GPU != 1 {
+	if p := at(s, core.TaskRef{Job: 0, Round: 0}); p.GPU != 1 {
 		t.Errorf("job placed on GPU %d, want the fast GPU 1", p.GPU)
 	}
 }
@@ -76,8 +76,8 @@ func TestSRTFPrefersShortJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := s.Placements[core.TaskRef{Job: 0, Round: 0}]
-	short := s.Placements[core.TaskRef{Job: 1, Round: 0}]
+	long := at(s, core.TaskRef{Job: 0, Round: 0})
+	short := at(s, core.TaskRef{Job: 1, Round: 0})
 	if short.Start > long.Start {
 		t.Errorf("SRTF ran the long job first (short at %.1f, long at %.1f)", short.Start, long.Start)
 	}
@@ -96,7 +96,7 @@ func TestSRTFNonPreemptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Long job runs 0..10 contiguous; short must start at 10.
-	if p := s.Placements[core.TaskRef{Job: 1, Round: 0}]; math.Abs(p.Start-10) > 1e-9 {
+	if p := at(s, core.TaskRef{Job: 1, Round: 0}); math.Abs(p.Start-10) > 1e-9 {
 		t.Errorf("short job started at %.2f, want 10 (non-preemption)", p.Start)
 	}
 }
@@ -114,7 +114,7 @@ func TestSchedHomoObliviousPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p := s.Placements[core.TaskRef{Job: 0, Round: 0}]; p.GPU != 0 {
+	if p := at(s, core.TaskRef{Job: 0, Round: 0}); p.GPU != 0 {
 		t.Errorf("oblivious baseline picked GPU %d; expected first-by-index 0", p.GPU)
 	}
 }
@@ -130,7 +130,7 @@ func TestSchedHomoWSPTOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Placements[core.TaskRef{Job: 1, Round: 0}].Start > s.Placements[core.TaskRef{Job: 0, Round: 0}].Start {
+	if at(s, core.TaskRef{Job: 1, Round: 0}).Start > at(s, core.TaskRef{Job: 0, Round: 0}).Start {
 		t.Error("heavier job not scheduled first")
 	}
 }
@@ -148,13 +148,12 @@ func TestAlloxSingleGPUPerJob(t *testing.T) {
 		}
 		// Every job's tasks all share one GPU (job-level scheduling).
 		gpuOf := make(map[core.JobID]int)
-		//lint:ordered pairwise consistency check; pass/fail is order-independent
-		for tr, p := range s.Placements {
+		s.Each(func(tr core.TaskRef, p core.Placement) {
 			if g, ok := gpuOf[tr.Job]; ok && g != p.GPU {
 				t.Fatalf("trial %d: AlloX split job %d across GPUs %d and %d", trial, tr.Job, g, p.GPU)
 			}
 			gpuOf[tr.Job] = p.GPU
-		}
+		})
 	}
 }
 
@@ -174,8 +173,8 @@ func TestAlloxPrefersEfficientAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Placements[core.TaskRef{Job: 0, Round: 0}].GPU != 0 ||
-		s.Placements[core.TaskRef{Job: 1, Round: 0}].GPU != 1 {
+	if at(s, core.TaskRef{Job: 0, Round: 0}).GPU != 0 ||
+		at(s, core.TaskRef{Job: 1, Round: 0}).GPU != 1 {
 		t.Error("AlloX matched jobs to their slow GPUs")
 	}
 }
@@ -214,14 +213,14 @@ func TestHareUsesRelaxationOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.H(in, 1, 0) >= sol.H(in, 0, 0) {
+	if middleH(in, sol, 1, 0) >= middleH(in, sol, 0, 0) {
 		t.Fatalf("relaxation did not prioritize the heavy short job")
 	}
 	s, err := NewHare().Schedule(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Placements[core.TaskRef{Job: 1, Round: 0}].Start > s.Placements[core.TaskRef{Job: 0, Round: 0}].Start {
+	if at(s, core.TaskRef{Job: 1, Round: 0}).Start > at(s, core.TaskRef{Job: 0, Round: 0}).Start {
 		t.Error("Hare ran the light long job first")
 	}
 }
@@ -239,14 +238,13 @@ func TestHareStrictFeasibleAndNoWorseThanFIFO(t *testing.T) {
 		}
 		// Strict gang per round: all tasks of a round share a start.
 		starts := make(map[[2]int]float64)
-		//lint:ordered pairwise consistency check; pass/fail is order-independent
-		for tr, p := range s.Placements {
+		s.Each(func(tr core.TaskRef, p core.Placement) {
 			key := [2]int{int(tr.Job), tr.Round}
 			if prev, ok := starts[key]; ok && prev != p.Start {
 				t.Fatalf("trial %d: round %v tasks start at %g and %g", trial, key, prev, p.Start)
 			}
 			starts[key] = p.Start
-		}
+		})
 	}
 }
 
@@ -264,8 +262,8 @@ func TestHareNoIdleWhenWorkAvailable(t *testing.T) {
 	}
 	seq := s.Sequences(1)[0]
 	for i := 1; i < len(seq); i++ {
-		prev := s.Placements[seq[i-1]]
-		cur := s.Placements[seq[i]]
+		prev := at(s, seq[i-1])
+		cur := at(s, seq[i])
 		if gap := cur.Start - (prev.Start + in.Train[seq[i-1].Job][0]); gap > 1e-9 {
 			t.Errorf("idle gap %.3f between %v and %v", gap, seq[i-1], seq[i])
 		}

@@ -49,7 +49,7 @@ func (a *SchedAllox) Schedule(in *core.Instance) (*core.Schedule, error) {
 	}
 	batches := batchArrivals(in.Jobs, alloxMaxBatches)
 
-	s := core.NewSchedule()
+	s := core.NewSchedule(in)
 	phi := make([]float64, in.NumGPUs)
 	var pool []*core.Job
 	for bi, b := range batches {

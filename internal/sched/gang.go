@@ -97,7 +97,7 @@ func (p *gangScheduler) Schedule(in *core.Instance) (*core.Schedule, error) {
 	if err := validateGang(in); err != nil {
 		return nil, err
 	}
-	s := core.NewSchedule()
+	s := core.NewSchedule(in)
 	g := newGangState(in)
 	pending := append([]*core.Job(nil), in.Jobs...)
 	sort.SliceStable(pending, func(a, b int) bool {

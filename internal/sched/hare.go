@@ -1,9 +1,10 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"hare/internal/core"
 	"hare/internal/obs"
@@ -77,12 +78,6 @@ func (h *Hare) Name() string {
 	return "Hare"
 }
 
-// orderedTask pairs a task with its sort keys.
-type orderedTask struct {
-	task core.TaskRef
-	h    float64
-}
-
 // Schedule implements Algorithm.
 func (h *Hare) Schedule(in *core.Instance) (*core.Schedule, error) {
 	if err := in.Validate(); err != nil {
@@ -94,75 +89,82 @@ func (h *Hare) Schedule(in *core.Instance) (*core.Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hare: relaxation failed: %w", err)
 	}
-	tasks := in.Tasks()
-	pi := make([]orderedTask, len(tasks))
-	for i, t := range tasks {
-		pi[i] = orderedTask{task: t, h: sol.H(in, t.Job, t.Round)}
+	pi, err := roundOrder(in, sol)
+	if err != nil {
+		return nil, fmt.Errorf("hare: %w", err)
 	}
-	sort.SliceStable(pi, func(a, b int) bool {
-		if pi[a].h != pi[b].h {
-			return pi[a].h < pi[b].h
-		}
-		// Deterministic tie-break: rounds must not invert within a
-		// job, then job/index order.
-		ta, tb := pi[a].task, pi[b].task
-		if ta.Job != tb.Job {
-			return ta.Job < tb.Job
-		}
-		if ta.Round != tb.Round {
-			return ta.Round < tb.Round
-		}
-		return ta.Index < tb.Index
-	})
 
-	// Step 2: list scheduling (lines 5–17).
-	s := core.NewSchedule()
+	// Step 2: list scheduling (lines 5–17), a round of π at a time.
+	s := core.NewSchedule(in)
 	phi := make([]float64, in.NumGPUs) // φ_m, line 2
-	// barrier[j][r] caches max_{i∈D_r}(x̃_i + T̃^c + T̃^s) as rounds
-	// complete (line 10's maximum).
-	barrier := make([][]float64, len(in.Jobs))
-	placedInRound := make([][]int, len(in.Jobs))
+	// ready[j] is when job j's next round becomes available (lines
+	// 7–11): its arrival, then max_{i∈D_r}(x̃_i + T̃^c + T̃^s) of the
+	// round before (line 10's maximum).
+	ready := make([]float64, len(in.Jobs))
 	for _, j := range in.Jobs {
-		barrier[j.ID] = make([]float64, j.Rounds)
-		placedInRound[j.ID] = make([]int, j.Rounds)
+		ready[j.ID] = j.Arrival
 	}
-
-	for _, ot := range pi {
-		t := ot.task
-		job := in.Jobs[t.Job]
-		// Lines 7–11: task available time t_i.
-		var ti float64
-		if t.Round == 0 {
-			ti = job.Arrival
-		} else {
-			if placedInRound[t.Job][t.Round-1] != job.Scale {
-				// π would violate the barrier ordering; the H sort is
-				// stable within a job so this cannot happen, but guard
-				// against relaxation bugs.
-				return nil, fmt.Errorf("hare: task %v sequenced before round %d completed", t, t.Round-1)
+	for _, rk := range pi {
+		train, sync := in.Train[rk.job], in.Sync[rk.job]
+		ti := ready[rk.job]
+		var barrier float64
+		for k := 0; k < in.Jobs[rk.job].Scale; k++ {
+			t := core.TaskRef{Job: rk.job, Round: rk.round, Index: k}
+			// Line 12: choose the GPU.
+			m := h.pickGPU(in, t, phi, ti)
+			// Lines 13–16.
+			start := math.Max(ti, phi[m])
+			s.Place(t, m, start)
+			if h.rec.Enabled() {
+				h.rec.Emit(obs.Event{
+					Type: obs.EvSchedDecision, Time: start, GPU: m,
+					Job: int(t.Job), Round: t.Round, Index: t.Index,
+					H: rk.h, Note: h.Pick.String(),
+				})
 			}
-			ti = barrier[t.Job][t.Round-1]
+			phi[m] = start + train[m]
+			if end := start + train[m] + sync[m]; end > barrier {
+				barrier = end
+			}
 		}
-		// Line 12: choose the GPU.
-		m := h.pickGPU(in, t, phi, ti)
-		// Lines 13–16.
-		start := math.Max(ti, phi[m])
-		s.Place(t, m, start)
-		if h.rec.Enabled() {
-			h.rec.Emit(obs.Event{
-				Type: obs.EvSchedDecision, Time: start, GPU: m,
-				Job: int(t.Job), Round: t.Round, Index: t.Index,
-				H: ot.h, Note: h.Pick.String(),
-			})
-		}
-		phi[m] = start + in.Train[t.Job][m]
-		end := start + in.Train[t.Job][m] + in.Sync[t.Job][m]
-		if end > barrier[t.Job][t.Round] {
-			barrier[t.Job][t.Round] = end
-		}
-		placedInRound[t.Job][t.Round]++
+		ready[rk.job] = barrier
 	}
 	return s, nil
+}
+
+// roundKey is one round of π with its sort key H_i.
+type roundKey struct {
+	h     float64
+	job   core.JobID
+	round int
+}
+
+// roundOrder is π: Algorithm 1 sorts tasks on H_i, and every task of a
+// round shares H_i = x̂_i + ½·max_m T^c_{i,m}, so π is a sequence of
+// whole rounds, sorted on (H, job, round). The keys are unique, and a
+// job's rounds keep their order because its H never descends.
+func roundOrder(in *core.Instance, sol *relax.Solution) ([]roundKey, error) {
+	n := 0
+	for _, j := range in.Jobs {
+		n += j.Rounds
+	}
+	pi := make([]roundKey, 0, n)
+	for _, j := range in.Jobs {
+		half := 0.5 * slices.Max(in.Train[j.ID])
+		for r, x := range sol.RoundStart[j.ID] {
+			rk := roundKey{h: x + half, job: j.ID, round: r}
+			if r > 0 && rk.h < pi[len(pi)-1].h {
+				// The relaxation starts rounds in order; a descending H
+				// would sequence a round before its predecessor.
+				return nil, fmt.Errorf("job %d round %d has H %g below round %d's %g", j.ID, r, rk.h, r-1, pi[len(pi)-1].h)
+			}
+			pi = append(pi, rk)
+		}
+	}
+	slices.SortFunc(pi, func(a, b roundKey) int {
+		return cmp.Or(cmp.Compare(a.h, b.h), cmp.Compare(a.job, b.job), cmp.Compare(a.round, b.round))
+	})
+	return pi, nil
 }
 
 func (h *Hare) pickGPU(in *core.Instance, t core.TaskRef, phi []float64, ti float64) int {

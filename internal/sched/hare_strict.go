@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hare/internal/core"
 	"hare/internal/sched/relax"
@@ -33,46 +32,29 @@ func (*HareStrict) Schedule(in *core.Instance) (*core.Schedule, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hare-strict: relaxation failed: %w", err)
 	}
-	// Order rounds by their H (all tasks of a round share it).
-	type roundRef struct {
-		job   core.JobID
-		round int
-		h     float64
+	pi, err := roundOrder(in, sol)
+	if err != nil {
+		return nil, fmt.Errorf("hare-strict: %w", err)
 	}
-	var rounds []roundRef
-	for _, j := range in.Jobs {
-		for r := 0; r < j.Rounds; r++ {
-			rounds = append(rounds, roundRef{job: j.ID, round: r, h: sol.H(in, j.ID, r)})
-		}
-	}
-	sort.SliceStable(rounds, func(a, b int) bool {
-		if rounds[a].h != rounds[b].h {
-			return rounds[a].h < rounds[b].h
-		}
-		if rounds[a].job != rounds[b].job {
-			return rounds[a].job < rounds[b].job
-		}
-		return rounds[a].round < rounds[b].round
-	})
 
-	s := core.NewSchedule()
+	s := core.NewSchedule(in)
 	g := newGangState(in)
 	barrier := make([]float64, len(in.Jobs))
 	for _, j := range in.Jobs {
 		barrier[j.ID] = j.Arrival
 	}
-	for _, rr := range rounds {
-		j := in.Jobs[rr.job]
-		t0 := g.earliestForScale(j.Scale, barrier[rr.job])
+	for _, rk := range pi {
+		j := in.Jobs[rk.job]
+		t0 := g.earliestForScale(j.Scale, barrier[rk.job])
 		gpus := pickFastest(in, j, g.idleAt(t0), j.Scale)
 		var roundEnd float64
 		for k, m := range gpus {
-			s.Place(core.TaskRef{Job: j.ID, Round: rr.round, Index: k}, m, t0)
+			s.Place(core.TaskRef{Job: j.ID, Round: rk.round, Index: k}, m, t0)
 			end := t0 + in.Train[j.ID][m] + in.Sync[j.ID][m]
 			roundEnd = math.Max(roundEnd, end)
 			g.free[m] = t0 + in.Train[j.ID][m]
 		}
-		barrier[rr.job] = roundEnd
+		barrier[rk.job] = roundEnd
 	}
 	return s, nil
 }

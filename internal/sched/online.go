@@ -101,7 +101,7 @@ func (o *OnlineHare) Schedule(in *core.Instance) (*core.Schedule, error) {
 	slices.Sort(epochs)
 	epochs = slices.Compact(epochs)
 
-	s := &core.Schedule{Placements: make(map[core.TaskRef]core.Placement, in.NumTasks())}
+	s := core.NewSchedule(in)
 	for ei, now := range epochs {
 		next := math.Inf(1)
 		if ei+1 < len(epochs) {

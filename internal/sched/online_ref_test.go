@@ -1,7 +1,7 @@
 package sched
 
 // OnlineHare as it stood before the incremental rewrite: a full
-// reflect-swapper sort of every remaining task by Solution.H and a full
+// reflect-swapper sort of every remaining task by H_i and a full
 // list-scheduling pass at every arrival epoch. It is the oracle
 // TestOnlineMatchesReference and FuzzOnlineMatchesReference hold the
 // planner to, placement for placement and decision event for event.
@@ -48,7 +48,7 @@ func (o *refOnline) Schedule(in *core.Instance) (*core.Schedule, error) {
 	}
 	sort.Float64s(epochs)
 
-	s := core.NewSchedule()
+	s := core.NewSchedule(in)
 	phi := make([]float64, in.NumGPUs)
 	states := make([]refJobState, len(in.Jobs))
 	for _, j := range in.Jobs {
@@ -117,9 +117,9 @@ func (o *refOnline) planEpoch(in *core.Instance, s *core.Schedule, phi []float64
 		start float64
 		h     float64
 	}
-	pi := sub.Tasks()
+	pi := allTasks(sub)
 	sort.SliceStable(pi, func(a, b int) bool {
-		ha, hb := sol.H(sub, pi[a].Job, pi[a].Round), sol.H(sub, pi[b].Job, pi[b].Round)
+		ha, hb := middleH(sub, sol, pi[a].Job, pi[a].Round), middleH(sub, sol, pi[b].Job, pi[b].Round)
 		if ha != hb {
 			return ha < hb
 		}
@@ -152,7 +152,7 @@ func (o *refOnline) planEpoch(in *core.Instance, s *core.Schedule, phi []float64
 		if end > barrier[t.Job][t.Round] {
 			barrier[t.Job][t.Round] = end
 		}
-		plan = append(plan, placed{task: t, gpu: m, start: start, h: sol.H(sub, t.Job, t.Round)})
+		plan = append(plan, placed{task: t, gpu: m, start: start, h: middleH(sub, sol, t.Job, t.Round)})
 	}
 
 	// Commit the rounds that have *begun* before the next arrival:

@@ -79,9 +79,8 @@ func TestOnlineNeverRevokesCommittedWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//lint:ordered independent per-task assertions
-	for tr, p := range sBase.Placements {
-		pe, ok := sExt.Placements[tr]
+	sBase.Each(func(tr core.TaskRef, p core.Placement) {
+		pe, ok := sExt.At(tr)
 		if !ok {
 			t.Fatalf("task %v missing in extended schedule", tr)
 		}
@@ -92,14 +91,14 @@ func TestOnlineNeverRevokesCommittedWork(t *testing.T) {
 				t.Errorf("committed task %v moved: %+v -> %+v", tr, p, pe)
 			}
 		}
-	}
+	})
 }
 
 // roundFullyBefore reports whether every task of tr's round starts
 // before cutoff in s.
 func roundFullyBefore(s *core.Schedule, in *core.Instance, tr core.TaskRef, cutoff float64) bool {
 	for k := 0; k < in.Jobs[tr.Job].Scale; k++ {
-		p, ok := s.Placements[core.TaskRef{Job: tr.Job, Round: tr.Round, Index: k}]
+		p, ok := s.At(core.TaskRef{Job: tr.Job, Round: tr.Round, Index: k})
 		if !ok || p.Start >= cutoff {
 			return false
 		}

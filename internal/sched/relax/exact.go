@@ -132,7 +132,7 @@ func (st *exactState) search(res *ExactResult, maxNodes int) {
 	if allDone {
 		if st.partial < res.Objective {
 			res.Objective = st.partial
-			s := core.NewSchedule()
+			s := core.NewSchedule(st.in)
 			for _, p := range st.picks {
 				s.Place(p.task, p.gpu, p.start)
 			}

@@ -38,17 +38,6 @@ type Solution struct {
 	Objective float64
 }
 
-// H returns the middle completion time of a task of round r of job j:
-// H_i = x̂_i + ½·max_m T^c_{i,m} (the paper takes the maximum over
-// machines of H_{i,m}).
-func (s *Solution) H(in *core.Instance, j core.JobID, r int) float64 {
-	var tmax float64
-	for m := 0; m < in.NumGPUs; m++ {
-		tmax = math.Max(tmax, in.Train[j][m])
-	}
-	return s.RoundStart[j][r] + 0.5*tmax
-}
-
 // fluidJob is one job's row in the solver arena: its constants, then
 // its progress through the fluid schedule.
 type fluidJob struct {

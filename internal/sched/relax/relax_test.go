@@ -161,6 +161,9 @@ func TestExactBeatsGreedyOnAdversarialCase(t *testing.T) {
 	}
 }
 
+// TestHMonotoneInRounds: Algorithm 1's H_i = x̂_i + ½·max_m T^c_{i,m}
+// shifts a job's round starts by one constant, so it never descends
+// within a job when x̂ does not (float addition is monotone).
 func TestHMonotoneInRounds(t *testing.T) {
 	rng := stats.New(41)
 	for trial := 0; trial < 20; trial++ {
@@ -171,7 +174,7 @@ func TestHMonotoneInRounds(t *testing.T) {
 		}
 		for _, j := range in.Jobs {
 			for r := 1; r < j.Rounds; r++ {
-				if sol.H(in, j.ID, r) < sol.H(in, j.ID, r-1) {
+				if sol.RoundStart[j.ID][r] < sol.RoundStart[j.ID][r-1] {
 					t.Fatalf("H not monotone for job %d round %d", j.ID, r)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hare/internal/core"
+	"hare/internal/sched/relax"
 	"hare/internal/stats"
 )
 
@@ -34,6 +35,35 @@ func randomInstance(rng *stats.RNG, maxJobs, maxGPUs int) *core.Instance {
 		in.Sync = append(in.Sync, sy)
 	}
 	return in
+}
+
+// allTasks enumerates every task of in in (job, round, index) order.
+func allTasks(in *core.Instance) []core.TaskRef {
+	var out []core.TaskRef
+	for _, j := range in.Jobs {
+		for r := 0; r < j.Rounds; r++ {
+			for k := 0; k < j.Scale; k++ {
+				out = append(out, core.TaskRef{Job: j.ID, Round: r, Index: k})
+			}
+		}
+	}
+	return out
+}
+
+// middleH is Algorithm 1's sort key for a task of round r of job j:
+// H_i = x̂_i + ½·max_m T^c_{i,m}.
+func middleH(in *core.Instance, sol *relax.Solution, j core.JobID, r int) float64 {
+	var tmax float64
+	for m := 0; m < in.NumGPUs; m++ {
+		tmax = math.Max(tmax, in.Train[j][m])
+	}
+	return sol.RoundStart[j][r] + 0.5*tmax
+}
+
+// at is t's placement in s, the zero Placement if it is not placed.
+func at(s *core.Schedule, t core.TaskRef) core.Placement {
+	p, _ := s.At(t)
+	return p
 }
 
 // TestAllAlgorithmsProduceFeasibleSchedules drives every algorithm

@@ -57,7 +57,7 @@ func (s *sliceScheduler) Schedule(in *core.Instance) (*core.Schedule, error) {
 	if err := validateGang(in); err != nil {
 		return nil, err
 	}
-	out := core.NewSchedule()
+	out := core.NewSchedule(in)
 	g := newGangState(in)
 	jobs := make([]*sliceJob, len(in.Jobs))
 	for i, j := range in.Jobs {

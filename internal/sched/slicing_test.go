@@ -66,7 +66,7 @@ func TestTiresiasLASPrefersLeastServed(t *testing.T) {
 	}
 	// Long job runs rounds at 0-2, 2-4; the late job (attained 0)
 	// preempts at the round boundary t=4.
-	if p := s.Placements[core.TaskRef{Job: 1, Round: 0}]; p.Start > 4.01 {
+	if p := at(s, core.TaskRef{Job: 1, Round: 0}); p.Start > 4.01 {
 		t.Errorf("late job started at %.2f; LAS should run it at the first boundary after arrival", p.Start)
 	}
 }

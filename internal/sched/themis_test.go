@@ -33,8 +33,8 @@ func TestThemisFairPrefersMostBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := s.Placements[core.TaskRef{Job: 0, Round: 0}]
-	p1 := s.Placements[core.TaskRef{Job: 1, Round: 0}]
+	p0 := at(s, core.TaskRef{Job: 0, Round: 0})
+	p1 := at(s, core.TaskRef{Job: 1, Round: 0})
 	if p1.Start > p0.Start {
 		t.Errorf("waiting job started at %.1f after the fresh job's %.1f", p1.Start, p0.Start)
 	}

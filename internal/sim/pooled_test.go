@@ -70,7 +70,7 @@ func TestRunShardedHandles(t *testing.T) {
 		Train:   [][]float64{{1, 1}, {2, 2}},
 		Sync:    [][]float64{{0.5, 0.5}, {0.25, 0.25}},
 	}
-	sch := core.NewSchedule()
+	sch := core.NewSchedule(in)
 	sch.Place(core.TaskRef{Job: 0, Round: 0, Index: 0}, 0, 0)
 	sch.Place(core.TaskRef{Job: 0, Round: 1, Index: 0}, 0, 1.5)
 	sch.Place(core.TaskRef{Job: 1, Round: 0, Index: 0}, 1, 0)

@@ -168,10 +168,10 @@ func buildShard(sh shard, in *core.Instance, cl *cluster.Cluster, models []*mode
 			subModels[lj] = models[gj]
 		}
 	}
-	subSch := core.NewSchedule()
+	subSch := core.NewSchedule(subIn)
 	for lm, gm := range sh.gpus {
 		for _, t := range seqs[gm] {
-			p := sch.Placements[t]
+			p, _ := sch.At(t)
 			subSch.Place(core.TaskRef{Job: localJob[t.Job], Round: t.Round, Index: t.Index}, lm, p.Start)
 		}
 	}
@@ -187,14 +187,13 @@ func runSharded(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, mode
 		return nil, nil, false
 	}
 	stopSetup := opts.Phases.Start("sim_setup")
-	if in.Validate() != nil || core.ValidatePlacements(in, sch) != nil ||
-		(cl != nil && cl.Size() != in.NumGPUs) ||
+	if in.Validate() != nil || (cl != nil && cl.Size() != in.NumGPUs) ||
 		(models != nil && len(models) != len(in.Jobs)) {
 		stopSetup()
 		return nil, nil, false
 	}
-	seqs := sch.Sequences(in.NumGPUs)
-	if core.ValidateScheduleSeqs(in, sch, seqs) != nil {
+	seqs, err := sch.ValidSequences(in, nil)
+	if err != nil {
 		stopSetup()
 		return nil, nil, false
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"hare/internal/core"
 	"hare/internal/faults"
 	"hare/internal/gpumem"
 	"hare/internal/sim"
@@ -143,11 +144,7 @@ func TestShardedErrorMatchesSerial(t *testing.T) {
 		Tenants: 2, JobsPerTenant: 3, GPUsPerTenant: 4, RoundsScale: 0.05, Seed: 5,
 	})
 	// Drop one placement: the schedule no longer covers every task.
-	//lint:ordered deleting a single arbitrary key; which one does not matter for the error class
-	for tref := range tr.Schedule.Placements {
-		delete(tr.Schedule.Placements, tref)
-		break
-	}
+	tr.Schedule.Place(core.TaskRef{Job: 2}, -1, 0)
 	opts := sim.Options{Scheme: switching.Hare}
 	_, serialErr := sim.Run(tr.Instance, tr.Schedule, tr.Cluster, tr.Models, opts)
 	opts.Parallel = 4

@@ -281,7 +281,8 @@ func (r *replay) init(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	if err := core.ValidatePlacements(in, sch); err != nil {
+	seqs, err := sch.ValidSequences(in, seqBuf)
+	if err != nil {
 		return fmt.Errorf("sim: invalid plan: %w", err)
 	}
 	if cl != nil && cl.Size() != in.NumGPUs {
@@ -295,15 +296,6 @@ func (r *replay) init(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster
 	}
 	if err := opts.Faults.CheckEngine(faults.Simulator); err != nil {
 		return err
-	}
-	var seqs [][]core.TaskRef
-	if seqBuf != nil {
-		seqs = sch.SequencesInto(seqBuf, in.NumGPUs)
-	} else {
-		seqs = sch.Sequences(in.NumGPUs)
-	}
-	if err := core.ValidateScheduleSeqs(in, sch, seqs); err != nil {
-		return fmt.Errorf("sim: invalid plan: %w", err)
 	}
 
 	r.in, r.cl, r.models, r.opts = in, cl, models, opts

@@ -57,9 +57,13 @@ func TestReplayMatchesPlanWithoutOverheads(t *testing.T) {
 
 func TestReplayRejectsInfeasiblePlan(t *testing.T) {
 	in := twoJobInstance()
-	bad := core.NewSchedule()
-	for _, tr := range in.Tasks() {
-		bad.Place(tr, 0, 0) // everything overlapping at time 0
+	bad := core.NewSchedule(in)
+	for _, j := range in.Jobs {
+		for r := 0; r < j.Rounds; r++ {
+			for k := 0; k < j.Scale; k++ {
+				bad.Place(core.TaskRef{Job: j.ID, Round: r, Index: k}, 0, 0) // everything overlapping at time 0
+			}
+		}
 	}
 	if _, err := Run(in, bad, nil, nil, Options{DisableSwitching: true}); err == nil ||
 		!strings.Contains(err.Error(), "invalid plan") {
@@ -79,7 +83,7 @@ func TestSwitchingChargedBetweenJobs(t *testing.T) {
 		Train: [][]float64{{5}, {5}},
 		Sync:  [][]float64{{0}, {0}},
 	}
-	plan := core.NewSchedule()
+	plan := core.NewSchedule(in)
 	plan.Place(core.TaskRef{Job: 0, Round: 0}, 0, 0)
 	plan.Place(core.TaskRef{Job: 1, Round: 0}, 0, 5)
 	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 1}}, 1)
@@ -108,7 +112,7 @@ func TestConsecutiveSameJobTasksFree(t *testing.T) {
 		Train:   [][]float64{{2}},
 		Sync:    [][]float64{{0}},
 	}
-	plan := core.NewSchedule()
+	plan := core.NewSchedule(in)
 	for r := 0; r < 3; r++ {
 		plan.Place(core.TaskRef{Job: 0, Round: r}, 0, float64(r*2))
 	}
@@ -133,7 +137,7 @@ func TestSpeculativeMemoryReducesStall(t *testing.T) {
 		in.Train = append(in.Train, []float64{1})
 		in.Sync = append(in.Sync, []float64{0})
 	}
-	plan := core.NewSchedule()
+	plan := core.NewSchedule(in)
 	tt := 0.0
 	for r := 0; r < rounds; r++ {
 		for j := range models {
@@ -248,7 +252,7 @@ func TestHostAwareSyncShrinksSameHostSync(t *testing.T) {
 		Train:   [][]float64{{4, 4}},
 		Sync:    [][]float64{{1, 1}},
 	}
-	plan := core.NewSchedule()
+	plan := core.NewSchedule(in)
 	plan.Place(core.TaskRef{Job: 0, Round: 0, Index: 0}, 0, 0)
 	plan.Place(core.TaskRef{Job: 0, Round: 0, Index: 1}, 1, 0)
 	models := []*model.Model{model.MustByName("ResNet50")}

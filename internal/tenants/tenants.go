@@ -111,12 +111,12 @@ func Build(cfg Config) (*Trace, error) {
 			Train:   make([][]float64, 0, numJobs),
 			Sync:    make([][]float64, 0, numJobs),
 		},
-		Schedule:    core.NewSchedule(),
 		Cluster:     &cluster.Cluster{NetworkBps: subCl.NetworkBps, IntraHostBps: subCl.IntraHostBps},
 		Models:      make([]*model.Model, 0, numJobs),
 		TenantOfJob: make([]int, 0, numJobs),
 	}
 	hostsPerTenant := subCl.Hosts
+	plans := make([]*core.Schedule, cfg.Tenants)
 	for t := 0; t < cfg.Tenants; t++ {
 		seed := cfg.Seed + int64(t)*workload.TenantSeedStride
 		specs := pops[t]
@@ -140,13 +140,11 @@ func Build(cfg Config) (*Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("tenants: tenant %d: %w", t, err)
 		}
-		subSch, err := sched.NewHare().Schedule(subIn)
-		if err != nil {
+		if plans[t], err = sched.NewHare().Schedule(subIn); err != nil {
 			return nil, fmt.Errorf("tenants: tenant %d: %w", t, err)
 		}
 
 		gpuOff := t * cfg.GPUsPerTenant
-		jobOff := t * cfg.JobsPerTenant
 		for i, s := range specs {
 			tr.Instance.Jobs = append(tr.Instance.Jobs, s.Job)
 			tr.Models = append(tr.Models, model.MustByName(s.Model))
@@ -162,11 +160,6 @@ func Build(cfg Config) (*Trace, error) {
 			tr.Instance.Train = append(tr.Instance.Train, train)
 			tr.Instance.Sync = append(tr.Instance.Sync, sync)
 		}
-		//lint:ordered placements are copied into a map keyed by task; order is immaterial
-		for tref, p := range subSch.Placements {
-			gt := core.TaskRef{Job: tref.Job + core.JobID(jobOff), Round: tref.Round, Index: tref.Index}
-			tr.Schedule.Place(gt, p.GPU+gpuOff, p.Start)
-		}
 		for _, g := range subCl.GPUs {
 			tr.Cluster.GPUs = append(tr.Cluster.GPUs, cluster.GPU{
 				ID:   g.ID + gpuOff,
@@ -178,6 +171,15 @@ func Build(cfg Config) (*Trace, error) {
 	tr.Cluster.Hosts = cfg.Tenants * hostsPerTenant
 	if err := tr.Instance.Validate(); err != nil {
 		return nil, fmt.Errorf("tenants: merged instance invalid: %w", err)
+	}
+	// The merged schedule is shaped by the merged instance: tenant t's
+	// jobs and GPUs shift by t times its partition.
+	tr.Schedule = core.NewSchedule(tr.Instance)
+	for t, plan := range plans {
+		plan.Each(func(tref core.TaskRef, p core.Placement) {
+			tref.Job += core.JobID(t * cfg.JobsPerTenant)
+			tr.Schedule.Place(tref, p.GPU+t*cfg.GPUsPerTenant, p.Start)
+		})
 	}
 	if err := core.ValidateSchedule(tr.Instance, tr.Schedule); err != nil {
 		return nil, fmt.Errorf("tenants: merged schedule invalid: %w", err)

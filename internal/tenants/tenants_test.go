@@ -1,8 +1,10 @@
 package tenants
 
 import (
+	"reflect"
 	"testing"
 
+	"hare/internal/core"
 	"hare/internal/sim"
 )
 
@@ -27,26 +29,18 @@ func TestBuildDeterministicAndReplayable(t *testing.T) {
 			t.Fatalf("job %d assigned tenant %d, want %d", j, a.TenantOfJob[j], want)
 		}
 	}
-	if len(a.Schedule.Placements) != len(b.Schedule.Placements) {
-		t.Fatalf("build not deterministic: %d vs %d placements",
-			len(a.Schedule.Placements), len(b.Schedule.Placements))
-	}
-	//lint:ordered comparing map contents key-by-key is order-independent
-	for tref, p := range a.Schedule.Placements {
-		if q, ok := b.Schedule.Placements[tref]; !ok || p != q {
-			t.Fatalf("build not deterministic at %v: %+v vs %+v", tref, p, q)
-		}
+	if !reflect.DeepEqual(a.Schedule, b.Schedule) {
+		t.Fatal("build not deterministic: the schedules differ")
 	}
 
 	// Tenant partitions must be disjoint: every placement of a job
 	// stays on its tenant's GPUs.
-	//lint:ordered disjointness check is order-independent
-	for tref, p := range a.Schedule.Placements {
+	a.Schedule.Each(func(tref core.TaskRef, p core.Placement) {
 		tenant := a.TenantOfJob[tref.Job]
 		if p.GPU/6 != tenant {
 			t.Fatalf("task %v of tenant %d placed on GPU %d outside its partition", tref, tenant, p.GPU)
 		}
-	}
+	})
 
 	res, err := sim.Run(a.Instance, a.Schedule, a.Cluster, a.Models, sim.Options{Seed: 1})
 	if err != nil {

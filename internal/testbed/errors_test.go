@@ -18,9 +18,13 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Infeasible plan.
-	bad := core.NewSchedule()
-	for _, tr := range in.Tasks() {
-		bad.Place(tr, 0, 0)
+	bad := core.NewSchedule(in)
+	for _, j := range in.Jobs {
+		for r := 0; r < j.Rounds; r++ {
+			for k := 0; k < j.Scale; k++ {
+				bad.Place(core.TaskRef{Job: j.ID, Round: r, Index: k}, 0, 0)
+			}
+		}
 	}
 	if _, err := Run(in, bad, cl, models, Options{TimeScale: 1e-4}); err == nil ||
 		!strings.Contains(err.Error(), "invalid plan") {

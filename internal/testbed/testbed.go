@@ -233,7 +233,8 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	if err := opts.Faults.Validate(in.NumGPUs); err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
-	if err := core.ValidateSchedule(in, sch); err != nil {
+	seqs, err := sch.ValidSequences(in, nil)
+	if err != nil {
 		return nil, fmt.Errorf("testbed: invalid plan: %w", err)
 	}
 	if cl.Size() != in.NumGPUs {
@@ -249,7 +250,6 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 		return nil, err
 	}
 	probs := newProblems(in, 0, 0)
-	seqs := sch.Sequences(in.NumGPUs)
 	execs := make([]*Executor, in.NumGPUs)
 	for m := range execs {
 		execs[m] = newExecutor(RemoteExecutorConfig{

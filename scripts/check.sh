@@ -3,8 +3,9 @@
 #
 #   scripts/check.sh          # all three
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob and
-#                             # dead-surface censuses), a haresim -compare CLI smoke, ordering stress,
-#                             # four 10 s fuzz smokes, make loc
+#                             # dead-surface censuses), a haresim -compare CLI smoke, a haresim
+#                             # -save-plan/-load-plan round trip, ordering stress, five 10 s fuzz
+#                             # smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -32,14 +33,22 @@ tests() {
 	echo "==> CLI smoke: the paper's five schemes planned and simulated through the haresim binary"
 	go run ./cmd/haresim -compare -jobs 12 >/dev/null
 
+	echo "==> CLI smoke: a plan saved with -save-plan replays to the same output through -load-plan"
+	tmp=$(mktemp -d)
+	go run ./cmd/haresim -jobs 12 -save-plan "$tmp/plan.json" >"$tmp/save.txt"
+	go run ./cmd/haresim -jobs 12 -load-plan "$tmp/plan.json" >"$tmp/load.txt"
+	grep -v '^plan saved to ' "$tmp/save.txt" | cmp - "$tmp/load.txt"
+	rm -r "$tmp"
+
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 
-	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function; the WAL frame reader; the -fault-spec parser's Parse/String round trip)"
+	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzDirLogOpen -fuzztime 10s ./internal/store/
 	go test -race -run '^$' -fuzz FuzzFaultsParse -fuzztime 10s ./internal/faults/
+	go test -race -run '^$' -fuzz FuzzLoadSchedule -fuzztime 10s ./internal/core/
 
 	echo "==> make loc (non-test Go lines per package: the size of every PR in the CI log)"
 	make -s loc
