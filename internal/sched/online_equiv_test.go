@@ -55,9 +55,14 @@ func reshape(in *core.Instance, shape int) {
 			j.Arrival = 0
 		case 3: // every round needs the whole fleet
 			j.Scale = in.NumGPUs
+		case 4: // GPU 0 is too slow for EFT to pick, so it idles
+			in.Train[j.ID][0] *= 100
 		}
 	}
 }
+
+// shapes is the number of shapes reshape knows.
+const shapes = 5
 
 func TestOnlineMatchesReference(t *testing.T) {
 	rng := stats.New(20260927)
@@ -69,6 +74,17 @@ func TestOnlineMatchesReference(t *testing.T) {
 		in := randomInstance(rng.Split(), maxJobs, maxGPUs)
 		reshape(in, trial%4)
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) { checkAgainstReference(t, in) })
+	}
+	// An idle slow GPU keeps min φ below the next arrival however much of
+	// π is placed, so only the jobs' readiness can end an epoch early.
+	for trial := 0; trial < 48; trial++ {
+		maxJobs, maxGPUs := 12, 8
+		if trial%4 == 3 {
+			maxJobs, maxGPUs = 48, 16
+		}
+		in := randomInstance(rng.Split(), maxJobs, maxGPUs)
+		reshape(in, 4)
+		t.Run(fmt.Sprintf("slowgpu%d", trial), func(t *testing.T) { checkAgainstReference(t, in) })
 	}
 	// The benchmark's shape: model-zoo jobs of many rounds, bursty
 	// arrivals, far more work per epoch than an epoch commits.
@@ -82,12 +98,12 @@ func TestOnlineMatchesReference(t *testing.T) {
 // ≤ 4 rounds) drawn from seed and bent into shape: new ≡ reference, the
 // plan validates, committed work is never revoked.
 func FuzzOnlineMatchesReference(f *testing.F) {
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 2*shapes; seed++ {
 		f.Add(seed, uint8(seed))
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		in := randomInstance(stats.New(seed), 6, 4)
-		reshape(in, int(shape%4))
+		reshape(in, int(shape%shapes))
 		checkAgainstReference(t, in)
 		s, err := NewOnlineHare().Schedule(in)
 		if err != nil {
