@@ -57,6 +57,8 @@ type epochJob struct {
 	// available: the previous round's barrier.
 	next  int
 	ready float64
+	// known counts the rounds whose x̂ the relaxation has produced.
+	known int
 }
 
 // onlinePlan is what one Schedule call carries from epoch to epoch:
@@ -68,9 +70,11 @@ type onlinePlan struct {
 	tmpPhi []float64 // φ_m within an epoch's list scheduling
 	jobs   []epochJob
 	sub    core.Instance // jobs' remaining work, for the relaxation
+	fluid  relax.Stream  // the relaxation of sub, advanced as π is read
 	// order yields π round by round: the epoch's jobs keyed by the H of
-	// their next round. A round's tasks share H and a job's rounds have
-	// non-descending H, so merging the jobs is sorting the tasks.
+	// their next round, once the relaxation has produced it. A round's
+	// tasks share H and a job's rounds have non-descending H, so merging
+	// the jobs is sorting the tasks.
 	order *eventq.IndexedHeap
 	round []core.Placement // the round being list-scheduled
 	note  string           // decision events' Note
@@ -88,18 +92,25 @@ func (o *OnlineHare) Schedule(in *core.Instance) (*core.Schedule, error) {
 		tmax:   make([]float64, n),
 		tmpPhi: make([]float64, in.NumGPUs),
 		jobs:   make([]epochJob, 0, n), // never regrown: sub.Jobs points into it
-		order:  eventq.NewIndexedHeap(n),
-		note:   "online/" + o.Pick.String(),
+		sub: core.Instance{
+			Jobs: make([]*core.Job, 0, n), Train: make([][]float64, 0, n), Sync: make([][]float64, 0, n),
+		},
+		order: eventq.NewIndexedHeap(n),
+		note:  "online/" + o.Pick.String(),
 	}
+	defer p.fluid.Close()
 	// Distinct arrival epochs, in order.
 	epochs := make([]float64, n)
+	scale := 0
 	for i, j := range in.Jobs {
 		epochs[i] = j.Arrival
 		p.states[i].barrier = j.Arrival
 		p.tmax[i] = slices.Max(in.Train[i])
+		scale = max(scale, j.Scale)
 	}
 	slices.Sort(epochs)
 	epochs = slices.Compact(epochs)
+	p.round = make([]core.Placement, 0, scale)
 
 	s := core.NewSchedule(in)
 	for ei, now := range epochs {
@@ -147,22 +158,60 @@ func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, p *onlinePla
 	if len(p.jobs) == 0 {
 		return nil
 	}
-	sol, err := relax.Fluid(&p.sub)
-	if err != nil {
-		return err
-	}
+
+	sol := p.fluid.Reset(&p.sub)
 	p.order.Reset(len(p.jobs))
+	half, unknown := math.Inf(1), 0 // least ½·tmax; rounds with no x̂ yet
+	// live counts the jobs that can still commit a round this epoch:
+	// those with rounds left whose ready is before the next arrival. A
+	// round's tasks start no earlier than its ready, and ready only grows.
+	live := 0
 	for i := range p.jobs {
-		p.order.Set(i, sol.RoundStart[i][0]+0.5*p.tmax[p.jobs[i].real])
+		ej := &p.jobs[i]
+		half = min(half, 0.5*p.tmax[ej.real])
+		unknown += ej.job.Rounds
+		if ej.ready < next {
+			live++
+		}
+	}
+	// open counts the GPUs free before the next arrival: φ only grows and
+	// no task starts before min_m φ_m.
+	copy(p.tmpPhi, p.phi)
+	open := 0
+	for _, f := range p.tmpPhi {
+		if f < next {
+			open++
+		}
 	}
 
 	// List-schedule π over the *current* φ, exactly as Algorithm 1
-	// does, one round at a time. φ only grows and no task starts before
-	// min_m φ_m, so once that reaches the next arrival no later round
-	// can begin before it and the rest of π is left to the next epoch.
-	copy(p.tmpPhi, p.phi)
+	// does, one round at a time, while a round placed could still begin
+	// before the next arrival; the rest of π is left to the next epoch.
 	h := Hare{Pick: o.Pick}
-	for p.order.Len() > 0 && slices.Min(p.tmpPhi) < next {
+	for live > 0 && open > 0 {
+		// π is read lazily: the relaxation runs only until every H it has
+		// not produced yet is larger than the heap's minimum, which is then
+		// π's next round. A round the fluid clock x has not started starts
+		// at or after x, and rounding is monotone, so its H is at least
+		// x + the epoch's least ½·tmax. A job whose next round the
+		// relaxation has not reached waits outside the heap.
+		for unknown > 0 {
+			if _, hmin, ok := p.order.Min(); ok && p.fluid.Now()+half > hmin {
+				break
+			}
+			if !p.fluid.Step() {
+				i := slices.IndexFunc(p.jobs, func(ej epochJob) bool { return ej.known < ej.job.Rounds })
+				return fmt.Errorf("relaxation ended before round %d of job %d started", p.jobs[i].base+p.jobs[i].known, p.jobs[i].real)
+			}
+			for _, i := range p.fluid.Started() {
+				ej := &p.jobs[i]
+				if ej.known == ej.next { // the round the job waits for
+					p.order.Set(i, sol.RoundStart[i][ej.known]+0.5*p.tmax[ej.real])
+				}
+				ej.known++
+				unknown--
+			}
+		}
 		i, hr, _ := p.order.Min()
 		ej := &p.jobs[i]
 		train, sync := in.Train[ej.real], in.Sync[ej.real]
@@ -171,8 +220,12 @@ func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, p *onlinePla
 		for k := 0; k < ej.job.Scale; k++ {
 			m := h.pickGPU(in, core.TaskRef{Job: ej.real}, p.tmpPhi, ej.ready)
 			start := max(ej.ready, p.tmpPhi[m])
-			p.tmpPhi[m] = start + train[m]
-			barrier = max(barrier, start+train[m]+sync[m])
+			end := start + train[m]
+			if p.tmpPhi[m] < next && end >= next {
+				open--
+			}
+			p.tmpPhi[m] = end
+			barrier = max(barrier, end+sync[m])
 			first = min(first, start)
 			p.round = append(p.round, core.Placement{GPU: m, Start: start})
 		}
@@ -197,11 +250,14 @@ func (o *OnlineHare) planEpoch(in *core.Instance, s *core.Schedule, p *onlinePla
 			}
 			p.states[ej.real] = jobState{committed: realRound + 1, barrier: barrier}
 		}
+		if ej.ready < next && (ej.next+1 == ej.job.Rounds || barrier >= next) {
+			live-- // the job's last round this epoch that could commit
+		}
 		ej.ready = barrier
-		if ej.next++; ej.next < ej.job.Rounds {
+		if ej.next++; ej.next < ej.known {
 			p.order.Set(i, sol.RoundStart[i][ej.next]+0.5*p.tmax[ej.real])
 		} else {
-			p.order.Remove(i)
+			p.order.Remove(i) // finished, or waiting for the relaxation
 		}
 	}
 	return nil

@@ -281,14 +281,69 @@ func TestFluidMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
-		same := sameBits([]float64{got.Objective}, []float64{want.Objective}) &&
-			sameBits(got.Completion, want.Completion) && len(got.RoundStart) == len(want.RoundStart)
-		for j := 0; same && j < len(want.RoundStart); j++ {
-			same = sameBits(got.RoundStart[j], want.RoundStart[j])
-		}
-		if !same {
+		if !sameSolution(got, want) {
 			t.Fatalf("trial %d (%d jobs, %d GPUs): solution differs from the reference\n got %+v\nwant %+v",
 				trial, len(in.Jobs), in.NumGPUs, got, want)
+		}
+	}
+}
+
+// sameSolution reports whether a and b are equal bit for bit.
+func sameSolution(a, b *Solution) bool {
+	same := sameBits([]float64{a.Objective}, []float64{b.Objective}) &&
+		sameBits(a.Completion, b.Completion) && len(a.RoundStart) == len(b.RoundStart)
+	for j := 0; same && j < len(b.RoundStart); j++ {
+		same = sameBits(a.RoundStart[j], b.RoundStart[j])
+	}
+	return same
+}
+
+// TestStreamMatchesFluid steps one Stream, Reset for instance after
+// instance, to the end of each: its Solution is Fluid's bit for bit,
+// Started reports every (job, round) once in non-decreasing RoundStart,
+// and no round reported at a step starts before the Now read just
+// before that step.
+func TestStreamMatchesFluid(t *testing.T) {
+	rng := stats.New(20260927)
+	var st Stream
+	defer st.Close()
+	for trial := 0; trial < 300; trial++ {
+		in := fluidCase(rng.Split(), trial)
+		want, err := Fluid(in)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		sol := st.Reset(in)
+		seen := make([]int, len(in.Jobs))
+		last := math.Inf(-1)
+		for {
+			now, more := st.Now(), st.Step()
+			for _, j := range st.Started() {
+				r := seen[j]
+				if r == in.Jobs[j].Rounds {
+					t.Fatalf("trial %d: job %d reported started %d times, it has %d rounds", trial, j, r+1, r)
+				}
+				x := sol.RoundStart[j][r]
+				if x < now || x < last {
+					t.Fatalf("trial %d: job %d round %d starts at %g, reported after Now %g and a start at %g", trial, j, r, x, now, last)
+				}
+				seen[j], last = r+1, x
+			}
+			if !more {
+				break
+			}
+		}
+		if st.Step() || len(st.Started()) != 0 {
+			t.Fatalf("trial %d: the stream steps on after its end", trial)
+		}
+		for j, n := range seen {
+			if n != in.Jobs[j].Rounds {
+				t.Fatalf("trial %d: job %d reported %d of %d rounds started", trial, j, n, in.Jobs[j].Rounds)
+			}
+		}
+		if !sameSolution(sol, want) {
+			t.Fatalf("trial %d (%d jobs, %d GPUs): stream's solution differs from Fluid's\n got %+v\nwant %+v",
+				trial, len(in.Jobs), in.NumGPUs, sol, want)
 		}
 	}
 }
