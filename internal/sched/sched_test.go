@@ -88,6 +88,32 @@ func TestAllAlgorithmsProduceFeasibleSchedules(t *testing.T) {
 	}
 }
 
+// FuzzSchedulersValidate: every scheme of the table plans a fuzzed
+// instance (≤ 8 jobs, ≤ 6 GPUs, bent into one of reshape's shapes)
+// into a schedule that satisfies constraints (4)–(8).
+func FuzzSchedulersValidate(f *testing.F) {
+	for shape := uint8(0); shape < shapes; shape++ {
+		f.Add(int64(shape), shape)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		in := randomInstance(stats.New(seed), 8, 6)
+		reshape(in, int(shape%shapes))
+		for _, name := range Names() {
+			a, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := a.Schedule(in)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := core.ValidateSchedule(in, s); err != nil {
+				t.Fatalf("%s: infeasible: %v", name, err)
+			}
+		}
+	})
+}
+
 // TestHareBeatsBaselinesOnHeterogeneousLoad checks the headline claim
 // qualitatively: on a heterogeneous instance with intra-job
 // parallelism, Hare's weighted JCT is no worse than every baseline's.

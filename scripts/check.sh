@@ -4,7 +4,7 @@
 #   scripts/check.sh          # all three
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob and
 #                             # dead-surface censuses), a haresim -compare CLI smoke, a haresim
-#                             # -save-plan/-load-plan round trip, ordering stress, five 10 s fuzz
+#                             # -save-plan/-load-plan round trip, ordering stress, six 10 s fuzz
 #                             # smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
@@ -43,8 +43,9 @@ tests() {
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 
-	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; the coordinator's one transition function; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader)"
+	echo "==> 10 s fuzz smokes under -race (OnlineHare vs its reference planner; every scheduler's plan validates; the coordinator's one transition function; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
+	go test -race -run '^$' -fuzz FuzzSchedulersValidate -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzDirLogOpen -fuzztime 10s ./internal/store/
 	go test -race -run '^$' -fuzz FuzzFaultsParse -fuzztime 10s ./internal/faults/
