@@ -17,29 +17,47 @@ import (
 	"hare/internal/workload"
 )
 
-// checkAgainstReference fails unless OnlineHare and the reference agree
-// on in under both GPU picks: equal placements, equal committed-decision
-// event streams.
+// checkAgainstReference fails unless OnlineHare under both GPU picks,
+// Hare and Hare-EA agree with the reference on in: equal placements,
+// equal committed-decision event streams. The reference plans OnlineHare
+// at every distinct arrival and offline Hare once, at −∞.
 func checkAgainstReference(t *testing.T, in *core.Instance) {
 	t.Helper()
-	for _, pick := range []GPUPick{PickEarliestAvailable, PickEarliestFinish} {
-		gotEv, wantEv := obs.NewCollectSink(), obs.NewCollectSink()
-		got, err := (&OnlineHare{Pick: pick, rec: obs.NewRecorder(gotEv)}).Schedule(in)
-		if err != nil {
-			t.Fatalf("%v: %v", pick, err)
+	online, offline := arrivalEpochs(in), []float64{math.Inf(-1)}
+	for _, c := range []struct {
+		name string
+		algo interface {
+			Algorithm
+			SetRecorder(*obs.Recorder)
 		}
-		want, err := (&refOnline{Pick: pick, rec: obs.NewRecorder(wantEv)}).Schedule(in)
+		ref *refOnline
+	}{
+		{"online/EA", &OnlineHare{Pick: PickEarliestAvailable},
+			&refOnline{Pick: PickEarliestAvailable, epochs: online, note: "online/earliest-available"}},
+		{"online/EFT", &OnlineHare{Pick: PickEarliestFinish},
+			&refOnline{Pick: PickEarliestFinish, epochs: online, note: "online/earliest-finish"}},
+		{"Hare-EA", NewHareEA(), &refOnline{Pick: PickEarliestAvailable, epochs: offline, note: "earliest-available"}},
+		{"Hare", NewHare(), &refOnline{Pick: PickEarliestFinish, epochs: offline, note: "earliest-finish"}},
+	} {
+		gotEv, wantEv := obs.NewCollectSink(), obs.NewCollectSink()
+		c.algo.SetRecorder(obs.NewRecorder(gotEv))
+		got, err := c.algo.Schedule(in)
 		if err != nil {
-			t.Fatalf("%v: reference: %v", pick, err)
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		c.ref.rec = obs.NewRecorder(wantEv)
+		want, err := c.ref.Schedule(in)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: schedule differs from the reference", pick)
+			t.Fatalf("%s: schedule differs from the reference", c.name)
 		}
 		if !reflect.DeepEqual(gotEv.Events(), wantEv.Events()) {
-			t.Fatalf("%v: decision stream differs from the reference", pick)
+			t.Fatalf("%s: decision stream differs from the reference", c.name)
 		}
 		if n := len(gotEv.Events()); n != in.NumTasks() {
-			t.Fatalf("%v: %d decision events for %d tasks", pick, n, in.NumTasks())
+			t.Fatalf("%s: %d decision events for %d tasks", c.name, n, in.NumTasks())
 		}
 	}
 }
@@ -200,6 +218,33 @@ func TestGoldenSeed42Placements(t *testing.T) {
 		}
 		if got := placementHash(in, s); got != c.want {
 			t.Errorf("%s: placement hash %#x, golden %#x", c.algo.Name(), got, c.want)
+		}
+	}
+}
+
+// TestGoldenSeed42Decisions pins Hare's and Hare-EA's decision events on
+// the seed-42 workload of TestGoldenSeed42Placements, recorded at
+// a82bac6 while offline Hare still sorted π on its own.
+func TestGoldenSeed42Decisions(t *testing.T) {
+	in := generatedInstance(t, 40, 24, 300, 42)
+	for _, c := range []struct {
+		algo *Hare
+		want uint64
+	}{
+		{NewHare(), 0xd095beecd5771da1},
+		{NewHareEA(), 0xb74e755293859bba},
+	} {
+		sink := obs.NewCollectSink()
+		c.algo.SetRecorder(obs.NewRecorder(sink))
+		if _, err := c.algo.Schedule(in); err != nil {
+			t.Fatalf("%s: %v", c.algo.Name(), err)
+		}
+		h := fnv.New64a()
+		for _, e := range sink.Events() {
+			fmt.Fprintf(h, "%d|%.17g|%d|%d|%d|%d|%.17g|%s\n", e.Type, e.Time, e.GPU, e.Job, e.Round, e.Index, e.H, e.Note)
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: decision hash %#x over %d events, golden %#x", c.algo.Name(), got, len(sink.Events()), c.want)
 		}
 	}
 }
