@@ -278,8 +278,8 @@ func Validate(in *Instance, plan *Schedule) error {
 type Recorder = obs.Recorder
 
 // SetSchedulerRecorder attaches a recorder to an algorithm that
-// supports decision tracing (Hare and Hare-online); it reports whether
-// the algorithm accepted it.
+// supports decision tracing (Hare, Hare-EA, Hare-strict and
+// Hare-online); it reports whether the algorithm accepted it.
 func SetSchedulerRecorder(a Algorithm, r *Recorder) bool {
 	type recordable interface{ SetRecorder(*obs.Recorder) }
 	if ra, ok := a.(recordable); ok {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hare"
+	"hare/internal/obs"
 )
 
 func TestEndToEndPublicAPI(t *testing.T) {
@@ -67,6 +68,54 @@ func TestAllSchedulersViaFacade(t *testing.T) {
 	}
 	if _, err := hare.SchedulerByName("nope"); err == nil {
 		t.Error("unknown scheduler accepted")
+	}
+}
+
+// TestSchedulerRecorderViaFacade: every Hare-family scheme accepts a
+// decision recorder and reports each task's placement once, labelled
+// with its placement rule; a baseline declines the recorder.
+func TestSchedulerRecorderViaFacade(t *testing.T) {
+	cl := hare.HeterogeneousCluster(hare.MidHeterogeneity, 6)
+	_, in, _, err := hare.BuildWorkload(hare.WorkloadConfig{
+		Jobs: 8, Seed: 5, HorizonSeconds: 60, RoundsScale: 0.05,
+	}, cl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, note string }{
+		{"Hare", "earliest-finish"},
+		{"Hare-EA", "earliest-available"},
+		{"Hare-strict", "gang"},
+		{"Hare-online", "online/earliest-finish"},
+	} {
+		a, err := hare.SchedulerByName(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := obs.NewCollectSink()
+		if !hare.SetSchedulerRecorder(a, obs.NewRecorder(sink)) {
+			t.Fatalf("%s declined the recorder", c.name)
+		}
+		plan, err := a.Schedule(in)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		events := sink.Events()
+		if len(events) != in.NumTasks() {
+			t.Fatalf("%s: %d decision events for %d tasks", c.name, len(events), in.NumTasks())
+		}
+		seen := make(map[hare.TaskRef]bool)
+		for _, e := range events {
+			task := hare.TaskRef{Job: hare.JobID(e.Job), Round: e.Round, Index: e.Index}
+			p, _ := plan.At(task)
+			if e.Type != obs.EvSchedDecision || e.Note != c.note || seen[task] || p.GPU != e.GPU || p.Start != e.Time {
+				t.Fatalf("%s: event %+v (want a %v noted %q, once per task, at its placement %+v)", c.name, e, obs.EvSchedDecision, c.note, p)
+			}
+			seen[task] = true
+		}
+	}
+	if hare.SetSchedulerRecorder(hare.Schedulers()[1], obs.NewRecorder(obs.NewCollectSink())) {
+		t.Error("Gavel_FIFO accepted a decision recorder")
 	}
 }
 

@@ -153,7 +153,8 @@ func placeGang(in *core.Instance, s *core.Schedule, j *core.Job, gpus []int, sta
 }
 
 // gangState tracks when each GPU becomes free, for the gang
-// schedulers (gang.go, slicing.go, hare_strict.go).
+// schedulers (gang.go, slicing.go, and Hare-strict's round step in
+// hare.go).
 type gangState struct {
 	in   *core.Instance
 	free []float64 // φ_m: when GPU m becomes free
