@@ -674,9 +674,12 @@ type fencePlan struct {
 	DetectMillis float64
 	// Stranded lists the dead GPU's unfinished tasks.
 	Stranded []core.TaskRef
-	// Queues are the survivors' refilled queues (nil for fenced GPUs);
-	// HasQueues distinguishes "no re-plan needed" from an empty one.
+	// Queues are the survivors' refilled queues (nil for fenced GPUs),
+	// and Inflight the tasks the survivors run meanwhile (noTask for idle
+	// and fenced GPUs); HasQueues distinguishes "no re-plan needed" from
+	// an empty one.
 	Queues    [][]core.TaskRef
+	Inflight  []core.TaskRef
 	HasQueues bool
 	// Unrecoverable carries the run-ending error when recovery failed
 	// (no survivors, re-plan error).
@@ -758,8 +761,13 @@ func (c *coordinator) computeFenceLocked(gpu int, reason string) *fencePlan {
 		return fp
 	}
 	fp.Queues = make([][]core.TaskRef, len(st.GPUs))
+	fp.Inflight = make([]core.TaskRef, len(st.GPUs))
+	for g := range fp.Inflight {
+		fp.Inflight[g] = noTask
+	}
 	for _, g := range alive {
 		fp.Queues[g] = seqs[g]
+		fp.Inflight[g] = st.GPUs[g].Inflight
 	}
 	fp.HasQueues = true
 	return fp

@@ -21,7 +21,7 @@ import (
 
 // chaosWorkload builds a small heterogeneous instance plus its Hare
 // plan and models.
-func chaosWorkload(t *testing.T, numJobs int, seed int64) (*core.Instance, *core.Schedule, *cluster.Cluster, []*model.Model) {
+func chaosWorkload(t testing.TB, numJobs int, seed int64) (*core.Instance, *core.Schedule, *cluster.Cluster, []*model.Model) {
 	t.Helper()
 	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 2}, {Type: cluster.T4, Count: 1}}, 4)
 	specs := workload.Generate(workload.Options{

@@ -1,11 +1,9 @@
 package rpcnet
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"hare/internal/core"
@@ -24,22 +22,11 @@ import (
 // every instant: writeSnapshot persists the snapshot *before* resetting
 // the log, so a crash between the two replays a WAL whose prefix is
 // already in the snapshot — and that prefix is skipped by LSN, never
-// double-applied.
+// double-applied. Records and snapshots share one binary layout
+// (codec.go); each record is one Log.Append.
 
 // snapshotKey is the store key of the coordinator snapshot.
 const snapshotKey = "coord/snapshot"
-
-// gob caches a type's wire description process-wide at first sight, and
-// describes a slice without its name when that first sight is as the
-// element of another slice. Claim the WAL's slice types that way up
-// front: otherwise the same push record takes 513 or 539 bytes depending
-// on what the process encoded earlier.
-func init() {
-	_ = gob.NewEncoder(io.Discard).Encode(struct {
-		Grads  [][]float64
-		Queues [][]core.TaskRef
-	}{})
-}
 
 // Journal record kinds.
 const (
@@ -132,6 +119,9 @@ type Journal struct {
 	snaps store.Store
 	log   store.Log
 	lsn   uint64
+	// buf holds the encoding of the record or snapshot being written;
+	// the log and the store copy it, so it is reused.
+	buf []byte
 }
 
 // NewJournal couples an arbitrary snapshot store and log.
@@ -197,11 +187,8 @@ func (j *Journal) append(rec *journalRecord) error {
 	defer j.mu.Unlock()
 	j.lsn++
 	rec.LSN = j.lsn
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return fmt.Errorf("journal: encode record: %w", err)
-	}
-	return j.log.Append(buf.Bytes())
+	j.buf = appendRecord(j.buf[:0], rec)
+	return j.log.Append(j.buf)
 }
 
 // writeSnapshot persists a snapshot and then resets the WAL, returning
@@ -212,14 +199,11 @@ func (j *Journal) writeSnapshot(snap *coordSnapshot) (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	snap.LastLSN = j.lsn
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return 0, fmt.Errorf("journal: encode snapshot: %w", err)
-	}
-	if err := j.snaps.Save(snapshotKey, buf.Bytes()); err != nil {
+	j.buf = appendSnapshot(j.buf[:0], snap)
+	if err := j.snaps.Save(snapshotKey, j.buf); err != nil {
 		return 0, fmt.Errorf("journal: save snapshot: %w", err)
 	}
-	return buf.Len(), j.log.Reset()
+	return len(j.buf), j.log.Reset()
 }
 
 // read decodes whatever the journal holds: the snapshot (nil when none
@@ -227,8 +211,8 @@ func (j *Journal) writeSnapshot(snap *coordSnapshot) (int, error) {
 // and the number of payloads dropped behind the first undecodable one.
 // It resumes the LSN counter past the newest of either. A torn or
 // corrupt log tail has already been truncated by the log layer; a
-// record that fails to gob-decode ends the replay at the last good
-// record. Recovery and the offline inspector share this one decoder.
+// record that fails to decode ends the replay at the last good record.
+// Recovery and the offline inspector share this one decoder.
 func (j *Journal) read() (snap *coordSnapshot, recs []*journalRecord, truncated int, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -237,19 +221,21 @@ func (j *Journal) read() (snap *coordSnapshot, recs []*journalRecord, truncated 
 		return nil, nil, 0, err
 	}
 	if len(raw) > 0 {
-		snap = new(coordSnapshot)
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(snap); err != nil {
+		if snap, err = decodeSnapshot(raw); err != nil {
 			return nil, nil, 0, fmt.Errorf("journal: decode snapshot: %w", err)
 		}
 		j.lsn = max(j.lsn, snap.LastLSN)
+		// A recovery's first snapshot is this one plus the replayed
+		// tail: size the buffer once rather than doubling up to it.
+		j.buf = slices.Grow(j.buf[:0], len(raw)+len(raw)/4)
 	}
 	payloads, err := j.log.Records()
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	for i, p := range payloads {
-		rec := new(journalRecord)
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(rec); err != nil {
+		rec, err := decodeRecord(p)
+		if err != nil {
 			truncated = len(payloads) - i // torn mid-stream; keep the good prefix
 			break
 		}

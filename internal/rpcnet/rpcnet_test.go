@@ -342,7 +342,7 @@ func TestDistributedConfigValidation(t *testing.T) {
 	}
 }
 
-func profileFor(t *testing.T, specs []*workload.Spec, cl *cluster.Cluster) *core.Instance {
+func profileFor(t testing.TB, specs []*workload.Spec, cl *cluster.Cluster) *core.Instance {
 	t.Helper()
 	in := &core.Instance{NumGPUs: cl.Size()}
 	for i, s := range specs {

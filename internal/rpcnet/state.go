@@ -17,8 +17,8 @@ import (
 // bookkeeping the live one did. Everything else — journaling, events,
 // metrics, leases, snapshots, clocks — lives in the callers.
 
-// noTask marks an idle in-flight slot (gob cannot encode a nil pointer
-// inside a slice, so the slot holds a sentinel instead).
+// noTask marks an idle in-flight slot: the slot is a TaskRef value, not
+// a pointer, so a snapshot and a fence record carry it like any task.
 var noTask = core.TaskRef{Job: -1}
 
 // gpuState is one GPU's share of the durable state.
@@ -54,9 +54,9 @@ type jobState struct {
 }
 
 // coordState is the coordinator's durable state. Exported fields are
-// gob-encoded into the snapshot; the unexported ones tie the state to
-// its instance and parameter servers and are re-supplied by bind after
-// a decode.
+// encoded into the snapshot (codec.go); the unexported ones tie the
+// state to its instance and parameter servers and are re-supplied by
+// bind after a decode.
 type coordState struct {
 	// Epoch is the coordinator incarnation (1 for a fresh serve, +1 per
 	// recovery) every post-handshake RPC must echo; Recovered counts
@@ -214,8 +214,17 @@ func (s *coordState) checkFence(fp *fencePlan) error {
 	if !fp.HasQueues {
 		return nil
 	}
-	if len(fp.Queues) != len(s.GPUs) {
-		return fmt.Errorf("rpcnet: fence of GPU %d re-plans %d queues for %d GPUs", fp.GPU, len(fp.Queues), len(s.GPUs))
+	if len(fp.Queues) != len(s.GPUs) || len(fp.Inflight) != len(s.GPUs) {
+		return fmt.Errorf("rpcnet: fence of GPU %d re-plans %d queues and %d in-flight slots for %d GPUs",
+			fp.GPU, len(fp.Queues), len(fp.Inflight), len(s.GPUs))
+	}
+	for _, t := range fp.Inflight {
+		if t == noTask {
+			continue
+		}
+		if err := s.checkTask(t); err != nil {
+			return err
+		}
 	}
 	for _, q := range fp.Queues {
 		for _, t := range q {
@@ -373,7 +382,10 @@ func (s *coordState) requeueInflight(g int) {
 
 // applyFence commits a fencing transition exactly as the fence plan
 // recorded it; the (state-dependent) re-planner ran once, when the
-// plan was computed.
+// plan was computed. A re-plan installs the survivors' queues together
+// with their in-flight tasks: dispatch is not journaled, so a fence
+// replayed over an older snapshot would otherwise leave a task a
+// survivor was running neither queued nor in flight.
 func (s *coordState) applyFence(fp *fencePlan) effects {
 	gs := &s.GPUs[fp.GPU]
 	if gs.Failed {
@@ -389,6 +401,7 @@ func (s *coordState) applyFence(fp *fencePlan) effects {
 		for g := range s.GPUs {
 			if !s.GPUs[g].Failed {
 				s.GPUs[g].Queue = append([]core.TaskRef(nil), fp.Queues[g]...)
+				s.GPUs[g].Inflight = fp.Inflight[g]
 			}
 		}
 		s.Reschedule++

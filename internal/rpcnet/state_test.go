@@ -2,7 +2,6 @@ package rpcnet
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,20 +13,180 @@ import (
 	"hare/internal/testbed"
 )
 
-// canon gob-round-trips a state into the form a snapshot decode yields
-// (nil for empty slices and maps, unbound), so a live state and one
-// rebuilt from the journal compare with reflect.DeepEqual.
+// canon round-trips a state through the snapshot codec into the form a
+// recovery decodes: the durable fields exactly as they were, nil and
+// empty slices included, and the state unbound. A live state and one
+// rebuilt from the journal then compare with reflect.DeepEqual.
 func canon(t testing.TB, s *coordState) *coordState {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+	snap, err := decodeSnapshot(appendSnapshot(nil, &coordSnapshot{State: *s}))
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := new(coordState)
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatal(err)
-	}
+	return &snap.State
+}
+
+// unbound is s without what bind re-supplies: what a snapshot of s
+// must decode to.
+func unbound(s *coordState) coordState {
+	out := *s
+	out.in, out.ps, out.dim, out.done = nil, nil, 0, nil
 	return out
+}
+
+// tapLog and tapStore keep a copy of every WAL record and snapshot a
+// journal writes, so a test can hold the decoder to what the live path
+// encoded.
+type tapLog struct {
+	store.Log
+	recs [][]byte
+}
+
+func (l *tapLog) Append(rec []byte) error {
+	l.recs = append(l.recs, bytes.Clone(rec))
+	return l.Log.Append(rec)
+}
+
+type tapStore struct {
+	store.Store
+	snaps [][]byte
+}
+
+func (s *tapStore) Save(key string, data []byte) error {
+	if key == snapshotKey && len(data) > 0 {
+		s.snaps = append(s.snaps, bytes.Clone(data))
+	}
+	return s.Store.Save(key, data)
+}
+
+// scripted is one run of the scripted batch: the live coordinator and
+// everything its journal wrote.
+type scripted struct {
+	co    *coordinator
+	j     *Journal
+	log   *tapLog
+	snaps *tapStore
+}
+
+// runScript drives a scripted batch — pushes in dispatch order, a
+// mid-run fence with a computed re-plan, an executor error report
+// (which fences through the handler), final reports — through the live
+// transition path over a memory journal that snapshots every `every`
+// pushes. After every transition it calls check with the record the
+// transition journaled first, as far as the script knows it (LSN and
+// SimTime are the coordinator's). With dispatch, every live GPU with an
+// eligible task first takes it through Next, undurably, so the fence
+// finds survivors with work in flight. It returns the number of
+// transitions.
+func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, what string, want *journalRecord)) int {
+	t.Helper()
+	in, plan, cl, models := chaosWorkload(t, 3, 9)
+	s := &scripted{log: &tapLog{Log: store.NewMemLog()}, snaps: &tapStore{Store: store.NewMem()}}
+	s.j = NewJournal(s.snaps, s.log)
+	co, err := newDistributed(in, plan, cl, models, DistributedOptions{
+		TimeScale: 1e-6, Journal: s.j, SnapshotEvery: every,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.kill()
+	s.co = co
+	transitions := 0
+	commit := func(what string, want *journalRecord) {
+		t.Helper()
+		transitions++
+		check(s, what, want)
+	}
+
+	// pushNext accepts a GPU's task in flight, or else its next
+	// dispatch-eligible one, rotating over the live GPUs so rounds
+	// interleave the way a real fleet's do.
+	pushes := 0
+	pushNext := func() bool {
+		for k := 0; k < in.NumGPUs; k++ {
+			g := (pushes + k) % in.NumGPUs
+			if co.st.GPUs[g].Failed {
+				continue
+			}
+			task, ok := co.st.unclaimed(g)
+			if !ok {
+				i := co.st.eligible(g)
+				if i < 0 {
+					continue
+				}
+				task = co.st.GPUs[g].Queue[i]
+			}
+			end := float64(pushes+1) * 0.01
+			rep := testbed.PushReport{
+				Task: task, GPU: g, Start: end - 0.004, TrainEnd: end,
+				Switch: float64(pushes%3) * 0.001, Hit: pushes%2 == 0, Retries: pushes % 4 / 3,
+				Grad: testGrad(task, 32),
+			}
+			var reply PushReply
+			if err := co.push(PushArgs{Report: rep, Epoch: 1}, &reply); err != nil {
+				t.Fatalf("every=%d push %v: %v", every, task, err)
+			}
+			pushes++
+			commit("push "+task.String(), &journalRecord{Kind: recPush, Push: rep})
+			return true
+		}
+		return false
+	}
+
+	total := in.NumTasks()
+	for pushes < total/3 && pushNext() {
+	}
+	if dispatch {
+		survivors := 0
+		for g := range co.st.GPUs {
+			if co.st.eligible(g) < 0 {
+				continue
+			}
+			var reply NextReply
+			if err := co.next(NextArgs{GPU: g, Seq: co.nextSeq[g], Epoch: 1}, &reply); err != nil {
+				t.Fatalf("every=%d dispatch to GPU %d: %v", every, g, err)
+			}
+			if g != 2 {
+				survivors++
+			}
+		}
+		if survivors == 0 {
+			t.Fatalf("every=%d: no survivor of the fence has a task in flight", every)
+		}
+	}
+	// A fence committed without markFailedLocked's trailing snapshot,
+	// so it is replayed from the WAL tail, re-plan included.
+	co.mu.Lock()
+	fp := co.computeFenceLocked(2, "scripted fence")
+	_, err = co.commitLocked(&journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp}, 2)
+	co.mu.Unlock()
+	if err != nil || !fp.HasQueues || len(fp.Stranded) == 0 {
+		t.Fatalf("every=%d scripted fence: err=%v replanned=%v stranded=%d", every, err, fp.HasQueues, len(fp.Stranded))
+	}
+	commit("fence of GPU 2", &journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp})
+	for pushes < 2*total/3 && pushNext() {
+	}
+	if err := co.report(ReportArgs{GPU: 1, Err: "xid 79", Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	commit("error report from GPU 1", &journalRecord{Kind: recReport, GPU: 1, Err: "xid 79"})
+	for pushNext() {
+	}
+	if co.st.TasksLeft != 0 || pushes != total {
+		t.Fatalf("every=%d script ended with %d tasks left after %d/%d pushes", every, co.st.TasksLeft, pushes, total)
+	}
+	if err := co.report(ReportArgs{GPU: 0, Epoch: 1}); err != nil {
+		t.Fatal(err)
+	}
+	commit("final report from GPU 0", &journalRecord{Kind: recReport})
+	if !co.finishedLocked() || co.st.Reschedule != 2 || len(co.st.FenceLog) != 2 {
+		t.Errorf("every=%d finished=%v reschedules=%d fences=%d, want true/2/2",
+			every, co.finishedLocked(), co.st.Reschedule, len(co.st.FenceLog))
+	}
+	if transitions != total+3 {
+		t.Errorf("every=%d made %d transitions, want %d", every, transitions, total+3)
+	}
+	return transitions
 }
 
 // testGrad is a deterministic stand-in gradient: the parameter servers
@@ -40,28 +199,57 @@ func testGrad(t core.TaskRef, dim int) []float64 {
 	return g
 }
 
-// TestReplayMatchesLive drives a scripted batch — pushes in dispatch
-// order, a mid-run fence with a computed re-plan, an executor error
-// report (which fences through the handler), final reports — through
-// the live transition path over a memory journal, and after every
-// transition rebuilds a second coordinator from the journal alone. The
-// two must hold the same state and the same parameter servers at every
-// prefix, whether the prefix sits in a snapshot or in the WAL tail.
+// TestReplayMatchesLive runs the scripted batch (runScript) and after
+// every transition rebuilds a second coordinator from the journal
+// alone. The two must hold the same state and the same parameter
+// servers at every prefix, whether the prefix sits in a snapshot or in
+// the WAL tail — also when survivors of the fence hold tasks they took
+// after the snapshot the fence is replayed over. And every record and
+// snapshot the journal wrote must decode to exactly what the live path
+// encoded, and re-encode to the same bytes.
 func TestReplayMatchesLive(t *testing.T) {
-	for _, every := range []int{1, 3, 1 << 30} {
-		in, plan, cl, models := chaosWorkload(t, 3, 9)
-		j := NewMemJournal()
-		co, err := newDistributed(in, plan, cl, models, DistributedOptions{
-			TimeScale: 1e-6, Journal: j, SnapshotEvery: every,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		transitions := 0
-		verify := func(what string) {
+	for _, tc := range []struct {
+		every    int
+		dispatch bool
+	}{{1, false}, {3, false}, {1 << 30, false}, {1 << 30, true}} {
+		every := tc.every
+		seenRecs, seenSnaps := 0, 1 // newDistributed snapshots the fresh state
+		runScript(t, every, tc.dispatch, func(s *scripted, what string, want *journalRecord) {
 			t.Helper()
-			transitions++
-			re, _, err := rebuildCoordinator(j, RecoverOptions{Store: store.NewMem()})
+			co := s.co
+			recs := s.log.recs[seenRecs:]
+			seenRecs = len(s.log.recs)
+			if len(recs) == 0 {
+				t.Fatalf("every=%d after %s: nothing journaled", every, what)
+			}
+			for i, p := range recs {
+				rec, err := decodeRecord(p)
+				if err != nil {
+					t.Fatalf("every=%d after %s: record %d: %v", every, what, i, err)
+				}
+				if !bytes.Equal(appendRecord(nil, rec), p) {
+					t.Fatalf("every=%d after %s: record %d does not re-encode to its bytes", every, what, i)
+				}
+				if i == 0 {
+					w := *want
+					w.LSN, w.SimTime = rec.LSN, rec.SimTime
+					if !reflect.DeepEqual(rec, &w) {
+						t.Fatalf("every=%d after %s: journaled\n%+v\ndecodes to\n%+v", every, what, &w, rec)
+					}
+				}
+			}
+			if len(s.snaps.snaps) > seenSnaps {
+				seenSnaps = len(s.snaps.snaps)
+				snap, err := decodeSnapshot(s.snaps.snaps[seenSnaps-1])
+				if err != nil {
+					t.Fatalf("every=%d after %s: snapshot: %v", every, what, err)
+				}
+				if live := unbound(co.st); !reflect.DeepEqual(snap.State, live) || !reflect.DeepEqual(snap.Instance, co.in) {
+					t.Fatalf("every=%d after %s: snapshot decodes to a different state\nlive:    %+v\ndecoded: %+v", every, what, live, snap.State)
+				}
+			}
+
+			re, _, err := rebuildCoordinator(s.j, RecoverOptions{Store: store.NewMem()})
 			if err != nil {
 				t.Fatalf("every=%d after %s: rebuild: %v", every, what, err)
 			}
@@ -81,75 +269,7 @@ func TestReplayMatchesLive(t *testing.T) {
 					}
 				}
 			}
-		}
-
-		// pushNext accepts the next dispatch-eligible task, rotating over
-		// the live GPUs so rounds interleave the way a real fleet's do.
-		pushes := 0
-		pushNext := func() bool {
-			for k := 0; k < in.NumGPUs; k++ {
-				g := (pushes + k) % in.NumGPUs
-				if co.st.GPUs[g].Failed {
-					continue
-				}
-				i := co.st.eligible(g)
-				if i < 0 {
-					continue
-				}
-				task := co.st.GPUs[g].Queue[i]
-				end := float64(pushes+1) * 0.01
-				rep := testbed.PushReport{
-					Task: task, GPU: g, Start: end - 0.004, TrainEnd: end,
-					Switch: float64(pushes%3) * 0.001, Hit: pushes%2 == 0, Retries: pushes % 4 / 3,
-					Grad: testGrad(task, 32),
-				}
-				var reply PushReply
-				if err := co.push(PushArgs{Report: rep, Epoch: 1}, &reply); err != nil {
-					t.Fatalf("every=%d push %v: %v", every, task, err)
-				}
-				pushes++
-				verify("push " + task.String())
-				return true
-			}
-			return false
-		}
-
-		total := in.NumTasks()
-		for pushes < total/3 && pushNext() {
-		}
-		// A fence committed without markFailedLocked's trailing snapshot,
-		// so it is replayed from the WAL tail, re-plan included.
-		co.mu.Lock()
-		fp := co.computeFenceLocked(2, "scripted fence")
-		_, err = co.commitLocked(&journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp}, 2)
-		co.mu.Unlock()
-		if err != nil || !fp.HasQueues || len(fp.Stranded) == 0 {
-			t.Fatalf("every=%d scripted fence: err=%v replanned=%v stranded=%d", every, err, fp.HasQueues, len(fp.Stranded))
-		}
-		verify("fence of GPU 2")
-		for pushes < 2*total/3 && pushNext() {
-		}
-		if err := co.report(ReportArgs{GPU: 1, Err: "xid 79", Epoch: 1}); err != nil {
-			t.Fatal(err)
-		}
-		verify("error report from GPU 1")
-		for pushNext() {
-		}
-		if co.st.TasksLeft != 0 || pushes != total {
-			t.Fatalf("every=%d script ended with %d tasks left after %d/%d pushes", every, co.st.TasksLeft, pushes, total)
-		}
-		if err := co.report(ReportArgs{GPU: 0, Epoch: 1}); err != nil {
-			t.Fatal(err)
-		}
-		verify("final report from GPU 0")
-		if !co.finishedLocked() || co.st.Reschedule != 2 || len(co.st.FenceLog) != 2 {
-			t.Errorf("every=%d finished=%v reschedules=%d fences=%d, want true/2/2",
-				every, co.finishedLocked(), co.st.Reschedule, len(co.st.FenceLog))
-		}
-		if transitions != total+3 {
-			t.Errorf("every=%d verified %d transitions, want %d", every, transitions, total+3)
-		}
-		co.kill()
+		})
 	}
 }
 
@@ -168,6 +288,21 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 		q[0] = []core.TaskRef{t}
 		return q
 	}
+	idle := func(n int) []core.TaskRef {
+		s := make([]core.TaskRef, n)
+		for g := range s {
+			s[g] = noTask
+		}
+		return s
+	}
+	replan := func(q [][]core.TaskRef, inflight []core.TaskRef) *journalRecord {
+		return &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, HasQueues: true, Queues: q, Inflight: inflight}}
+	}
+	running := func(t core.TaskRef) []core.TaskRef {
+		s := idle(in.NumGPUs)
+		s[0] = t
+		return s
+	}
 	for _, bad := range []struct {
 		name string
 		rec  *journalRecord
@@ -181,8 +316,10 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 		{"fence of GPU 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 99}}},
 		{"fence without a plan", &journalRecord{Kind: recFence}},
 		{"fence stranding job 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, Stranded: []core.TaskRef{{Job: 99}}}}},
-		{"fence queueing round 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, HasQueues: true, Queues: queues(in.NumGPUs, core.TaskRef{Round: 99})}}},
-		{"fence with one queue", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, HasQueues: true, Queues: queues(1, ok)}}},
+		{"fence queueing round 99", replan(queues(in.NumGPUs, core.TaskRef{Round: 99}), idle(in.NumGPUs))},
+		{"fence with one queue", replan(queues(1, ok), idle(in.NumGPUs))},
+		{"fence with one in-flight slot", replan(queues(in.NumGPUs, ok), idle(1))},
+		{"fence running job 99", replan(queues(in.NumGPUs, ok), running(core.TaskRef{Job: 99}))},
 		{"report from GPU 99", &journalRecord{Kind: recReport, GPU: 99}},
 		{"unknown record kind", &journalRecord{Kind: 77}},
 	} {
@@ -308,6 +445,13 @@ func fuzzRecords(data []byte) []*journalRecord {
 			for ; n > 0; n-- {
 				fp.Queues = append(fp.Queues, tasks(next()&3))
 			}
+			fp.Inflight = make([]core.TaskRef, len(fp.Queues))
+			for g, q := range fp.Queues {
+				fp.Inflight[g] = noTask
+				if flags&32 != 0 && len(q) > 0 {
+					fp.Inflight[g], fp.Queues[g] = q[0], q[1:] // the head runs instead
+				}
+			}
 			rec.Fence = fp
 		case 6:
 			rec.Kind, rec.GPU = recReport, pick()
@@ -323,8 +467,9 @@ func fuzzRecords(data []byte) []*journalRecord {
 // whatever the input, apply returns an error or a transition that
 // keeps the state's invariants — never a panic. The seed corpus
 // (testdata/fuzz/FuzzCoordApply) holds a complete fault-free run, a
-// fence with a re-plan, an unrecoverable fence, one of every rejected
-// shape, and a few inputs the fuzzer found.
+// fence with a re-plan, a re-plan that restores the survivors' tasks in
+// flight (fence-over-dispatch), an unrecoverable fence, one of every
+// rejected shape, and a few inputs the fuzzer found.
 func FuzzCoordApply(f *testing.F) {
 	in, plan := fuzzInstance(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

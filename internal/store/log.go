@@ -20,7 +20,8 @@ import (
 
 // Log is an append-only sequence of binary records.
 type Log interface {
-	// Append durably adds one record.
+	// Append durably adds one record. It does not retain rec, which
+	// the caller may reuse once Append returns.
 	Append(rec []byte) error
 	// Records returns all records in append order.
 	Records() ([][]byte, error)

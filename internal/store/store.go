@@ -18,7 +18,8 @@ import (
 
 // Store persists named binary blobs.
 type Store interface {
-	// Save overwrites key with data.
+	// Save overwrites key with data. It does not retain data, which the
+	// caller may reuse once Save returns.
 	Save(key string, data []byte) error
 	// Load returns the blob at key, or an error if absent.
 	Load(key string) ([]byte, error)

@@ -127,7 +127,7 @@ func NewControlPlane(in *core.Instance, st store.Store, eta float64, problemDim,
 	if eta <= 0 {
 		eta = learningRate
 	}
-	probs := newProblems(in, problemDim, problemBatch)
+	probs := newProblems(in, problemDim, problemBatch, nil)
 	pss := make([]*ParameterServer, len(in.Jobs))
 	for _, j := range in.Jobs {
 		jid := j.ID
@@ -174,13 +174,15 @@ func NewRemoteExecutor(cfg RemoteExecutorConfig) (*Executor, error) {
 	if cfg.GPU < 0 || cfg.GPU >= cfg.Instance.NumGPUs {
 		return nil, fmt.Errorf("testbed: GPU %d outside the %d-GPU instance", cfg.GPU, cfg.Instance.NumGPUs)
 	}
-	return newExecutor(cfg, newProblems(cfg.Instance, 0, 0)), nil
+	return newExecutor(cfg), nil
 }
 
 // newProblems builds every job's SGD problem (seeds are jobID+1 on
 // every engine, so all of them train the same models); non-positive
-// sizes mean ProblemDim and problemBatch.
-func newProblems(in *core.Instance, dim, batch int) []*Problem {
+// sizes mean ProblemDim and problemBatch. rng, when set, is the
+// generator the problems share; their owner must not use them
+// concurrently.
+func newProblems(in *core.Instance, dim, batch int, rng *stats.RNG) []*Problem {
 	if dim <= 0 {
 		dim = ProblemDim
 	}
@@ -190,13 +192,15 @@ func newProblems(in *core.Instance, dim, batch int) []*Problem {
 	probs := make([]*Problem, len(in.Jobs))
 	for _, j := range in.Jobs {
 		probs[j.ID] = NewProblem(dim, batch, int64(j.ID)+1)
+		probs[j.ID].rng = rng
 	}
 	return probs
 }
 
 // newExecutor assembles one GPU's executor from a validated
-// configuration; probs is shared by every executor of the process.
-func newExecutor(cfg RemoteExecutorConfig, probs []*Problem) *Executor {
+// configuration. Its problems are its own and share one generator, so
+// a task reseeds it instead of allocating a source.
+func newExecutor(cfg RemoteExecutorConfig) *Executor {
 	if cfg.SlowFactor < 1 {
 		cfg.SlowFactor = 1
 	}
@@ -208,7 +212,7 @@ func newExecutor(cfg RemoteExecutorConfig, probs []*Problem) *Executor {
 	return &Executor{
 		GPU: cfg.GPU, GPUType: cfg.GPUType,
 		in: cfg.Instance, models: cfg.Models, scheme: cfg.Scheme, mem: mem,
-		clock: cfg.Clock, sync: cfg.Sync, probs: probs,
+		clock: cfg.Clock, sync: cfg.Sync, probs: newProblems(cfg.Instance, 0, 0, stats.New(0)),
 		faultRate: cfg.FaultRate,
 		faultRNG:  stats.New(faults.RetrySeed(cfg.FaultSeed, cfg.GPU)),
 		slow:      cfg.SlowFactor,
@@ -249,7 +253,6 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	if err != nil {
 		return nil, err
 	}
-	probs := newProblems(in, 0, 0)
 	execs := make([]*Executor, in.NumGPUs)
 	for m := range execs {
 		execs[m] = newExecutor(RemoteExecutorConfig{
@@ -260,7 +263,7 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 			FaultRate: opts.Faults.TransientRate(), FaultSeed: opts.Faults.TransientSeed(),
 			SlowFactor: opts.Faults.SlowdownOf(m),
 			Recorder:   opts.Recorder,
-		}, probs)
+		})
 	}
 
 	var wg sync.WaitGroup

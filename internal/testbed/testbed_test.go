@@ -207,12 +207,46 @@ func TestProblemGradientDeterministic(t *testing.T) {
 func TestSGDConvergesOnProblem(t *testing.T) {
 	p := NewProblem(8, 16, 21)
 	w := p.InitParams()
-	d0 := paramDistance(w, p.truth)
+	d0 := paramDistance(w, p.truthVector())
 	for r := 0; r < 200; r++ {
 		ApplySGD(w, p.Gradient(w, r, 0), 0.1)
 	}
-	d1 := paramDistance(w, p.truth)
+	d1 := paramDistance(w, p.truthVector())
 	if d1 > d0*0.2 {
 		t.Errorf("SGD barely converged: distance %g -> %g", d0, d1)
+	}
+}
+
+// TestProblemDrawsWithoutNewSources: a problem draws nothing until it
+// is used, and then reseeds one generator — a gradient allocates its
+// own two vectors and no random source (stats.New is three allocations,
+// 4.9 KiB), and a loss after the first allocates nothing. An executor's
+// problems share one generator, so all its jobs together cost one.
+func TestProblemDrawsWithoutNewSources(t *testing.T) {
+	p := NewProblem(32, 8, 3)
+	if p.rng != nil || p.truth != nil || p.heldOut != nil {
+		t.Fatal("NewProblem drew before first use")
+	}
+	w := p.InitParams()
+	if n := testing.AllocsPerRun(20, func() { p.Gradient(w, 1, 2) }); n != 2 {
+		t.Errorf("Gradient allocates %v times per call, want 2 (gradient and row)", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { p.Loss(w) }); n != 0 {
+		t.Errorf("Loss allocates %v times per call, want 0", n)
+	}
+
+	in := &core.Instance{NumGPUs: 1}
+	for id := range 3 {
+		in.Jobs = append(in.Jobs, &core.Job{ID: core.JobID(id), Weight: 1, Rounds: 1, Scale: 1})
+		in.Train = append(in.Train, []float64{1})
+		in.Sync = append(in.Sync, []float64{0})
+	}
+	e := newExecutor(RemoteExecutorConfig{Instance: in})
+	w = e.probs[0].InitParams()
+	for _, p := range e.probs {
+		p.Gradient(w, 0, 0)
+		if p.rng != e.probs[0].rng {
+			t.Fatal("an executor's problems draw from different generators")
+		}
 	}
 }
