@@ -21,11 +21,14 @@ type censusFile struct {
 }
 
 // censusModule is the one whole-module load (≈ 3 s of type-checking)
-// the knob census and the dead-surface census share.
+// the knob, dead-surface and observability censuses share. files are
+// the non-test files loadCensus returns; tests are the _test.go files,
+// which only the observability census reads.
 var censusModule struct {
 	once   sync.Once
 	loader *Loader
 	files  []censusFile
+	tests  []censusFile
 	err    error
 }
 
@@ -62,8 +65,11 @@ func loadCensus(t *testing.T) []censusFile {
 						m.err = err
 						return
 					}
-					if !strings.HasSuffix(name, "_test.go") {
-						m.files = append(m.files, censusFile{u, f, filepath.ToSlash(name)})
+					cf := censusFile{u, f, filepath.ToSlash(name)}
+					if strings.HasSuffix(name, "_test.go") {
+						m.tests = append(m.tests, cf)
+					} else {
+						m.files = append(m.files, cf)
 					}
 				}
 			}

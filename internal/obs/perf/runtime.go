@@ -81,20 +81,6 @@ func (p *PhaseRecorder) Observe(phase string, seconds float64) {
 	last.Set(seconds)
 }
 
-// runtimeSamples maps the runtime/metrics samples we mirror to
-// registry gauge names. GC pause totals are derived from the pause
-// histogram below instead.
-var runtimeSamples = []struct {
-	metric string
-	gauge  string
-}{
-	{"/memory/classes/heap/objects:bytes", "hare_runtime_heap_objects_bytes"},
-	{"/memory/classes/total:bytes", "hare_runtime_memory_total_bytes"},
-	{"/sched/goroutines:goroutines", "hare_runtime_goroutines"},
-	{"/gc/cycles/total:gc-cycles", "hare_runtime_gc_cycles_total"},
-	{"/sched/gomaxprocs:threads", "hare_runtime_gomaxprocs"},
-}
-
 const gcPausesMetric = "/gc/pauses:seconds"
 
 // SampleRuntime takes one runtime/metrics sample into reg:
@@ -115,18 +101,26 @@ func SampleRuntime(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	samples := make([]metrics.Sample, 0, len(runtimeSamples)+1)
-	for _, rs := range runtimeSamples {
-		samples = append(samples, metrics.Sample{Name: rs.metric})
+	samples := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/sched/goroutines:goroutines"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/sched/gomaxprocs:threads"},
+		{Name: gcPausesMetric},
 	}
-	samples = append(samples, metrics.Sample{Name: gcPausesMetric})
 	metrics.Read(samples)
-	for i, rs := range runtimeSamples {
-		if v, ok := sampleValue(samples[i]); ok {
-			reg.Gauge(rs.gauge).Set(v)
+	set := func(g *obs.Gauge, s metrics.Sample) {
+		if v, ok := sampleValue(s); ok {
+			g.Set(v)
 		}
 	}
-	if h := samples[len(samples)-1]; h.Value.Kind() == metrics.KindFloat64Histogram {
+	set(reg.Gauge("hare_runtime_heap_objects_bytes"), samples[0])
+	set(reg.Gauge("hare_runtime_memory_total_bytes"), samples[1])
+	set(reg.Gauge("hare_runtime_goroutines"), samples[2])
+	set(reg.Gauge("hare_runtime_gc_cycles_total"), samples[3])
+	set(reg.Gauge("hare_runtime_gomaxprocs"), samples[4])
+	if h := samples[5]; h.Value.Kind() == metrics.KindFloat64Histogram {
 		count, total := histogramTotals(h.Value.Float64Histogram())
 		reg.Gauge("hare_runtime_gc_pauses_total").Set(count)
 		reg.Gauge("hare_runtime_gc_pause_seconds_total").Set(total)
