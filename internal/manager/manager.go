@@ -193,8 +193,8 @@ type Options struct {
 	// disables them. Backends carry their own Recorder for the
 	// execution path.
 	Recorder *obs.Recorder
-	// Metrics receives the manager's counters and gauges; nil
-	// disables them.
+	// Metrics receives each batch's phase timings
+	// (hare_perf_phase_seconds); nil disables them.
 	Metrics *obs.Registry
 }
 
@@ -222,14 +222,6 @@ type Manager struct {
 	// phases times each batch's plan-solve / backend-execute /
 	// attribution spans into Options.Metrics (nil-safe no-op).
 	phases *perf.PhaseRecorder
-
-	// metric handles; all nil-safe no-ops when Options.Metrics is nil.
-	cSubmitted *obs.Counter
-	cCompleted *obs.Counter
-	cBatches   *obs.Counter
-	cFailed    *obs.Counter
-	gPending   *obs.Gauge
-	gHorizon   *obs.Gauge
 
 	mu      sync.Mutex
 	nextID  int
@@ -276,13 +268,6 @@ func New(cl *cluster.Cluster, opts Options) *Manager {
 		status: make(map[int]*JobStatus),
 		rec:    opts.Recorder,
 		phases: perf.NewPhaseRecorder(opts.Metrics),
-
-		cSubmitted: opts.Metrics.Counter("hare_manager_jobs_submitted_total"),
-		cCompleted: opts.Metrics.Counter("hare_manager_jobs_completed_total"),
-		cBatches:   opts.Metrics.Counter("hare_manager_batches_total"),
-		cFailed:    opts.Metrics.Counter("hare_manager_jobs_failed_total"),
-		gPending:   opts.Metrics.Gauge("hare_manager_pending_jobs"),
-		gHorizon:   opts.Metrics.Gauge("hare_manager_horizon_seconds"),
 	}
 	return m
 }
@@ -301,8 +286,6 @@ func (m *Manager) Submit(req JobRequest) (int, error) {
 		ID: id, Tag: req.Tag, Model: req.Model,
 		State: StateQueued, SubmittedAt: m.horizon,
 	}
-	m.cSubmitted.Inc()
-	m.gPending.Set(float64(len(m.pending)))
 	if m.rec.Enabled() {
 		m.rec.Emit(obs.Event{
 			Type: obs.EvJobSubmit, Time: m.horizon, GPU: -1, Job: id,
@@ -362,11 +345,9 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 		m.status[pj.id].State = StateRunning
 	}
 	m.mu.Unlock()
-	m.gPending.Set(0)
 	if len(batch) == 0 {
 		return nil, nil
 	}
-	m.cBatches.Inc()
 
 	fail := func(err error) (*BatchResult, error) {
 		m.mu.Lock()
@@ -375,7 +356,6 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 			m.status[pj.id].Error = err.Error()
 		}
 		m.mu.Unlock()
-		m.cFailed.Add(float64(len(batch)))
 		return nil, err
 	}
 
@@ -459,10 +439,7 @@ func (m *Manager) ExecuteBatch() (*BatchResult, error) {
 	m.gpuStats = stats
 	m.lastAttrib = attrib
 	m.attribIdx = idx
-	horizon := m.horizon
 	m.mu.Unlock()
-	m.cCompleted.Add(float64(len(batch)))
-	m.gHorizon.Set(horizon)
 	if m.rec.Enabled() {
 		for i, pj := range batch {
 			m.rec.Emit(obs.Event{

@@ -8,7 +8,7 @@ import (
 
 func TestHandlerEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("hare_sim_tasks_total").Add(12)
+	reg.Counter("hare_test_total").Add(12)
 	ring := NewRingSink(8)
 	ring.Record(Event{Type: EvTaskFinish, Time: 1, GPU: 0, Job: 0})
 	ring.Record(Event{Type: EvJobSwitch, Time: 2, GPU: 0, Job: 1, From: 0})
@@ -35,7 +35,7 @@ func TestHandlerEndpoints(t *testing.T) {
 		return resp.StatusCode, b.String()
 	}
 
-	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "hare_sim_tasks_total 12") {
+	if code, body := get("/metrics"); code != 200 || !strings.Contains(body, "hare_test_total 12") {
 		t.Errorf("/metrics = %d %q", code, body)
 	}
 	if code, body := get("/events"); code != 200 || strings.Count(body, "\n") != 3 {

@@ -9,10 +9,10 @@ import (
 	"hare/internal/obs"
 )
 
-// DefPhaseBuckets buckets phase durations from 10 µs to ~40 s in
+// phaseBuckets buckets phase durations from 10 µs to ~40 s in
 // powers of four — planner solves and simulator event loops live in
-// the microsecond-to-second range, below obs.DefSecondsBuckets' floor.
-var DefPhaseBuckets = []float64{1e-5, 4e-5, 1.6e-4, 6.4e-4, 2.56e-3, 1.024e-2, 4.096e-2, 0.16384, 0.65536, 2.62144, 10.48576, 41.94304}
+// the microsecond-to-second range.
+var phaseBuckets = []float64{1e-5, 4e-5, 1.6e-4, 6.4e-4, 2.56e-3, 1.024e-2, 4.096e-2, 0.16384, 0.65536, 2.62144, 10.48576, 41.94304}
 
 // nopStop is handed out by the nil paths so callers can always invoke
 // the returned stop function; being a package-level value, the
@@ -71,7 +71,7 @@ func (p *PhaseRecorder) Observe(phase string, seconds float64) {
 	h, ok := p.hists[phase]
 	if !ok {
 		label := "{phase=\"" + phase + "\"}"
-		h = p.reg.Histogram("hare_perf_phase_seconds"+label, DefPhaseBuckets)
+		h = p.reg.Histogram("hare_perf_phase_seconds"+label, phaseBuckets)
 		p.hists[phase] = h
 		p.lasts[phase] = p.reg.Gauge("hare_perf_phase_last_seconds" + label)
 	}
@@ -81,91 +81,29 @@ func (p *PhaseRecorder) Observe(phase string, seconds float64) {
 	last.Set(seconds)
 }
 
-const gcPausesMetric = "/gc/pauses:seconds"
-
-// SampleRuntime takes one runtime/metrics sample into reg:
+// SampleRuntime takes one sample of the process into reg:
 //
 //	hare_runtime_heap_objects_bytes    live heap (bytes)
-//	hare_runtime_memory_total_bytes    all Go-managed memory (bytes)
 //	hare_runtime_goroutines            live goroutines
-//	hare_runtime_gc_cycles_total       completed GC cycles
 //	hare_runtime_gomaxprocs            GOMAXPROCS
 //	hare_runtime_num_cpu               machine CPUs
-//	hare_runtime_gc_pauses_total       stop-the-world pauses observed
-//	hare_runtime_gc_pause_seconds_total  summed pause time (bucket-
-//	                                   midpoint estimate from the
-//	                                   runtime's pause histogram)
 //
 // Safe on a nil registry (no-op).
 func SampleRuntime(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	samples := []metrics.Sample{
-		{Name: "/memory/classes/heap/objects:bytes"},
-		{Name: "/memory/classes/total:bytes"},
-		{Name: "/sched/goroutines:goroutines"},
-		{Name: "/gc/cycles/total:gc-cycles"},
-		{Name: "/sched/gomaxprocs:threads"},
-		{Name: gcPausesMetric},
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(heap)
+	if heap[0].Value.Kind() == metrics.KindUint64 {
+		reg.Gauge("hare_runtime_heap_objects_bytes").Set(float64(heap[0].Value.Uint64()))
 	}
-	metrics.Read(samples)
-	set := func(g *obs.Gauge, s metrics.Sample) {
-		if v, ok := sampleValue(s); ok {
-			g.Set(v)
-		}
-	}
-	set(reg.Gauge("hare_runtime_heap_objects_bytes"), samples[0])
-	set(reg.Gauge("hare_runtime_memory_total_bytes"), samples[1])
-	set(reg.Gauge("hare_runtime_goroutines"), samples[2])
-	set(reg.Gauge("hare_runtime_gc_cycles_total"), samples[3])
-	set(reg.Gauge("hare_runtime_gomaxprocs"), samples[4])
-	if h := samples[5]; h.Value.Kind() == metrics.KindFloat64Histogram {
-		count, total := histogramTotals(h.Value.Float64Histogram())
-		reg.Gauge("hare_runtime_gc_pauses_total").Set(count)
-		reg.Gauge("hare_runtime_gc_pause_seconds_total").Set(total)
-	}
+	reg.Gauge("hare_runtime_goroutines").Set(float64(runtime.NumGoroutine()))
+	reg.Gauge("hare_runtime_gomaxprocs").Set(float64(runtime.GOMAXPROCS(0)))
 	reg.Gauge("hare_runtime_num_cpu").Set(float64(runtime.NumCPU()))
 }
 
-// sampleValue converts a scalar sample to float64.
-func sampleValue(s metrics.Sample) (float64, bool) {
-	switch s.Value.Kind() {
-	case metrics.KindUint64:
-		return float64(s.Value.Uint64()), true
-	case metrics.KindFloat64:
-		return s.Value.Float64(), true
-	}
-	return 0, false
-}
-
-// histogramTotals estimates the count and sum of a runtime
-// Float64Histogram using bucket midpoints (half-open buckets; the
-// ±Inf edges fall back to the finite edge).
-func histogramTotals(h *metrics.Float64Histogram) (count, total float64) {
-	if h == nil {
-		return 0, 0
-	}
-	for i, c := range h.Counts {
-		if c == 0 {
-			continue
-		}
-		lo, hi := h.Buckets[i], h.Buckets[i+1]
-		mid := (lo + hi) / 2
-		if isInf(lo) {
-			mid = hi
-		} else if isInf(hi) {
-			mid = lo
-		}
-		count += float64(c)
-		total += float64(c) * mid
-	}
-	return count, total
-}
-
-func isInf(v float64) bool { return v < -1e308 || v > 1e308 }
-
-// RuntimeSampler periodically mirrors runtime/metrics into a registry
+// RuntimeSampler periodically mirrors SampleRuntime into a registry
 // — hared runs one next to its debug listener so /metrics always has
 // a recent view of the process.
 type RuntimeSampler struct {

@@ -142,10 +142,6 @@ type Histogram struct {
 	count  uint64
 }
 
-// DefSecondsBuckets is a general-purpose latency bucketing: 1 ms to
-// ~17 min in powers of four.
-var DefSecondsBuckets = []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384, 65.536, 262.144, 1048.576}
-
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	sort.Float64s(bs)

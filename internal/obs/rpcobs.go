@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // RPC observation: the shared instrumentation behind the distributed
 // control plane's trace-context propagation. Each side of the wire
@@ -16,10 +13,11 @@ import (
 //	m.Observe(t, clock.Now(), Event{GPU: g, Call: id, Epoch: ep}, err)
 //
 // which emits one rpc.client / rpc.server event and feeds the
-// hare_rpc_<side>_{calls_total,errors_total,seconds} families. A nil
-// observer (recorder disabled and no registry) hands out nil method
-// handles whose Start/Observe are free of clock reads, allocations and
-// locks — BenchmarkObsRPCDisabled pins that overhead.
+// hare_rpc_<side>_{calls,errors}_total families. Nothing on the path
+// reads the wall clock. A nil observer (recorder disabled and no
+// registry) hands out nil method handles whose Start/Observe are free
+// of allocations and locks — BenchmarkObsRPCDisabled pins that
+// overhead.
 
 // RPCObserver instruments one side ("client" or "server") of the
 // control-plane RPC path.
@@ -43,14 +41,13 @@ func NewRPCObserver(rec *Recorder, reg *Registry, side string) *RPCObserver {
 	return &RPCObserver{rec: rec, reg: reg, typ: typ, side: side}
 }
 
-// RPCMethod is the per-method handle with its counter and histogram
-// series pre-resolved, so the per-call path does no map lookups.
+// RPCMethod is the per-method handle with its counter series
+// pre-resolved, so the per-call path does no map lookups.
 type RPCMethod struct {
-	o       *RPCObserver
-	name    string
-	calls   *Counter
-	errors  *Counter
-	seconds *Histogram
+	o      *RPCObserver
+	name   string
+	calls  *Counter
+	errors *Counter
 }
 
 // Method resolves (creating on first use) the handle for one RPC
@@ -64,7 +61,6 @@ func (o *RPCObserver) Method(name string) *RPCMethod {
 		label := fmt.Sprintf("method=%q", name)
 		m.calls = o.reg.Counter(labeled(fmt.Sprintf("hare_rpc_%s_calls_total", o.side), label))
 		m.errors = o.reg.Counter(labeled(fmt.Sprintf("hare_rpc_%s_errors_total", o.side), label))
-		m.seconds = o.reg.Histogram(labeled(fmt.Sprintf("hare_rpc_%s_seconds", o.side), label), DefSecondsBuckets)
 	}
 	return m
 }
@@ -74,26 +70,24 @@ func (o *RPCObserver) Method(name string) *RPCMethod {
 // off.
 func (m *RPCMethod) Active() bool { return m != nil }
 
-// RPCTimer carries one call's start times between Start and Observe.
-// The zero value is inert: Observe on it does nothing.
+// RPCTimer carries one call's simulated start time between Start and
+// Observe. The zero value is inert: Observe on it does nothing.
 type RPCTimer struct {
-	wall time.Time
-	sim  float64
-	on   bool
+	sim float64
+	on  bool
 }
 
 // Start begins timing one call at the given simulated time. On a nil
-// handle it returns an inert timer without reading any clock.
+// handle it returns an inert timer.
 func (m *RPCMethod) Start(sim float64) RPCTimer {
 	if m == nil {
 		return RPCTimer{}
 	}
-	return RPCTimer{wall: time.Now(), sim: sim, on: true}
+	return RPCTimer{sim: sim, on: true}
 }
 
-// Observe completes one call: it bumps the method's counters, feeds
-// the wall-seconds histogram, and — when a recorder is attached —
-// emits the rpc.<side> event. The caller fills the event's trace
+// Observe completes one call: it bumps the method's counters and —
+// when a recorder is attached — emits the rpc.<side> event. The caller fills the event's trace
 // context (GPU, Call, Epoch, LSN); Observe stamps Type, Time (the
 // simulated start), Dur (simulated duration, simEnd-start) and the
 // method name in Note, appending "!" on error.
@@ -105,7 +99,6 @@ func (m *RPCMethod) Observe(t RPCTimer, simEnd float64, e Event, err error) {
 	if err != nil {
 		m.errors.Inc()
 	}
-	m.seconds.Observe(time.Since(t.wall).Seconds())
 	if !m.o.rec.Enabled() {
 		return
 	}

@@ -84,7 +84,7 @@ func TestParseTextRoundTrip(t *testing.T) {
 	reg.Counter("hare_test_total").Add(3)
 	reg.Counter(`hare_test_labeled_total{gpu="2"}`).Inc()
 	reg.Gauge(`hare_dist_queue_depth{gpu="2"}`).Set(7)
-	reg.Histogram("hare_test_seconds", obs.DefSecondsBuckets).Observe(0.02)
+	reg.Histogram("hare_test_seconds", []float64{0.01, 0.1}).Observe(0.02)
 
 	var buf strings.Builder
 	if err := reg.WriteText(&buf); err != nil {

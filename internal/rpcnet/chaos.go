@@ -48,7 +48,7 @@ type netChaos struct {
 	parts []faults.Partition // this GPU's windows, ordered by At
 	rec   *obs.Recorder
 
-	cDrops, cDups, cDelays, cReorders, cPartitioned *obs.Counter
+	cDrops, cDups *obs.Counter
 
 	mu    sync.Mutex
 	rng   *stats.RNG
@@ -63,15 +63,12 @@ func newNetChaos(spec *faults.NetChaos, seed int64, gpu int, rec *obs.Recorder, 
 		return nil
 	}
 	ch := &netChaos{
-		spec:         spec,
-		gpu:          gpu,
-		rec:          rec,
-		rng:          stats.New(gpuSeed(seed, gpu)),
-		cDrops:       reg.Counter("hare_net_drops_total"),
-		cDups:        reg.Counter("hare_net_dups_total"),
-		cDelays:      reg.Counter("hare_net_delays_total"),
-		cReorders:    reg.Counter("hare_net_reorders_total"),
-		cPartitioned: reg.Counter("hare_net_partitioned_calls_total"),
+		spec:   spec,
+		gpu:    gpu,
+		rec:    rec,
+		rng:    stats.New(gpuSeed(seed, gpu)),
+		cDrops: reg.Counter("hare_net_drops_total"),
+		cDups:  reg.Counter("hare_net_dups_total"),
 	}
 	for _, p := range spec.SortedPartitions() {
 		if p.GPU == gpu {
@@ -166,7 +163,6 @@ func (ch *netChaos) do(conn *rpc.Client, method string, args, reply any) error {
 		return conn.Call(method, args, reply)
 	}
 	if ch.partitionRemaining() > 0 {
-		ch.cPartitioned.Inc()
 		ch.emit("partition")
 		return errInjectedPartition
 	}
@@ -177,7 +173,6 @@ func (ch *netChaos) do(conn *rpc.Client, method string, args, reply any) error {
 		return errInjectedDrop
 	}
 	if delay > 0 {
-		ch.cDelays.Inc()
 		time.Sleep(delay)
 	}
 	err := conn.Call(method, args, reply)
@@ -191,7 +186,6 @@ func (ch *netChaos) do(conn *rpc.Client, method string, args, reply any) error {
 	}
 	if hold > 0 {
 		// Hold the reply briefly so concurrent calls overtake it.
-		ch.cReorders.Inc()
 		ch.emit("reorder")
 		time.Sleep(hold)
 	}

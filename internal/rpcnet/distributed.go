@@ -237,19 +237,14 @@ type coordinator struct {
 	clock *testbed.Clock
 	pss   []*testbed.ParameterServer
 
-	cFailures, cMigrated, cResched, cHeartbeats *obs.Counter
-	cStale, cDupPush, cSnapshots                *obs.Counter
-
 	// Control-plane tracing: per-method rpc.server observation handles
-	// (nil when both recorder and metrics are off) plus the lease/WAL
-	// counter families and the per-GPU gauges behind `harectl top`.
+	// (nil when both recorder and metrics are off) plus the counters and
+	// the per-GPU gauges behind `harectl top`.
 	obsConfig, obsHeartbeat, obsNext, obsPush *obs.RPCMethod
 	obsReport                                 *obs.RPCMethod
-	cLeaseRenews, cLeaseExpiries, cWALAppends *obs.Counter
-	hLeaseAge                                 *obs.Histogram
+	cSnapshots, cLeaseRenews, cWALAppends     *obs.Counter
 	gQueue, gInflight, gFenced, gLeaseAge     []*obs.Gauge
 	gEpoch, gTasksLeft, gLeaseBound           *obs.Gauge
-	gSnapBytes                                *obs.Gauge
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -282,12 +277,6 @@ func newCoordinator(in *core.Instance, st *coordState, gpuTypes, modelNames []st
 	opts DistributedOptions, clock *testbed.Clock, pss []*testbed.ParameterServer) *coordinator {
 	co := &coordinator{
 		in: in, opts: opts, clock: clock, pss: pss,
-		cFailures:   opts.Metrics.Counter("hare_dist_gpu_failures_total"),
-		cMigrated:   opts.Metrics.Counter("hare_dist_tasks_migrated_total"),
-		cResched:    opts.Metrics.Counter("hare_dist_reschedules_total"),
-		cHeartbeats: opts.Metrics.Counter("hare_dist_heartbeats_total"),
-		cStale:      opts.Metrics.Counter("hare_dist_stale_epoch_total"),
-		cDupPush:    opts.Metrics.Counter("hare_dist_duplicate_pushes_total"),
 		cSnapshots:  opts.Metrics.Counter("hare_coord_snapshots_total"),
 		st:          st,
 		session:     make([]uint64, in.NumGPUs),
@@ -309,13 +298,10 @@ func newCoordinator(in *core.Instance, st *coordState, gpuTypes, modelNames []st
 	co.obsPush = rpcObs.Method("Push")
 	co.obsReport = rpcObs.Method("Report")
 	co.cLeaseRenews = opts.Metrics.Counter("hare_lease_renewals_total")
-	co.cLeaseExpiries = opts.Metrics.Counter("hare_lease_expiries_total")
 	co.cWALAppends = opts.Metrics.Counter("hare_wal_appends_total")
-	co.hLeaseAge = opts.Metrics.Histogram("hare_lease_age_seconds", obs.DefSecondsBuckets)
 	co.gEpoch = opts.Metrics.Gauge("hare_coord_epoch")
 	co.gTasksLeft = opts.Metrics.Gauge("hare_dist_tasks_left")
 	co.gLeaseBound = opts.Metrics.Gauge("hare_dist_lease_bound_ms")
-	co.gSnapBytes = opts.Metrics.Gauge("hare_wal_snapshot_bytes")
 	co.gQueue = make([]*obs.Gauge, in.NumGPUs)
 	co.gInflight = make([]*obs.Gauge, in.NumGPUs)
 	co.gFenced = make([]*obs.Gauge, in.NumGPUs)
@@ -402,7 +388,6 @@ func (c *coordinator) updateGaugesLocked(now time.Time) {
 // cue to re-Config. Caller holds c.mu.
 func (c *coordinator) checkEpochLocked(e uint64) error {
 	if e != c.st.Epoch {
-		c.cStale.Inc()
 		return fmt.Errorf("rpcnet: stale coordinator epoch %d (current %d); re-handshake required", e, c.st.Epoch)
 	}
 	return nil
@@ -470,7 +455,6 @@ func (c *coordinator) heartbeat(args HeartbeatArgs) error {
 	if err := c.st.checkGPU(args.GPU); err != nil {
 		return err
 	}
-	c.cHeartbeats.Inc()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkEpochLocked(args.Epoch); err != nil {
@@ -483,7 +467,6 @@ func (c *coordinator) heartbeat(args HeartbeatArgs) error {
 	age := now.Sub(c.lease[args.GPU])
 	c.lease[args.GPU] = now
 	c.cLeaseRenews.Inc()
-	c.hLeaseAge.Observe(age.Seconds())
 	if c.opts.Recorder.Enabled() {
 		c.opts.Recorder.Emit(obs.Event{
 			Type: obs.EvLeaseRenew, Time: c.clock.Now(), GPU: args.GPU, Job: -1,
@@ -577,7 +560,6 @@ func (c *coordinator) push(args PushArgs, reply *PushReply) error {
 		return err
 	}
 	if comp, dup := c.st.done[rec.Push.Task]; dup {
-		c.cDupPush.Inc()
 		reply.Completion = comp
 		return nil
 	}
@@ -704,7 +686,6 @@ func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Durat
 	if err != nil {
 		return
 	}
-	c.cFailures.Inc()
 	rec := c.opts.Recorder
 	if rec.Enabled() {
 		rec.Emit(obs.Event{Type: obs.EvGPUFailed, Time: fp.SimTime, GPU: gpu, Job: -1, Note: fp.Reason})
@@ -714,8 +695,6 @@ func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Durat
 		return
 	}
 	if fp.HasQueues {
-		c.cResched.Inc()
-		c.cMigrated.Add(float64(len(fp.Stranded)))
 		faults.EmitMigration(rec, fp.SimTime, gpu, fp.Pending, fp.Alive, fp.Stranded, fp.Queues)
 	}
 	c.cond.Broadcast()
@@ -813,7 +792,6 @@ func (c *coordinator) checkLeasesLocked(now time.Time, simNow float64) {
 			continue
 		}
 		if sinceHB := now.Sub(c.lease[g]); sinceHB > c.opts.LeaseTimeout {
-			c.cLeaseExpiries.Inc()
 			if c.opts.Recorder.Enabled() {
 				c.opts.Recorder.Emit(obs.Event{
 					Type: obs.EvLeaseExpired, Time: simNow, GPU: g, Job: -1,

@@ -267,7 +267,6 @@ func (c *coordinator) snapshotLocked() {
 	}
 	c.pushesSinceSnap = 0
 	c.cSnapshots.Inc()
-	c.gSnapBytes.Set(float64(size))
 	if c.opts.Recorder.Enabled() {
 		c.opts.Recorder.Emit(obs.Event{
 			Type: obs.EvWALSnapshot, Time: snap.SimTime, GPU: -1, Job: -1,

@@ -94,7 +94,6 @@ func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server,
 	}
 
 	ropts.Metrics.Counter("hare_coord_recoveries_total").Inc()
-	ropts.Metrics.Counter("hare_recovery_replayed_total").Add(float64(rp.replayed))
 	if ropts.Recorder.Enabled() {
 		ropts.Recorder.Emit(obs.Event{
 			Type: obs.EvRecoveryReplay, Time: rp.watermark, GPU: -1, Job: -1,

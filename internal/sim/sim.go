@@ -100,9 +100,9 @@ type Options struct {
 	// nil — the default — keeps the replay loop uninstrumented; see
 	// BenchmarkObsDisabled for the zero-overhead guarantee.
 	Recorder *obs.Recorder
-	// Metrics, when set, accumulates run counters (tasks, switches,
-	// stall seconds, residency hits, barrier-wait seconds) plus
-	// hare_sim_heap_*_total operation counts from the ready heap.
+	// Metrics, when set, accumulates the ready heap's operation counts
+	// (hare_sim_heap_{inserts,pops}_total). A run's own totals are
+	// Result's fields.
 	Metrics *obs.Registry
 	// Phases, when set, times the run's own machinery — validation and
 	// state construction ("sim_setup") and the incremental replay loop
@@ -223,9 +223,6 @@ type replay struct {
 	faultRNG  []*stats.RNG
 	slows     []float64
 
-	cTasks, cSwitches, cStall, cHits, cWait, cTrain *obs.Counter
-	cRetries, cLost, cFailures, cMigrated, cResched *obs.Counter
-
 	gpus []gpuState
 	// mems backs the per-GPU speculative memory managers by value;
 	// gpus[m].mem points into it when speculation is on.
@@ -307,19 +304,6 @@ func (r *replay) init(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster
 	}
 	r.rec = opts.Recorder
 	r.observed = opts.Recorder.Enabled()
-	// Counters are resolved once up front; on a nil registry they
-	// are nil and every Add is a no-op.
-	r.cTasks = opts.Metrics.Counter("hare_sim_tasks_total")
-	r.cSwitches = opts.Metrics.Counter("hare_sim_switches_total")
-	r.cStall = opts.Metrics.Counter("hare_sim_switch_stall_seconds_total")
-	r.cHits = opts.Metrics.Counter("hare_sim_residency_hits_total")
-	r.cWait = opts.Metrics.Counter("hare_sim_barrier_wait_seconds_total")
-	r.cTrain = opts.Metrics.Counter("hare_sim_train_seconds_total")
-	r.cRetries = opts.Metrics.Counter("hare_sim_faults_injected_total")
-	r.cLost = opts.Metrics.Counter("hare_sim_fault_lost_seconds_total")
-	r.cFailures = opts.Metrics.Counter("hare_sim_gpu_failures_total")
-	r.cMigrated = opts.Metrics.Counter("hare_sim_tasks_migrated_total")
-	r.cResched = opts.Metrics.Counter("hare_sim_reschedules_total")
 	r.pending = in.NumTasks()
 	r.waker = nil
 
@@ -428,8 +412,6 @@ func (r *replay) release() {
 	r.in, r.cl, r.models = nil, nil, nil
 	r.opts = Options{}
 	r.rec, r.waker = nil, nil
-	r.cTasks, r.cSwitches, r.cStall, r.cHits, r.cWait, r.cTrain = nil, nil, nil, nil, nil, nil
-	r.cRetries, r.cLost, r.cFailures, r.cMigrated, r.cResched = nil, nil, nil, nil, nil
 	for m := range r.gpus {
 		r.gpus[m].seq = nil
 	}
@@ -506,26 +488,14 @@ func (r *replay) exec(bestGPU int, bestStart, bestSwitch float64, bestHit bool, 
 	if retries > 0 {
 		r.res.Retries += retries
 		r.res.LostSeconds += train * float64(retries)
-		r.cRetries.Add(float64(retries))
-		r.cLost.Add(train * float64(retries))
-	}
-
-	// Idle time beyond the GPU's readiness (and the switch stall)
-	// is waiting on the job: its previous round's barrier, or its
-	// arrival — the stall relaxed scale-fixed sync exists to shrink.
-	if wait := start - bestSwitch - g.free; wait > 0 {
-		r.cWait.Add(wait)
 	}
 	if bestSwitch > 0 {
 		g.over = append(g.over, interval{start - bestSwitch, start})
 		r.res.OverheadSeconds[bestGPU] += bestSwitch
 		r.res.TotalSwitch += bestSwitch
 		r.res.SwitchCount++
-		r.cSwitches.Inc()
-		r.cStall.Add(bestSwitch)
 		if bestHit {
 			r.res.ResidencyHits++
-			r.cHits.Inc()
 		}
 	}
 	// The task's events bracket its memory traffic, so equal-time mem
@@ -549,8 +519,6 @@ func (r *replay) exec(bestGPU int, bestStart, bestSwitch float64, bestHit bool, 
 	}
 	g.busy = append(g.busy, interval{start, trainEnd})
 	r.res.BusySeconds[bestGPU] += total
-	r.cTasks.Inc()
-	r.cTrain.Add(total)
 	if r.observed {
 		r.rec.EndTask(run)
 	}

@@ -208,8 +208,6 @@ func (s *Simulator) Run(in *core.Instance, sch *core.Schedule, cl *cluster.Clust
 	if opts.Metrics != nil {
 		ops := s.ready.Ops()
 		opts.Metrics.Counter("hare_sim_heap_inserts_total").Add(float64(ops.Inserts))
-		opts.Metrics.Counter("hare_sim_heap_updates_total").Add(float64(ops.Updates))
-		opts.Metrics.Counter("hare_sim_heap_removes_total").Add(float64(ops.Removes))
 		opts.Metrics.Counter("hare_sim_heap_pops_total").Add(float64(ops.Pops))
 	}
 	return r.finish(), nil
@@ -317,7 +315,6 @@ func (s *Simulator) failGPU(f faults.GPUFailure, replanner sched.Algorithm) erro
 	s.alive[m] = false
 	r.res.GPUFailures++
 	r.res.FailedGPUs = append(r.res.FailedGPUs, m)
-	r.cFailures.Inc()
 	if r.observed {
 		kind := "device failure"
 		if f.Crash {
@@ -375,9 +372,7 @@ func (s *Simulator) failGPU(f faults.GPUFailure, replanner sched.Algorithm) erro
 		s.refresh(mm)
 	}
 	r.res.Reschedules++
-	r.cResched.Inc()
 	r.res.TasksMigrated += len(stranded)
-	r.cMigrated.Add(float64(len(stranded)))
 	faults.EmitMigration(r.rec, f.Time, m, len(pending), len(aliveList), stranded, seqs)
 	return nil
 }
