@@ -92,7 +92,7 @@ type Manager struct {
 	// Counters the tests observe eviction behaviour through.
 	hits, misses, evictions int
 
-	// rec, when set, receives admit/evict/hit events stamped with gpu
+	// rec, when set, receives admit/hit events stamped with gpu
 	// and the run-clock time the caller reported.
 	rec *obs.Recorder
 	gpu int
@@ -213,7 +213,7 @@ func (m *Manager) removeAt(i int) {
 // transfer). The task's own resident entry, if any, is folded into
 // the active footprint; other residents are evicted by policy until
 // the footprint fits. now is the run-clock time (the task's start),
-// which stamps the emitted hit/evict events. BeginAt panics if the
+// which stamps the emitted hit event. BeginAt panics if the
 // footprint alone exceeds device capacity — the scheduler must never
 // place such a task.
 func (m *Manager) BeginAt(k JobKey, footprintBytes int64, now float64) (hit bool) {
@@ -238,13 +238,13 @@ func (m *Manager) BeginAt(k JobKey, footprintBytes int64, now float64) (hit bool
 	m.cursor++ // this Begin consumes one sequence position
 	// The next task has absolute priority (paper heuristic): evict
 	// until it fits.
-	m.evictFor(footprintBytes, now)
+	m.evictFor(footprintBytes)
 	m.active = footprintBytes
 	return hit
 }
 
 // evictFor removes resident models until need bytes fit beside them.
-func (m *Manager) evictFor(need int64, now float64) {
+func (m *Manager) evictFor(need int64) {
 	if m.used+need <= m.capacity {
 		return
 	}
@@ -267,12 +267,6 @@ func (m *Manager) evictFor(need int64, now float64) {
 		m.used -= v.weightBytes
 		m.removeAt(m.indexOf(v.key))
 		m.evictions++
-		if m.rec.Enabled() {
-			m.rec.Emit(obs.Event{
-				Type: obs.EvMemEvict, Time: now, GPU: m.gpu, Job: int(v.key),
-				Bytes: v.weightBytes,
-			})
-		}
 	}
 	m.victimsBuf = victims[:0]
 }
@@ -308,7 +302,7 @@ func (m *Manager) Complete(k JobKey, weightBytes int64, now float64) {
 		m.removeAt(i)
 	}
 	if m.used+weightBytes > m.capacity {
-		m.evictFor(weightBytes, now)
+		m.evictFor(weightBytes)
 		if m.used+weightBytes > m.capacity {
 			return // cannot keep; drop silently (not an error)
 		}

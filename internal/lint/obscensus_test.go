@@ -21,9 +21,7 @@ import (
 var obsAllowed = map[string]string{
 	"hare_obs_ring_events_total":  "registered by RingSink.AttachMetrics, which bench/e2e/wl_dist.go calls; goes with the next change to the benchmark",
 	"hare_obs_ring_dropped_total": "registered by RingSink.AttachMetrics, which bench/e2e/wl_dist.go calls; goes with the next change to the benchmark",
-	"obs.EvMemEvict":              "convicted; deleted in the next commit",
-	"obs.EvMemHit":                "convicted; deleted in the next commit",
-	"obs.EvJobSubmit":             "convicted; deleted in the next commit",
+	"obs.EvMemHit":                "internal/obs/testdata/chrometrace.golden.json pins two mem-hit slices (TestChromeTraceGolden), which no test reaches by the constant",
 }
 
 // registryMethods are the obs.Registry methods that register a family.

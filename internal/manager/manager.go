@@ -189,9 +189,8 @@ type Options struct {
 	Backend Backend
 	// BatchesPerTask sets the profiler's task granularity.
 	BatchesPerTask int
-	// Recorder receives job-lifecycle events (submit/complete); nil
-	// disables them. Backends carry their own Recorder for the
-	// execution path.
+	// Recorder receives job-complete events; nil disables them.
+	// Backends carry their own Recorder for the execution path.
 	Recorder *obs.Recorder
 	// Metrics receives each batch's phase timings
 	// (hare_perf_phase_seconds); nil disables them.
@@ -285,12 +284,6 @@ func (m *Manager) Submit(req JobRequest) (int, error) {
 	m.status[id] = &JobStatus{
 		ID: id, Tag: req.Tag, Model: req.Model,
 		State: StateQueued, SubmittedAt: m.horizon,
-	}
-	if m.rec.Enabled() {
-		m.rec.Emit(obs.Event{
-			Type: obs.EvJobSubmit, Time: m.horizon, GPU: -1, Job: id,
-			Round: req.Rounds, Index: req.Scale, Note: req.Model,
-		})
 	}
 	return id, nil
 }

@@ -121,7 +121,7 @@ func WriteChromeTraceSpans(w io.Writer, events []Event, spans []ChromeSpan) erro
 				Ts: e.Time * usec, Dur: e.Dur * usec,
 				Pid: ChromePidExecution, Tid: e.GPU,
 			})
-		case EvMemAdmit, EvMemEvict, EvMemHit:
+		case EvMemAdmit, EvMemHit:
 			touch(ChromePidExecution, e.GPU)
 			out = append(out, chromeEvent{
 				Name: fmt.Sprintf("%s j%d", e.Type, e.Job),
@@ -152,7 +152,7 @@ func WriteChromeTraceSpans(w io.Writer, events []Event, spans []ChromeSpan) erro
 				Pid: ChromePidExecution, Tid: e.GPU, S: "t",
 				Args: map[string]any{"note": e.Note, "from": e.From},
 			})
-		case EvJobSubmit, EvJobComplete:
+		case EvJobComplete:
 			touch(ChromePidJobs, e.Job)
 			out = append(out, chromeEvent{
 				Name: fmt.Sprintf("%s j%d", e.Type, e.Job),

@@ -108,7 +108,9 @@ func WriteEventsJSONL(path string, events []Event) error {
 }
 
 // ReadJSONL decodes a stream of JSONL-encoded events (the format
-// Record writes), skipping blank lines.
+// Record writes), skipping blank lines. The stream comes from another
+// process, so a line whose type number names no current event type
+// (a retired one, or garbage) is an error naming the line.
 func ReadJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -121,6 +123,9 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 		var e Event
 		if err := json.Unmarshal(b, &e); err != nil {
 			return nil, fmt.Errorf("obs: events line %d: %w", line, err)
+		}
+		if !e.Type.known() {
+			return nil, fmt.Errorf("obs: events line %d: unknown event type %d", line, e.Type)
 		}
 		out = append(out, e)
 	}

@@ -25,6 +25,11 @@ import (
 // synchronization), inter-job switches with their stall breakdown
 // (§4's fast task switching), speculative memory traffic (§5), and
 // the scheduler's per-task decisions (Algorithm 1).
+//
+// A Type is written to JSONL as its number, so a deleted type retires
+// its number rather than renumbering the ones after it: a stream
+// recorded by an older build decodes to the same types, or fails on
+// the retired number (ReadJSONL).
 type Type uint8
 
 const (
@@ -46,16 +51,14 @@ const (
 	// EvMemAdmit records the speculative manager keeping a model's
 	// weights (Bytes) resident after a task completed.
 	EvMemAdmit
-	// EvMemEvict records a resident model (Bytes) evicted to make room.
-	EvMemEvict
+	_ // 5: retired (mem-evict)
 	// EvMemHit records a task finding its weights already resident.
 	EvMemHit
 	// EvSchedDecision is one Algorithm 1 placement: the scheduler chose
 	// GPU for the task, whose relaxation middle-completion-time H
 	// ordered it; Time is the planned start.
 	EvSchedDecision
-	// EvJobSubmit marks a job entering the manager's queue.
-	EvJobSubmit
+	_ // 8: retired (job-submit)
 	// EvJobComplete marks a job's realized completion.
 	EvJobComplete
 	// EvFaultInjected records a transient task fault: the training
@@ -112,63 +115,47 @@ const (
 	EvRecoveryReplay
 )
 
+// typeNames are the String forms, indexed by Type; a retired number
+// has none.
+var typeNames = [...]string{
+	EvTaskStart:      "task-start",
+	EvTaskFinish:     "task-finish",
+	EvBarrierWait:    "barrier-wait",
+	EvJobSwitch:      "job-switch",
+	EvMemAdmit:       "mem-admit",
+	EvMemHit:         "mem-hit",
+	EvSchedDecision:  "sched-decision",
+	EvJobComplete:    "job-complete",
+	EvFaultInjected:  "fault.injected",
+	EvGPUFailed:      "gpu.failed",
+	EvTaskMigrated:   "task.migrated",
+	EvReschedule:     "resched.triggered",
+	EvNetFault:       "net.fault",
+	EvCoordRecovered: "coord.recovered",
+	EvRPCClient:      "rpc.client",
+	EvRPCServer:      "rpc.server",
+	EvLeaseRenew:     "lease.renew",
+	EvLeaseExpired:   "lease.expired",
+	EvWALAppend:      "wal.append",
+	EvWALSnapshot:    "wal.snapshot",
+	EvRecoveryReplay: "recovery.replay",
+}
+
 func (t Type) String() string {
-	switch t {
-	case EvTaskStart:
-		return "task-start"
-	case EvTaskFinish:
-		return "task-finish"
-	case EvBarrierWait:
-		return "barrier-wait"
-	case EvJobSwitch:
-		return "job-switch"
-	case EvMemAdmit:
-		return "mem-admit"
-	case EvMemEvict:
-		return "mem-evict"
-	case EvMemHit:
-		return "mem-hit"
-	case EvSchedDecision:
-		return "sched-decision"
-	case EvJobSubmit:
-		return "job-submit"
-	case EvJobComplete:
-		return "job-complete"
-	case EvFaultInjected:
-		return "fault.injected"
-	case EvGPUFailed:
-		return "gpu.failed"
-	case EvTaskMigrated:
-		return "task.migrated"
-	case EvReschedule:
-		return "resched.triggered"
-	case EvNetFault:
-		return "net.fault"
-	case EvCoordRecovered:
-		return "coord.recovered"
-	case EvRPCClient:
-		return "rpc.client"
-	case EvRPCServer:
-		return "rpc.server"
-	case EvLeaseRenew:
-		return "lease.renew"
-	case EvLeaseExpired:
-		return "lease.expired"
-	case EvWALAppend:
-		return "wal.append"
-	case EvWALSnapshot:
-		return "wal.snapshot"
-	case EvRecoveryReplay:
-		return "recovery.replay"
+	if t.known() {
+		return typeNames[t]
 	}
 	return fmt.Sprintf("Type(%d)", int(t))
 }
 
+// known reports whether t is a current event type.
+func (t Type) known() bool { return int(t) < len(typeNames) && typeNames[t] != "" }
+
 // TypeByName resolves an event type from its String form.
 func TypeByName(name string) (Type, error) {
-	for t := EvTaskStart; t <= EvRecoveryReplay; t++ {
-		if t.String() == name {
-			return t, nil
+	for t, n := range typeNames {
+		if n != "" && n == name {
+			return Type(t), nil
 		}
 	}
 	return 0, fmt.Errorf("obs: unknown event type %q", name)
@@ -242,7 +229,7 @@ func (e Event) Format() string {
 		if e.Hit {
 			detail += " (residency hit)"
 		}
-	case EvMemAdmit, EvMemEvict, EvMemHit:
+	case EvMemAdmit, EvMemHit:
 		detail = fmt.Sprintf(" %dB", e.Bytes)
 	case EvSchedDecision:
 		detail = fmt.Sprintf(" H=%.2f", e.H)

@@ -33,7 +33,11 @@ func TestTaxonomyMatchesDocs(t *testing.T) {
 			}
 		}
 	}
-	for typ := EvTaskStart; !strings.HasPrefix(typ.String(), "Type("); typ++ {
+	for i := range typeNames {
+		typ := Type(i)
+		if !typ.known() {
+			continue
+		}
 		if !documented[typ.String()] {
 			t.Errorf("event type %q has no row in the event table", typ)
 		}
