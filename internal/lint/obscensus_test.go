@@ -6,6 +6,8 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -31,10 +33,11 @@ var registryMethods = map[string]bool{"Counter": true, "Gauge": true, "Histogram
 // series name before "{", where a fmt verb ("hare_rpc_%s_calls_total")
 // stands for any of the names it formats to.
 type obsFamily struct {
-	pos   token.Position  // first registration
-	files map[string]bool // the files that register it
-	name  *regexp.Regexp  // a series name of the family
-	read  bool
+	pos    token.Position  // first registration
+	files  map[string]bool // the files that register it
+	name   *regexp.Regexp  // a series name of the family
+	family *regexp.Regexp  // the family's name alone
+	read   bool
 }
 
 // TestObsCensus: every metric family registered through an
@@ -55,7 +58,9 @@ type obsFamily struct {
 // (names, Format, the chrome-trace and JSONL encodings).
 //
 // What nothing reads is cost without a question behind it: delete it
-// with its emit sites, or list it in obsAllowed with the reason.
+// with its emit sites, or list it in obsAllowed with the reason. And
+// docs/OBSERVABILITY.md's metric table has one row per family: every
+// row names a registered family, and every family has a row.
 func TestObsCensus(t *testing.T) {
 	files := loadCensus(t)
 	loader := censusModule.loader
@@ -99,14 +104,14 @@ func TestObsCensus(t *testing.T) {
 					return true
 				}
 				pos := loader.Fset.Position(n.Pos())
-				key, re := familyOf(info, n.Args[0])
+				key, re, fam := familyOf(info, n.Args[0])
 				if re == nil {
 					complaints = append(complaints, fmt.Sprintf("%s: cannot work out the family this %s registers: name it with a string literal", pos, fn.Name()))
 					return true
 				}
 				f := families[key]
 				if f == nil {
-					f = &obsFamily{pos: pos, files: make(map[string]bool), name: re}
+					f = &obsFamily{pos: pos, files: make(map[string]bool), name: re, family: fam}
 					families[key] = f
 				}
 				f.files[cf.name] = true
@@ -188,6 +193,7 @@ func TestObsCensus(t *testing.T) {
 			}
 		}
 	}
+	complaints = append(complaints, metricTableDrift(t, families)...)
 	sort.Strings(complaints)
 	for _, c := range complaints {
 		t.Error(c)
@@ -195,13 +201,57 @@ func TestObsCensus(t *testing.T) {
 	t.Logf("%d metric families, %d event types, %d allowed unread", len(families), len(evTypes), len(obsAllowed))
 }
 
+// metricTableDrift compares the metric table of docs/OBSERVABILITY.md
+// (first cell: the back-quoted family, labels as {name}) with the
+// registered families, both ways.
+func metricTableDrift(t *testing.T, families map[string]*obsFamily) []string {
+	const doc, heading = "docs/OBSERVABILITY.md", "\n## Metrics registry\n"
+	raw, err := os.ReadFile(filepath.Join(censusModule.loader.ModuleRoot, doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(raw), heading)
+	if !ok {
+		t.Fatalf("%s has no %q section", doc, strings.TrimSpace(heading))
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	var out []string
+	rows := make(map[string]bool) // family keys with a row
+	for _, line := range strings.Split(section, "\n") {
+		m := tableFamily.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		matched := false
+		//lint:ordered the loop only fills a set
+		for key, f := range families {
+			if f.family.MatchString(m[1]) {
+				rows[key], matched = true, true
+			}
+		}
+		if !matched {
+			out = append(out, fmt.Sprintf("%s: the metric table lists %s, which no code registers", doc, m[1]))
+		}
+	}
+	//lint:ordered complaints are sorted before they are reported
+	for key, f := range families {
+		if !rows[key] {
+			out = append(out, fmt.Sprintf("%s: metric family %s has no row in %s's metric table", f.pos, key, doc))
+		}
+	}
+	return out
+}
+
+// tableFamily matches a metric-table row and captures its family name.
+var tableFamily = regexp.MustCompile("^\\| `(hare_[a-z0-9_]+)(\\{[a-z]+\\})?` \\|")
+
 // familyOf names the family a registration's series-name argument
 // belongs to: the argument's constant value, or else its first string
-// literal in source order, cut at "{". It returns the family key and a
+// literal in source order, cut at "{". It returns the family key, a
 // pattern matching the family's series names with an optional
-// histogram suffix and label set, or a nil pattern when the name is not
-// a hare_ family.
-func familyOf(info *types.Info, arg ast.Expr) (string, *regexp.Regexp) {
+// histogram suffix and label set, and one matching the family name
+// alone; the patterns are nil when the name is not a hare_ family.
+func familyOf(info *types.Info, arg ast.Expr) (string, *regexp.Regexp, *regexp.Regexp) {
 	var name string
 	if tv := info.Types[arg]; tv.Value != nil && tv.Value.Kind() == constant.String {
 		name = constant.StringVal(tv.Value)
@@ -215,10 +265,10 @@ func familyOf(info *types.Info, arg ast.Expr) (string, *regexp.Regexp) {
 	}
 	key, _, _ := strings.Cut(name, "{")
 	if !familyName.MatchString(key) {
-		return "", nil
+		return "", nil, nil
 	}
 	pattern := strings.NewReplacer("%s", "[a-z0-9]+", "%d", "[0-9]+").Replace(key)
-	return key, regexp.MustCompile(`^` + pattern + `(_bucket|_sum|_count)?(\{.*)?$`)
+	return key, regexp.MustCompile(`^` + pattern + `(_bucket|_sum|_count)?(\{.*)?$`), regexp.MustCompile(`^` + pattern + `$`)
 }
 
 // familyName is a family key the census can read: snake_case under
