@@ -421,9 +421,8 @@ func BenchmarkObsRPCDisabled(b *testing.B) {
 }
 
 // BenchmarkObsRPCEnabledRing measures the same wrapper fully on: event
-// emission into a ring sink plus the per-method counter and histogram
-// series — the hared steady-state configuration of the distributed
-// control plane.
+// emission into a ring sink plus the per-method counter series — the
+// hared steady-state configuration of the distributed control plane.
 func BenchmarkObsRPCEnabledRing(b *testing.B) {
 	ring := obs.NewRingSink(4096)
 	reg := obs.NewRegistry()
