@@ -20,7 +20,7 @@ import (
 const (
 	ChromePidExecution = 0 // task/sync/switch/wait/mem spans, tid = GPU
 	ChromePidScheduler = 1 // Algorithm 1 decisions, tid = chosen GPU
-	ChromePidJobs      = 2 // submit/complete instants, tid = job
+	ChromePidJobs      = 2 // job-complete instants, tid = job
 	ChromePidSpans     = 3 // nested causal spans, tid = job
 	ChromePidControl   = 4 // control-plane RPC/lease/WAL lanes, tid = GPU (-1 = coordinator)
 )

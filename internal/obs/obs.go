@@ -188,7 +188,7 @@ type Event struct {
 	// H is the relaxation's middle completion time behind a scheduler
 	// decision (Algorithm 1's sort key).
 	H float64 `json:"h,omitempty"`
-	// Bytes sizes memory traffic (admit/evict/hit).
+	// Bytes sizes memory traffic (admit/hit) and journal snapshots.
 	Bytes int64 `json:"bytes,omitempty"`
 	// Hit marks a speculative residency hit.
 	Hit bool `json:"hit,omitempty"`
