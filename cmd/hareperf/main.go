@@ -66,7 +66,10 @@ var ratioCaps = []perf.Cap{
 	// allocation or emit per event) pushes it past 2, so the cap can
 	// afford the headroom a busy shared runner needs.
 	{Bench: "BenchmarkObsDisabled", Over: "BenchmarkSimulatorReplay", Metric: "ns/op", Max: 1.75},
-	{Bench: "BenchmarkObsEnabledRing", Over: "BenchmarkSimulatorReplay", Metric: "ns/op", Max: 3.0},
+	// Full event emission into a ring reads 1.31–1.77 over ten gate
+	// runs on the 2-CPU box since the simulator stopped feeding run
+	// counters (1.43–2.04 before).
+	{Bench: "BenchmarkObsEnabledRing", Over: "BenchmarkSimulatorReplay", Metric: "ns/op", Max: 2.5},
 	// rpcnet's per-call Start/Observe wrapper is a couple of branch
 	// tests when observation is off; a broken nil path (a clock read or
 	// emit per call) lands near 1.0 of the fully-on path and fails.
