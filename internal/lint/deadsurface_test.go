@@ -64,7 +64,6 @@ func TestDeadSurfaceCensus(t *testing.T) {
 	declared := make(map[string]decl)
 	used := make(map[string]bool)
 	rpcTypes := make(map[string]bool) // "pkgpath.Type" registered with net/rpc
-	var ifaces []*types.Interface
 
 	for _, cf := range files {
 		info := cf.unit.Info
@@ -132,10 +131,6 @@ func TestDeadSurfaceCensus(t *testing.T) {
 					if key := objectKey(info.Uses[n]); key != "" && !slices.Contains(own, key) {
 						used[key] = true
 					}
-				case *ast.InterfaceType: // declared or literal
-					if it, ok := info.TypeOf(n).(*types.Interface); ok {
-						ifaces = append(ifaces, it)
-					}
 				case *ast.CallExpr:
 					if t := rpcRegistered(info, n); t != nil {
 						rpcTypes[objectKey(t.Obj())] = true
@@ -145,54 +140,19 @@ func TestDeadSurfaceCensus(t *testing.T) {
 			})
 		}
 	}
-	// Interfaces as importers see them: a package's own unit and its
-	// import view are distinct types.Packages, so a method signature that
-	// mentions a module type only matches within one view.
-	//lint:ordered the interface list is only searched, never reported
-	for _, pkg := range loader.imports {
-		if pkg == nil {
-			continue
-		}
-		for _, name := range pkg.Scope().Names() {
-			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
-				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-					ifaces = append(ifaces, it)
-				}
-			}
-		}
-	}
 	if len(declared) < 500 {
 		t.Fatalf("census found only %d exported identifiers; the scope rule no longer matches the repo", len(declared))
 	}
 
+	ifaces := moduleInterfaces(files, loader.imports)
 	exempt := func(m *types.Func) bool {
 		if stdProtocol[m.Name()] {
 			return true
 		}
-		recv := receiverNamed(m)
-		if recv == nil {
-			return false
-		}
-		if rpcTypes[objectKey(recv.Obj())] {
+		if recv := receiverNamed(m); recv != nil && rpcTypes[objectKey(recv.Obj())] {
 			return true
 		}
-		views := []types.Type{recv}
-		if pkg := loader.imports[recv.Obj().Pkg().Path()]; pkg != nil {
-			if tn, ok := pkg.Scope().Lookup(recv.Obj().Name()).(*types.TypeName); ok {
-				views = append(views, tn.Type())
-			}
-		}
-		for _, it := range ifaces {
-			if !declaresMethod(it, m.Name()) {
-				continue
-			}
-			for _, v := range views {
-				if types.Implements(v, it) || types.Implements(types.NewPointer(v), it) {
-					return true
-				}
-			}
-		}
-		return false
+		return fixedByInterface(m, ifaces, loader.imports)
 	}
 
 	var complaints []string
@@ -285,6 +245,66 @@ func rpcRegistered(info *types.Info, call *ast.CallExpr) *types.Named {
 	}
 	named, _ := types.Unalias(t).(*types.Named)
 	return named
+}
+
+// moduleInterfaces are the interface types files declare or spell
+// out, and the named ones of the import views: a package's own unit and
+// its import view are distinct types.Packages, so a method signature
+// that mentions a module type only matches within one view.
+func moduleInterfaces(files []censusFile, imports map[string]*types.Package) []*types.Interface {
+	var ifaces []*types.Interface
+	for _, cf := range files {
+		ast.Inspect(cf.file, func(n ast.Node) bool {
+			if n, ok := n.(*ast.InterfaceType); ok {
+				if it, ok := cf.unit.Info.TypeOf(n).(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+			return true
+		})
+	}
+	//lint:ordered the interface list is only searched, never reported
+	for _, pkg := range imports {
+		if pkg == nil {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
+				if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+					ifaces = append(ifaces, it)
+				}
+			}
+		}
+	}
+	return ifaces
+}
+
+// fixedByInterface reports whether an interface of ifaces declares
+// method m and m's receiver type, in its own unit's view or its import
+// view, implements that interface: m's signature is then not its own
+// to change.
+func fixedByInterface(m *types.Func, ifaces []*types.Interface, imports map[string]*types.Package) bool {
+	recv := receiverNamed(m)
+	if recv == nil {
+		return false
+	}
+	views := []types.Type{recv}
+	if pkg := imports[recv.Obj().Pkg().Path()]; pkg != nil {
+		if tn, ok := pkg.Scope().Lookup(recv.Obj().Name()).(*types.TypeName); ok {
+			views = append(views, tn.Type())
+		}
+	}
+	for _, it := range ifaces {
+		if !declaresMethod(it, m.Name()) {
+			continue
+		}
+		for _, v := range views {
+			if types.Implements(v, it) || types.Implements(types.NewPointer(v), it) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func declaresMethod(it *types.Interface, name string) bool {
