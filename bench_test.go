@@ -37,8 +37,6 @@ func benchCfg() experiments.Config {
 		Jobs:           40,
 		GPUs:           24,
 		HorizonSeconds: 300,
-		WithSwitching:  true,
-		Speculative:    true,
 	}
 }
 
@@ -87,7 +85,7 @@ func BenchmarkExperiments(b *testing.B) {
 func BenchmarkFig14GPUSweep(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig14GPUSweep(cfg, []int{16, 24})
+		rows, err := experiments.Fig14GPUSweep(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -105,7 +103,7 @@ func BenchmarkFig14GPUSweepParallel(b *testing.B) {
 	cfg := benchCfg()
 	cfg.Parallel = -1 // GOMAXPROCS
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig14GPUSweep(cfg, []int{16, 24})
+		rows, err := experiments.Fig14GPUSweep(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +116,7 @@ func BenchmarkFig14GPUSweepParallel(b *testing.B) {
 func BenchmarkFig15JobSweep(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig15JobSweep(cfg, []int{24, 48})
+		rows, err := experiments.Fig15JobSweep(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +142,7 @@ func BenchmarkFig16Heterogeneity(b *testing.B) {
 func BenchmarkFig18Bandwidth(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig18Bandwidth(cfg, []float64{10, 25})
+		rows, err := experiments.Fig18Bandwidth(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -157,7 +155,7 @@ func BenchmarkFig18Bandwidth(b *testing.B) {
 func BenchmarkFig19BatchSize(b *testing.B) {
 	cfg := benchCfg()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig19BatchSize(cfg, []float64{0.5, 1, 2})
+		rows, err := experiments.Fig19BatchSize(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

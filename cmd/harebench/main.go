@@ -70,13 +70,11 @@ func run() int {
 	}
 	defer stop()
 	cfg := experiments.Config{
-		Seed:          *seed,
-		RoundsScale:   *scale,
-		Jobs:          *jobs,
-		GPUs:          *gpus,
-		WithSwitching: true,
-		Speculative:   true,
-		Parallel:      *parallel,
+		Seed:        *seed,
+		RoundsScale: *scale,
+		Jobs:        *jobs,
+		GPUs:        *gpus,
+		Parallel:    *parallel,
 	}
 	if *parallel <= 0 {
 		cfg.Parallel = -1 // experiments.Config: negative = GOMAXPROCS

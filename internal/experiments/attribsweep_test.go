@@ -17,7 +17,7 @@ func bucketSum(b critpath.Buckets) float64 {
 func attribSweepConfig() Config {
 	return Config{
 		Seed: 42, RoundsScale: 0.05, Jobs: 8, GPUs: 6,
-		HorizonSeconds: 60, WithSwitching: true, Speculative: true,
+		HorizonSeconds: 60,
 	}
 }
 

@@ -24,13 +24,15 @@ type Fig12Row struct {
 	GapPercent float64
 }
 
+// Fig. 12's workload: jobs on the 15-GPU testbed fleet, and the
+// testbed clock scale in wall seconds per simulated second.
+const (
+	fig12Jobs      = 24
+	fig12TimeScale = 3e-3
+)
+
 // Fig12Options control the testbed-scale experiment.
 type Fig12Options struct {
-	// Jobs on the 15-GPU testbed fleet (default 24).
-	Jobs int
-	// TimeScale is the testbed clock scale (default 3e-3 wall
-	// seconds per simulated second).
-	TimeScale float64
 	// TestbedSchemes names the schemes also executed on the testbed
 	// (default: all five).
 	TestbedSchemes []string
@@ -42,21 +44,13 @@ type Fig12Options struct {
 // per-scheme fidelity gap.
 func Fig12Testbed(cfg Config, opts Fig12Options) ([]Fig12Row, error) {
 	cfg = cfg.Defaults()
-	if opts.Jobs == 0 {
-		opts.Jobs = 24
-	}
-	if opts.TimeScale == 0 {
-		opts.TimeScale = 3e-3
-	}
 	cl := cluster.Testbed()
 	cfg.HorizonSeconds = math.Min(cfg.HorizonSeconds, 600)
-	in, _, models, err := buildWorkload(cfg, cl, opts.Jobs, nil, 1)
+	in, _, models, err := buildWorkload(cfg, cl, fig12Jobs, nil, 1)
 	if err != nil {
 		return nil, err
 	}
 	algos := sched.All()
-	cfg.WithSwitching = true
-	cfg.Speculative = true
 	simRes, err := runSchemes(cfg, in, cl, models, algos)
 	if err != nil {
 		return nil, err
@@ -91,7 +85,7 @@ func Fig12Testbed(cfg Config, opts Fig12Options) ([]Fig12Row, error) {
 			}
 			scheme := sched.Switching(a.Name())
 			tb, err := testbed.Run(in, plan, cl, models, testbed.Options{
-				TimeScale:   opts.TimeScale,
+				TimeScale:   fig12TimeScale,
 				Scheme:      scheme,
 				Speculative: scheme == switching.Hare,
 			})
@@ -120,20 +114,15 @@ type Fig13Row struct {
 }
 
 // Fig13CDF reproduces Fig. 13: the CDF of job completion time under
-// Hare, Sched_Allox and Sched_Homo on the testbed workload.
-func Fig13CDF(cfg Config, jobs int) ([]Fig13Row, error) {
+// Hare, Sched_Allox and Sched_Homo on a 48-job testbed workload.
+func Fig13CDF(cfg Config) ([]Fig13Row, error) {
 	cfg = cfg.Defaults()
-	if jobs == 0 {
-		jobs = 48
-	}
 	cl := cluster.Testbed()
 	cfg.HorizonSeconds = math.Min(cfg.HorizonSeconds, 600)
-	in, _, models, err := buildWorkload(cfg, cl, jobs, nil, 1)
+	in, _, models, err := buildWorkload(cfg, cl, 48, nil, 1)
 	if err != nil {
 		return nil, err
 	}
-	cfg.WithSwitching = true
-	cfg.Speculative = true
 	algos := []sched.Algorithm{sched.NewHare(), sched.NewSchedAllox(), sched.NewSchedHomo()}
 	results, err := runSchemes(cfg, in, cl, models, algos)
 	if err != nil {
@@ -201,9 +190,9 @@ func sweep(cfg Config, fig string, n int, at func(i int) point) ([]SweepRow, err
 	return rows, nil
 }
 
-// fiveAround is the default x axis of Fig. 14 and 15: the configured
-// size and two steps to either side of it (80–240 GPUs, 100–300 jobs at
-// the paper's sizes), so a shrunken Config shrinks the sweep with it.
+// fiveAround is the x axis of Fig. 14 and 15: the configured size and
+// two steps to either side of it (80–240 GPUs, 100–300 jobs at the
+// paper's sizes), so a shrunken Config shrinks the sweep with it.
 func fiveAround(n int) []int {
 	return []int{n / 2, n * 3 / 4, n, n * 5 / 4, n * 3 / 2}
 }
@@ -211,11 +200,9 @@ func fiveAround(n int) []int {
 // Fig14GPUSweep reproduces Fig. 14: weighted JCT of every scheme as
 // the fleet grows (80–240 GPUs at high heterogeneity), with the job
 // count fixed (paper: 200).
-func Fig14GPUSweep(cfg Config, gpuCounts []int) ([]SweepRow, error) {
+func Fig14GPUSweep(cfg Config) ([]SweepRow, error) {
 	cfg = cfg.Defaults()
-	if len(gpuCounts) == 0 {
-		gpuCounts = fiveAround(cfg.GPUs)
-	}
+	gpuCounts := fiveAround(cfg.GPUs)
 	return sweep(cfg, "fig14", len(gpuCounts), func(i int) point {
 		n := gpuCounts[i]
 		return point{x: float64(n), label: fmt.Sprintf("%d GPUs", n), tag: fmt.Sprintf("n=%d", n),
@@ -225,11 +212,9 @@ func Fig14GPUSweep(cfg Config, gpuCounts []int) ([]SweepRow, error) {
 
 // Fig15JobSweep reproduces Fig. 15: weighted JCT as the number of
 // jobs grows (100–300) on a fixed 160-GPU fleet.
-func Fig15JobSweep(cfg Config, jobCounts []int) ([]SweepRow, error) {
+func Fig15JobSweep(cfg Config) ([]SweepRow, error) {
 	cfg = cfg.Defaults()
-	if len(jobCounts) == 0 {
-		jobCounts = fiveAround(cfg.Jobs)
-	}
+	jobCounts := fiveAround(cfg.Jobs)
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
 	return sweep(cfg, "fig15", len(jobCounts), func(i int) point {
 		n := jobCounts[i]
@@ -254,13 +239,11 @@ func Fig16Heterogeneity(cfg Config) ([]SweepRow, error) {
 }
 
 // Fig17JobMix reproduces Fig. 17: weighted JCT as one workload class's
-// share grows from the default 25 % to the given fractions, for each
-// of the four classes.
-func Fig17JobMix(cfg Config, fractions []float64) (map[model.Class][]SweepRow, error) {
+// share grows from the default 25 % to 40, 55 and 70 %, for each of the
+// four classes.
+func Fig17JobMix(cfg Config) (map[model.Class][]SweepRow, error) {
 	cfg = cfg.Defaults()
-	if len(fractions) == 0 {
-		fractions = []float64{0.25, 0.40, 0.55, 0.70}
-	}
+	fractions := []float64{0.25, 0.40, 0.55, 0.70}
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
 	classes := model.Classes()
 	// The (class, fraction) grid is one flat sweep, class-major; the map
@@ -284,11 +267,9 @@ func Fig17JobMix(cfg Config, fractions []float64) (map[model.Class][]SweepRow, e
 // Fig18Bandwidth reproduces Fig. 18: weighted JCT as the data-center
 // network speed varies (10–25 Gbps). Faster networks shrink T^s and
 // so the JCT, sub-linearly.
-func Fig18Bandwidth(cfg Config, gbps []float64) ([]SweepRow, error) {
+func Fig18Bandwidth(cfg Config) ([]SweepRow, error) {
 	cfg = cfg.Defaults()
-	if len(gbps) == 0 {
-		gbps = []float64{10, 15, 20, 25}
-	}
+	gbps := []float64{10, 15, 20, 25}
 	return sweep(cfg, "fig18", len(gbps), func(i int) point {
 		g := gbps[i]
 		return point{x: g, label: fmt.Sprintf("%gGbps", g), tag: fmt.Sprintf("%gGbps", g),
@@ -302,11 +283,9 @@ func Fig18Bandwidth(cfg Config, gbps []float64) ([]SweepRow, error) {
 // tasks but proportionally fewer rounds — each job still trains the
 // same number of samples — so most schemes are nearly flat, while the
 // gang schedulers pay more straggler idle per (longer) round.
-func Fig19BatchSize(cfg Config, scales []float64) ([]SweepRow, error) {
+func Fig19BatchSize(cfg Config) ([]SweepRow, error) {
 	cfg = cfg.Defaults()
-	if len(scales) == 0 {
-		scales = []float64{0.5, 1, 2}
-	}
+	scales := []float64{0.5, 1, 2}
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
 	return sweep(cfg, "fig19", len(scales), func(i int) point {
 		bs := scales[i]

@@ -25,9 +25,7 @@ func TestFig11StabilityLowVariance(t *testing.T) {
 func TestFig12TestbedSmall(t *testing.T) {
 	cfg := smallCfg()
 	cfg.RoundsScale = 0.04
-	rows, err := Fig12Testbed(cfg, Fig12Options{
-		Jobs: 8, TimeScale: 1e-3, TestbedSchemes: []string{"Hare", "Sched_Allox"},
-	})
+	rows, err := Fig12Testbed(cfg, Fig12Options{TestbedSchemes: []string{"Hare", "Sched_Allox"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +50,7 @@ func TestFig12TestbedSmall(t *testing.T) {
 }
 
 func TestFig13CDFMonotone(t *testing.T) {
-	rows, err := Fig13CDF(smallCfg(), 20)
+	rows, err := Fig13CDF(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +70,7 @@ func TestFig13CDFMonotone(t *testing.T) {
 }
 
 func TestFig15GapsGrowWithLoad(t *testing.T) {
-	cfg := smallCfg()
-	rows, err := Fig15JobSweep(cfg, []int{8, 32})
+	rows, err := Fig15JobSweep(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +85,9 @@ func TestFig15GapsGrowWithLoad(t *testing.T) {
 		}
 		return worst / hare
 	}
-	g0, g1 := gap(rows[0]), gap(rows[1])
-	t.Logf("worst/Hare gap: %d jobs %.2f, %d jobs %.2f", 8, g0, 32, g1)
+	low, high := rows[0], rows[len(rows)-1]
+	g0, g1 := gap(low), gap(high)
+	t.Logf("worst/Hare gap: %s %.2f, %s %.2f", low.Label, g0, high.Label, g1)
 	if g1 < 1 {
 		t.Errorf("Hare lost to the worst baseline at high load (gap %.2f)", g1)
 	}
@@ -114,7 +112,7 @@ func TestFig16HareDominatesAtHighHeterogeneity(t *testing.T) {
 }
 
 func TestFig17NLPHeavier(t *testing.T) {
-	byClass, err := Fig17JobMix(smallCfg(), []float64{0.25, 0.7})
+	byClass, err := Fig17JobMix(smallCfg()) // 25, 40, 55, 70 %
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +121,7 @@ func TestFig17NLPHeavier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hare70, err := findResult(nlp[1].Results, "Hare")
+	hare70, err := findResult(nlp[3].Results, "Hare")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +131,7 @@ func TestFig17NLPHeavier(t *testing.T) {
 	}
 	rec := byClass["Rec"]
 	rec25, _ := findResult(rec[0].Results, "Hare")
-	rec70, _ := findResult(rec[1].Results, "Hare")
+	rec70, _ := findResult(rec[3].Results, "Hare")
 	if rec70.WeightedJCT >= rec25.WeightedJCT {
 		t.Errorf("boosting Rec did not decrease JCT: %.0f vs %.0f",
 			rec70.WeightedJCT, rec25.WeightedJCT)
@@ -141,24 +139,24 @@ func TestFig17NLPHeavier(t *testing.T) {
 }
 
 func TestFig18FasterNetworkHelps(t *testing.T) {
-	rows, err := Fig18Bandwidth(smallCfg(), []float64{5, 25})
+	rows, err := Fig18Bandwidth(smallCfg()) // 10, 15, 20, 25 Gbps
 	if err != nil {
 		t.Fatal(err)
 	}
 	slow, _ := findResult(rows[0].Results, "Hare")
-	fast, _ := findResult(rows[1].Results, "Hare")
+	fast, _ := findResult(rows[len(rows)-1].Results, "Hare")
 	if fast.WeightedJCT > slow.WeightedJCT*1.001 {
-		t.Errorf("25 Gbps (%.0f) not better than 5 Gbps (%.0f)", fast.WeightedJCT, slow.WeightedJCT)
+		t.Errorf("25 Gbps (%.0f) not better than 10 Gbps (%.0f)", fast.WeightedJCT, slow.WeightedJCT)
 	}
 }
 
 func TestFig19RoughlyFlat(t *testing.T) {
-	rows, err := Fig19BatchSize(smallCfg(), []float64{0.5, 2})
+	rows, err := Fig19BatchSize(smallCfg()) // 0.5, 1, 2 × B0
 	if err != nil {
 		t.Fatal(err)
 	}
 	small, _ := findResult(rows[0].Results, "Hare")
-	big, _ := findResult(rows[1].Results, "Hare")
+	big, _ := findResult(rows[len(rows)-1].Results, "Hare")
 	ratio := big.WeightedJCT / small.WeightedJCT
 	t.Logf("Hare JCT ratio 2xB0 / 0.5xB0 = %.2f", ratio)
 	// Total samples are held constant, so the effect is modest.

@@ -38,12 +38,6 @@ type Config struct {
 	GPUs int
 	// HorizonSeconds spreads job arrivals (Google-trace-like).
 	HorizonSeconds float64
-	// WithSwitching charges switching overhead in simulator runs, under
-	// the scheme each compared scheduler ships with (sched.Switching);
-	// disabled only by scheduler-isolation tests.
-	WithSwitching bool
-	// Speculative enables speculative memory during simulation.
-	Speculative bool
 	// Recorder, when set, receives structured events from every
 	// simulator replay an experiment performs (harebench's
 	// -trace-out/-events-out flags); nil disables instrumentation.
@@ -161,15 +155,16 @@ func runSchemes(cfg Config, in *core.Instance, cl *cluster.Cluster, models []*mo
 }
 
 // simOptions are the replay options of one scheme's plan in the
-// comparison experiments.
+// comparison experiments: switching is charged under the scheme the
+// scheduler ships with (sched.Switching), speculative memory with it
+// under Hare's.
 func (c Config) simOptions(algoName string) sim.Options {
 	scheme := sched.Switching(algoName)
 	return sim.Options{
-		DisableSwitching: !c.WithSwitching,
-		Scheme:           scheme,
-		Speculative:      c.Speculative && scheme == switching.Hare,
-		Seed:             c.Seed + 7,
-		Recorder:         c.Recorder,
+		Scheme:      scheme,
+		Speculative: scheme == switching.Hare,
+		Seed:        c.Seed + 7,
+		Recorder:    c.Recorder,
 	}
 }
 

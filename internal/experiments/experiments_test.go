@@ -16,8 +16,6 @@ func smallCfg() Config {
 		Jobs:           16,
 		GPUs:           12,
 		HorizonSeconds: 300,
-		WithSwitching:  true,
-		Speculative:    true,
 	}
 }
 
@@ -183,7 +181,7 @@ func TestTable3SwitchingOrdersOfMagnitude(t *testing.T) {
 }
 
 func TestFig14HareWinsAcrossFleetSizes(t *testing.T) {
-	rows, err := Fig14GPUSweep(smallCfg(), []int{8, 12})
+	rows, err := Fig14GPUSweep(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,7 @@ func TestFig14HareWinsAcrossFleetSizes(t *testing.T) {
 }
 
 func TestAblationRelaxBounds(t *testing.T) {
-	st, err := AblationRelax(3, 15)
+	st, err := AblationRelax(3)
 	if err != nil {
 		t.Fatal(err)
 	}

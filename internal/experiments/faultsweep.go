@@ -48,22 +48,18 @@ type FaultRow struct {
 }
 
 // FaultSweep measures robustness: every scheduler's weighted JCT
-// degradation as transient fault rates grow, and as permanent GPU
-// failures pile up. Each scheme plans once; the fault-free replay of
+// degradation as transient fault rates grow (2, 5, 10, 20 % of
+// attempts), and as permanent GPU failures pile up (1, 2, 4). Each scheme plans once; the fault-free replay of
 // that plan is its own baseline. Permanent failures are placed
 // deterministically — failure i of k kills GPU i·NumGPUs/k at sim
 // time (i+1)/(k+1) of the scheme's fault-free makespan — so the whole
 // table is a pure function of cfg.Seed. The re-plan on failure uses
 // the same algorithm that produced the original plan, i.e. each
 // scheme recovers with its own policy.
-func FaultSweep(cfg Config, rates []float64, failureCounts []int) ([]FaultRow, error) {
+func FaultSweep(cfg Config) ([]FaultRow, error) {
 	cfg = cfg.Defaults()
-	if len(rates) == 0 {
-		rates = []float64{0.02, 0.05, 0.1, 0.2}
-	}
-	if len(failureCounts) == 0 {
-		failureCounts = []int{1, 2, 4}
-	}
+	rates := []float64{0.02, 0.05, 0.1, 0.2}
+	failureCounts := []int{1, 2, 4}
 	cl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUs)
 	for _, k := range failureCounts {
 		if k >= cl.Size() {

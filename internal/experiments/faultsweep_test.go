@@ -8,7 +8,7 @@ import (
 func faultSweepConfig() Config {
 	return Config{
 		Seed: 42, RoundsScale: 0.05, Jobs: 8, GPUs: 6,
-		HorizonSeconds: 60, WithSwitching: true,
+		HorizonSeconds: 60,
 	}
 }
 
@@ -17,34 +17,39 @@ func faultSweepConfig() Config {
 // finish every job. The whole table is reproducible from the seed.
 func TestFaultSweepDegradesAndRecovers(t *testing.T) {
 	cfg := faultSweepConfig()
-	rows, err := FaultSweep(cfg, []float64{0.1}, []int{2})
+	rows, err := FaultSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("got %d rows, want 2", len(rows))
+	if len(rows) != 7 {
+		t.Fatalf("got %d rows, want 4 rate rows and 3 failure rows", len(rows))
 	}
-	for _, r := range rows[0].Results { // rate=0.1
-		if r.Retries == 0 || r.LostSeconds <= 0 {
-			t.Errorf("%s rate row: retries=%d lost=%g — injection inert", r.Scheme, r.Retries, r.LostSeconds)
-		}
-		if r.DegradationPct <= 0 {
-			t.Errorf("%s rate row: degradation %.2f%%, want > 0", r.Scheme, r.DegradationPct)
-		}
-	}
-	for _, r := range rows[1].Results { // failures=2
-		if r.GPUFailures != 2 {
-			t.Errorf("%s failure row: %d GPU failures, want 2", r.Scheme, r.GPUFailures)
-		}
-		if r.Reschedules != 2 {
-			t.Errorf("%s failure row: %d reschedules, want 2", r.Scheme, r.Reschedules)
-		}
-		if r.WeightedJCT <= 0 {
-			t.Errorf("%s failure row: WJCT %g", r.Scheme, r.WeightedJCT)
+	for _, row := range rows {
+		for _, r := range row.Results {
+			if row.Failures == 0 {
+				if r.Retries == 0 || r.LostSeconds <= 0 {
+					t.Errorf("%s %s: retries=%d lost=%g — injection inert", r.Scheme, row.Label, r.Retries, r.LostSeconds)
+				}
+				// Lost attempts at the low rates can hide in a gang
+				// scheduler's slack.
+				if row.Rate >= 0.1 && r.DegradationPct <= 0 {
+					t.Errorf("%s %s: degradation %.2f%%, want > 0", r.Scheme, row.Label, r.DegradationPct)
+				}
+				continue
+			}
+			if r.GPUFailures != row.Failures {
+				t.Errorf("%s %s: %d GPU failures", r.Scheme, row.Label, r.GPUFailures)
+			}
+			if r.Reschedules != row.Failures {
+				t.Errorf("%s %s: %d reschedules", r.Scheme, row.Label, r.Reschedules)
+			}
+			if r.WeightedJCT <= 0 {
+				t.Errorf("%s %s: WJCT %g", r.Scheme, row.Label, r.WeightedJCT)
+			}
 		}
 	}
 
-	again, err := FaultSweep(cfg, []float64{0.1}, []int{2})
+	again, err := FaultSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +59,9 @@ func TestFaultSweepDegradesAndRecovers(t *testing.T) {
 }
 
 func TestFaultSweepRejectsFleetWipe(t *testing.T) {
-	if _, err := FaultSweep(faultSweepConfig(), []float64{}, []int{6}); err == nil {
+	cfg := faultSweepConfig()
+	cfg.GPUs = 4 // the sweep's last row fails 4 GPUs
+	if _, err := FaultSweep(cfg); err == nil {
 		t.Error("failure count == fleet size accepted")
 	}
 }

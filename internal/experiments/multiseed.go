@@ -27,13 +27,11 @@ type MultiSeedRow struct {
 	Stats []SeedStats
 }
 
-// MultiSeed runs the sweep `run` with `seeds` different seeds derived
-// from cfg.Seed and aggregates per (setting, scheme). Every seed must
-// yield the same settings and scheme lineup.
-func MultiSeed(cfg Config, seeds int, run func(Config) ([]SweepRow, error)) ([]MultiSeedRow, error) {
-	if seeds <= 0 {
-		seeds = 3
-	}
+// MultiSeed runs the sweep `run` with three seeds derived from
+// cfg.Seed and aggregates per (setting, scheme). Every seed must yield
+// the same settings and scheme lineup.
+func MultiSeed(cfg Config, run func(Config) ([]SweepRow, error)) ([]MultiSeedRow, error) {
+	const seeds = 3
 	cfg = cfg.Defaults()
 
 	// Seeds are fully independent sweeps, so they fan out first; each

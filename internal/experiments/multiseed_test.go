@@ -6,13 +6,11 @@ import (
 
 func TestMultiSeedAggregation(t *testing.T) {
 	cfg := smallCfg()
-	rows, err := MultiSeed(cfg, 3, func(c Config) ([]SweepRow, error) {
-		return Fig14GPUSweep(c, []int{8, 12})
-	})
+	rows, err := MultiSeed(cfg, Fig16Heterogeneity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
+	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))
 	}
 	for _, row := range rows {
@@ -34,12 +32,11 @@ func TestMultiSeedAggregation(t *testing.T) {
 
 func TestMultiSeedDeterministic(t *testing.T) {
 	cfg := smallCfg()
-	run := func(c Config) ([]SweepRow, error) { return Fig14GPUSweep(c, []int{8}) }
-	a, err := MultiSeed(cfg, 2, run)
+	a, err := MultiSeed(cfg, Fig16Heterogeneity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := MultiSeed(cfg, 2, run)
+	b, err := MultiSeed(cfg, Fig16Heterogeneity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,9 +51,7 @@ func TestMultiSeedDeterministic(t *testing.T) {
 
 func TestMultiSeedVarianceComesFromSeeds(t *testing.T) {
 	cfg := smallCfg()
-	rows, err := MultiSeed(cfg, 3, func(c Config) ([]SweepRow, error) {
-		return Fig14GPUSweep(c, []int{12})
-	})
+	rows, err := MultiSeed(cfg, Fig16Heterogeneity)
 	if err != nil {
 		t.Fatal(err)
 	}

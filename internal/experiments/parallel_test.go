@@ -20,12 +20,11 @@ func parallelCfg() Config {
 }
 
 func TestParallelMatchesSerialFig14(t *testing.T) {
-	gpuCounts := []int{8, 12, 16}
-	serial, err := Fig14GPUSweep(smallCfg(), gpuCounts)
+	serial, err := Fig14GPUSweep(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig14GPUSweep(parallelCfg(), gpuCounts)
+	par, err := Fig14GPUSweep(parallelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +48,11 @@ func TestParallelMatchesSerialFig16(t *testing.T) {
 }
 
 func TestParallelMatchesSerialFig17(t *testing.T) {
-	fractions := []float64{0.25, 0.55}
-	serial, err := Fig17JobMix(smallCfg(), fractions)
+	serial, err := Fig17JobMix(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig17JobMix(parallelCfg(), fractions)
+	par, err := Fig17JobMix(parallelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +64,11 @@ func TestParallelMatchesSerialFig17(t *testing.T) {
 func TestParallelMatchesSerialFig19(t *testing.T) {
 	// Fig19 mutates RoundsScale per point — the per-point Config copy
 	// must keep parallel points independent.
-	scales := []float64{0.5, 1, 2}
-	serial, err := Fig19BatchSize(smallCfg(), scales)
+	serial, err := Fig19BatchSize(smallCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Fig19BatchSize(parallelCfg(), scales)
+	par, err := Fig19BatchSize(parallelCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +78,11 @@ func TestParallelMatchesSerialFig19(t *testing.T) {
 }
 
 func TestParallelMatchesSerialMultiSeed(t *testing.T) {
-	serial, err := MultiSeed(smallCfg(), 3, Fig16Heterogeneity)
+	serial, err := MultiSeed(smallCfg(), Fig16Heterogeneity)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := MultiSeed(parallelCfg(), 3, Fig16Heterogeneity)
+	par, err := MultiSeed(parallelCfg(), Fig16Heterogeneity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +96,10 @@ func TestParallelMatchesSerialMultiSeed(t *testing.T) {
 // lowest-index failure), not whichever goroutine lost the race.
 func TestParallelErrorMatchesSerial(t *testing.T) {
 	cfg := smallCfg()
-	cfg.GPUs = 0 // Defaults() would fix this, but the direct sweep call keeps it
+	cfg.GPUs = -4 // Defaults() fills only 0: the axis is -2, -3, -4, -5, -6 GPUs
 	bad := func(c Config) ([]SweepRow, error) {
-		// Both GPU counts are invalid; serial fails on the first.
-		_, err := Fig14GPUSweep(c, []int{-1, -2})
+		// Every GPU count is invalid; serial fails on the first.
+		_, err := Fig14GPUSweep(c)
 		return nil, err
 	}
 	serial, serialErr := bad(cfg)

@@ -198,18 +198,13 @@ func All() []Experiment {
 			func(r Fig12Row) []string {
 				return []string{r.Scheme, num(r.SimWeightedJCT), num(r.TestbedWeightedJCT), pct1(r.GapPercent)}
 			})},
-		{"fig13", "CDF of job completion time", oneTable(
-			func(cfg Config) ([]Fig13Row, error) { return Fig13CDF(cfg, 0) }, fig13Table)},
-		{"fig14", "weighted JCT vs number of GPUs", oneTable(
-			func(cfg Config) ([]SweepRow, error) { return Fig14GPUSweep(cfg, nil) }, sweepTable)},
-		{"fig15", "weighted JCT vs number of jobs", oneTable(
-			func(cfg Config) ([]SweepRow, error) { return Fig15JobSweep(cfg, nil) }, sweepTable)},
+		{"fig13", "CDF of job completion time", oneTable(Fig13CDF, fig13Table)},
+		{"fig14", "weighted JCT vs number of GPUs", oneTable(Fig14GPUSweep, sweepTable)},
+		{"fig15", "weighted JCT vs number of jobs", oneTable(Fig15JobSweep, sweepTable)},
 		{"fig16", "weighted JCT vs heterogeneity level", oneTable(Fig16Heterogeneity, sweepTable)},
 		{"fig17", "weighted JCT vs job-type fractions", fig17Tables},
-		{"fig18", "weighted JCT vs network bandwidth", oneTable(
-			func(cfg Config) ([]SweepRow, error) { return Fig18Bandwidth(cfg, nil) }, sweepTable)},
-		{"fig19", "weighted JCT vs batch size", oneTable(
-			func(cfg Config) ([]SweepRow, error) { return Fig19BatchSize(cfg, nil) }, sweepTable)},
+		{"fig18", "weighted JCT vs network bandwidth", oneTable(Fig18Bandwidth, sweepTable)},
+		{"fig19", "weighted JCT vs batch size", oneTable(Fig19BatchSize, sweepTable)},
 		{"abl-eft", "ablation: earliest-finish vs earliest-available pick", variantTables(AblationEFT)},
 		{"abl-relax", "ablation: fluid relaxation vs exact optimum", ablRelaxTables},
 		{"abl-sync", "ablation: relaxed vs strict scale-fixed sync", variantTables(AblationSync)},
@@ -236,7 +231,7 @@ func All() []Experiment {
 				return []string{r.Scheme, f2(r.Fairness.MeanRho), f2(r.Fairness.MaxRho), secs(r.Fairness.MaxWait)}
 			})},
 		{"ext-seeds", "extension: fig16 across 3 seeds, mean±std per scheme", oneTable(
-			func(cfg Config) ([]MultiSeedRow, error) { return MultiSeed(cfg, 3, Fig16Heterogeneity) }, seedsTable)},
+			func(cfg Config) ([]MultiSeedRow, error) { return MultiSeed(cfg, Fig16Heterogeneity) }, seedsTable)},
 		{"faults", "robustness: weighted-JCT degradation vs fault rate and GPU failures", faultsTables},
 		{"attrib", "diagnosis: WJCT critical-path attribution per scheme", tabulate(AttribSweep,
 			[]string{"scheduler", "weighted JCT", "arrival", "queue", "barrier", "switch", "compute", "comm"},
@@ -284,7 +279,7 @@ func fig13Table(rows []Fig13Row) Table {
 // fig17Tables prints one sweep per boosted class, classes in
 // alphabetical order.
 func fig17Tables(cfg Config) ([]Table, error) {
-	byClass, err := Fig17JobMix(cfg, nil)
+	byClass, err := Fig17JobMix(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -300,7 +295,7 @@ func fig17Tables(cfg Config) ([]Table, error) {
 }
 
 func ablRelaxTables(cfg Config) ([]Table, error) {
-	st, err := AblationRelax(cfg.Seed, 30)
+	st, err := AblationRelax(cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -332,7 +327,7 @@ func seedsTable(rows []MultiSeedRow) Table {
 }
 
 func faultsTables(cfg Config) ([]Table, error) {
-	rows, err := FaultSweep(cfg, nil, nil)
+	rows, err := FaultSweep(cfg)
 	if err != nil {
 		return nil, err
 	}

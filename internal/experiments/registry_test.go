@@ -28,7 +28,7 @@ func TestEvaluationGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, parallel := range []int{1, 4} {
-		cfg := Config{Seed: 42, RoundsScale: 0.05, Jobs: 40, GPUs: 32, WithSwitching: true, Speculative: true, Parallel: parallel}
+		cfg := Config{Seed: 42, RoundsScale: 0.05, Jobs: 40, GPUs: 32, Parallel: parallel}
 		var got bytes.Buffer
 		for _, e := range All() {
 			if wallClock[e.ID] {
