@@ -16,10 +16,9 @@ import (
 // not-yet-started round is re-planned with the new information.
 //
 // Comparing OnlineHare with the offline Hare quantifies the value of
-// arrival clairvoyance (experiments.AblationOnline).
+// arrival clairvoyance (experiments.AblationOnline). Its line-12 GPU
+// choice is Hare's: PickEarliestFinish.
 type OnlineHare struct {
-	// Pick is the line-12 GPU choice, as in Hare.
-	Pick GPUPick
 	// rec, when set, traces committed placement decisions, epoch by
 	// epoch (re-planned, uncommitted placements are not reported).
 	rec *obs.Recorder
@@ -29,7 +28,7 @@ type OnlineHare struct {
 func (o *OnlineHare) SetRecorder(r *obs.Recorder) { o.rec = r }
 
 // NewOnlineHare returns the online variant.
-func NewOnlineHare() *OnlineHare { return &OnlineHare{Pick: PickEarliestFinish} }
+func NewOnlineHare() *OnlineHare { return &OnlineHare{} }
 
 // Name implements Algorithm.
 func (*OnlineHare) Name() string { return "Hare-online" }
@@ -42,5 +41,5 @@ func (o *OnlineHare) Schedule(in *core.Instance) (*core.Schedule, error) {
 		epochs[i] = j.Arrival
 	}
 	slices.Sort(epochs)
-	return listSchedule(in, &plan{pick: o.Pick, rec: o.rec, note: "online/" + o.Pick.String()}, slices.Compact(epochs))
+	return listSchedule(in, &plan{pick: PickEarliestFinish, rec: o.rec, note: "online/" + PickEarliestFinish.String()}, slices.Compact(epochs))
 }

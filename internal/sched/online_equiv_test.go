@@ -17,8 +17,8 @@ import (
 	"hare/internal/workload"
 )
 
-// checkAgainstReference fails unless OnlineHare under both GPU picks,
-// Hare and Hare-EA agree with the reference on in: equal placements,
+// checkAgainstReference fails unless OnlineHare, Hare and Hare-EA
+// agree with the reference on in: equal placements,
 // equal committed-decision event streams. The reference plans OnlineHare
 // at every distinct arrival and offline Hare once, at −∞.
 func checkAgainstReference(t *testing.T, in *core.Instance) {
@@ -32,9 +32,7 @@ func checkAgainstReference(t *testing.T, in *core.Instance) {
 		}
 		ref *refOnline
 	}{
-		{"online/EA", &OnlineHare{Pick: PickEarliestAvailable},
-			&refOnline{Pick: PickEarliestAvailable, epochs: online, note: "online/earliest-available"}},
-		{"online/EFT", &OnlineHare{Pick: PickEarliestFinish},
+		{"online/EFT", NewOnlineHare(),
 			&refOnline{Pick: PickEarliestFinish, epochs: online, note: "online/earliest-finish"}},
 		{"Hare-EA", NewHareEA(), &refOnline{Pick: PickEarliestAvailable, epochs: offline, note: "earliest-available"}},
 		{"Hare", NewHare(), &refOnline{Pick: PickEarliestFinish, epochs: offline, note: "earliest-finish"}},

@@ -22,17 +22,15 @@ type ExactResult struct {
 // by dispatching tasks in start-time order, and the objective is
 // regular, so the search is exhaustive for the optimum. Intended for
 // tiny instances (≤ ~8 tasks) in tests and the toy Fig. 1 example;
-// maxNodes caps the search (≤ 0 means 5e6).
-func Exact(in *core.Instance, maxNodes int) (*ExactResult, error) {
+// a search that visits more than maxExactNodes nodes gives up
+// (Optimal false).
+func Exact(in *core.Instance) (*ExactResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	if maxNodes <= 0 {
-		maxNodes = 5_000_000
-	}
 	st := newExactState(in)
 	res := &ExactResult{Objective: math.Inf(1), Optimal: true}
-	st.search(res, maxNodes)
+	st.search(res)
 	if res.Schedule == nil {
 		res.Optimal = false
 	}
@@ -113,9 +111,12 @@ func (st *exactState) bound() float64 {
 	return lb
 }
 
-func (st *exactState) search(res *ExactResult, maxNodes int) {
+// maxExactNodes caps Exact's search.
+const maxExactNodes = 2_000_000
+
+func (st *exactState) search(res *ExactResult) {
 	res.Nodes++
-	if res.Nodes > maxNodes {
+	if res.Nodes > maxExactNodes {
 		res.Optimal = false
 		return
 	}
@@ -152,9 +153,9 @@ func (st *exactState) search(res *ExactResult, maxNodes int) {
 		t := core.TaskRef{Job: j.ID, Round: p.round, Index: p.placed}
 		for m := 0; m < st.in.NumGPUs; m++ {
 			st.apply(t, m)
-			st.search(res, maxNodes)
+			st.search(res)
 			st.undo()
-			if res.Nodes > maxNodes {
+			if res.Nodes > maxExactNodes {
 				return
 			}
 		}

@@ -99,7 +99,7 @@ func TestFluidObjectiveLowerBoundsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := Exact(in, 2_000_000)
+		ex, err := Exact(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestExactFeasibleAndOptimalOrdering(t *testing.T) {
 	rng := stats.New(37)
 	for trial := 0; trial < 40; trial++ {
 		in := randomTiny(rng.Split())
-		res, err := Exact(in, 2_000_000)
+		res, err := Exact(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestExactBeatsGreedyOnAdversarialCase(t *testing.T) {
 		Train: [][]float64{{10}, {2}},
 		Sync:  [][]float64{{0}, {0}},
 	}
-	res, err := Exact(in, 0)
+	res, err := Exact(in)
 	if err != nil {
 		t.Fatal(err)
 	}
