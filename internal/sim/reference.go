@@ -27,16 +27,10 @@ func RunReference(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, mo
 		// core and replay identically here.
 		return nil, fmt.Errorf("sim: RunReference cannot replay permanent GPU failures; use Run")
 	}
-	stopSetup := opts.Phases.Start("sim_setup")
 	r, err := newReplay(in, sch, cl, models, opts)
 	if err != nil {
 		return nil, err
 	}
-	stopSetup()
-	// Same phase name as Run's loop: the recorder's histogram then
-	// directly compares the two engines' replay time.
-	stopLoop := opts.Phases.Start("sim_event_loop")
-	defer stopLoop()
 	for r.pending > 0 {
 		// Choose the GPU whose head task can start earliest.
 		bestGPU := -1

@@ -186,27 +186,22 @@ func runSharded(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, mode
 	if !shardable(opts) {
 		return nil, nil, false
 	}
-	stopSetup := opts.Phases.Start("sim_setup")
 	if in.Validate() != nil || (cl != nil && cl.Size() != in.NumGPUs) ||
 		(models != nil && len(models) != len(in.Jobs)) {
-		stopSetup()
 		return nil, nil, false
 	}
 	seqs, err := sch.ValidSequences(in, nil)
 	if err != nil {
-		stopSetup()
 		return nil, nil, false
 	}
 	shards := components(in, seqs)
 	if len(shards) < 2 {
-		stopSetup()
 		return nil, nil, false
 	}
 
 	subOpts := opts
 	subOpts.Parallel = 0
 	subOpts.Recorder = nil
-	subOpts.Phases = nil
 	results := make([]*Result, len(shards))
 	errs := make([]error, len(shards))
 	work := make(chan int)
@@ -214,8 +209,6 @@ func runSharded(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, mode
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	stopSetup()
-	stopLoop := opts.Phases.Start("sim_event_loop")
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -234,13 +227,10 @@ func runSharded(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, mode
 	for _, err := range errs {
 		// Lowest-index error: the one the serial run would hit first.
 		if err != nil {
-			stopLoop()
 			return nil, err, true
 		}
 	}
-	res := mergeShards(in, shards, results)
-	stopLoop()
-	return res, nil, true
+	return mergeShards(in, shards, results), nil, true
 }
 
 // mergeShards folds the shard results back into the global Result,

@@ -39,7 +39,6 @@ import (
 	"hare/internal/gpumem"
 	"hare/internal/model"
 	"hare/internal/obs"
-	"hare/internal/obs/perf"
 	"hare/internal/sched"
 	"hare/internal/stats"
 	"hare/internal/switching"
@@ -104,12 +103,6 @@ type Options struct {
 	// (hare_sim_heap_{inserts,pops}_total). A run's own totals are
 	// Result's fields.
 	Metrics *obs.Registry
-	// Phases, when set, times the run's own machinery — validation and
-	// state construction ("sim_setup") and the incremental replay loop
-	// ("sim_event_loop") — into hare_perf_phase_seconds. The clock is
-	// read inside the perf package, never here, keeping this package
-	// wall-time free; a nil recorder costs two nil checks per Run.
-	Phases *perf.PhaseRecorder
 }
 
 // Result summarizes one simulation run.

@@ -102,7 +102,6 @@ func fillNeg(s []int32, n int) []int32 {
 // valid only until the next Run call; use Result.Clone to keep one.
 func (s *Simulator) Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*model.Model, opts Options) (*Result, error) {
 	opts.Parallel = 0
-	stopSetup := opts.Phases.Start("sim_setup")
 	r := &s.r
 	if err := r.init(in, sch, cl, models, opts, &s.seqBuf); err != nil {
 		return nil, err
@@ -182,8 +181,6 @@ func (s *Simulator) Run(in *core.Instance, sch *core.Schedule, cl *cluster.Clust
 	for m := range r.gpus {
 		s.refresh(m)
 	}
-	stopSetup()
-	stopLoop := opts.Phases.Start("sim_event_loop")
 	for r.pending > 0 {
 		m, start, ok := s.ready.Min()
 		if !ok {
@@ -204,7 +201,6 @@ func (s *Simulator) Run(in *core.Instance, sch *core.Schedule, cl *cluster.Clust
 		r.exec(m, c.start, c.sw, c.hit, c.b)
 		s.refresh(m)
 	}
-	stopLoop()
 	if opts.Metrics != nil {
 		ops := s.ready.Ops()
 		opts.Metrics.Counter("hare_sim_heap_inserts_total").Add(float64(ops.Inserts))
