@@ -28,10 +28,9 @@ type Config struct {
 	Tenants int
 	// JobsPerTenant is each tenant's job count.
 	JobsPerTenant int
-	// GPUsPerTenant is each tenant's private GPU partition size.
+	// GPUsPerTenant is each tenant's private GPU partition size; every
+	// partition is at high heterogeneity.
 	GPUsPerTenant int
-	// Level is each partition's heterogeneity level.
-	Level cluster.HeterogeneityLevel
 	// HorizonSeconds spreads each tenant's arrivals.
 	HorizonSeconds float64
 	// RoundsScale multiplies per-model round counts.
@@ -51,9 +50,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.GPUsPerTenant == 0 {
 		c.GPUsPerTenant = 8
-	}
-	if c.Level == 0 {
-		c.Level = cluster.HighHeterogeneity
 	}
 	if c.RoundsScale == 0 {
 		c.RoundsScale = 0.1
@@ -93,7 +89,7 @@ func Build(cfg Config) (*Trace, error) {
 	if cfg.Tenants < 1 || cfg.JobsPerTenant < 1 || cfg.GPUsPerTenant < 1 {
 		return nil, fmt.Errorf("tenants: config %+v has non-positive dimensions", cfg)
 	}
-	subCl := cluster.Heterogeneous(cfg.Level, cfg.GPUsPerTenant)
+	subCl := cluster.Heterogeneous(cluster.HighHeterogeneity, cfg.GPUsPerTenant)
 	numGPUs := cfg.Tenants * cfg.GPUsPerTenant
 	numJobs := cfg.Tenants * cfg.JobsPerTenant
 
