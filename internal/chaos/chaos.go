@@ -34,10 +34,6 @@ const (
 	// fault-free run; gradients are per-task deterministic, so only
 	// float summation order may differ.
 	paramTol = 1e-9
-	// flightCap is each process's flight-ring capacity when
-	// Options.TraceDir turns tracing on: the full RPC churn of several
-	// rounds — enough context around a violation, bounded memory.
-	flightCap = 512
 )
 
 // Options configures soak runs.
@@ -241,7 +237,7 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 	var fleet *dtrace.Fleet
 	if h.opts.TraceDir != "" {
 		var err error
-		if fleet, err = dtrace.NewFleet(h.opts.TraceDir, h.cl.Size(), flightCap); err != nil {
+		if fleet, err = dtrace.NewFleet(h.opts.TraceDir, h.cl.Size()); err != nil {
 			out.Err = fmt.Errorf("chaos: trace: %w", err)
 			return out
 		}

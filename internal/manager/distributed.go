@@ -64,7 +64,7 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 		b.mu.Unlock()
 		var err error
 		fleet, err = dtrace.NewFleet(filepath.Join(b.TraceDir, fmt.Sprintf("batch-%d", n)),
-			cl.Size(), 512, b.Recorder.Sinks()...)
+			cl.Size(), b.Recorder.Sinks()...)
 		if err != nil {
 			return nil, nil, fmt.Errorf("manager: trace: %w", err)
 		}

@@ -196,7 +196,7 @@ func TestCanonicalIgnoresTiming(t *testing.T) {
 // and ReadDir recovers the streams; the flight dumps sit beside them.
 func TestFleetRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "trace")
-	fleet, err := NewFleet(dir, 2, 8)
+	fleet, err := NewFleet(dir, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

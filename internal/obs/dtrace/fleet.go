@@ -19,20 +19,25 @@ type Fleet struct {
 	Execs []*ProcStream
 }
 
+// fleetFlightCap is each fleet stream's flight-ring capacity: the full
+// RPC churn of several rounds — enough context around a violation,
+// bounded memory.
+const fleetFlightCap = 512
+
 // NewFleet creates dir and one stream per process. The extra sinks
 // (typically a caller's shared recorder's sinks, via
 // (*obs.Recorder).Sinks()) receive every process's events too.
-func NewFleet(dir string, gpus, flightCap int, extra ...obs.Sink) (*Fleet, error) {
+func NewFleet(dir string, gpus int, extra ...obs.Sink) (*Fleet, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dtrace: fleet dir: %w", err)
 	}
-	coord, err := NewProcStream(dir, "coord", flightCap, extra...)
+	coord, err := NewProcStream(dir, "coord", fleetFlightCap, extra...)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{Dir: dir, Coord: coord, Execs: make([]*ProcStream, gpus)}
 	for g := 0; g < gpus; g++ {
-		if f.Execs[g], err = NewProcStream(dir, fmt.Sprintf("gpu%d", g), flightCap, extra...); err != nil {
+		if f.Execs[g], err = NewProcStream(dir, fmt.Sprintf("gpu%d", g), fleetFlightCap, extra...); err != nil {
 			f.closeStreams()
 			return nil, err
 		}

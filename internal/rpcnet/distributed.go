@@ -886,7 +886,7 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 		return nil, fmt.Errorf("rpcnet: invalid plan: %w", err)
 	}
 	clock := testbed.NewClock(opts.TimeScale)
-	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0, 0, 0)
+	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0)
 	if err != nil {
 		return nil, err
 	}

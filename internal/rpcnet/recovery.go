@@ -183,7 +183,7 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 	wallBack := time.Duration(rp.watermark * opts.TimeScale * float64(time.Second))
 	clock := testbed.NewClockAt(time.Now().Add(-wallBack), opts.TimeScale)
 
-	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0, 0, 0)
+	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0)
 	if err != nil {
 		return nil, replayInfo{}, err
 	}

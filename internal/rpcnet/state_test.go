@@ -473,7 +473,7 @@ func fuzzRecords(data []byte) []*journalRecord {
 func FuzzCoordApply(f *testing.F) {
 	in, plan := fuzzInstance(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, local, err := testbed.NewControlPlane(in, store.NewMem(), 0.3, fuzzDim, 2)
+		_, local, err := testbed.NewControlPlane(in, store.NewMem(), fuzzDim)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,7 +44,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 func TestNewRemoteExecutorValidation(t *testing.T) {
 	in, cl, models := smallWorkload(t, 2, 33)
 	clock := NewClock(1e-3)
-	_, client, err := NewControlPlane(in, nil, 0, 0, 0)
+	_, client, err := NewControlPlane(in, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPSRejectsWrongRoundAndJob(t *testing.T) {
 		Jobs: []*core.Job{job}, NumGPUs: 1,
 		Train: [][]float64{{1}}, Sync: [][]float64{{0}},
 	}
-	pss, _, err := NewControlPlane(in, nil, 0, 8, 2)
+	pss, _, err := NewControlPlane(in, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRoundGateClosesAtLastPush(t *testing.T) {
 		Jobs: []*core.Job{job}, NumGPUs: 2,
 		Train: [][]float64{{1, 1}}, Sync: [][]float64{{1000, 1000}},
 	}
-	pss, _, err := NewControlPlane(in, nil, 0, 8, 2)
+	pss, _, err := NewControlPlane(in, nil, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestExecutorSurfacesPushErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := NewClock(1e-4)
-	_, good, err := NewControlPlane(in, nil, 0, 0, 0)
+	_, good, err := NewControlPlane(in, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,23 +115,20 @@ func (c *localClient) Push(rep PushReport) (float64, error) {
 // server per job, all wired to the checkpoint store — and returns the
 // servers plus the in-process SyncClient that fronts them. The
 // distributed coordinator (internal/rpcnet) puts the same servers behind
-// TCP. Non-positive eta, problemDim and problemBatch mean the package
-// constants; only tests pass anything else.
-func NewControlPlane(in *core.Instance, st store.Store, eta float64, problemDim, problemBatch int) ([]*ParameterServer, SyncClient, error) {
+// TCP. A non-positive problemDim means ProblemDim; only tests pass
+// anything else.
+func NewControlPlane(in *core.Instance, st store.Store, problemDim int) ([]*ParameterServer, SyncClient, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if st == nil {
 		st = store.NewMem()
 	}
-	if eta <= 0 {
-		eta = learningRate
-	}
-	probs := newProblems(in, problemDim, problemBatch, nil)
+	probs := newProblems(in, problemDim, nil)
 	pss := make([]*ParameterServer, len(in.Jobs))
 	for _, j := range in.Jobs {
 		jid := j.ID
-		pss[j.ID] = NewParameterServer(j, probs[j.ID], st, eta,
+		pss[j.ID] = NewParameterServer(j, probs[j.ID], st, learningRate,
 			func(gpu int) float64 { return in.Sync[jid][gpu] })
 	}
 	return pss, &localClient{pss: pss, st: st}, nil
@@ -178,20 +175,16 @@ func NewRemoteExecutor(cfg RemoteExecutorConfig) (*Executor, error) {
 }
 
 // newProblems builds every job's SGD problem (seeds are jobID+1 on
-// every engine, so all of them train the same models); non-positive
-// sizes mean ProblemDim and problemBatch. rng, when set, is the
-// generator the problems share; their owner must not use them
-// concurrently.
-func newProblems(in *core.Instance, dim, batch int, rng *stats.RNG) []*Problem {
+// every engine, so all of them train the same models); a non-positive
+// dim means ProblemDim. rng, when set, is the generator the problems
+// share; their owner must not use them concurrently.
+func newProblems(in *core.Instance, dim int, rng *stats.RNG) []*Problem {
 	if dim <= 0 {
 		dim = ProblemDim
 	}
-	if batch <= 0 {
-		batch = problemBatch
-	}
 	probs := make([]*Problem, len(in.Jobs))
 	for _, j := range in.Jobs {
-		probs[j.ID] = NewProblem(dim, batch, int64(j.ID)+1)
+		probs[j.ID] = NewProblem(dim, problemBatch, int64(j.ID)+1)
 		probs[j.ID].rng = rng
 	}
 	return probs
@@ -212,7 +205,7 @@ func newExecutor(cfg RemoteExecutorConfig) *Executor {
 	return &Executor{
 		GPU: cfg.GPU, GPUType: cfg.GPUType,
 		in: cfg.Instance, models: cfg.Models, scheme: cfg.Scheme, mem: mem,
-		clock: cfg.Clock, sync: cfg.Sync, probs: newProblems(cfg.Instance, 0, 0, stats.New(0)),
+		clock: cfg.Clock, sync: cfg.Sync, probs: newProblems(cfg.Instance, 0, stats.New(0)),
 		faultRate: cfg.FaultRate,
 		faultRNG:  stats.New(faults.RetrySeed(cfg.FaultSeed, cfg.GPU)),
 		slow:      cfg.SlowFactor,
@@ -249,7 +242,7 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	}
 
 	clock := NewClock(opts.TimeScale)
-	pss, base, err := NewControlPlane(in, opts.Store, 0, 0, 0)
+	pss, base, err := NewControlPlane(in, opts.Store, 0)
 	if err != nil {
 		return nil, err
 	}
