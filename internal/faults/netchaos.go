@@ -161,7 +161,8 @@ func (n *NetChaos) netString() []string {
 	return parts
 }
 
-// net returns the plan's network chaos model, nil when absent.
+// NetModel returns the plan's network chaos model, nil when absent.
+// Nil-safe.
 func (p *Plan) NetModel() *NetChaos {
 	if p == nil {
 		return nil
