@@ -223,6 +223,7 @@ func TestRunGoldenSeed42(t *testing.T) {
 		}
 	}
 	run("base", Options{Scheme: switching.Default, Seed: 42}, goldenSeed42)
+	run("utilbins", Options{Scheme: switching.Default, UtilBins: 32}, goldenSeed42)
 	run("jittered", Options{
 		Scheme: switching.Default, Seed: 42,
 		JitterFrac: 0.03, HostAwareSync: true, UtilBins: 32,
