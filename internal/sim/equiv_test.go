@@ -166,20 +166,6 @@ var goldenSeed42 = map[string]struct {
 	"Sched_Allox": {WeightedJCT: 35386.501114969717, TraceHash: 0x64337612ef41c469},
 }
 
-// goldenSeed42Jittered is the same capture with JitterFrac: 0.03,
-// HostAwareSync and UtilBins: 32 — pinning the jitter RNG draw order
-// and the host-aware sync anchoring through the rewrite.
-var goldenSeed42Jittered = map[string]struct {
-	WeightedJCT float64
-	TraceHash   uint64
-}{
-	"Hare":        {WeightedJCT: 28961.914423382324, TraceHash: 0x36bb41ad80e6bf79},
-	"Gavel_FIFO":  {WeightedJCT: 53131.634497383326, TraceHash: 0x40b75a63cfe4a4e9},
-	"SRTF":        {WeightedJCT: 38133.936312401449, TraceHash: 0xeec25bfe7f1d80a9},
-	"Sched_Homo":  {WeightedJCT: 37686.477592173163, TraceHash: 0x99c8516aa44be1a5},
-	"Sched_Allox": {WeightedJCT: 35081.627204666249, TraceHash: 0x7161761fd7ae1855},
-}
-
 func TestRunGoldenSeed42(t *testing.T) {
 	in, cl, models := goldenWorkload(t)
 	run := func(name string, opts Options, golden map[string]struct {
@@ -224,8 +210,4 @@ func TestRunGoldenSeed42(t *testing.T) {
 	}
 	run("base", Options{Scheme: switching.Default, Seed: 42}, goldenSeed42)
 	run("utilbins", Options{Scheme: switching.Default, UtilBins: 32}, goldenSeed42)
-	run("jittered", Options{
-		Scheme: switching.Default, Seed: 42,
-		JitterFrac: 0.03, HostAwareSync: true, UtilBins: 32,
-	}, goldenSeed42Jittered)
 }
