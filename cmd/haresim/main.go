@@ -130,7 +130,7 @@ func main() {
 		}
 		scheme := sched.Switching(a.Name())
 		res, err := hare.Simulate(in, plan, cl, models, hare.SimOptions{
-			Scheme: scheme, Speculative: scheme == hare.SwitchHare, Seed: *seed,
+			Scheme: scheme, Speculative: scheme == hare.SwitchHare,
 			Recorder: rec,
 			// Each scheduler recovers from injected GPU failures with
 			// its own re-planning policy.

@@ -71,20 +71,12 @@ type Cluster struct {
 	// NetworkBps is the inter-host network bandwidth in bits per
 	// second (the paper's default is 25 Gbps Ethernet).
 	NetworkBps float64
-	// IntraHostBps is the bandwidth between a worker and a parameter
-	// server on the same machine (PCIe peer traffic; far above the
-	// Ethernet). Used by host-aware synchronization.
-	IntraHostBps float64
 	// Hosts is the number of machines.
 	Hosts int
 }
 
 // DefaultNetworkBps is the testbed's 25 Gbps Ethernet.
 const DefaultNetworkBps = 25e9
-
-// DefaultIntraHostBps approximates same-host gradient exchange over
-// PCIe-3×16 (15.75 GB/s ≈ 126 Gbps).
-const DefaultIntraHostBps = 126e9
 
 // Spec requests n GPUs of one type when building a cluster.
 type Spec struct {
@@ -100,7 +92,7 @@ func New(specs []Spec, gpusPerHost int) *Cluster {
 	if gpusPerHost <= 0 {
 		gpusPerHost = 4
 	}
-	c := &Cluster{NetworkBps: DefaultNetworkBps, IntraHostBps: DefaultIntraHostBps}
+	c := &Cluster{NetworkBps: DefaultNetworkBps}
 	id := 0
 	for _, s := range specs {
 		for i := 0; i < s.Count; i++ {

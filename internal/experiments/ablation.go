@@ -57,7 +57,7 @@ func hareReplayOnTestbed(cfg Config) (func(sim.Options) (*sim.Result, error), er
 		return nil, err
 	}
 	return func(opts sim.Options) (*sim.Result, error) {
-		opts.Scheme, opts.Seed = switching.Hare, cfg.Seed
+		opts.Scheme = switching.Hare
 		return sim.Run(in, plan, cl, models, opts)
 	}, nil
 }

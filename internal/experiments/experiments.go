@@ -163,7 +163,6 @@ func (c Config) simOptions(algoName string) sim.Options {
 	return sim.Options{
 		Scheme:      scheme,
 		Speculative: scheme == switching.Hare,
-		Seed:        c.Seed + 7,
 		Recorder:    c.Recorder,
 	}
 }

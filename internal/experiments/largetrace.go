@@ -55,7 +55,7 @@ func largeTraceTables(cfg Config) ([]Table, error) {
 	}
 	build := sw.Seconds()
 
-	opts := sim.Options{Scheme: switching.Hare, Speculative: true, Seed: cfg.Seed}
+	opts := sim.Options{Scheme: switching.Hare, Speculative: true}
 	sw = perf.StartStopwatch()
 	serial, err := sim.Run(tr.Instance, tr.Schedule, tr.Cluster, tr.Models, opts)
 	if err != nil {

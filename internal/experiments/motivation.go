@@ -203,7 +203,8 @@ func Fig6Util(cfg Config) ([]Fig6Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.Run(in, s, cl, []*model.Model{m}, sim.Options{DisableSwitching: true})
+	// No cluster or models: a pure plan replay that charges no switching.
+	res, err := sim.Run(in, s, nil, nil, sim.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -89,8 +89,6 @@ func loadCensus(t *testing.T) []censusFile {
 // the census no longer convicts, or whose field or parameter is gone,
 // fails the census too, so the list cannot rot.
 var censusAllowed = map[string]string{
-	"hare/internal/sim.Options.JitterFrac":                  "its draws fix the RNG order of the jittered seed-42 golden, which the fault streams share; removing it moves that golden",
-	"hare/internal/sim.Options.HostAwareSync":               "part of the jittered seed-42 golden's configuration (same-host sync shrink); removing it moves that golden",
 	"hare/internal/profile.Options.MeasureJitter":           "the only consumer of Options.Seed, which bench/e2e/inputs.go sets; it cannot go before a benchmark-only PR drops that Seed",
 	"hare/internal/experiments.Fig12Options.TestbedSchemes": "what keeps Fig. 12's tier-1 test at two testbed schemes instead of five wall-clock runs",
 	"hare/internal/obs/perf.Fingerprint.commit":             "its only caller, bench/e2e/main.go, passes \"\"; goes with the next change to the benchmark",

@@ -12,6 +12,7 @@ import (
 
 	"hare/internal/cluster"
 	"hare/internal/core"
+	"hare/internal/faults"
 	"hare/internal/model"
 	"hare/internal/obs"
 	"hare/internal/sched"
@@ -23,8 +24,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 // scenario runs a deterministic 2-GPU, 2-job plan through Hare and the
 // simulator with full instrumentation, returning the captured events
-// and the simulator's trace.
-func scenario(t *testing.T, seed int64, jitter float64) ([]obs.Event, *sim.Result) {
+// and the simulator's trace. fp, when set, injects its faults.
+func scenario(t *testing.T, fp *faults.Plan) ([]obs.Event, *sim.Result) {
 	t.Helper()
 	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 1}, {Type: cluster.T4, Count: 1}}, 4)
 	in := &core.Instance{
@@ -48,7 +49,7 @@ func scenario(t *testing.T, seed int64, jitter float64) ([]obs.Event, *sim.Resul
 	}
 	res, err := sim.Run(in, plan, cl, models, sim.Options{
 		Scheme: switching.Hare, Speculative: true,
-		Seed: seed, JitterFrac: jitter,
+		Faults:   fp,
 		Recorder: rec,
 	})
 	if err != nil {
@@ -86,7 +87,7 @@ func renderChrome(t *testing.T, events []obs.Event) ([]byte, chromeFile) {
 }
 
 func TestChromeTraceGolden(t *testing.T) {
-	events, _ := scenario(t, 1, 0)
+	events, _ := scenario(t, nil)
 	got, cf := renderChrome(t, events)
 	if len(cf.TraceEvents) == 0 {
 		t.Fatal("empty trace")
@@ -111,7 +112,7 @@ func TestChromeTraceGolden(t *testing.T) {
 }
 
 func TestChromeTraceLanesMonotone(t *testing.T) {
-	events, _ := scenario(t, 1, 0.02)
+	events, _ := scenario(t, &faults.Plan{Rate: 0.3, Seed: 1})
 	_, cf := renderChrome(t, events)
 
 	type lane struct{ pid, tid int }
@@ -157,11 +158,13 @@ func TestChromeTraceLanesMonotone(t *testing.T) {
 
 // TestChromeTracePidTidStableAcrossSeeds checks that lane identity is a
 // function of the fleet and jobs, not of the run's randomness: traces
-// from different seeds land on identical (pid, tid) sets, so repeated
-// captures line up in the viewer.
+// whose transient faults come from different seeds land on identical
+// (pid, tid) sets, so repeated captures line up in the viewer.
 func TestChromeTracePidTidStableAcrossSeeds(t *testing.T) {
+	retries := map[int]bool{}
 	laneSet := func(seed int64) []string {
-		events, _ := scenario(t, seed, 0.05)
+		events, res := scenario(t, &faults.Plan{Rate: 0.3, Seed: seed})
+		retries[res.Retries] = true
 		_, cf := renderChrome(t, events)
 		set := map[string]bool{}
 		for _, e := range cf.TraceEvents {
@@ -192,13 +195,16 @@ func TestChromeTracePidTidStableAcrossSeeds(t *testing.T) {
 			}
 		}
 	}
+	if len(retries) < 2 {
+		t.Fatalf("every seed lost the same number of attempts (%v); the runs did not vary", retries)
+	}
 }
 
 // TestChromeTraceMatchesGantt checks the acceptance criterion that the
 // per-GPU "train" slices reproduce exactly the intervals metrics.Gantt
 // draws — i.e. the [Start, Start+Train] of every trace record.
 func TestChromeTraceMatchesGantt(t *testing.T) {
-	events, res := scenario(t, 1, 0)
+	events, res := scenario(t, nil)
 	_, cf := renderChrome(t, events)
 
 	type iv struct{ start, end float64 }

@@ -147,7 +147,7 @@ func assertSums(t *testing.T, rep *critpath.Report, completions []float64, wjct 
 func TestAttributionSumsToCompletion(t *testing.T) {
 	in, plan, cl, models := smallCase(t)
 	res, _, rep := analyzeRun(t, in, plan, cl, models, sim.Options{
-		Scheme: switching.Hare, Speculative: true, Seed: 42,
+		Scheme: switching.Hare, Speculative: true,
 	})
 	assertSums(t, rep, res.JobCompletion, res.WeightedJCT)
 
@@ -170,7 +170,7 @@ func TestAttributionSumsToCompletion(t *testing.T) {
 func TestAttributionGenerated(t *testing.T) {
 	in, plan, cl, models := generatedCase(t, 12, 42)
 	res, _, rep := analyzeRun(t, in, plan, cl, models, sim.Options{
-		Scheme: switching.Hare, Speculative: true, Seed: 42,
+		Scheme: switching.Hare, Speculative: true,
 	})
 	assertSums(t, rep, res.JobCompletion, res.WeightedJCT)
 	if len(rep.ByType) != 2 {
@@ -183,7 +183,7 @@ func TestAttributionGenerated(t *testing.T) {
 // identical to the one derived from sim.RunReference's.
 func TestRunMatchesReferenceAttribution(t *testing.T) {
 	in, plan, cl, models := generatedCase(t, 12, 42)
-	opts := sim.Options{Scheme: switching.Hare, Speculative: true, Seed: 42}
+	opts := sim.Options{Scheme: switching.Hare, Speculative: true}
 
 	runCollect := obs.NewCollectSink()
 	runOpts := opts
@@ -224,7 +224,7 @@ func TestRunMatchesReferenceAttribution(t *testing.T) {
 
 func TestAttributionWithTransientFaults(t *testing.T) {
 	in, plan, cl, models := generatedCase(t, 8, 42)
-	opts := sim.Options{Scheme: switching.Hare, Speculative: true, Seed: 42,
+	opts := sim.Options{Scheme: switching.Hare, Speculative: true,
 		Faults: &faults.Plan{Rate: 0.2, Seed: 5}}
 	res, _, rep := analyzeRun(t, in, plan, cl, models, opts)
 	if res.Retries == 0 {
@@ -235,7 +235,7 @@ func TestAttributionWithTransientFaults(t *testing.T) {
 	// Lost attempts are charged as compute: the faulty run's total
 	// weighted compute exceeds the fault-free run's.
 	resFree, _, repFree := analyzeRun(t, in, plan, cl, models, sim.Options{
-		Scheme: switching.Hare, Speculative: true, Seed: 42,
+		Scheme: switching.Hare, Speculative: true,
 	})
 	if resFree.Retries != 0 {
 		t.Fatal("fault-free run retried")
@@ -253,7 +253,7 @@ func TestAttributionWithTransientFaults(t *testing.T) {
 func TestAttributionWithMigration(t *testing.T) {
 	in, plan, cl, models := generatedCase(t, 8, 42)
 	failAt := plan.Makespan(in) / 3
-	opts := sim.Options{Scheme: switching.Hare, Speculative: true, Seed: 42,
+	opts := sim.Options{Scheme: switching.Hare, Speculative: true,
 		Faults:    &faults.Plan{Failures: []faults.GPUFailure{{GPU: 1, Time: failAt}}},
 		Replanner: sched.NewHare(),
 	}
@@ -276,7 +276,7 @@ func TestAttributionWithMigration(t *testing.T) {
 
 func TestPlanAttribution(t *testing.T) {
 	in, plan, cl, models := smallCase(t)
-	opts := sim.Options{Scheme: switching.Hare, Speculative: true, Seed: 42}
+	opts := sim.Options{Scheme: switching.Hare, Speculative: true}
 	tree, rep, err := critpath.PlanAttribution(in, plan, cl, models, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 func goldenOpts() sim.Options {
-	return sim.Options{Scheme: switching.Hare, Speculative: true, Seed: 42}
+	return sim.Options{Scheme: switching.Hare, Speculative: true}
 }
 
 // checkGolden byte-compares got against the named golden file,

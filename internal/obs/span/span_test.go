@@ -89,7 +89,7 @@ func jobSpan(tr *span.Tree, job int) int {
 }
 
 func TestBuildTreeStructure(t *testing.T) {
-	events, res, in := scenario(t, sim.Options{Seed: 42})
+	events, res, in := scenario(t, sim.Options{})
 	tr, err := span.Build(events)
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestBuildTreeStructure(t *testing.T) {
 // guarantee: the tree is a function of the event *set*, not the
 // interleaving order a multi-goroutine engine happened to record.
 func TestBuildDeterministicUnderShuffle(t *testing.T) {
-	events, _, _ := scenario(t, sim.Options{Seed: 42})
+	events, _, _ := scenario(t, sim.Options{})
 	want, err := span.Build(events)
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +176,6 @@ func TestBuildDeterministicUnderShuffle(t *testing.T) {
 
 func TestBuildLostAttempts(t *testing.T) {
 	events, res, _ := scenario(t, sim.Options{
-		Seed:   42,
 		Faults: &faults.Plan{Rate: 0.4, Seed: 9},
 	})
 	if res.Retries == 0 {
@@ -218,7 +217,6 @@ func TestBuildLostAttempts(t *testing.T) {
 
 func TestBuildMigrationMarkers(t *testing.T) {
 	events, res, _ := scenario(t, sim.Options{
-		Seed:      42,
 		Faults:    &faults.Plan{Failures: []faults.GPUFailure{{GPU: 0, Time: 5}}},
 		Replanner: sched.NewHare(),
 	})
@@ -272,7 +270,7 @@ func TestBuildMigrationMarkers(t *testing.T) {
 // process renders: children lie within their parents and parents come
 // first, which is what slice containment nesting needs.
 func TestChromeSpansNested(t *testing.T) {
-	events, _, _ := scenario(t, sim.Options{Seed: 42})
+	events, _, _ := scenario(t, sim.Options{})
 	tr, err := span.Build(events)
 	if err != nil {
 		t.Fatal(err)

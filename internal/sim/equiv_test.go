@@ -61,9 +61,10 @@ func traceHash(tr *trace.Trace) uint64 {
 
 // equivOptions is the option matrix the engines are compared under:
 // every feature that touches the inner loop (switching schemes,
-// speculative memory, jitter, host-aware sync, utilization binning).
-// A slice, not a map: trials must visit the option sets in one fixed
-// order or the test itself becomes nondeterministic.
+// speculative memory, eviction policy, utilization binning, faults).
+// "plain" replays without a cluster or models, so no switching is
+// charged. A slice, not a map: trials must visit the option sets in
+// one fixed order or the test itself becomes nondeterministic.
 func equivOptions() []struct {
 	name string
 	opts Options
@@ -72,21 +73,20 @@ func equivOptions() []struct {
 		name string
 		opts Options
 	}{
-		{"plain", Options{DisableSwitching: true}},
+		{"plain", Options{}},
 		{"default", Options{Scheme: switching.Default}},
 		{"pipeswitch", Options{Scheme: switching.PipeSwitch}},
 		{"hare", Options{Scheme: switching.Hare}},
 		{"hare-spec", Options{Scheme: switching.Hare, Speculative: true}},
 		{"hare-belady", Options{Scheme: switching.Hare, Speculative: true, MemPolicy: gpumem.Belady}},
-		{"jitter", Options{Scheme: switching.Hare, Speculative: true, JitterFrac: 0.05, Seed: 9}},
-		{"hostaware", Options{Scheme: switching.Hare, Speculative: true, HostAwareSync: true}},
 		{"utilbins", Options{Scheme: switching.Hare, Speculative: true, UtilBins: 16}},
-		{"all-features", Options{Scheme: switching.Hare, Speculative: true, JitterFrac: 0.03, Seed: 4, HostAwareSync: true, UtilBins: 32}},
+		{"all-features", Options{Scheme: switching.Hare, Speculative: true, MemPolicy: gpumem.Belady, UtilBins: 32,
+			Faults: &faults.Plan{Rate: 0.1, Seed: 4}}},
 		// Transient faults and stragglers live in the shared exec core,
 		// so both engines must replay them bit-identically too.
 		{"faults", Options{Scheme: switching.Hare, Speculative: true,
 			Faults: &faults.Plan{Rate: 0.1, Seed: 7}}},
-		{"faults-straggler", Options{Scheme: switching.Hare, Speculative: true, JitterFrac: 0.03, Seed: 4,
+		{"faults-straggler", Options{Scheme: switching.Hare, Speculative: true,
 			Faults: &faults.Plan{Rate: 0.2, Seed: 1, Stragglers: []faults.Straggler{{GPU: 0, Factor: 1.5}}}}},
 	}
 }
@@ -106,11 +106,15 @@ func TestRunMatchesReference(t *testing.T) {
 		}
 		plan := planFor(t, in)
 		for _, c := range equivOptions() {
-			want, err := RunReference(in, plan, sub, models, c.opts)
+			cl, ms := sub, models
+			if c.name == "plain" {
+				cl, ms = nil, nil
+			}
+			want, err := RunReference(in, plan, cl, ms, c.opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: reference: %v", trial, c.name, err)
 			}
-			got, err := Run(in, plan, sub, models, c.opts)
+			got, err := Run(in, plan, cl, ms, c.opts)
 			if err != nil {
 				t.Fatalf("trial %d %s: run: %v", trial, c.name, err)
 			}
@@ -136,7 +140,7 @@ func TestRunMatchesReferenceAllSchedulers(t *testing.T) {
 		if a.Name() == "Hare" {
 			scheme = switching.Hare
 		}
-		opts := Options{Scheme: scheme, Speculative: scheme == switching.Hare, Seed: 42}
+		opts := Options{Scheme: scheme, Speculative: scheme == switching.Hare}
 		want, err := RunReference(in, plan, cl, models, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -168,10 +172,7 @@ var goldenSeed42 = map[string]struct {
 
 func TestRunGoldenSeed42(t *testing.T) {
 	in, cl, models := goldenWorkload(t)
-	run := func(name string, opts Options, golden map[string]struct {
-		WeightedJCT float64
-		TraceHash   uint64
-	}) {
+	run := func(name string, opts Options) {
 		for _, a := range sched.All() {
 			plan, err := a.Schedule(in)
 			if err != nil {
@@ -196,7 +197,7 @@ func TestRunGoldenSeed42(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := golden[a.Name()]
+				want := goldenSeed42[a.Name()]
 				if res.WeightedJCT != want.WeightedJCT {
 					t.Errorf("%s/%s/%s: weighted JCT %.17g, golden %.17g",
 						name, a.Name(), engine, res.WeightedJCT, want.WeightedJCT)
@@ -208,6 +209,6 @@ func TestRunGoldenSeed42(t *testing.T) {
 			}
 		}
 	}
-	run("base", Options{Scheme: switching.Default, Seed: 42}, goldenSeed42)
-	run("utilbins", Options{Scheme: switching.Default, UtilBins: 32}, goldenSeed42)
+	run("base", Options{Scheme: switching.Default})
+	run("utilbins", Options{Scheme: switching.Default, UtilBins: 32})
 }

@@ -57,13 +57,12 @@ func TestSimTransientFaultsObservable(t *testing.T) {
 func TestSimStragglerSlowsOnlyItsGPU(t *testing.T) {
 	in := twoJobInstance()
 	plan := planFor(t, in)
-	clean, err := Run(in, plan, nil, nil, Options{DisableSwitching: true})
+	clean, err := Run(in, plan, nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := Run(in, plan, nil, nil, Options{
-		DisableSwitching: true,
-		Faults:           &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Factor: 2}}},
+		Faults: &faults.Plan{Stragglers: []faults.Straggler{{GPU: 1, Factor: 2}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +227,6 @@ func TestSimFailureDeterminism(t *testing.T) {
 	opts := Options{
 		Scheme:      switching.Hare,
 		Speculative: true,
-		JitterFrac:  0.03,
-		Seed:        11,
 		Faults: &faults.Plan{
 			Rate: 0.05, Seed: 5,
 			Failures:   []faults.GPUFailure{{GPU: 1, Time: 40}},
@@ -254,7 +251,6 @@ func TestSimAllGPUsFailingIsUnrecoverable(t *testing.T) {
 	in := twoJobInstance()
 	plan := planFor(t, in)
 	_, err := Run(in, plan, nil, nil, Options{
-		DisableSwitching: true,
 		Faults: &faults.Plan{Failures: []faults.GPUFailure{
 			{GPU: 0, Time: 0}, {GPU: 1, Time: 0},
 		}},
@@ -270,8 +266,7 @@ func TestReferenceRejectsFailurePlans(t *testing.T) {
 	in := twoJobInstance()
 	plan := planFor(t, in)
 	_, err := RunReference(in, plan, nil, nil, Options{
-		DisableSwitching: true,
-		Faults:           &faults.Plan{Failures: []faults.GPUFailure{{GPU: 0, Time: 1}}},
+		Faults: &faults.Plan{Failures: []faults.GPUFailure{{GPU: 0, Time: 1}}},
 	})
 	if err == nil || !strings.Contains(err.Error(), "RunReference") {
 		t.Errorf("err = %v, want RunReference rejection", err)

@@ -22,8 +22,8 @@ func TestSimulatorReuseDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optsA := Options{Scheme: switching.Hare, Speculative: true, Seed: 42}
-	optsB := Options{Scheme: switching.Default, JitterFrac: 0.03, Seed: 9, UtilBins: 8, HostAwareSync: true}
+	optsA := Options{Scheme: switching.Hare, Speculative: true}
+	optsB := Options{Scheme: switching.Default, UtilBins: 8}
 
 	fresh, err := Run(in, plan, cl, models, optsA)
 	if err != nil {
@@ -75,7 +75,7 @@ func TestRunShardedHandles(t *testing.T) {
 	sch.Place(core.TaskRef{Job: 0, Round: 1, Index: 0}, 0, 1.5)
 	sch.Place(core.TaskRef{Job: 1, Round: 0, Index: 0}, 1, 0)
 	sch.Place(core.TaskRef{Job: 1, Round: 1, Index: 0}, 1, 2.25)
-	opts := Options{DisableSwitching: true}
+	var opts Options
 
 	res, err, handled := runSharded(in, sch, nil, nil, opts, 2)
 	if !handled {
@@ -93,10 +93,10 @@ func TestRunShardedHandles(t *testing.T) {
 	}
 
 	// Ineligible options must decline immediately.
-	jopts := opts
-	jopts.JitterFrac = 0.1
-	if _, _, handled := runSharded(in, sch, nil, nil, jopts, 2); handled {
-		t.Fatal("jittered run must not take the sharded path")
+	uopts := opts
+	uopts.UtilBins = 8
+	if _, _, handled := runSharded(in, sch, nil, nil, uopts, 2); handled {
+		t.Fatal("a utilization-series run must not take the sharded path")
 	}
 }
 

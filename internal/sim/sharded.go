@@ -35,12 +35,11 @@ import (
 // bit-exactly.
 //
 // Option sets whose accounting is order-global across components are
-// ineligible and fall back to the serial engine: jitter (one RNG
-// stream in pop order), transient faults and stragglers (per-GPU
-// streams seeded by global id and a float loss accumulator in pop
-// order), permanent failures (global re-plan), utilization series
-// (binned over the global makespan), recorders (one event stream) and
-// metrics (shared counters).
+// ineligible and fall back to the serial engine: transient faults and
+// stragglers (per-GPU streams seeded by global id and a float loss
+// accumulator in pop order), permanent failures (global re-plan),
+// utilization series (binned over the global makespan), recorders (one
+// event stream) and metrics (shared counters).
 
 // shardWorkers resolves Options.Parallel to a worker count.
 func shardWorkers(opts Options) int {
@@ -58,7 +57,6 @@ func shardWorkers(opts Options) int {
 func shardable(opts Options) bool {
 	return !opts.Recorder.Enabled() &&
 		opts.Metrics == nil &&
-		opts.JitterFrac == 0 &&
 		opts.UtilBins == 0 &&
 		opts.Faults.Empty()
 }
@@ -147,18 +145,11 @@ func buildShard(sh shard, in *core.Instance, cl *cluster.Cluster, models []*mode
 	var subCl *cluster.Cluster
 	if cl != nil {
 		subCl = &cluster.Cluster{
-			GPUs:         make([]cluster.GPU, len(sh.gpus)),
-			NetworkBps:   cl.NetworkBps,
-			IntraHostBps: cl.IntraHostBps,
+			GPUs:       make([]cluster.GPU, len(sh.gpus)),
+			NetworkBps: cl.NetworkBps,
 		}
 		for lm, gm := range sh.gpus {
-			g := cl.GPUs[gm]
-			// Local dense id; the global host id is preserved so
-			// host-aware sync sees the same same-host relations.
-			subCl.GPUs[lm] = cluster.GPU{ID: lm, Type: g.Type, Host: g.Host}
-			if g.Host+1 > subCl.Hosts {
-				subCl.Hosts = g.Host + 1
-			}
+			subCl.GPUs[lm] = cluster.GPU{ID: lm, Type: cl.GPUs[gm].Type}
 		}
 	}
 	var subModels []*model.Model

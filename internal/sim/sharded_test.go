@@ -45,6 +45,8 @@ func buildTenantsTrace(t testing.TB, cfg tenants.Config) *tenants.Trace {
 // option set — the shardable ones exercise the merge, the rest the
 // silent serial fallback — and requires the Parallel result to be
 // deeply equal to both the serial Run and the RunReference spec.
+// "plain" replays without a cluster or models, so no switching is
+// charged.
 func TestShardedMatchesSerial(t *testing.T) {
 	tr := buildTenantsTrace(t, tenants.Config{
 		Tenants: 4, JobsPerTenant: 6, GPUsPerTenant: 6, RoundsScale: 0.05, Seed: 21,
@@ -53,32 +55,34 @@ func TestShardedMatchesSerial(t *testing.T) {
 		name string
 		opts sim.Options
 	}{
-		{"plain", sim.Options{DisableSwitching: true}},
+		{"plain", sim.Options{}},
 		{"default", sim.Options{Scheme: switching.Default}},
 		{"pipeswitch", sim.Options{Scheme: switching.PipeSwitch}},
 		{"hare", sim.Options{Scheme: switching.Hare}},
 		{"hare-spec", sim.Options{Scheme: switching.Hare, Speculative: true}},
 		{"hare-belady", sim.Options{Scheme: switching.Hare, Speculative: true, MemPolicy: gpumem.Belady}},
-		{"hostaware", sim.Options{Scheme: switching.Hare, Speculative: true, HostAwareSync: true}},
 		// Order-global accounting: these must take the serial
 		// fallback and still match exactly.
-		{"jitter-fallback", sim.Options{Scheme: switching.Hare, Speculative: true, JitterFrac: 0.05, Seed: 9}},
 		{"utilbins-fallback", sim.Options{Scheme: switching.Hare, Speculative: true, UtilBins: 16}},
 		{"faults-fallback", sim.Options{Scheme: switching.Hare, Speculative: true,
 			Faults: &faults.Plan{Rate: 0.1, Seed: 7}}},
 	}
 	for _, c := range cases {
-		serial, err := sim.Run(tr.Instance, tr.Schedule, tr.Cluster, tr.Models, c.opts)
+		cl, models := tr.Cluster, tr.Models
+		if c.name == "plain" {
+			cl, models = nil, nil
+		}
+		serial, err := sim.Run(tr.Instance, tr.Schedule, cl, models, c.opts)
 		if err != nil {
 			t.Fatalf("%s: serial: %v", c.name, err)
 		}
-		spec, err := sim.RunReference(tr.Instance, tr.Schedule, tr.Cluster, tr.Models, c.opts)
+		spec, err := sim.RunReference(tr.Instance, tr.Schedule, cl, models, c.opts)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", c.name, err)
 		}
 		popts := c.opts
 		popts.Parallel = 4
-		sharded, err := sim.Run(tr.Instance, tr.Schedule, tr.Cluster, tr.Models, popts)
+		sharded, err := sim.Run(tr.Instance, tr.Schedule, cl, models, popts)
 		if err != nil {
 			t.Fatalf("%s: sharded: %v", c.name, err)
 		}

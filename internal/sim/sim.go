@@ -1,9 +1,9 @@
 // Package sim is the trace-driven discrete-event simulator (paper
 // §7.1): it replays a scheduler's per-GPU task sequences on a modeled
-// cluster, realizing task times (optionally jittered, as measured in
-// Fig. 11), enforcing the relaxed scale-fixed round barriers, and
-// charging task-switching overhead according to the selected scheme —
-// including Hare's speculative memory residency.
+// cluster, realizing the profiled task times as given (Fig. 11 shows
+// them stable across rounds), enforcing the relaxed scale-fixed round
+// barriers, and charging task-switching overhead according to the
+// selected scheme — including Hare's speculative memory residency.
 //
 // The executor semantics match the paper's: each GPU consumes its
 // received task sequence in order; a task starts once the GPU is free
@@ -48,31 +48,18 @@ import (
 // Options configures one simulation run.
 type Options struct {
 	// Scheme selects the task-switching cost model. Ignored when the
-	// run has no cluster/model information.
+	// run has no cluster/model information, which is how a pure plan
+	// replay charges no switching overhead.
 	Scheme switching.Scheme
-	// DisableSwitching zeroes all switching overhead (pure plan
-	// replay); used to validate plans and by scheduler-only studies.
-	DisableSwitching bool
 	// Speculative enables Hare's speculative memory manager; only
 	// meaningful with Scheme == switching.Hare.
 	Speculative bool
 	// MemPolicy selects the speculative manager's eviction policy
 	// (the paper's KeepLatest heuristic by default).
 	MemPolicy gpumem.Policy
-	// JitterFrac perturbs each realized train/sync time by ±frac
-	// (Fig. 11 measures ~2–3 % round-to-round variance). 0 disables.
-	JitterFrac float64
-	// Seed drives the jitter stream.
-	Seed int64
 	// UtilBins, when > 0, records a per-GPU utilization time series
 	// with this many bins over the makespan.
 	UtilBins int
-	// HostAwareSync scales a task's realized synchronization time
-	// down when it runs on the same host as its job's parameter
-	// server (placed with the job's first executed task): same-host
-	// gradient exchange uses IntraHostBps instead of the data-center
-	// network. Requires a cluster.
-	HostAwareSync bool
 	// Faults is the failure plan to replay (see internal/faults): a
 	// transient per-attempt fault rate (each lost attempt re-runs from
 	// the round checkpoint, charging its full training time),
@@ -90,9 +77,9 @@ type Options struct {
 	// partition the replay into independent GPU/job components and
 	// replay them concurrently. The merged result is byte-identical
 	// to a serial run; schedules that do not decompose, or option
-	// sets whose accounting is order-global (jitter, faults,
-	// utilization series, recorders/metrics), silently fall back to
-	// the serial engine. 0 and 1 mean serial.
+	// sets whose accounting is order-global (faults, utilization
+	// series, recorders/metrics), silently fall back to the serial
+	// engine. 0 and 1 mean serial.
 	Parallel int
 	// Recorder receives structured events (task start/finish, barrier
 	// waits, inter-job switches with stall breakdown, gpumem traffic).
@@ -204,7 +191,6 @@ type replay struct {
 	opts          Options
 	withSwitching bool
 
-	rng      *stats.RNG
 	rec      *obs.Recorder
 	observed bool
 
@@ -231,9 +217,6 @@ type replay struct {
 	roundOff  []int
 	remaining []int
 	roundEnd  []float64
-	// psHost anchors each job's parameter server to the host of its
-	// first executed task (host-aware sync); -1 while unanchored.
-	psHost []int
 
 	res      Result
 	traceOwn trace.Trace
@@ -289,12 +272,7 @@ func (r *replay) init(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster
 	}
 
 	r.in, r.cl, r.models, r.opts = in, cl, models, opts
-	r.withSwitching = cl != nil && models != nil && !opts.DisableSwitching
-	if r.rng == nil {
-		r.rng = stats.New(opts.Seed)
-	} else {
-		r.rng.Reseed(opts.Seed)
-	}
+	r.withSwitching = cl != nil && models != nil
 	r.rec = opts.Recorder
 	r.observed = opts.Recorder.Enabled()
 	r.pending = in.NumTasks()
@@ -376,10 +354,6 @@ func (r *replay) init(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster
 			r.remaining[off+rd] = j.Scale
 		}
 	}
-	r.psHost = growZero(r.psHost, len(in.Jobs))
-	for j := range r.psHost {
-		r.psHost[j] = -1
-	}
 
 	// The Result reuses its per-job/per-GPU slices; the optional
 	// UtilSeries and FailedGPUs start nil (not empty) so results match
@@ -445,20 +419,6 @@ func (r *replay) exec(bestGPU int, bestStart, bestSwitch float64, bestHit bool, 
 
 	train := r.in.Train[t.Job][bestGPU]
 	syncT := r.in.Sync[t.Job][bestGPU]
-	if r.opts.HostAwareSync && r.cl != nil && r.cl.IntraHostBps > 0 {
-		host := r.cl.GPUs[bestGPU].Host
-		if h := r.psHost[t.Job]; h < 0 {
-			// The job's first executed task anchors its PS.
-			r.psHost[t.Job] = host
-			syncT *= r.cl.NetworkBps / r.cl.IntraHostBps
-		} else if h == host {
-			syncT *= r.cl.NetworkBps / r.cl.IntraHostBps
-		}
-	}
-	if r.opts.JitterFrac > 0 {
-		train = r.rng.Jitter(train, r.opts.JitterFrac)
-		syncT = r.rng.Jitter(syncT, r.opts.JitterFrac)
-	}
 	if r.slows != nil {
 		train *= r.slows[bestGPU]
 	}

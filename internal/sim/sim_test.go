@@ -37,7 +37,7 @@ func planFor(t *testing.T, in *core.Instance) *core.Schedule {
 func TestReplayMatchesPlanWithoutOverheads(t *testing.T) {
 	in := twoJobInstance()
 	plan := planFor(t, in)
-	res, err := Run(in, plan, nil, nil, Options{DisableSwitching: true})
+	res, err := Run(in, plan, nil, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReplayMatchesPlanWithoutOverheads(t *testing.T) {
 		t.Errorf("weighted JCT %g vs plan %g", res.WeightedJCT, plan.WeightedJCT(in))
 	}
 	if res.TotalSwitch != 0 || res.SwitchCount != 0 {
-		t.Error("switching charged despite DisableSwitching")
+		t.Error("switching charged without a cluster or models")
 	}
 }
 
@@ -65,7 +65,7 @@ func TestReplayRejectsInfeasiblePlan(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Run(in, bad, nil, nil, Options{DisableSwitching: true}); err == nil ||
+	if _, err := Run(in, bad, nil, nil, Options{}); err == nil ||
 		!strings.Contains(err.Error(), "invalid plan") {
 		t.Errorf("infeasible plan accepted: %v", err)
 	}
@@ -162,27 +162,6 @@ func TestSpeculativeMemoryReducesStall(t *testing.T) {
 	}
 }
 
-func TestJitterPreservesFeasibilityAndChangesTimes(t *testing.T) {
-	rng := stats.New(71)
-	for trial := 0; trial < 20; trial++ {
-		in := randomInstance(rng.Split())
-		plan := planFor(t, in)
-		base, err := Run(in, plan, nil, nil, Options{DisableSwitching: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		jit, err := Run(in, plan, nil, nil, Options{DisableSwitching: true, JitterFrac: 0.05, Seed: 1})
-		if err != nil {
-			t.Fatalf("trial %d: jittered replay failed: %v", trial, err)
-		}
-		if jit.WeightedJCT == base.WeightedJCT {
-			t.Error("jitter had no effect")
-		}
-		// Realized barriers still respected.
-		assertBarriers(t, in, jit)
-	}
-}
-
 func assertBarriers(t *testing.T, in *core.Instance, res *Result) {
 	t.Helper()
 	roundEnd := make(map[core.JobID]map[int]float64)
@@ -209,7 +188,7 @@ func TestUtilizationBounds(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		in := randomInstance(rng.Split())
 		plan := planFor(t, in)
-		res, err := Run(in, plan, nil, nil, Options{DisableSwitching: true, UtilBins: 16})
+		res, err := Run(in, plan, nil, nil, Options{UtilBins: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,50 +218,6 @@ func TestUtilizationBounds(t *testing.T) {
 		if math.Abs(busy-train) > 1e-6 {
 			t.Errorf("busy %.4f != trace train %.4f", busy, train)
 		}
-	}
-}
-
-func TestHostAwareSyncShrinksSameHostSync(t *testing.T) {
-	// One 2-task job. Same-host fleet: both workers share the PS's
-	// machine, so realized sync shrinks by network/intra ratio.
-	// Split fleet: the second worker pays the full network sync.
-	in := &core.Instance{
-		NumGPUs: 2,
-		Jobs:    []*core.Job{{ID: 0, Name: "j", Weight: 1, Rounds: 1, Scale: 2}},
-		Train:   [][]float64{{4, 4}},
-		Sync:    [][]float64{{1, 1}},
-	}
-	plan := core.NewSchedule(in)
-	plan.Place(core.TaskRef{Job: 0, Round: 0, Index: 0}, 0, 0)
-	plan.Place(core.TaskRef{Job: 0, Round: 0, Index: 1}, 1, 0)
-	models := []*model.Model{model.MustByName("ResNet50")}
-
-	sameHost := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 2}}, 2)
-	split := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 2}}, 1)
-
-	runOn := func(cl *cluster.Cluster) *Result {
-		res, err := Run(in, plan, cl, models, Options{
-			DisableSwitching: true, HostAwareSync: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	same := runOn(sameHost)
-	far := runOn(split)
-	if same.JobCompletion[0] >= far.JobCompletion[0] {
-		t.Errorf("same-host sync (%.3f) not faster than cross-host (%.3f)",
-			same.JobCompletion[0], far.JobCompletion[0])
-	}
-	// Cross-host: the off-PS worker keeps the full 1 s sync → C = 5.
-	if math.Abs(far.JobCompletion[0]-5) > 1e-9 {
-		t.Errorf("cross-host completion %.3f, want 5", far.JobCompletion[0])
-	}
-	// Same-host: both workers sync at the intra-host rate.
-	ratio := sameHost.NetworkBps / sameHost.IntraHostBps
-	if want := 4 + ratio; math.Abs(same.JobCompletion[0]-want) > 1e-9 {
-		t.Errorf("same-host completion %.3f, want %.3f", same.JobCompletion[0], want)
 	}
 }
 

@@ -169,8 +169,8 @@ func TestMeanSum(t *testing.T) {
 
 // TestReseedMatchesFresh: after any amount of prior consumption,
 // Reseed(s) must put the stream into exactly New(s)'s state — the
-// property the pooled simulator relies on to keep jitter and fault
-// draws byte-identical across reused run state.
+// property the pooled simulator relies on to keep its fault draws
+// byte-identical across reused run state.
 func TestReseedMatchesFresh(t *testing.T) {
 	reused := New(1)
 	for i := 0; i < 137; i++ { // dirty the stream

@@ -107,11 +107,10 @@ func Build(cfg Config) (*Trace, error) {
 			Train:   make([][]float64, 0, numJobs),
 			Sync:    make([][]float64, 0, numJobs),
 		},
-		Cluster:     &cluster.Cluster{NetworkBps: subCl.NetworkBps, IntraHostBps: subCl.IntraHostBps},
+		Cluster:     &cluster.Cluster{NetworkBps: subCl.NetworkBps},
 		Models:      make([]*model.Model, 0, numJobs),
 		TenantOfJob: make([]int, 0, numJobs),
 	}
-	hostsPerTenant := subCl.Hosts
 	plans := make([]*core.Schedule, cfg.Tenants)
 	for t := 0; t < cfg.Tenants; t++ {
 		seed := cfg.Seed + int64(t)*workload.TenantSeedStride
@@ -157,14 +156,9 @@ func Build(cfg Config) (*Trace, error) {
 			tr.Instance.Sync = append(tr.Instance.Sync, sync)
 		}
 		for _, g := range subCl.GPUs {
-			tr.Cluster.GPUs = append(tr.Cluster.GPUs, cluster.GPU{
-				ID:   g.ID + gpuOff,
-				Type: g.Type,
-				Host: g.Host + t*hostsPerTenant,
-			})
+			tr.Cluster.GPUs = append(tr.Cluster.GPUs, cluster.GPU{ID: g.ID + gpuOff, Type: g.Type})
 		}
 	}
-	tr.Cluster.Hosts = cfg.Tenants * hostsPerTenant
 	if err := tr.Instance.Validate(); err != nil {
 		return nil, fmt.Errorf("tenants: merged instance invalid: %w", err)
 	}

@@ -42,7 +42,7 @@ func TestBuildDeterministicAndReplayable(t *testing.T) {
 		}
 	})
 
-	res, err := sim.Run(a.Instance, a.Schedule, a.Cluster, a.Models, sim.Options{Seed: 1})
+	res, err := sim.Run(a.Instance, a.Schedule, a.Cluster, a.Models, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
