@@ -92,6 +92,30 @@ func TestRatioGateMissingBenchmarks(t *testing.T) {
 	gateCase(t, "zero denominator", []Benchmark{bench("BenchmarkA", 1000), bench("BenchmarkB", 0)}, caps, "BenchmarkB ns/op missing from the run or zero")
 }
 
+// TestGateFailsNonFiniteReadings: a NaN or Inf reading is no reading.
+// NaN > Max is false, so a NaN that reached Check would pass any cap;
+// Parse drops its line instead, and the cap fails as missing.
+func TestGateFailsNonFiniteReadings(t *testing.T) {
+	parse := func(out string) []Benchmark {
+		t.Helper()
+		run, err := Parse(strings.NewReader(out), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	abs := []Cap{{Bench: "BenchmarkX", Metric: "allocs/op", Max: 10}}
+	gateCase(t, "NaN allocs/op", parse("BenchmarkX-2 100 NaN allocs/op\n"), abs,
+		"BenchmarkX allocs/op missing from the run")
+	gateCase(t, "Inf allocs/op", parse("BenchmarkX-2 100 +Inf allocs/op\n"), abs,
+		"BenchmarkX allocs/op missing from the run")
+	ratio := []Cap{{Bench: "BenchmarkA", Over: "BenchmarkB", Metric: "ns/op", Max: 2}}
+	gateCase(t, "NaN numerator", parse("BenchmarkA-2 100 NaN ns/op\nBenchmarkB-2 100 1000 ns/op\n"), ratio,
+		"BenchmarkA ns/op missing from the run")
+	gateCase(t, "NaN denominator", parse("BenchmarkA-2 100 1000 ns/op\nBenchmarkB-2 100 NaN ns/op\n"), ratio,
+		"BenchmarkB ns/op missing from the run")
+}
+
 // TestCompareAggregation: repetitions fold by min, per metric — noise
 // only ever slows a repetition down, so one clean repetition meets the
 // cap.

@@ -29,6 +29,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -74,8 +75,10 @@ func CanonicalName(printed string, procs int) string {
 // trailers, interleaved t.Log output, build noise — are skipped. A
 // line is a result only if it starts with "Benchmark", its second
 // field is the iteration count, and the rest parses as value/unit
-// pairs; anything else (e.g. a log line that happens to start with
-// "Benchmark…") is ignored rather than mis-parsed.
+// pairs with finite values; anything else (e.g. a log line that
+// happens to start with "Benchmark…") is ignored rather than
+// mis-parsed. A NaN or Inf reading is no reading: its line is dropped,
+// so a cap on it reports the benchmark missing and fails.
 func Parse(r io.Reader, procs int) ([]Benchmark, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -110,15 +113,15 @@ func parseLine(line string, procs int) (Benchmark, bool) {
 	if err != nil || iters <= 0 {
 		return Benchmark{}, false
 	}
-	// Value/unit pairs; an odd remainder or a non-numeric value means
-	// this is prose, not a result line.
+	// Value/unit pairs; an odd remainder or a non-numeric or
+	// non-finite value means this is not a result line.
 	if (len(fields)-2)%2 != 0 {
 		return Benchmark{}, false
 	}
 	metrics := make(map[string]float64, (len(fields)-2)/2)
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			return Benchmark{}, false
 		}
 		metrics[fields[i+1]] = v

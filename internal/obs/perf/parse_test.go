@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -144,4 +145,42 @@ BenchmarkReal-2	10	100 ns/op
 	if len(bs) != 1 || bs[0].Name != "BenchmarkReal" {
 		t.Fatalf("parsed %+v, want only BenchmarkReal", bs)
 	}
+}
+
+// FuzzPerfParse: the bench-output parser never panics, accepts only
+// results named Benchmark… with a positive iteration count and finite
+// metrics, and accepts at most one result per input line.
+func FuzzPerfParse(f *testing.F) {
+	f.Add(`goos: linux
+goarch: amd64
+pkg: hare
+cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
+BenchmarkSimulatorReplay-2   	     746	   1590547 ns/op	 1212345 B/op	    9041 allocs/op
+BenchmarkHareSchedule-2      	     312	   3824412 ns/op	   91234 B/op	     170 allocs/op
+BenchmarkOnlineHareSchedule/jobs-60-2	1000	1.25e+06 ns/op	44931 B/op	21 allocs/op	0.97 hare/best-baseline
+PASS
+ok  	hare	12.513s
+`, uint8(2))
+	f.Add("BenchmarkX-2 100 NaN allocs/op\n", uint8(2))
+	f.Add("BenchmarkSetup 2 runs of the planner\n", uint8(1))
+	f.Fuzz(func(t *testing.T, out string, procs uint8) {
+		run, err := Parse(strings.NewReader(out), int(procs))
+		if err != nil {
+			return
+		}
+		if lines := strings.Count(out, "\n") + 1; len(run) > lines {
+			t.Fatalf("%d results from %d lines", len(run), lines)
+		}
+		for _, b := range run {
+			if !strings.HasPrefix(b.Name, "Benchmark") || b.Iters <= 0 {
+				t.Fatalf("accepted %+v", b)
+			}
+			//lint:ordered each metric is checked on its own
+			for unit, v := range b.Metrics {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					t.Fatalf("accepted non-finite %s = %v in %+v", unit, v, b)
+				}
+			}
+		}
+	})
 }

@@ -5,7 +5,7 @@
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob,
 #                             # dead-surface and observability censuses), a haresim -compare CLI
 #                             # smoke, a haresim -save-plan/-load-plan round trip, ordering
-#                             # stress, eight 10 s fuzz smokes, make loc
+#                             # stress, nine 10 s fuzz smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -43,7 +43,7 @@ tests() {
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 
-	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the coordinator's one transition function; the journal's record and snapshot decoders; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader)"
+	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the coordinator's one transition function; the journal's record and snapshot decoders; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzSchedulersValidate -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
@@ -52,6 +52,7 @@ tests() {
 	go test -race -run '^$' -fuzz FuzzFaultsParse -fuzztime 10s ./internal/faults/
 	go test -race -run '^$' -fuzz FuzzLoadSchedule -fuzztime 10s ./internal/core/
 	go test -race -run '^$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/obs/
+	go test -race -run '^$' -fuzz FuzzPerfParse -fuzztime 10s ./internal/obs/perf/
 
 	echo "==> make loc (non-test Go lines per package: the size of every PR in the CI log)"
 	make -s loc
