@@ -116,6 +116,43 @@ func TestMergeDeterministic(t *testing.T) {
 	}
 }
 
+// TestMergeIndependentOfStreamOrder merges every ordering of a
+// three-stream fixture whose executors log events at the same instant
+// and LSN: the tie is broken by process name, not by where the caller
+// put the stream, so every ordering yields the same timeline.
+func TestMergeIndependentOfStreamOrder(t *testing.T) {
+	c, s := rpcPair(0, 1, "Push", 0, 0.01, 0.002, 0)
+	coord := Stream{Proc: "coord", Events: []obs.Event{s,
+		{Type: obs.EvTaskFinish, Time: 2, GPU: 1, Job: 0, Seq: 4},
+	}}
+	a := Stream{Proc: "exec-a", Events: []obs.Event{c,
+		{Type: obs.EvTaskFinish, Time: 2, GPU: 0, Job: 0, Seq: 5},
+	}}
+	b := Stream{Proc: "exec-b", Events: []obs.Event{
+		{Type: obs.EvTaskFinish, Time: 2, GPU: 1, Job: 1, Seq: 5},
+	}}
+	var want []byte
+	for _, order := range [][]Stream{
+		{coord, a, b}, {coord, b, a}, {a, coord, b},
+		{a, b, coord}, {b, coord, a}, {b, a, coord},
+	} {
+		merged, _, err := Merge(order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(merged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("merge of %s, %s, %s differs from the first ordering:\n got %s\nwant %s",
+				order[0].Proc, order[1].Proc, order[2].Proc, got, want)
+		}
+	}
+}
+
 // TestCoordStream picks the stream carrying server-side events
 // regardless of position.
 func TestCoordStream(t *testing.T) {

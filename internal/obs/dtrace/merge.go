@@ -48,8 +48,9 @@ func blockingMethod(note string) bool {
 //	(server midpoint) − (client midpoint)
 //
 // which cancels symmetric wire time. The merged order is sorted by
-// (adjusted time, LSN, stream, seq) — fully deterministic for a given
-// input, so re-merging the same streams is byte-identical downstream.
+// (adjusted time, LSN, process name, seq) — fully deterministic for a
+// given set of streams, whatever order the caller lists them in, so
+// re-merging the same streams is byte-identical downstream.
 func Merge(streams []Stream) ([]obs.Event, []Offset, error) {
 	if len(streams) == 0 {
 		return nil, nil, fmt.Errorf("dtrace: no streams")
@@ -108,15 +109,15 @@ func Merge(streams []Stream) ([]obs.Event, []Offset, error) {
 	}
 
 	type tagged struct {
-		e      obs.Event
-		stream int
+		e    obs.Event
+		proc string
 	}
 	var all []tagged
 	for i, s := range streams {
 		off := offsets[i].Seconds
 		for _, e := range s.Events {
 			e.Time += off
-			all = append(all, tagged{e, i})
+			all = append(all, tagged{e, s.Proc})
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -127,8 +128,8 @@ func Merge(streams []Stream) ([]obs.Event, []Offset, error) {
 		if a.e.LSN != b.e.LSN {
 			return a.e.LSN < b.e.LSN
 		}
-		if a.stream != b.stream {
-			return a.stream < b.stream
+		if a.proc != b.proc {
+			return a.proc < b.proc
 		}
 		return a.e.Seq < b.e.Seq
 	})
