@@ -144,10 +144,8 @@ func buildShard(sh shard, in *core.Instance, cl *cluster.Cluster, models []*mode
 	}
 	var subCl *cluster.Cluster
 	if cl != nil {
-		subCl = &cluster.Cluster{
-			GPUs:       make([]cluster.GPU, len(sh.gpus)),
-			NetworkBps: cl.NetworkBps,
-		}
+		// The replay reads only each GPU's type, to charge switching.
+		subCl = &cluster.Cluster{GPUs: make([]cluster.GPU, len(sh.gpus))}
 		for lm, gm := range sh.gpus {
 			subCl.GPUs[lm] = cluster.GPU{ID: lm, Type: cl.GPUs[gm].Type}
 		}
