@@ -521,7 +521,8 @@ func BenchmarkManagerBatch(b *testing.B) {
 // backend, wired as hared wires it (memory journal), executes after
 // warm untimed ones — every op the first batch of a new Manager when
 // warm is 0. At TimeScale 1e-6 the 8-task batch is all control plane
-// (~2.5 ms: listener, four executors, two RPCs per task), and a batch's
+// (listener, four executors, one RPC per task whose successor is ready
+// when it pushes, two otherwise), and a batch's
 // realized makespan is its wall time, so a Manager whose batch cost
 // grows with its uptime shows: a cumulative arrival on a backend clock
 // that restarts at 0 made batch k sleep through the k before it, and the

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
 	"slices"
@@ -51,11 +52,29 @@ var stdProtocol = map[string]bool{
 // declaration itself (recursion, a method naming its own receiver type)
 // does not count. A method is exempt when an interface of the module
 // that its receiver satisfies declares its name, when its receiver is
-// registered with net/rpc, or when its name is a stdProtocol one.
+// handed to net/rpc (registered as a service, or passed as a codec to
+// rpc.ServeCodec or rpc.NewClientWithCodec: net/rpc calls its methods
+// through its own interfaces), or when its name is a stdProtocol one.
 func TestDeadSurfaceCensus(t *testing.T) {
 	files := loadCensus(t)
 	loader := censusModule.loader
-	internal := loader.ModulePath + "/internal/"
+	complaints, declared, dead := deadSurface(loader.Fset, loader.ModulePath, files, loader.imports, deadAllowed)
+	if declared < 500 {
+		t.Fatalf("census found only %d exported identifiers; the scope rule no longer matches the repo", declared)
+	}
+	for _, c := range complaints {
+		t.Error(c)
+	}
+	t.Logf("%d exported identifiers in scope, %d dead, %d allowed unreferenced", declared, dead, len(deadAllowed))
+}
+
+// deadSurface takes the census of files, module's non-test files, and
+// returns its complaints, sorted, with the count of exported
+// identifiers in scope and of those dead. allowed is deadAllowed's
+// shape.
+func deadSurface(fset *token.FileSet, module string, files []censusFile, imports map[string]*types.Package,
+	allowed map[string]string) ([]string, int, int) {
+	internal := module + "/internal/"
 
 	type decl struct {
 		pos    token.Position
@@ -63,7 +82,7 @@ func TestDeadSurfaceCensus(t *testing.T) {
 	}
 	declared := make(map[string]decl)
 	used := make(map[string]bool)
-	rpcTypes := make(map[string]bool) // "pkgpath.Type" registered with net/rpc
+	rpcTypes := make(map[string]bool) // "pkgpath.Type" handed to net/rpc
 
 	for _, cf := range files {
 		info := cf.unit.Info
@@ -84,7 +103,7 @@ func TestDeadSurfaceCensus(t *testing.T) {
 					own = append(own, objectKey(recv.Obj()))
 				}
 				if inScope && d.Name.IsExported() {
-					dc := decl{pos: loader.Fset.Position(d.Name.Pos())}
+					dc := decl{pos: fset.Position(d.Name.Pos())}
 					if d.Recv != nil {
 						dc.method = obj
 					}
@@ -105,7 +124,7 @@ func TestDeadSurfaceCensus(t *testing.T) {
 							for _, m := range it.Methods.List {
 								for _, id := range m.Names {
 									if fn, ok := info.Defs[id].(*types.Func); ok && id.IsExported() {
-										declared[objectKey(fn)] = decl{pos: loader.Fset.Position(id.Pos())}
+										declared[objectKey(fn)] = decl{pos: fset.Position(id.Pos())}
 									}
 								}
 							}
@@ -120,7 +139,7 @@ func TestDeadSurfaceCensus(t *testing.T) {
 						}
 						own = append(own, objectKey(obj))
 						if inScope && id.IsExported() {
-							declared[objectKey(obj)] = decl{pos: loader.Fset.Position(id.Pos())}
+							declared[objectKey(obj)] = decl{pos: fset.Position(id.Pos())}
 						}
 					}
 				}
@@ -132,7 +151,7 @@ func TestDeadSurfaceCensus(t *testing.T) {
 						used[key] = true
 					}
 				case *ast.CallExpr:
-					if t := rpcRegistered(info, n); t != nil {
+					if t := rpcHanded(info, n); t != nil {
 						rpcTypes[objectKey(t.Obj())] = true
 					}
 				}
@@ -140,11 +159,7 @@ func TestDeadSurfaceCensus(t *testing.T) {
 			})
 		}
 	}
-	if len(declared) < 500 {
-		t.Fatalf("census found only %d exported identifiers; the scope rule no longer matches the repo", len(declared))
-	}
-
-	ifaces := moduleInterfaces(files, loader.imports)
+	ifaces := moduleInterfaces(files, imports)
 	exempt := func(m *types.Func) bool {
 		if stdProtocol[m.Name()] {
 			return true
@@ -152,36 +167,107 @@ func TestDeadSurfaceCensus(t *testing.T) {
 		if recv := receiverNamed(m); recv != nil && rpcTypes[objectKey(recv.Obj())] {
 			return true
 		}
-		return fixedByInterface(m, ifaces, loader.imports)
+		return fixedByInterface(m, ifaces, imports)
 	}
 
 	var complaints []string
 	dead := 0
 	//lint:ordered complaints are sorted before they are reported
 	for key, d := range declared {
-		reason, allowed := deadAllowed[key]
+		reason, ok := allowed[key]
 		switch {
 		case used[key]:
-			if allowed {
+			if ok {
 				complaints = append(complaints, fmt.Sprintf("%s: %s is referenced by production code now; drop its deadAllowed entry (%s)", d.pos, key, reason))
 			}
 		case d.method != nil && exempt(d.method):
-		case !allowed:
+		case !ok:
 			dead++
 			complaints = append(complaints, fmt.Sprintf("%s: %s is referenced by no non-test file: delete it, or allow it with a reason", d.pos, key))
 		}
 	}
 	//lint:ordered complaints are sorted before they are reported
-	for key := range deadAllowed {
+	for key := range allowed {
 		if _, ok := declared[key]; !ok {
 			complaints = append(complaints, fmt.Sprintf("deadAllowed lists %s, which no longer exists", key))
 		}
 	}
 	sort.Strings(complaints)
-	for _, c := range complaints {
-		t.Error(c)
+	return complaints, len(declared), dead
+}
+
+// handedToRPCSrc hands a service to rpc.RegisterName and two codecs to
+// rpc.ServeCodec and rpc.NewClientWithCodec, none of whose methods the
+// package calls; loose declares two of the same method names on a type
+// net/rpc never sees.
+const handedToRPCSrc = `package w
+
+import (
+	"io"
+	"net/rpc"
+)
+
+type service struct{}
+
+func (service) Ping(args int, reply *int) error { return nil }
+
+type serverCodec struct{ c io.Closer }
+
+func (serverCodec) ReadRequestHeader(*rpc.Request) error { return nil }
+func (serverCodec) ReadRequestBody(any) error { return nil }
+func (serverCodec) WriteResponse(*rpc.Response, any) error { return nil }
+func (s serverCodec) Close() error { return s.c.Close() }
+
+type clientCodec struct{ c io.Closer }
+
+func (*clientCodec) WriteRequest(*rpc.Request, any) error { return nil }
+func (*clientCodec) ReadResponseHeader(*rpc.Response) error { return nil }
+func (*clientCodec) ReadResponseBody(any) error { return nil }
+func (c *clientCodec) Close() error { return c.c.Close() }
+
+type loose struct{}
+
+func (loose) WriteRequest(*rpc.Request, any) error { return nil }
+func (loose) Close() error { return nil }
+
+func serve(s *rpc.Server, c io.Closer) {
+	_ = s.RegisterName("S", service{})
+	s.ServeCodec(serverCodec{c})
+}
+
+func dial(c io.Closer) *rpc.Client { return rpc.NewClientWithCodec(&clientCodec{c}) }
+
+var _, _, _ = serve, dial, loose{}
+`
+
+// TestDeadSurfaceRPCExemption runs the census on handedToRPCSrc,
+// type-checked as a package under internal/: the methods net/rpc calls
+// on the registered service and on both codecs are exempt, and the same
+// names on loose are convicted — the exemption follows the type handed
+// over, not the method name (Close in stdProtocol would exempt every
+// Close of the module).
+func TestDeadSurfaceRPCExemption(t *testing.T) {
+	loadCensus(t) // for its loader's stdlib importer
+	loader := censusModule.loader
+	f, err := parser.ParseFile(loader.Fset, "w.go", handedToRPCSrc, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("%d exported identifiers in scope, %d dead, %d allowed unreferenced", len(declared), dead, len(deadAllowed))
+	info := newInfo()
+	if _, err := (&types.Config{Importer: loader}).Check("m/internal/w", loader.Fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	files := []censusFile{{unit: &Unit{ImportPath: "m/internal/w", Info: info}, file: f, name: "internal/w/w.go"}}
+	complaints, declared, _ := deadSurface(loader.Fset, "m", files, loader.imports, nil)
+	var convicted []string
+	for _, c := range complaints {
+		_, after, _ := strings.Cut(c, ": m/internal/w.")
+		name, _, _ := strings.Cut(after, " ")
+		convicted = append(convicted, name)
+	}
+	if want := []string{"loose.WriteRequest", "loose.Close"}; declared != 11 || !slices.Equal(convicted, want) {
+		t.Errorf("census of %d exported methods convicted %v, want %v of 11:\n%s", declared, convicted, want, strings.Join(complaints, "\n"))
+	}
 }
 
 // objectKey names a package-level object or a method by package path,
@@ -225,15 +311,20 @@ func receiverNamed(fn *types.Func) *types.Named {
 	return named.Origin()
 }
 
-// rpcRegistered is the receiver type call hands to net/rpc's Register
-// or RegisterName (package function or *rpc.Server method), or nil.
-func rpcRegistered(info *types.Info, call *ast.CallExpr) *types.Named {
+// handedToRPC are the net/rpc functions (package functions or *rpc.Server
+// methods) whose last argument net/rpc calls methods of: a service's
+// receiver, or a codec.
+var handedToRPC = map[string]bool{"Register": true, "RegisterName": true, "ServeCodec": true, "NewClientWithCodec": true}
+
+// rpcHanded is the type call hands to a net/rpc function named in
+// handedToRPC, or nil.
+func rpcHanded(info *types.Info, call *ast.CallExpr) *types.Named {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || len(call.Args) == 0 {
 		return nil
 	}
 	fn, ok := info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "net/rpc" || (fn.Name() != "Register" && fn.Name() != "RegisterName") {
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "net/rpc" || !handedToRPC[fn.Name()] {
 		return nil
 	}
 	t := info.TypeOf(call.Args[len(call.Args)-1])

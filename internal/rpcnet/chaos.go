@@ -15,8 +15,9 @@ import (
 
 // Network chaos injection (faults.NetChaos, the netdrop=/netdelay=/
 // partition= grammar). Faults are injected at the RPC-call boundary —
-// below it the stdlib gob stream is stateful, so corrupting raw bytes
-// would wedge the connection rather than model message loss:
+// below it the wire is a stream of length-framed messages (wire.go), so
+// corrupting raw bytes would tear the connection rather than model
+// message loss:
 //
 //   - drop-request: the call never reaches the coordinator;
 //   - drop-reply: the call executes but its reply is lost — this is

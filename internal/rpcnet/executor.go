@@ -252,8 +252,10 @@ type execSession struct {
 	epoch uint64
 	seq   uint64
 	// held is the dispatch being run: execClient.Begin answers from it.
-	// Pull-loop goroutine only.
+	// ahead is the next one when the push of held brought it, nil when
+	// the pull loop must call Next. Pull-loop goroutine only.
 	held  NextReply
+	ahead *NextReply
 	chaos *netChaos
 	obs   *execObs
 	clock *testbed.Clock // nil until the Config handshake succeeds
@@ -303,13 +305,11 @@ func (s *execSession) call(method string, args, reply any, retries int) error {
 	return err
 }
 
-// callRetry is the unobserved retry loop. The reply struct is re-zeroed
-// before every attempt: gob leaves absent fields untouched on decode,
-// so a retried call must not inherit state from a dropped reply.
+// callRetry is the unobserved retry loop. A retry needs no reset of the
+// reply: the wire decodes every field of it (wire.go).
 func (s *execSession) callRetry(method string, args, reply any, retries int) error {
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		reflect.ValueOf(reply).Elem().SetZero()
 		err := s.chaos.do(s.conn, method, args, reply)
 		if err == nil || attempt >= retries || !errors.Is(err, errInjectedDrop) {
 			return err
@@ -327,9 +327,10 @@ func (s *execSession) callRetry(method string, args, reply any, retries int) err
 // execClient adapts the session to testbed.SyncClient — the one
 // adapter between an executor and the control plane. Push is the only
 // call that goes on the wire (duplicate-safe on the coordinator, so the
-// retry wrapper applies); the barrier and the parameters came with the
-// dispatch the session holds, and beginning any other task is a bug no
-// re-handshake fixes.
+// retry wrapper applies), and it asks for the session's next dispatch
+// too; the barrier and the parameters came with the dispatch the
+// session holds, and beginning any other task is a bug no re-handshake
+// fixes.
 type execClient struct{ s *execSession }
 
 func (c execClient) Begin(t core.TaskRef) (float64, []float64, error) {
@@ -342,8 +343,12 @@ func (c execClient) Begin(t core.TaskRef) (float64, []float64, error) {
 
 func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 	var reply PushReply
-	if err := c.s.call(DistributedName+".Push", &PushArgs{Report: rep, Epoch: c.s.epoch}, &reply, callRetries); err != nil {
+	if err := c.s.call(DistributedName+".Push", &PushArgs{Report: rep, Seq: c.s.seq, Epoch: c.s.epoch}, &reply, callRetries); err != nil {
 		return 0, err
+	}
+	if reply.Next != nil {
+		c.s.ahead = reply.Next
+		c.s.seq++
 	}
 	return reply.Completion, nil
 }
@@ -438,10 +443,14 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	}
 
 	for {
-		if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Seq: s.seq, Epoch: s.epoch}, &s.held, callRetries); err != nil {
-			return true, err
+		if s.ahead != nil {
+			s.held, s.ahead = *s.ahead, nil
+		} else {
+			if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Seq: s.seq, Epoch: s.epoch}, &s.held, callRetries); err != nil {
+				return true, err
+			}
+			s.seq++
 		}
-		s.seq++
 		if s.held.Done {
 			break
 		}

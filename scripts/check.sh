@@ -5,7 +5,7 @@
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob,
 #                             # dead-surface and observability censuses), a haresim -compare CLI
 #                             # smoke, a haresim -save-plan/-load-plan round trip, ordering
-#                             # stress, nine 10 s fuzz smokes, make loc
+#                             # stress, ten 10 s fuzz smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -43,11 +43,12 @@ tests() {
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 
-	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the coordinator's one transition function; the journal's record and snapshot decoders; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
+	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the coordinator's one transition function; the journal's record and snapshot decoders; the wire's frame and message decoder; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzSchedulersValidate -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/rpcnet/
+	go test -race -run '^$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzDirLogOpen -fuzztime 10s ./internal/store/
 	go test -race -run '^$' -fuzz FuzzFaultsParse -fuzztime 10s ./internal/faults/
 	go test -race -run '^$' -fuzz FuzzLoadSchedule -fuzztime 10s ./internal/core/
