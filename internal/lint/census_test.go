@@ -92,7 +92,6 @@ var censusAllowed = map[string]string{
 	"hare/internal/profile.Options.MeasureJitter":           "the only consumer of Options.Seed, which bench/e2e/inputs.go sets; it cannot go before a benchmark-only PR drops that Seed",
 	"hare/internal/experiments.Fig12Options.TestbedSchemes": "what keeps Fig. 12's tier-1 test at two testbed schemes instead of five wall-clock runs",
 	"hare/internal/obs/perf.Fingerprint.commit":             "its only caller, bench/e2e/main.go, passes \"\"; goes with the next change to the benchmark",
-	"hare/internal/testbed.NewControlPlane.problemDim":      "FuzzCoordApply pushes 4-wide gradients (its corpus in internal/rpcnet/testdata/fuzz is recorded at that width); production passes 0 for ProblemDim",
 }
 
 // TestKnobCensus: the repo's settable values — every exported field of

@@ -36,7 +36,7 @@ import (
 // length below 0x80 or a negated byte count of 0xf8 and up), so a
 // journal written before this layout, or a peer still speaking gob,
 // fails with the version named, not as a corrupt payload.
-const layoutVersion byte = 0x81
+const layoutVersion byte = 0x82
 
 // Minimum encoded sizes of the elements whose slices can be long.
 const (
@@ -400,10 +400,6 @@ func appendSnapshot(b []byte, snap *coordSnapshot) []byte {
 	e.instance(snap.Instance)
 	slice(&e, snap.GPUTypeNames, func(e *encoder, s *string) { e.str(*s) })
 	slice(&e, snap.ModelNames, func(e *encoder, s *string) { e.str(*s) })
-	slice(&e, snap.PS, func(e *encoder, ps *psSnapshot) {
-		e.floats(ps.Params)
-		e.floats(ps.Losses)
-	})
 	e.uint(snap.LastLSN)
 
 	st := &snap.State
@@ -418,10 +414,11 @@ func appendSnapshot(b []byte, snap *coordSnapshot) []byte {
 		e.int(int(g.PrevJob))
 		e.float(g.PrevFree)
 	})
-	slice(&e, st.Jobs, func(e *encoder, j *jobState) {
-		slice(e, j.Pushed, func(e *encoder, n *int) { e.int(*n) })
-		slice(e, j.Partial, putPush)
+	slice(&e, st.Jobs, func(e *encoder, j *testbed.PSState) {
+		e.floats(j.Params)
+		e.floats(j.Losses)
 		e.floats(j.RoundEnds)
+		slice(e, j.Partial, putPush)
 	})
 	e.int(st.TasksLeft)
 	slice(&e, st.FenceLog, func(e *encoder, f *FenceInfo) {
@@ -464,7 +461,6 @@ func decodeSnapshot(p []byte) (*coordSnapshot, error) {
 	snap.Instance = d.instance()
 	snap.GPUTypeNames = unslice(&d, 1, func(d *decoder, s *string) { *s = d.str() })
 	snap.ModelNames = unslice(&d, 1, func(d *decoder, s *string) { *s = d.str() })
-	snap.PS = unslice(&d, 2, func(d *decoder, ps *psSnapshot) { *ps = psSnapshot{Params: d.floats(), Losses: d.floats()} })
 	snap.LastLSN = d.uint()
 
 	st := &snap.State
@@ -476,12 +472,8 @@ func decodeSnapshot(p []byte) (*coordSnapshot, error) {
 			PrevJob: core.JobID(d.int()), PrevFree: d.float(),
 		}
 	})
-	st.Jobs = unslice(&d, 3, func(d *decoder, j *jobState) {
-		*j = jobState{
-			Pushed:    unslice(d, 1, func(d *decoder, n *int) { *n = d.int() }),
-			Partial:   unslice(d, minPush, getPush),
-			RoundEnds: d.floats(),
-		}
+	st.Jobs = unslice(&d, 4, func(d *decoder, j *testbed.PSState) {
+		*j = testbed.PSState{Params: d.floats(), Losses: d.floats(), RoundEnds: d.floats(), Partial: unslice(d, minPush, getPush)}
 	})
 	st.TasksLeft = d.int()
 	st.FenceLog = unslice(&d, minFence, func(d *decoder, f *FenceInfo) {

@@ -61,11 +61,11 @@ func TestOldJournalNamesVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if _, _, _, err := RecoverDistributed("127.0.0.1:0", j, RecoverOptions{}); err == nil || !strings.Contains(err.Error(), "layout version 0x81") {
-		t.Errorf("recovering a gob snapshot = %v, want an error naming layout version 0x81", err)
+	if _, _, _, err := RecoverDistributed("127.0.0.1:0", j, RecoverOptions{}); err == nil || !strings.Contains(err.Error(), "layout version 0x82") {
+		t.Errorf("recovering a gob snapshot = %v, want an error naming layout version 0x82", err)
 	}
-	if _, err := InspectDir(dir); err == nil || !strings.Contains(err.Error(), "layout version 0x81") {
-		t.Errorf("inspecting a gob snapshot = %v, want an error naming layout version 0x81", err)
+	if _, err := InspectDir(dir); err == nil || !strings.Contains(err.Error(), "layout version 0x82") {
+		t.Errorf("inspecting a gob snapshot = %v, want an error naming layout version 0x82", err)
 	}
 }
 

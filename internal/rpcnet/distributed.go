@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
+	"slices"
 	"sync"
 	"time"
 
@@ -210,11 +211,14 @@ type DistributedOptions struct {
 	SnapshotEvery int
 }
 
-// withDefaults fills what the coordinator itself reads; Store defaults
-// inside testbed.NewControlPlane.
+// withDefaults fills what the coordinator reads: a run without a
+// checkpoint store gets a memory one.
 func (o DistributedOptions) withDefaults() DistributedOptions {
 	if o.TimeScale <= 0 {
 		o.TimeScale = 1e-3
+	}
+	if o.Store == nil {
+		o.Store = store.NewMem()
 	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = DefaultHeartbeatInterval
@@ -236,7 +240,6 @@ type coordinator struct {
 	in    *core.Instance
 	opts  DistributedOptions
 	clock *testbed.Clock
-	pss   []*testbed.ParameterServer
 
 	// Control-plane tracing: per-method rpc.server observation handles
 	// (nil when both recorder and metrics are off) plus the counters and
@@ -272,12 +275,12 @@ type coordinator struct {
 	stopMonitor func()
 }
 
-// newCoordinator wires a coordinator around an already-built control
-// plane and state (fresh, or rebuilt from a journal).
+// newCoordinator wires a coordinator around an already-built state
+// (fresh, or rebuilt from a journal).
 func newCoordinator(in *core.Instance, st *coordState, gpuTypes, modelNames []string,
-	opts DistributedOptions, clock *testbed.Clock, pss []*testbed.ParameterServer) *coordinator {
+	opts DistributedOptions, clock *testbed.Clock) *coordinator {
 	co := &coordinator{
-		in: in, opts: opts, clock: clock, pss: pss,
+		in: in, opts: opts, clock: clock,
 		cSnapshots:  opts.Metrics.Counter("hare_coord_snapshots_total"),
 		st:          st,
 		session:     make([]uint64, in.NumGPUs),
@@ -538,7 +541,7 @@ func (c *coordinator) dispatchLocked(g int, seq uint64, reply *NextReply) (ok bo
 			return false, nil
 		}
 		t := c.st.dispatch(g, i)
-		*reply = NextReply{Task: t, Params: c.pss[t.Job].Params()}
+		*reply = NextReply{Task: t, Params: slices.Clone(c.st.Jobs[t.Job].Params)}
 		if t.Round > 0 {
 			reply.RoundEnd = c.st.Jobs[t.Job].RoundEnds[t.Round-1]
 		}
@@ -913,10 +916,6 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 		return nil, fmt.Errorf("rpcnet: invalid plan: %w", err)
 	}
 	clock := testbed.NewClock(opts.TimeScale)
-	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0)
-	if err != nil {
-		return nil, err
-	}
 	gpuTypes, modelNames := make([]string, cl.Size()), make([]string, len(models))
 	for g, gpu := range cl.GPUs {
 		gpuTypes[g] = gpu.Type.Name
@@ -924,8 +923,11 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 	for j, m := range models {
 		modelNames[j] = m.Name
 	}
-	st := newCoordState(in, seqs, local, testbed.ProblemDim)
-	co := newCoordinator(in, st, gpuTypes, modelNames, opts, clock, pss)
+	st := newCoordState(in, seqs, opts.Store)
+	if err := st.saveCheckpoints(); err != nil { // round-0 tasks load them
+		return nil, err
+	}
+	co := newCoordinator(in, st, gpuTypes, modelNames, opts, clock)
 	// Leases start now: an executor that never connects is eventually
 	// fenced and its queue migrates instead of hanging the run.
 	start := time.Now()
@@ -1009,7 +1011,7 @@ func (c *coordinator) serve(addr string) (*Server, string, func() (*DistributedR
 		res.FailedGPUs = st.fenced()
 		res.GPUFailures = len(res.FailedGPUs)
 		for _, j := range c.in.Jobs {
-			comp := c.pss[j.ID].Completion()
+			comp := st.Jobs[j.ID].RoundEnds[j.Rounds-1]
 			res.JobCompletion[j.ID] = comp
 			res.WeightedJCT += j.Weight * comp
 			if comp > res.Makespan {

@@ -83,7 +83,7 @@ func summarizeSnapshot(snap *coordSnapshot) SnapshotInfo {
 		NumGPUs:   len(st.GPUs),
 		TasksDone: len(st.Records),
 		TasksLeft: st.TasksLeft,
-		Jobs:      len(snap.PS),
+		Jobs:      len(st.Jobs),
 		Fenced:    len(st.fenced()),
 	}
 	for g, gs := range st.GPUs {

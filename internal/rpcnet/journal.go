@@ -76,18 +76,9 @@ type snapOpts struct {
 	SnapshotEvery   int
 }
 
-// psSnapshot is one parameter server's durable state: the model after
-// the last completed round and the per-round loss history. The current
-// round's partial pushes live in the state (jobState.Partial) and are
-// re-pushed into the PS on recovery.
-type psSnapshot struct {
-	Params []float64
-	Losses []float64
-}
-
 // coordSnapshot is what a recovery loads: a header that never changes
-// during a run (the problem, the fleet, the options), the parameter
-// servers' models, and the coordinator state itself.
+// during a run (the problem, the fleet, the options) and the
+// coordinator state itself, parameter servers included.
 type coordSnapshot struct {
 	// SimTime is the simulated time the snapshot was taken; the
 	// recovered clock resumes at the max of this and the replayed WAL
@@ -102,8 +93,6 @@ type coordSnapshot struct {
 	Instance     *core.Instance
 	GPUTypeNames []string
 	ModelNames   []string
-	// PS holds the parameter servers, one per job.
-	PS []psSnapshot
 	// LastLSN is the newest WAL record already folded into State;
 	// replay skips records at or below it.
 	LastLSN uint64
@@ -255,10 +244,6 @@ func (j *Journal) read() (snap *coordSnapshot, recs []*journalRecord, truncated 
 func (c *coordinator) snapshotLocked() {
 	snap := c.snapHeader
 	snap.SimTime = c.clock.Now()
-	snap.PS = make([]psSnapshot, len(c.pss))
-	for j, ps := range c.pss {
-		snap.PS[j] = psSnapshot{Params: ps.Params(), Losses: ps.LossHistory}
-	}
 	snap.State = *c.st
 	size, err := c.journal.writeSnapshot(&snap)
 	if err != nil {

@@ -24,9 +24,9 @@ import (
 //     high-water mark (max of the snapshot time and every replayed WAL
 //     record's time) instead of rewinding — executors and the
 //     coordinator re-agree on time via the Config re-handshake.
-//  3. Restore the parameter servers to the snapshot (params, loss
-//     history, completed-round gates) and re-push the state's
-//     partial-round gradients.
+//  3. Bind the state to its instance and checkpoint store, and re-save
+//     every job's checkpoints from the parameter-server state it holds
+//     (the store may have died with the old process).
 //  4. Fold the WAL suffix (records with LSN beyond the snapshot's
 //     watermark) into the state with coordState.apply, the function
 //     the live handlers commit through: a record they would have
@@ -117,7 +117,7 @@ type replayInfo struct {
 
 // rebuildCoordinator reconstructs, from the journal alone, the
 // coordinator the journal's writer had when it last appended: same
-// state, same parameter servers, same epoch. It reads the journal but
+// state, parameter servers included, same epoch. It reads the journal but
 // never writes it.
 func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayInfo, error) {
 	if j == nil {
@@ -154,9 +154,9 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 	if err := in.Validate(); err != nil {
 		return nil, replayInfo{}, fmt.Errorf("snapshot instance: %w", err)
 	}
-	if len(snap.GPUTypeNames) != in.NumGPUs || len(snap.ModelNames) != len(in.Jobs) || len(snap.PS) != len(in.Jobs) {
-		return nil, replayInfo{}, fmt.Errorf("snapshot names %d GPU types, %d models and %d parameter servers for a %d-GPU, %d-job instance",
-			len(snap.GPUTypeNames), len(snap.ModelNames), len(snap.PS), in.NumGPUs, len(in.Jobs))
+	if len(snap.GPUTypeNames) != in.NumGPUs || len(snap.ModelNames) != len(in.Jobs) {
+		return nil, replayInfo{}, fmt.Errorf("snapshot names %d GPU types and %d models for a %d-GPU, %d-job instance",
+			len(snap.GPUTypeNames), len(snap.ModelNames), in.NumGPUs, len(in.Jobs))
 	}
 	// Fail here, not in every executor's handshake, when the snapshot
 	// names hardware or models this build does not know.
@@ -183,26 +183,12 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 	wallBack := time.Duration(rp.watermark * opts.TimeScale * float64(time.Second))
 	clock := testbed.NewClockAt(time.Now().Add(-wallBack), opts.TimeScale)
 
-	pss, local, err := testbed.NewControlPlane(in, opts.Store, 0)
-	if err != nil {
-		return nil, replayInfo{}, err
-	}
 	st := &snap.State
-	if err := st.bind(in, local, testbed.ProblemDim); err != nil {
+	if err := st.bind(in, opts.Store); err != nil {
 		return nil, replayInfo{}, err
 	}
-
-	// Parameter servers: model state after the last completed round,
-	// then the state's partial-round pushes in accept order.
-	for i, ps := range pss {
-		if err := ps.Restore(snap.PS[i].Params, snap.PS[i].Losses, st.Jobs[i].RoundEnds); err != nil {
-			return nil, replayInfo{}, err
-		}
-		for _, rep := range st.Jobs[i].Partial {
-			if _, err := local.Push(rep); err != nil {
-				return nil, replayInfo{}, fmt.Errorf("replay partial push %v: %w", rep.Task, err)
-			}
-		}
+	if err := st.saveCheckpoints(); err != nil {
+		return nil, replayInfo{}, err
 	}
 
 	// WAL suffix: every accepted transition after the snapshot.
@@ -219,5 +205,5 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 		}
 		rp.replayed++
 	}
-	return newCoordinator(in, st, snap.GPUTypeNames, snap.ModelNames, opts, clock, pss), rp, nil
+	return newCoordinator(in, st, snap.GPUTypeNames, snap.ModelNames, opts, clock), rp, nil
 }

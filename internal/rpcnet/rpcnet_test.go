@@ -146,10 +146,9 @@ func (f *scriptedFleet) next(g int) NextReply {
 	}
 	var end float64
 	if d.Task.Round > 0 {
-		var err error
-		if end, err = f.srv.co.pss[d.Task.Job].WaitRound(d.Task.Round - 1); err != nil {
-			f.t.Fatal(err)
-		}
+		f.srv.co.mu.Lock()
+		end = f.srv.co.st.Jobs[d.Task.Job].RoundEnds[d.Task.Round-1]
+		f.srv.co.mu.Unlock()
 	}
 	if d.RoundEnd != end {
 		f.t.Errorf("dispatch of %v carries round end %g, the parameter server realized %g", d.Task, d.RoundEnd, end)

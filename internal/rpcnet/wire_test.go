@@ -113,8 +113,8 @@ func TestWireRefusesForeignFrames(t *testing.T) {
 	if err := gob.NewEncoder(&gobbed).Encode(&rpc.Request{ServiceMethod: DistributedName + ".Config"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&frameReader{r: &gobbed}).next(); err == nil || !strings.Contains(err.Error(), "not wire layout version 0x81") {
-		t.Errorf("reading a gob request = %v, want an error naming wire layout version 0x81", err)
+	if _, err := (&frameReader{r: &gobbed}).next(); err == nil || !strings.Contains(err.Error(), "not wire layout version 0x82") {
+		t.Errorf("reading a gob request = %v, want an error naming wire layout version 0x82", err)
 	}
 	huge := []byte{layoutVersion, 0, 0, 0, 0x10} // 256 MiB
 	var err error

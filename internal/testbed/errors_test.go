@@ -44,7 +44,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 func TestNewRemoteExecutorValidation(t *testing.T) {
 	in, cl, models := smallWorkload(t, 2, 33)
 	clock := NewClock(1e-3)
-	_, client, err := NewControlPlane(in, nil, 0)
+	_, client, err := NewControlPlane(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,18 +106,18 @@ func TestPSRejectsWrongRoundAndJob(t *testing.T) {
 		Jobs: []*core.Job{job}, NumGPUs: 1,
 		Train: [][]float64{{1}}, Sync: [][]float64{{0}},
 	}
-	pss, _, err := NewControlPlane(in, nil, 8)
+	pss, _, err := NewControlPlane(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ps := pss[0]
-	grad := make([]float64, 8)
+	grad := make([]float64, ProblemDim)
 	// Round 1 before round 0 violates synchronization.
-	if _, err := ps.Push(core.TaskRef{Job: 0, Round: 1}, 0, 1, grad); err == nil {
+	if _, err := ps.Push(PushReport{Task: core.TaskRef{Job: 0, Round: 1}, TrainEnd: 1, Grad: grad}); err == nil {
 		t.Error("out-of-round gradient accepted")
 	}
 	// Wrong job.
-	if _, err := ps.Push(core.TaskRef{Job: 5, Round: 0}, 0, 1, grad); err == nil {
+	if _, err := ps.Push(PushReport{Task: core.TaskRef{Job: 5, Round: 0}, TrainEnd: 1, Grad: grad}); err == nil {
 		t.Error("wrong-job gradient accepted")
 	}
 	// Wrong round index queried.
@@ -139,7 +139,7 @@ func TestRoundGateClosesAtLastPush(t *testing.T) {
 		Jobs: []*core.Job{job}, NumGPUs: 2,
 		Train: [][]float64{{1, 1}}, Sync: [][]float64{{1000, 1000}},
 	}
-	pss, _, err := NewControlPlane(in, nil, 8)
+	pss, _, err := NewControlPlane(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,8 @@ func TestRoundGateClosesAtLastPush(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		trainEnd := float64(r + 1)
 		for k := 0; k < scale; k++ {
-			if _, err := ps.Push(core.TaskRef{Job: 0, Round: r, Index: k}, k, trainEnd, make([]float64, 8)); err != nil {
+			rep := PushReport{Task: core.TaskRef{Job: 0, Round: r, Index: k}, GPU: k, TrainEnd: trainEnd, Grad: make([]float64, ProblemDim)}
+			if _, err := ps.Push(rep); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -184,7 +185,7 @@ func TestExecutorSurfacesPushErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock := NewClock(1e-4)
-	_, good, err := NewControlPlane(in, nil, 0)
+	_, good, err := NewControlPlane(in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,28 +108,36 @@ func (c *localClient) Begin(t core.TaskRef) (roundEnd float64, params []float64,
 }
 
 func (c *localClient) Push(rep PushReport) (float64, error) {
-	return c.pss[rep.Task.Job].Push(rep.Task, rep.GPU, rep.TrainEnd, rep.Grad)
+	return c.pss[rep.Task.Job].Push(rep)
 }
 
-// NewControlPlane builds the scheduler-side state — one parameter
-// server per job, all wired to the checkpoint store — and returns the
-// servers plus the in-process SyncClient that fronts them. The
-// distributed coordinator (internal/rpcnet) puts the same servers behind
-// TCP. A non-positive problemDim means ProblemDim; only tests pass
-// anything else.
-func NewControlPlane(in *core.Instance, st store.Store, problemDim int) ([]*ParameterServer, SyncClient, error) {
+// NewControlPlane builds the in-process engine's scheduler side — one
+// parameter server per job, each with its initial checkpoint saved to
+// the store — and returns the servers plus the SyncClient that fronts
+// them.
+func NewControlPlane(in *core.Instance, st store.Store) ([]*ParameterServer, SyncClient, error) {
 	if err := in.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if st == nil {
 		st = store.NewMem()
 	}
-	probs := newProblems(in, problemDim, nil)
+	probs := NewProblems(in, nil)
 	pss := make([]*ParameterServer, len(in.Jobs))
 	for _, j := range in.Jobs {
-		jid := j.ID
-		pss[j.ID] = NewParameterServer(j, probs[j.ID], st, learningRate,
-			func(gpu int) float64 { return in.Sync[jid][gpu] })
+		ps := &ParameterServer{
+			in: in, job: j, prob: probs[j.ID], st: st,
+			state: PSState{Params: probs[j.ID].InitParams()},
+			done:  make([]chan struct{}, j.Rounds),
+		}
+		for r := range ps.done {
+			ps.done[r] = make(chan struct{})
+		}
+		// Initial checkpoint so round-0 tasks can load.
+		if err := ps.state.Save(st, j.ID); err != nil {
+			return nil, nil, err
+		}
+		pss[j.ID] = ps
 	}
 	return pss, &localClient{pss: pss, st: st}, nil
 }
@@ -174,17 +182,14 @@ func NewRemoteExecutor(cfg RemoteExecutorConfig) (*Executor, error) {
 	return newExecutor(cfg), nil
 }
 
-// newProblems builds every job's SGD problem (seeds are jobID+1 on
-// every engine, so all of them train the same models); a non-positive
-// dim means ProblemDim. rng, when set, is the generator the problems
-// share; their owner must not use them concurrently.
-func newProblems(in *core.Instance, dim int, rng *stats.RNG) []*Problem {
-	if dim <= 0 {
-		dim = ProblemDim
-	}
+// NewProblems builds every job's SGD problem (seeds are jobID+1 on
+// every engine, so all of them train the same models). rng, when set,
+// is the generator the problems share; their owner must not use them
+// concurrently.
+func NewProblems(in *core.Instance, rng *stats.RNG) []*Problem {
 	probs := make([]*Problem, len(in.Jobs))
 	for _, j := range in.Jobs {
-		probs[j.ID] = NewProblem(dim, problemBatch, int64(j.ID)+1)
+		probs[j.ID] = NewProblem(ProblemDim, problemBatch, int64(j.ID)+1)
 		probs[j.ID].rng = rng
 	}
 	return probs
@@ -205,7 +210,7 @@ func newExecutor(cfg RemoteExecutorConfig) *Executor {
 	return &Executor{
 		GPU: cfg.GPU, GPUType: cfg.GPUType,
 		in: cfg.Instance, models: cfg.Models, scheme: cfg.Scheme, mem: mem,
-		clock: cfg.Clock, sync: cfg.Sync, probs: newProblems(cfg.Instance, 0, stats.New(0)),
+		clock: cfg.Clock, sync: cfg.Sync, probs: NewProblems(cfg.Instance, stats.New(0)),
 		faultRate: cfg.FaultRate,
 		faultRNG:  stats.New(faults.RetrySeed(cfg.FaultSeed, cfg.GPU)),
 		slow:      cfg.SlowFactor,
@@ -242,7 +247,7 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	}
 
 	clock := NewClock(opts.TimeScale)
-	pss, base, err := NewControlPlane(in, opts.Store, 0)
+	pss, base, err := NewControlPlane(in, opts.Store)
 	if err != nil {
 		return nil, err
 	}
@@ -291,17 +296,15 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 		res.Retries += e.Retries
 	}
 	for _, j := range in.Jobs {
-		c := pss[j.ID].Completion()
+		ps := &pss[j.ID].state
+		c := ps.RoundEnds[j.Rounds-1]
 		res.JobCompletion[j.ID] = c
 		res.WeightedJCT += j.Weight * c
 		if c > res.Makespan {
 			res.Makespan = c
 		}
-		hist := pss[j.ID].LossHistory
-		if len(hist) > 0 {
-			res.InitialLosses[j.ID] = hist[0]
-			res.FinalLosses[j.ID] = hist[len(hist)-1]
-		}
+		res.InitialLosses[j.ID] = ps.Losses[0]
+		res.FinalLosses[j.ID] = ps.Losses[len(ps.Losses)-1]
 	}
 	return res, nil
 }
