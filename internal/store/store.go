@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -173,10 +174,34 @@ func DecodeParams(data []byte) ([]float64, error) {
 	return out, nil
 }
 
-// CheckpointKey names a job's checkpoint after a given round.
+// CheckpointKey names a job's checkpoint after a given round:
+// ckpt/job%04d/round%06d. The keys are built without fmt because every
+// round close saves through them.
 func CheckpointKey(jobID int, round int) string {
-	return fmt.Sprintf("ckpt/job%04d/round%06d", jobID, round)
+	var buf [40]byte
+	b := appendPadded(append(buf[:0], "ckpt/job"...), jobID, 4)
+	return string(appendPadded(append(b, "/round"...), round, 6))
 }
 
-// LatestKey names a job's rolling "latest" checkpoint.
-func LatestKey(jobID int) string { return fmt.Sprintf("ckpt/job%04d/latest", jobID) }
+// LatestKey names a job's rolling "latest" checkpoint:
+// ckpt/job%04d/latest.
+func LatestKey(jobID int) string {
+	var buf [40]byte
+	return string(append(appendPadded(append(buf[:0], "ckpt/job"...), jobID, 4), "/latest"...))
+}
+
+// appendPadded appends n in decimal, zero-padded to width characters,
+// sign included, exactly as fmt's %0*d writes it.
+func appendPadded(b []byte, n, width int) []byte {
+	u := uint64(n)
+	if n < 0 {
+		b = append(b, '-')
+		u, width = -u, width-1
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}

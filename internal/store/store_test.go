@@ -1,6 +1,8 @@
 package store
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"sync"
 	"testing"
@@ -150,5 +152,30 @@ func TestKeyFormats(t *testing.T) {
 	}
 	if LatestKey(1) == LatestKey(2) {
 		t.Error("job not in key")
+	}
+}
+
+// TestKeysMatchPrintf pins the checkpoint keys byte for byte to the
+// printf formats they were first written with — values narrower than
+// the pad, exactly as wide, wider, zero and negative — so a store
+// written by an older build keeps its keys.
+func TestKeysMatchPrintf(t *testing.T) {
+	for _, c := range []struct{ job, round int }{
+		{0, 0}, {1, 2}, {7, 41}, {59, 999999}, {9999, 100000},
+		{12345, 1234567}, {-1, -1}, {-12345, -7}, {3, math.MaxInt64}, {math.MinInt64, 5},
+	} {
+		if got, want := CheckpointKey(c.job, c.round), fmt.Sprintf("ckpt/job%04d/round%06d", c.job, c.round); got != want {
+			t.Errorf("CheckpointKey(%d, %d) = %q, want %q", c.job, c.round, got, want)
+		}
+		if got, want := LatestKey(c.job), fmt.Sprintf("ckpt/job%04d/latest", c.job); got != want {
+			t.Errorf("LatestKey(%d) = %q, want %q", c.job, got, want)
+		}
+	}
+	var key string
+	if n := testing.AllocsPerRun(100, func() { key = CheckpointKey(12, 345) }); n > 1 {
+		t.Errorf("CheckpointKey allocates %v times, want only its string", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { key = LatestKey(12) }); n > 1 {
+		t.Errorf("LatestKey allocates %v times, want only its string (%q)", n, key)
 	}
 }
