@@ -104,7 +104,8 @@ const (
 	// the expiry detail, mirrored by the gpu.failed event that follows.
 	EvLeaseExpired
 	// EvWALAppend records one durable journal append: LSN the record's
-	// log sequence number, Note the record kind (push/fence/report).
+	// log sequence number, Note the record kind
+	// (push/fence/report/recover).
 	EvWALAppend
 	// EvWALSnapshot records a journal snapshot: LSN the watermark it
 	// folds in, Bytes the encoded snapshot size.

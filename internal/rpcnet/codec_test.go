@@ -86,7 +86,8 @@ func allocated(f func()) (objects, size uint64) {
 // byte (a TaskRef or a slice header outweighs its wire bytes), plus
 // small constants, so a corrupt count costs nothing; and a payload it
 // accepts re-encodes to the same bytes. The seeds are one record of
-// every kind and the first and last snapshots of TestReplayMatchesLive's
+// every kind (the scripted batch journals no recovery, so that one is
+// built here) and the first and last snapshots of TestReplayMatchesLive's
 // scripted batch, each also cut in half and short by one byte.
 func FuzzJournalDecode(f *testing.F) {
 	var run *scripted
@@ -109,6 +110,7 @@ func FuzzJournalDecode(f *testing.F) {
 		firstOf["push"], firstOf["fence"], firstOf["report"], firstOf["error report"],
 		appendRecord(nil, &journalRecord{LSN: 7, Kind: recFence}),
 		appendRecord(nil, &journalRecord{LSN: 8, Kind: 77}),
+		appendRecord(nil, &journalRecord{LSN: 9, Kind: recRecover, SimTime: 2.5}),
 		run.snaps.snaps[0], run.snaps.snaps[len(run.snaps.snaps)-1],
 	}
 	for _, seed := range seeds {

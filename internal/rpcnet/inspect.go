@@ -14,7 +14,7 @@ import (
 // WALEntry is one decoded journal record in display form.
 type WALEntry struct {
 	LSN     uint64
-	Kind    string // "push", "fence", "report", or "kind(N)" for unknown
+	Kind    string // "push", "fence", "report", "recover", or "kind(N)" for unknown
 	SimTime float64
 	GPU     int
 	Detail  string
@@ -41,7 +41,7 @@ type JournalDump struct {
 	Snapshot    SnapshotInfo
 	Entries     []WALEntry
 	// Truncated counts undecodable WAL payloads dropped at the tail
-	// (a torn write; the good prefix is kept).
+	// (the good prefix is kept). Recovery refuses such a journal.
 	Truncated int
 	// Gaps lists LSN-continuity violations: a healthy WAL is a dense
 	// ascending run starting just past the snapshot watermark.
@@ -121,6 +121,8 @@ func describeRecord(rec *journalRecord) WALEntry {
 		} else {
 			e.Detail = fmt.Sprintf("gpu=%d err=%s", rec.GPU, rec.Err)
 		}
+	case recRecover:
+		e.Detail = "coordinator recovered: epoch +1"
 	}
 	return e
 }

@@ -3,7 +3,6 @@ package rpcnet
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 	"sync"
 
 	"hare/internal/core"
@@ -14,11 +13,12 @@ import (
 )
 
 // The coordinator's durability layer: a write-ahead log of state
-// transitions (gradient pushes, fences, executor reports) over a
-// periodic full-state snapshot, both persisted through internal/store
-// primitives. Recovery loads the snapshot, replays the WAL suffix with
-// LSN greater than the snapshot's LastLSN, and resumes the batch
-// (recovery.go). The LSN guard is what makes the pair crash-safe at
+// transitions (gradient pushes, fences, executor reports, recoveries)
+// over a periodic full-state snapshot, both persisted through
+// internal/store primitives. Recovery loads the snapshot, replays the
+// WAL suffix with LSN greater than the snapshot's LastLSN, appends its
+// own epoch bump behind it, and resumes the batch (recovery.go). The
+// LSN guard is what makes the pair crash-safe at
 // every instant: writeSnapshot persists the snapshot *before* resetting
 // the log, so a crash between the two replays a WAL whose prefix is
 // already in the snapshot — and that prefix is skipped by LSN, never
@@ -28,14 +28,18 @@ import (
 // snapshotKey is the store key of the coordinator snapshot.
 const snapshotKey = "coord/snapshot"
 
-// Journal record kinds.
+// Journal record kinds: an accepted gradient push, a fencing
+// transition, an executor's closing report, and a recovery's epoch
+// bump (no payload). A kind is only ever added: an older build decodes
+// a newer kind's record and refuses it at replay by number.
 const (
 	recPush uint8 = iota + 1
 	recFence
 	recReport
+	recRecover
 )
 
-// journalRecord is one WAL entry. Exactly one payload field is set,
+// journalRecord is one WAL entry. At most one payload field is set,
 // per Kind; SimTime is the simulated time the transition was accepted,
 // used to restore clock continuity on recovery.
 type journalRecord struct {
@@ -60,6 +64,8 @@ func (r *journalRecord) kind() string {
 		return "fence"
 	case recReport:
 		return "report"
+	case recRecover:
+		return "recover"
 	}
 	return fmt.Sprintf("kind(%d)", r.Kind)
 }
@@ -214,9 +220,6 @@ func (j *Journal) read() (snap *coordSnapshot, recs []*journalRecord, truncated 
 			return nil, nil, 0, fmt.Errorf("journal: decode snapshot: %w", err)
 		}
 		j.lsn = max(j.lsn, snap.LastLSN)
-		// A recovery's first snapshot is this one plus the replayed
-		// tail: size the buffer once rather than doubling up to it.
-		j.buf = slices.Grow(j.buf[:0], len(raw)+len(raw)/4)
 	}
 	payloads, err := j.log.Records()
 	if err != nil {
@@ -236,11 +239,11 @@ func (j *Journal) read() (snap *coordSnapshot, recs []*journalRecord, truncated 
 
 // snapshotLocked persists the coordinator's full state through the
 // journal and resets the push-since-snapshot counter. Because every
-// state transition (push accept, fence, report) happens entirely under
-// c.mu, the state is encoded in place, transactionally consistent with
-// the WAL's LSN watermark by construction. A persistence failure aborts
-// the run — continuing without durability would break the recovery
-// contract silently. Caller holds c.mu.
+// state transition (push accept, fence, report, recover) happens
+// entirely under c.mu, the state is encoded in place, transactionally
+// consistent with the WAL's LSN watermark by construction. A
+// persistence failure aborts the run — continuing without durability
+// would break the recovery contract silently. Caller holds c.mu.
 func (c *coordinator) snapshotLocked() {
 	snap := c.snapHeader
 	snap.SimTime = c.clock.Now()

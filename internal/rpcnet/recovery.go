@@ -32,10 +32,14 @@ import (
 //     the live handlers commit through: a record they would have
 //     refused fails the recovery with its LSN. Journaling and events
 //     belong to the handlers, so replay has neither.
-//  5. Serve under epoch+1. Executors still holding the old epoch are
-//     rejected with a "stale coordinator epoch" error, re-handshake,
-//     and resume; a pre-crash push retried against the new incarnation
-//     hits the recovered dedup set and is absorbed idempotently.
+//  5. Commit a recover record through the live transition path
+//     (commitLocked: WAL append, then apply's Epoch+1) and serve under
+//     the new epoch. No snapshot is written first: the record lands
+//     after the replayed tail, and a later recovery replays it like any
+//     other. Executors still holding the old epoch are rejected with a
+//     "stale coordinator epoch" error, re-handshake, and resume; a
+//     pre-crash push retried against the new incarnation hits the
+//     recovered dedup set and is absorbed idempotently.
 //
 // Fenced GPUs stay fenced (fencing survives recovery); live GPUs get a
 // reconnect grace period before the lease monitor may fence them,
@@ -69,11 +73,9 @@ func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server,
 		return nil, "", nil, fmt.Errorf("rpcnet: recover: %w", err)
 	}
 
-	// New incarnation: epoch bump plus a reconnect grace before the
-	// lease monitor may fence anyone (live executors' leases all went
-	// stale while the coordinator was down).
-	co.st.Epoch++
-	co.st.Recovered++
+	// New incarnation: a reconnect grace before the lease monitor may
+	// fence anyone (live executors' leases all went stale while the
+	// coordinator was down), and a journaled epoch bump.
 	grace := ropts.ReconnectGrace
 	if grace <= 0 {
 		grace = 3 * co.opts.LeaseTimeout
@@ -83,11 +85,11 @@ func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server,
 		co.lease[g] = leaseBase
 	}
 
-	// Persist the recovered state under the new epoch before serving,
-	// so a crash during recovery recovers again from here.
+	// The epoch bump is durable before serving, so a crash from here on
+	// recovers into a later epoch still: the next recovery replays this
+	// record over the same snapshot and tail.
 	co.mu.Lock()
-	co.snapshotLocked()
-	err = co.runErr
+	_, err = co.commitLocked(&journalRecord{Kind: recRecover, SimTime: co.clock.Now()}, -1)
 	co.mu.Unlock()
 	if err != nil {
 		return nil, "", nil, err
@@ -118,17 +120,26 @@ type replayInfo struct {
 // rebuildCoordinator reconstructs, from the journal alone, the
 // coordinator the journal's writer had when it last appended: same
 // state, parameter servers included, same epoch. It reads the journal but
-// never writes it.
+// never writes it. It refuses a WAL with undecodable records: the
+// recovered coordinator appends behind the tail, and a record written
+// after an undecodable one would be invisible to the next recovery.
 func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayInfo, error) {
 	if j == nil {
 		return nil, replayInfo{}, fmt.Errorf("nil journal")
 	}
-	snap, recs, _, err := j.read()
+	snap, recs, truncated, err := j.read()
 	if err != nil {
 		return nil, replayInfo{}, err
 	}
 	if snap == nil {
 		return nil, replayInfo{}, fmt.Errorf("journal: no coordinator snapshot to recover from (never written, or the journal was cleared)")
+	}
+	if truncated > 0 {
+		last := snap.LastLSN
+		if len(recs) > 0 {
+			last = recs[len(recs)-1].LSN
+		}
+		return nil, replayInfo{}, fmt.Errorf("journal: %d undecodable WAL record(s) after LSN %d (inspect with harectl wal)", truncated, last)
 	}
 	plan, err := faults.Parse(snap.FaultSpec)
 	if err != nil {
@@ -191,7 +202,10 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 		return nil, replayInfo{}, err
 	}
 
-	// WAL suffix: every accepted transition after the snapshot.
+	// WAL suffix: every accepted transition after the snapshot. Its
+	// pushes count toward the next periodic snapshot, as they did for
+	// the writer: recovery writes none, so the tail stays in the log.
+	pushes := 0
 	for _, rec := range recs {
 		if rec.LSN <= snap.LastLSN {
 			continue
@@ -204,6 +218,11 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 			return nil, replayInfo{}, fmt.Errorf("replay %s record LSN %d: %w", rec.kind(), rec.LSN, err)
 		}
 		rp.replayed++
+		if rec.Kind == recPush {
+			pushes++
+		}
 	}
-	return newCoordinator(in, st, snap.GPUTypeNames, snap.ModelNames, opts, clock), rp, nil
+	co := newCoordinator(in, st, snap.GPUTypeNames, snap.ModelNames, opts, clock)
+	co.pushesSinceSnap = pushes
+	return co, rp, nil
 }

@@ -178,6 +178,180 @@ func TestKillRecoverMidBatch(t *testing.T) {
 	}
 }
 
+// TestTwoRecoveriesWithoutSnapshot: a recovery writes no snapshot, so
+// a coordinator killed again before its next periodic snapshot leaves
+// the first recovery's epoch bump in the WAL tail. The second recovery
+// replays it: the run ends in epoch 3 after two recoveries, with every
+// task applied exactly once and checkpoints matching a crash-free run.
+func TestTwoRecoveriesWithoutSnapshot(t *testing.T) {
+	in, plan, cl, models := chaosWorkload(t, 5, 11)
+	refStore := store.NewMem()
+	if _, err := testbed.Run(in, plan, cl, models, testbed.Options{
+		TimeScale: 1e-4, Store: refStore,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	st := store.NewMem()
+	journal := NewMemJournal()
+	srv, addr, wait, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{
+		TimeScale:         1e-3,
+		Store:             st,
+		HeartbeatInterval: 5 * time.Millisecond,
+		LeaseTimeout:      150 * time.Millisecond,
+		Journal:           journal,
+		SnapshotEvery:     1 << 30, // only newDistributed's snapshot
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, cl.Size())
+	for g := 0; g < cl.Size(); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			errs[g] = RunExecutorOpts(addr, g, ExecutorOptions{})
+		}(g)
+	}
+
+	// Kill at a quarter and at half of the batch; recover after each.
+	for kill, at := range []int{in.NumTasks() / 4, in.NumTasks() / 2} {
+		awaitPushes(t, srv, at, 20*time.Second)
+		if err := srv.Kill(); err != nil {
+			t.Fatalf("kill %d: %v", kill+1, err)
+		}
+		if _, err := wait(); !errors.Is(err, ErrCoordinatorDown) {
+			t.Fatalf("wait after kill %d = %v, want ErrCoordinatorDown", kill+1, err)
+		}
+		time.Sleep(100 * time.Millisecond)
+		if srv, _, wait, err = RecoverDistributed(addr, journal, RecoverOptions{Store: st}); err != nil {
+			t.Fatalf("recovery %d: %v", kill+1, err)
+		}
+	}
+	defer srv.Close()
+
+	// Both epoch bumps sit in the tail behind the one snapshot.
+	snap, recs, _, err := journal.read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recovers []uint64
+	for _, rec := range recs {
+		if rec.Kind == recRecover {
+			recovers = append(recovers, rec.LSN)
+		}
+	}
+	if snap.LastLSN != 0 || len(recovers) != 2 {
+		t.Errorf("snapshot at LSN %d and recover records at LSNs %v; want the first snapshot and two in the tail", snap.LastLSN, recovers)
+	}
+
+	res, err := wait()
+	if err != nil {
+		t.Fatalf("recovered wait: %v", err)
+	}
+	wg.Wait()
+	for g, err := range errs {
+		if err != nil {
+			t.Errorf("executor %d: %v", g, err)
+		}
+	}
+	if res.Recoveries != 2 || res.Epoch != 3 {
+		t.Errorf("recoveries=%d epoch=%d, want 2 and 3", res.Recoveries, res.Epoch)
+	}
+	if res.GPUFailures != 0 {
+		t.Errorf("fenced GPUs %v during two kill/recovers with live executors", res.FailedGPUs)
+	}
+	assertExactlyOnce(t, res, in)
+	if d := maxParamDiff(finalParams(t, refStore, len(in.Jobs)), finalParams(t, st, len(in.Jobs))); d > 1e-9 {
+		t.Errorf("twice-recovered params diverge from crash-free run by %g (> 1e-9)", d)
+	}
+}
+
+// TestRecoverAppendsOneRecord: a recovery's only durable write is its
+// recover record — one WAL append, no snapshot — and each recovery
+// adds one more epoch.
+func TestRecoverAppendsOneRecord(t *testing.T) {
+	in, plan, cl, models := chaosWorkload(t, 3, 9)
+	journal := NewMemJournal()
+	srv, _, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{
+		Journal: journal, LeaseTimeout: time.Hour, // no executor connects; nothing may be fenced
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for epoch := uint64(2); epoch <= 3; epoch++ {
+		if err := srv.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		if srv, _, _, err = RecoverDistributed("127.0.0.1:0", journal, RecoverOptions{Metrics: reg}); err != nil {
+			t.Fatalf("recovery into epoch %d: %v", epoch, err)
+		}
+		appends := reg.Counter("hare_wal_appends_total").Value()
+		snaps := reg.Counter("hare_coord_snapshots_total").Value()
+		if appends != 1 || snaps != 0 {
+			t.Errorf("recovery into epoch %d: %g WAL appends and %g snapshots, want 1 and 0", epoch, appends, snaps)
+		}
+		srv.co.mu.Lock()
+		got, recovered := srv.co.st.Epoch, srv.co.st.Recovered
+		srv.co.mu.Unlock()
+		if got != epoch || recovered != int(epoch-1) {
+			t.Errorf("recovered coordinator in epoch %d after %d recoveries, want %d and %d", got, recovered, epoch, epoch-1)
+		}
+	}
+	srv.Close()
+}
+
+// TestRecoverRefusesUndecodableTail: a recovered coordinator appends
+// behind the WAL tail, so a tail holding a record it cannot decode — a
+// CRC-valid payload of another layout — fails the recovery, naming how
+// many records it cannot read and where the good prefix ends. The
+// offline inspector still reads the prefix.
+func TestRecoverRefusesUndecodableTail(t *testing.T) {
+	in, plan, cl, models := chaosWorkload(t, 3, 9)
+	dir := t.TempDir()
+	j, err := OpenDirJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co, err := newDistributed(in, plan, cl, models, DistributedOptions{Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.kill()
+	if err := j.append(&journalRecord{Kind: recReport, SimTime: 1, GPU: 0}); err != nil {
+		t.Fatal(err)
+	}
+	bad := appendRecord(nil, &journalRecord{LSN: 2, Kind: recReport, SimTime: 2, GPU: 1})
+	bad[0] = layoutVersion - 1
+	if err := j.log.Append(bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j, err = OpenDirJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if srv, _, _, err := RecoverDistributed("127.0.0.1:0", j, RecoverOptions{}); err == nil {
+		srv.Kill()
+		t.Fatal("recovery accepted a WAL with an undecodable record")
+	} else if !strings.Contains(err.Error(), "1 undecodable WAL record(s) after LSN 1") {
+		t.Errorf("recovery error %q does not name 1 undecodable record after LSN 1", err)
+	}
+	d, err := InspectDir(dir)
+	if err != nil {
+		t.Fatalf("inspect: %v", err)
+	}
+	if d.Truncated != 1 || len(d.Entries) != 1 || d.Entries[0].LSN != 1 {
+		t.Errorf("inspector read %d entries and %d undecodable, want LSN 1 and 1", len(d.Entries), d.Truncated)
+	}
+}
+
 // TestFencingSurvivesRecovery: an executor crash fences its GPU before
 // the coordinator is killed; after recovery the fence must still hold
 // (the WAL replays it), the reconnecting survivor set completes the

@@ -46,8 +46,8 @@ type gpuState struct {
 // re-supplied by bind after a decode.
 type coordState struct {
 	// Epoch is the coordinator incarnation (1 for a fresh serve, +1 per
-	// recovery) every post-handshake RPC must echo; Recovered counts
-	// completed recoveries.
+	// recover record) every post-handshake RPC must echo; Recovered
+	// counts completed recoveries.
 	Epoch     uint64
 	Recovered int
 	GPUs      []gpuState
@@ -204,6 +204,8 @@ func (s *coordState) check(rec *journalRecord) error {
 		return s.checkFence(rec.Fence)
 	case recReport:
 		return s.checkGPU(rec.GPU)
+	case recRecover:
+		return nil
 	default:
 		return fmt.Errorf("rpcnet: unknown WAL record kind %d", rec.Kind)
 	}
@@ -275,9 +277,11 @@ type effects struct {
 // apply validates rec and folds it into the state, a push into its
 // job's parameter server. It never journals, emits, snapshots or reads
 // a clock. A record already folded in (a push of a done task, a
-// fence of a fenced GPU, a repeated report) changes nothing; a rejected
-// record leaves the state unchanged. A checkpoint save that fails at a
-// round's close does not, but it ends the run (commitLocked).
+// fence of a fenced GPU, a repeated report) changes nothing, while
+// every recover record is a new incarnation (Epoch and Recovered +1);
+// a rejected record leaves the state unchanged. A checkpoint save that
+// fails at a round's close does not, but it ends the run
+// (commitLocked).
 func (s *coordState) apply(rec *journalRecord) (effects, error) {
 	if err := s.check(rec); err != nil {
 		return effects{}, err
@@ -287,10 +291,13 @@ func (s *coordState) apply(rec *journalRecord) (effects, error) {
 		return s.applyPush(&rec.Push)
 	case recFence:
 		return s.applyFence(rec.Fence), nil
-	default: // recReport: check rejected every other kind
+	case recReport:
 		s.GPUs[rec.GPU].Reported = true
-		return effects{}, nil
+	default: // recRecover: check rejected every other kind
+		s.Epoch++
+		s.Recovered++
 	}
+	return effects{}, nil
 }
 
 // applyPush hands one gradient to its job's parameter server and

@@ -250,7 +250,9 @@ func TestScriptedBatchGolden(t *testing.T) {
 // alone. The two must hold the same state, parameter servers included,
 // at every prefix, whether the prefix sits in a snapshot or in
 // the WAL tail — also when survivors of the fence hold tasks they took
-// after the snapshot the fence is replayed over. And every record and
+// after the snapshot the fence is replayed over — and be as many pushes
+// past their snapshot (a recovery writes none, so the replayed pushes
+// count toward the next periodic one). And every record and
 // snapshot the journal wrote must decode to exactly what the live path
 // encoded, and re-encode to the same bytes.
 func TestReplayMatchesLive(t *testing.T) {
@@ -301,6 +303,10 @@ func TestReplayMatchesLive(t *testing.T) {
 			}
 			if live, replayed := canon(t, co.st), canon(t, re.st); !reflect.DeepEqual(live, replayed) {
 				t.Fatalf("every=%d after %s: replayed state differs from live\nlive:     %+v\nreplayed: %+v", every, what, live, replayed)
+			}
+			if re.pushesSinceSnap != co.pushesSinceSnap {
+				t.Fatalf("every=%d after %s: rebuilt coordinator is %d pushes past its snapshot, live %d",
+					every, what, re.pushesSinceSnap, co.pushesSinceSnap)
 			}
 		})
 	}
@@ -493,7 +499,8 @@ func fuzzRecords(data []byte) []*journalRecord {
 	var recs []*journalRecord
 	for len(data) > 0 && len(recs) < 64 {
 		rec := &journalRecord{SimTime: float64(len(recs))}
-		switch k := next() & 7; k {
+		k := next()
+		switch k & 7 {
 		case 0:
 			rec.GPU = pick()
 		case 1, 2, 3:
@@ -536,8 +543,11 @@ func fuzzRecords(data []byte) []*journalRecord {
 			rec.Fence = fp
 		case 6:
 			rec.Kind, rec.GPU = recReport, pick()
-		default:
+		default: // a recovery's epoch bump, or a kind no build knows
 			rec.Kind = 77
+			if k&8 != 0 {
+				rec.Kind = recRecover
+			}
 		}
 		recs = append(recs, rec)
 	}
@@ -549,8 +559,9 @@ func fuzzRecords(data []byte) []*journalRecord {
 // keeps the state's invariants — never a panic. The seed corpus
 // (testdata/fuzz/FuzzCoordApply) holds a complete fault-free run, a
 // fence with a re-plan, a re-plan that restores the survivors' tasks in
-// flight (fence-over-dispatch), an unrecoverable fence, one of every
-// rejected shape, and a few inputs the fuzzer found.
+// flight (fence-over-dispatch), an unrecoverable fence, recoveries
+// between pushes, one of every rejected shape, and a few inputs the
+// fuzzer found.
 func FuzzCoordApply(f *testing.F) {
 	in, plan := fuzzInstance(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -578,6 +589,9 @@ func checkInvariants(t *testing.T, st *coordState, n int, rec *journalRecord) {
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("after record %d (%s): "+format, append([]any{n, rec.kind()}, args...)...)
+	}
+	if st.Epoch != 1+uint64(st.Recovered) {
+		fail("epoch %d after %d recoveries", st.Epoch, st.Recovered)
 	}
 	if want := st.in.NumTasks() - len(st.done); st.TasksLeft != want || len(st.Records) != len(st.done) {
 		fail("TasksLeft=%d records=%d with %d done tasks (want %d left)", st.TasksLeft, len(st.Records), len(st.done), want)

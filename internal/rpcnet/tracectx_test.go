@@ -192,6 +192,9 @@ func TestInspectDir(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
+	if err := j.append(&journalRecord{Kind: recRecover, SimTime: 9}); err != nil {
+		t.Fatal(err)
+	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +210,17 @@ func TestInspectDir(t *testing.T) {
 	if s.Epoch != 2 || s.Recovered != 1 || s.LastLSN != 2 || s.Fenced != 1 || s.NumGPUs != 2 || s.TasksLeft != 3 {
 		t.Fatalf("snapshot summary: %+v", s)
 	}
-	if len(d.Entries) != 2 {
-		t.Fatalf("got %d WAL entries, want 2: %+v", len(d.Entries), d.Entries)
+	if len(d.Entries) != 3 {
+		t.Fatalf("got %d WAL entries, want 3: %+v", len(d.Entries), d.Entries)
 	}
 	if d.Entries[0].LSN != 3 || d.Entries[0].Kind != "push" || d.Entries[0].GPU != 1 {
 		t.Fatalf("entry 0: %+v", d.Entries[0])
 	}
 	if d.Entries[1].Kind != "fence" || !strings.Contains(d.Entries[1].Detail, "reason=lease expired") {
 		t.Fatalf("entry 1: %+v", d.Entries[1])
+	}
+	if e := d.Entries[2]; e.LSN != 5 || e.Kind != "recover" || e.GPU != -1 || e.Detail != "coordinator recovered: epoch +1" {
+		t.Fatalf("entry 2: %+v", e)
 	}
 	if len(d.Gaps) != 0 {
 		t.Fatalf("healthy journal reported gaps: %v", d.Gaps)
@@ -225,7 +231,8 @@ func TestInspectDir(t *testing.T) {
 	text := buf.String()
 	for _, want := range []string{
 		"snapshot: epoch=2 recovered=1",
-		"wal: 2 record(s)",
+		"wal: 3 record(s)",
+		"recover coordinator recovered: epoch +1",
 		"lsn continuity: ok",
 	} {
 		if !strings.Contains(text, want) {

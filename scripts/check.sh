@@ -5,7 +5,7 @@
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob,
 #                             # dead-surface and observability censuses), a haresim -compare CLI
 #                             # smoke, a haresim -save-plan/-load-plan round trip, ordering
-#                             # stress, ten 10 s fuzz smokes, make loc
+#                             # and kill/recover stress, ten 10 s fuzz smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -42,6 +42,8 @@ tests() {
 
 	echo "==> event-stream ordering stress under -race (sequencing recorders record in Seq order, docs/OBSERVABILITY.md)"
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
+	echo "==> kill/recover stress under -race (one recovery, and two with no snapshot between them)"
+	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatch|TestTwoRecoveriesWithoutSnapshot)$' -count 10 -race
 
 	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the coordinator's one transition function; the journal's record and snapshot decoders; the wire's frame and message decoder; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
