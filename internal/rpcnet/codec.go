@@ -256,15 +256,15 @@ func (d *decoder) end() error {
 
 // appendRecord appends rec's encoding to b. Only the payload of rec's
 // kind is written; a kind this build does not know has none.
-func appendRecord(b []byte, rec *journalRecord) []byte {
+func appendRecord(b []byte, rec *testbed.Record) []byte {
 	e := encoder{append(b, layoutVersion)}
 	e.uint(rec.LSN)
 	e.b = append(e.b, rec.Kind)
 	e.float(rec.SimTime)
 	switch rec.Kind {
-	case recPush:
+	case testbed.RecPush:
 		putPush(&e, &rec.Push)
-	case recFence:
+	case testbed.RecFence:
 		if fp := rec.Fence; fp != nil {
 			e.bool(true)
 			e.int(fp.GPU)
@@ -285,7 +285,7 @@ func appendRecord(b []byte, rec *journalRecord) []byte {
 		} else {
 			e.bool(false)
 		}
-	case recReport:
+	case testbed.RecReport:
 		e.int(rec.GPU)
 		e.str(rec.Err)
 	}
@@ -293,10 +293,10 @@ func appendRecord(b []byte, rec *journalRecord) []byte {
 }
 
 // decodeRecord decodes one WAL record written by appendRecord.
-func decodeRecord(p []byte) (*journalRecord, error) {
+func decodeRecord(p []byte) (*testbed.Record, error) {
 	d := decoder{b: p}
 	d.begin("record")
-	rec := &journalRecord{LSN: d.uint()}
+	rec := &testbed.Record{LSN: d.uint()}
 	if len(d.b) > 0 {
 		rec.Kind, d.b = d.b[0], d.b[1:]
 	} else {
@@ -304,11 +304,11 @@ func decodeRecord(p []byte) (*journalRecord, error) {
 	}
 	rec.SimTime = d.float()
 	switch rec.Kind {
-	case recPush:
+	case testbed.RecPush:
 		getPush(&d, &rec.Push)
-	case recFence:
+	case testbed.RecFence:
 		if d.bool() {
-			fp := &fencePlan{GPU: d.int(), Reason: d.str(), SimTime: d.float(), DetectMillis: d.float(), Stranded: d.tasks()}
+			fp := &testbed.FencePlan{GPU: d.int(), Reason: d.str(), SimTime: d.float(), DetectMillis: d.float(), Stranded: d.tasks()}
 			if n, ok := d.count(1); ok {
 				fp.Queues = make([][]core.TaskRef, n)
 				for g := range fp.Queues {
@@ -318,7 +318,7 @@ func decodeRecord(p []byte) (*journalRecord, error) {
 			fp.Inflight, fp.HasQueues, fp.Unrecoverable, fp.Pending, fp.Alive = d.tasks(), d.bool(), d.str(), d.int(), d.int()
 			rec.Fence = fp
 		}
-	case recReport:
+	case testbed.RecReport:
 		rec.GPU, rec.Err = d.int(), d.str()
 	}
 	if err := d.end(); err != nil {
@@ -405,7 +405,7 @@ func appendSnapshot(b []byte, snap *coordSnapshot) []byte {
 	st := &snap.State
 	e.uint(st.Epoch)
 	e.int(st.Recovered)
-	slice(&e, st.GPUs, func(e *encoder, g *gpuState) {
+	slice(&e, st.GPUs, func(e *encoder, g *testbed.GPUState) {
 		e.tasks(g.Queue)
 		e.task(g.Inflight)
 		e.bool(g.Failed)
@@ -421,7 +421,7 @@ func appendSnapshot(b []byte, snap *coordSnapshot) []byte {
 		slice(e, j.Partial, putPush)
 	})
 	e.int(st.TasksLeft)
-	slice(&e, st.FenceLog, func(e *encoder, f *FenceInfo) {
+	slice(&e, st.FenceLog, func(e *encoder, f *testbed.FenceInfo) {
 		e.int(f.GPU)
 		e.str(f.Reason)
 		e.float(f.SimTime)
@@ -446,7 +446,7 @@ func appendSnapshot(b []byte, snap *coordSnapshot) []byte {
 }
 
 // decodeSnapshot decodes a snapshot written by appendSnapshot. Its
-// state is unbound (coordState.bind).
+// state is unbound (testbed.State.Bind).
 func decodeSnapshot(p []byte) (*coordSnapshot, error) {
 	d := decoder{b: p}
 	d.begin("snapshot")
@@ -466,8 +466,8 @@ func decodeSnapshot(p []byte) (*coordSnapshot, error) {
 	st := &snap.State
 	st.Epoch = d.uint()
 	st.Recovered = d.int()
-	st.GPUs = unslice(&d, minGPU, func(d *decoder, g *gpuState) {
-		*g = gpuState{
+	st.GPUs = unslice(&d, minGPU, func(d *decoder, g *testbed.GPUState) {
+		*g = testbed.GPUState{
 			Queue: d.tasks(), Inflight: d.task(), Failed: d.bool(), FenceReason: d.str(), Reported: d.bool(),
 			PrevJob: core.JobID(d.int()), PrevFree: d.float(),
 		}
@@ -476,8 +476,8 @@ func decodeSnapshot(p []byte) (*coordSnapshot, error) {
 		*j = testbed.PSState{Params: d.floats(), Losses: d.floats(), RoundEnds: d.floats(), Partial: unslice(d, minPush, getPush)}
 	})
 	st.TasksLeft = d.int()
-	st.FenceLog = unslice(&d, minFence, func(d *decoder, f *FenceInfo) {
-		*f = FenceInfo{GPU: d.int(), Reason: d.str(), SimTime: d.float(), DetectMillis: d.float()}
+	st.FenceLog = unslice(&d, minFence, func(d *decoder, f *testbed.FenceInfo) {
+		*f = testbed.FenceInfo{GPU: d.int(), Reason: d.str(), SimTime: d.float(), DetectMillis: d.float()}
 	})
 	st.Records = unslice(&d, minRecord, func(d *decoder, r *trace.TaskRecord) {
 		*r = trace.TaskRecord{Task: d.task(), GPU: d.int(), Start: d.float(), Train: d.float(), Sync: d.float(), Switch: d.float()}

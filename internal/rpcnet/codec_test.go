@@ -18,7 +18,7 @@ import (
 // nothing.
 func TestPushRecordSize(t *testing.T) {
 	task := core.TaskRef{Job: 59, Round: 40, Index: 3}
-	rec := &journalRecord{LSN: 1 << 20, Kind: recPush, SimTime: 1234.5, Push: testbed.PushReport{
+	rec := &testbed.Record{LSN: 1 << 20, Kind: testbed.RecPush, SimTime: 1234.5, Push: testbed.PushReport{
 		Task: task, GPU: 3, Start: 1200.25, TrainEnd: 1230.5, Switch: 0.75, Hit: true, Retries: 2,
 		Grad: testGrad(task, testbed.ProblemDim),
 	}}
@@ -91,15 +91,15 @@ func allocated(f func()) (objects, size uint64) {
 // scripted batch, each also cut in half and short by one byte.
 func FuzzJournalDecode(f *testing.F) {
 	var run *scripted
-	runScript(f, 3, true, func(s *scripted, _ string, _ *journalRecord) { run = s })
+	runScript(f, 3, true, func(s *scripted, _ string, _ *testbed.Record) { run = s })
 	firstOf := map[string][]byte{}
 	for _, p := range run.log.recs {
 		rec, err := decodeRecord(p)
 		if err != nil {
 			f.Fatal(err)
 		}
-		what := rec.kind()
-		if rec.Kind == recReport && rec.Err != "" {
+		what := rec.KindName()
+		if rec.Kind == testbed.RecReport && rec.Err != "" {
 			what = "error report"
 		}
 		if firstOf[what] == nil {
@@ -108,9 +108,9 @@ func FuzzJournalDecode(f *testing.F) {
 	}
 	seeds := [][]byte{
 		firstOf["push"], firstOf["fence"], firstOf["report"], firstOf["error report"],
-		appendRecord(nil, &journalRecord{LSN: 7, Kind: recFence}),
-		appendRecord(nil, &journalRecord{LSN: 8, Kind: 77}),
-		appendRecord(nil, &journalRecord{LSN: 9, Kind: recRecover, SimTime: 2.5}),
+		appendRecord(nil, &testbed.Record{LSN: 7, Kind: testbed.RecFence}),
+		appendRecord(nil, &testbed.Record{LSN: 8, Kind: 77}),
+		appendRecord(nil, &testbed.Record{LSN: 9, Kind: testbed.RecRecover, SimTime: 2.5}),
 		run.snaps.snaps[0], run.snaps.snaps[len(run.snaps.snaps)-1],
 	}
 	for _, seed := range seeds {
@@ -129,7 +129,7 @@ func FuzzJournalDecode(f *testing.F) {
 				t.Fatalf("decoding %d bytes as a %s allocated %d objects, %d bytes", n, what, objects, size)
 			}
 		}
-		var rec *journalRecord
+		var rec *testbed.Record
 		var err error
 		objects, size := allocated(func() { rec, err = decodeRecord(data) })
 		budget("record", objects, size)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"net/rpc"
-	"slices"
 	"sync"
 	"time"
 
@@ -18,7 +17,6 @@ import (
 	"hare/internal/store"
 	"hare/internal/switching"
 	"hare/internal/testbed"
-	"hare/internal/trace"
 )
 
 // Distributed testbed mode: the scheduler process (ServeDistributed)
@@ -162,19 +160,6 @@ type ReportArgs struct {
 	Call uint64
 }
 
-// FenceInfo is one fencing decision, in order, for audit and invariant
-// checking: when the GPU was fenced, why, and — for lease expiries —
-// how long after the last heartbeat the monitor noticed.
-type FenceInfo struct {
-	GPU     int
-	Reason  string
-	SimTime float64
-	// DetectMillis is the lease-expiry detection latency in wall
-	// milliseconds (0 for non-lease fences: device faults, executor
-	// error reports).
-	DetectMillis float64
-}
-
 // DistributedOptions configures ServeDistributed.
 type DistributedOptions struct {
 	TimeScale   float64
@@ -233,7 +218,8 @@ func (o DistributedOptions) withDefaults() DistributedOptions {
 }
 
 // coordinator is the scheduler-side RPC handler and task dispatcher: it
-// wraps the durable state machine (coordState, state.go) with
+// wraps the durable state machine (testbed.State, the one the
+// in-process engine drives too) with
 // everything that is not state — sessions, leases, journaling,
 // snapshots, events and metrics.
 type coordinator struct {
@@ -253,8 +239,8 @@ type coordinator struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// st is the durable state; every change to it that must survive a
-	// crash goes through commitLocked (journal, then st.apply).
-	st *coordState
+	// crash goes through commitLocked (journal, then st.Apply).
+	st *testbed.State
 	// session[g] and nextSeq[g] implement at-most-once dispatch: a
 	// re-handshake (Config) bumps the session — waking zombie Next
 	// handlers from a dead connection — and resets the sequence.
@@ -277,7 +263,7 @@ type coordinator struct {
 
 // newCoordinator wires a coordinator around an already-built state
 // (fresh, or rebuilt from a journal).
-func newCoordinator(in *core.Instance, st *coordState, gpuTypes, modelNames []string,
+func newCoordinator(in *core.Instance, st *testbed.State, gpuTypes, modelNames []string,
 	opts DistributedOptions, clock *testbed.Clock) *coordinator {
 	co := &coordinator{
 		in: in, opts: opts, clock: clock,
@@ -338,24 +324,24 @@ func (c *coordinator) observe(m *obs.RPCMethod, gpu int, call uint64, epoch *uin
 // gpu) ahead to the WAL when journaling, then fold it into the state —
 // atomically under c.mu, so no snapshot sees a journaled-but-unapplied
 // record and recovery replays exactly the accepted suffix. Handlers run
-// st.check first; an append failure, or a record apply still rejects (a
+// st.Check first; an append failure, or a record Apply still rejects (a
 // parameter server refusing the gradient is a synchronization-protocol
 // violation, not a device fault), aborts the run. Caller holds c.mu.
-func (c *coordinator) commitLocked(rec *journalRecord, gpu int) (effects, error) {
+func (c *coordinator) commitLocked(rec *testbed.Record, gpu int) (testbed.Effects, error) {
 	if c.journal != nil {
 		if err := c.journal.append(rec); err != nil {
 			c.failLocked(fmt.Errorf("rpcnet: WAL append: %w", err))
-			return effects{}, c.runErr
+			return testbed.Effects{}, c.runErr
 		}
 		c.cWALAppends.Inc()
 		if c.opts.Recorder.Enabled() {
 			c.opts.Recorder.Emit(obs.Event{
 				Type: obs.EvWALAppend, Time: rec.SimTime, GPU: gpu, Job: -1,
-				Epoch: c.st.Epoch, LSN: rec.LSN, Note: rec.kind(),
+				Epoch: c.st.Epoch, LSN: rec.LSN, Note: rec.KindName(),
 			})
 		}
 	}
-	fx, err := c.st.apply(rec)
+	fx, err := c.st.Apply(rec)
 	if err != nil {
 		c.failLocked(err)
 	}
@@ -373,7 +359,7 @@ func (c *coordinator) updateGaugesLocked(now time.Time) {
 		gs := &c.st.GPUs[g]
 		c.gQueue[g].Set(float64(len(gs.Queue)))
 		inflight := 0.0
-		if gs.Inflight != noTask {
+		if gs.Inflight != testbed.NoTask {
 			inflight = 1
 		}
 		c.gInflight[g].Set(inflight)
@@ -407,7 +393,7 @@ func (c *coordinator) Config(args ExecutorConfigArgs, reply *ExecutorConfigReply
 }
 
 func (c *coordinator) config(args ExecutorConfigArgs, reply *ExecutorConfigReply) error {
-	if err := c.st.checkGPU(args.GPU); err != nil {
+	if err := c.st.CheckGPU(args.GPU); err != nil {
 		return err
 	}
 	crashAt := -1.0
@@ -424,7 +410,7 @@ func (c *coordinator) config(args ExecutorConfigArgs, reply *ExecutorConfigReply
 		c.mu.Unlock()
 		return fmt.Errorf("rpcnet: GPU %d is fenced (%s)", args.GPU, gs.FenceReason)
 	}
-	c.st.requeueInflight(args.GPU)
+	c.st.RequeueInflight(args.GPU)
 	c.session[args.GPU]++
 	c.nextSeq[args.GPU] = 0
 	c.lastNext[args.GPU] = NextReply{}
@@ -456,7 +442,7 @@ func (c *coordinator) Heartbeat(args HeartbeatArgs, reply *struct{}) error {
 }
 
 func (c *coordinator) heartbeat(args HeartbeatArgs) error {
-	if err := c.st.checkGPU(args.GPU); err != nil {
+	if err := c.st.CheckGPU(args.GPU); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -495,7 +481,7 @@ func (c *coordinator) Next(args NextArgs, reply *NextReply) error {
 
 func (c *coordinator) next(args NextArgs, reply *NextReply) error {
 	g := args.GPU
-	if err := c.st.checkGPU(g); err != nil {
+	if err := c.st.CheckGPU(g); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -536,15 +522,13 @@ func (c *coordinator) dispatchLocked(g int, seq uint64, reply *NextReply) (ok bo
 	case c.st.TasksLeft == 0:
 		*reply = NextReply{Done: true}
 	default:
-		i := c.st.eligible(g)
+		i := c.st.Eligible(g)
 		if i < 0 {
 			return false, nil
 		}
-		t := c.st.dispatch(g, i)
-		*reply = NextReply{Task: t, Params: slices.Clone(c.st.Jobs[t.Job].Params)}
-		if t.Round > 0 {
-			reply.RoundEnd = c.st.Jobs[t.Job].RoundEnds[t.Round-1]
-		}
+		t := c.st.Dispatch(g, i)
+		*reply = NextReply{Task: t}
+		reply.RoundEnd, reply.Params = c.st.Inputs(t)
 	}
 	c.lastNext[g] = *reply
 	c.nextSeq[g]++
@@ -577,7 +561,7 @@ func (c *coordinator) Push(args PushArgs, reply *PushReply) error {
 }
 
 func (c *coordinator) push(args PushArgs, reply *PushReply) error {
-	rec := &journalRecord{Kind: recPush, Push: args.Report}
+	rec := &testbed.Record{Kind: testbed.RecPush, Push: args.Report}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.checkEpochLocked(args.Epoch); err != nil {
@@ -586,10 +570,10 @@ func (c *coordinator) push(args PushArgs, reply *PushReply) error {
 	if c.runErr != nil {
 		return c.runErr
 	}
-	if err := c.st.check(rec); err != nil {
+	if err := c.st.Check(rec); err != nil {
 		return err
 	}
-	if comp, dup := c.st.done[rec.Push.Task]; dup {
+	if comp, dup := c.st.Completion(rec.Push.Task); dup {
 		reply.Completion = comp
 		return nil
 	}
@@ -600,9 +584,9 @@ func (c *coordinator) push(args PushArgs, reply *PushReply) error {
 	if err != nil {
 		return err
 	}
-	reply.Completion = fx.completion
+	reply.Completion = fx.Completion
 	c.lease[rec.Push.GPU] = time.Now() // a push is as good as a heartbeat
-	c.emitTaskLocked(&rec.Push, fx.completion, prevFree, prevJob)
+	c.emitTaskLocked(&rec.Push, fx.Completion, prevFree, prevJob)
 	c.pushesSinceSnap++
 	if c.journal != nil && c.pushesSinceSnap >= c.opts.SnapshotEvery {
 		c.snapshotLocked()
@@ -652,10 +636,10 @@ func (c *coordinator) Report(args ReportArgs, reply *struct{}) error {
 }
 
 func (c *coordinator) report(args ReportArgs) error {
-	rec := &journalRecord{Kind: recReport, GPU: args.GPU, Err: args.Err}
+	rec := &testbed.Record{Kind: testbed.RecReport, GPU: args.GPU, Err: args.Err}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.st.check(rec); err != nil {
+	if err := c.st.Check(rec); err != nil {
 		return err
 	}
 	if err := c.checkEpochLocked(args.Epoch); err != nil {
@@ -675,31 +659,6 @@ func (c *coordinator) report(args ReportArgs) error {
 	return nil
 }
 
-// fencePlan is everything one fencing decision changes, computed first,
-// then journaled, then applied — so the WAL record and the in-memory
-// transition are identical, and recovery replays fences byte-for-byte
-// instead of re-running the (state-dependent) re-planner.
-type fencePlan struct {
-	GPU          int
-	Reason       string
-	SimTime      float64
-	DetectMillis float64
-	// Stranded lists the dead GPU's unfinished tasks.
-	Stranded []core.TaskRef
-	// Queues are the survivors' refilled queues (nil for fenced GPUs),
-	// and Inflight the tasks the survivors run meanwhile (noTask for idle
-	// and fenced GPUs); HasQueues distinguishes "no re-plan needed" from
-	// an empty one.
-	Queues    [][]core.TaskRef
-	Inflight  []core.TaskRef
-	HasQueues bool
-	// Unrecoverable carries the run-ending error when recovery failed
-	// (no survivors, re-plan error).
-	Unrecoverable string
-	Pending       int
-	Alive         int
-}
-
 // markFailedLocked fences a GPU: it computes the fencing transition
 // (stranded work, residual re-plan), commits it, announces it, and —
 // fences being rare and changing a lot of state — snapshots. detect is
@@ -712,7 +671,7 @@ func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Durat
 	}
 	fp := c.computeFenceLocked(gpu, reason)
 	fp.DetectMillis = detect.Seconds() * 1e3
-	fx, err := c.commitLocked(&journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp}, gpu)
+	fx, err := c.commitLocked(&testbed.Record{Kind: testbed.RecFence, SimTime: fp.SimTime, Fence: fp}, gpu)
 	if err != nil {
 		return
 	}
@@ -720,8 +679,8 @@ func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Durat
 	if rec.Enabled() {
 		rec.Emit(obs.Event{Type: obs.EvGPUFailed, Time: fp.SimTime, GPU: gpu, Job: -1, Note: fp.Reason})
 	}
-	if fx.fatal != nil {
-		c.failLocked(fx.fatal)
+	if fx.Fatal != nil {
+		c.failLocked(fx.Fatal)
 		return
 	}
 	if fp.HasQueues {
@@ -735,13 +694,13 @@ func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Durat
 
 // computeFenceLocked builds the fencing transition for gpu without
 // mutating coordinator state. Caller holds c.mu.
-func (c *coordinator) computeFenceLocked(gpu int, reason string) *fencePlan {
+func (c *coordinator) computeFenceLocked(gpu int, reason string) *testbed.FencePlan {
 	st := c.st
-	fp := &fencePlan{GPU: gpu, Reason: reason, SimTime: c.clock.Now()}
+	fp := &testbed.FencePlan{GPU: gpu, Reason: reason, SimTime: c.clock.Now()}
 	// The dead GPU's stranded work: its queue plus its unclaimed
 	// in-flight task (a claimed one already pushed its gradient).
 	stranded := append([]core.TaskRef(nil), st.GPUs[gpu].Queue...)
-	if t, ok := st.unclaimed(gpu); ok {
+	if t, ok := st.Unclaimed(gpu); ok {
 		stranded = append(stranded, t)
 	}
 	fp.Stranded = stranded
@@ -772,7 +731,7 @@ func (c *coordinator) computeFenceLocked(gpu int, reason string) *fencePlan {
 	fp.Queues = make([][]core.TaskRef, len(st.GPUs))
 	fp.Inflight = make([]core.TaskRef, len(st.GPUs))
 	for g := range fp.Inflight {
-		fp.Inflight[g] = noTask
+		fp.Inflight[g] = testbed.NoTask
 	}
 	for _, g := range alive {
 		fp.Queues[g] = seqs[g]
@@ -859,23 +818,18 @@ func (c *coordinator) finishedLocked() bool {
 	return true
 }
 
-// DistributedResult is the coordinator's assembled outcome.
+// DistributedResult is the coordinator's assembled outcome: what every
+// engine reports from its control-plane state, plus fencing and
+// recovery.
 type DistributedResult struct {
-	Trace         *trace.Trace
-	JobCompletion []float64
-	WeightedJCT   float64
-	Makespan      float64
-	TotalSwitch   float64
-	SwitchCount   int
-	ResidencyHits int
-	Retries       int
+	testbed.Outcome
 	// GPUFailures counts fenced GPUs; FailedGPUs lists them.
 	GPUFailures int
 	FailedGPUs  []int
 	// FenceLog is every fencing decision in order (including ones
 	// replayed from the WAL after a recovery), with lease-expiry
 	// detection latencies for the chaos harness's invariants.
-	FenceLog []FenceInfo
+	FenceLog []testbed.FenceInfo
 	// TasksMigrated counts stranded tasks moved to survivors;
 	// Reschedules the recovery passes that moved them.
 	TasksMigrated int
@@ -923,8 +877,8 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 	for j, m := range models {
 		modelNames[j] = m.Name
 	}
-	st := newCoordState(in, seqs, opts.Store)
-	if err := st.saveCheckpoints(); err != nil { // round-0 tasks load them
+	st := testbed.NewState(in, seqs, opts.Store)
+	if err := st.SaveCheckpoints(); err != nil { // round-0 tasks load them
 		return nil, err
 	}
 	co := newCoordinator(in, st, gpuTypes, modelNames, opts, clock)
@@ -993,31 +947,15 @@ func (c *coordinator) serve(addr string) (*Server, string, func() (*DistributedR
 		}
 		st := c.st
 		res := &DistributedResult{
-			Trace:         &trace.Trace{},
-			JobCompletion: make([]float64, len(c.in.Jobs)),
-			TotalSwitch:   st.SwitchTot,
-			SwitchCount:   st.SwitchCnt,
-			ResidencyHits: st.Hits,
-			Retries:       st.Retries,
+			Outcome:       st.Outcome(),
+			FailedGPUs:    st.Fenced(),
 			TasksMigrated: st.Migrated,
 			Reschedules:   st.Reschedule,
-			FenceLog:      append([]FenceInfo(nil), st.FenceLog...),
+			FenceLog:      append([]testbed.FenceInfo(nil), st.FenceLog...),
 			Recoveries:    st.Recovered,
 			Epoch:         st.Epoch,
 		}
-		for _, r := range st.Records {
-			res.Trace.Add(r)
-		}
-		res.FailedGPUs = st.fenced()
 		res.GPUFailures = len(res.FailedGPUs)
-		for _, j := range c.in.Jobs {
-			comp := st.Jobs[j.ID].RoundEnds[j.Rounds-1]
-			res.JobCompletion[j.ID] = comp
-			res.WeightedJCT += j.Weight * comp
-			if comp > res.Makespan {
-				res.Makespan = comp
-			}
-		}
 		// The batch is durable in the checkpoint store now; the WAL
 		// has nothing left to recover.
 		if c.journal != nil {

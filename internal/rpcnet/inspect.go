@@ -3,6 +3,8 @@ package rpcnet
 import (
 	"fmt"
 	"io"
+
+	"hare/internal/testbed"
 )
 
 // Offline journal inspection: the read-only backend of `harectl wal`.
@@ -84,26 +86,26 @@ func summarizeSnapshot(snap *coordSnapshot) SnapshotInfo {
 		TasksDone: len(st.Records),
 		TasksLeft: st.TasksLeft,
 		Jobs:      len(st.Jobs),
-		Fenced:    len(st.fenced()),
+		Fenced:    len(st.Fenced()),
 	}
 	for g, gs := range st.GPUs {
 		info.Queued += len(gs.Queue)
 		// An unclaimed in-flight task is queued work again after a restart.
-		if _, ok := st.unclaimed(g); ok {
+		if _, ok := st.Unclaimed(g); ok {
 			info.Queued++
 		}
 	}
 	return info
 }
 
-func describeRecord(rec *journalRecord) WALEntry {
-	e := WALEntry{LSN: rec.LSN, Kind: rec.kind(), SimTime: rec.SimTime, GPU: -1}
+func describeRecord(rec *testbed.Record) WALEntry {
+	e := WALEntry{LSN: rec.LSN, Kind: rec.KindName(), SimTime: rec.SimTime, GPU: -1}
 	switch rec.Kind {
-	case recPush:
+	case testbed.RecPush:
 		e.GPU = rec.Push.GPU
 		e.Detail = fmt.Sprintf("task %v gpu=%d train=[%.3f,%.3f]",
 			rec.Push.Task, rec.Push.GPU, rec.Push.Start, rec.Push.TrainEnd)
-	case recFence:
+	case testbed.RecFence:
 		if fp := rec.Fence; fp != nil {
 			e.GPU = fp.GPU
 			e.Detail = fmt.Sprintf("gpu=%d stranded=%d replanned=%v reason=%s",
@@ -114,14 +116,14 @@ func describeRecord(rec *journalRecord) WALEntry {
 		} else {
 			e.Detail = "missing fence plan"
 		}
-	case recReport:
+	case testbed.RecReport:
 		e.GPU = rec.GPU
 		if rec.Err == "" {
 			e.Detail = fmt.Sprintf("gpu=%d ok", rec.GPU)
 		} else {
 			e.Detail = fmt.Sprintf("gpu=%d err=%s", rec.GPU, rec.Err)
 		}
-	case recRecover:
+	case testbed.RecRecover:
 		e.Detail = "coordinator recovered: epoch +1"
 	}
 	return e

@@ -28,48 +28,6 @@ import (
 // snapshotKey is the store key of the coordinator snapshot.
 const snapshotKey = "coord/snapshot"
 
-// Journal record kinds: an accepted gradient push, a fencing
-// transition, an executor's closing report, and a recovery's epoch
-// bump (no payload). A kind is only ever added: an older build decodes
-// a newer kind's record and refuses it at replay by number.
-const (
-	recPush uint8 = iota + 1
-	recFence
-	recReport
-	recRecover
-)
-
-// journalRecord is one WAL entry. At most one payload field is set,
-// per Kind; SimTime is the simulated time the transition was accepted,
-// used to restore clock continuity on recovery.
-type journalRecord struct {
-	LSN     uint64
-	Kind    uint8
-	SimTime float64
-	// recPush: the accepted gradient push.
-	Push testbed.PushReport
-	// recFence: the full fencing transition.
-	Fence *fencePlan
-	// recReport: the reporting GPU and its error (empty = success).
-	GPU int
-	Err string
-}
-
-// kind names the record's kind, for wal.append events and `harectl wal`.
-func (r *journalRecord) kind() string {
-	switch r.Kind {
-	case recPush:
-		return "push"
-	case recFence:
-		return "fence"
-	case recReport:
-		return "report"
-	case recRecover:
-		return "recover"
-	}
-	return fmt.Sprintf("kind(%d)", r.Kind)
-}
-
 // snapOpts are the run options a recovered coordinator must agree on
 // with the original (Store/Recorder/Metrics are process-local and
 // re-supplied via RecoverOptions; the fault plan travels as FaultSpec).
@@ -102,7 +60,7 @@ type coordSnapshot struct {
 	// LastLSN is the newest WAL record already folded into State;
 	// replay skips records at or below it.
 	LastLSN uint64
-	State   coordState
+	State   testbed.State
 }
 
 // Journal couples a snapshot store with a write-ahead log. A Journal
@@ -177,7 +135,7 @@ func (j *Journal) LSN() uint64 {
 
 // append assigns the next LSN and writes one record through to the
 // log.
-func (j *Journal) append(rec *journalRecord) error {
+func (j *Journal) append(rec *testbed.Record) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.lsn++
@@ -208,7 +166,7 @@ func (j *Journal) writeSnapshot(snap *coordSnapshot) (int, error) {
 // corrupt log tail has already been truncated by the log layer; a
 // record that fails to decode ends the replay at the last good record.
 // Recovery and the offline inspector share this one decoder.
-func (j *Journal) read() (snap *coordSnapshot, recs []*journalRecord, truncated int, err error) {
+func (j *Journal) read() (snap *coordSnapshot, recs []*testbed.Record, truncated int, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	raw, err := j.snapshotBytes()

@@ -28,12 +28,12 @@ import (
 //     every job's checkpoints from the parameter-server state it holds
 //     (the store may have died with the old process).
 //  4. Fold the WAL suffix (records with LSN beyond the snapshot's
-//     watermark) into the state with coordState.apply, the function
+//     watermark) into the state with testbed.State.Apply, the function
 //     the live handlers commit through: a record they would have
 //     refused fails the recovery with its LSN. Journaling and events
 //     belong to the handlers, so replay has neither.
 //  5. Commit a recover record through the live transition path
-//     (commitLocked: WAL append, then apply's Epoch+1) and serve under
+//     (commitLocked: WAL append, then Apply's Epoch+1) and serve under
 //     the new epoch. No snapshot is written first: the record lands
 //     after the replayed tail, and a later recovery replays it like any
 //     other. Executors still holding the old epoch are rejected with a
@@ -89,7 +89,7 @@ func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server,
 	// recovers into a later epoch still: the next recovery replays this
 	// record over the same snapshot and tail.
 	co.mu.Lock()
-	_, err = co.commitLocked(&journalRecord{Kind: recRecover, SimTime: co.clock.Now()}, -1)
+	_, err = co.commitLocked(&testbed.Record{Kind: testbed.RecRecover, SimTime: co.clock.Now()}, -1)
 	co.mu.Unlock()
 	if err != nil {
 		return nil, "", nil, err
@@ -104,7 +104,7 @@ func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server,
 		})
 		ropts.Recorder.Emit(obs.Event{
 			Type: obs.EvCoordRecovered, Time: co.clock.Now(), GPU: -1, Job: -1,
-			Note: fmt.Sprintf("epoch=%d pushes=%d fenced=%d", co.st.Epoch, len(co.st.Records), len(co.st.fenced())),
+			Note: fmt.Sprintf("epoch=%d pushes=%d fenced=%d", co.st.Epoch, len(co.st.Records), len(co.st.Fenced())),
 		})
 	}
 	return co.serve(addr)
@@ -195,10 +195,10 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 	clock := testbed.NewClockAt(time.Now().Add(-wallBack), opts.TimeScale)
 
 	st := &snap.State
-	if err := st.bind(in, opts.Store); err != nil {
+	if err := st.Bind(in, opts.Store); err != nil {
 		return nil, replayInfo{}, err
 	}
-	if err := st.saveCheckpoints(); err != nil {
+	if err := st.SaveCheckpoints(); err != nil {
 		return nil, replayInfo{}, err
 	}
 
@@ -210,15 +210,15 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 		if rec.LSN <= snap.LastLSN {
 			continue
 		}
-		fx, err := st.apply(rec)
+		fx, err := st.Apply(rec)
 		if err == nil {
-			err = fx.fatal
+			err = fx.Fatal
 		}
 		if err != nil {
-			return nil, replayInfo{}, fmt.Errorf("replay %s record LSN %d: %w", rec.kind(), rec.LSN, err)
+			return nil, replayInfo{}, fmt.Errorf("replay %s record LSN %d: %w", rec.KindName(), rec.LSN, err)
 		}
 		rp.replayed++
-		if rec.Kind == recPush {
+		if rec.Kind == testbed.RecPush {
 			pushes++
 		}
 	}

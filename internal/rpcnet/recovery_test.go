@@ -19,7 +19,7 @@ import (
 func pushesSoFar(srv *Server) int {
 	srv.co.mu.Lock()
 	defer srv.co.mu.Unlock()
-	return len(srv.co.st.done)
+	return len(srv.co.st.Records)
 }
 
 // awaitPushes blocks until the coordinator has accepted at least n
@@ -238,7 +238,7 @@ func TestTwoRecoveriesWithoutSnapshot(t *testing.T) {
 	}
 	var recovers []uint64
 	for _, rec := range recs {
-		if rec.Kind == recRecover {
+		if rec.Kind == testbed.RecRecover {
 			recovers = append(recovers, rec.LSN)
 		}
 	}
@@ -320,10 +320,10 @@ func TestRecoverRefusesUndecodableTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	co.kill()
-	if err := j.append(&journalRecord{Kind: recReport, SimTime: 1, GPU: 0}); err != nil {
+	if err := j.append(&testbed.Record{Kind: testbed.RecReport, SimTime: 1, GPU: 0}); err != nil {
 		t.Fatal(err)
 	}
-	bad := appendRecord(nil, &journalRecord{LSN: 2, Kind: recReport, SimTime: 2, GPU: 1})
+	bad := appendRecord(nil, &testbed.Record{LSN: 2, Kind: testbed.RecReport, SimTime: 2, GPU: 1})
 	bad[0] = layoutVersion - 1
 	if err := j.log.Append(bad); err != nil {
 		t.Fatal(err)
@@ -472,7 +472,7 @@ func TestLeaseBoundary(t *testing.T) {
 	co.lease[1] = now.Add(-time.Hour - time.Nanosecond)
 	co.checkLeasesLocked(now, 0)
 	pastBoundary := co.st.GPUs[1].Failed
-	fenceLog := append([]FenceInfo(nil), co.st.FenceLog...)
+	fenceLog := append([]testbed.FenceInfo(nil), co.st.FenceLog...)
 	co.mu.Unlock()
 
 	if atBoundary {
@@ -528,17 +528,17 @@ func TestDuplicateFailureReportsFenceOnce(t *testing.T) {
 func TestJournalLSNGuard(t *testing.T) {
 	j := NewMemJournal()
 	for i := 1; i <= 3; i++ {
-		if err := j.append(&journalRecord{Kind: recPush, SimTime: float64(i)}); err != nil {
+		if err := j.append(&testbed.Record{Kind: testbed.RecPush, SimTime: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := j.writeSnapshot(&coordSnapshot{SimTime: 3, State: coordState{Epoch: 1}}); err != nil {
+	if _, err := j.writeSnapshot(&coordSnapshot{SimTime: 3, State: testbed.State{Epoch: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate the crash-between-snapshot-and-reset: re-append records
 	// 1..3's successors, then check which survive a load's guard.
 	for i := 4; i <= 5; i++ {
-		if err := j.append(&journalRecord{Kind: recPush, SimTime: float64(i)}); err != nil {
+		if err := j.append(&testbed.Record{Kind: testbed.RecPush, SimTime: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -559,7 +559,7 @@ func TestJournalLSNGuard(t *testing.T) {
 		t.Errorf("replayable suffix = %d records, want 2", replayable)
 	}
 	// LSNs keep ascending after a load (no reuse).
-	rec := &journalRecord{Kind: recReport}
+	rec := &testbed.Record{Kind: testbed.RecReport}
 	if err := j.append(rec); err != nil {
 		t.Fatal(err)
 	}

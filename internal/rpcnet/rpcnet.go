@@ -6,6 +6,14 @@
 // (RunExecutorOpts) dial in, handshake, and pull, run and push one
 // task at a time over a real TCP connection.
 //
+// The state behind the channel is testbed.State, and every transition
+// is its Apply — the same state and function the in-process engine
+// (testbed.Run) commits through. What this package adds is what a
+// network and a crash need: sessions and at-most-once dispatch, leases
+// and fencing (computeFenceLocked, re-planned with faults.Replan), the
+// write-ahead journal and its snapshots, recovery, and the binary
+// layout of records, snapshots and messages (codec.go, wire.go).
+//
 // The protocol has five methods. Config is the handshake (and the
 // re-handshake after a torn connection or a coordinator recovery),
 // Heartbeat renews the GPU's lease, Report closes an executor out, and

@@ -125,7 +125,7 @@ func (f *scriptedFleet) eligible(g int) bool {
 	co := f.srv.co
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	return co.st.TasksLeft > 0 && co.st.eligible(g) >= 0
+	return co.st.TasksLeft > 0 && co.st.Eligible(g) >= 0
 }
 
 // next pulls GPU g's next task and holds the dispatch against the

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"hare/internal/core"
-	"hare/internal/sched"
 	"hare/internal/store"
 	"hare/internal/testbed"
 )
@@ -22,7 +21,7 @@ import (
 // recovery decodes: the durable fields exactly as they were, nil and
 // empty slices included, and the state unbound. A live state and one
 // rebuilt from the journal then compare with reflect.DeepEqual.
-func canon(t testing.TB, s *coordState) *coordState {
+func canon(t testing.TB, s *testbed.State) *testbed.State {
 	t.Helper()
 	snap, err := decodeSnapshot(appendSnapshot(nil, &coordSnapshot{State: *s}))
 	if err != nil {
@@ -31,11 +30,16 @@ func canon(t testing.TB, s *coordState) *coordState {
 	return &snap.State
 }
 
-// unbound is s without what bind re-supplies: what a snapshot of s
-// must decode to.
-func unbound(s *coordState) coordState {
-	out := *s
-	out.in, out.probs, out.ckpt, out.done = nil, nil, nil, nil
+// unbound is s without what Bind re-supplies (its unexported fields):
+// what a snapshot of s must decode to.
+func unbound(s *testbed.State) testbed.State {
+	var out testbed.State
+	src, dst := reflect.ValueOf(s).Elem(), reflect.ValueOf(&out).Elem()
+	for i := range src.NumField() {
+		if src.Type().Field(i).IsExported() {
+			dst.Field(i).Set(src.Field(i))
+		}
+	}
 	return out
 }
 
@@ -97,7 +101,7 @@ func (s *saveHash) Save(key string, data []byte) error {
 // eligible task first takes it through Next, undurably, so the fence
 // finds survivors with work in flight. It returns the number of
 // transitions.
-func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, what string, want *journalRecord)) int {
+func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, what string, want *testbed.Record)) int {
 	t.Helper()
 	in, plan, cl, models := chaosWorkload(t, 3, 9)
 	s := &scripted{
@@ -114,7 +118,7 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 	defer co.kill()
 	s.co = co
 	transitions := 0
-	commit := func(what string, want *journalRecord) {
+	commit := func(what string, want *testbed.Record) {
 		t.Helper()
 		transitions++
 		check(s, what, want)
@@ -130,9 +134,9 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 			if co.st.GPUs[g].Failed {
 				continue
 			}
-			task, ok := co.st.unclaimed(g)
+			task, ok := co.st.Unclaimed(g)
 			if !ok {
-				i := co.st.eligible(g)
+				i := co.st.Eligible(g)
 				if i < 0 {
 					continue
 				}
@@ -149,7 +153,7 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 				t.Fatalf("every=%d push %v: %v", every, task, err)
 			}
 			pushes++
-			commit("push "+task.String(), &journalRecord{Kind: recPush, Push: rep})
+			commit("push "+task.String(), &testbed.Record{Kind: testbed.RecPush, Push: rep})
 			return true
 		}
 		return false
@@ -161,7 +165,7 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 	if dispatch {
 		survivors := 0
 		for g := range co.st.GPUs {
-			if co.st.eligible(g) < 0 {
+			if co.st.Eligible(g) < 0 {
 				continue
 			}
 			var reply NextReply
@@ -180,18 +184,18 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 	// so it is replayed from the WAL tail, re-plan included.
 	co.mu.Lock()
 	fp := co.computeFenceLocked(2, "scripted fence")
-	_, err = co.commitLocked(&journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp}, 2)
+	_, err = co.commitLocked(&testbed.Record{Kind: testbed.RecFence, SimTime: fp.SimTime, Fence: fp}, 2)
 	co.mu.Unlock()
 	if err != nil || !fp.HasQueues || len(fp.Stranded) == 0 {
 		t.Fatalf("every=%d scripted fence: err=%v replanned=%v stranded=%d", every, err, fp.HasQueues, len(fp.Stranded))
 	}
-	commit("fence of GPU 2", &journalRecord{Kind: recFence, SimTime: fp.SimTime, Fence: fp})
+	commit("fence of GPU 2", &testbed.Record{Kind: testbed.RecFence, SimTime: fp.SimTime, Fence: fp})
 	for pushes < 2*total/3 && pushNext() {
 	}
 	if err := co.report(ReportArgs{GPU: 1, Err: "xid 79", Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	commit("error report from GPU 1", &journalRecord{Kind: recReport, GPU: 1, Err: "xid 79"})
+	commit("error report from GPU 1", &testbed.Record{Kind: testbed.RecReport, GPU: 1, Err: "xid 79"})
 	for pushNext() {
 	}
 	if co.st.TasksLeft != 0 || pushes != total {
@@ -200,7 +204,7 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 	if err := co.report(ReportArgs{GPU: 0, Epoch: 1}); err != nil {
 		t.Fatal(err)
 	}
-	commit("final report from GPU 0", &journalRecord{Kind: recReport})
+	commit("final report from GPU 0", &testbed.Record{Kind: testbed.RecReport})
 	if !co.finishedLocked() || co.st.Reschedule != 2 || len(co.st.FenceLog) != 2 {
 		t.Errorf("every=%d finished=%v reschedules=%d fences=%d, want true/2/2",
 			every, co.finishedLocked(), co.st.Reschedule, len(co.st.FenceLog))
@@ -229,7 +233,7 @@ func testGrad(t core.TaskRef, dim int) []float64 {
 // aggregation that moves both the same way; this can.
 func TestScriptedBatchGolden(t *testing.T) {
 	var run *scripted
-	runScript(t, 3, true, func(s *scripted, _ string, _ *journalRecord) { run = s })
+	runScript(t, 3, true, func(s *scripted, _ string, _ *testbed.Record) { run = s })
 	h := run.ckpt.h
 	for jid := range run.co.in.Jobs {
 		for _, x := range run.co.st.Jobs[jid].Losses {
@@ -262,7 +266,7 @@ func TestReplayMatchesLive(t *testing.T) {
 	}{{1, false}, {3, false}, {1 << 30, false}, {1 << 30, true}} {
 		every := tc.every
 		seenRecs, seenSnaps := 0, 1 // newDistributed snapshots the fresh state
-		runScript(t, every, tc.dispatch, func(s *scripted, what string, want *journalRecord) {
+		runScript(t, every, tc.dispatch, func(s *scripted, what string, want *testbed.Record) {
 			t.Helper()
 			co := s.co
 			recs := s.log.recs[seenRecs:]
@@ -319,8 +323,8 @@ func TestReplayMatchesLive(t *testing.T) {
 func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 	in, plan, cl, models := chaosWorkload(t, 3, 9)
 	ok := core.TaskRef{Job: 0, Round: 0, Index: 0}
-	push := func(gpu int, task core.TaskRef, dim int) *journalRecord {
-		return &journalRecord{Kind: recPush, Push: testbed.PushReport{Task: task, GPU: gpu, TrainEnd: 1, Grad: make([]float64, dim)}}
+	push := func(gpu int, task core.TaskRef, dim int) *testbed.Record {
+		return &testbed.Record{Kind: testbed.RecPush, Push: testbed.PushReport{Task: task, GPU: gpu, TrainEnd: 1, Grad: make([]float64, dim)}}
 	}
 	queues := func(n int, t core.TaskRef) [][]core.TaskRef {
 		q := make([][]core.TaskRef, n)
@@ -330,12 +334,12 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 	idle := func(n int) []core.TaskRef {
 		s := make([]core.TaskRef, n)
 		for g := range s {
-			s[g] = noTask
+			s[g] = testbed.NoTask
 		}
 		return s
 	}
-	replan := func(q [][]core.TaskRef, inflight []core.TaskRef) *journalRecord {
-		return &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, HasQueues: true, Queues: q, Inflight: inflight}}
+	replan := func(q [][]core.TaskRef, inflight []core.TaskRef) *testbed.Record {
+		return &testbed.Record{Kind: testbed.RecFence, Fence: &testbed.FencePlan{GPU: 1, HasQueues: true, Queues: q, Inflight: inflight}}
 	}
 	running := func(t core.TaskRef) []core.TaskRef {
 		s := idle(in.NumGPUs)
@@ -344,7 +348,7 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 	}
 	for _, bad := range []struct {
 		name string
-		rec  *journalRecord
+		rec  *testbed.Record
 	}{
 		{"push from GPU 99", push(99, ok, 32)},
 		{"push from GPU -1", push(-1, ok, 32)},
@@ -352,16 +356,16 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 		{"push for round 99", push(0, core.TaskRef{Round: 99}, 32)},
 		{"push for index 99", push(0, core.TaskRef{Index: 99}, 32)},
 		{"push with a short gradient", push(0, ok, 3)},
-		{"fence of GPU 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 99}}},
-		{"fence without a plan", &journalRecord{Kind: recFence}},
-		{"fence stranding job 99", &journalRecord{Kind: recFence, Fence: &fencePlan{GPU: 1, Stranded: []core.TaskRef{{Job: 99}}}}},
+		{"fence of GPU 99", &testbed.Record{Kind: testbed.RecFence, Fence: &testbed.FencePlan{GPU: 99}}},
+		{"fence without a plan", &testbed.Record{Kind: testbed.RecFence}},
+		{"fence stranding job 99", &testbed.Record{Kind: testbed.RecFence, Fence: &testbed.FencePlan{GPU: 1, Stranded: []core.TaskRef{{Job: 99}}}}},
 		{"fence queueing round 99", replan(queues(in.NumGPUs, core.TaskRef{Round: 99}), idle(in.NumGPUs))},
 		{"fence with one queue", replan(queues(1, ok), idle(in.NumGPUs))},
 		{"fence with one in-flight slot", replan(queues(in.NumGPUs, ok), idle(1))},
 		{"fence running job 99", replan(queues(in.NumGPUs, ok), running(core.TaskRef{Job: 99}))},
 		{"fence queueing one task twice", replan(queues(in.NumGPUs, ok), running(ok))},
-		{"report from GPU 99", &journalRecord{Kind: recReport, GPU: 99}},
-		{"unknown record kind", &journalRecord{Kind: 77}},
+		{"report from GPU 99", &testbed.Record{Kind: testbed.RecReport, GPU: 99}},
+		{"unknown record kind", &testbed.Record{Kind: 77}},
 	} {
 		name, rec := bad.name, bad.rec
 		j := NewMemJournal()
@@ -393,10 +397,10 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 	// push would otherwise panic the recovered coordinator).
 	for _, bad := range []struct {
 		name, want string
-		mutate     func(*coordState)
+		mutate     func(*testbed.State)
 	}{
-		{"one GPU", "covers 1 GPUs", func(s *coordState) { s.GPUs = s.GPUs[:1] }},
-		{"a 5-wide model", "holds 5 parameters", func(s *coordState) { s.Jobs[0].Params = s.Jobs[0].Params[:5] }},
+		{"one GPU", "covers 1 GPUs", func(s *testbed.State) { s.GPUs = s.GPUs[:1] }},
+		{"a 5-wide model", "holds 5 parameters", func(s *testbed.State) { s.Jobs[0].Params = s.Jobs[0].Params[:5] }},
 	} {
 		j := NewMemJournal()
 		co, err := newDistributed(in, plan, cl, models, DistributedOptions{Journal: j})
@@ -446,180 +450,5 @@ func TestFailedCheckpointFailsRun(t *testing.T) {
 	}
 	if err == nil || !strings.Contains(err.Error(), "disk full") || co.runErr == nil {
 		t.Errorf("closing a round on a failing store: push error %v, run error %v; want both to name the save", err, co.runErr)
-	}
-}
-
-// fuzzInstance is the fixed 3-job/3-GPU problem FuzzCoordApply folds
-// arbitrary records into.
-func fuzzInstance(t testing.TB) (*core.Instance, *core.Schedule) {
-	in := &core.Instance{NumGPUs: 3}
-	for id, shape := range [][2]int{{2, 2}, {3, 1}, {2, 3}} { // rounds, scale
-		in.Jobs = append(in.Jobs, &core.Job{
-			ID: core.JobID(id), Name: "fuzz", Model: "ResNet50", Weight: 1, Rounds: shape[0], Scale: shape[1],
-		})
-		in.Train = append(in.Train, []float64{1, 2, 3})
-		in.Sync = append(in.Sync, []float64{0.1, 0.1, 0.1})
-	}
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sched.NewHare().Schedule(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in, plan
-}
-
-// fuzzDim is FuzzCoordApply's gradient dimension: the problem's, since
-// the input bytes only size the zero gradients.
-const fuzzDim = testbed.ProblemDim
-
-// fuzzRecords decodes fuzz input into journal records (and dispatches,
-// Kind 0, which the live path performs without journaling). Every
-// index is drawn a little wider than its valid range, so in-range,
-// negative and too-large values all occur.
-func fuzzRecords(data []byte) []*journalRecord {
-	next := func() int {
-		if len(data) == 0 {
-			return 0
-		}
-		b := data[0]
-		data = data[1:]
-		return int(int8(b))
-	}
-	pick := func() int { return next() % 5 } // valid indices are 0..2
-	task := func() core.TaskRef { return core.TaskRef{Job: core.JobID(pick()), Round: pick(), Index: pick()} }
-	tasks := func(n int) []core.TaskRef {
-		var out []core.TaskRef
-		for ; n > 0; n-- {
-			out = append(out, task())
-		}
-		return out
-	}
-	var recs []*journalRecord
-	for len(data) > 0 && len(recs) < 64 {
-		rec := &journalRecord{SimTime: float64(len(recs))}
-		k := next()
-		switch k & 7 {
-		case 0:
-			rec.GPU = pick()
-		case 1, 2, 3:
-			rec.Kind = recPush
-			end := float64(next()) / 8
-			flags := next()
-			dim := fuzzDim
-			if flags&64 != 0 {
-				dim--
-			}
-			rec.Push = testbed.PushReport{
-				Task: task(), GPU: pick(), Start: end - 0.5, TrainEnd: end,
-				Switch: float64(flags&3) * 0.1, Hit: flags&4 != 0, Retries: flags >> 3 & 1,
-				Grad: make([]float64, dim),
-			}
-		case 4, 5:
-			rec.Kind = recFence
-			flags := next()
-			if flags&64 != 0 {
-				break // fence record without a plan
-			}
-			fp := &fencePlan{GPU: pick(), Reason: "fuzz", Stranded: tasks(flags & 3), HasQueues: flags&4 != 0}
-			if flags&8 != 0 {
-				fp.Unrecoverable = "fuzz: unrecoverable"
-			}
-			n := 3
-			if flags&16 != 0 {
-				n = next() & 7
-			}
-			for ; n > 0; n-- {
-				fp.Queues = append(fp.Queues, tasks(next()&3))
-			}
-			fp.Inflight = make([]core.TaskRef, len(fp.Queues))
-			for g, q := range fp.Queues {
-				fp.Inflight[g] = noTask
-				if flags&32 != 0 && len(q) > 0 {
-					fp.Inflight[g], fp.Queues[g] = q[0], q[1:] // the head runs instead
-				}
-			}
-			rec.Fence = fp
-		case 6:
-			rec.Kind, rec.GPU = recReport, pick()
-		default: // a recovery's epoch bump, or a kind no build knows
-			rec.Kind = 77
-			if k&8 != 0 {
-				rec.Kind = recRecover
-			}
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-// FuzzCoordApply folds arbitrary record sequences into a fresh state:
-// whatever the input, apply returns an error or a transition that
-// keeps the state's invariants — never a panic. The seed corpus
-// (testdata/fuzz/FuzzCoordApply) holds a complete fault-free run, a
-// fence with a re-plan, a re-plan that restores the survivors' tasks in
-// flight (fence-over-dispatch), an unrecoverable fence, recoveries
-// between pushes, one of every rejected shape, and a few inputs the
-// fuzzer found.
-func FuzzCoordApply(f *testing.F) {
-	in, plan := fuzzInstance(f)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		st := newCoordState(in, plan.Sequences(in.NumGPUs), store.NewMem())
-		for n, rec := range fuzzRecords(data) {
-			if rec.Kind == 0 {
-				if g := rec.GPU; st.checkGPU(g) == nil && !st.GPUs[g].Failed && st.GPUs[g].Inflight == noTask {
-					if i := st.eligible(g); i >= 0 {
-						st.dispatch(g, i)
-					}
-				}
-				continue
-			}
-			before := len(st.done) + len(st.FenceLog)
-			if _, err := st.apply(rec); err != nil && len(st.done)+len(st.FenceLog) != before {
-				t.Fatalf("record %d (%s): rejected with %v, but the state advanced", n, rec.kind(), err)
-			}
-			checkInvariants(t, st, n, rec)
-		}
-	})
-}
-
-func checkInvariants(t *testing.T, st *coordState, n int, rec *journalRecord) {
-	t.Helper()
-	fail := func(format string, args ...any) {
-		t.Helper()
-		t.Fatalf("after record %d (%s): "+format, append([]any{n, rec.kind()}, args...)...)
-	}
-	if st.Epoch != 1+uint64(st.Recovered) {
-		fail("epoch %d after %d recoveries", st.Epoch, st.Recovered)
-	}
-	if want := st.in.NumTasks() - len(st.done); st.TasksLeft != want || len(st.Records) != len(st.done) {
-		fail("TasksLeft=%d records=%d with %d done tasks (want %d left)", st.TasksLeft, len(st.Records), len(st.done), want)
-	}
-	pushed := 0
-	for _, j := range st.in.Jobs {
-		js := st.Jobs[j.ID]
-		if len(js.Partial) >= j.Scale {
-			fail("job %d round holds %d pushes of %d", j.ID, len(js.Partial), j.Scale)
-		}
-		for _, p := range js.Partial {
-			if p.Task.Round != len(js.RoundEnds) {
-				fail("job %d: a push of %v in the partial round after %d round ends", j.ID, p.Task, len(js.RoundEnds))
-			}
-		}
-		pushed += len(js.RoundEnds)*j.Scale + len(js.Partial)
-	}
-	if pushed != len(st.done) {
-		fail("parameter servers hold %d gradients, Done %d", pushed, len(st.done))
-	}
-	for g, gs := range st.GPUs {
-		if gs.Failed && (len(gs.Queue) > 0 || gs.Inflight != noTask) {
-			fail("fenced GPU %d still owns work: queue %v inflight %v", g, gs.Queue, gs.Inflight)
-		}
-		for _, task := range gs.Queue {
-			if _, done := st.done[task]; done {
-				fail("task %v is both queued on GPU %d and done", task, g)
-			}
-		}
 	}
 }

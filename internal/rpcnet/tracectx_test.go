@@ -165,8 +165,8 @@ func TestInspectDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	push := func(gpu int, simTime float64) *journalRecord {
-		return &journalRecord{Kind: recPush, SimTime: simTime, Push: testbed.PushReport{
+	push := func(gpu int, simTime float64) *testbed.Record {
+		return &testbed.Record{Kind: testbed.RecPush, SimTime: simTime, Push: testbed.PushReport{
 			Task: core.TaskRef{Job: 0, Round: 0, Index: gpu}, GPU: gpu,
 			Start: simTime - 1, TrainEnd: simTime,
 		}}
@@ -174,25 +174,25 @@ func TestInspectDir(t *testing.T) {
 	if err := j.append(push(0, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(&journalRecord{Kind: recReport, SimTime: 6, GPU: 1}); err != nil {
+	if err := j.append(&testbed.Record{Kind: testbed.RecReport, SimTime: 6, GPU: 1}); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot folds LSN 1-2 and resets the WAL.
-	if _, err := j.writeSnapshot(&coordSnapshot{SimTime: 6.5, State: coordState{
+	if _, err := j.writeSnapshot(&coordSnapshot{SimTime: 6.5, State: testbed.State{
 		Epoch: 2, Recovered: 1,
-		GPUs: []gpuState{{}, {Failed: true}}, TasksLeft: 3,
+		GPUs: []testbed.GPUState{{}, {Failed: true}}, TasksLeft: 3,
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.append(push(1, 7)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(&journalRecord{Kind: recFence, SimTime: 8, Fence: &fencePlan{
+	if err := j.append(&testbed.Record{Kind: testbed.RecFence, SimTime: 8, Fence: &testbed.FencePlan{
 		GPU: 1, Reason: "lease expired", Stranded: []core.TaskRef{{Job: 1}}, HasQueues: true,
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(&journalRecord{Kind: recRecover, SimTime: 9}); err != nil {
+	if err := j.append(&testbed.Record{Kind: testbed.RecRecover, SimTime: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -249,13 +249,13 @@ func TestInspectDirFlagsGaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.append(&journalRecord{Kind: recReport, SimTime: 1, GPU: 0}); err != nil {
+	if err := j.append(&testbed.Record{Kind: testbed.RecReport, SimTime: 1, GPU: 0}); err != nil {
 		t.Fatal(err)
 	}
 	j.mu.Lock()
 	j.lsn += 4 // simulate lost records
 	j.mu.Unlock()
-	if err := j.append(&journalRecord{Kind: recReport, SimTime: 2, GPU: 1}); err != nil {
+	if err := j.append(&testbed.Record{Kind: testbed.RecReport, SimTime: 2, GPU: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {

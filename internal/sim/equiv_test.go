@@ -126,6 +126,49 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzSimMatchesReference is TestRunMatchesReference as a fuzz target:
+// the input draws randomInstance's seed and one byte whose remainder
+// picks an equivOptions() set and whose quotient offsets the model zoo
+// (TestRunMatchesReference's trial index), and Run must deep-equal
+// RunReference. The corpus seeds with its first three trials under
+// every option set.
+func FuzzSimMatchesReference(f *testing.F) {
+	opts := equivOptions()
+	master := stats.New(1234)
+	for trial := range 3 {
+		seed := master.Int63() // what rng.Split() seeds trial `trial` with
+		for c := range opts {
+			f.Add(seed, uint8(trial*len(opts)+c))
+		}
+	}
+	zoo := model.Zoo()
+	f.Fuzz(func(t *testing.T, seed int64, pick uint8) {
+		c, off := opts[int(pick)%len(opts)], int(pick)/len(opts)
+		in := randomInstance(stats.New(seed))
+		var cl *cluster.Cluster
+		var models []*model.Model
+		if c.name != "plain" {
+			cl = cluster.Heterogeneous(cluster.HighHeterogeneity, in.NumGPUs)
+			models = make([]*model.Model, len(in.Jobs))
+			for j := range models {
+				models[j] = zoo[(off+j)%len(zoo)]
+			}
+		}
+		plan := planFor(t, in)
+		want, err := RunReference(in, plan, cl, models, c.opts)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", c.name, err)
+		}
+		got, err := Run(in, plan, cl, models, c.opts)
+		if err != nil {
+			t.Fatalf("%s: run: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: incremental engine diverged from reference\n got: %+v\nwant: %+v", c.name, got, want)
+		}
+	})
+}
+
 // TestRunMatchesReferenceAllSchedulers pins the equivalence on the
 // golden workload across all five schedulers' plans — the shapes the
 // evaluation figures replay.

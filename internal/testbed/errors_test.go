@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
@@ -8,7 +9,9 @@ import (
 
 	"hare/internal/cluster"
 	"hare/internal/core"
+	"hare/internal/model"
 	"hare/internal/sched"
+	"hare/internal/store"
 )
 
 func TestRunRejectsBadInputs(t *testing.T) {
@@ -44,13 +47,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 func TestNewRemoteExecutorValidation(t *testing.T) {
 	in, cl, models := smallWorkload(t, 2, 33)
 	clock := NewClock(1e-3)
-	_, client, err := NewControlPlane(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := RemoteExecutorConfig{
 		GPU: 0, GPUType: cl.GPUs[0].Type,
-		Instance: in, Models: models, Clock: clock, Sync: client,
+		Instance: in, Models: models, Clock: clock, Sync: testPlane(t, in),
 	}
 	if _, err := NewRemoteExecutor(base); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
@@ -100,38 +99,50 @@ func TestClockPanicsOnBadScale(t *testing.T) {
 	NewClock(0)
 }
 
+// testPlane is the in-process control plane of a fresh run of in, its
+// initial checkpoints saved.
+func testPlane(t *testing.T, in *core.Instance) *plane {
+	t.Helper()
+	st := NewState(in, make([][]core.TaskRef, in.NumGPUs), store.NewMem())
+	if err := st.SaveCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	return newPlane(st)
+}
+
+// TestPSRejectsWrongRoundAndJob: the control plane refuses a gradient of
+// a round that has not begun, a gradient of a job the instance lacks,
+// and a wait for a round the job does not have, rather than blocking on
+// it forever.
 func TestPSRejectsWrongRoundAndJob(t *testing.T) {
 	job := &core.Job{ID: 0, Name: "j", Weight: 1, Rounds: 2, Scale: 1}
 	in := &core.Instance{
 		Jobs: []*core.Job{job}, NumGPUs: 1,
 		Train: [][]float64{{1}}, Sync: [][]float64{{0}},
 	}
-	pss, _, err := NewControlPlane(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := pss[0]
 	grad := make([]float64, ProblemDim)
 	// Round 1 before round 0 violates synchronization.
-	if _, err := ps.Push(PushReport{Task: core.TaskRef{Job: 0, Round: 1}, TrainEnd: 1, Grad: grad}); err == nil {
-		t.Error("out-of-round gradient accepted")
+	if _, err := testPlane(t, in).Push(PushReport{Task: core.TaskRef{Job: 0, Round: 1}, TrainEnd: 1, Grad: grad}); err == nil ||
+		!strings.Contains(err.Error(), "synchronization violated") {
+		t.Errorf("out-of-round gradient: %v", err)
 	}
 	// Wrong job.
-	if _, err := ps.Push(PushReport{Task: core.TaskRef{Job: 5, Round: 0}, TrainEnd: 1, Grad: grad}); err == nil {
+	if _, err := testPlane(t, in).Push(PushReport{Task: core.TaskRef{Job: 5, Round: 0}, TrainEnd: 1, Grad: grad}); err == nil {
 		t.Error("wrong-job gradient accepted")
 	}
-	// Wrong round index queried.
-	if _, err := ps.WaitRound(9); err == nil {
+	// Wrong round index waited for.
+	if _, _, err := testPlane(t, in).Begin(core.TaskRef{Job: 0, Round: 9}); err == nil {
 		t.Error("bogus round wait accepted")
 	}
 }
 
-// TestRoundGateClosesAtLastPush: a round's gate closes when its last
-// gradient lands and carries the realized end as a value — here 1000
-// simulated seconds past the push, which at the clock scale of 1 a real
-// run would use is a quarter of an hour nobody may sleep through inside
-// the parameter server (the executor sleeps to the barrier itself). And
-// a completed round leaves nothing behind: no goroutine, no timer.
+// TestRoundGateClosesAtLastPush: a task of the next round waits until
+// its previous round's last gradient lands, and then learns the round's
+// realized end as a value — here 1000 simulated seconds past the push,
+// which at the clock scale of 1 a real run would use is a quarter of an
+// hour nobody may sleep through inside the control plane (the executor
+// sleeps to the barrier itself). And a completed round leaves nothing
+// behind: no goroutine, no timer.
 func TestRoundGateClosesAtLastPush(t *testing.T) {
 	const rounds, scale = 10, 2
 	job := &core.Job{ID: 0, Name: "j", Weight: 1, Rounds: rounds, Scale: scale}
@@ -139,40 +150,48 @@ func TestRoundGateClosesAtLastPush(t *testing.T) {
 		Jobs: []*core.Job{job}, NumGPUs: 2,
 		Train: [][]float64{{1, 1}}, Sync: [][]float64{{1000, 1000}},
 	}
-	pss, _, err := NewControlPlane(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := pss[0]
+	p := testPlane(t, in)
 	before := runtime.NumGoroutine()
-	for r := 0; r < rounds; r++ {
+	for r := 0; r < rounds-1; r++ {
 		trainEnd := float64(r + 1)
-		for k := 0; k < scale; k++ {
-			rep := PushReport{Task: core.TaskRef{Job: 0, Round: r, Index: k}, GPU: k, TrainEnd: trainEnd, Grad: make([]float64, ProblemDim)}
-			if _, err := ps.Push(rep); err != nil {
-				t.Fatal(err)
-			}
-		}
 		ended := make(chan float64, 1)
 		go func() {
-			end, err := ps.WaitRound(r)
+			end, _, err := p.Begin(core.TaskRef{Job: 0, Round: r + 1})
 			if err != nil {
 				t.Error(err)
 			}
 			ended <- end
 		}()
+		for k := 0; k < scale; k++ {
+			select {
+			case <-ended:
+				t.Fatalf("round %d: a round-%d task began before the round's push %d of %d", r, r+1, k+1, scale)
+			default:
+			}
+			rep := PushReport{Task: core.TaskRef{Job: 0, Round: r, Index: k}, GPU: k, TrainEnd: trainEnd, Grad: make([]float64, ProblemDim)}
+			if _, err := p.Push(rep); err != nil {
+				t.Fatal(err)
+			}
+		}
 		select {
 		case end := <-ended:
 			if want := trainEnd + 1000; end != want {
 				t.Fatalf("round %d ended at %g, want %g", r, end, want)
 			}
 		case <-time.After(2 * time.Second):
-			t.Fatalf("round %d: WaitRound still blocked 2 s after the round's last push", r)
+			t.Fatalf("round %d: Begin of round %d still blocked 2 s after the round's last push", r, r+1)
 		}
 	}
-	for tries := 0; runtime.NumGoroutine() > before; tries++ { // the last waiter above may still be exiting
+	settle(t, before, "nine completed rounds")
+}
+
+// settle waits for the goroutine count to fall back to before: goroutines
+// that already delivered their result may still be exiting.
+func settle(t *testing.T, before int, after string) {
+	t.Helper()
+	for tries := 0; runtime.NumGoroutine() > before; tries++ {
 		if tries == 100 {
-			t.Fatalf("%d goroutines before ten completed rounds, %d after: a completed round left one behind", before, runtime.NumGoroutine())
+			t.Fatalf("%d goroutines before %s, %d after: it left one behind", before, after, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond) //lint:allow walltime waiting for real goroutines to exit
 	}
@@ -184,15 +203,10 @@ func TestExecutorSurfacesPushErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := NewClock(1e-4)
-	_, good, err := NewControlPlane(in, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	exec, err := NewRemoteExecutor(RemoteExecutorConfig{
 		GPU: 0, GPUType: cl.GPUs[0].Type,
-		Instance: in, Models: models, Clock: clock,
-		Sync: brokenClient{SyncClient: good},
+		Instance: in, Models: models, Clock: NewClock(1e-4),
+		Sync: brokenClient{SyncClient: testPlane(t, in)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,3 +231,54 @@ var errCheckpoint = &checkpointErr{}
 type checkpointErr struct{}
 
 func (*checkpointErr) Error() string { return "checkpoint unavailable" }
+
+// saveFails refuses to save one key.
+type saveFails struct {
+	store.Store
+	key string
+}
+
+func (s saveFails) Save(key string, data []byte) error {
+	if key == s.key {
+		return errors.New("disk full")
+	}
+	return s.Store.Save(key, data)
+}
+
+// TestRunFailsClosed: a checkpoint save that fails when round 0 closes
+// ends the run with that error, as it ends a distributed one
+// (rpcnet's TestFailedCheckpointFailsRun) — the executor waiting for
+// round 0 on the other GPU is woken instead of blocking forever, and no
+// goroutine is left behind.
+func TestRunFailsClosed(t *testing.T) {
+	job := &core.Job{ID: 0, Name: "j", Model: "ResNet50", Weight: 1, Rounds: 3, Scale: 2}
+	in := &core.Instance{
+		Jobs: []*core.Job{job}, NumGPUs: 2,
+		Train: [][]float64{{1, 1}}, Sync: [][]float64{{0.1, 0.1}},
+	}
+	plan := core.NewSchedule(in)
+	for r := 0; r < job.Rounds; r++ {
+		for k := 0; k < job.Scale; k++ {
+			plan.Place(core.TaskRef{Job: 0, Round: r, Index: k}, k, float64(r)*1.1)
+		}
+	}
+	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 2}}, 4)
+	models := []*model.Model{model.MustByName("ResNet50")}
+	before := runtime.NumGoroutine()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(in, plan, cl, models, Options{
+			TimeScale: 1e-4, Store: saveFails{Store: store.NewMem(), key: store.CheckpointKey(0, 0)},
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "checkpoint save") || !strings.Contains(err.Error(), "disk full") {
+			t.Errorf("run over a failing checkpoint store returned %v, want the save's error", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("run over a failing checkpoint store still blocked after 10 s")
+	}
+	settle(t, before, "a failed run")
+}

@@ -10,7 +10,6 @@ import (
 	"hare/internal/obs"
 	"hare/internal/stats"
 	"hare/internal/switching"
-	"hare/internal/trace"
 )
 
 // PushReport carries one completed training attempt to the control
@@ -44,9 +43,11 @@ type PushReport struct {
 // Both hold until this task's Push — its round cannot complete without
 // it — so the executor asks once and reuses them across fault retries.
 // Push delivers the gradient and returns the task's completion. The
-// local backend calls parameter servers directly; rpcnet answers Begin
-// from the dispatch that carried the task and sends Push over net/rpc,
-// mirroring the paper's gRPC-based scheduler⇄executor channel.
+// in-process engine answers both from its State under one lock (plane);
+// rpcnet answers Begin from the dispatch that carried the task and
+// sends Push over net/rpc, mirroring the paper's gRPC-based
+// scheduler⇄executor channel. Either way the push is State.Apply, which
+// also records the task's measured timings.
 type SyncClient interface {
 	Begin(t core.TaskRef) (roundEnd float64, params []float64, err error)
 	Push(rep PushReport) (float64, error)
@@ -55,7 +56,7 @@ type SyncClient interface {
 // Executor replays one GPU's task sequence: it respects arrival times
 // and round barriers, pays the configured switching cost between jobs
 // (consulting its speculative memory manager under the Hare scheme),
-// loads the job's checkpoint, computes a real gradient, paces itself
+// takes the job's parameters, computes a real gradient, paces itself
 // to the profiled task time on its GPU type, and pushes the gradient
 // to the job's parameter server.
 type Executor struct {
@@ -85,19 +86,12 @@ type Executor struct {
 	// distributed mode) with the same semantics as a sequence replay.
 	freeAt  float64
 	prevJob core.JobID
-
-	// Records accumulates measured task records; owned by the
-	// executor goroutine until Run returns.
-	Records []trace.TaskRecord
-	// SwitchTotal and SwitchCount accumulate switching overhead.
-	SwitchTotal   float64
-	SwitchCount   int
-	ResidencyHits int
-	// Retries counts training attempts lost to injected faults.
-	Retries int
 }
 
-// Run executes a task sequence to completion.
+// Run executes a task sequence to completion, in its order: the
+// in-process engine walks each GPU's planned sequence, so its per-GPU
+// order is the plan's — the order the simulator replays — whatever the
+// timing.
 func (e *Executor) Run(seq []core.TaskRef) error {
 	for _, t := range seq {
 		if err := e.RunTask(t); err != nil {
@@ -110,9 +104,9 @@ func (e *Executor) Run(seq []core.TaskRef) error {
 // RunTask executes one task against the control plane: learn the round
 // barrier and the parameters (Begin), sleep to the barrier or through the
 // switching stall, compute the gradient (again from the same parameters
-// on injected faults), push, and record the measured timings. The
-// distributed pull loop calls it directly with tasks handed out by the
-// coordinator; Run calls it per sequence entry.
+// on injected faults), and push the gradient with the measured timings.
+// The distributed pull loop calls it directly with tasks handed out by
+// the coordinator; Run calls it per sequence entry.
 func (e *Executor) RunTask(t core.TaskRef) error {
 	// Round barrier (relaxed scale-fixed synchronization): only
 	// the *previous* round must be complete; same-round siblings
@@ -159,7 +153,6 @@ func (e *Executor) RunTask(t core.TaskRef) error {
 		}
 		retries++ // attempt lost; its GPU time is gone
 	}
-	e.Retries += retries
 	if e.mem != nil {
 		e.mem.Complete(gpumem.JobKey(t.Job), e.models[t.Job].ParamBytes, trainEnd)
 	}
@@ -170,20 +163,8 @@ func (e *Executor) RunTask(t core.TaskRef) error {
 	if err != nil {
 		return fmt.Errorf("executor %d: %w", e.GPU, err)
 	}
-
-	e.Records = append(e.Records, trace.TaskRecord{
-		Task: t, GPU: e.GPU, Start: start,
-		Train: trainEnd - start, Sync: completion - trainEnd, Switch: sw,
-	})
 	run.Train, run.Sync, run.End, run.Retries = trainEnd-start, completion-trainEnd, completion, retries
 	e.rec.EndTask(run)
-	if sw > 0 {
-		e.SwitchTotal += sw
-		e.SwitchCount++
-		if hit {
-			e.ResidencyHits++
-		}
-	}
 	e.freeAt = trainEnd
 	e.prevJob = t.Job
 	return nil

@@ -2,7 +2,6 @@ package testbed
 
 import (
 	"fmt"
-	"sync"
 
 	"hare/internal/core"
 	"hare/internal/store"
@@ -13,9 +12,8 @@ import (
 // completed round, the held-out loss and the realized end — the
 // completion of its slowest task — of every completed round, and the
 // current round's reports in accept order. It holds no lock, gate or
-// store. The in-process ParameterServer wraps it with a lock and round
-// gates; the distributed coordinator keeps one per job in its durable
-// state, so a snapshot carries it verbatim.
+// store: State keeps one per job, so both engines aggregate under their
+// control plane's one lock and rpcnet's snapshot carries it verbatim.
 type PSState struct {
 	Params    []float64
 	Losses    []float64
@@ -72,50 +70,4 @@ func (s *PSState) Save(st store.Store, job core.JobID) error {
 		}
 	}
 	return nil
-}
-
-// ParameterServer is the in-process engine's parameter server: one
-// job's PSState behind a lock, plus one gate per round that closes when
-// the round's end is known. The gate is not a timer: whoever runs a
-// task of the next round sleeps to that end on the shared clock itself.
-// Completion times are simulated-clock values measured from the actual
-// pushes, so relaxed (staggered) task execution is reflected faithfully.
-type ParameterServer struct {
-	in   *core.Instance
-	job  *core.Job
-	prob *Problem
-	st   store.Store
-
-	mu    sync.Mutex
-	state PSState
-	done  []chan struct{} // done[r] closes when state.RoundEnds[r] is set
-}
-
-// Push delivers one task's report (PSState.Push) and closes the gate of
-// the round it ends, if any.
-func (ps *ParameterServer) Push(rep PushReport) (float64, error) {
-	if rep.Task.Job != ps.job.ID {
-		return 0, fmt.Errorf("testbed: gradient for job %d pushed to PS of job %d", rep.Task.Job, ps.job.ID)
-	}
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	closed := len(ps.state.RoundEnds)
-	comp, err := ps.state.Push(ps.in, ps.prob, ps.st, rep)
-	for r := closed; r < len(ps.state.RoundEnds); r++ {
-		close(ps.done[r])
-	}
-	return comp, err
-}
-
-// WaitRound blocks until every gradient of round r (0-based) has been
-// pushed and returns the round's realized completion time, which may
-// still lie ahead on the clock.
-func (ps *ParameterServer) WaitRound(r int) (float64, error) {
-	if r < 0 || r >= ps.job.Rounds {
-		return 0, fmt.Errorf("testbed: job %d has no round %d", ps.job.ID, r)
-	}
-	<-ps.done[r]
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.state.RoundEnds[r], nil
 }

@@ -4,8 +4,9 @@
 #   scripts/check.sh          # all three
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob,
 #                             # dead-surface and observability censuses), a haresim -compare CLI
-#                             # smoke, a haresim -save-plan/-load-plan round trip, ordering
-#                             # and kill/recover stress, ten 10 s fuzz smokes, make loc
+#                             # smoke, a haresim -save-plan/-load-plan round trip, ordering,
+#                             # kill/recover and fail-closed/round-gate stress, eleven 10 s
+#                             # fuzz smokes, make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -44,11 +45,14 @@ tests() {
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 	echo "==> kill/recover stress under -race (one recovery, and two with no snapshot between them)"
 	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatch|TestTwoRecoveriesWithoutSnapshot)$' -count 10 -race
+	echo "==> in-process control-plane stress under -race (a failed checkpoint save fails the run closed; a round releases its waiter at its last push, leaving no goroutine)"
+	go test ./internal/testbed -run '^(TestRunFailsClosed|TestRoundGateClosesAtLastPush)$' -count 20 -race
 
-	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the coordinator's one transition function; the journal's record and snapshot decoders; the wire's frame and message decoder; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
+	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the simulator vs its reference scan; the control plane's one transition function; the journal's record and snapshot decoders; the wire's frame and message decoder; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzSchedulersValidate -fuzztime 10s ./internal/sched/
-	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/rpcnet/
+	go test -race -run '^$' -fuzz FuzzSimMatchesReference -fuzztime 10s ./internal/sim/
+	go test -race -run '^$' -fuzz FuzzCoordApply -fuzztime 10s ./internal/testbed/
 	go test -race -run '^$' -fuzz FuzzJournalDecode -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzWireDecode -fuzztime 10s ./internal/rpcnet/
 	go test -race -run '^$' -fuzz FuzzDirLogOpen -fuzztime 10s ./internal/store/
