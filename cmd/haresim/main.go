@@ -144,7 +144,7 @@ func main() {
 				a.Name(),
 				fmt.Sprintf("%d", res.Retries),
 				metrics.FormatSeconds(res.LostSeconds),
-				fmt.Sprintf("%d", res.GPUFailures),
+				fmt.Sprintf("%d", len(res.FailedGPUs)),
 				fmt.Sprintf("%d", res.TasksMigrated),
 				fmt.Sprintf("%d", res.Reschedules),
 			})

@@ -176,9 +176,9 @@ func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, mo
 		}
 	}
 	fmt.Printf("distributed run: %d tasks across %d %s\n", len(res.Trace.Records), in.NumGPUs, unit)
-	if res.GPUFailures > 0 || res.Retries > 0 {
+	if len(res.FailedGPUs) > 0 || res.Retries > 0 {
 		fmt.Printf("recovery: %d retries, %d GPU failures %v, %d tasks migrated, %d reschedules\n",
-			res.Retries, res.GPUFailures, res.FailedGPUs, res.TasksMigrated, res.Reschedules)
+			res.Retries, len(res.FailedGPUs), res.FailedGPUs, res.TasksMigrated, res.Reschedules)
 	}
 	fmt.Printf("weighted JCT: %.0f   makespan: %s\n", res.WeightedJCT, metrics.FormatSeconds(res.Makespan))
 	fmt.Printf("switching: %s across %d switches (%d residency hits)\n",

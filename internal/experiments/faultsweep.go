@@ -132,7 +132,7 @@ func FaultSweep(cfg Config) ([]FaultRow, error) {
 				DegradationPct: 100 * (res.WeightedJCT - p.baseWJCT) / p.baseWJCT,
 				Retries:        res.Retries,
 				LostSeconds:    res.LostSeconds,
-				GPUFailures:    res.GPUFailures,
+				GPUFailures:    len(res.FailedGPUs),
 				TasksMigrated:  res.TasksMigrated,
 				Reschedules:    res.Reschedules,
 			})

@@ -137,7 +137,7 @@ func TestKillRecoverMidBatch(t *testing.T) {
 	if res.Recoveries != 1 || res.Epoch != 2 {
 		t.Errorf("recoveries=%d epoch=%d, want 1 and 2", res.Recoveries, res.Epoch)
 	}
-	if res.GPUFailures != 0 {
+	if len(res.FailedGPUs) != 0 {
 		t.Errorf("fenced GPUs %v during a kill/recover with live executors (reconnect grace too small?)", res.FailedGPUs)
 	}
 	assertExactlyOnce(t, res, in)
@@ -259,7 +259,7 @@ func TestTwoRecoveriesWithoutSnapshot(t *testing.T) {
 	if res.Recoveries != 2 || res.Epoch != 3 {
 		t.Errorf("recoveries=%d epoch=%d, want 2 and 3", res.Recoveries, res.Epoch)
 	}
-	if res.GPUFailures != 0 {
+	if len(res.FailedGPUs) != 0 {
 		t.Errorf("fenced GPUs %v during two kill/recovers with live executors", res.FailedGPUs)
 	}
 	assertExactlyOnce(t, res, in)
@@ -431,8 +431,8 @@ func TestFencingSurvivesRecovery(t *testing.T) {
 		t.Error("crashed executor returned nil")
 	}
 
-	if res.GPUFailures != 1 || len(res.FailedGPUs) != 1 || res.FailedGPUs[0] != 1 {
-		t.Errorf("failures = %d %v, want exactly GPU 1 (fence must survive recovery)", res.GPUFailures, res.FailedGPUs)
+	if len(res.FailedGPUs) != 1 || res.FailedGPUs[0] != 1 {
+		t.Errorf("failures = %v, want exactly GPU 1 (fence must survive recovery)", res.FailedGPUs)
 	}
 	if len(res.FenceLog) != 1 || res.FenceLog[0].GPU != 1 {
 		t.Errorf("fence log %+v, want one entry for GPU 1", res.FenceLog)

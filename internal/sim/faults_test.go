@@ -136,8 +136,8 @@ func TestSimFailureRescheduleCompletes(t *testing.T) {
 	if !reflect.DeepEqual(res.FailedGPUs, []int{2, 4}) {
 		t.Errorf("FailedGPUs = %v, want [2 4]", res.FailedGPUs)
 	}
-	if res.GPUFailures != 2 || res.Reschedules != 2 {
-		t.Errorf("failures=%d reschedules=%d, want 2 and 2", res.GPUFailures, res.Reschedules)
+	if len(res.FailedGPUs) != 2 || res.Reschedules != 2 {
+		t.Errorf("failures=%d reschedules=%d, want 2 and 2", len(res.FailedGPUs), res.Reschedules)
 	}
 	if res.TasksMigrated < 1 {
 		t.Errorf("tasks migrated = %d, want >= 1", res.TasksMigrated)
@@ -203,8 +203,8 @@ func TestSimFailureSurvivorsFewerThanScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GPUFailures != 4 || res.Reschedules != 4 {
-		t.Errorf("failures=%d reschedules=%d, want 4 and 4", res.GPUFailures, res.Reschedules)
+	if len(res.FailedGPUs) != 4 || res.Reschedules != 4 {
+		t.Errorf("failures=%d reschedules=%d, want 4 and 4", len(res.FailedGPUs), res.Reschedules)
 	}
 	if len(res.Trace.Records) != in.NumTasks() {
 		t.Fatalf("executed %d tasks, want %d", len(res.Trace.Records), in.NumTasks())

@@ -116,10 +116,9 @@ type Result struct {
 	// faults; LostSeconds is the GPU time those attempts burned.
 	Retries     int
 	LostSeconds float64
-	// GPUFailures counts permanent failures applied; FailedGPUs lists
-	// the dead GPUs; Reschedules the recovery re-plans; TasksMigrated
-	// the stranded tasks moved to survivors.
-	GPUFailures   int
+	// FailedGPUs lists the GPUs permanent failures killed, in order;
+	// Reschedules counts the recovery re-plans; TasksMigrated the
+	// stranded tasks moved to survivors.
 	FailedGPUs    []int
 	Reschedules   int
 	TasksMigrated int

@@ -309,7 +309,6 @@ func (s *Simulator) failGPU(f faults.GPUFailure, replanner sched.Algorithm) erro
 	r := &s.r
 	m := f.GPU
 	s.alive[m] = false
-	r.res.GPUFailures++
 	r.res.FailedGPUs = append(r.res.FailedGPUs, m)
 	if r.observed {
 		kind := "device failure"
