@@ -26,10 +26,11 @@ import (
 // pulls and runs tasks until the run completes.
 // Transient failures — dropped or delayed messages, a network
 // partition, a coordinator kill-and-recover — tear the session down
-// and the loop re-handshakes; the coordinator's epoch/sequence
-// protocol makes the retries safe (duplicate pushes and reports are
-// absorbed idempotently, re-dispatch is at-most-once). Only genuine
-// local failures (or a simulated crash) end the executor.
+// and the loop re-handshakes; every call is safe to repeat (a repeated
+// Next is sent the GPU's in-flight task again, duplicate pushes and
+// reports are absorbed idempotently), and the coordinator epoch tells a
+// session to re-handshake after a recovery. Only genuine local failures
+// (or a simulated crash) end the executor.
 
 // errCrashed marks a simulated executor crash (crash=G@T fault).
 var errCrashed = errors.New("rpcnet: executor crashed (simulated fault)")
@@ -217,8 +218,6 @@ func isSessionRetryable(err error) bool {
 	s := err.Error()
 	for _, marker := range []string{
 		"stale coordinator epoch",
-		"out of window",
-		"superseded",
 		"coordinator down",
 		"injected message drop",
 		"injected network partition",
@@ -250,7 +249,6 @@ type execSession struct {
 	conn  *rpc.Client
 	gpu   int
 	epoch uint64
-	seq   uint64
 	// held is the dispatch being run: execClient.Begin answers from it.
 	// ahead is the next one when the push of held brought it, nil when
 	// the pull loop must call Next. Pull-loop goroutine only.
@@ -343,13 +341,10 @@ func (c execClient) Begin(t core.TaskRef) (float64, []float64, error) {
 
 func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 	var reply PushReply
-	if err := c.s.call(DistributedName+".Push", &PushArgs{Report: rep, Seq: c.s.seq, Epoch: c.s.epoch}, &reply, callRetries); err != nil {
+	if err := c.s.call(DistributedName+".Push", &PushArgs{Report: rep, Epoch: c.s.epoch}, &reply, callRetries); err != nil {
 		return 0, err
 	}
-	if reply.Next != nil {
-		c.s.ahead = reply.Next
-		c.s.seq++
-	}
+	c.s.ahead = reply.Next
 	return reply.Completion, nil
 }
 
@@ -446,10 +441,9 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 		if s.ahead != nil {
 			s.held, s.ahead = *s.ahead, nil
 		} else {
-			if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Seq: s.seq, Epoch: s.epoch}, &s.held, callRetries); err != nil {
+			if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Epoch: s.epoch}, &s.held, callRetries); err != nil {
 				return true, err
 			}
-			s.seq++
 		}
 		if s.held.Done {
 			break

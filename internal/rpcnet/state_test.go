@@ -169,7 +169,7 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 				continue
 			}
 			var reply NextReply
-			if err := co.next(NextArgs{GPU: g, Seq: co.nextSeq[g], Epoch: 1}, &reply); err != nil {
+			if err := co.next(NextArgs{GPU: g, Epoch: 1}, &reply); err != nil {
 				t.Fatalf("every=%d dispatch to GPU %d: %v", every, g, err)
 			}
 			if g != 2 {

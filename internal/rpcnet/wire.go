@@ -185,14 +185,12 @@ func putBody(e *encoder, body any) error {
 		e.uint(b.Call)
 	case *NextArgs:
 		e.int(b.GPU)
-		e.uint(b.Seq)
 		e.uint(b.Epoch)
 		e.uint(b.Call)
 	case *NextReply:
 		putNext(e, b)
 	case *PushArgs:
 		putPush(e, &b.Report)
-		e.uint(b.Seq)
 		e.uint(b.Epoch)
 		e.uint(b.Call)
 	case *PushReply:
@@ -231,13 +229,13 @@ func getBody(d *decoder, body any) {
 	case *HeartbeatArgs:
 		*b = HeartbeatArgs{GPU: d.int(), Epoch: d.uint(), Call: d.uint()}
 	case *NextArgs:
-		*b = NextArgs{GPU: d.int(), Seq: d.uint(), Epoch: d.uint(), Call: d.uint()}
+		*b = NextArgs{GPU: d.int(), Epoch: d.uint(), Call: d.uint()}
 	case *NextReply:
 		getNext(d, b)
 	case *PushArgs:
 		*b = PushArgs{}
 		getPush(d, &b.Report)
-		b.Seq, b.Epoch, b.Call = d.uint(), d.uint(), d.uint()
+		b.Epoch, b.Call = d.uint(), d.uint()
 	case *PushReply:
 		*b = PushReply{Completion: d.float()}
 		if d.bool() {

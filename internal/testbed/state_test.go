@@ -34,9 +34,9 @@ func fuzzInstance(t testing.TB) (*core.Instance, *core.Schedule) {
 const fuzzDim = ProblemDim
 
 // fuzzRecords decodes fuzz input into journal records (and dispatches,
-// Kind 0, which the live path performs without journaling). Every
-// index is drawn a little wider than its valid range, so in-range,
-// negative and too-large values all occur.
+// Kind 0, which the live path performs through State.Next without
+// journaling). Every index is drawn a little wider than its valid range,
+// so in-range, negative and too-large values all occur.
 func fuzzRecords(data []byte) []*Record {
 	next := func() int {
 		if len(data) == 0 {
@@ -127,10 +127,9 @@ func FuzzCoordApply(f *testing.F) {
 		st := NewState(in, plan.Sequences(in.NumGPUs), store.NewMem())
 		for n, rec := range fuzzRecords(data) {
 			if rec.Kind == 0 {
-				if g := rec.GPU; st.CheckGPU(g) == nil && !st.GPUs[g].Failed && st.GPUs[g].Inflight == NoTask {
-					if i := st.Eligible(g); i >= 0 {
-						st.Dispatch(g, i)
-					}
+				if st.CheckGPU(rec.GPU) == nil {
+					st.Next(rec.GPU)
+					checkInvariants(t, st, n, rec)
 				}
 				continue
 			}
@@ -171,6 +170,7 @@ func checkInvariants(t *testing.T, st *State, n int, rec *Record) {
 	if pushed != len(st.done) {
 		fail("parameter servers hold %d gradients, Done %d", pushed, len(st.done))
 	}
+	held := make(map[core.TaskRef]int) // unfinished task -> the live GPU holding it
 	for g, gs := range st.GPUs {
 		if gs.Failed && (len(gs.Queue) > 0 || gs.Inflight != NoTask) {
 			fail("fenced GPU %d still owns work: queue %v inflight %v", g, gs.Queue, gs.Inflight)
@@ -179,6 +179,16 @@ func checkInvariants(t *testing.T, st *State, n int, rec *Record) {
 			if _, done := st.done[task]; done {
 				fail("task %v is both queued on GPU %d and done", task, g)
 			}
+		}
+		work := gs.Queue
+		if task, ok := st.Unclaimed(g); ok {
+			work = append(work[:len(work):len(work)], task)
+		}
+		for _, task := range work {
+			if h, dup := held[task]; dup {
+				fail("unfinished task %v is held by GPU %d and GPU %d", task, h, g)
+			}
+			held[task] = g
 		}
 	}
 }
