@@ -1,8 +1,9 @@
 // Package store is the checkpoint store of the testbed — the stand-in
 // for the HDFS deployment in the paper's system diagram (Fig. 9).
 // Parameter servers save per-job model checkpoints here after every
-// synchronized round; executors load them when a task of the job is
-// (re)scheduled onto a GPU whose memory no longer holds the model.
+// synchronized round, for durability. No executor loads them: a task's
+// dispatch carries its job's current parameters. The chaos harness,
+// the end-to-end benchmark and tests read them back to compare runs.
 package store
 
 import (

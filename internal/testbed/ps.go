@@ -58,7 +58,7 @@ func (s *PSState) Push(in *core.Instance, prob *Problem, st store.Store, rep Pus
 }
 
 // Save writes the state's checkpoints of job to st: the rolling
-// "latest" one every task loads, and the last completed round's.
+// "latest" one, and the last completed round's.
 func (s *PSState) Save(st store.Store, job core.JobID) error {
 	ckpt := store.EncodeParams(s.Params)
 	if err := st.Save(store.LatestKey(int(job)), ckpt); err != nil {

@@ -5,8 +5,9 @@
 #   scripts/check.sh tests    # vet, harelint, build, go test -race ./... (incl. the knob,
 #                             # dead-surface and observability censuses), a haresim -compare CLI
 #                             # smoke, a haresim -save-plan/-load-plan round trip, ordering,
-#                             # kill/recover and fail-closed/round-gate stress, eleven 10 s
-#                             # fuzz smokes, make loc
+#                             # kill/recover, dispatch/re-handshake/Close and
+#                             # fail-closed/round-gate stress, eleven 10 s fuzz smokes,
+#                             # make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
 #   scripts/check.sh perf     # the hareperf cap gate
 #
@@ -45,6 +46,8 @@ tests() {
 	go test ./internal/rpcnet -run TestTraceContextPropagation -count 50 -race
 	echo "==> kill/recover stress under -race (one recovery, and two with no snapshot between them)"
 	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatch|TestTwoRecoveriesWithoutSnapshot)$' -count 10 -race
+	echo "==> dispatch stress under -race (a repeated Next or Push is sent the GPU's in-flight task; a re-handshake after a torn Next gets the task; Close does not deadlock with its accept loop)"
+	go test ./internal/rpcnet -run '^(TestPushCarriesDispatch|TestNextCarriesBarrierAndCheckpoint|TestRehandshakeAfterTornNext|TestCloseRacesAccept)$' -count 20 -race
 	echo "==> in-process control-plane stress under -race (a failed checkpoint save fails the run closed; a round releases its waiter at its last push, leaving no goroutine)"
 	go test ./internal/testbed -run '^(TestRunFailsClosed|TestRoundGateClosesAtLastPush)$' -count 20 -race
 
