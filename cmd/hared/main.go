@@ -177,13 +177,16 @@ func buildBackend(engine faults.Engine, fplan *faults.Plan, rec *obs.Recorder, r
 // the journal is cleared — without this, the durable state would
 // shadow every future batch.
 func resumeBatch(journal *rpcnet.Journal, rec *obs.Recorder, reg *obs.Registry) error {
-	srv, bound, wait, err := rpcnet.RecoverDistributed("127.0.0.1:0", journal, rpcnet.RecoverOptions{
+	// The executors are goroutines of this process, so they reach the
+	// coordinator over an in-memory listener.
+	srv, bound, wait, err := rpcnet.RecoverDistributed("mem:", journal, rpcnet.RecoverOptions{
 		Recorder: rec, Metrics: reg,
 	})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("hared: recovering interrupted batch from WAL (epoch %d executors on %s)\n", srv.FleetSize(), bound)
+	defer srv.Close()
+	fmt.Printf("hared: recovering interrupted batch from WAL (%d executors on %s)\n", srv.FleetSize(), bound)
 	chaos := srv.FaultPlan()
 	waitFleet := rpcnet.StartFleet(bound, srv.FleetSize(), func(int) rpcnet.ExecutorOptions {
 		return rpcnet.ExecutorOptions{

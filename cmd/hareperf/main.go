@@ -36,8 +36,8 @@ const gatePattern = "BenchmarkSimulatorReplay|BenchmarkPooledReplay|BenchmarkObs
 // zero-allocation path that starts allocating fails at the first
 // allocation. To move a cap, edit its row in the PR that moves the
 // number and say why there (docs/PERFORMANCE.md). The exception is the
-// ManagerBatch pair, which has no row: each op boots a TCP listener and
-// a connection per executor, whose goroutines make allocs/op differ from
+// ManagerBatch pair, which has no row: each op boots a listener and a
+// connection per executor, whose goroutines make allocs/op differ from
 // run to run, so only its ns/op ratio (ratioCaps) is held.
 var memCaps = []struct {
 	bench         string

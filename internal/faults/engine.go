@@ -18,7 +18,7 @@ const (
 	// Simulator can also lose a GPU and re-plan.
 	Simulator
 	// Distributed is the rpcnet control plane with executors dialling in
-	// over TCP: it also has a network to disturb.
+	// over TCP or an in-memory pipe: it also has a network to disturb.
 	Distributed
 	// Orchestrated is Distributed under a supervisor that kills and
 	// recovers the coordinator — the chaos harness.

@@ -54,7 +54,10 @@ var stdProtocol = map[string]bool{
 // that its receiver satisfies declares its name, when its receiver is
 // handed to net/rpc (registered as a service, or passed as a codec to
 // rpc.ServeCodec or rpc.NewClientWithCodec: net/rpc calls its methods
-// through its own interfaces), or when its name is a stdProtocol one.
+// through its own interfaces), when a `var _ I = v` assertion holds its
+// receiver to an interface I that declares its name (a net.Listener's
+// Accept is called through the interface), or when its name is a
+// stdProtocol one.
 func TestDeadSurfaceCensus(t *testing.T) {
 	files := loadCensus(t)
 	loader := censusModule.loader
@@ -82,7 +85,8 @@ func deadSurface(fset *token.FileSet, module string, files []censusFile, imports
 	}
 	declared := make(map[string]decl)
 	used := make(map[string]bool)
-	rpcTypes := make(map[string]bool) // "pkgpath.Type" handed to net/rpc
+	rpcTypes := make(map[string]bool)               // "pkgpath.Type" handed to net/rpc
+	asserted := make(map[string][]*types.Interface) // "pkgpath.Type" → interfaces a var _ I = v holds it to
 
 	for _, cf := range files {
 		info := cf.unit.Info
@@ -131,6 +135,7 @@ func deadSurface(fset *token.FileSet, module string, files []censusFile, imports
 						}
 					case *ast.ValueSpec:
 						names = spec.Names
+						noteAssertion(info, spec, asserted)
 					}
 					for _, id := range names {
 						obj := info.Defs[id]
@@ -164,8 +169,11 @@ func deadSurface(fset *token.FileSet, module string, files []censusFile, imports
 		if stdProtocol[m.Name()] {
 			return true
 		}
-		if recv := receiverNamed(m); recv != nil && rpcTypes[objectKey(recv.Obj())] {
-			return true
+		if recv := receiverNamed(m); recv != nil {
+			key := objectKey(recv.Obj())
+			if rpcTypes[key] || slices.ContainsFunc(asserted[key], func(it *types.Interface) bool { return declaresMethod(it, m.Name()) }) {
+				return true
+			}
 		}
 		return fixedByInterface(m, ifaces, imports)
 	}
@@ -270,6 +278,68 @@ func TestDeadSurfaceRPCExemption(t *testing.T) {
 	}
 }
 
+// assertedSrc holds a listener and its address to net.Listener and
+// net.Addr with `var _ I = v`, and declares the same method names on
+// loose, which nothing asserts, and on unasserted, which a plain `var _
+// = v` only mentions.
+const assertedSrc = `package w
+
+import "net"
+
+type listener struct{}
+
+func (*listener) Accept() (net.Conn, error) { return nil, nil }
+func (*listener) Close() error              { return nil }
+func (*listener) Addr() net.Addr            { return addr("") }
+
+type addr string
+
+func (addr) Network() string { return "" }
+func (addr) String() string  { return "" }
+
+type loose struct{}
+
+func (loose) Accept() (net.Conn, error) { return nil, nil }
+
+type unasserted struct{}
+
+func (unasserted) Network() string { return "" }
+
+var (
+	_ net.Listener = (*listener)(nil)
+	_ net.Addr     = addr("")
+	_              = unasserted{}
+	_              = loose{}
+)
+`
+
+// TestDeadSurfaceAssertionExemption runs the census on assertedSrc: the
+// methods net.Listener and net.Addr declare are exempt on the types a
+// `var _ I = v` holds to them, and convicted on the types nothing does.
+func TestDeadSurfaceAssertionExemption(t *testing.T) {
+	loadCensus(t) // for its loader's stdlib importer
+	loader := censusModule.loader
+	f, err := parser.ParseFile(loader.Fset, "w.go", assertedSrc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := newInfo()
+	if _, err := (&types.Config{Importer: loader}).Check("m/internal/w", loader.Fset, []*ast.File{f}, info); err != nil {
+		t.Fatal(err)
+	}
+	files := []censusFile{{unit: &Unit{ImportPath: "m/internal/w", Info: info}, file: f, name: "internal/w/w.go"}}
+	complaints, declared, _ := deadSurface(loader.Fset, "m", files, loader.imports, nil)
+	var convicted []string
+	for _, c := range complaints {
+		_, after, _ := strings.Cut(c, ": m/internal/w.")
+		name, _, _ := strings.Cut(after, " ")
+		convicted = append(convicted, name)
+	}
+	if want := []string{"loose.Accept", "unasserted.Network"}; declared != 7 || !slices.Equal(convicted, want) {
+		t.Errorf("census of %d exported methods convicted %v, want %v of 7:\n%s", declared, convicted, want, strings.Join(complaints, "\n"))
+	}
+}
+
 // objectKey names a package-level object or a method by package path,
 // receiver and name — not by types.Object, because a package's own unit
 // and the import view other packages see of it are distinct
@@ -327,7 +397,11 @@ func rpcHanded(info *types.Info, call *ast.CallExpr) *types.Named {
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "net/rpc" || !handedToRPC[fn.Name()] {
 		return nil
 	}
-	t := info.TypeOf(call.Args[len(call.Args)-1])
+	return namedOf(info.TypeOf(call.Args[len(call.Args)-1]))
+}
+
+// namedOf is the named type t is or points to, or nil.
+func namedOf(t types.Type) *types.Named {
 	if t == nil {
 		return nil
 	}
@@ -336,6 +410,28 @@ func rpcHanded(info *types.Info, call *ast.CallExpr) *types.Named {
 	}
 	named, _ := types.Unalias(t).(*types.Named)
 	return named
+}
+
+// noteAssertion records, for each `_ I = v` of spec with I an interface,
+// that v's named type is held to I: the compiler refuses the package if
+// the type stops implementing it, so the methods I declares are not the
+// type's own to drop.
+func noteAssertion(info *types.Info, spec *ast.ValueSpec, asserted map[string][]*types.Interface) {
+	if spec.Type == nil {
+		return
+	}
+	it, ok := info.TypeOf(spec.Type).Underlying().(*types.Interface)
+	if !ok {
+		return
+	}
+	for i, v := range spec.Values {
+		if i < len(spec.Names) && spec.Names[i].Name == "_" {
+			if named := namedOf(info.TypeOf(v)); named != nil {
+				key := objectKey(named.Obj())
+				asserted[key] = append(asserted[key], it)
+			}
+		}
+	}
 }
 
 // moduleInterfaces are the interface types files declare or spell

@@ -17,8 +17,10 @@ import (
 )
 
 // DistributedBackend executes batches on the distributed testbed: the
-// rpcnet coordinator serves the control plane on a real TCP listener
-// and one executor client per GPU dials in and pulls tasks. It is the
+// rpcnet coordinator serves the control plane and one executor client
+// per GPU dials in and pulls tasks. The executors are goroutines of
+// this process, so they dial an in-memory listener: the same protocol,
+// codec and kill path as a TCP fleet, without sockets. It is the
 // only backend that replays the full fault surface — executor crashes,
 // device failures, network chaos (Faults.Net) — and, with a Journal,
 // the only crash-safe one: a batch interrupted by a coordinator death
@@ -69,8 +71,8 @@ func (b *DistributedBackend) Execute(in *core.Instance, plan *core.Schedule, cl 
 			return nil, nil, fmt.Errorf("manager: trace: %w", err)
 		}
 	}
-	// Each batch's coordinator listens on a fresh loopback port.
-	srv, bound, wait, err := rpcnet.ServeDistributed("127.0.0.1:0", in, plan, cl, models, rpcnet.DistributedOptions{
+	// Each batch's coordinator listens under a fresh in-memory name.
+	srv, bound, wait, err := rpcnet.ServeDistributed("mem:", in, plan, cl, models, rpcnet.DistributedOptions{
 		TimeScale:   b.TimeScale,
 		Scheme:      execScheme,
 		Speculative: execSpeculative,

@@ -820,7 +820,11 @@ func ServeDistributed(addr string, in *core.Instance, plan *core.Schedule, cl *c
 	if err != nil {
 		return nil, "", nil, err
 	}
-	return co.serve(addr)
+	lis, err := listen(addr)
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("rpcnet: listen: %w", err)
+	}
+	return co.serve(lis)
 }
 
 // newDistributed is ServeDistributed short of listening: validation,
@@ -868,17 +872,14 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 	return co, nil
 }
 
-// serve exposes the coordinator on addr and returns the server, the
-// bound address, and the result-assembling wait func. Shared by
-// ServeDistributed and RecoverDistributed.
-func (c *coordinator) serve(addr string) (*Server, string, func() (*DistributedResult, error), error) {
+// serve exposes the coordinator on lis, a TCP or in-memory listener,
+// and returns the server, the bound address, and the result-assembling
+// wait func. Shared by ServeDistributed and RecoverDistributed.
+func (c *coordinator) serve(lis net.Listener) (*Server, string, func() (*DistributedResult, error), error) {
 	srv := rpc.NewServer()
 	if err := srv.RegisterName(DistributedName, c); err != nil {
+		lis.Close()
 		return nil, "", nil, fmt.Errorf("rpcnet: register: %w", err)
-	}
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, "", nil, fmt.Errorf("rpcnet: listen: %w", err)
 	}
 	s := &Server{lis: lis, co: c, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)

@@ -3,6 +3,7 @@ package rpcnet
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/rpc"
 	"reflect"
@@ -16,7 +17,6 @@ import (
 	"hare/internal/faults"
 	"hare/internal/model"
 	"hare/internal/obs"
-	"hare/internal/stats"
 	"hare/internal/testbed"
 )
 
@@ -118,7 +118,7 @@ func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 	ch := newNetChaos(opts.Chaos, opts.ChaosSeed, gpu, opts.Recorder, opts.Metrics)
 	eobs := newExecObs(opts.Recorder, opts.Metrics, gpu)
 	dialSeed := gpuSeed(opts.ChaosSeed, gpu)
-	rng := stats.New(dialSeed)
+	rng := &lazyRNG{seed: dialSeed}
 	// The crash channel is shared across sessions: a simulated crash
 	// is a property of the executor process, not of one connection.
 	crashed := make(chan struct{})
@@ -158,7 +158,7 @@ func RunExecutorOpts(addr string, gpu int, opts ExecutorOptions) error {
 			return fmt.Errorf("rpcnet: executor %d gave up after %d fruitless reconnects: %w", gpu, fails-1, lastErr)
 		}
 		backoff := 50 * time.Millisecond << min(fails-1, 4)
-		if !sleepOrCrash(time.Duration(float64(backoff)*rng.Uniform(0.5, 1.5)), crashed) {
+		if !sleepOrCrash(time.Duration(float64(backoff)*rng.uniform(0.5, 1.5)), crashed) {
 			return errCrashed
 		}
 	}
@@ -200,16 +200,19 @@ func sleepOrCrash(d time.Duration, crashed <-chan struct{}) bool {
 }
 
 // isSessionRetryable classifies errors a fresh session (re-dial +
-// re-handshake) can fix: chaos injections, torn connections, a
-// coordinator that died (and may recover), and protocol staleness
-// after a recovery. net/rpc surfaces server-side errors as strings,
-// so the protocol markers are matched textually.
+// re-handshake) can fix: chaos injections, torn connections (a TCP
+// error, or a pipe's EOF and closed-pipe errors), a coordinator that
+// died (and may recover), and protocol staleness after a recovery.
+// net/rpc surfaces server-side errors as strings, so the protocol
+// markers are matched textually.
 func isSessionRetryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, errInjectedDrop) || errors.Is(err, errInjectedPartition) {
-		return true
+	for _, target := range []error{rpc.ErrShutdown, errInjectedDrop, errInjectedPartition, io.EOF, io.ErrUnexpectedEOF, io.ErrClosedPipe} {
+		if errors.Is(err, target) {
+			return true
+		}
 	}
 	var ne net.Error
 	if errors.As(err, &ne) {
@@ -262,7 +265,7 @@ type execSession struct {
 	// leave the process — the coordinator must notice via the lease.
 	crashed <-chan struct{}
 	mu      sync.Mutex // guards rng (heartbeat goroutine vs pull loop)
-	rng     *stats.RNG
+	rng     *lazyRNG
 }
 
 // simNow is the session's simulated time — zero before the handshake
@@ -313,7 +316,7 @@ func (s *execSession) callRetry(method string, args, reply any, retries int) err
 			return err
 		}
 		s.mu.Lock()
-		d := time.Duration(float64(backoff) * s.rng.Uniform(0.5, 1.5))
+		d := time.Duration(float64(backoff) * s.rng.uniform(0.5, 1.5))
 		s.mu.Unlock()
 		time.Sleep(d)
 		if backoff < 32*time.Millisecond {
@@ -352,7 +355,7 @@ func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 // handshook reports whether Config succeeded (resets the caller's
 // reconnect budget). A nil error means the executor's share of the
 // run completed and was reported.
-func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *stats.RNG, dialSeed int64,
+func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *lazyRNG, dialSeed int64,
 	crashed chan struct{}, crashOnce *sync.Once) (handshook bool, err error) {
 	conn, err := dialRPCSeeded(addr, dialSeed)
 	if err != nil {

@@ -107,7 +107,11 @@ func RecoverDistributed(addr string, j *Journal, ropts RecoverOptions) (*Server,
 			Note: fmt.Sprintf("epoch=%d pushes=%d fenced=%d", co.st.Epoch, len(co.st.Records), len(co.st.Fenced())),
 		})
 	}
-	return co.serve(addr)
+	lis, err := listen(addr)
+	if err != nil {
+		return nil, "", nil, fmt.Errorf("rpcnet: listen: %w", err)
+	}
+	return co.serve(lis)
 }
 
 // replayInfo describes one journal replay for the recovery events.

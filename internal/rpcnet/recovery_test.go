@@ -58,7 +58,15 @@ func assertExactlyOnce(t *testing.T, res *DistributedResult, in *core.Instance) 
 // are absorbed by the recovered dedup set, and the run completes with
 // every task applied exactly once and final checkpoints matching a
 // crash-free run to 1e-9.
-func TestKillRecoverMidBatch(t *testing.T) {
+func TestKillRecoverMidBatch(t *testing.T) { killRecoverMidBatch(t, "127.0.0.1:0") }
+
+// TestKillRecoverMidBatchMem is TestKillRecoverMidBatch over an
+// in-memory listener: the killed coordinator releases its mem: name,
+// the recovered one listens under it again, and the executors ride out
+// the kill on the pipes' errors.
+func TestKillRecoverMidBatchMem(t *testing.T) { killRecoverMidBatch(t, "mem:") }
+
+func killRecoverMidBatch(t *testing.T, listenAddr string) {
 	in, plan, cl, models := chaosWorkload(t, 5, 11)
 
 	// Crash-free in-process reference for the checkpoint equality.
@@ -83,7 +91,7 @@ func TestKillRecoverMidBatch(t *testing.T) {
 		Journal:           journal,
 		SnapshotEvery:     8,
 	}
-	srv, addr, wait, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, opts)
+	srv, addr, wait, err := ServeDistributed(listenAddr, in, plan, cl, models, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,9 @@
 // channel: the pull-based coordinator (ServeDistributed) hosts the
 // parameter servers and every task queue, and executors
 // (RunExecutorOpts) dial in, handshake, and pull, run and push one
-// task at a time over a real TCP connection.
+// task at a time over one connection: TCP for an executor in another
+// process, an in-memory pipe for a fleet in the coordinator's own
+// process (transport.go).
 //
 // The state behind the channel is testbed.State, and every transition
 // is its Apply — the same state and function the in-process engine
@@ -56,21 +58,22 @@ const (
 	DialBackoff = 100 * time.Millisecond
 )
 
-// dialRPCSeeded connects with a per-attempt timeout and bounded
+// dialRPCSeeded connects to a host:port or mem: address with bounded
 // exponential backoff between attempts. The jitter is deterministic:
 // each backoff step is scaled by a uniform factor in [0.5, 1.5) drawn
 // from a seeded stream, so runs stay reproducible while concurrent
-// dialers with distinct seeds desynchronize.
+// dialers with distinct seeds desynchronize. A dial that succeeds at
+// once draws nothing, so it allocates no stream.
 func dialRPCSeeded(addr string, seed int64) (*rpc.Client, error) {
-	rng := stats.New(seed)
+	rng := lazyRNG{seed: seed}
 	var lastErr error
 	backoff := DialBackoff
 	for attempt := 0; attempt < DialAttempts; attempt++ {
 		if attempt > 0 {
-			time.Sleep(time.Duration(float64(backoff) * rng.Uniform(0.5, 1.5)))
+			time.Sleep(time.Duration(float64(backoff) * rng.uniform(0.5, 1.5)))
 			backoff *= 2
 		}
-		conn, err := net.DialTimeout("tcp", addr, DialTimeout)
+		conn, err := dial(addr)
 		if err == nil {
 			return rpc.NewClientWithCodec(newWireCodec(conn)), nil
 		}
@@ -101,9 +104,23 @@ type PushReply struct {
 	Next       *NextReply
 }
 
-// Server hosts the coordinator's RPC endpoint on a TCP listener and
-// tracks open connections so Kill can sever them, simulating a
-// coordinator process death.
+// lazyRNG is stats.New(seed)'s stream, with the source allocated at
+// the first draw: most dials and sessions never back off.
+type lazyRNG struct {
+	seed int64
+	rng  *stats.RNG
+}
+
+func (l *lazyRNG) uniform(lo, hi float64) float64 {
+	if l.rng == nil {
+		l.rng = stats.New(l.seed)
+	}
+	return l.rng.Uniform(lo, hi)
+}
+
+// Server hosts the coordinator's RPC endpoint on a TCP or in-memory
+// listener and tracks open connections so Kill can sever them,
+// simulating a coordinator process death.
 type Server struct {
 	lis   net.Listener
 	mu    sync.Mutex
@@ -130,8 +147,8 @@ func (s *Server) untrack(conn net.Conn) {
 // future call with ErrCoordinatorDown, severs all open connections,
 // stops the lease monitor, and closes the listener — leaving whatever
 // the WAL and snapshot captured as the only surviving state, exactly
-// like a killed process. The bound port is released so a recovered
-// coordinator can re-listen on the same address.
+// like a killed process. The bound port or mem: name is released so a
+// recovered coordinator can re-listen on the same address.
 func (s *Server) Kill() error {
 	s.co.kill()
 	s.mu.Lock()

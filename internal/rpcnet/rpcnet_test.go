@@ -3,7 +3,6 @@ package rpcnet
 import (
 	"errors"
 	"math"
-	"net"
 	"net/rpc"
 	"reflect"
 	"slices"
@@ -91,13 +90,19 @@ func TestConcurrentBlockingCalls(t *testing.T) {
 // as Close starts. The test holds the lock while Close queues for it, so
 // the mutex hands it to Close before the accept loop's track; with the
 // lock held across the wait, neither would return.
-func TestCloseRacesAccept(t *testing.T) {
-	srv, addr, _ := dispatchBatch(t)
+func TestCloseRacesAccept(t *testing.T) { closeRacesAccept(t, "127.0.0.1:0") }
+
+// TestCloseRacesAcceptMem is TestCloseRacesAccept over an in-memory
+// listener, whose Accept hands over the dialer's pipe.
+func TestCloseRacesAcceptMem(t *testing.T) { closeRacesAccept(t, "mem:") }
+
+func closeRacesAccept(t *testing.T, listenAddr string) {
+	srv, addr, _ := dispatchBatchAt(t, listenAddr)
 	srv.mu.Lock()
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
 	time.Sleep(5 * time.Millisecond) // past 1 ms the mutex queues its waiters first come, first served
-	conn, err := net.Dial("tcp", addr)
+	conn, err := dial(addr)
 	if err != nil {
 		srv.mu.Unlock()
 		t.Fatal(err)

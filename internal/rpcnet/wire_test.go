@@ -151,6 +151,12 @@ func TestWireRefusesForeignFrames(t *testing.T) {
 // GPU 1, and its last push ends the batch.
 func dispatchBatch(t testing.TB) (*Server, string, *obs.Registry) {
 	t.Helper()
+	return dispatchBatchAt(t, "127.0.0.1:0")
+}
+
+// dispatchBatchAt is dispatchBatch served on addr.
+func dispatchBatchAt(t testing.TB, addr string) (*Server, string, *obs.Registry) {
+	t.Helper()
 	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 4}}, 4)
 	in := &core.Instance{
 		Jobs:    []*core.Job{{ID: 0, Name: "job-0", Model: "ResNet50", Weight: 1, Rounds: 2, Scale: 4}},
@@ -164,7 +170,7 @@ func dispatchBatch(t testing.TB) (*Server, string, *obs.Registry) {
 		plan.Place(t, 0, float64(i)*1.25)
 	}
 	reg := obs.NewRegistry()
-	srv, addr, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, []*model.Model{model.MustByName("ResNet50")},
+	srv, addr, _, err := ServeDistributed(addr, in, plan, cl, []*model.Model{model.MustByName("ResNet50")},
 		DistributedOptions{TimeScale: 1e-3, LeaseTimeout: time.Hour, Metrics: reg}) // no heartbeats: no fences
 	if err != nil {
 		t.Fatal(err)

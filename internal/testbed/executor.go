@@ -72,6 +72,7 @@ type Executor struct {
 	probs  []*Problem
 	// faults injects task failures: each training attempt fails with
 	// probability faultRate and is retried from the last checkpoint.
+	// faultRNG is nil when faultRate is 0.
 	faultRate float64
 	faultRNG  *stats.RNG
 	// slow is the straggler factor: training attempts take slow times

@@ -11,6 +11,7 @@ package testbed
 
 import (
 	"fmt"
+	"sync"
 
 	"hare/internal/stats"
 )
@@ -26,7 +27,8 @@ import (
 // owner's when it has one (an executor lends one generator to all its
 // problems), its own otherwise. So a Problem is not safe for concurrent
 // use: each parameter server and each executor builds its own, which
-// costs nothing until it trains, because NewProblem draws nothing.
+// costs nothing until it trains, because NewProblem draws nothing. What
+// depends only on (Dim, seed) is drawn once per process and shared.
 type Problem struct {
 	Dim   int
 	Batch int
@@ -35,9 +37,59 @@ type Problem struct {
 	rng   *stats.RNG // nil until the first draw, unless lent by the owner
 	// truth is the generating parameter vector (training should approach
 	// it) and heldOut Loss's fixed batch: holdout rows of Dim inputs, then
-	// their holdout labels. Both are drawn on first use.
+	// their holdout labels. Both are set on first use, from fixedData;
+	// neither is ever written.
 	truth   []float64
 	heldOut []float64
+}
+
+// fixedData holds every problem's truth and heldOut by (Dim, seed), so
+// the executors and parameter servers of a process, which each build
+// their own problems for every batch, draw them once. Seeds are job
+// IDs + 1 and Dim is ProblemDim, so the map is as large as the largest
+// batch.
+var fixedData = struct {
+	sync.Mutex
+	byKey map[fixedKey]fixedSet
+}{byKey: make(map[fixedKey]fixedSet)}
+
+type fixedKey struct {
+	dim  int
+	seed int64
+}
+
+type fixedSet struct{ truth, heldOut []float64 }
+
+// setFixed points truth and heldOut at the process's shared copy,
+// drawing it with the problem's generator if no problem of this
+// (Dim, seed) has yet.
+func (p *Problem) setFixed() {
+	fixedData.Lock()
+	defer fixedData.Unlock()
+	key := fixedKey{p.Dim, p.seed}
+	set, ok := fixedData.byKey[key]
+	if !ok {
+		rng := p.stream(p.seed)
+		truth := make([]float64, p.Dim)
+		for i := range truth {
+			truth[i] = rng.Normal(0, 1)
+		}
+		n := p.Dim * holdout
+		rng = p.stream(p.seed ^ 0x5eed)
+		heldOut := make([]float64, n+holdout)
+		for b := range holdout {
+			row := heldOut[b*p.Dim : (b+1)*p.Dim]
+			var label float64
+			for i := range row {
+				row[i] = rng.Normal(0, 1)
+				label += row[i] * truth[i]
+			}
+			heldOut[n+b] = label
+		}
+		set = fixedSet{truth, heldOut}
+		fixedData.byKey[key] = set
+	}
+	p.truth, p.heldOut = set.truth, set.heldOut
 }
 
 // holdout is the number of rows Loss evaluates.
@@ -62,15 +114,10 @@ func (p *Problem) stream(seed int64) *stats.RNG {
 	return p.rng
 }
 
-// truthVector returns the generating parameters, drawing them on first
-// use.
+// truthVector returns the generating parameters.
 func (p *Problem) truthVector() []float64 {
 	if p.truth == nil {
-		rng := p.stream(p.seed)
-		p.truth = make([]float64, p.Dim)
-		for i := range p.truth {
-			p.truth[i] = rng.Normal(0, 1)
-		}
+		p.setFixed()
 	}
 	return p.truth
 }
@@ -110,23 +157,12 @@ func (p *Problem) Gradient(w []float64, round, taskIndex int) []float64 {
 }
 
 // heldOutSet returns Loss's held-out rows (holdout rows of Dim inputs)
-// and their labels, drawing them on first use.
+// and their labels.
 func (p *Problem) heldOutSet() (rows, labels []float64) {
-	n := p.Dim * holdout
 	if p.heldOut == nil {
-		truth := p.truthVector()
-		rng := p.stream(p.seed ^ 0x5eed)
-		p.heldOut = make([]float64, n+holdout)
-		for b := range holdout {
-			row := p.heldOut[b*p.Dim : (b+1)*p.Dim]
-			var label float64
-			for i := range row {
-				row[i] = rng.Normal(0, 1)
-				label += row[i] * truth[i]
-			}
-			p.heldOut[n+b] = label
-		}
+		p.setFixed()
 	}
+	n := p.Dim * holdout
 	return p.heldOut[:n], p.heldOut[n:]
 }
 

@@ -2,7 +2,11 @@ package testbed
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
+
+	"hare/internal/stats"
 )
 
 // TestProblemStreamGolden pins every number the synthetic problems
@@ -38,5 +42,56 @@ func TestProblemStreamGolden(t *testing.T) {
 	}
 	if h != want {
 		t.Errorf("problem stream hash %#x, want %#x", h, uint64(want))
+	}
+}
+
+// TestProblemsShareFixedData: the problems of one (Dim, seed), each
+// with its own generator and goroutine, draw their truth and held-out
+// set once between them and then train on the shared copy
+// concurrently (the test is meant for -race). Every goroutine computes
+// the same gradients and losses, bit for bit, and the truth is the
+// stream stats.New(seed) starts with, as when each problem drew its
+// own.
+func TestProblemsShareFixedData(t *testing.T) {
+	const dim, seed, workers = 12, 90_001, 4 // a seed no other test draws
+	type run struct {
+		truth *float64
+		trace []float64
+	}
+	runs := make([]run, workers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for k := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p := NewProblem(dim, 4, seed)
+			w := p.InitParams()
+			<-start
+			for r := range 4 {
+				runs[k].trace = append(runs[k].trace, p.Loss(w))
+				g := p.Gradient(w, r, 0)
+				runs[k].trace = append(runs[k].trace, g...)
+				ApplySGD(w, g, 0.3)
+			}
+			runs[k].truth = &p.truthVector()[0]
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for k, r := range runs[1:] {
+		if r.truth != runs[0].truth {
+			t.Errorf("problem %d drew its own truth vector", k+1)
+		}
+		if !slices.Equal(r.trace, runs[0].trace) {
+			t.Errorf("problem %d trained to different numbers than problem 0", k+1)
+		}
+	}
+	truth := NewProblem(dim, 4, seed).truthVector()
+	rng := stats.New(seed)
+	for i, x := range truth {
+		if want := rng.Normal(0, 1); x != want {
+			t.Fatalf("truth[%d] = %v, want %v, the stream's draw", i, x, want)
+		}
 	}
 }

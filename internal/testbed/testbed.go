@@ -212,16 +212,19 @@ func newExecutor(cfg RemoteExecutorConfig) *Executor {
 		mem = gpumem.NewManager(cfg.GPUType.MemBytes)
 		mem.SetRecorder(cfg.Recorder, cfg.GPU)
 	}
-	return &Executor{
+	e := &Executor{
 		GPU: cfg.GPU, GPUType: cfg.GPUType,
 		in: cfg.Instance, models: cfg.Models, scheme: cfg.Scheme, mem: mem,
 		clock: cfg.Clock, sync: cfg.Sync, probs: NewProblems(cfg.Instance, stats.New(0)),
 		faultRate: cfg.FaultRate,
-		faultRNG:  stats.New(faults.RetrySeed(cfg.FaultSeed, cfg.GPU)),
 		slow:      cfg.SlowFactor,
 		prevJob:   -1,
 		rec:       cfg.Recorder,
 	}
+	if e.faultRate > 0 { // the only case that draws from it
+		e.faultRNG = stats.New(faults.RetrySeed(cfg.FaultSeed, cfg.GPU))
+	}
+	return e
 }
 
 // Run executes a planned schedule on the in-process testbed and
