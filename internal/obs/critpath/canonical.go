@@ -20,13 +20,13 @@ import (
 // by the private collector, so callers can pass their engine options
 // through unchanged.
 func PlanAttribution(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster, models []*model.Model, opts sim.Options) (*span.Tree, *Report, error) {
-	collect := obs.NewCollectSink()
-	opts.Recorder = obs.NewRecorder(collect)
+	var events eventLog
+	opts.Recorder = obs.NewRecorder(&events)
 	opts.Metrics = nil
 	if _, err := sim.Run(in, plan, cl, models, opts); err != nil {
 		return nil, nil, err
 	}
-	tree, err := span.Build(collect.Events())
+	tree, err := span.Build(events)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -36,3 +36,9 @@ func PlanAttribution(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster
 	}
 	return tree, rep, nil
 }
+
+// eventLog is PlanAttribution's private collector: sim.Run records from
+// one goroutine, and span.Build reads the slice itself, not a copy.
+type eventLog []obs.Event
+
+func (l *eventLog) Record(e obs.Event) { *l = append(*l, e) }

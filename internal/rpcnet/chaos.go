@@ -2,8 +2,6 @@ package rpcnet
 
 import (
 	"errors"
-	"net/rpc"
-	"reflect"
 	"sync"
 	"time"
 
@@ -157,11 +155,11 @@ func (ch *netChaos) emit(kind string) {
 	ch.rec.Emit(obs.Event{Type: obs.EvNetFault, Time: t, GPU: ch.gpu, Job: -1, Note: kind})
 }
 
-// do performs one RPC through the injector. A nil receiver is a plain
-// call.
-func (ch *netChaos) do(conn *rpc.Client, method string, args, reply any) error {
+// do performs one call of method m through the injector. A nil
+// receiver is a plain call.
+func (ch *netChaos) do(conn *client, m int, args, reply any) error {
 	if ch == nil {
-		return conn.Call(method, args, reply)
+		return conn.call(m, args, reply)
 	}
 	if ch.partitionRemaining() > 0 {
 		ch.emit("partition")
@@ -176,14 +174,13 @@ func (ch *netChaos) do(conn *rpc.Client, method string, args, reply any) error {
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	err := conn.Call(method, args, reply)
+	err := conn.call(m, args, reply)
 	if dup && err == nil {
 		// Deliver the same message again, discarding the second
 		// reply — the coordinator must answer both idempotently.
 		ch.cDups.Inc()
 		ch.emit("duplicate")
-		shadow := reflect.New(reflect.TypeOf(reply).Elem()).Interface()
-		_ = conn.Call(method, args, shadow)
+		_ = conn.call(m, args, newBody(m, true))
 	}
 	if hold > 0 {
 		// Hold the reply briefly so concurrent calls overtake it.

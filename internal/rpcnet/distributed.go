@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -50,9 +49,6 @@ import (
 // duplicate push (retried call, chaos duplication, or pre-crash push
 // whose reply was lost) returns the memoized completion instead of
 // aggregating twice; Report is idempotent too.
-
-// DistributedName is the registered net/rpc service name.
-const DistributedName = "HareTestbedCoordinator"
 
 // Default detection parameters (overridable in DistributedOptions).
 const (
@@ -421,7 +417,7 @@ func (c *coordinator) config(args ExecutorConfigArgs, reply *ExecutorConfigReply
 }
 
 // Heartbeat renews a GPU's lease. Fenced GPUs stay fenced.
-func (c *coordinator) Heartbeat(args HeartbeatArgs, reply *struct{}) error {
+func (c *coordinator) Heartbeat(args HeartbeatArgs) error {
 	return c.observe(c.obsHeartbeat, args.GPU, args.Call, &args.Epoch, func() error { return c.heartbeat(args) })
 }
 
@@ -600,7 +596,7 @@ func (c *coordinator) emitTaskLocked(rep *testbed.PushReport, comp, prevFree flo
 // retried call whose first reply was lost) is accepted idempotently.
 // An error report fences the GPU so its remaining work migrates
 // instead of aborting the run.
-func (c *coordinator) Report(args ReportArgs, reply *struct{}) error {
+func (c *coordinator) Report(args ReportArgs) error {
 	return c.observe(c.obsReport, args.GPU, args.Call, &args.Epoch, func() error { return c.report(args) })
 }
 
@@ -876,25 +872,20 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 // and returns the server, the bound address, and the result-assembling
 // wait func. Shared by ServeDistributed and RecoverDistributed.
 func (c *coordinator) serve(lis net.Listener) (*Server, string, func() (*DistributedResult, error), error) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName(DistributedName, c); err != nil {
-		lis.Close()
-		return nil, "", nil, fmt.Errorf("rpcnet: register: %w", err)
-	}
 	s := &Server{lis: lis, co: c, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
+	s.accepting.Add(1)
 	go func() {
-		defer s.wg.Done()
+		defer s.accepting.Done()
 		for {
 			conn, err := lis.Accept()
 			if err != nil {
 				return
 			}
-			s.track(conn)
-			go func() {
-				srv.ServeCodec(newWireCodec(conn))
-				s.untrack(conn)
-			}()
+			if s.track(conn) {
+				go s.serveConn(conn)
+			} else {
+				_ = conn.Close()
+			}
 		}
 	}()
 	c.mu.Lock()

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,7 +71,7 @@ type ExecutorOptions struct {
 // the wire, or the cross-process merge would pair the wrong events.
 // nil (observation off) is a valid receiver everywhere.
 type execObs struct {
-	methods    map[string]*obs.RPCMethod // by full "Service.Method" RPC name
+	methods    [numMethods]*obs.RPCMethod // by wire index
 	calls      *atomic.Uint64
 	reconnects *obs.Counter
 }
@@ -84,22 +82,21 @@ func newExecObs(rec *obs.Recorder, reg *obs.Registry, gpu int) *execObs {
 		return nil
 	}
 	e := &execObs{
-		methods:    make(map[string]*obs.RPCMethod),
 		calls:      new(atomic.Uint64),
 		reconnects: reg.Counter(fmt.Sprintf(`hare_exec_reconnects_total{gpu="%d"}`, gpu)),
 	}
-	for _, name := range []string{"Config", "Heartbeat", "Next", "Push", "Report"} {
-		e.methods[DistributedName+"."+name] = o.Method(name)
+	for m, name := range wireMethods {
+		e.methods[m] = o.Method(name)
 	}
 	return e
 }
 
-// method maps a full "Service.Method" RPC name to its handle.
-func (e *execObs) method(full string) *obs.RPCMethod {
+// method returns method m's handle.
+func (e *execObs) method(m int) *obs.RPCMethod {
 	if e == nil {
 		return nil
 	}
-	return e.methods[full]
+	return e.methods[m]
 }
 
 // gpuSeed derives GPU gpu's stream from a fleet-wide seed: distinct
@@ -203,13 +200,13 @@ func sleepOrCrash(d time.Duration, crashed <-chan struct{}) bool {
 // re-handshake) can fix: chaos injections, torn connections (a TCP
 // error, or a pipe's EOF and closed-pipe errors), a coordinator that
 // died (and may recover), and protocol staleness after a recovery.
-// net/rpc surfaces server-side errors as strings, so the protocol
-// markers are matched textually.
+// Server-side errors cross the wire as text (serverError), so the
+// protocol markers are matched textually.
 func isSessionRetryable(err error) bool {
 	if err == nil {
 		return false
 	}
-	for _, target := range []error{rpc.ErrShutdown, errInjectedDrop, errInjectedPartition, io.EOF, io.ErrUnexpectedEOF, io.ErrClosedPipe} {
+	for _, target := range []error{errInjectedDrop, errInjectedPartition, io.EOF, io.ErrUnexpectedEOF, io.ErrClosedPipe} {
 		if errors.Is(err, target) {
 			return true
 		}
@@ -249,7 +246,7 @@ func isFatalRPC(err error) bool {
 // execSession is one dial-to-teardown conversation with the
 // coordinator.
 type execSession struct {
-	conn  *rpc.Client
+	conn  *client
 	gpu   int
 	epoch uint64
 	// held is the dispatch being run: execClient.Begin answers from it.
@@ -278,40 +275,51 @@ func (s *execSession) simNow() float64 {
 	return s.clock.Now()
 }
 
-// call performs one observed RPC, retrying injected drops up to
-// retries times. When tracing is on, pointer args carrying a Call field
-// are stamped with a fresh process-wide call id before the first
-// attempt; retries reuse it, so a duplicated wire call keeps one trace
-// identity and the merge can pair client and server events
-// unambiguously.
-func (s *execSession) call(method string, args, reply any, retries int) error {
+// call performs one observed call of method m, retrying injected drops
+// up to retries times. When tracing is on, the arguments are stamped
+// with a fresh process-wide call id before the first attempt; retries
+// reuse it, so a duplicated wire call keeps one trace identity and the
+// merge can pair client and server events unambiguously.
+func (s *execSession) call(m int, args, reply any, retries int) error {
 	select {
 	case <-s.crashed:
 		return errCrashed
 	default:
 	}
-	m := s.obs.method(method)
+	o := s.obs.method(m)
 	var call uint64
-	if m.Active() {
+	if o.Active() {
 		call = s.obs.calls.Add(1)
-		if v := reflect.ValueOf(args); v.Kind() == reflect.Pointer {
-			if f := v.Elem().FieldByName("Call"); f.IsValid() && f.CanSet() && f.Kind() == reflect.Uint64 {
-				f.SetUint(call)
-			}
-		}
+		stampCall(args, call)
 	}
-	t := m.Start(s.simNow())
-	err := s.callRetry(method, args, reply, retries)
-	m.Observe(t, s.simNow(), obs.Event{GPU: s.gpu, Call: call, Epoch: s.epoch}, err)
+	t := o.Start(s.simNow())
+	err := s.callRetry(m, args, reply, retries)
+	o.Observe(t, s.simNow(), obs.Event{GPU: s.gpu, Call: call, Epoch: s.epoch}, err)
 	return err
+}
+
+// stampCall sets the trace call id of a method's arguments.
+func stampCall(args any, call uint64) {
+	switch a := args.(type) {
+	case *ExecutorConfigArgs:
+		a.Call = call
+	case *HeartbeatArgs:
+		a.Call = call
+	case *NextArgs:
+		a.Call = call
+	case *PushArgs:
+		a.Call = call
+	case *ReportArgs:
+		a.Call = call
+	}
 }
 
 // callRetry is the unobserved retry loop. A retry needs no reset of the
 // reply: the wire decodes every field of it (wire.go).
-func (s *execSession) callRetry(method string, args, reply any, retries int) error {
+func (s *execSession) callRetry(m int, args, reply any, retries int) error {
 	backoff := 2 * time.Millisecond
 	for attempt := 0; ; attempt++ {
-		err := s.chaos.do(s.conn, method, args, reply)
+		err := s.chaos.do(s.conn, m, args, reply)
 		if err == nil || attempt >= retries || !errors.Is(err, errInjectedDrop) {
 			return err
 		}
@@ -344,7 +352,7 @@ func (c execClient) Begin(t core.TaskRef) (float64, []float64, error) {
 
 func (c execClient) Push(rep testbed.PushReport) (float64, error) {
 	var reply PushReply
-	if err := c.s.call(DistributedName+".Push", &PushArgs{Report: rep, Epoch: c.s.epoch}, &reply, callRetries); err != nil {
+	if err := c.s.call(mPush, &PushArgs{Report: rep, Epoch: c.s.epoch}, &reply, callRetries); err != nil {
 		return 0, err
 	}
 	c.s.ahead = reply.Next
@@ -365,7 +373,7 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	s := &execSession{conn: conn, gpu: gpu, chaos: ch, obs: eobs, crashed: crashed, rng: rng}
 
 	var cfg ExecutorConfigReply
-	if err := s.call(DistributedName+".Config", &ExecutorConfigArgs{GPU: gpu}, &cfg, callRetries); err != nil {
+	if err := s.call(mConfig, &ExecutorConfigArgs{GPU: gpu}, &cfg, callRetries); err != nil {
 		return false, fmt.Errorf("rpcnet: fetch config: %w", err)
 	}
 	s.epoch = cfg.CoordEpoch
@@ -421,7 +429,7 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 			// Heartbeats are not retried: a dropped one is simply absorbed
 			// by the next tick.
 			var none struct{}
-			err := s.call(DistributedName+".Heartbeat", &HeartbeatArgs{GPU: gpu, Epoch: s.epoch}, &none, 0)
+			err := s.call(mHeartbeat, &HeartbeatArgs{GPU: gpu, Epoch: s.epoch}, &none, 0)
 			if err != nil && !errors.Is(err, errInjectedDrop) && !errors.Is(err, errInjectedPartition) {
 				return // torn conn, stale epoch or fence: session will notice
 			}
@@ -444,7 +452,7 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 		if s.ahead != nil {
 			s.held, s.ahead = *s.ahead, nil
 		} else {
-			if err := s.call(DistributedName+".Next", &NextArgs{GPU: gpu, Epoch: s.epoch}, &s.held, callRetries); err != nil {
+			if err := s.call(mNext, &NextArgs{GPU: gpu, Epoch: s.epoch}, &s.held, callRetries); err != nil {
 				return true, err
 			}
 		}
@@ -461,10 +469,10 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 			// A genuine local failure: surface it so the coordinator
 			// fences this GPU and migrates the rest of its queue.
 			var none struct{}
-			_ = s.call(DistributedName+".Report", &ReportArgs{GPU: gpu, Err: err.Error(), Epoch: s.epoch}, &none, callRetries)
+			_ = s.call(mReport, &ReportArgs{GPU: gpu, Err: err.Error(), Epoch: s.epoch}, &none, callRetries)
 			return true, permanentError{err}
 		}
 	}
 	var none struct{}
-	return true, s.call(DistributedName+".Report", &ReportArgs{GPU: gpu, Epoch: s.epoch}, &none, callRetries)
+	return true, s.call(mReport, &ReportArgs{GPU: gpu, Epoch: s.epoch}, &none, callRetries)
 }

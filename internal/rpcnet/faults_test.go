@@ -277,7 +277,10 @@ func TestDistributedRetryDeterminism(t *testing.T) {
 // TestReportValidation: out-of-range GPU indices are rejected before
 // any bookkeeping, stale-epoch calls are told to re-handshake,
 // duplicates are accepted idempotently, and an error report fences
-// the GPU (here the only GPU, making the run unrecoverable).
+// the GPU (here the only GPU, making the run unrecoverable). The
+// handlers' errors reach the caller as their text, which the session
+// loop classifies: a stale epoch starts a fresh session, a fence ends
+// the executor.
 func TestReportValidation(t *testing.T) {
 	cl := cluster.New([]cluster.Spec{{Type: cluster.V100, Count: 1}}, 1)
 	specs := workload.Generate(workload.Options{NumJobs: 2, RoundsScale: 0.05, MaxSync: 1, Seed: 3})
@@ -299,7 +302,7 @@ func TestReportValidation(t *testing.T) {
 	}
 	defer conn.Close()
 	call := func(args ReportArgs) error {
-		return conn.Call(DistributedName+".Report", args, &struct{}{})
+		return conn.call(mReport, &args, &struct{}{})
 	}
 	for _, gpu := range []int{-1, 1, 99} {
 		if err := call(ReportArgs{GPU: gpu, Epoch: 1}); err == nil || !strings.Contains(err.Error(), "unknown GPU") {
@@ -308,11 +311,16 @@ func TestReportValidation(t *testing.T) {
 	}
 	// A call carrying the wrong coordinator epoch (here the zero
 	// value; the live incarnation is 1) must be told to re-handshake.
-	if err := call(ReportArgs{GPU: 0}); err == nil || !strings.Contains(err.Error(), "stale coordinator epoch") {
-		t.Errorf("stale-epoch report = %v, want re-handshake rejection", err)
+	if err := call(ReportArgs{GPU: 0}); err == nil || !strings.Contains(err.Error(), "stale coordinator epoch") ||
+		err.Error() != srv.co.Report(ReportArgs{GPU: 0}).Error() || !isSessionRetryable(err) {
+		t.Errorf("stale-epoch report = %v, want the handler's re-handshake rejection, retryable", err)
 	}
 	if err := call(ReportArgs{GPU: 0, Epoch: 1, Err: "device fell off the bus"}); err != nil {
 		t.Fatalf("error report rejected: %v", err)
+	}
+	if err := conn.call(mHeartbeat, &HeartbeatArgs{GPU: 0, Epoch: 1}, &struct{}{}); err == nil ||
+		!strings.Contains(err.Error(), "GPU 0 is fenced") || !isFatalRPC(err) {
+		t.Errorf("heartbeat of the fenced GPU = %v, want its fence, fatal", err)
 	}
 	// A duplicate report — a retried call whose first reply was lost —
 	// is absorbed idempotently rather than rejected.
@@ -371,7 +379,7 @@ func TestDialBackoffRecoversLateServer(t *testing.T) {
 	}
 	defer c.Close()
 	var cfg ExecutorConfigReply
-	if err := c.Call(DistributedName+".Config", ExecutorConfigArgs{GPU: 0}, &cfg); err != nil || cfg.CoordEpoch != 1 {
+	if err := c.call(mConfig, &ExecutorConfigArgs{GPU: 0}, &cfg); err != nil || cfg.CoordEpoch != 1 {
 		t.Errorf("handshake over the late connection: epoch %d, %v", cfg.CoordEpoch, err)
 	}
 }

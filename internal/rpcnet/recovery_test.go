@@ -514,8 +514,8 @@ func TestDuplicateFailureReportsFenceOnce(t *testing.T) {
 	}
 	defer conn.Close()
 	for i := 0; i < 2; i++ {
-		if err := conn.Call(DistributedName+".Report",
-			ReportArgs{GPU: 2, Err: "xid 79: GPU has fallen off the bus", Epoch: 1}, &struct{}{}); err != nil {
+		if err := conn.call(mReport,
+			&ReportArgs{GPU: 2, Err: "xid 79: GPU has fallen off the bus", Epoch: 1}, &struct{}{}); err != nil {
 			t.Fatalf("report %d: %v", i, err)
 		}
 	}
@@ -605,8 +605,8 @@ func TestExecutorGoroutineHygiene(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// net/rpc's ServeConn goroutines drain asynchronously after the
-	// connections close; poll until the count settles back.
+	// Close does not wait for the connections' loops, which return as
+	// the executors hang up; poll until the count settles back.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

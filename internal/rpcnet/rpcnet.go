@@ -1,12 +1,11 @@
-// Package rpcnet is the control plane of the testbed: the stdlib
-// net/rpc substitute for the gRPC channel the paper's prototype uses
-// between the central scheduler and the executors. There is one
-// channel: the pull-based coordinator (ServeDistributed) hosts the
-// parameter servers and every task queue, and executors
-// (RunExecutorOpts) dial in, handshake, and pull, run and push one
-// task at a time over one connection: TCP for an executor in another
-// process, an in-memory pipe for a fleet in the coordinator's own
-// process (transport.go).
+// Package rpcnet is the control plane of the testbed: the substitute
+// for the gRPC channel the paper's prototype uses between the central
+// scheduler and the executors. There is one channel: the pull-based
+// coordinator (ServeDistributed) hosts the parameter servers and every
+// task queue, and executors (RunExecutorOpts) dial in, handshake, and
+// pull, run and push one task at a time over one connection: TCP for
+// an executor in another process, an in-memory connection for a fleet
+// in the coordinator's own process (transport.go).
 //
 // The state behind the channel is testbed.State, and every transition
 // is its Apply — the same state and function the in-process engine
@@ -27,13 +26,14 @@
 // realized end and the job's current parameters, so neither the barrier
 // nor the checkpoint is a call of its own. Next, which blocks until a
 // task is eligible, is called only when that reply carried none. The
-// messages travel in the journal's binary layout (wire.go), not gob.
+// messages travel in the journal's binary layout (wire.go), not gob,
+// and the call layer over them is this package's own (call.go): one
+// goroutine serves a connection, plus one for each Next it waits on.
 package rpcnet
 
 import (
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -64,7 +64,7 @@ const (
 // from a seeded stream, so runs stay reproducible while concurrent
 // dialers with distinct seeds desynchronize. A dial that succeeds at
 // once draws nothing, so it allocates no stream.
-func dialRPCSeeded(addr string, seed int64) (*rpc.Client, error) {
+func dialRPCSeeded(addr string, seed int64) (*client, error) {
 	rng := lazyRNG{seed: seed}
 	var lastErr error
 	backoff := DialBackoff
@@ -75,7 +75,7 @@ func dialRPCSeeded(addr string, seed int64) (*rpc.Client, error) {
 		}
 		conn, err := dial(addr)
 		if err == nil {
-			return rpc.NewClientWithCodec(newWireCodec(conn)), nil
+			return newClient(conn), nil
 		}
 		lastErr = err
 	}
@@ -120,21 +120,28 @@ func (l *lazyRNG) uniform(lo, hi float64) float64 {
 
 // Server hosts the coordinator's RPC endpoint on a TCP or in-memory
 // listener and tracks open connections so Kill can sever them,
-// simulating a coordinator process death.
+// simulating a coordinator process death. accepting counts the accept
+// loop, serving the connections' loops (call.go).
 type Server struct {
-	lis   net.Listener
-	mu    sync.Mutex
-	wg    sync.WaitGroup
-	co    *coordinator
-	conns map[net.Conn]struct{}
+	lis       net.Listener
+	mu        sync.Mutex
+	accepting sync.WaitGroup
+	serving   sync.WaitGroup
+	co        *coordinator
+	conns     map[net.Conn]struct{}
 }
 
-func (s *Server) track(conn net.Conn) {
+// track registers an accepted connection and counts its loop; false
+// means Kill has run and the connection must be closed unserved.
+func (s *Server) track(conn net.Conn) bool {
 	s.mu.Lock()
-	if s.conns != nil {
-		s.conns[conn] = struct{}{}
+	defer s.mu.Unlock()
+	if s.conns == nil {
+		return false
 	}
-	s.mu.Unlock()
+	s.conns[conn] = struct{}{}
+	s.serving.Add(1)
+	return true
 }
 
 func (s *Server) untrack(conn net.Conn) {
@@ -148,7 +155,8 @@ func (s *Server) untrack(conn net.Conn) {
 // stops the lease monitor, and closes the listener — leaving whatever
 // the WAL and snapshot captured as the only surviving state, exactly
 // like a killed process. The bound port or mem: name is released so a
-// recovered coordinator can re-listen on the same address.
+// recovered coordinator can re-listen on the same address. Kill returns
+// once the accept loop and every connection's goroutines have.
 func (s *Server) Kill() error {
 	s.co.kill()
 	s.mu.Lock()
@@ -159,7 +167,8 @@ func (s *Server) Kill() error {
 	}
 	s.conns = nil
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.accepting.Wait()
+	s.serving.Wait()
 	return err
 }
 
@@ -176,13 +185,13 @@ func (s *Server) FleetSize() int { return s.co.in.NumGPUs }
 func (s *Server) FaultPlan() *faults.Plan { return s.co.opts.Faults }
 
 // Close stops accepting connections. In-flight calls finish on their
-// own connections. Like Kill, it waits for the accept loop after
-// unlocking s.mu, which the loop takes to track a connection accepted
-// as Close starts.
+// own connections, which are served until their executors hang up.
+// Like Kill, it waits for the accept loop after unlocking s.mu, which
+// the loop takes to track a connection accepted as Close starts.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	err := s.lis.Close()
 	s.mu.Unlock()
-	s.wg.Wait()
+	s.accepting.Wait()
 	return err
 }

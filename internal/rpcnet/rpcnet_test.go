@@ -3,7 +3,6 @@ package rpcnet
 import (
 	"errors"
 	"math"
-	"net/rpc"
 	"reflect"
 	"slices"
 	"testing"
@@ -19,13 +18,18 @@ import (
 )
 
 // TestConcurrentBlockingCalls: Next blocks server-side while the GPU's
-// queue holds nothing eligible, and net/rpc runs each call in its own
-// goroutine — so a blocked Next must not stall the Heartbeat and Push
-// calls that share its connection (the executor's heartbeat goroutine
-// does exactly that). GPU 1's queue is all later rounds of the one job,
-// so its first Next waits for round 0 to fully push and then carries
-// that round's realized end.
+// queue holds nothing eligible, and the connection's loop runs every
+// other call in place — so Next must wait on a goroutine of its own,
+// not stall the Heartbeat and Push calls that share its connection (the
+// executor's heartbeat goroutine does exactly that). GPU 1's queue is
+// all later rounds of the one job, so its first Next waits for round 0
+// to fully push and then carries that round's realized end.
 func TestConcurrentBlockingCalls(t *testing.T) {
+	t.Run("tcp", func(t *testing.T) { concurrentBlockingCalls(t, "127.0.0.1:0") })
+	t.Run("mem", func(t *testing.T) { concurrentBlockingCalls(t, "mem:") })
+}
+
+func concurrentBlockingCalls(t *testing.T, listenAddr string) {
 	in, _, cl, models := chaosWorkload(t, 1, 5)
 	job := in.Jobs[0]
 	if job.Rounds < 2 {
@@ -41,7 +45,7 @@ func TestConcurrentBlockingCalls(t *testing.T) {
 			at += in.Train[0][g] + in.Sync[0][g]
 		}
 	}
-	srv, addr, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{
+	srv, addr, _, err := ServeDistributed(listenAddr, in, plan, cl, models, DistributedOptions{
 		TimeScale:    1e-3,
 		LeaseTimeout: time.Hour, // no executors run; the monitor must not interfere
 	})
@@ -56,19 +60,25 @@ func TestConcurrentBlockingCalls(t *testing.T) {
 	defer conn.Close()
 
 	var next NextReply
-	blocked := conn.Go(DistributedName+".Next", NextArgs{GPU: 1, Epoch: 1}, &next, nil)
-	if err := conn.Call(DistributedName+".Heartbeat", HeartbeatArgs{GPU: 1, Epoch: 1}, &struct{}{}); err != nil {
-		t.Fatalf("heartbeat behind a blocked Next: %v", err)
+	blocked := goCall(conn, mNext, &NextArgs{GPU: 1, Epoch: 1}, &next)
+	time.Sleep(10 * time.Millisecond) // the Next is waiting server-side
+	select {
+	case err := <-goCall(conn, mHeartbeat, &HeartbeatArgs{GPU: 1, Epoch: 1}, &struct{}{}):
+		if err != nil {
+			t.Fatalf("heartbeat behind a blocked Next: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("heartbeat unanswered 5 s behind a blocked Next")
 	}
 	var last float64
 	for i := 0; i < job.Scale; i++ {
 		select {
-		case <-blocked.Done:
-			t.Fatalf("Next returned after %d of %d pushes: %+v, %v", i, job.Scale, next, blocked.Error)
+		case err := <-blocked:
+			t.Fatalf("Next returned after %d of %d pushes: %+v, %v", i, job.Scale, next, err)
 		default:
 		}
 		var reply PushReply
-		if err := conn.Call(DistributedName+".Push", PushArgs{Epoch: 1, Report: testbed.PushReport{
+		if err := conn.call(mPush, &PushArgs{Epoch: 1, Report: testbed.PushReport{
 			Task: core.TaskRef{Job: 0, Round: 0, Index: i}, GPU: 0, TrainEnd: 1, Grad: make([]float64, 32),
 		}}, &reply); err != nil {
 			t.Fatalf("push %d behind a blocked Next: %v", i, err)
@@ -76,12 +86,12 @@ func TestConcurrentBlockingCalls(t *testing.T) {
 		last = max(last, reply.Completion)
 	}
 	select {
-	case <-blocked.Done:
+	case err = <-blocked:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Next still blocked after the round's last push")
 	}
-	if want := (core.TaskRef{Job: 0, Round: 1, Index: 0}); blocked.Error != nil || next.Task != want || next.RoundEnd != last {
-		t.Errorf("Next = %+v, %v; want %v with the round's realized end %g", next, blocked.Error, want, last)
+	if want := (core.TaskRef{Job: 0, Round: 1, Index: 0}); err != nil || next.Task != want || next.RoundEnd != last {
+		t.Errorf("Next = %+v, %v; want %v with the round's realized end %g", next, err, want, last)
 	}
 }
 
@@ -132,7 +142,7 @@ type scriptedFleet struct {
 	ckpt  store.Store
 	probs []*testbed.Problem
 	srv   *Server
-	conn  *rpc.Client
+	conn  *client
 	epoch uint64
 }
 
@@ -148,7 +158,7 @@ func (f *scriptedFleet) attach(srv *Server, addr string) {
 	f.srv, f.conn = srv, conn
 	for g := 0; g < f.in.NumGPUs; g++ {
 		var cfg ExecutorConfigReply
-		if err := conn.Call(DistributedName+".Config", ExecutorConfigArgs{GPU: g}, &cfg); err != nil {
+		if err := conn.call(mConfig, &ExecutorConfigArgs{GPU: g}, &cfg); err != nil {
 			f.t.Fatal(err)
 		}
 		f.epoch = cfg.CoordEpoch
@@ -174,7 +184,7 @@ func (f *scriptedFleet) next(g int) NextReply {
 	args := NextArgs{GPU: g, Epoch: f.epoch}
 	var d, dup NextReply
 	for _, reply := range []*NextReply{&d, &dup} {
-		if err := f.conn.Call(DistributedName+".Next", args, reply); err != nil {
+		if err := f.conn.call(mNext, &args, reply); err != nil {
 			f.t.Fatal(err)
 		}
 	}
@@ -203,7 +213,7 @@ func (f *scriptedFleet) push(g int, d NextReply) {
 		Task: t, GPU: g, Start: d.RoundEnd, TrainEnd: d.RoundEnd + f.in.Train[t.Job][g],
 		Grad: f.probs[t.Job].Gradient(d.Params, t.Round, t.Index),
 	}
-	if err := f.conn.Call(DistributedName+".Push", PushArgs{Report: rep, Epoch: f.epoch}, &PushReply{}); err != nil {
+	if err := f.conn.call(mPush, &PushArgs{Report: rep, Epoch: f.epoch}, &PushReply{}); err != nil {
 		f.t.Fatal(err)
 	}
 }

@@ -1,18 +1,24 @@
 package rpcnet
 
 import (
+	"bytes"
+	"errors"
+	"io"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
+	"time"
 )
 
 // The transport: a coordinator address is either host:port, served on
 // TCP, or mem:name, served in memory to executors in the same process.
-// An in-memory connection is one net.Pipe, so the coordinator and its
-// in-process fleet talk through the same codec, accept loop and Kill
-// path as a remote fleet, without sockets. The names live in a
+// An in-memory connection is a pair of byte queues, one each way, so
+// the coordinator and its in-process fleet talk through the same codec,
+// accept loop and Kill path as a remote fleet, without sockets. A write
+// appends to its queue and returns at once, and a read waits only for
+// bytes; neither takes a deadline. The names live in a
 // process-local registry: "mem:" alone listens under a fresh name (as
 // port 0 does on TCP), a closed listener releases its name so a
 // recovered coordinator can listen under it again, and dialing a name
@@ -43,6 +49,7 @@ func dial(addr string) (net.Conn, error) {
 var (
 	_ net.Listener = (*memListener)(nil)
 	_ net.Addr     = memAddr("")
+	_ net.Conn     = (*memConn)(nil)
 )
 
 // memAddr is an in-memory listener's address.
@@ -59,7 +66,7 @@ var memNames = struct {
 	next   uint64
 }{byName: make(map[string]*memListener)}
 
-// memListener hands each dialer's server end of a pipe to Accept.
+// memListener hands each dialer's server end of a connection to Accept.
 type memListener struct {
 	name    memAddr
 	conns   chan net.Conn
@@ -88,7 +95,7 @@ func dialMem(name string) (net.Conn, error) {
 	l := memNames.byName[name]
 	memNames.Unlock()
 	if l != nil {
-		client, server := net.Pipe()
+		client, server := memPipe(l.name)
 		select {
 		case l.conns <- server:
 			return client, nil
@@ -127,3 +134,96 @@ func (l *memListener) Close() error {
 }
 
 func (l *memListener) Addr() net.Addr { return l.name }
+
+// memQueue is one direction of an in-memory connection. Its buffer is
+// reused once the reader drains it, so a message costs no allocation.
+type memQueue struct {
+	mu    sync.Mutex
+	ready sync.Cond // signalled when bytes arrive or an end closes
+	buf   bytes.Buffer
+	rdone bool // the reading end closed
+	wdone bool // the writing end closed
+}
+
+func newMemQueue() *memQueue {
+	q := &memQueue{}
+	q.ready.L = &q.mu
+	return q
+}
+
+// read copies what is queued into p, waiting for bytes. Once the
+// writer has closed, it drains the queue and then returns io.EOF; once
+// the reader has, io.ErrClosedPipe.
+func (q *memQueue) read(p []byte) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		switch {
+		case q.rdone:
+			return 0, io.ErrClosedPipe
+		case q.buf.Len() > 0:
+			return q.buf.Read(p)
+		case q.wdone:
+			return 0, io.EOF
+		}
+		q.ready.Wait()
+	}
+}
+
+// write queues p; either end having closed makes it io.ErrClosedPipe.
+func (q *memQueue) write(p []byte) (int, error) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.rdone || q.wdone {
+		return 0, io.ErrClosedPipe
+	}
+	q.ready.Signal()
+	return q.buf.Write(p)
+}
+
+// close marks the reading or the writing end closed and wakes the
+// reader.
+func (q *memQueue) close(reader bool) {
+	q.mu.Lock()
+	if reader {
+		q.rdone = true
+	} else {
+		q.wdone = true
+	}
+	q.ready.Broadcast()
+	q.mu.Unlock()
+}
+
+// memConn is one end of an in-memory connection: it reads one queue and
+// writes the other.
+type memConn struct {
+	in, out *memQueue
+	addr    memAddr
+}
+
+// memPipe returns the two ends of a connection to the listener at addr.
+func memPipe(addr memAddr) (client, server *memConn) {
+	up, down := newMemQueue(), newMemQueue()
+	return &memConn{in: down, out: up, addr: addr}, &memConn{in: up, out: down, addr: addr}
+}
+
+func (c *memConn) Read(p []byte) (int, error)  { return c.in.read(p) }
+func (c *memConn) Write(p []byte) (int, error) { return c.out.write(p) }
+
+// Close ends both directions at this end: a pending Read returns, and
+// the peer drains what was written before reading io.EOF.
+func (c *memConn) Close() error {
+	c.in.close(true)
+	c.out.close(false)
+	return nil
+}
+
+func (c *memConn) LocalAddr() net.Addr  { return c.addr }
+func (c *memConn) RemoteAddr() net.Addr { return c.addr }
+
+// errNoDeadline refuses a deadline on an in-memory connection.
+var errNoDeadline = &net.OpError{Op: "set deadline", Net: "mem", Err: errors.ErrUnsupported}
+
+func (c *memConn) SetDeadline(time.Time) error      { return errNoDeadline }
+func (c *memConn) SetReadDeadline(time.Time) error  { return errNoDeadline }
+func (c *memConn) SetWriteDeadline(time.Time) error { return errNoDeadline }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/rpc"
+	"net"
 	"os"
 	"runtime"
 	"syscall"
@@ -98,9 +98,11 @@ func TestMemDialRacesClose(t *testing.T) {
 }
 
 // TestMemKillSeversPipes: Kill severs the in-memory connections it
-// accepted. A Next blocked on one and a call after the kill fail with
-// errors a fresh session retries, a dial of the dead name is refused,
-// and every goroutine of the coordinator and the connection returns.
+// accepted. Every call pending on one — a Next waiting on the round
+// barrier and two waiting for work that never comes — and a call after
+// the kill fail with errors a fresh session retries, a dial of the dead
+// name is refused, and every goroutine of the coordinator and the
+// connection returns.
 func TestMemKillSeversPipes(t *testing.T) {
 	before := runtime.NumGoroutine()
 	srv, addr, _ := dispatchBatchAt(t, "mem:")
@@ -108,34 +110,40 @@ func TestMemKillSeversPipes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	call := func(method string, args, reply any) {
+	call := func(m int, args, reply any) {
 		t.Helper()
-		if err := conn.Call(DistributedName+"."+method, args, reply); err != nil {
-			t.Fatalf("%s %+v: %v", method, args, err)
+		if err := conn.call(m, args, reply); err != nil {
+			t.Fatalf("%s %+v: %v", wireMethods[m], args, err)
 		}
 	}
 	// GPU 0 runs round 0's three tasks; its Next then blocks on GPU 1's.
 	for g := range 2 {
-		call("Config", ExecutorConfigArgs{GPU: g}, &ExecutorConfigReply{})
+		call(mConfig, &ExecutorConfigArgs{GPU: g}, &ExecutorConfigReply{})
 	}
-	call("Next", NextArgs{GPU: 0, Epoch: 1}, &NextReply{})
+	call(mNext, &NextArgs{GPU: 0, Epoch: 1}, &NextReply{})
 	for i := range 3 {
-		call("Push", testPush(task(0, i), 0), &PushReply{})
+		args := testPush(task(0, i), 0)
+		call(mPush, &args, &PushReply{})
 	}
-	blocked := conn.Go(DistributedName+".Next", NextArgs{GPU: 0, Epoch: 1}, &NextReply{}, nil)
+	var pending []<-chan error
+	for _, g := range []int{0, 2, 3} {
+		pending = append(pending, goCall(conn, mNext, &NextArgs{GPU: g, Epoch: 1}, &NextReply{}))
+	}
 	time.Sleep(20 * time.Millisecond)
 	if err := srv.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-blocked.Done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Next still blocked 5 s after Kill")
+	for i, done := range pending {
+		select {
+		case err := <-done:
+			if !isSessionRetryable(err) {
+				t.Errorf("pending Next %d ended with %v, which a session does not retry", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("pending Next %d still blocked 5 s after Kill", i)
+		}
 	}
-	if !isSessionRetryable(blocked.Error) {
-		t.Errorf("blocked Next ended with %v, which a session does not retry", blocked.Error)
-	}
-	if err := conn.Call(DistributedName+".Heartbeat", HeartbeatArgs{GPU: 0, Epoch: 1}, &struct{}{}); !isSessionRetryable(err) {
+	if err := conn.call(mHeartbeat, &HeartbeatArgs{GPU: 0, Epoch: 1}, &struct{}{}); !isSessionRetryable(err) {
 		t.Errorf("a call after Kill = %v, which a session does not retry", err)
 	}
 	conn.Close()
@@ -164,12 +172,12 @@ func TestSessionRetryablePipeErrors(t *testing.T) {
 		{io.ErrUnexpectedEOF, true},
 		{io.ErrClosedPipe, true},
 		{fmt.Errorf("rpcnet: fetch config: %w", io.ErrClosedPipe), true},
-		{rpc.ErrShutdown, true},
+		{net.ErrClosed, true},
 		{os.ErrDeadlineExceeded, true},
-		{rpc.ServerError("rpcnet: coordinator down"), true},
+		{serverError("rpcnet: coordinator down"), true},
 		{nil, false},
 		{errors.New("testbed: gradient with 3 params for dim 32"), false},
-		{rpc.ServerError("rpcnet: GPU 2 is fenced"), false},
+		{serverError("rpcnet: GPU 2 is fenced"), false},
 	} {
 		if got := isSessionRetryable(c.err); got != c.want {
 			t.Errorf("isSessionRetryable(%v) = %v, want %v", c.err, got, c.want)

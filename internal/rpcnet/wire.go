@@ -6,21 +6,20 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/rpc"
-	"reflect"
 	"slices"
+	"sync"
 
 	"hare/internal/switching"
 )
 
-// The wire: net/rpc's server and client codecs over the journal's
-// binary layout (codec.go), so every message costs one hand-written
-// encoding instead of gob's per-connection type exchange. A frame is
-// layoutVersion, the message's length as four little-endian bytes, then
-// the message:
+// The wire: the frames the coordinator's call layer (call.go) reads and
+// writes, in the journal's binary layout (codec.go), so every message
+// costs one hand-written encoding instead of gob's per-connection type
+// exchange. A frame is layoutVersion, the message's length as four
+// little-endian bytes, then the message:
 //
-//   - a request is its method's index in wireMethods (one byte), the
-//     call's sequence number and the method's arguments;
+//   - a request is its method's index (one byte), the call's sequence
+//     number and the method's arguments;
 //   - a reply is the method's index, the sequence number, the error
 //     string and — when that is empty — the method's reply.
 //
@@ -33,26 +32,42 @@ import (
 // no panic, bounded allocation, and what it accepts re-encodes to the
 // same bytes.
 
-// wireMethods are the coordinator's methods in wire order, each with
-// the types of its arguments and its reply.
-var wireMethods = [...]struct {
-	name        string
-	args, reply reflect.Type
-}{
-	{DistributedName + ".Config", reflect.TypeFor[ExecutorConfigArgs](), reflect.TypeFor[ExecutorConfigReply]()},
-	{DistributedName + ".Heartbeat", reflect.TypeFor[HeartbeatArgs](), reflect.TypeFor[struct{}]()},
-	{DistributedName + ".Next", reflect.TypeFor[NextArgs](), reflect.TypeFor[NextReply]()},
-	{DistributedName + ".Push", reflect.TypeFor[PushArgs](), reflect.TypeFor[PushReply]()},
-	{DistributedName + ".Report", reflect.TypeFor[ReportArgs](), reflect.TypeFor[struct{}]()},
-}
+// The coordinator's methods, by their index on the wire.
+const (
+	mConfig = iota
+	mHeartbeat
+	mNext
+	mPush
+	mReport
+	numMethods
+)
 
-func methodIndex(name string) (int, error) {
-	for i := range wireMethods {
-		if wireMethods[i].name == name {
-			return i, nil
-		}
+// wireMethods names the methods in wire order, as the rpc.server and
+// rpc.client observations label them.
+var wireMethods = [numMethods]string{"Config", "Heartbeat", "Next", "Push", "Report"}
+
+// newBody returns a zero body for method m: its arguments, or its reply.
+// Heartbeat and Report reply with nothing.
+func newBody(m int, reply bool) any {
+	switch {
+	case !reply && m == mConfig:
+		return new(ExecutorConfigArgs)
+	case !reply && m == mHeartbeat:
+		return new(HeartbeatArgs)
+	case !reply && m == mNext:
+		return new(NextArgs)
+	case !reply && m == mPush:
+		return new(PushArgs)
+	case !reply:
+		return new(ReportArgs)
+	case m == mConfig:
+		return new(ExecutorConfigReply)
+	case m == mNext:
+		return new(NextReply)
+	case m == mPush:
+		return new(PushReply)
 	}
-	return 0, fmt.Errorf("rpcnet: %q has no wire layout", name)
+	return new(struct{})
 }
 
 const (
@@ -63,9 +78,9 @@ const (
 	frameHeader = 5 // layoutVersion and the length
 )
 
-// wireMsg is one message: the method's index in wireMethods, the
-// call's sequence number, a reply's error, and the body — a pointer to
-// the method's arguments or reply, nil after an error reply.
+// wireMsg is one message: the method's index, the call's sequence
+// number, a reply's error, and the body — a pointer to the method's
+// arguments or reply, nil after an error reply.
 type wireMsg struct {
 	method int
 	seq    uint64
@@ -250,15 +265,15 @@ func getBody(d *decoder, body any) {
 	}
 }
 
-// wireCodec is one end of a connection: net/rpc's ServerCodec on the
-// coordinator, its ClientCodec on an executor. net/rpc reads messages
-// from one goroutine and serializes writes, so the read and write
-// buffers are each used by one goroutine at a time.
+// wireCodec is one end of a connection. One goroutine reads — the
+// server's connection loop, the client's reader — so the read buffers
+// need no lock; writes come from several (a server's Next goroutines,
+// a client's callers) and take wmu.
 type wireCodec struct {
 	conn io.ReadWriteCloser
 	in   frameReader
 	msg  decoder // the message being read, after its header
-	body reflect.Type
+	wmu  sync.Mutex
 	out  []byte
 }
 
@@ -266,8 +281,7 @@ func newWireCodec(conn io.ReadWriteCloser) *wireCodec {
 	return &wireCodec{conn: conn, in: frameReader{r: bufio.NewReader(conn)}}
 }
 
-// readHeader reads the next message up to its body, and notes the
-// type that body has.
+// readHeader reads the next message up to its body.
 func (c *wireCodec) readHeader(reply bool) (wireMsg, error) {
 	p, err := c.in.next()
 	if err != nil {
@@ -275,31 +289,20 @@ func (c *wireCodec) readHeader(reply bool) (wireMsg, error) {
 	}
 	c.msg = decoder{b: p}
 	m := c.msg.header(reply)
-	if c.msg.err != nil {
-		return wireMsg{}, c.msg.err
-	}
-	c.body = wireMethods[m.method].args
-	if reply {
-		c.body = wireMethods[m.method].reply
-	}
-	return m, nil
+	return m, c.msg.err
 }
 
-// readBody decodes the body into body, a pointer to the method's type;
-// a nil body (an error reply, a call nobody waits for, a method net/rpc
-// could not find) discards it.
+// readBody decodes the body of the message readHeader read into body, a
+// pointer to the type the method's request or reply carries.
 func (c *wireCodec) readBody(body any) error {
-	if body == nil {
-		return nil
-	}
-	if reflect.TypeOf(body) != reflect.PointerTo(c.body) {
-		return fmt.Errorf("rpcnet: the message carries %v, not %T", c.body, body)
-	}
 	getBody(&c.msg, body)
 	return c.msg.end()
 }
 
+// write sends one message.
 func (c *wireCodec) write(m *wireMsg, reply bool) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
 	var err error
 	if c.out, err = appendMsg(c.out[:0], m, reply); err != nil {
 		return err
@@ -307,54 +310,3 @@ func (c *wireCodec) write(m *wireMsg, reply bool) error {
 	_, err = c.conn.Write(c.out)
 	return err
 }
-
-func (c *wireCodec) ReadRequestHeader(r *rpc.Request) error {
-	m, err := c.readHeader(false)
-	if err != nil {
-		return err
-	}
-	r.ServiceMethod, r.Seq = wireMethods[m.method].name, m.seq
-	return nil
-}
-
-func (c *wireCodec) ReadRequestBody(body any) error { return c.readBody(body) }
-
-func (c *wireCodec) WriteResponse(r *rpc.Response, body any) error {
-	m, err := methodIndex(r.ServiceMethod)
-	if err != nil {
-		return err
-	}
-	return c.write(&wireMsg{method: m, seq: r.Seq, err: r.Error, body: body}, true)
-}
-
-// WriteRequest encodes the arguments, given by value or by pointer; a
-// type other than the method's is refused before anything is written.
-func (c *wireCodec) WriteRequest(r *rpc.Request, body any) error {
-	m, err := methodIndex(r.ServiceMethod)
-	if err != nil {
-		return err
-	}
-	t := wireMethods[m].args
-	switch v := reflect.ValueOf(body); {
-	case v.Type() == t:
-		p := reflect.New(t)
-		p.Elem().Set(v)
-		body = p.Interface()
-	case v.Type() != reflect.PointerTo(t) || v.IsNil():
-		return fmt.Errorf("rpcnet: %s takes %v, not %T", r.ServiceMethod, t, body)
-	}
-	return c.write(&wireMsg{method: m, seq: r.Seq, body: body}, false)
-}
-
-func (c *wireCodec) ReadResponseHeader(r *rpc.Response) error {
-	m, err := c.readHeader(true)
-	if err != nil {
-		return err
-	}
-	r.ServiceMethod, r.Seq, r.Error = wireMethods[m.method].name, m.seq, m.err
-	return nil
-}
-
-func (c *wireCodec) ReadResponseBody(body any) error { return c.readBody(body) }
-
-func (c *wireCodec) Close() error { return c.conn.Close() }

@@ -29,11 +29,7 @@ func decodeMsg(p []byte, reply bool) (*wireMsg, error) {
 	d := decoder{b: p}
 	m := d.header(reply)
 	if d.err == nil && (!reply || m.err == "") {
-		t := wireMethods[m.method].args
-		if reply {
-			t = wireMethods[m.method].reply
-		}
-		m.body = reflect.New(t).Interface()
+		m.body = newBody(m.method, reply)
 		getBody(&d, m.body)
 	}
 	if err := d.end(); err != nil {
@@ -83,23 +79,20 @@ func fill(t *testing.T, v reflect.Value, n *int) {
 func TestWireCoversEveryField(t *testing.T) {
 	for m, method := range wireMethods {
 		for _, reply := range []bool{false, true} {
-			typ := method.args
-			if reply {
-				typ = method.reply
-			}
-			want := reflect.New(typ)
+			want := reflect.ValueOf(newBody(m, reply))
+			typ := want.Type().Elem()
 			n := 0
 			fill(t, want.Elem(), &n)
 			frame, err := appendMsg(nil, &wireMsg{method: m, seq: uint64(n), body: want.Interface()}, reply)
 			if err != nil {
-				t.Fatalf("%s: %v", method.name, err)
+				t.Fatalf("%s: %v", method, err)
 			}
 			got, err := decodeMsg(frame[frameHeader:], reply)
 			if err != nil {
-				t.Fatalf("%s %v: %v", method.name, typ, err)
+				t.Fatalf("%s %v: %v", method, typ, err)
 			}
 			if got.method != m || got.seq != uint64(n) || !reflect.DeepEqual(got.body, want.Interface()) {
-				t.Errorf("%s %v crossed the wire as %+v, sent %+v", method.name, typ, got.body, want.Interface())
+				t.Errorf("%s %v crossed the wire as %+v, sent %+v", method, typ, got.body, want.Interface())
 			}
 		}
 	}
@@ -206,7 +199,7 @@ func TestPushCarriesDispatch(t *testing.T) {
 	push := func(args PushArgs) *PushReply {
 		t.Helper()
 		var reply PushReply
-		if err := conn.Call(DistributedName+".Push", args, &reply); err != nil {
+		if err := conn.call(mPush, &args, &reply); err != nil {
 			t.Fatalf("push of %v: %v", args.Report.Task, err)
 		}
 		return &reply
@@ -218,7 +211,7 @@ func TestPushCarriesDispatch(t *testing.T) {
 		return srv.co.st.GPUs[0].Inflight, len(srv.co.st.GPUs[0].Queue)
 	}
 	var first NextReply
-	if err := conn.Call(DistributedName+".Next", NextArgs{GPU: 0, Epoch: 1}, &first); err != nil || first.Task != task(0, 0) {
+	if err := conn.call(mNext, &NextArgs{GPU: 0, Epoch: 1}, &first); err != nil || first.Task != task(0, 0) {
 		t.Fatalf("GPU 0's first Next = %+v, %v; want %v", first, err, task(0, 0))
 	}
 
@@ -244,7 +237,8 @@ func TestPushCarriesDispatch(t *testing.T) {
 	// Duplicated on the wire: two deliveries, one dispatch.
 	dup := newNetChaos(&faults.NetChaos{Dup: 1}, 1, 0, nil, nil)
 	r = &PushReply{}
-	if err := dup.do(conn, DistributedName+".Push", testPush(task(0, 1), 0), r); err != nil {
+	dupArgs := testPush(task(0, 1), 0)
+	if err := dup.do(conn, mPush, &dupArgs, r); err != nil {
 		t.Fatal(err)
 	}
 	if r.Next == nil || r.Next.Task != task(0, 2) {
@@ -263,15 +257,15 @@ func TestPushCarriesDispatch(t *testing.T) {
 	}
 	end = max(end, r.Completion)
 	var blockedReply NextReply
-	blocked := conn.Go(DistributedName+".Next", NextArgs{GPU: 0, Epoch: 1}, &blockedReply, nil)
+	blocked := goCall(conn, mNext, &NextArgs{GPU: 0, Epoch: 1}, &blockedReply)
 	time.Sleep(20 * time.Millisecond)
 	select {
-	case <-blocked.Done:
-		t.Fatalf("GPU 0's Next returned %+v, %v before round 0 completed", blockedReply, blocked.Error)
+	case err := <-blocked:
+		t.Fatalf("GPU 0's Next returned %+v, %v before round 0 completed", blockedReply, err)
 	default:
 	}
 	var onGPU1 NextReply
-	if err := conn.Call(DistributedName+".Next", NextArgs{GPU: 1, Epoch: 1}, &onGPU1); err != nil || onGPU1.Task != task(0, 3) {
+	if err := conn.call(mNext, &NextArgs{GPU: 1, Epoch: 1}, &onGPU1); err != nil || onGPU1.Task != task(0, 3) {
 		t.Fatalf("GPU 1's Next = %+v, %v; want %v", onGPU1, err, task(0, 3))
 	}
 	r = push(testPush(task(0, 3), 1))
@@ -280,12 +274,12 @@ func TestPushCarriesDispatch(t *testing.T) {
 	}
 	end = max(end, r.Completion)
 	select {
-	case <-blocked.Done:
+	case err = <-blocked:
 	case <-time.After(10 * time.Second):
 		t.Fatal("GPU 0's Next still blocked after round 0 completed")
 	}
-	if blocked.Error != nil || blockedReply.Task != task(1, 0) || blockedReply.RoundEnd != end {
-		t.Fatalf("GPU 0's blocked Next = %+v, %v; want %v with round 0's end %g", blockedReply, blocked.Error, task(1, 0), end)
+	if err != nil || blockedReply.Task != task(1, 0) || blockedReply.RoundEnd != end {
+		t.Fatalf("GPU 0's blocked Next = %+v, %v; want %v with round 0's end %g", blockedReply, err, task(1, 0), end)
 	}
 
 	// Round 1 runs on piggybacked dispatches alone, and the last push's
@@ -313,7 +307,7 @@ func TestPushCarriesDispatch(t *testing.T) {
 func TestRehandshakeAfterTornNext(t *testing.T) {
 	srv, addr, _ := dispatchBatch(t)
 	defer srv.Kill()
-	dial := func() *rpc.Client {
+	dial := func() *client {
 		t.Helper()
 		conn, err := dialRPCSeeded(addr, 0)
 		if err != nil {
@@ -321,16 +315,16 @@ func TestRehandshakeAfterTornNext(t *testing.T) {
 		}
 		return conn
 	}
-	call := func(conn *rpc.Client, method string, args, reply any) {
+	call := func(conn *client, m int, args, reply any) {
 		t.Helper()
-		if err := conn.Call(DistributedName+"."+method, args, reply); err != nil {
-			t.Fatalf("%s %+v: %v", method, args, err)
+		if err := conn.call(m, args, reply); err != nil {
+			t.Fatalf("%s %+v: %v", wireMethods[m], args, err)
 		}
 	}
-	handshake := func(conn *rpc.Client, g int) {
+	handshake := func(conn *client, g int) {
 		t.Helper()
 		var cfg ExecutorConfigReply
-		call(conn, "Config", ExecutorConfigArgs{GPU: g}, &cfg)
+		call(conn, mConfig, &ExecutorConfigArgs{GPU: g}, &cfg)
 	}
 
 	// GPU 0 runs round 0's first three tasks; the third push finds round 1
@@ -340,10 +334,11 @@ func TestRehandshakeAfterTornNext(t *testing.T) {
 	handshake(conn, 0)
 	handshake(conn, 1)
 	var d NextReply
-	call(conn, "Next", NextArgs{GPU: 0, Epoch: 1}, &d)
+	call(conn, mNext, &NextArgs{GPU: 0, Epoch: 1}, &d)
 	for i := 0; i < 3; i++ {
 		var r PushReply
-		call(conn, "Push", testPush(task(0, i), 0), &r)
+		args := testPush(task(0, i), 0)
+		call(conn, mPush, &args, &r)
 		if (i < 2) != (r.Next != nil) {
 			t.Fatalf("push of %v carried %+v", task(0, i), r.Next)
 		}
@@ -353,33 +348,36 @@ func TestRehandshakeAfterTornNext(t *testing.T) {
 	// A session's Next blocks, and its connection dies under it.
 	zombie := dial()
 	handshake(zombie, 0)
-	torn := zombie.Go(DistributedName+".Next", NextArgs{GPU: 0, Epoch: 1}, &NextReply{}, nil)
+	torn := goCall(zombie, mNext, &NextArgs{GPU: 0, Epoch: 1}, &NextReply{})
 	time.Sleep(20 * time.Millisecond)
 	zombie.Close()
-	<-torn.Done
+	<-torn
 
 	// The GPU re-handshakes on a new connection and asks again.
 	live := dial()
 	handshake(live, 0)
 	var liveReply NextReply
-	waiting := live.Go(DistributedName+".Next", NextArgs{GPU: 0, Epoch: 1}, &liveReply, nil)
+	waiting := goCall(live, mNext, &NextArgs{GPU: 0, Epoch: 1}, &liveReply)
 	var onGPU1 NextReply
-	call(conn, "Next", NextArgs{GPU: 1, Epoch: 1}, &onGPU1)
-	call(conn, "Push", testPush(onGPU1.Task, 1), &PushReply{})
+	call(conn, mNext, &NextArgs{GPU: 1, Epoch: 1}, &onGPU1)
+	gpu1Push := testPush(onGPU1.Task, 1)
+	call(conn, mPush, &gpu1Push, &PushReply{})
+	var err error
 	select {
-	case <-waiting.Done:
+	case err = <-waiting:
 	case <-time.After(10 * time.Second):
 		t.Fatal("the live session's Next still blocked after round 0 completed")
 	}
-	if waiting.Error != nil || liveReply.Task != task(1, 0) {
-		t.Fatalf("the live session's Next = %+v, %v; want %v", liveReply, waiting.Error, task(1, 0))
+	if err != nil || liveReply.Task != task(1, 0) {
+		t.Fatalf("the live session's Next = %+v, %v; want %v", liveReply, err, task(1, 0))
 	}
 	for i, next := 0, &liveReply; !next.Done; i++ {
 		if next.Task != task(1, i) {
 			t.Fatalf("the live session was dispatched %v, want %v", next.Task, task(1, i))
 		}
 		var r PushReply
-		call(live, "Push", testPush(next.Task, 0), &r)
+		args := testPush(next.Task, 0)
+		call(live, mPush, &args, &r)
 		if r.Next == nil {
 			t.Fatalf("push of %v carried no dispatch", next.Task)
 		}
