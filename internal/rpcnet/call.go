@@ -9,12 +9,13 @@ import (
 
 // The call layer over the wire's frames (wire.go). The coordinator
 // serves each connection on one goroutine, which decodes a request by
-// its method index and runs the handler in place — Config, Heartbeat,
-// Push and Report never wait on another call. Next, which blocks until
-// the GPU has an eligible task, runs on a goroutine of its own, so a
-// Heartbeat on the same connection is answered while it waits. An
-// executor's client has one reader goroutine that hands each reply to
-// the call waiting on its sequence number.
+// its method index and runs the handler in place — no handler waits on
+// another call. A Next with no task ready on its GPU is parked in the
+// coordinator's state instead (coordinator.Next), and the commit that
+// decides its dispatch answers it, so a Heartbeat on the same connection
+// is answered while it waits. An executor's client has one reader
+// goroutine that hands each reply to the call waiting on its sequence
+// number.
 
 // serverError is an error a handler returned, as its text crossed the
 // wire: the session loop classifies it by that text.
@@ -23,7 +24,7 @@ type serverError string
 func (e serverError) Error() string { return string(e) }
 
 // serveConn answers conn's requests until it fails or closes, then
-// waits for the connection's Next calls, closes it and drops it from
+// forgets the connection's parked Nexts, closes it and drops it from
 // the server. A request whose header does not decode ends the
 // connection; one whose body does not decode is answered with the
 // decoder's error, and the connection keeps serving.
@@ -31,7 +32,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer s.serving.Done()
 	c := newWireCodec(conn)
 	co := s.co
-	var nexts sync.WaitGroup
 	for {
 		req, err := c.readHeader(false)
 		if err != nil {
@@ -54,16 +54,10 @@ func (s *Server) serveConn(conn net.Conn) {
 			body = &struct{}{}
 		case mNext:
 			var args NextArgs
-			if err = c.readBody(&args); err != nil {
-				break
+			if err = c.readBody(&args); err == nil {
+				co.Next(c, req, args)
+				continue
 			}
-			nexts.Add(1)
-			go func() {
-				defer nexts.Done()
-				var reply NextReply
-				c.answer(req, &reply, co.Next(args, &reply))
-			}()
-			continue
 		case mPush:
 			var args PushArgs
 			var reply PushReply
@@ -80,7 +74,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		c.answer(req, body, err)
 	}
-	nexts.Wait()
+	co.drop(c)
 	_ = conn.Close()
 	s.untrack(conn)
 }

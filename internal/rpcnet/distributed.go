@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -230,15 +231,20 @@ type coordinator struct {
 	gQueue, gInflight, gFenced, gLeaseAge     []*obs.Gauge
 	gEpoch, gTasksLeft, gLeaseBound           *obs.Gauge
 
-	mu   sync.Mutex
-	cond *sync.Cond
+	mu sync.Mutex
 	// st is the durable state; every change to it that must survive a
 	// crash goes through commitLocked (journal, then st.Apply), and every
-	// dispatch through st.Next. Leases are not durable: a restart loses
-	// them anyway.
+	// dispatch through st.Next. Leases and parked Nexts are not durable: a
+	// restart loses them anyway.
 	st     *testbed.State
 	lease  []time.Time
 	runErr error
+	// waiters are the Nexts parked until their GPU has a dispatch;
+	// wakeLocked moves the ones a commit answered to answered, which
+	// unlock writes once c.mu is released. done is closed by wakeLocked
+	// once the run has finished or failed.
+	waiters, answered []waiter
+	done              chan struct{}
 
 	// Durability plumbing.
 	journal         *Journal
@@ -261,9 +267,9 @@ func newCoordinator(in *core.Instance, st *testbed.State, gpuTypes, modelNames [
 		lease:       make([]time.Time, in.NumGPUs),
 		journal:     opts.Journal,
 		snapHeader:  newSnapHeader(in, gpuTypes, modelNames, opts),
+		done:        make(chan struct{}),
 		stopMonitor: func() {},
 	}
-	co.cond = sync.NewCond(&co.mu)
 
 	// Trace-context observation (all nil-safe when recorder and
 	// metrics are both off).
@@ -446,38 +452,105 @@ func (c *coordinator) heartbeat(args HeartbeatArgs) error {
 	return nil
 }
 
-// Next blocks until the GPU has a task to run, the run is out of work,
-// or the GPU is fenced. The time barrier stays executor-side: the reply
-// carries the previous round's realized end and the executor sleeps to
-// it on the shared clock; eligibility only prevents an executor from
-// committing to a task whose dependencies could later be queued behind
-// it. A repeated Next — retried after a lost reply, duplicated on the
-// wire, or left blocked on a dead connection — is sent the same task
-// (testbed.State.Next).
-func (c *coordinator) Next(args NextArgs, reply *NextReply) error {
-	return c.observe(c.obsNext, args.GPU, args.Call, &args.Epoch, func() error { return c.next(args, reply) })
+// waiter is one Next: the connection and request to answer, its
+// arguments, the rpc.server timer started when it arrived (so the event
+// spans the whole wait), and, once answered, its reply.
+type waiter struct {
+	conn  *wireCodec
+	req   wireMsg
+	args  NextArgs
+	t     obs.RPCTimer
+	reply NextReply
+	err   error
 }
 
-func (c *coordinator) next(args NextArgs, reply *NextReply) error {
-	g := args.GPU
-	if err := c.st.CheckGPU(g); err != nil {
-		return err
+// Next answers the GPU's request for a task on conn: at once when the
+// GPU has a task to run, the run is out of work, or the GPU is fenced,
+// and otherwise once a commit makes one of them so — until then the
+// call is a waiter in the coordinator's state, and conn's loop reads on.
+// The time barrier stays executor-side: the reply carries the previous
+// round's realized end and the executor sleeps to it on the shared
+// clock; eligibility only prevents an executor from committing to a
+// task whose dependencies could later be queued behind it. A repeated
+// Next — retried after a lost reply, duplicated on the wire, or parked
+// beside one from a torn connection — is sent the same task
+// (testbed.State.Next).
+func (c *coordinator) Next(conn *wireCodec, req wireMsg, args NextArgs) {
+	w := waiter{conn: conn, req: req, args: args}
+	if c.obsNext.Active() {
+		w.t = c.obsNext.Start(c.clock.Now())
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkEpochLocked(args.Epoch); err != nil {
-		return err
+	if w.err = c.st.CheckGPU(args.GPU); w.err == nil {
+		w.err = c.checkEpochLocked(args.Epoch)
 	}
-	for {
-		if ok, err := c.dispatchLocked(g, reply); ok || err != nil {
-			return err
+	if w.err != nil || c.answerLocked(&w) {
+		c.answered = append(c.answered, w)
+	} else {
+		c.waiters = append(c.waiters, w)
+	}
+	c.unlock()
+}
+
+// answerLocked fills w's reply or error when its GPU's dispatch is
+// decided (dispatchLocked), and reports whether it is. Caller holds c.mu.
+func (c *coordinator) answerLocked(w *waiter) bool {
+	ok, err := c.dispatchLocked(w.args.GPU, &w.reply)
+	w.err = err
+	return ok || err != nil
+}
+
+// wakeLocked answers every parked Next whose GPU's dispatch a commit
+// decided, and closes done once the run has finished or failed. It runs
+// after every transition that can do either: an accepted push, a
+// report, a fence, a failure. Caller holds c.mu, and releases it with
+// unlock.
+func (c *coordinator) wakeLocked() {
+	c.waiters = slices.DeleteFunc(c.waiters, func(w waiter) bool {
+		if !c.answerLocked(&w) {
+			return false
 		}
-		c.cond.Wait()
+		c.answered = append(c.answered, w)
+		return true
+	})
+	select {
+	case <-c.done:
+	default:
+		if c.runErr != nil || c.finishedLocked() {
+			close(c.done)
+		}
 	}
 }
 
-// dispatchLocked answers GPU g's dispatch without blocking, for Next and
-// for the dispatch a Push reply carries: a failed run or a fenced GPU
+// unlock releases c.mu, then writes the replies of the Nexts answered
+// under it — no reply is written under c.mu — each after its rpc.server
+// observation ends.
+func (c *coordinator) unlock() {
+	answered := c.answered
+	c.answered = nil
+	c.mu.Unlock()
+	for i := range answered {
+		w := &answered[i]
+		if c.obsNext.Active() {
+			c.obsNext.Observe(w.t, c.clock.Now(), obs.Event{
+				GPU: w.args.GPU, Call: w.args.Call, Epoch: w.args.Epoch, LSN: c.journal.LSN(),
+			}, w.err)
+		}
+		w.conn.answer(w.req, &w.reply, w.err)
+	}
+}
+
+// drop forgets conn's parked Nexts once its loop has ended. Their GPUs'
+// in-flight tasks stay in flight, and the re-handshaken session's Next
+// is sent them again.
+func (c *coordinator) drop(conn *wireCodec) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.waiters = slices.DeleteFunc(c.waiters, func(w waiter) bool { return w.conn == conn })
+}
+
+// dispatchLocked answers GPU g's dispatch without blocking, for a Next
+// and for the dispatch a Push reply carries: a failed run or a fenced GPU
 // gets an error, a run out of work Done, and otherwise st.Next's task
 // with its inputs. ok is false when the run has work left but none of
 // it is ready on g yet. Caller holds c.mu.
@@ -528,7 +601,7 @@ func (c *coordinator) Push(args PushArgs, reply *PushReply) error {
 func (c *coordinator) push(args PushArgs, reply *PushReply) error {
 	rec := &testbed.Record{Kind: testbed.RecPush, Push: args.Report}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if err := c.checkEpochLocked(args.Epoch); err != nil {
 		return err
 	}
@@ -556,17 +629,17 @@ func (c *coordinator) push(args PushArgs, reply *PushReply) error {
 	if c.journal != nil && c.pushesSinceSnap >= c.opts.SnapshotEvery {
 		c.snapshotLocked()
 	}
-	c.cond.Broadcast()
+	c.wakeLocked()
 	return nil
 }
 
-// failLocked aborts the run with err (first error wins) and wakes
-// every blocked handler. Caller holds c.mu.
+// failLocked aborts the run with err (first error wins): every parked
+// Next is answered with it, and wait returns it. Caller holds c.mu.
 func (c *coordinator) failLocked(err error) {
 	if c.runErr == nil {
 		c.runErr = err
 	}
-	c.cond.Broadcast()
+	c.wakeLocked()
 }
 
 // emitTaskLocked re-emits one accepted push as the task event sequence
@@ -603,7 +676,7 @@ func (c *coordinator) Report(args ReportArgs) error {
 func (c *coordinator) report(args ReportArgs) error {
 	rec := &testbed.Record{Kind: testbed.RecReport, GPU: args.GPU, Err: args.Err}
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	defer c.unlock()
 	if err := c.st.Check(rec); err != nil {
 		return err
 	}
@@ -620,7 +693,7 @@ func (c *coordinator) report(args ReportArgs) error {
 	if args.Err != "" {
 		c.markFailedLocked(args.GPU, "executor error: "+args.Err, 0)
 	}
-	c.cond.Broadcast()
+	c.wakeLocked()
 	return nil
 }
 
@@ -651,7 +724,7 @@ func (c *coordinator) markFailedLocked(gpu int, reason string, detect time.Durat
 	if fp.HasQueues {
 		faults.EmitMigration(rec, fp.SimTime, gpu, fp.Pending, fp.Alive, fp.Stranded, fp.Queues)
 	}
-	c.cond.Broadcast()
+	c.wakeLocked()
 	if c.journal != nil {
 		c.snapshotLocked()
 	}
@@ -723,7 +796,7 @@ func (c *coordinator) monitor(stop <-chan struct{}) {
 		c.mu.Lock()
 		c.checkLeasesLocked(now, simNow)
 		c.updateGaugesLocked(now)
-		c.mu.Unlock()
+		c.unlock()
 	}
 }
 
@@ -759,13 +832,13 @@ func (c *coordinator) checkLeasesLocked(now time.Time, simNow float64) {
 	}
 }
 
-// kill makes the coordinator behave like a dead process: every blocked
+// kill makes the coordinator behave like a dead process: every parked
 // and future call errors with ErrCoordinatorDown and the lease monitor
 // stops. The journal (if any) retains the WAL for RecoverDistributed.
 func (c *coordinator) kill() {
 	c.mu.Lock()
 	c.failLocked(ErrCoordinatorDown)
-	c.mu.Unlock()
+	c.unlock()
 	c.stopMonitor()
 }
 
@@ -890,6 +963,7 @@ func (c *coordinator) serve(lis net.Listener) (*Server, string, func() (*Distrib
 	}()
 	c.mu.Lock()
 	c.updateGaugesLocked(time.Now()) // /metrics is meaningful before the first monitor tick
+	c.wakeLocked()                   // a recovered batch may have finished already
 	c.mu.Unlock()
 	stop := make(chan struct{})
 	c.stopMonitor = sync.OnceFunc(func() { close(stop) })
@@ -897,10 +971,8 @@ func (c *coordinator) serve(lis net.Listener) (*Server, string, func() (*Distrib
 
 	wait := func() (*DistributedResult, error) {
 		defer c.stopMonitor()
+		<-c.done
 		c.mu.Lock()
-		for c.runErr == nil && !c.finishedLocked() {
-			c.cond.Wait()
-		}
 		defer c.mu.Unlock()
 		if c.runErr != nil {
 			return nil, c.runErr

@@ -24,11 +24,12 @@
 // gradient and the task's measured timings, and its reply carries the
 // GPU's next dispatch — the task together with the previous round's
 // realized end and the job's current parameters, so neither the barrier
-// nor the checkpoint is a call of its own. Next, which blocks until a
-// task is eligible, is called only when that reply carried none. The
+// nor the checkpoint is a call of its own. Next, which is answered once
+// a task is eligible, is called only when that reply carried none. The
 // messages travel in the journal's binary layout (wire.go), not gob,
 // and the call layer over them is this package's own (call.go): one
-// goroutine serves a connection, plus one for each Next it waits on.
+// goroutine serves a connection, and a waiting Next is state, not a
+// goroutine.
 package rpcnet
 
 import (
@@ -98,7 +99,7 @@ type PushArgs struct {
 // pushing GPU had work ready once the push committed, its next dispatch:
 // the reply Next would have given — a duplicate push is sent the same
 // one. Next is nil when nothing was eligible yet; the executor then
-// calls Next, which blocks.
+// calls Next, which is answered once a task is eligible.
 type PushReply struct {
 	Completion float64
 	Next       *NextReply
@@ -156,7 +157,7 @@ func (s *Server) untrack(conn net.Conn) {
 // the WAL and snapshot captured as the only surviving state, exactly
 // like a killed process. The bound port or mem: name is released so a
 // recovered coordinator can re-listen on the same address. Kill returns
-// once the accept loop and every connection's goroutines have.
+// once the accept loop and every connection's loop have.
 func (s *Server) Kill() error {
 	s.co.kill()
 	s.mu.Lock()

@@ -17,11 +17,11 @@ import (
 	"hare/internal/workload"
 )
 
-// TestConcurrentBlockingCalls: Next blocks server-side while the GPU's
+// TestConcurrentBlockingCalls: Next waits server-side while the GPU's
 // queue holds nothing eligible, and the connection's loop runs every
-// other call in place — so Next must wait on a goroutine of its own,
-// not stall the Heartbeat and Push calls that share its connection (the
-// executor's heartbeat goroutine does exactly that). GPU 1's queue is
+// other call in place — so a waiting Next must be parked in the
+// coordinator's state, not stall the Heartbeat and Push calls that share
+// its connection (the executor's heartbeat goroutine does exactly that). GPU 1's queue is
 // all later rounds of the one job, so its first Next waits for round 0
 // to fully push and then carries that round's realized end.
 func TestConcurrentBlockingCalls(t *testing.T) {

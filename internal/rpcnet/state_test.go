@@ -98,9 +98,9 @@ func (s *saveHash) Save(key string, data []byte) error {
 // pushes. After every transition it calls check with the record the
 // transition journaled first, as far as the script knows it (LSN and
 // SimTime are the coordinator's). With dispatch, every live GPU with an
-// eligible task first takes it through Next, undurably, so the fence
-// finds survivors with work in flight. It returns the number of
-// transitions.
+// eligible task first takes it through dispatchLocked, Next's dispatch,
+// undurably, so the fence finds survivors with work in flight. It
+// returns the number of transitions.
 func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, what string, want *testbed.Record)) int {
 	t.Helper()
 	in, plan, cl, models := chaosWorkload(t, 3, 9)
@@ -169,7 +169,10 @@ func runScript(t testing.TB, every int, dispatch bool, check func(s *scripted, w
 				continue
 			}
 			var reply NextReply
-			if err := co.next(NextArgs{GPU: g, Epoch: 1}, &reply); err != nil {
+			co.mu.Lock()
+			_, err := co.dispatchLocked(g, &reply)
+			co.mu.Unlock()
+			if err != nil {
 				t.Fatalf("every=%d dispatch to GPU %d: %v", every, g, err)
 			}
 			if g != 2 {

@@ -267,8 +267,9 @@ func getBody(d *decoder, body any) {
 
 // wireCodec is one end of a connection. One goroutine reads — the
 // server's connection loop, the client's reader — so the read buffers
-// need no lock; writes come from several (a server's Next goroutines,
-// a client's callers) and take wmu.
+// need no lock; writes come from several (on the server, the
+// connection's loop and whichever handler, or the lease monitor,
+// answered a parked Next; a client's callers) and take wmu.
 type wireCodec struct {
 	conn io.ReadWriteCloser
 	in   frameReader

@@ -45,8 +45,8 @@ type PushReport struct {
 // Push delivers the gradient and returns the task's completion. The
 // in-process engine answers both from its State under one lock (plane);
 // rpcnet answers Begin from the dispatch that carried the task and
-// sends Push over net/rpc, mirroring the paper's gRPC-based
-// scheduler⇄executor channel. Either way the push is State.Apply, which
+// sends Push over its own request/reply wire, mirroring the paper's
+// gRPC-based scheduler⇄executor channel. Either way the push is State.Apply, which
 // also records the task's measured timings.
 type SyncClient interface {
 	Begin(t core.TaskRef) (roundEnd float64, params []float64, err error)

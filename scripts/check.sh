@@ -9,8 +9,10 @@
 #                             # transport and call layer (kill/recover over mem:, Close vs
 #                             # dial/accept, Kill severs connections and fails pending calls,
 #                             # pipe errors retryable, Heartbeat beside a blocked Next,
-#                             # handler errors as text, a fixed goroutine count, bad frames,
-#                             # a mem: connection's ends) and fail-closed/round-gate stress,
+#                             # handler errors as text, a fixed goroutine count with pushes
+#                             # and with parked Nexts, a torn connection under a parked Next
+#                             # leaves at once, bad frames, a mem: connection's ends) and
+#                             # fail-closed/round-gate stress,
 #                             # eleven 10 s fuzz smokes,
 #                             # make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
@@ -53,8 +55,8 @@ tests() {
 	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatch|TestTwoRecoveriesWithoutSnapshot)$' -count 10 -race
 	echo "==> dispatch stress under -race (a repeated Next or Push is sent the GPU's in-flight task; a re-handshake after a torn Next gets the task; Close does not deadlock with its accept loop)"
 	go test ./internal/rpcnet -run '^(TestPushCarriesDispatch|TestNextCarriesBarrierAndCheckpoint|TestRehandshakeAfterTornNext|TestCloseRacesAccept)$' -count 20 -race
-	echo "==> in-memory transport and call layer stress under -race (kill/recover over a mem: address; a released name is listened on again; Close refuses dials and deadlocks with neither a waiting dial nor its accept loop; Kill severs live connections, fails every pending call retryably and every goroutine returns; the pipe's errors start a fresh session; a Heartbeat beside a blocked Next is answered, over TCP and mem:; fenced and stale-epoch errors arrive as text; 1 000 pushes keep the goroutine count; a bad body is answered and a bad header ends the connection; a mem: connection drains to io.EOF, refuses writes to a closed peer and Close ends a pending Read)"
-	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatchMem|TestMemListenerNames|TestCloseRacesAcceptMem|TestMemDialRacesClose|TestMemKillSeversPipes|TestSessionRetryablePipeErrors|TestConcurrentBlockingCalls|TestReportValidation|TestPushesKeepGoroutineCount|TestServerBadFrames|TestMemConnEnds)$' -count 20 -race
+	echo "==> in-memory transport and call layer stress under -race (kill/recover over a mem: address; a released name is listened on again; Close refuses dials and deadlocks with neither a waiting dial nor its accept loop; Kill severs live connections, fails every pending call retryably and every goroutine returns; the pipe's errors start a fresh session; a Heartbeat beside a blocked Next is answered, over TCP and mem:; fenced and stale-epoch errors arrive as text; 1 000 pushes keep the goroutine count, and so do Nexts parked for three GPUs; a connection closed under a parked Next leaves the server at once; a bad body is answered and a bad header ends the connection; a mem: connection drains to io.EOF, refuses writes to a closed peer and Close ends a pending Read)"
+	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatchMem|TestMemListenerNames|TestCloseRacesAcceptMem|TestMemDialRacesClose|TestMemKillSeversPipes|TestSessionRetryablePipeErrors|TestConcurrentBlockingCalls|TestReportValidation|TestPushesKeepGoroutineCount|TestParkedNextsKeepGoroutineCount|TestTornNextLeavesConns|TestServerBadFrames|TestMemConnEnds)$' -count 20 -race
 	echo "==> in-process control-plane stress under -race (a failed checkpoint save fails the run closed; a round releases its waiter at its last push, leaving no goroutine)"
 	go test ./internal/testbed -run '^(TestRunFailsClosed|TestRoundGateClosesAtLastPush)$' -count 20 -race
 
