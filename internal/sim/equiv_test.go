@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"reflect"
 	"testing"
 
@@ -20,6 +21,7 @@ import (
 	"hare/internal/sched"
 	"hare/internal/stats"
 	"hare/internal/switching"
+	"hare/internal/testbed"
 	"hare/internal/trace"
 	"hare/internal/workload"
 )
@@ -130,8 +132,11 @@ func TestRunMatchesReference(t *testing.T) {
 // the input draws randomInstance's seed and one byte whose remainder
 // picks an equivOptions() set and whose quotient offsets the model zoo
 // (TestRunMatchesReference's trial index), and Run must deep-equal
-// RunReference. The corpus seeds with its first three trials under
-// every option set.
+// RunReference. Where the in-process testbed models the option set (a
+// cluster and its models, KeepLatest, no utilization series), its run
+// on the virtual clock (TimeScale 0) must also match: weighted JCT,
+// retries and every task's start and end within 1e-9. The corpus seeds
+// with its first three trials under every option set.
 func FuzzSimMatchesReference(f *testing.F) {
 	opts := equivOptions()
 	master := stats.New(1234)
@@ -165,6 +170,30 @@ func FuzzSimMatchesReference(f *testing.F) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: incremental engine diverged from reference\n got: %+v\nwant: %+v", c.name, got, want)
+		}
+		if cl == nil || c.opts.MemPolicy != gpumem.KeepLatest || c.opts.UtilBins > 0 {
+			return
+		}
+		tb, err := testbed.Run(in, plan, cl, models, testbed.Options{
+			Scheme: c.opts.Scheme, Speculative: c.opts.Speculative, Faults: c.opts.Faults,
+		})
+		if err != nil {
+			t.Fatalf("%s: testbed: %v", c.name, err)
+		}
+		if math.Abs(tb.WeightedJCT-want.WeightedJCT) > 1e-9*math.Max(1, want.WeightedJCT) || tb.Retries != want.Retries {
+			t.Fatalf("%s: virtual testbed WJCT %.17g with %d retries, simulator %.17g with %d",
+				c.name, tb.WeightedJCT, tb.Retries, want.WeightedJCT, want.Retries)
+		}
+		simRec := make(map[core.TaskRef]trace.TaskRecord, len(want.Trace.Records))
+		for _, r := range want.Trace.Records {
+			simRec[r.Task] = r
+		}
+		for _, r := range tb.Trace.Records {
+			w := simRec[r.Task]
+			if tol := 1e-9 * math.Max(1, w.End()); math.Abs(r.Start-w.Start) > tol || math.Abs(r.End()-w.End()) > tol {
+				t.Fatalf("%s: task %v ran [%.17g, %.17g] on the virtual testbed, [%.17g, %.17g] simulated",
+					c.name, r.Task, r.Start, r.End(), w.Start, w.End())
+			}
 		}
 	})
 }
