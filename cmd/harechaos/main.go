@@ -39,6 +39,9 @@ var (
 
 func main() {
 	flag.Parse()
+	if err := cliflags.WallTimescale(*timescale); err != nil {
+		fatal(err)
+	}
 	opts := chaos.Options{
 		Jobs: *jobs, TimeScale: *timescale, Watchdog: *watchdog,
 	}

@@ -121,7 +121,7 @@ var backendEngines = map[string]faults.Engine{
 
 // checkFlags resolves -backend to its engine class and rejects flags the
 // chosen backend would silently ignore: only the dist backend has a WAL
-// to keep and a control plane to trace.
+// to keep and a control plane to trace, and it has no virtual clock.
 func checkFlags() (faults.Engine, error) {
 	name := strings.ToLower(*backendNm)
 	engine, ok := backendEngines[name]
@@ -131,7 +131,7 @@ func checkFlags() (faults.Engine, error) {
 	if engine != faults.Distributed {
 		return engine, cliflags.Ignored(flag.CommandLine, "requires -backend dist", "wal-dir", "trace-dir")
 	}
-	return engine, nil
+	return engine, cliflags.WallTimescale(*timescale)
 }
 
 // buildBackend builds the batch executor of -backend's engine class. The

@@ -11,7 +11,8 @@ import (
 // TestBackendRejectsFlagsItIgnores: -wal-dir and -trace-dir only mean
 // something to the dist backend. hared used to boot on `-backend sim
 // -wal-dir D`, print "listening" and never open D — an operator who
-// asked for a durable WAL got none.
+// asked for a durable WAL got none. Likewise the dist backend refuses
+// -timescale 0, which it would pace at 1e-3.
 func TestBackendRejectsFlagsItIgnores(t *testing.T) {
 	for _, tc := range []struct {
 		args   []string
@@ -25,6 +26,9 @@ func TestBackendRejectsFlagsItIgnores(t *testing.T) {
 		{[]string{"-wal-dir", "D"}, 0, "-wal-dir requires -backend dist"},
 		{[]string{"-backend", "sim", "-trace-dir", "T"}, 0, "-trace-dir requires -backend dist"},
 		{[]string{"-backend", "cloud"}, 0, `unknown backend "cloud" (want testbed, sim, or dist)`},
+		{[]string{"-timescale", "0"}, faults.InProcess, ""},
+		{[]string{"-backend", "dist", "-timescale", "0"}, 0,
+			"-timescale 0: the distributed control plane needs a positive scale (0, virtual time, runs only the in-process engine)"},
 	} {
 		flag.VisitAll(func(f *flag.Flag) {
 			if !strings.HasPrefix(f.Name, "test.") { // the testing package's own flags

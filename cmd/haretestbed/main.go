@@ -50,6 +50,9 @@ func main() {
 	engine := faults.InProcess
 	if *distrib || *useRPC || *execMode {
 		engine = faults.Distributed // nothing here kills and recovers the coordinator
+		if err := cliflags.WallTimescale(*timescale); err != nil {
+			fatal(err)
+		}
 	}
 	fplan, err := faultSpec(cl.Size(), engine)
 	if err != nil {

@@ -41,19 +41,24 @@ func TestDistributedModesRunToCompletion(t *testing.T) {
 // engine would silently ignore is a non-zero exit naming the clause, not
 // a run that prints "faults: ..." and injects nothing — -rpc has no
 // supervisor to perform a coordinator outage, the in-process testbed no
-// GPU to lose.
+// GPU to lose. So is -timescale 0 on the distributed control plane,
+// which has no virtual clock.
 func TestRejectsClausesItsEngineCannotReplay(t *testing.T) {
 	bin := buildBinary(t)
-	for _, args := range [][]string{
-		{"-rpc", "-fault-spec", "codown=1+100ms"},
-		{"-distributed", "-fault-spec", "codown=1+100ms"},
-		{"-fault-spec", "fail=1@20"},
-		{"-fault-spec", "netdrop=0.1"},
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rpc", "-fault-spec", "codown=1+100ms"}, "cannot replay codown=1+100ms"},
+		{[]string{"-distributed", "-fault-spec", "codown=1+100ms"}, "cannot replay codown=1+100ms"},
+		{[]string{"-fault-spec", "fail=1@20"}, "cannot replay fail=1@20"},
+		{[]string{"-fault-spec", "netdrop=0.1"}, "cannot replay netdrop=0.1"},
+		{[]string{"-rpc", "-timescale", "0"}, "-timescale 0: the distributed control plane needs a positive scale"},
+		{[]string{"-distributed", "-timescale", "0"}, "-timescale 0: the distributed control plane needs a positive scale"},
 	} {
-		out, err := exec.Command(bin, append([]string{"-jobs", "3"}, args...)...).CombinedOutput()
-		clause := args[len(args)-1]
-		if err == nil || !strings.Contains(string(out), "cannot replay "+clause) {
-			t.Errorf("haretestbed -jobs 3 %s: err %v, want a non-zero exit naming %s:\n%s", strings.Join(args, " "), err, clause, out)
+		out, err := exec.Command(bin, append([]string{"-jobs", "3"}, tc.args...)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), tc.want) {
+			t.Errorf("haretestbed -jobs 3 %s: err %v, want a non-zero exit saying %q:\n%s", strings.Join(tc.args, " "), err, tc.want, out)
 		}
 	}
 }

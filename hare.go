@@ -257,7 +257,8 @@ func Simulate(in *Instance, plan *Schedule, cl *Cluster, models []*Model, opts S
 
 // RunTestbed executes a plan on the in-process multi-goroutine
 // testbed: real SGD workers, parameter servers and checkpointing on a
-// scaled clock. All reported timings are measured.
+// scaled wall clock, or on a virtual one at TimeScale 0. All reported
+// timings are measured.
 func RunTestbed(in *Instance, plan *Schedule, cl *Cluster, models []*Model, opts TestbedOptions) (*TestbedResult, error) {
 	return testbed.Run(in, plan, cl, models, opts)
 }

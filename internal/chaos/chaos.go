@@ -197,12 +197,10 @@ func newHarness(seed int64, jobs int, opts Options) (*harness, error) {
 		seed: seed, opts: opts, cl: cl, in: in, plan: plan,
 		models: models, makespan: plan.Makespan(in),
 	}
-	// Fault-free reference at a fast clock: the checkpoint-equality
+	// Fault-free reference on the virtual clock: the checkpoint-equality
 	// invariant compares every chaotic run against these parameters.
 	refStore := store.NewMem()
-	if _, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: 1e-4, Store: refStore,
-	}); err != nil {
+	if _, err := testbed.Run(in, plan, cl, models, testbed.Options{Store: refStore}); err != nil {
 		return nil, fmt.Errorf("chaos: reference run: %w", err)
 	}
 	if h.ref, err = loadParams(refStore, len(in.Jobs)); err != nil {

@@ -124,7 +124,17 @@ func Fleet(fs *flag.FlagSet, testbedFlag string) func() (*cluster.Cluster, error
 
 // Timescale declares -timescale on fs.
 func Timescale(fs *flag.FlagSet) *float64 {
-	return fs.Float64("timescale", 1e-3, "testbed clock scale (wall seconds per simulated second)")
+	return fs.Float64("timescale", 1e-3, "testbed clock scale (wall seconds per simulated second; 0 runs the in-process engine in virtual time)")
+}
+
+// WallTimescale refuses a -timescale the distributed control plane
+// cannot pace: it runs on the wall clock only, so 0 (virtual time) or a
+// negative scale would silently pace at its default instead.
+func WallTimescale(timescale float64) error {
+	if timescale > 0 {
+		return nil
+	}
+	return fmt.Errorf("-timescale %g: the distributed control plane needs a positive scale (0, virtual time, runs only the in-process engine)", timescale)
 }
 
 // Ignored returns an error naming the first of names that was given a

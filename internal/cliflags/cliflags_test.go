@@ -229,4 +229,12 @@ func TestProfilesAndTimescale(t *testing.T) {
 	if d := fs.Lookup("timescale").DefValue; d != "0.001" {
 		t.Errorf("-timescale default %q, want 0.001", d)
 	}
+	if err := WallTimescale(*ts); err != nil {
+		t.Errorf("-timescale %g refused on the wall clock: %v", *ts, err)
+	}
+	for _, bad := range []float64{0, -1} {
+		if err := WallTimescale(bad); err == nil || !strings.Contains(err.Error(), "needs a positive scale") {
+			t.Errorf("-timescale %g on the distributed control plane: %v, want a refusal", bad, err)
+		}
+	}
 }

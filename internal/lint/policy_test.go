@@ -39,8 +39,11 @@ func TestDefaultPolicyTiers(t *testing.T) {
 	if r := pol.For("hare/internal/stats"); r.GlobalRand != LevelOff {
 		t.Errorf("stats must be exempt from globalrand: %+v", r)
 	}
-	if r := pol.For("hare/internal/testbed"); r.WallTime != LevelOff {
-		t.Errorf("testbed must be exempt from walltime: %+v", r)
+	if r := pol.For("hare/internal/testbed"); r.WallTime != LevelError || r.FloatEq != LevelWarn {
+		t.Errorf("testbed must enforce walltime, with the real-time tier's other rules: %+v", r)
+	}
+	if r := pol.For("hare/internal/rpcnet"); r.WallTime != LevelOff {
+		t.Errorf("rpcnet must be exempt from walltime: %+v", r)
 	}
 	if r := pol.For("hare/internal/obs"); r.ObsRecorder != LevelOff || r.WallTime != LevelOff {
 		t.Errorf("obs owns sinks and real time: %+v", r)

@@ -1,4 +1,4 @@
-// Package rt mirrors a real-time package (testbed, rpcnet): walltime
+// Package rt mirrors a real-time package (rpcnet, obs): walltime
 // is off by policy, so clock reads are clean here.
 package rt
 

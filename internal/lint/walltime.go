@@ -17,7 +17,8 @@ var wallClockFuncs = map[string]bool{
 // WallTime forbids wall-clock reads in simulated-time packages. A
 // single time.Now in the replay path makes WeightedJCT depend on host
 // load, breaking seed reproducibility across the engines. Real-time
-// packages (testbed, rpcnet, obs) are exempted by the policy table.
+// packages (rpcnet, obs) are exempted by the policy table; testbed
+// enforces it, with its wall Clock the annotated exception.
 var WallTime = &Analyzer{
 	Name:  "walltime",
 	Doc:   "forbids time.Now/Since/Sleep and friends in simulated-time packages",

@@ -133,7 +133,8 @@ const (
 
 // TestbedBackend executes batches on the in-process testbed.
 type TestbedBackend struct {
-	// TimeScale is the testbed clock scale (default 1e-3).
+	// TimeScale is the testbed clock scale; 0 runs every batch on the
+	// virtual clock (testbed.Options.TimeScale).
 	TimeScale float64
 	// Faults injects transient failures and stragglers into every
 	// batch (all the in-process testbed replays; see

@@ -288,10 +288,10 @@ func TestThreeEngineAttribution(t *testing.T) {
 	}
 	checkEngine("sim", simCollect.Events(), simRes.Trace, simRes.JobCompletion, simRes.WeightedJCT, sequencesEqual)
 
-	// Engine 2: in-process testbed on a scaled wall clock.
+	// Engine 2: in-process testbed on its virtual clock.
 	tbCollect := obs.NewCollectSink()
 	tbRes, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: 1e-4, Recorder: obs.NewRecorder(tbCollect),
+		Recorder: obs.NewRecorder(tbCollect),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func TestDistributedCrashRecovery(t *testing.T) {
 	// Fault-free reference run (in-process) for the convergence check.
 	refStore := store.NewMem()
 	if _, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: 1e-4, Store: refStore,
+		Store: refStore,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestDistributedRetryDeterminism(t *testing.T) {
 
 	localStore := store.NewMem()
 	localRes, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: 1e-4, Store: localStore, Faults: fp,
+		Store: localStore, Faults: fp,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func killRecoverMidBatch(t *testing.T, listenAddr string) {
 	// Crash-free in-process reference for the checkpoint equality.
 	refStore := store.NewMem()
 	if _, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: 1e-4, Store: refStore,
+		Store: refStore,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestTwoRecoveriesWithoutSnapshot(t *testing.T) {
 	in, plan, cl, models := chaosWorkload(t, 5, 11)
 	refStore := store.NewMem()
 	if _, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: 1e-4, Store: refStore,
+		Store: refStore,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +370,7 @@ func TestFencingSurvivesRecovery(t *testing.T) {
 
 	refStore := store.NewMem()
 	if _, err := testbed.Run(in, plan, cl, models, testbed.Options{
-		TimeScale: 1e-4, Store: refStore,
+		Store: refStore,
 	}); err != nil {
 		t.Fatal(err)
 	}

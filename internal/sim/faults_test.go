@@ -285,7 +285,7 @@ func TestSimRetriesMatchTestbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbRes, err := testbed.Run(in, plan, cl, models, testbed.Options{TimeScale: 1e-4, Faults: fp})
+	tbRes, err := testbed.Run(in, plan, cl, models, testbed.Options{Faults: fp})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,14 @@ import (
 	"time"
 )
 
-// Clock maps simulated seconds onto wall time at a fixed scale, so a
-// workload profiled in GPU-hours replays in wall seconds while
-// preserving every relative timing. All testbed components share one
-// clock; realized timings are measured with Now, so scheduling and
-// synchronization delays show up in the results exactly as they
-// happen.
+// Clock is the wall clock: it maps simulated seconds onto wall time at a
+// fixed scale, so a workload profiled in GPU-hours replays in wall
+// seconds while preserving every relative timing. All executors of a
+// run share one clock; realized timings are measured with Now, so
+// scheduling and synchronization delays show up in the results exactly
+// as they happen. It is the package's one wall-clock reader: at
+// TimeScale 0, Run's executors sleep on the plane's virtual clock
+// instead.
 type Clock struct {
 	start time.Time
 	// wallPerSim is wall seconds per simulated second.
@@ -20,7 +22,7 @@ type Clock struct {
 // NewClock starts a clock with the given wall-seconds-per-sim-second
 // scale (e.g. 0.001 replays 1000 simulated seconds per wall second).
 func NewClock(wallPerSim float64) *Clock {
-	return NewClockAt(time.Now(), wallPerSim)
+	return NewClockAt(time.Now(), wallPerSim) //lint:allow walltime the wall clock's epoch: Clock is the testbed's one wall-clock reader
 }
 
 // NewClockAt starts a clock with an explicit wall epoch, so clocks in
@@ -50,7 +52,7 @@ func (c *Clock) Until(t float64) time.Duration {
 
 // Now returns the current simulated time in seconds.
 func (c *Clock) Now() float64 {
-	return time.Since(c.start).Seconds() / c.wallPerSim
+	return time.Since(c.start).Seconds() / c.wallPerSim //lint:allow walltime the wall clock's time, scaled
 }
 
 // SleepUntil blocks until the simulated time reaches t (no-op when t
@@ -58,7 +60,7 @@ func (c *Clock) Now() float64 {
 func (c *Clock) SleepUntil(t float64) float64 {
 	d := time.Duration((t - c.Now()) * c.wallPerSim * float64(time.Second))
 	if d > 0 {
-		time.Sleep(d)
+		time.Sleep(d) //lint:allow walltime the wall clock's sleep; the virtual clock parks in the plane instead
 	}
 	return c.Now()
 }

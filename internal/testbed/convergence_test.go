@@ -32,9 +32,7 @@ func TestConvergenceIndependentOfSchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := store.NewMem()
-		_, err = Run(in, plan, cl, models, Options{
-			TimeScale: 1e-4, Store: st,
-		})
+		_, err = Run(in, plan, cl, models, Options{Store: st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +69,7 @@ func TestConvergenceMatchesSerialSGD(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := store.NewMem()
-	if _, err := Run(in, plan, cl, models, Options{TimeScale: 1e-4, Store: st}); err != nil {
+	if _, err := Run(in, plan, cl, models, Options{Store: st}); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range in.Jobs {

@@ -67,7 +67,7 @@ type Executor struct {
 	models []*model.Model
 	scheme switching.Scheme
 	mem    *gpumem.Manager // nil unless speculative memory is on
-	clock  *Clock
+	clock  interface{ SleepUntil(t float64) float64 }
 	sync   SyncClient
 	probs  []*Problem
 	// faults injects task failures: each training attempt fails with

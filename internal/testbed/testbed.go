@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -18,10 +19,14 @@ import (
 
 // Options configures a testbed run.
 type Options struct {
-	// TimeScale is wall seconds per simulated second. The default
-	// (0.001) replays 1000 simulated seconds per wall second. Lower
-	// is faster but coarser; clock jitter shows up as the small
-	// testbed-vs-simulator gap the paper reports.
+	// TimeScale is wall seconds per simulated second. A positive scale
+	// paces the executors on the wall clock (0.001 replays 1000
+	// simulated seconds per wall second), so timer overshoot, barrier
+	// wake-ups and push latency show up as the small testbed-vs-
+	// simulator gap the paper reports. 0 runs them on a virtual clock:
+	// one executor runs at a time, gradient work costs no simulated
+	// time, and a plan replays as the simulator replays it, the same
+	// way on every run. A negative, NaN or infinite scale is an error.
 	TimeScale float64
 	// Scheme selects the task-switching model. The zero value is
 	// switching.Default, the unoptimized baseline; Hare's fast switching
@@ -44,19 +49,6 @@ type Options struct {
 	Recorder *obs.Recorder
 }
 
-// withDefaults fills defaults. A NaN/Inf clock scale would silently
-// corrupt a run, so it is rejected rather than clamped; Run validates
-// the fault plan against the instance.
-func (o Options) withDefaults() (Options, error) {
-	if math.IsNaN(o.TimeScale) || math.IsInf(o.TimeScale, 0) {
-		return o, fmt.Errorf("testbed: invalid TimeScale %g", o.TimeScale)
-	}
-	if o.TimeScale <= 0 {
-		o.TimeScale = 0.001
-	}
-	return o, nil // Store defaults where it is used
-}
-
 // Result is the measured outcome of a testbed run: what every engine
 // reports from its control-plane state, plus the training losses.
 type Result struct {
@@ -77,35 +69,60 @@ const (
 	learningRate = 0.3
 )
 
-// plane is the in-process engine's control plane and its SyncClient:
-// the State the distributed coordinator commits through, under one lock
-// and one condition, as the coordinator holds it. Begin waits for the
-// task's previous round and Push is Apply of a push record. The first
-// failure — a rejected push, a failed checkpoint save, an executor's
-// error — fails the run and wakes every waiter.
+// plane is the in-process engine's control plane: the State the
+// distributed coordinator commits through, under one lock, as the
+// coordinator holds it, and one lane per GPU, which is that GPU's
+// executor's SyncClient and clock. Begin returns once the task's
+// previous round is in the state, and Push is Apply of a push record.
+// A lane that waits — in a Begin whose previous round is still open, or
+// on the virtual clock in SleepUntil — is parked in the plane's state
+// until wakeLocked releases it. The first failure — a rejected push, a
+// failed checkpoint save, an executor's error — fails the run and
+// releases every parked lane.
 type plane struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	st   *State
-	err  error
+	mu  sync.Mutex
+	st  *State
+	err error
+	// wall paces SleepUntil on the wall clock; nil runs the virtual
+	// clock, whose time is now. active counts the lanes neither parked
+	// nor done: the virtual clock moves only when it is 0.
+	wall   *Clock
+	now    float64
+	active int
+	lanes  []lane
 }
 
-func newPlane(st *State) *plane {
-	p := &plane{st: st}
-	p.cond = sync.NewCond(&p.mu)
+// lane is one GPU's place in the plane. task is the task whose Begin it
+// is parked in (NoTask in SleepUntil), and at the virtual time it
+// sleeps until.
+type lane struct {
+	p      *plane
+	wake   chan struct{}
+	parked bool
+	task   core.TaskRef
+	at     float64
+}
+
+func newPlane(st *State, wall *Clock) *plane {
+	p := &plane{st: st, wall: wall, active: len(st.GPUs), lanes: make([]lane, len(st.GPUs))}
+	for g := range p.lanes {
+		p.lanes[g] = lane{p: p, wake: make(chan struct{}, 1), task: NoTask}
+	}
 	return p
 }
 
-// Begin waits until t's previous round is in the state and returns what
-// the coordinator's dispatch would carry (State.Inputs).
-func (p *plane) Begin(t core.TaskRef) (roundEnd float64, params []float64, err error) {
+// Begin returns what the coordinator's dispatch would carry
+// (State.Inputs) once t's previous round is in the state.
+func (l *lane) Begin(t core.TaskRef) (roundEnd float64, params []float64, err error) {
+	p := l.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.st.checkTask(t); err != nil {
 		return 0, nil, err
 	}
-	for p.err == nil && !p.st.ready(t) {
-		p.cond.Wait()
+	if p.err == nil && !p.st.ready(t) {
+		l.task = t
+		p.parkLocked(l)
 	}
 	if p.err != nil {
 		return 0, nil, p.err
@@ -115,7 +132,8 @@ func (p *plane) Begin(t core.TaskRef) (roundEnd float64, params []float64, err e
 }
 
 // Push applies one push record; a round it closes releases its waiters.
-func (p *plane) Push(rep PushReport) (float64, error) {
+func (l *lane) Push(rep PushReport) (float64, error) {
+	p := l.p
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
@@ -127,24 +145,103 @@ func (p *plane) Push(rep PushReport) (float64, error) {
 		return 0, err
 	}
 	if len(p.st.Jobs[rep.Task.Job].Partial) == 0 { // the push closed its round
-		p.cond.Broadcast()
+		p.wakeLocked()
 	}
 	return fx.Completion, nil
 }
 
-// fail ends the run with err unless it already failed, and wakes every
-// waiter.
-func (p *plane) fail(err error) {
+// SleepUntil sleeps on the wall clock, or parks the lane until t is the
+// earliest time a lane waits for on the virtual one, and returns the
+// simulated time on wakeup.
+func (l *lane) SleepUntil(t float64) float64 {
+	p := l.p
+	if p.wall != nil {
+		return p.wall.SleepUntil(t)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.failLocked(err)
+	l.at = max(t, p.now)
+	if p.err == nil {
+		p.parkLocked(l)
+	}
+	return l.at
 }
 
+// parkLocked parks l in the plane's state until wakeLocked releases it;
+// p.mu is held on entry and on return, and released while l waits.
+func (p *plane) parkLocked(l *lane) {
+	l.parked = true
+	p.active--
+	p.wakeLocked()
+	p.mu.Unlock()
+	<-l.wake
+	p.mu.Lock()
+}
+
+// releaseLocked lets l go. Its send never blocks: a lane is released
+// once per park and takes the token before it parks again.
+func (p *plane) releaseLocked(l *lane) {
+	l.parked, l.task = false, NoTask
+	p.active++
+	l.wake <- struct{}{}
+}
+
+// wakeLocked releases the parked lanes the state now lets go: every one
+// once the run has failed; on the wall clock each lane whose Begin is
+// ready; on the virtual clock, once no lane is active, the one that
+// sleeps until the earliest (time, GPU), whose time becomes now — a
+// ready Begin sleeps until the time its round closed. Lanes that all
+// wait on open rounds fail the run, as the simulator's deadlock does.
+func (p *plane) wakeLocked() {
+	next, waiting := -1, false
+	for g := range p.lanes {
+		l := &p.lanes[g]
+		if !l.parked {
+			continue
+		}
+		if l.task != NoTask && p.st.ready(l.task) {
+			l.task, l.at = NoTask, p.now
+		}
+		switch {
+		case p.err != nil || p.wall != nil && l.task == NoTask:
+			p.releaseLocked(l)
+		case l.task != NoTask:
+			waiting = true
+		case next < 0 || l.at < p.lanes[next].at:
+			next = g
+		}
+	}
+	if p.active > 0 {
+		return
+	}
+	if next >= 0 {
+		p.now = p.lanes[next].at
+		p.releaseLocked(&p.lanes[next])
+	} else if waiting {
+		p.failLocked(errors.New("testbed: deadlock: every executor waits on an open round"))
+	}
+}
+
+// done retires a lane whose executor returned err (nil once it ran its
+// sequence).
+func (p *plane) done(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.active--
+	if err != nil {
+		p.failLocked(err)
+	} else {
+		p.wakeLocked()
+	}
+}
+
+// failLocked ends the run with err unless it already failed, and
+// releases every parked lane.
 func (p *plane) failLocked(err error) {
 	if p.err == nil {
 		p.err = err
 	}
-	p.cond.Broadcast()
+	p.wakeLocked()
 }
 
 // RemoteExecutorConfig assembles an Executor outside testbed.Run —
@@ -230,9 +327,8 @@ func newExecutor(cfg RemoteExecutorConfig) *Executor {
 // Run executes a planned schedule on the in-process testbed and
 // returns the *measured* timings.
 func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*model.Model, opts Options) (*Result, error) {
-	opts, err := opts.withDefaults()
-	if err != nil {
-		return nil, err
+	if opts.TimeScale < 0 || math.IsNaN(opts.TimeScale) || math.IsInf(opts.TimeScale, 0) {
+		return nil, fmt.Errorf("testbed: invalid TimeScale %g", opts.TimeScale)
 	}
 	if err := opts.Faults.CheckEngine(faults.InProcess); err != nil {
 		return nil, err
@@ -265,25 +361,32 @@ func Run(in *core.Instance, sch *core.Schedule, cl *cluster.Cluster, models []*m
 	if err := state.SaveCheckpoints(); err != nil {
 		return nil, err
 	}
-	p := newPlane(state)
-	clock := NewClock(opts.TimeScale)
+	var wall *Clock
+	if opts.TimeScale > 0 {
+		wall = NewClock(opts.TimeScale)
+	}
+	p := newPlane(state, wall)
 	var wg sync.WaitGroup
 	for m := range in.NumGPUs {
+		l := &p.lanes[m]
 		e := newExecutor(RemoteExecutorConfig{
 			GPU: m, GPUType: cl.GPUs[m].Type,
 			Instance: in, Models: models,
 			Scheme: opts.Scheme, Speculative: opts.Speculative,
-			Clock: clock, Sync: p,
+			Sync:      l,
 			FaultRate: opts.Faults.TransientRate(), FaultSeed: opts.Faults.TransientSeed(),
 			SlowFactor: opts.Faults.SlowdownOf(m),
 			Recorder:   opts.Recorder,
 		})
+		e.clock = l
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := e.Run(seqs[m]); err != nil {
-				p.fail(fmt.Errorf("testbed: executor %d failed: %w", m, err))
+			err := e.Run(seqs[m])
+			if err != nil {
+				err = fmt.Errorf("testbed: executor %d failed: %w", m, err)
 			}
+			p.done(err)
 		}()
 	}
 	wg.Wait()

@@ -69,7 +69,7 @@ func TestTrainingConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(in, plan, cl, models, Options{TimeScale: 1e-4})
+	res, err := Run(in, plan, cl, models, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestRoundBarrierEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(in, plan, cl, models, Options{TimeScale: 1e-4})
+	res, err := Run(in, plan, cl, models, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

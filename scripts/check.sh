@@ -12,7 +12,7 @@
 #                             # handler errors as text, a fixed goroutine count with pushes
 #                             # and with parked Nexts, a torn connection under a parked Next
 #                             # leaves at once, bad frames, a mem: connection's ends) and
-#                             # fail-closed/round-gate stress,
+#                             # fail-closed/round-gate/virtual-clock stress,
 #                             # eleven 10 s fuzz smokes,
 #                             # make loc
 #   scripts/check.sh chaos    # the harechaos seed matrix
@@ -57,10 +57,11 @@ tests() {
 	go test ./internal/rpcnet -run '^(TestPushCarriesDispatch|TestNextCarriesBarrierAndCheckpoint|TestRehandshakeAfterTornNext|TestCloseRacesAccept)$' -count 20 -race
 	echo "==> in-memory transport and call layer stress under -race (kill/recover over a mem: address; a released name is listened on again; Close refuses dials and deadlocks with neither a waiting dial nor its accept loop; Kill severs live connections, fails every pending call retryably and every goroutine returns; the pipe's errors start a fresh session; a Heartbeat beside a blocked Next is answered, over TCP and mem:; fenced and stale-epoch errors arrive as text; 1 000 pushes keep the goroutine count, and so do Nexts parked for three GPUs; a connection closed under a parked Next leaves the server at once; a bad body is answered and a bad header ends the connection; a mem: connection drains to io.EOF, refuses writes to a closed peer and Close ends a pending Read)"
 	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatchMem|TestMemListenerNames|TestCloseRacesAcceptMem|TestMemDialRacesClose|TestMemKillSeversPipes|TestSessionRetryablePipeErrors|TestConcurrentBlockingCalls|TestReportValidation|TestPushesKeepGoroutineCount|TestParkedNextsKeepGoroutineCount|TestTornNextLeavesConns|TestServerBadFrames|TestMemConnEnds)$' -count 20 -race
-	echo "==> in-process control-plane stress under -race (a failed checkpoint save fails the run closed; a round releases its waiter at its last push, leaving no goroutine)"
+	echo "==> in-process control-plane stress under -race (a failed checkpoint save fails the run closed on both clocks; a round releases its waiter at its last push, leaving no goroutine; on the virtual clock Fig. 12's five plans replay as the simulator does, bit-identically every run)"
 	go test ./internal/testbed -run '^(TestRunFailsClosed|TestRoundGateClosesAtLastPush)$' -count 20 -race
+	go test ./internal/experiments -run '^TestFig12VirtualMatchesSim$' -count 3 -race
 
-	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the simulator vs its reference scan; the control plane's one transition function; the journal's record and snapshot decoders; the wire's frame and message decoder; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
+	echo "==> 10 s fuzz smokes under -race (Hare, Hare-EA and OnlineHare vs the reference planner; every scheduler's plan validates; the simulator vs its reference scan and the in-process engine on virtual time; the control plane's one transition function; the journal's record and snapshot decoders; the wire's frame and message decoder; the WAL frame reader; the -fault-spec parser's Parse/String round trip; the plan-file loader; the JSONL event reader; the bench-output parser)"
 	go test -race -run '^$' -fuzz FuzzOnlineMatchesReference -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzSchedulersValidate -fuzztime 10s ./internal/sched/
 	go test -race -run '^$' -fuzz FuzzSimMatchesReference -fuzztime 10s ./internal/sim/
