@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -105,6 +106,37 @@ func TestClockPanicsOnBadScale(t *testing.T) {
 		}
 	}()
 	NewClock(0)
+}
+
+// TestSleepUntilWakesOnTime: a wall-clock wait never ends before its
+// target, and a short one does not take a timer tick. Two hundred 50 µs
+// waits at scale 1 must be late by under 250 µs at the median; a plain
+// time.Sleep of that length takes about a millisecond on an idle
+// runtime. A few waits longer than sleepGrain take the sleeping path.
+func TestSleepUntilWakesOnTime(t *testing.T) {
+	c := NewClock(1)
+	if now := c.Now(); c.SleepUntil(now-1) < now {
+		t.Fatal("a wait for a past time went back in time")
+	}
+	wait := func(d float64) float64 {
+		target := c.Now() + d
+		woke := c.SleepUntil(target)
+		if woke < target || c.Now() < target {
+			t.Fatalf("a %g s wait returned at %.9f, before its target %.9f", d, woke, target)
+		}
+		return woke - target
+	}
+	for i := 0; i < 5; i++ {
+		wait(2.5 * sleepGrain.Seconds())
+	}
+	late := make([]float64, 200)
+	for i := range late {
+		late[i] = wait(50e-6)
+	}
+	sort.Float64s(late)
+	if p50 := late[len(late)/2]; p50 >= 250e-6 {
+		t.Errorf("median lateness of %d 50 µs waits is %.0f µs, want under 250 µs", len(late), p50*1e6)
+	}
 }
 
 // testPlane is GPU 0's lane of the in-process control plane of a fresh
