@@ -21,12 +21,13 @@ import (
 type Options struct {
 	// TimeScale is wall seconds per simulated second. A positive scale
 	// paces the executors on the wall clock (0.001 replays 1000
-	// simulated seconds per wall second), so timer overshoot, barrier
-	// wake-ups and push latency show up as the small testbed-vs-
-	// simulator gap the paper reports. 0 runs them on a virtual clock:
-	// one executor runs at a time, gradient work costs no simulated
-	// time, and a plan replays as the simulator replays it, the same
-	// way on every run. A negative, NaN or infinite scale is an error.
+	// simulated seconds per wall second), so barrier wake-ups, push
+	// latency and the executors' contention for CPUs show up as the
+	// small testbed-vs-simulator gap the paper reports. 0 runs them on
+	// a virtual clock: one executor runs at a time, gradient work costs
+	// no simulated time, and a plan replays as the simulator replays
+	// it, the same way on every run. A negative, NaN or infinite scale
+	// is an error.
 	TimeScale float64
 	// Scheme selects the task-switching model. The zero value is
 	// switching.Default, the unoptimized baseline; Hare's fast switching
