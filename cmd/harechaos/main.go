@@ -22,6 +22,7 @@ import (
 
 	"hare/internal/chaos"
 	"hare/internal/cliflags"
+	"hare/internal/faults"
 	"hare/internal/rpcnet"
 )
 
@@ -39,11 +40,12 @@ var (
 
 func main() {
 	flag.Parse()
-	if err := cliflags.WallTimescale(*timescale); err != nil {
+	scale, err := timescale(faults.Orchestrated)
+	if err != nil {
 		fatal(err)
 	}
 	opts := chaos.Options{
-		Jobs: *jobs, TimeScale: *timescale, Watchdog: *watchdog,
+		Jobs: *jobs, TimeScale: scale, Watchdog: *watchdog,
 	}
 	if *verbose {
 		opts.Logf = func(format string, args ...any) {

@@ -50,7 +50,7 @@ var (
 
 func main() {
 	flag.Parse()
-	engine, err := checkFlags()
+	engine, scale, err := checkFlags()
 	if err != nil {
 		fatal(err)
 	}
@@ -81,7 +81,7 @@ func main() {
 		defer sampler.Stop()
 	}
 
-	backend, err := buildBackend(engine, fplan, rec, reg)
+	backend, err := buildBackend(engine, scale, fplan, rec, reg)
 	if err != nil {
 		fatal(err)
 	}
@@ -119,31 +119,39 @@ var backendEngines = map[string]faults.Engine{
 	"testbed": faults.InProcess, "sim": faults.Simulator, "dist": faults.Distributed,
 }
 
-// checkFlags resolves -backend to its engine class and rejects flags the
-// chosen backend would silently ignore: only the dist backend has a WAL
-// to keep and a control plane to trace, and it has no virtual clock.
-func checkFlags() (faults.Engine, error) {
+// checkFlags resolves -backend to its engine class and -timescale to
+// the scale that engine runs, and rejects flags the chosen backend would
+// silently ignore: only the dist backend has a WAL to keep and a control
+// plane to trace, the simulator has no clock, and only the in-process
+// testbed has a virtual one.
+func checkFlags() (faults.Engine, float64, error) {
 	name := strings.ToLower(*backendNm)
 	engine, ok := backendEngines[name]
 	if !ok {
-		return 0, fmt.Errorf("unknown backend %q (want testbed, sim, or dist)", name)
+		return 0, 0, fmt.Errorf("unknown backend %q (want testbed, sim, or dist)", name)
 	}
 	if engine != faults.Distributed {
-		return engine, cliflags.Ignored(flag.CommandLine, "requires -backend dist", "wal-dir", "trace-dir")
+		if err := cliflags.Ignored(flag.CommandLine, "requires -backend dist", "wal-dir", "trace-dir"); err != nil {
+			return engine, 0, err
+		}
 	}
-	return engine, cliflags.WallTimescale(*timescale)
+	if engine == faults.Simulator {
+		return engine, 0, cliflags.Ignored(flag.CommandLine, "requires -backend testbed or dist", "timescale")
+	}
+	scale, err := timescale(engine)
+	return engine, scale, err
 }
 
 // buildBackend builds the batch executor of -backend's engine class. The
 // dist backend opens the -wal-dir journal and, if a previous process died
 // mid-batch, finishes that batch from the WAL before the daemon accepts
 // new work.
-func buildBackend(engine faults.Engine, fplan *faults.Plan, rec *obs.Recorder, reg *obs.Registry) (manager.Backend, error) {
+func buildBackend(engine faults.Engine, scale float64, fplan *faults.Plan, rec *obs.Recorder, reg *obs.Registry) (manager.Backend, error) {
 	switch engine {
 	case faults.Simulator:
 		return &manager.SimBackend{Faults: fplan, Recorder: rec, Metrics: reg}, nil
 	case faults.InProcess:
-		return &manager.TestbedBackend{TimeScale: *timescale, Faults: fplan, Recorder: rec}, nil
+		return &manager.TestbedBackend{TimeScale: scale, Faults: fplan, Recorder: rec}, nil
 	default: // dist
 		journal := rpcnet.NewMemJournal()
 		if *walDir != "" {
@@ -163,7 +171,7 @@ func buildBackend(engine faults.Engine, fplan *faults.Plan, rec *obs.Recorder, r
 			}
 		}
 		return &manager.DistributedBackend{
-			TimeScale: *timescale, Faults: fplan, Journal: journal,
+			TimeScale: scale, Faults: fplan, Journal: journal,
 			Recorder: rec, Metrics: reg, TraceDir: *traceDir,
 		}, nil
 	}

@@ -50,9 +50,10 @@ func main() {
 	engine := faults.InProcess
 	if *distrib || *useRPC || *execMode {
 		engine = faults.Distributed // nothing here kills and recovers the coordinator
-		if err := cliflags.WallTimescale(*timescale); err != nil {
-			fatal(err)
-		}
+	}
+	timeScale, err := timescale(engine)
+	if err != nil {
+		fatal(err)
 	}
 	fplan, err := faultSpec(cl.Size(), engine)
 	if err != nil {
@@ -93,7 +94,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		runDistributed(in, plan, cl, models, fplan, "processes", func(bound string) func() []error {
+		runDistributed(in, plan, cl, models, fplan, timeScale, "processes", func(bound string) func() []error {
 			cmds := make([]*exec.Cmd, in.NumGPUs)
 			for g := range cmds {
 				cmds[g] = exec.Command(self, "-executor", "-addr", bound, "-executor-gpu", fmt.Sprint(g),
@@ -113,14 +114,14 @@ func main() {
 		})
 		return
 	case *useRPC:
-		runDistributed(in, plan, cl, models, fplan, "goroutines", func(bound string) func() []error {
+		runDistributed(in, plan, cl, models, fplan, timeScale, "goroutines", func(bound string) func() []error {
 			return rpcnet.StartFleet(bound, in.NumGPUs, func(int) rpcnet.ExecutorOptions { return execOpts })
 		})
 		return
 	}
 
 	res, err := hare.RunTestbed(in, plan, cl, models, hare.TestbedOptions{
-		TimeScale:   *timescale,
+		TimeScale:   timeScale,
 		Scheme:      hare.SwitchHare,
 		Speculative: true,
 		Faults:      fplan,
@@ -155,9 +156,9 @@ func main() {
 // executor's exit error), and prints the coordinator's summary. unit
 // names what start spawns.
 func runDistributed(in *hare.Instance, plan *hare.Schedule, cl *hare.Cluster, models []*hare.Model, fplan *hare.FaultPlan,
-	unit string, start func(bound string) (wait func() []error)) {
+	timeScale float64, unit string, start func(bound string) (wait func() []error)) {
 	srv, bound, wait, err := rpcnet.ServeDistributed(*addr, in, plan, cl, models, rpcnet.DistributedOptions{
-		TimeScale: *timescale, Scheme: hare.SwitchHare, Speculative: true,
+		TimeScale: timeScale, Scheme: hare.SwitchHare, Speculative: true,
 		Faults: fplan,
 	})
 	if err != nil {

@@ -42,7 +42,8 @@ func TestDistributedModesRunToCompletion(t *testing.T) {
 // a run that prints "faults: ..." and injects nothing — -rpc has no
 // supervisor to perform a coordinator outage, the in-process testbed no
 // GPU to lose. So is -timescale 0 on the distributed control plane,
-// which has no virtual clock.
+// which has no virtual clock, and a -timescale no wall clock can keep on
+// either engine (inf used to hang -rpc and -distributed).
 func TestRejectsClausesItsEngineCannotReplay(t *testing.T) {
 	bin := buildBinary(t)
 	for _, tc := range []struct {
@@ -55,6 +56,9 @@ func TestRejectsClausesItsEngineCannotReplay(t *testing.T) {
 		{[]string{"-fault-spec", "netdrop=0.1"}, "cannot replay netdrop=0.1"},
 		{[]string{"-rpc", "-timescale", "0"}, "-timescale 0: the distributed control plane needs a positive scale"},
 		{[]string{"-distributed", "-timescale", "0"}, "-timescale 0: the distributed control plane needs a positive scale"},
+		{[]string{"-rpc", "-timescale", "inf"}, "-timescale +Inf: the distributed control plane needs a positive, finite scale"},
+		{[]string{"-distributed", "-timescale", "inf"}, "-timescale +Inf: the distributed control plane needs a positive, finite scale"},
+		{[]string{"-timescale", "inf"}, "-timescale +Inf: the in-process testbed needs a positive, finite scale"},
 	} {
 		out, err := exec.Command(bin, append([]string{"-jobs", "3"}, tc.args...)...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), tc.want) {

@@ -40,7 +40,9 @@ const (
 type Options struct {
 	// Jobs overrides the scenario's workload size (0 keeps it).
 	Jobs int
-	// TimeScale is the testbed clock scale (default 1e-3).
+	// TimeScale is the distributed run's wall-clock scale, positive and
+	// finite (rpcnet.DistributedOptions.TimeScale); any other scale ends
+	// every run with Err.
 	TimeScale float64
 	// Journal, when set, backs the run's WAL/snapshots (and survives
 	// as an artifact on violation). Nil uses a fresh in-memory journal
@@ -58,13 +60,6 @@ type Options struct {
 	// Logf, when set, receives progress lines (e.g. t.Logf or a -v
 	// printer).
 	Logf func(format string, args ...any)
-}
-
-func (o Options) timeScale() float64 {
-	if o.TimeScale <= 0 {
-		return 1e-3
-	}
-	return o.TimeScale
 }
 
 func (o Options) watchdog() time.Duration {
@@ -254,7 +249,7 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 
 	go func() {
 		srv, bound, wait, err := rpcnet.ServeDistributed("127.0.0.1:0", h.in, h.plan, h.cl, h.models, rpcnet.DistributedOptions{
-			TimeScale:         h.opts.timeScale(),
+			TimeScale:         h.opts.TimeScale,
 			Scheme:            switching.Hare, // what every manager backend runs under
 			Speculative:       true,
 			Store:             st,
@@ -296,7 +291,7 @@ func (h *harness) run(fplan *faults.Plan) Outcome {
 			var killer *time.Timer
 			if kills < len(downs) {
 				at := start.
-					Add(time.Duration(downs[kills].At * h.opts.timeScale() * float64(time.Second))).
+					Add(time.Duration(downs[kills].At * h.opts.TimeScale * float64(time.Second))).
 					Add(downtime)
 				d := time.Until(at)
 				if d < 0 {

@@ -36,7 +36,7 @@ func TestScenarioResolve(t *testing.T) {
 		t.Fatal("resolved plan renders empty")
 	}
 	// The printed spec must round-trip through the -fault-spec grammar.
-	out := RunSpec(7, spec, Options{Jobs: 0})
+	out := RunSpec(7, spec, Options{Jobs: 0, TimeScale: 1e-3})
 	_ = out // compile-time shape check only; executed below in TestSoakSeeds
 }
 
@@ -47,7 +47,7 @@ func TestSoakSeeds(t *testing.T) {
 		t.Skip("soak runs real kill/restart cycles")
 	}
 	for _, seed := range []int64{1, 2} {
-		out := Run(seed, Options{Logf: t.Logf})
+		out := Run(seed, Options{TimeScale: 1e-3, Logf: t.Logf})
 		if out.Err != nil {
 			t.Fatalf("seed %d: %v", seed, out.Err)
 		}
@@ -65,7 +65,7 @@ func TestMinimizeCleanSpecNotReproduced(t *testing.T) {
 	// A benign spec violates nothing, so the minimizer must report
 	// non-reproduction and hand the spec back unchanged.
 	spec := "netdrop=0.01,netseed=3"
-	min, runs, reproduced, err := Minimize(3, spec, Options{})
+	min, runs, reproduced, err := Minimize(3, spec, Options{TimeScale: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestMergeDeterminismUnderTimingChaos(t *testing.T) {
 	)
 	canonical := func(dir string) string {
 		t.Helper()
-		out := RunSpec(seed, spec, Options{TraceDir: dir})
+		out := RunSpec(seed, spec, Options{TimeScale: 1e-3, TraceDir: dir})
 		if out.Err != nil {
 			t.Fatalf("soak: %v", out.Err)
 		}

@@ -13,6 +13,7 @@ import (
 	"hare/internal/faults"
 	"hare/internal/obs"
 	"hare/internal/obs/span"
+	"hare/internal/testbed"
 )
 
 // Faults declares -fault-spec on fs; scope says what the command applies
@@ -122,19 +123,22 @@ func Fleet(fs *flag.FlagSet, testbedFlag string) func() (*cluster.Cluster, error
 	return func() (*cluster.Cluster, error) { return cluster.Preset(*testbed, *het, *gpus) }
 }
 
-// Timescale declares -timescale on fs.
-func Timescale(fs *flag.FlagSet) *float64 {
-	return fs.Float64("timescale", 1e-3, "testbed clock scale (wall seconds per simulated second; 0 runs the in-process engine in virtual time)")
-}
-
-// WallTimescale refuses a -timescale the distributed control plane
-// cannot pace: it runs on the wall clock only, so 0 (virtual time) or a
-// negative scale would silently pace at its default instead.
-func WallTimescale(timescale float64) error {
-	if timescale > 0 {
-		return nil
+// Timescale declares -timescale on fs. The returned function checks the
+// scale against the engine class that runs it: the in-process engine
+// runs 0 on its virtual clock, and every other scale, on every engine,
+// paces a wall clock, which keeps only a scale testbed.CheckScale
+// accepts.
+func Timescale(fs *flag.FlagSet) func(engine faults.Engine) (float64, error) {
+	ts := fs.Float64("timescale", 1e-3, "testbed clock scale (wall seconds per simulated second; 0 runs the in-process engine in virtual time)")
+	return func(engine faults.Engine) (float64, error) {
+		if *ts == 0 && engine == faults.InProcess {
+			return 0, nil
+		}
+		if err := testbed.CheckScale(*ts); err != nil {
+			return 0, fmt.Errorf("-timescale %g: the %s %w", *ts, engine, err)
+		}
+		return *ts, nil
 	}
-	return fmt.Errorf("-timescale %g: the distributed control plane needs a positive scale (0, virtual time, runs only the in-process engine)", timescale)
 }
 
 // Ignored returns an error naming the first of names that was given a

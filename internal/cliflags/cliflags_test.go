@@ -215,8 +215,10 @@ func TestProfilesAndTimescale(t *testing.T) {
 	if err := fs.Parse([]string{"-cpuprofile", cpu, "-timescale", "0.05"}); err != nil {
 		t.Fatal(err)
 	}
-	if *ts != 0.05 {
-		t.Errorf("timescale %g", *ts)
+	for _, engine := range []faults.Engine{faults.InProcess, faults.Distributed} {
+		if scale, err := ts(engine); scale != 0.05 || err != nil {
+			t.Errorf("-timescale 0.05 on the %s: %g, %v", engine, scale, err)
+		}
 	}
 	stop, err := start()
 	if err != nil {
@@ -229,12 +231,31 @@ func TestProfilesAndTimescale(t *testing.T) {
 	if d := fs.Lookup("timescale").DefValue; d != "0.001" {
 		t.Errorf("-timescale default %q, want 0.001", d)
 	}
-	if err := WallTimescale(*ts); err != nil {
-		t.Errorf("-timescale %g refused on the wall clock: %v", *ts, err)
-	}
-	for _, bad := range []float64{0, -1} {
-		if err := WallTimescale(bad); err == nil || !strings.Contains(err.Error(), "needs a positive scale") {
-			t.Errorf("-timescale %g on the distributed control plane: %v, want a refusal", bad, err)
+	// 0 is virtual time, which only the in-process engine has; no engine
+	// takes a scale a wall clock cannot keep.
+	for _, tc := range []struct {
+		arg    string
+		engine faults.Engine
+		want   string // "" = accepted
+	}{
+		{"0", faults.InProcess, ""},
+		{"0", faults.Distributed, "needs a positive scale"},
+		{"0", faults.Orchestrated, "needs a positive scale"},
+		{"-1", faults.InProcess, "needs a positive, finite scale"},
+		{"-1", faults.Distributed, "needs a positive, finite scale"},
+		{"inf", faults.InProcess, "needs a positive, finite scale"},
+		{"inf", faults.Distributed, "needs a positive, finite scale"},
+		{"nan", faults.InProcess, "needs a positive, finite scale"},
+		{"nan", faults.Distributed, "needs a positive, finite scale"},
+	} {
+		fs := newSet()
+		ts := Timescale(fs)
+		if err := fs.Parse([]string{"-timescale", tc.arg}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ts(tc.engine)
+		if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("-timescale %s on the %s: %v, want %q", tc.arg, tc.engine, err, tc.want)
 		}
 	}
 }

@@ -27,7 +27,9 @@ import (
 // resumes from the WAL (see rpcnet.RecoverDistributed and cmd/hared's
 // boot-time resume).
 type DistributedBackend struct {
-	// TimeScale is the shared clock scale (default 1e-3).
+	// TimeScale is the shared wall clock's scale; it must be positive
+	// and finite (rpcnet.DistributedOptions.TimeScale), so the zero
+	// value fails every batch.
 	TimeScale float64
 	// Store receives checkpoints (in-memory by default).
 	Store store.Store

@@ -104,7 +104,7 @@ func TestDistributedBackendRejectsCoordDowns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := testManager(&DistributedBackend{Faults: plan})
+	m := testManager(&DistributedBackend{TimeScale: 1e-3, Faults: plan})
 	if _, err := m.Submit(req("ResNet50", 1, 1)); err != nil {
 		t.Fatal(err)
 	}

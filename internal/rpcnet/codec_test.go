@@ -38,7 +38,7 @@ func TestPushRecordSize(t *testing.T) {
 // a corrupt payload.
 func TestOldJournalNamesVersion(t *testing.T) {
 	in, plan, cl, models := chaosWorkload(t, 3, 9)
-	co, err := newDistributed(in, plan, cl, models, DistributedOptions{})
+	co, err := newDistributed(in, plan, cl, models, DistributedOptions{TimeScale: 1e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,6 +157,11 @@ type ReportArgs struct {
 
 // DistributedOptions configures ServeDistributed.
 type DistributedOptions struct {
+	// TimeScale is wall seconds per simulated second of the shared
+	// clock; it must be positive and finite (testbed.CheckScale). The
+	// control plane paces only on the wall clock, so 0, the in-process
+	// engine's virtual time, is refused like any other scale the rule
+	// refuses.
 	TimeScale   float64
 	Scheme      switching.Scheme
 	Speculative bool
@@ -194,9 +199,6 @@ type DistributedOptions struct {
 // withDefaults fills what the coordinator reads: a run without a
 // checkpoint store gets a memory one.
 func (o DistributedOptions) withDefaults() DistributedOptions {
-	if o.TimeScale <= 0 {
-		o.TimeScale = 1e-3
-	}
 	if o.Store == nil {
 		o.Store = store.NewMem()
 	}
@@ -910,7 +912,10 @@ func newDistributed(in *core.Instance, plan *core.Schedule, cl *cluster.Cluster,
 	if err != nil {
 		return nil, fmt.Errorf("rpcnet: invalid plan: %w", err)
 	}
-	clock := testbed.NewClock(opts.TimeScale)
+	clock, err := testbed.NewClock(opts.TimeScale)
+	if err != nil {
+		return nil, fmt.Errorf("rpcnet: %w", err)
+	}
 	gpuTypes, modelNames := make([]string, cl.Size()), make([]string, len(models))
 	for g, gpu := range cl.GPUs {
 		gpuTypes[g] = gpu.Type.Name

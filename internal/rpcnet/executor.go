@@ -391,7 +391,10 @@ func runExecutorSession(addr string, gpu int, ch *netChaos, eobs *execObs, rng *
 	// timestamps agree across processes — including across a
 	// coordinator recovery, which re-anchors its epoch to preserve
 	// simulated-time continuity.
-	clock := testbed.NewClockAt(time.Unix(0, cfg.EpochUnixNano), cfg.TimeScale)
+	clock, err := testbed.NewClockAt(time.Unix(0, cfg.EpochUnixNano), cfg.TimeScale)
+	if err != nil {
+		return true, permanentError{fmt.Errorf("rpcnet: config: %w", err)}
+	}
 	ch.setClock(clock)
 	s.clock = clock
 

@@ -365,7 +365,7 @@ func TestDialBackoffRecoversLateServer(t *testing.T) {
 	up := make(chan served, 1)
 	go func() {
 		time.Sleep(DialBackoff / 2)
-		srv, _, _, err := ServeDistributed(addr, in, plan, cl, models, DistributedOptions{LeaseTimeout: time.Hour})
+		srv, _, _, err := ServeDistributed(addr, in, plan, cl, models, DistributedOptions{TimeScale: 1e-3, LeaseTimeout: time.Hour})
 		up <- served{srv, err}
 	}()
 	c, err := dialRPCSeeded(addr, 7)

@@ -196,7 +196,10 @@ func rebuildCoordinator(j *Journal, ropts RecoverOptions) (*coordinator, replayI
 		}
 	}
 	wallBack := time.Duration(rp.watermark * opts.TimeScale * float64(time.Second))
-	clock := testbed.NewClockAt(time.Now().Add(-wallBack), opts.TimeScale)
+	clock, err := testbed.NewClockAt(time.Now().Add(-wallBack), opts.TimeScale)
+	if err != nil {
+		return nil, replayInfo{}, fmt.Errorf("snapshot: %w", err)
+	}
 
 	st := &snap.State
 	if err := st.Bind(in, opts.Store); err != nil {

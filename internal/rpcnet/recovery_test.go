@@ -283,7 +283,7 @@ func TestRecoverAppendsOneRecord(t *testing.T) {
 	in, plan, cl, models := chaosWorkload(t, 3, 9)
 	journal := NewMemJournal()
 	srv, _, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{
-		Journal: journal, LeaseTimeout: time.Hour, // no executor connects; nothing may be fenced
+		TimeScale: 1e-3, Journal: journal, LeaseTimeout: time.Hour, // no executor connects; nothing may be fenced
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestRecoverRefusesUndecodableTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	co, err := newDistributed(in, plan, cl, models, DistributedOptions{Journal: j})
+	co, err := newDistributed(in, plan, cl, models, DistributedOptions{TimeScale: 1e-3, Journal: j})
 	if err != nil {
 		t.Fatal(err)
 	}

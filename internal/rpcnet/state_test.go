@@ -372,7 +372,7 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 	} {
 		name, rec := bad.name, bad.rec
 		j := NewMemJournal()
-		srv, _, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{Journal: j, LeaseTimeout: time.Hour})
+		srv, _, _, err := ServeDistributed("127.0.0.1:0", in, plan, cl, models, DistributedOptions{TimeScale: 1e-3, Journal: j, LeaseTimeout: time.Hour})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func TestRecoverRejectsOutOfRangeRecords(t *testing.T) {
 		{"a 5-wide model", "holds 5 parameters", func(s *testbed.State) { s.Jobs[0].Params = s.Jobs[0].Params[:5] }},
 	} {
 		j := NewMemJournal()
-		co, err := newDistributed(in, plan, cl, models, DistributedOptions{Journal: j})
+		co, err := newDistributed(in, plan, cl, models, DistributedOptions{TimeScale: 1e-3, Journal: j})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +439,7 @@ func (s *failingStore) Save(key string, data []byte) error {
 func TestFailedCheckpointFailsRun(t *testing.T) {
 	in, plan, cl, models := chaosWorkload(t, 3, 9)
 	ckpt := &failingStore{Store: store.NewMem()}
-	co, err := newDistributed(in, plan, cl, models, DistributedOptions{Store: ckpt})
+	co, err := newDistributed(in, plan, cl, models, DistributedOptions{TimeScale: 1e-3, Store: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package testbed
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"time"
 )
@@ -24,20 +26,36 @@ type Clock struct {
 	wallPerSim float64
 }
 
+// CheckScale is the one rule for a wall clock's scale: it must be
+// positive and finite. 0 is no wall clock's scale but the in-process
+// engine's virtual time (Options.TimeScale); a negative, NaN or infinite
+// scale means nothing (a +Inf clock's Now would stay 0 for ever). The
+// error completes a sentence that names the clock's user.
+func CheckScale(wallPerSim float64) error {
+	switch {
+	case wallPerSim > 0 && !math.IsInf(wallPerSim, 1):
+		return nil
+	case wallPerSim == 0:
+		return errors.New("needs a positive scale (0, virtual time, runs only the in-process engine)")
+	}
+	return errors.New("needs a positive, finite scale")
+}
+
 // NewClock starts a clock with the given wall-seconds-per-sim-second
-// scale (e.g. 0.001 replays 1000 simulated seconds per wall second).
-func NewClock(wallPerSim float64) *Clock {
+// scale (e.g. 0.001 replays 1000 simulated seconds per wall second),
+// which CheckScale must accept.
+func NewClock(wallPerSim float64) (*Clock, error) {
 	return NewClockAt(time.Now(), wallPerSim) //lint:allow walltime the wall clock's epoch: Clock is the testbed's one wall-clock reader
 }
 
 // NewClockAt starts a clock with an explicit wall epoch, so clocks in
 // different processes (distributed executors) share one simulated
 // time base.
-func NewClockAt(start time.Time, wallPerSim float64) *Clock {
-	if wallPerSim <= 0 {
-		panic(fmt.Sprintf("testbed: non-positive clock scale %g", wallPerSim))
+func NewClockAt(start time.Time, wallPerSim float64) (*Clock, error) {
+	if err := CheckScale(wallPerSim); err != nil {
+		return nil, fmt.Errorf("testbed: invalid TimeScale %g: a wall clock %w", wallPerSim, err)
 	}
-	return &Clock{start: start, wallPerSim: wallPerSim}
+	return &Clock{start: start, wallPerSim: wallPerSim}, nil
 }
 
 // Epoch returns the clock's wall-time origin.

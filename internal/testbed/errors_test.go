@@ -55,7 +55,7 @@ func TestRunRejectsBadInputs(t *testing.T) {
 
 func TestNewRemoteExecutorValidation(t *testing.T) {
 	in, cl, models := smallWorkload(t, 2, 33)
-	clock := NewClock(1e-3)
+	clock := wallClock(t, 1e-3)
 	base := RemoteExecutorConfig{
 		GPU: 0, GPUType: cl.GPUs[0].Type,
 		Instance: in, Models: models, Clock: clock, Sync: testPlane(t, in),
@@ -84,7 +84,10 @@ func TestNewRemoteExecutorValidation(t *testing.T) {
 
 func TestClockEpochAlignment(t *testing.T) {
 	epoch := time.Now().Add(-100 * time.Millisecond) //lint:allow walltime the wall clock's own epoch is what is tested
-	c := NewClockAt(epoch, 1e-3)
+	c, err := NewClockAt(epoch, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Epoch() != epoch {
 		t.Error("epoch not preserved")
 	}
@@ -93,19 +96,40 @@ func TestClockEpochAlignment(t *testing.T) {
 		t.Errorf("clock at %g sim-seconds, want ≈100", now)
 	}
 	// Two clocks with one epoch agree.
-	d := NewClockAt(epoch, 1e-3)
+	d, err := NewClockAt(epoch, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if diff := c.Now() - d.Now(); diff > 1 || diff < -1 {
 		t.Errorf("shared-epoch clocks diverge by %g", diff)
 	}
 }
 
-func TestClockPanicsOnBadScale(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero scale")
+// TestClockRefusesBadScale: a wall clock keeps only a positive, finite
+// scale, and both constructors say so with an error, not a panic or a
+// clock whose Now never moves.
+func TestClockRefusesBadScale(t *testing.T) {
+	for _, scale := range []float64{0, -1, math.Inf(-1), math.NaN(), math.Inf(1)} {
+		if c, err := NewClock(scale); err == nil || c != nil || !strings.Contains(err.Error(), "invalid TimeScale") {
+			t.Errorf("NewClock(%g) = %v, %v; want no clock and an invalid-TimeScale error", scale, c, err)
 		}
-	}()
-	NewClock(0)
+		if c, err := NewClockAt(time.Unix(0, 0), scale); err == nil || c != nil {
+			t.Errorf("NewClockAt(_, %g) = %v, %v; want no clock and an error", scale, c, err)
+		}
+	}
+	if _, err := NewClock(0); err == nil || !strings.Contains(err.Error(), "virtual time") {
+		t.Errorf("NewClock(0): %v; want an error naming virtual time", err)
+	}
+}
+
+// wallClock is a wall clock at a scale the test knows to be valid.
+func wallClock(t testing.TB, scale float64) *Clock {
+	t.Helper()
+	c, err := NewClock(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestSleepUntilWakesOnTime: a wall-clock wait never ends before its
@@ -114,7 +138,7 @@ func TestClockPanicsOnBadScale(t *testing.T) {
 // time.Sleep of that length takes about a millisecond on an idle
 // runtime. A few waits longer than sleepGrain take the sleeping path.
 func TestSleepUntilWakesOnTime(t *testing.T) {
-	c := NewClock(1)
+	c := wallClock(t, 1)
 	if now := c.Now(); c.SleepUntil(now-1) < now {
 		t.Fatal("a wait for a past time went back in time")
 	}
@@ -147,7 +171,7 @@ func testPlane(t *testing.T, in *core.Instance) *lane {
 	if err := st.SaveCheckpoints(); err != nil {
 		t.Fatal(err)
 	}
-	return &newPlane(st, NewClock(1)).lanes[0]
+	return &newPlane(st, wallClock(t, 1)).lanes[0]
 }
 
 // TestPSRejectsWrongRoundAndJob: the control plane refuses a gradient of
@@ -245,7 +269,7 @@ func TestExecutorSurfacesPushErrors(t *testing.T) {
 	}
 	exec, err := NewRemoteExecutor(RemoteExecutorConfig{
 		GPU: 0, GPUType: cl.GPUs[0].Type,
-		Instance: in, Models: models, Clock: NewClock(1e-4),
+		Instance: in, Models: models, Clock: wallClock(t, 1e-4),
 		Sync: brokenClient{SyncClient: testPlane(t, in)},
 	})
 	if err != nil {
