@@ -11,7 +11,9 @@
 #                             # pipe errors retryable, Heartbeat beside a blocked Next,
 #                             # handler errors as text, a fixed goroutine count with pushes
 #                             # and with parked Nexts, a torn connection under a parked Next
-#                             # leaves at once, bad frames, a mem: connection's ends) and
+#                             # leaves at once, bad frames, a mem: connection's ends, every way
+#                             # into the distributed engine refusing a clock scale no wall
+#                             # clock keeps) and
 #                             # fail-closed/round-gate/wall-clock-wait/virtual-clock stress,
 #                             # twelve 10 s fuzz smokes,
 #                             # make loc
@@ -55,8 +57,8 @@ tests() {
 	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatch|TestTwoRecoveriesWithoutSnapshot)$' -count 10 -race
 	echo "==> dispatch stress under -race (a repeated Next or Push is sent the GPU's in-flight task; a re-handshake after a torn Next gets the task; Close does not deadlock with its accept loop)"
 	go test ./internal/rpcnet -run '^(TestPushCarriesDispatch|TestNextCarriesBarrierAndCheckpoint|TestRehandshakeAfterTornNext|TestCloseRacesAccept)$' -count 20 -race
-	echo "==> in-memory transport and call layer stress under -race (kill/recover over a mem: address; a released name is listened on again; Close refuses dials and deadlocks with neither a waiting dial nor its accept loop; Kill severs live connections, fails every pending call retryably and every goroutine returns; the pipe's errors start a fresh session; a Heartbeat beside a blocked Next is answered, over TCP and mem:; fenced and stale-epoch errors arrive as text; 1 000 pushes keep the goroutine count, and so do Nexts parked for three GPUs; a connection closed under a parked Next leaves the server at once; a bad body is answered and a bad header ends the connection; a mem: connection drains to io.EOF, refuses writes to a closed peer and Close ends a pending Read)"
-	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatchMem|TestMemListenerNames|TestCloseRacesAcceptMem|TestMemDialRacesClose|TestMemKillSeversPipes|TestSessionRetryablePipeErrors|TestConcurrentBlockingCalls|TestReportValidation|TestPushesKeepGoroutineCount|TestParkedNextsKeepGoroutineCount|TestTornNextLeavesConns|TestServerBadFrames|TestMemConnEnds)$' -count 20 -race
+	echo "==> in-memory transport and call layer stress under -race (kill/recover over a mem: address; a released name is listened on again; Close refuses dials and deadlocks with neither a waiting dial nor its accept loop; Kill severs live connections, fails every pending call retryably and every goroutine returns; the pipe's errors start a fresh session; a Heartbeat beside a blocked Next is answered, over TCP and mem:; fenced and stale-epoch errors arrive as text; 1 000 pushes keep the goroutine count, and so do Nexts parked for three GPUs; a connection closed under a parked Next leaves the server at once; a bad body is answered and a bad header ends the connection; a mem: connection drains to io.EOF, refuses writes to a closed peer and Close ends a pending Read; ServeDistributed, a DistributedBackend, chaos.RunSpec, RecoverDistributed and an executor's Config reply refuse a TimeScale of 0, -1, -Inf, NaN or +Inf at once)"
+	go test ./internal/rpcnet -run '^(TestKillRecoverMidBatchMem|TestMemListenerNames|TestCloseRacesAcceptMem|TestMemDialRacesClose|TestMemKillSeversPipes|TestSessionRetryablePipeErrors|TestConcurrentBlockingCalls|TestReportValidation|TestPushesKeepGoroutineCount|TestParkedNextsKeepGoroutineCount|TestTornNextLeavesConns|TestServerBadFrames|TestMemConnEnds|TestDistributedRefusesBadTimeScale)$' -count 20 -race
 	echo "==> in-process control-plane stress under -race (a failed checkpoint save fails the run closed on both clocks; a round releases its waiter at its last push, leaving no goroutine; a wall-clock wait never ends before its target and a 50 µs one is not a timer tick late; on the virtual clock Fig. 12's five plans replay as the simulator does, bit-identically every run)"
 	go test ./internal/testbed -run '^(TestRunFailsClosed|TestRoundGateClosesAtLastPush|TestSleepUntilWakesOnTime)$' -count 20 -race
 	go test ./internal/experiments -run '^TestFig12VirtualMatchesSim$' -count 3 -race
